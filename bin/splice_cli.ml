@@ -245,9 +245,10 @@ let eval_cmd =
       & info [ "trace" ] ~docv:"FILE"
           ~doc:
             "Write a Chrome trace-event JSON of the instrumented Fig 9.2 \
-             runs (one process per implementation, one thread per span \
-             track; timestamps in bus-clock cycles). Open at \
-             chrome://tracing or ui.perfetto.dev.")
+             runs, read from each run's flight recorder (one process per \
+             implementation, one thread per transaction track: bus/*, \
+             sis/write, sis/read, driver/*; timestamps in bus-clock \
+             cycles). Open at chrome://tracing or ui.perfetto.dev.")
   in
   let openmetrics =
     Arg.(
@@ -284,9 +285,7 @@ let eval_cmd =
     match (stats, trace, openmetrics) with
     | None, None, None -> 0
     | _ -> (
-        let drows =
-          Splice.Cycles.measure_detailed ~tracing:(trace <> None) ()
-        in
+        let drows = Splice.Cycles.measure_detailed () in
         try
           Option.iter
             (fun path ->

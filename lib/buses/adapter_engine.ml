@@ -49,7 +49,6 @@ type t = {
   m_wait_states : Metrics.counter;  (* stub not ready: IO_DONE/DOV low *)
   m_overhead : Metrics.counter;  (* setup, teardown, inter-word gaps *)
   h_burst : Metrics.histogram;
-  mutable req_span : Tracer.span;
   (* flight recorder (if the obs context carries one) plus the interned
      "bus/<name>" track id, resolved once at engine creation *)
   rec_ : Recorder.t option;
@@ -69,8 +68,6 @@ let end_transaction t =
   (match t.rec_ with
   | Some r -> Recorder.txn_end r ~subject:t.rec_track
   | None -> ());
-  Tracer.end_span t.req_span ~ts:(Obs.now t.obs);
-  t.req_span <- Tracer.null_span;
   deassert t;
   t.active <- None;
   if t.cfg.teardown_cycles > 0 then t.phase <- Teardown t.cfg.teardown_cycles
@@ -112,13 +109,7 @@ let begin_request t req =
   | None -> ());
   if Obs.active t.obs then begin
     Metrics.incr t.m_transfers;
-    Metrics.observe t.h_burst (Bus_port.words_of_req req);
-    if Obs.tracing t.obs then
-      t.req_span <-
-        Tracer.begin_span (Obs.tracer t.obs)
-          ~track:("bus/" ^ t.cfg.name)
-          ~ts:(Obs.now t.obs)
-          (Format.asprintf "%a" Bus_port.pp_req req)
+    Metrics.observe t.h_burst (Bus_port.words_of_req req)
   end;
   let dma = match req with Bus_port.Dma_write _ | Bus_port.Dma_read _ -> true | _ -> false in
   (* a DMA transfer is programmed with [dma_setup_transactions] ordinary bus
@@ -311,7 +302,6 @@ let make ?(obs = Obs.none) cfg sis =
       h_burst =
         Metrics.histogram ~limits:[| 1; 2; 4; 8; 16; 32; 64 |] m
           ("bus/" ^ cfg.name ^ "/burst_words");
-      req_span = Tracer.null_span;
       rec_;
       rec_track;
       cover_txn =
@@ -332,8 +322,7 @@ let make ?(obs = Obs.none) cfg sis =
         t.gap_w <- cfg.write_word_gap;
         t.gap_r <- cfg.read_word_gap;
         t.prev_calc <- None;
-        t.irq_flag <- false;
-        t.req_span <- Tracer.null_span)
+        t.irq_flag <- false)
       ("adapter:" ^ cfg.name);
   t
 

@@ -41,8 +41,9 @@ val make : ?obs:Splice_obs.Obs.t -> config -> Sis_if.t -> t
 (** [obs] (default [Obs.none]) receives per-bus metrics under
     [bus/<name>/…] — transfers, words written/read, wait-states (stub not
     ready), overhead cycles (setup/teardown/word gaps), a burst-length
-    histogram — plus one span per native bus transaction on track
-    [bus/<name>] when tracing is enabled. {!Bus.connect_with_engine} wires
+    histogram — and, when the context carries a flight recorder, one
+    [Txn_begin]/[Txn_end] pair per native bus transaction on track
+    [bus/<name>]. {!Bus.connect_with_engine} wires
     the kernel's own context through automatically. *)
 
 val component : t -> Component.t

@@ -185,8 +185,8 @@ let connect kernel (spec : Spec.t) sis =
   let aclk = Kernel.add_domain kernel ~name:"axi.aclk" ~period:p_aclk () in
   let pclk = Kernel.add_domain kernel ~name:"axi.pclk" ~period:p_pclk () in
   (* everything registered before the bus connects — the stubs, the
-     arbiter, the SIS protocol monitor and its tracer — is the peripheral,
-     and the peripheral lives on PCLK *)
+     arbiter, the SIS protocol monitor and its instrumentation — is the
+     peripheral, and the peripheral lives on PCLK *)
   Kernel.rehome_all kernel pclk;
   let width = spec.Spec.bus_width in
   let base =

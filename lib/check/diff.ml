@@ -79,8 +79,6 @@ type report = {
 let phase_ns : (int ref * int ref) Splice_par.Dls.t =
   Splice_par.Dls.make (fun () -> (ref 0, ref 0))
 
-let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
-
 let sched_name = function
   | `Event -> "event"
   | `Sweep -> "sweep"
@@ -198,11 +196,11 @@ let exec ~max_cycles ~cache ~key ~cover ~caps ~spec ~tr bus sched =
     host
   in
   let build_ns, sim_ns = Splice_par.Dls.get phase_ns in
-  let t_build = now_ns () in
+  let t_build = Obs.now_ns () in
   let host, _hit =
     Splice_cache.Design_cache.with_cache cache ~key ~sched ~build
   in
-  let t_run = now_ns () in
+  let t_run = Obs.now_ns () in
   build_ns := !build_ns + (t_run - t_build);
   let run () =
     let fail func msg = raise (Call_failed (func, msg, dump_of host msg)) in
@@ -249,7 +247,7 @@ let exec ~max_cycles ~cache ~key ~cover ~caps ~spec ~tr bus sched =
       tr.Specgen.t_calls
   in
   let finish r =
-    sim_ns := !sim_ns + (now_ns () - t_run);
+    sim_ns := !sim_ns + (Obs.now_ns () - t_run);
     r
   in
   match run () with

@@ -105,10 +105,9 @@ module Bus_cover = Splice_cover.Bus_cover
 (* content-hashed design cache with instance-reset replay *)
 module Design_cache = Splice_cache.Design_cache
 
-(* observability: metrics, spans, flight recorder, exporters *)
+(* observability: metrics, flight recorder, exporters *)
 module Obs = Splice_obs.Obs
 module Metrics = Splice_obs.Metrics
-module Tracer = Splice_obs.Tracer
 module Recorder = Splice_obs.Recorder
 module Query = Splice_obs.Query
 module Openmetrics = Splice_obs.Openmetrics

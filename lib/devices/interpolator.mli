@@ -40,8 +40,8 @@ val behavior : string -> Splice_sis.Stub_model.behavior
 
 val make_host :
   ?obs:Splice_obs.Obs.t -> ?sched:Splice_sim.Kernel.sched -> impl -> Host.t
-(** [obs] is handed to {!Host.create}, so one context collects metrics (and
-    spans when tracing is on) for the whole implementation under test.
+(** [obs] is handed to {!Host.create}, so one context collects metrics and
+    flight-recorder events for the whole implementation under test.
     [sched] selects the kernel's comb scheduler (E14 compares the default
     event-driven scheduler against the legacy [`Sweep]). *)
 

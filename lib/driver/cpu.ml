@@ -28,21 +28,44 @@ type t = {
   m_ops : Metrics.counter;
   m_polls : Metrics.counter;
   m_overhead : Metrics.counter;
+  m_op : Metrics.counter option array;
+      (* [driver/op/<kind>], indexed by [op_index], registered on first
+         use and forgotten on reset: a design-cache replay rewinds the
+         registry to its mark, so the replay must register them again, in
+         its own first-use order, for the registry to match a fresh
+         build's *)
 }
 
-let op_kind = function
-  | Op.Set_address _ -> "set_address"
-  | Op.Write_single _ -> "write_single"
-  | Op.Write_double _ -> "write_double"
-  | Op.Write_quad _ -> "write_quad"
-  | Op.Write_burst _ -> "write_burst"
-  | Op.Read_single _ -> "read_single"
-  | Op.Read_double _ -> "read_double"
-  | Op.Read_quad _ -> "read_quad"
-  | Op.Read_burst _ -> "read_burst"
-  | Op.Write_dma _ -> "write_dma"
-  | Op.Read_dma _ -> "read_dma"
-  | Op.Wait_for_results _ -> "wait_for_results"
+let op_kinds =
+  [|
+    "set_address"; "write_single"; "write_double"; "write_quad";
+    "write_burst"; "read_single"; "read_double"; "read_quad"; "read_burst";
+    "write_dma"; "read_dma"; "wait_for_results";
+  |]
+
+let op_index = function
+  | Op.Set_address _ -> 0
+  | Op.Write_single _ -> 1
+  | Op.Write_double _ -> 2
+  | Op.Write_quad _ -> 3
+  | Op.Write_burst _ -> 4
+  | Op.Read_single _ -> 5
+  | Op.Read_double _ -> 6
+  | Op.Read_quad _ -> 7
+  | Op.Read_burst _ -> 8
+  | Op.Write_dma _ -> 9
+  | Op.Read_dma _ -> 10
+  | Op.Wait_for_results _ -> 11
+
+let op_counter t op =
+  let i = op_index op in
+  match t.m_op.(i) with
+  | Some c -> c
+  | None ->
+      let name = "driver/op/" ^ op_kinds.(i) in
+      let c = Metrics.counter (Obs.metrics t.obs) name in
+      t.m_op.(i) <- Some c;
+      c
 
 let next_op t =
   match t.prog with
@@ -75,8 +98,7 @@ let seq t () =
   | Issue op -> (
       if Obs.active t.obs then begin
         Metrics.incr t.m_ops;
-        Metrics.incr
-          (Metrics.counter (Obs.metrics t.obs) ("driver/op/" ^ op_kind op))
+        Metrics.incr (op_counter t op)
       end;
       match op with
       | Op.Set_address _ -> next_op t
@@ -150,6 +172,7 @@ let make ?(obs = Obs.none) ?(issue_overhead = 1) ?wait_mode port =
       m_ops = Metrics.counter m "driver/ops";
       m_polls = Metrics.counter m "driver/polls";
       m_overhead = Metrics.counter m "driver/overhead_cycles";
+      m_op = Array.make (Array.length op_kinds) None;
     }
   in
   t.comp <-
@@ -158,7 +181,8 @@ let make ?(obs = Obs.none) ?(issue_overhead = 1) ?wait_mode port =
         t.state <- Idle;
         t.prog <- [];
         t.reads <- [];
-        t.polls <- 0)
+        t.polls <- 0;
+        Array.fill t.m_op 0 (Array.length t.m_op) None)
       ("cpu:" ^ port.Bus_port.bus_name);
   t
 
@@ -176,17 +200,9 @@ let read_data t = List.rev t.reads
 let polls t = t.polls
 
 let run_program ?(max_cycles = 1_000_000) kernel t prog =
-  let obs = Kernel.obs kernel in
-  let span =
-    if Obs.tracing obs then
-      Tracer.begin_span (Obs.tracer obs) ~track:"driver" ~ts:(Obs.now obs)
-        (Printf.sprintf "program (%d op(s))" (List.length prog))
-    else Tracer.null_span
-  in
   load t prog;
   let cycles =
     Kernel.run_until ~max:max_cycles ~what:"driver program" kernel (fun () ->
         not (running t))
   in
-  Tracer.end_span span ~ts:(Obs.now obs);
   (read_data t, cycles)

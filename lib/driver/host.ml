@@ -11,6 +11,10 @@ type t = {
   port : Bus_port.t;
   cpu : Cpu.t;
   lean_driver : bool;
+  recorder : Recorder.t option;
+  call_tracks : (string * int) list;
+      (* function name -> its interned "driver/<func>" recorder track,
+         resolved at creation, before a design cache marks the recorder *)
   mutable signals : Signal.t list;
       (* every signal the design owns, newest first: the build's creations
          plus anything adopted afterwards (monitors, cover probes) — the
@@ -27,7 +31,7 @@ let create ?(monitor = true) ?issue_overhead ?(lean_driver = false) ?bus ?obs
         | Some b -> b
         | None -> failwith (Printf.sprintf "Host.create: unknown bus %S" spec.bus_name))
   in
-  let t0 = Kernel.now_ns () in
+  let t0 = Obs.now_ns () in
   let (host, created) =
     Signal.record_created (fun () ->
         let kernel = Kernel.create ?sched ?obs () in
@@ -42,24 +46,44 @@ let create ?(monitor = true) ?issue_overhead ?(lean_driver = false) ?bus ?obs
           Cpu.make ~obs:(Kernel.obs kernel) ?issue_overhead ?wait_mode port
         in
         Kernel.add kernel (Cpu.component cpu);
-        { kernel; spec; peripheral; port; cpu; lean_driver; signals = [] })
+        let recorder = Obs.recorder (Kernel.obs kernel) in
+        let call_tracks =
+          match recorder with
+          | None -> []
+          | Some r ->
+              List.map
+                (fun (f : Spec.func) ->
+                  (f.name, Recorder.intern r ("driver/" ^ f.name)))
+                spec.funcs
+        in
+        {
+          kernel;
+          spec;
+          peripheral;
+          port;
+          cpu;
+          lean_driver;
+          recorder;
+          call_tracks;
+          signals = [];
+        })
   in
   let owner = Kernel.id host.kernel in
   Array.iter (fun s -> Signal.set_owner s ~owner) created;
   host.signals <- List.rev (Array.to_list created);
-  Kernel.note_elaborate_ns host.kernel (Int64.sub (Kernel.now_ns ()) t0);
+  Kernel.note_elaborate_ns host.kernel (Int64.of_int (Obs.now_ns () - t0));
   host
 
 (* Extend the design with post-build attachments (protocol monitors, cover
    probes): their signals join the owned set so instance reset restores
    them, and the elaboration clock keeps running. *)
 let adopt t f =
-  let t0 = Kernel.now_ns () in
+  let t0 = Obs.now_ns () in
   let (v, created) = Signal.record_created f in
   let owner = Kernel.id t.kernel in
   Array.iter (fun s -> Signal.set_owner s ~owner) created;
   t.signals <- List.rev_append (Array.to_list created) t.signals;
-  Kernel.note_elaborate_ns t.kernel (Int64.sub (Kernel.now_ns ()) t0);
+  Kernel.note_elaborate_ns t.kernel (Int64.of_int (Obs.now_ns () - t0));
   v
 
 let retire t = Signal.clear_pending_for ~owner:(Kernel.id t.kernel)
@@ -76,15 +100,15 @@ let call_full ?(instance = 0) ?max_cycles t ~func ~args =
       ~max_burst_words:t.port.Bus_port.max_burst_words
       ~supports_dma:t.port.Bus_port.supports_dma plan ~args
   in
-  let obs = Kernel.obs t.kernel in
-  let span =
-    if Obs.tracing obs then
-      Tracer.begin_span (Obs.tracer obs) ~track:"driver" ~ts:(Obs.now obs)
-        ("call " ^ func)
-    else Tracer.null_span
+  let record kind ~arg =
+    match t.recorder with
+    | Some r ->
+        Recorder.record r kind ~subject:(List.assoc func t.call_tracks) ~arg
+    | None -> ()
   in
+  record Recorder.Txn_begin ~arg:(List.length prog);
   let words, cycles = Cpu.run_program ?max_cycles t.kernel t.cpu prog in
-  Tracer.end_span span ~ts:(Obs.now obs);
+  record Recorder.Txn_end ~arg:0;
   let readbacks, _ = Program.unpack_readbacks plan words in
   (Program.unpack_result plan words, readbacks, cycles)
 

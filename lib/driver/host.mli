@@ -24,9 +24,10 @@ val create :
 (** [bus] defaults to the registry entry for [spec.bus_name]; raises
     [Failure] when the bus is unknown. [lean_driver] models hand-optimised
     driver code (see {!Program.of_plan}). [obs] becomes the kernel's
-    observability context (default: a fresh enabled context with tracing
-    off); every layer — kernel, bus adapter, arbiter, SIS monitor, CPU —
-    is wired to it. [sched] selects the kernel's comb scheduler (default
+    observability context (default: a fresh enabled context — metrics and
+    flight recorder); every layer — kernel, bus adapter, arbiter, SIS
+    monitor, CPU, and the host's own [driver/<func>] call track — is
+    wired to it. [sched] selects the kernel's comb scheduler (default
     event-driven; [`Sweep] is the legacy oracle the E14 ablation compares
     against). *)
 

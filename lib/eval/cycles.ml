@@ -96,12 +96,12 @@ type detailed_row = {
   kstats : Splice_sim.Kernel.stats;
 }
 
-(* never cached: each row's host is built around its own Obs.t (returned in
-   the detailed_row), and tracing spans are not part of the reset contract *)
-let measure_detailed ?(tracing = false) () =
+(* never cached: each row's host is built around its own Obs.t, returned in
+   the detailed_row with its recorder holding the whole run *)
+let measure_detailed () =
   List.map
     (fun impl ->
-      let obs = Obs.create ~tracing () in
+      let obs = Obs.create () in
       let host = Interpolator.make_host ~obs impl in
       Splice_driver.Host.attach_cycle_breakdown host;
       let m = Obs.metrics obs in
@@ -199,8 +199,11 @@ let stats_report drows =
          drows)
 
 let trace_procs drows =
-  List.map
-    (fun d -> (Interpolator.impl_name d.row.impl, Obs.tracer d.obs))
+  List.filter_map
+    (fun d ->
+      Option.map
+        (fun r -> (Interpolator.impl_name d.row.impl, r))
+        (Obs.recorder d.obs))
     drows
 
 let chrome_trace drows = Export.chrome_trace (trace_procs drows)

@@ -51,18 +51,19 @@ type detailed_row = {
   breakdowns : (int * breakdown) list;  (** scenario id, per-layer budget *)
   obs : Splice_obs.Obs.t;
       (** the context that accumulated the whole implementation's metrics
-          (and spans, when tracing) *)
+          and whose flight recorder holds its whole run *)
   kstats : Splice_sim.Kernel.stats;
       (** the kernel's counters after the measurement — including the
           build-phase wall times (elaborate/seal/compile ns) the design
           cache amortizes *)
 }
 
-val measure_detailed : ?tracing:bool -> unit -> detailed_row list
+val measure_detailed : unit -> detailed_row list
 (** {!measure} with observability attached: each implementation runs under
-    its own {!Splice_obs.Obs.t} with a per-cycle layer classifier, and with
-    span tracing when [tracing] is set. Instrumentation is passive — the
-    embedded [row]s match {!measure} exactly. *)
+    its own {!Splice_obs.Obs.t} — metrics, a per-cycle layer classifier and
+    a flight recorder whose default ring holds the whole run.
+    Instrumentation is passive — the embedded [row]s match {!measure}
+    exactly. *)
 
 val breakdown_table : detailed_row list -> string
 (** Per-implementation × scenario table of the per-layer cycle budgets. *)
@@ -77,9 +78,10 @@ val stats_report : detailed_row list -> string
     implementation name. *)
 
 val chrome_trace : detailed_row list -> Splice_obs.Json.t
-(** Chrome trace-event JSON: one process per implementation, one thread per
-    span track ([bus/…], [driver], [sis]). Only meaningful after
-    [measure_detailed ~tracing:true]. *)
+(** Chrome trace-event JSON ({!Splice_obs.Export.chrome_trace} over each
+    row's recorder): one process per implementation, one thread per
+    transaction track ([bus/<name>], [sis/write], [sis/read],
+    [driver/<func>]). *)
 
 val chrome_trace_string : detailed_row list -> string
 

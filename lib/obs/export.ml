@@ -55,15 +55,29 @@ let stats_report ?label m =
 (* Chrome trace-event JSON                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* One trace process per (label, tracer) pair, one thread per track, every
-   event a complete ("X") span with [ts]/[dur] in bus-clock cycles. The
-   JSON-array form loads directly in chrome://tracing and ui.perfetto.dev. *)
+(* A span's display name from its track and its Txn_begin argument: the
+   SIS function id, the driver program's op count, or the bus burst's
+   word count. *)
+let span_name track arg =
+  match String.split_on_char '/' track with
+  | [ "sis"; dir ] -> Printf.sprintf "%s id=%d" dir arg
+  | [ "driver"; func ] -> Printf.sprintf "call %s (%d op(s))" func arg
+  | _ -> Printf.sprintf "%d word(s)" arg
+
+(* One trace process per (label, recorder) pair, one thread per track,
+   every completed transaction (Query.transactions) a complete ("X") span
+   with [ts]/[dur] in bus-clock cycles. The JSON-array form loads directly
+   in chrome://tracing and ui.perfetto.dev. *)
 let chrome_trace procs =
   let events =
     List.concat
       (List.mapi
-         (fun pid (label, tracer) ->
-           let tracks = Tracer.tracks tracer in
+         (fun pid (label, recorder) ->
+           let txns = Query.transactions (Query.of_recorder recorder) in
+           let tracks =
+             List.sort_uniq compare
+               (List.map (fun ((b : Query.event), _) -> b.ev_subject) txns)
+           in
            let tid_of track =
              let rec go i = function
                | [] -> 0
@@ -73,24 +87,19 @@ let chrome_trace procs =
              go 0 tracks
            in
            List.map
-             (fun ev ->
-               let track, name, ts, dur =
-                 match ev with
-                 | Tracer.Complete { track; name; ts; dur } ->
-                     (track, name, ts, dur)
-                 | Tracer.Instant { track; name; ts } -> (track, name, ts, 0)
-               in
+             (fun ((b : Query.event), dur) ->
+               let track = b.ev_subject in
                Json.Obj
                  [
-                   ("name", Json.String name);
+                   ("name", Json.String (span_name track b.ev_value));
                    ("cat", Json.String (label ^ "/" ^ track));
                    ("ph", Json.String "X");
-                   ("ts", Json.Int ts);
+                   ("ts", Json.Int b.ev_cycle);
                    ("dur", Json.Int dur);
                    ("pid", Json.Int pid);
                    ("tid", Json.Int (tid_of track));
                  ])
-             (Tracer.events tracer))
+             txns)
          procs)
   in
   Json.List events

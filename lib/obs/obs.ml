@@ -1,16 +1,14 @@
 type t = {
   enabled : bool;
   metrics : Metrics.t;
-  tracer : Tracer.t;
   recorder : Recorder.t option;
   mutable now : int;
 }
 
-let create ?(tracing = false) ?(recording = true) ?ring () =
+let create ?(recording = true) ?ring () =
   {
     enabled = true;
     metrics = Metrics.create ();
-    tracer = Tracer.create ~enabled:tracing ();
     recorder =
       (if recording then Some (Recorder.create ?capacity:ring ()) else None);
     now = 0;
@@ -20,7 +18,6 @@ let none =
   {
     enabled = false;
     metrics = Metrics.create ();
-    tracer = Tracer.create ();
     recorder = None;
     now = 0;
   }
@@ -38,7 +35,6 @@ let merge ~into src =
 
 let active t = t.enabled
 let metrics t = t.metrics
-let tracer t = t.tracer
 let recorder t = if t.enabled then t.recorder else None
 let now t = t.now
 
@@ -46,7 +42,7 @@ let set_now t cycle =
   t.now <- cycle;
   match t.recorder with Some r -> Recorder.set_now r cycle | None -> ()
 
-let tracing t = t.enabled && Tracer.enabled t.tracer
+external now_ns : unit -> int = "splice_obs_now_ns" [@@noalloc]
 
 (* Design-cache replay: snapshot the registry/intern-table positions at the
    end of design elaboration, and rewind to them on a cache hit so the

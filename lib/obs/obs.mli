@@ -1,30 +1,31 @@
-(** Observability context: one metrics registry, one span tracer, and one
-    optional flight recorder, sharing the simulation's cycle clock.
+(** Observability context: one metrics registry and one optional flight
+    recorder, sharing the simulation's cycle clock.
 
     A context is owned by each simulation kernel ([Kernel.create ?obs]) and
     handed to every instrumented component at wiring time. Metrics are
-    always on (integer mutations only); span tracing is opt-in
-    ([create ~tracing:true] or [Tracer.enable]) because spans allocate one
-    record per event; flight recording is on by default ([~recording:false]
-    opts out) because a recorded event is a few integer stores into a
-    bounded ring. [none] is a shared disabled context: instrumented code
-    guards recording with {!active}, so components wired to it record
-    nothing. *)
+    always on (integer mutations only); flight recording is on by default
+    ([~recording:false] opts out) because a recorded event is a few
+    integer stores into a bounded ring. The recorder is the one capture
+    path for transactions — bus transfers, SIS word transfers and driver
+    calls are [Txn_begin]/[Txn_end] pairs on their own tracks, which both
+    the post-mortem dump and the Chrome-trace export read. [none] is a
+    shared disabled context: instrumented code guards recording with
+    {!active}, so components wired to it record nothing. *)
 
 type t
 
-val create : ?tracing:bool -> ?recording:bool -> ?ring:int -> unit -> t
-(** A fresh enabled context. [tracing] (default false) pre-enables the
-    span tracer. [recording] (default true) attaches a flight recorder
-    holding the last [ring] (default [Recorder.default_capacity]) packed
-    events — the post-mortem window dumped when a protocol check fails. *)
+val create : ?recording:bool -> ?ring:int -> unit -> t
+(** A fresh enabled context. [recording] (default true) attaches a flight
+    recorder holding the last [ring] (default
+    [Recorder.default_capacity]) packed events — the post-mortem window
+    dumped when a protocol check fails, and the source of the Chrome
+    trace ({!Export.chrome_trace}). *)
 
 val none : t
 (** Shared disabled context — the zero-overhead opt-out. *)
 
 val active : t -> bool
 val metrics : t -> Metrics.t
-val tracer : t -> Tracer.t
 
 val recorder : t -> Recorder.t option
 (** The flight recorder, [None] when recording was opted out or the
@@ -34,23 +35,24 @@ val merge : into:t -> t -> unit
 (** Fold one task's context into an aggregate: metrics merge by
     {!Metrics.merge_into} (commutative + associative, so aggregate stats
     such as [sim/comb_evals] and the cycle histograms sum identically at
-    any worker count), [now] takes the maximum. Span traces and flight
-    recordings are {e not} merged — both are per-task black boxes by
-    design. No-op when {e either} context is disabled (symmetric: a
-    disabled [src] has nothing to contribute, and the shared disabled
-    [none] must never accumulate state); raises [Invalid_argument] when
-    both are the same context. *)
-
-val tracing : t -> bool
-(** [active t && Tracer.enabled (tracer t)] — guard span bookkeeping that
-    would otherwise allocate labels. *)
+    any worker count), [now] takes the maximum. Flight recordings are
+    {e not} merged: each is a per-task black box, and the Chrome trace
+    keeps tasks apart as one process per recorder. No-op when {e either}
+    context is disabled (symmetric: a disabled [src] has nothing to
+    contribute, and the shared disabled [none] must never accumulate
+    state); raises [Invalid_argument] when both are the same context. *)
 
 val now : t -> int
-(** The current simulation cycle, maintained by the owning kernel; span
-    timestamps read it. *)
+(** The current simulation cycle, maintained by the owning kernel. *)
 
 val set_now : t -> int -> unit
 (** Also forwards the cycle to the flight recorder's event clock. *)
+
+val now_ns : unit -> int
+(** Monotonic wall time in nanoseconds ([CLOCK_MONOTONIC]; the origin is
+    arbitrary, so only differences mean anything). The one clock every
+    wall-time measurement in the library reads: kernel build phases, the
+    fuzz harness's build/simulate split and the service's spans. *)
 
 (** {1 Marks (design-cache replay)} *)
 

@@ -177,6 +177,11 @@ let of_json j =
         d_histograms = histograms;
       }
 
+let of_recorder r =
+  match of_json (Recorder.dump r) with
+  | Ok d -> d
+  | Error e -> invalid_arg ("Query.of_recorder: " ^ e)
+
 let of_string s =
   match Json.of_string s with
   | Error e -> Error (Printf.sprintf "dump is not valid JSON: %s" e)
@@ -235,24 +240,29 @@ type latency_row = {
 }
 
 (* Pair each Txn_begin with the next Txn_end of the same track (adapters
-   execute one transaction at a time, §4.2.1); a begin or end whose mate
-   fell off the ring window is dropped rather than guessed at. *)
-let latency_samples d =
+   execute one transaction at a time, §4.2.1, and SIS words and driver
+   calls are serial too); a begin or end whose mate fell off the ring
+   window is dropped rather than guessed at. The one pairing rule: the
+   latency table and the Chrome-trace export both read it. *)
+let transactions d =
   let open_txns = Hashtbl.create 8 in
   let acc = ref [] in
   List.iter
     (fun e ->
       match e.ev_kind with
-      | Recorder.Txn_begin -> Hashtbl.replace open_txns e.ev_subject e.ev_cycle
+      | Recorder.Txn_begin -> Hashtbl.replace open_txns e.ev_subject e
       | Recorder.Txn_end -> (
           match Hashtbl.find_opt open_txns e.ev_subject with
           | Some began ->
               Hashtbl.remove open_txns e.ev_subject;
-              acc := (e.ev_subject, max 0 (e.ev_cycle - began)) :: !acc
+              acc := (began, max 0 (e.ev_cycle - began.ev_cycle)) :: !acc
           | None -> ())
       | _ -> ())
     d.d_events;
   List.rev !acc
+
+let latency_samples d =
+  List.map (fun (b, dur) -> (b.ev_subject, dur)) (transactions d)
 
 let latency_rows d =
   let tbl = Hashtbl.create 8 in

@@ -43,6 +43,9 @@ val of_string : string -> (dump, string) result
 val load : string -> (dump, string) result
 (** Read and parse a dump file. *)
 
+val of_recorder : Recorder.t -> dump
+(** A live recorder's window, read exactly as its dump file would be. *)
+
 val filter :
   ?subject:string ->
   ?kinds:Recorder.kind list ->
@@ -67,10 +70,14 @@ type latency_row = {
   lr_max : int;
 }
 
+val transactions : dump -> (event * int) list
+(** Completed transactions in window (end) order, as the [Txn_begin]
+    event and the duration in cycles: each begin is paired with the next
+    [Txn_end] of the same track; transactions whose mate fell off the
+    ring window are dropped. *)
+
 val latency_samples : dump -> (string * int) list
-(** Completed transactions in window order: each [Txn_begin] paired with
-    the next [Txn_end] of the same track; transactions whose mate fell
-    off the ring window are dropped. *)
+(** {!transactions} as (track, duration) pairs. *)
 
 val latency_rows : dump -> latency_row list
 (** Per-track latency percentiles over {!latency_samples}, log-bucketed

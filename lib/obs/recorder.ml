@@ -7,15 +7,17 @@
    every fuzz cell and every benchmark without perturbing what it
    observes.
 
-   Subjects (signal, component, check and bus-track names) are interned
-   once into a small string table; hot call sites cache the id next to
-   the subject itself, keyed by the recorder's unique [stamp], so a
+   Subjects (signal, component, check and transaction-track names) are
+   interned once into a small string table; hot call sites cache the id
+   next to the subject itself, keyed by the recorder's unique [stamp], so a
    recorded event never touches a hash table. *)
 
 type kind =
   | Signal_change  (* subject = signal, arg = new value (low 63 bits) *)
-  | Txn_begin  (* subject = "bus/<name>" track, arg = words requested *)
-  | Txn_end  (* subject = "bus/<name>" track, arg = 0 *)
+  | Txn_begin
+      (* subject = track: "bus/<name>" (arg = words requested),
+         "sis/write" / "sis/read" (FUNC_ID), "driver/<func>" (op count) *)
+  | Txn_end  (* subject = the same track, arg = 0 *)
   | Check_eval  (* subject = check name, arg = 0 *)
   | Check_fail  (* subject = check name, arg = interned message id *)
   | Sched_pass  (* subject = "kernel", arg = delta passes this cycle *)

@@ -1,7 +1,8 @@
 (** Flight recorder: a fixed-size ring buffer of packed simulation events
-    — signal transitions, bus-transaction begin/end, check evaluations and
-    failures, scheduler decisions — recorded unconditionally while a
-    kernel runs and dumped post mortem when a protocol check fires.
+    — signal transitions, transaction begin/end (bus transfers, SIS word
+    transfers, driver calls), check evaluations and failures, scheduler
+    decisions — recorded unconditionally while a kernel runs, dumped post
+    mortem when a protocol check fires, and exported as a Chrome trace.
 
     Hot-path discipline: {!record} (and its typed wrappers) is two
     unchecked stores into two adjacent words of one preallocated array —
@@ -20,8 +21,12 @@ type t
 
 type kind =
   | Signal_change  (** subject = signal name, arg = new value (low 63 bits) *)
-  | Txn_begin  (** subject = ["bus/<name>"] track, arg = words requested *)
-  | Txn_end  (** subject = ["bus/<name>"] track *)
+  | Txn_begin
+      (** subject = a transaction track, arg = what the track's opener
+          knows: ["bus/<name>"] words requested, ["sis/write"] /
+          ["sis/read"] the FUNC_ID, ["driver/<func>"] the program's op
+          count *)
+  | Txn_end  (** subject = the same track *)
   | Check_eval  (** subject = check name *)
   | Check_fail  (** subject = check name, arg = interned message id *)
   | Sched_pass  (** subject = ["kernel"], arg = delta passes this cycle *)

@@ -65,8 +65,6 @@ type t = {
   requests : (string * string, int ref) Hashtbl.t;  (* (kind, outcome) *)
 }
 
-let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
-
 (* ---- one-shot synchronization cell (pool task -> connection thread) *)
 
 type 'a ivar = { im : Mutex.t; ic : Condition.t; mutable iv : 'a option }
@@ -122,7 +120,7 @@ let cache_stats () =
   | None -> (0, 0)
 
 let exec_spec source =
-  let t0 = now_ns () in
+  let t0 = Obs.now_ns () in
   match
     Splice_syntax.Validate.of_string
       ~lookup_bus:Splice_buses.Registry.lookup_caps source
@@ -142,7 +140,7 @@ let exec_spec source =
              ("spec", Json.String (Format.asprintf "%a" Spec.pp spec));
            ])
         with
-        x_elab_ns = now_ns () - t0;
+        x_elab_ns = Obs.now_ns () - t0;
       }
   | Error issues ->
       rejected
@@ -153,9 +151,9 @@ let exec_spec source =
 
 let exec_eval () =
   let h0, m0 = cache_stats () in
-  let t0 = now_ns () in
+  let t0 = Obs.now_ns () in
   let drows = Splice_eval.Cycles.measure_detailed () in
-  let total = now_ns () - t0 in
+  let total = Obs.now_ns () - t0 in
   let h1, m1 = cache_stats () in
   let open Splice_eval.Cycles in
   let rows = List.map (fun d -> d.row) drows in
@@ -268,9 +266,12 @@ let exec_request (req : P.request) =
         exec_fuzz ~seed ~count ~bus ~scheds ~ratio ~depth ~cache ~cache_size
     | P.Trace { dump } -> exec_trace dump
     | P.Sleep { ms } ->
-        let t0 = now_ns () in
+        let t0 = Obs.now_ns () in
         Unix.sleepf (float_of_int ms /. 1000.);
-        { (plain P.Ok_ [ ("slept_ms", Json.Int ms) ]) with x_sim_ns = now_ns () - t0 }
+        {
+          (plain P.Ok_ [ ("slept_ms", Json.Int ms) ]) with
+          x_sim_ns = Obs.now_ns () - t0;
+        }
     | P.Ping | P.Stats | P.Shutdown ->
         (* handled on the connection thread, never dispatched *)
         assert false
@@ -509,10 +510,10 @@ let dispatch t req =
   match t.pool with
   | Some p ->
       let cell = ivar () in
-      let t_submit = now_ns () in
+      let t_submit = Obs.now_ns () in
       let accepted =
         Pool.try_submit p ~limit:t.cfg.queue_limit (fun () ->
-            let t_start = now_ns () in
+            let t_start = Obs.now_ns () in
             ivar_fill cell (t_start - t_submit, exec_request req))
       in
       if accepted then Some (ivar_wait cell) else None
@@ -526,9 +527,9 @@ let dispatch t req =
       in
       if not admitted then None
       else begin
-        let t_submit = now_ns () in
+        let t_submit = Obs.now_ns () in
         Mutex.lock t.inline_lock;
-        let t_start = now_ns () in
+        let t_start = Obs.now_ns () in
         let x =
           Fun.protect
             ~finally:(fun () ->
@@ -540,7 +541,7 @@ let dispatch t req =
       end
 
 let handle_line t fd line =
-  let t_recv = now_ns () in
+  let t_recv = Obs.now_ns () in
   let rid = fresh_req t in
   let id_echo =
     match Json.of_string line with
@@ -551,7 +552,7 @@ let handle_line t fd line =
     let reply = P.reply ~req:rid ?id:id_echo ~kind ~outcome ~fields ~spans () in
     (* book-keep before the write: once the client holds the reply, the
        service counters must already account for it *)
-    record t ~kind ~outcome ~latency_ns:(now_ns () - t_recv) None;
+    record t ~kind ~outcome ~latency_ns:(Obs.now_ns () - t_recv) None;
     write_all fd (Json.to_string reply ^ "\n")
   in
   match P.parse_line line with
@@ -618,7 +619,7 @@ let handle_line t fd line =
                   | Some path -> [ ("dump_file", Json.String path) ]
                   | None -> []))
             in
-            let t_enc = now_ns () in
+            let t_enc = Obs.now_ns () in
             let fields =
               x.x_fields @ dump_fields
               @ [
@@ -629,7 +630,7 @@ let handle_line t fd line =
             let spans_of reply_ns =
               [
                 P.span "request"
-                  (now_ns () - t_recv)
+                  (Obs.now_ns () - t_recv)
                   ~children:
                     [
                       P.span "queue_wait" queue_wait_ns;
@@ -645,13 +646,13 @@ let handle_line t fd line =
                 ~spans:(spans_of 0) ()
             in
             ignore (Json.to_string probe);
-            let reply_ns = now_ns () - t_enc in
+            let reply_ns = Obs.now_ns () - t_enc in
             let reply =
               P.reply ~req:rid ?id:id_echo ~kind ~outcome:x.x_outcome ~fields
                 ~spans:(spans_of reply_ns) ()
             in
             record t ~kind ~outcome:x.x_outcome
-              ~latency_ns:(now_ns () - t_recv)
+              ~latency_ns:(Obs.now_ns () - t_recv)
               (Some x);
             (try write_all fd (Json.to_string reply ^ "\n")
              with Unix.Unix_error _ -> ());

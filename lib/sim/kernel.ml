@@ -14,11 +14,6 @@ type domain = {
    behave exactly as before *)
 let dom_fires d tick = tick mod d.d_period = d.d_phase
 
-(* wall-clock nanoseconds for build-phase accounting (elaborate/seal/
-   compile); coarse microsecond resolution is plenty for phases that cost
-   tens of microseconds to milliseconds *)
-let now_ns () = Int64.of_float (Unix.gettimeofday () *. 1e9)
-
 type t = {
   max_comb_iters : int;
   mutable sched : sched;
@@ -231,7 +226,7 @@ let mark_dirty t (c : Component.t) =
   end
 
 let seal t =
-  let t0 = now_ns () in
+  let t0 = Obs.now_ns () in
   let comps = Array.of_list (List.rev t.components) in
   t.comps_fwd <- Array.map fst comps;
   t.comp_doms <- Array.map snd comps;
@@ -275,18 +270,18 @@ let seal t =
   t.edge_comps <- Array.of_list (List.rev !edge);
   let compile_delta =
     if t.sched = `Compiled then begin
-      let c0 = now_ns () in
+      let c0 = Obs.now_ns () in
       t.tape <- Some (Tape.compile t.comps_fwd);
-      let d = Int64.sub (now_ns ()) c0 in
-      t.k_compile_ns <- Int64.add t.k_compile_ns d;
+      let d = Obs.now_ns () - c0 in
+      t.k_compile_ns <- Int64.add t.k_compile_ns (Int64.of_int d);
       d
     end
-    else 0L
+    else 0
   in
   t.sealed <- true;
   (* seal time excludes the tape compilation, which is accounted separately *)
   t.k_seal_ns <-
-    Int64.add t.k_seal_ns (Int64.sub (Int64.sub (now_ns ()) t0) compile_delta);
+    Int64.add t.k_seal_ns (Int64.of_int (Obs.now_ns () - t0 - compile_delta));
   match t.seal_hook with
   | None -> ()
   | Some f ->

@@ -154,8 +154,8 @@ val rehome_all : t -> domain -> unit
 (** Retag {e everything registered so far} — components, checks, settle
     hooks — into [domain]. Bus adapters that put the peripheral in a slow
     clock domain use this: the peripheral, its protocol monitors and its
-    tracer hooks are registered before the bus connects, and all of them
-    belong on the peripheral-side clock. *)
+    instrumentation hooks are registered before the bus connects, and all
+    of them belong on the peripheral-side clock. *)
 
 val add_check : t -> string -> (int -> unit) -> unit
 (** [add_check k name f]: [f cycle] runs after the comb fixpoint each cycle;
@@ -201,8 +201,8 @@ val id : t -> int
     its native channel signals for monitors — key on this. *)
 
 val obs : t -> Splice_obs.Obs.t
-(** The kernel's observability context. Components read span timestamps
-    from [Obs.now], which the kernel sets at the start of every cycle. *)
+(** The kernel's observability context. Its cycle clock ([Obs.now], and
+    the recorder's event clock) is set at the start of every cycle. *)
 
 val sched : t -> sched
 (** The scheduler this kernel was created with. *)
@@ -216,12 +216,8 @@ val stats : t -> stats
 
 val note_elaborate_ns : t -> int64 -> unit
 (** Accumulate design-elaboration wall time into [stats.elaborate_ns];
-    called by the host that timed the build. *)
-
-val now_ns : unit -> int64
-(** The wall clock used for build-phase accounting (nanoseconds; coarse
-    microsecond resolution). Exposed so hosts time elaboration with the
-    same clock seal/compile are timed with. *)
+    called by the host that timed the build with {!Splice_obs.Obs.now_ns},
+    the clock seal/compile are timed with. *)
 
 (** {1 Instance reset (design-cache replay)}
 

@@ -57,4 +57,4 @@ val settle : t -> max_iters:int -> record:(Component.t -> unit) option -> (int *
     returns [(productive_passes, evaluations)] — a pass is productive when
     it changed at least one signal (the uniform iteration accounting, see
     {!Kernel.stats}). [record] is the kernel's preallocated flight-recorder
-    hook ([None] when tracing is off). *)
+    hook ([None] when recording is off). *)

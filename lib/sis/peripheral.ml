@@ -37,7 +37,7 @@ let build ?(monitor = true) kernel (spec : Spec.t) ~behaviors =
   List.iter (fun (_, s) -> Kernel.add kernel (Stub_model.component s)) stubs;
   Kernel.add kernel arbiter;
   if monitor then Sis_monitor.attach kernel sis;
-  Sis_monitor.attach_tracer kernel sis;
+  Sis_monitor.instrument kernel sis;
   { spec; sis; stubs }
 
 let sis t = t.sis

@@ -69,66 +69,53 @@ let attach kernel (sis : Sis_if.t) =
         end
       end)
 
-(* One completed word transfer per IO_DONE-high cycle: back-to-back 1-cycle
-   writes keep IO_DONE high continuously, one word per cycle (Fig 4.3). *)
-let transactions (sis : Sis_if.t) =
-  let count = ref 0 in
-  fun () ->
-    if Signal.get_bool sis.io_done then incr count;
-    !count
-
-let attach_tracer kernel (sis : Sis_if.t) =
+let instrument kernel (sis : Sis_if.t) =
   let open Splice_obs in
   let obs = Kernel.obs kernel in
   if Obs.active obs then begin
     let m = Obs.metrics obs in
-    let tracer = Obs.tracer obs in
     let words = Metrics.counter m "sis/transactions" in
     let writes = Metrics.counter m "sis/writes" in
     let reads = Metrics.counter m "sis/reads" in
-    (* at most one SIS request is outstanding (§4.2.1), so a single slot *)
-    let pending = ref None in
-    Kernel.at_reset kernel (fun () -> pending := None);
-    Kernel.on_settle kernel (fun cycle ->
+    (* track ids interned once, at wiring time — before a design cache
+       marks the recorder, so a replay keeps them *)
+    let rec_ = Obs.recorder obs in
+    let intern name =
+      match rec_ with Some r -> Recorder.intern r name | None -> -1
+    in
+    let tr_write = intern "sis/write" in
+    let tr_read = intern "sis/read" in
+    (* at most one SIS request is outstanding (§4.2.1), so a single slot:
+       the open transfer's track, -1 when none *)
+    let pending = ref (-1) in
+    let finish r =
+      Recorder.txn_end r ~subject:!pending;
+      pending := -1
+    in
+    Kernel.at_reset kernel (fun () -> pending := -1);
+    Kernel.on_settle kernel (fun _cycle ->
         if Signal.get_bool sis.rst then begin
-          match !pending with
-          | Some (span, _) ->
-              Tracer.end_span span ~ts:cycle;
-              pending := None
-          | None -> ()
+          match rec_ with Some r when !pending >= 0 -> finish r | _ -> ()
         end
         else begin
           let io_en = Signal.get_bool sis.io_enable in
           let div = Signal.get_bool sis.data_in_valid in
           let dov = Signal.get_bool sis.data_out_valid in
           let done_ = Signal.get_bool sis.io_done in
-          let fid = Signal.get_int sis.func_id in
-          if done_ then begin
-            Metrics.incr words;
-            Tracer.instant tracer ~track:"sis" ~ts:cycle "word"
-          end;
+          if done_ then Metrics.incr words;
           if io_en then
             if div then Metrics.incr writes else Metrics.incr reads;
-          if Tracer.enabled tracer then begin
-            (match !pending with
-            | Some (span, `Write) when done_ ->
-                Tracer.end_span span ~ts:cycle;
-                pending := None
-            | Some (span, `Read) when dov ->
-                Tracer.end_span span ~ts:cycle;
-                pending := None
-            | _ -> ());
-            if io_en && !pending = None then begin
-              let kind, completed = if div then ("write", done_) else ("read", dov) in
-              let name = Printf.sprintf "%s id=%d" kind fid in
-              if completed then
-                Tracer.complete tracer ~track:"sis" ~ts:cycle ~dur:0 name
-              else
-                pending :=
-                  Some
-                    ( Tracer.begin_span tracer ~track:"sis" ~ts:cycle name,
-                      if div then `Write else `Read )
-            end
-          end
+          match rec_ with
+          | None -> ()
+          | Some r ->
+              (* a write ends at IO_DONE, a read when its data comes back *)
+              if (!pending = tr_write && done_) || (!pending = tr_read && dov)
+              then finish r;
+              if io_en && !pending < 0 then begin
+                pending := if div then tr_write else tr_read;
+                Recorder.record r Recorder.Txn_begin ~subject:!pending
+                  ~arg:(Signal.get_int sis.func_id);
+                if (div && done_) || ((not div) && dov) then finish r
+              end
         end)
   end

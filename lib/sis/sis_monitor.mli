@@ -17,20 +17,17 @@ open Splice_sim
 
 val attach : Kernel.t -> Sis_if.t -> unit
 
-val transactions : Sis_if.t -> unit -> int
-(** [let count = transactions sis in ... count ()] — counts completed SIS
-    word transfers (one per IO_DONE-high cycle) when sampled once per cycle
-    from a kernel hook; exposed for tests. Call {!attach} separately. *)
-
-val attach_tracer : Kernel.t -> Sis_if.t -> unit
+val instrument : Kernel.t -> Sis_if.t -> unit
 (** Observability companion to {!attach}, recording into the kernel's
     [Obs.t] from an [on_settle] hook:
 
-    - counters [sis/transactions] (one per IO_DONE-high cycle — the same
-      quantity {!transactions} counts), [sis/writes], [sis/reads]
-      (presented word requests);
-    - when tracing is enabled, one [word] instant per completed word and
-      one [write id=N] / [read id=N] span per SIS word transfer on track
-      [sis] (presentation → IO_DONE, request → DATA_OUT_VALID).
+    - counters [sis/transactions] (one per IO_DONE-high cycle: back-to-back
+      1-cycle writes keep IO_DONE high, one word per cycle, Fig 4.3),
+      [sis/writes], [sis/reads] (presented word requests);
+    - when the context carries a flight recorder, one
+      [Txn_begin]/[Txn_end] pair per SIS word transfer on track
+      [sis/write] or [sis/read], the begin's argument the FUNC_ID
+      (presentation → IO_DONE for a write, request → DATA_OUT_VALID for
+      a read).
 
     No-op on a kernel wired to [Obs.none]. *)

@@ -218,6 +218,42 @@ let replay_tests =
           check_observation "replay 2" fresh (observe ~vcd:true h2)))
     [ (`Event, "event"); (`Sweep, "sweep"); (`Compiled, "compiled") ]
 
+(* the CPU model caches one counter handle per driver op kind; a replay
+   rewinds the registry to its mark, so the handles must be registered
+   again in the same first-use order for the registry to match *)
+let op_counter_tests =
+  let counters host =
+    List.map
+      (fun c -> (Metrics.counter_name c, Metrics.count c))
+      (Metrics.counters (Obs.metrics (Host.obs host)))
+  in
+  let ops host =
+    List.filter
+      (fun (name, _) -> String.starts_with ~prefix:"driver/op/" name)
+      (counters host)
+  in
+  [
+    t "driver/op counters after a cache-hit replay equal a fresh build's"
+      (fun () ->
+        let fresh = build_monitored `Event () in
+        ignore (observe fresh);
+        let c = Design_cache.create ~capacity:4 in
+        let acquire () =
+          Design_cache.acquire c ~key:base_key ~sched:`Event
+            ~build:(build_monitored `Event)
+        in
+        let warm, _ = acquire () in
+        ignore (observe warm);
+        let hit, was_hit = acquire () in
+        check_bool "second acquire is a hit" true was_hit;
+        ignore (observe hit);
+        check_bool "ops were counted" true (ops fresh <> []);
+        Alcotest.(check (list (pair string int)))
+          "driver/op/* in registry order" (ops fresh) (ops hit);
+        Alcotest.(check (list (pair string int)))
+          "whole counter registry" (counters fresh) (counters hit));
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Sweep determinism: cache on/off, -j 1 / -j 4                        *)
 (* ------------------------------------------------------------------ *)
@@ -296,7 +332,7 @@ let retire_tests =
 let tests =
   [
     ("cache.key", key_tests);
-    ("cache.replay", replay_tests);
+    ("cache.replay", replay_tests @ op_counter_tests);
     ("cache.digest", digest_tests);
     ("cache.retire", retire_tests);
   ]

@@ -1,6 +1,6 @@
-(* Observability-layer tests: metrics registry, span tracer, JSON
-   round-trip of the Chrome-trace export, kernel stats, SIS transaction
-   counting against the span stream, the per-layer cycle breakdown of the
+(* Observability-layer tests: metrics registry, JSON round-trip of the
+   Chrome-trace export, kernel stats, SIS transaction counting against the
+   recorder's transaction stream, the per-layer cycle breakdown of the
    Fig 9.2 harness, and a VCD identifier-allocation regression. *)
 
 open Splice
@@ -57,44 +57,6 @@ let metrics_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Tracer                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let tracer_tests =
-  [
-    t "disabled tracer records nothing" (fun () ->
-        let tr = Tracer.create () in
-        let s = Tracer.begin_span tr ~track:"x" ~ts:1 "a" in
-        Tracer.end_span s ~ts:5;
-        Tracer.instant tr ~track:"x" ~ts:2 "b";
-        Tracer.complete tr ~track:"x" ~ts:3 ~dur:1 "c";
-        check_int "no events" 0 (Tracer.event_count tr));
-    t "events sorted by timestamp; open spans excluded" (fun () ->
-        let tr = Tracer.create ~enabled:true () in
-        let s = Tracer.begin_span tr ~track:"a" ~ts:5 "late" in
-        Tracer.complete tr ~track:"a" ~ts:2 ~dur:3 "early";
-        Tracer.instant tr ~track:"b" ~ts:7 "mid";
-        let _open = Tracer.begin_span tr ~track:"a" ~ts:0 "never closed" in
-        Tracer.end_span s ~ts:9;
-        let ts_of = function
-          | Tracer.Complete { ts; _ } | Tracer.Instant { ts; _ } -> ts
-        in
-        Alcotest.(check (list int))
-          "timestamps" [ 2; 5; 7 ]
-          (List.map ts_of (Tracer.events tr));
-        Alcotest.(check (list string)) "tracks" [ "a"; "b" ] (Tracer.tracks tr));
-    t "end_span clamps to the start cycle" (fun () ->
-        let tr = Tracer.create ~enabled:true () in
-        let s = Tracer.begin_span tr ~track:"a" ~ts:10 "x" in
-        Tracer.end_span s ~ts:3;
-        match Tracer.events tr with
-        | [ Tracer.Complete { ts; dur; _ } ] ->
-            check_int "ts" 10 ts;
-            check_int "dur clamped" 0 dur
-        | _ -> Alcotest.fail "expected one complete event");
-  ]
-
-(* ------------------------------------------------------------------ *)
 (* JSON + Chrome-trace round trip                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -120,29 +82,45 @@ let json_tests =
         | Error _ -> ()
         | Ok _ -> Alcotest.fail "expected trailing-garbage error");
     t "chrome trace round-trips and is well-formed" (fun () ->
-        let tr = Tracer.create ~enabled:true () in
-        Tracer.complete tr ~track:"bus/plb" ~ts:4 ~dur:6 "write(id=1)";
-        Tracer.instant tr ~track:"sis" ~ts:9 "word";
-        let s = Export.chrome_trace_string [ ("impl", tr) ] in
+        let r = Recorder.create () in
+        let plb = Recorder.intern r "bus/plb" in
+        let wr = Recorder.intern r "sis/write" in
+        let at cycle f =
+          Recorder.set_now r cycle;
+          f ()
+        in
+        at 4 (fun () -> Recorder.txn_begin r ~subject:plb ~words:1);
+        at 5 (fun () ->
+            Recorder.record r Recorder.Txn_begin ~subject:wr ~arg:3);
+        at 9 (fun () -> Recorder.txn_end r ~subject:wr);
+        at 10 (fun () -> Recorder.txn_end r ~subject:plb);
+        (* a begin whose end never came is no span *)
+        at 11 (fun () -> Recorder.txn_begin r ~subject:plb ~words:2);
+        let s = Export.chrome_trace_string [ ("impl", r) ] in
         let events =
           match Json.to_list (Json.of_string_exn s) with
           | Some l -> l
           | None -> Alcotest.fail "trace is not a JSON array"
         in
-        check_int "two events" 2 (List.length events);
+        let str k e = Option.bind (Json.member k e) Json.to_str in
+        let int k e = Option.bind (Json.member k e) Json.to_int in
+        Alcotest.(check (list (pair (option string) (option string))))
+          "one named span per completed transaction"
+          [ (Some "impl/sis/write", Some "write id=3");
+            (Some "impl/bus/plb", Some "1 word(s)") ]
+          (List.map (fun e -> (str "cat" e, str "name" e)) events);
+        Alcotest.(check (list (pair (option int) (option int))))
+          "ts/dur in cycles"
+          [ (Some 5, Some 4); (Some 4, Some 6) ]
+          (List.map (fun e -> (int "ts" e, int "dur" e)) events);
+        Alcotest.(check (list (option int)))
+          "one thread per track" [ Some 1; Some 0 ]
+          (List.map (int "tid") events);
         List.iter
           (fun e ->
-            let str k = Option.bind (Json.member k e) Json.to_str in
-            let int k = Option.bind (Json.member k e) Json.to_int in
-            (match str "ph" with
-            | Some ("X" | "B" | "E" | "i") -> ()
-            | _ -> Alcotest.fail "bad or missing ph");
-            check_bool "has name" true (str "name" <> None);
-            check_bool "cat carries label" true
-              (match str "cat" with
-              | Some c -> String.length c > 5 && String.sub c 0 5 = "impl/"
-              | None -> false);
-            check_bool "integer ts" true (int "ts" <> None))
+            Alcotest.(check (option string)) "complete event" (Some "X")
+              (str "ph" e);
+            Alcotest.(check (option int)) "one process" (Some 0) (int "pid" e))
           events);
   ]
 
@@ -196,9 +174,9 @@ let spec_of decls =
   Validate.of_string_exn ~lookup_bus:Registry.lookup_caps
     ("%device_name d\n%bus_type plb\n%bus_width 32\n%base_address 0x0\n" ^ decls)
 
-let run_traced decls ~args =
+let run_recorded decls ~args =
   let spec = spec_of decls in
-  let obs = Obs.create ~tracing:true () in
+  let obs = Obs.create () in
   let host =
     Host.create ~obs spec ~behaviors:(fun _ ->
         Stub_model.behavior ~cycles:2 (fun _ -> [ 0L ]))
@@ -206,44 +184,45 @@ let run_traced decls ~args =
   let _ = Host.call host ~func:(List.hd spec.Spec.funcs).Spec.name ~args in
   obs
 
-let span_names obs =
-  List.filter_map
-    (function
-      | Tracer.Complete { track = "sis"; name; _ } when name <> "word" ->
-          Some name
-      | _ -> None)
-    (Tracer.events (Obs.tracer obs))
+let recorded obs =
+  match Obs.recorder obs with
+  | Some r -> Query.of_recorder r
+  | None -> Alcotest.fail "no flight recorder"
 
 let sis_tests =
   [
     t "sis/transactions counts one word per IO_DONE cycle" (fun () ->
         (* 4 data words + 1 ack read = 5 completions, as the waveform tests
            established independently *)
-        let obs = run_traced "void f(int*:4 xs);" ~args:[ ("xs", [ 1L; 2L; 3L; 4L ]) ] in
+        let obs = run_recorded "void f(int*:4 xs);" ~args:[ ("xs", [ 1L; 2L; 3L; 4L ]) ] in
         let m = Obs.metrics obs in
         check_int "transactions" 5 (Metrics.counter_value m "sis/transactions");
         check_int "writes" 4 (Metrics.counter_value m "sis/writes");
         check_int "reads" 1 (Metrics.counter_value m "sis/reads"));
     t "span stream matches the transaction counters" (fun () ->
-        let obs = run_traced "void f(int*:4 xs);" ~args:[ ("xs", [ 1L; 2L; 3L; 4L ]) ] in
-        let words =
-          List.length
-            (List.filter
-               (function
-                 | Tracer.Instant { name = "word"; _ } -> true | _ -> false)
-               (Tracer.events (Obs.tracer obs)))
+        let obs = run_recorded "void f(int*:4 xs);" ~args:[ ("xs", [ 1L; 2L; 3L; 4L ]) ] in
+        let d = recorded obs in
+        let spans track =
+          List.filter
+            (fun ((b : Query.event), _) -> b.Query.ev_subject = track)
+            (Query.transactions d)
         in
-        check_int "one word instant per transaction"
+        check_int "four write pairs" 4 (List.length (spans "sis/write"));
+        check_int "one read pair" 1 (List.length (spans "sis/read"));
+        check_bool "write spans carry the FUNC_ID" true
+          (List.for_all
+             (fun ((b : Query.event), _) -> b.Query.ev_value = 1)
+             (spans "sis/write"));
+        let sis_ends =
+          List.filter
+            (fun (e : Query.event) ->
+              String.starts_with ~prefix:"sis/" e.Query.ev_subject)
+            (Query.filter ~kinds:[ Recorder.Txn_end ] d)
+        in
+        check_int "one Txn_end per counted transaction"
           (Metrics.counter_value (Obs.metrics obs) "sis/transactions")
-          words;
-        let spans = span_names obs in
-        check_int "one span per SIS word transfer" 5 (List.length spans);
-        check_int "four write spans" 4
-          (List.length
-             (List.filter (fun n -> String.length n >= 5 && String.sub n 0 5 = "write") spans));
-        check_int "one read span" 1
-          (List.length
-             (List.filter (fun n -> String.length n >= 4 && String.sub n 0 4 = "read") spans)));
+          (List.length sis_ends);
+        check_int "one driver call" 1 (List.length (spans "driver/f")));
     t "Obs.none hosts record nothing" (fun () ->
         let spec = spec_of "void f(int x);" in
         let host =
@@ -255,7 +234,7 @@ let sis_tests =
         check_bool "inactive" false (Obs.active obs);
         check_int "no transactions recorded" 0
           (Metrics.counter_value (Obs.metrics obs) "sis/transactions");
-        check_int "no spans" 0 (Tracer.event_count (Obs.tracer obs)));
+        check_bool "no recorder" true (Obs.recorder obs = None));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -314,7 +293,7 @@ let breakdown_tests =
            contains "breakdown/calc" && contains "breakdown/bus"
            && contains "breakdown/driver" && contains "breakdown/idle"));
     t "traced measurement exports a valid Chrome trace" (fun () ->
-        let detailed = Cycles.measure_detailed ~tracing:true () in
+        let detailed = Cycles.measure_detailed () in
         let events =
           match Json.to_list (Json.of_string_exn (Cycles.chrome_trace_string detailed)) with
           | Some l -> l
@@ -324,11 +303,52 @@ let breakdown_tests =
         List.iter
           (fun e ->
             (match Option.bind (Json.member "ph" e) Json.to_str with
-            | Some ("X" | "B" | "E" | "i") -> ()
+            | Some "X" -> ()
             | _ -> Alcotest.fail "bad ph");
             check_bool "integer ts" true
               (Option.bind (Json.member "ts" e) Json.to_int <> None))
-          events);
+          events;
+        check_int "one process per implementation"
+          (List.length detailed)
+          (List.length
+             (List.sort_uniq compare
+                (List.map (fun e -> Json.member "pid" e) events))));
+    t "every Fig 9.2 implementation's recorder drops nothing" (fun () ->
+        List.iter
+          (fun (d : Cycles.detailed_row) ->
+            match Obs.recorder d.Cycles.obs with
+            | None -> Alcotest.fail "no flight recorder"
+            | Some r ->
+                check_bool
+                  (Printf.sprintf "%s: %d events fit a %d ring"
+                     (Interpolator.impl_name d.Cycles.row.Cycles.impl)
+                     (Recorder.total r) (Recorder.capacity r))
+                  true
+                  (Recorder.total r <= Recorder.capacity r))
+          (Cycles.measure_detailed ()));
+    t "eval dump has SIS and driver latency rows" (fun () ->
+        List.iter
+          (fun (d : Cycles.detailed_row) ->
+            let name = Interpolator.impl_name d.Cycles.row.Cycles.impl in
+            let dump =
+              match Obs.recorder d.Cycles.obs with
+              | Some r -> Query.of_string (Recorder.dump_string r)
+              | None -> Alcotest.fail "no flight recorder"
+            in
+            match dump with
+            | Error e -> Alcotest.fail e
+            | Ok dump ->
+                let tracks =
+                  List.map (fun r -> r.Query.lr_track) (Query.latency_rows dump)
+                in
+                let has prefix =
+                  List.exists (fun tr -> String.starts_with ~prefix tr) tracks
+                in
+                check_bool (name ^ ": sis/write row") true
+                  (List.mem "sis/write" tracks);
+                check_bool (name ^ ": driver/<func> row") true (has "driver/");
+                check_bool (name ^ ": bus/<name> row") true (has "bus/"))
+          (Cycles.measure_detailed ()));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -689,10 +709,11 @@ let query_tests =
         let d = Result.get_ok (Query.of_string (Recorder.dump_string r)) in
         let begins = Query.filter ~kinds:[ Recorder.Txn_begin ] d in
         check_bool "transactions recorded" true (begins <> []);
-        List.iter
-          (fun e ->
-            Alcotest.(check string) "track" "bus/plb" e.Query.ev_subject)
-          begins;
+        Alcotest.(check (list string))
+          "one track per transaction layer"
+          [ "bus/plb"; "driver/f"; "sis/read"; "sis/write" ]
+          (List.sort_uniq compare
+             (List.map (fun e -> e.Query.ev_subject) begins));
         check_bool "latency rows reconstructed" true (Query.latency_rows d <> []);
         check_bool "scheduler passes recorded" true
           (Query.filter ~kinds:[ Recorder.Sched_pass ] d <> []);
@@ -776,7 +797,6 @@ let merge_tests =
 let tests =
   [
     ("obs.metrics", metrics_tests);
-    ("obs.tracer", tracer_tests);
     ("obs.json", json_tests);
     ("obs.kernel", kernel_tests);
     ("obs.sis", sis_tests);
