@@ -316,6 +316,41 @@ let sched_speedup ~reps ~batch =
   done;
   (best.(0), best.(1), best.(2))
 
+(* Minor-heap words per idle cycle on the Fig 9.2 Splice PLB host (default
+   observability), per scheduler: one grid, cycles until the design goes
+   quiet, then [n] idle cycles. The steady-state cycle is allocation-free
+   (test/test_alloc.ml asserts 0); this row trends it next to the settle
+   timings. *)
+let idle_alloc ~n =
+  let words sched =
+    let host =
+      Splice.Interpolator.make_host ~sched Splice.Interpolator.Splice_plb_simple
+    in
+    List.iter
+      (fun sc -> ignore (Splice.Interpolator.run host sc))
+      Splice.Interp_scenarios.all;
+    let k = Splice.Host.kernel host in
+    let rec quiesce budget =
+      let before = Splice.Signal.change_count () in
+      Splice.Kernel.cycle k;
+      if budget > 0 && Splice.Signal.change_count () <> before then
+        quiesce (budget - 1)
+    in
+    quiesce 64;
+    let w0 = Gc.minor_words () in
+    Splice.Kernel.run k n;
+    (Gc.minor_words () -. w0) /. float_of_int n
+  in
+  (words `Sweep, words `Event, words `Compiled)
+
+let print_idle_alloc (sweep, event, compiled) =
+  Printf.printf
+    "\n== Minor words per idle cycle (Fig 9.2 Splice PLB host) ==\n\n\
+     %-44s %11.2f\n\
+     %-44s %11.2f\n\
+     %-44s %11.2f\n"
+    "sweep scheduler" sweep "event scheduler" event "compiled op-tape" compiled
+
 (* Design-cache replay (E19, microscopic side), measured paired like
    [recorder_overhead]: full elaboration of the Fig 9.2 Splice PLB host vs
    a cache-hit replay of the same design (instance reset back to the
@@ -445,9 +480,10 @@ let run_bechamel ~quota =
     benchmarks;
   List.rev !rows
 
-let write_json path ~quick ~jobs ~overhead ~speedup ~cache ~phases rows =
+let write_json path ~quick ~jobs ~overhead ~speedup ~idle ~cache ~phases rows =
   let off, metrics, full = overhead in
   let sweep_ns, event_ns, compiled_ns = speedup in
+  let sweep_w, event_w, compiled_w = idle in
   let build_ns, replay_ns = cache in
   let ela_ns, seal_ns, comp_ns = phases in
   let pct a b = (a -. b) /. b *. 100. in
@@ -487,6 +523,15 @@ let write_json path ~quick ~jobs ~overhead ~speedup ~cache ~phases rows =
                   ("compiled_ns_per_cycle", Float compiled_ns);
                   ("compiled_vs_event", Float (event_ns /. compiled_ns));
                   ("compiled_vs_sweep", Float (sweep_ns /. compiled_ns));
+                ] );
+            ( "minor_words_per_idle_cycle",
+              (* allocation of a quiet cycle per scheduler ([idle_alloc]) *)
+              Obj
+                [
+                  ("host", String "Fig 9.2 Splice PLB (Simple), after one grid");
+                  ("sweep", Float sweep_w);
+                  ("event", Float event_w);
+                  ("compiled", Float compiled_w);
                 ] );
             ( "design_cache",
               (* paired minima: fresh elaboration vs cache-hit replay of
@@ -547,6 +592,8 @@ let () =
       else sched_speedup ~reps:24 ~batch:1000
     in
     print_speedup speedup;
+    let idle = idle_alloc ~n:10_000 in
+    print_idle_alloc idle;
     let cache =
       if quick then cache_replay ~reps:4 ~batch:20
       else cache_replay ~reps:12 ~batch:100
@@ -555,7 +602,7 @@ let () =
     print_cache cache phases;
     Option.iter
       (fun path ->
-        write_json path ~quick ~jobs ~overhead ~speedup ~cache ~phases rows)
+        write_json path ~quick ~jobs ~overhead ~speedup ~idle ~cache ~phases rows)
       json
   end;
   if not quick then begin

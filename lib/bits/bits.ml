@@ -20,10 +20,21 @@ let create ~width v =
   { w = width; v = Int64.logand v (mask width) }
 
 let of_int ~width v = create ~width (Int64.of_int v)
-let zero w = create ~width:w 0L
+
+(* values are immutable, so the zero of every width and both 1-bit values
+   are shared constants: the simulation's per-cycle defaults never
+   allocate *)
+let zeros = Array.init max_width (fun i -> { w = i + 1; v = 0L })
+
+let zero w =
+  check_width w;
+  Array.unsafe_get zeros (w - 1)
+
 let one w = create ~width:w 1L
 let ones w = create ~width:w (-1L)
-let of_bool b = create ~width:1 (if b then 1L else 0L)
+let b_false = zero 1
+let b_true = create ~width:1 1L
+let of_bool b = if b then b_true else b_false
 
 let of_binary_string s =
   let bits = ref [] in

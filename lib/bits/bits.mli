@@ -21,11 +21,13 @@ val create : width:int -> int64 -> t
 
 val of_int : width:int -> int -> t
 val zero : int -> t
+(** A shared constant per width: allocates nothing. *)
+
 val one : int -> t
 val ones : int -> t
 
 val of_bool : bool -> t
-(** 1-bit value. *)
+(** 1-bit value; one of two shared constants. *)
 
 val of_binary_string : string -> t
 (** [of_binary_string "1010"] builds a 4-bit value; accepts ['_'] separators.

@@ -180,14 +180,17 @@ let next_read_word t remaining =
     t.phase <- (if t.cfg.strictly_sync then SyncSample remaining else ReadPending remaining)
   end
 
+(* runs every cycle: an unchanged status vector (the common case) keeps the
+   stored [Some prev] and allocates nothing *)
 let track_irq t =
   let cur = Signal.get t.sis.Sis_if.calc_done in
-  (match t.prev_calc with
+  match t.prev_calc with
+  | Some prev when Bits.equal prev cur -> ()
   | Some prev ->
       let rising = Bits.logand cur (Bits.lognot prev) in
-      if not (Bits.is_zero rising) then t.irq_flag <- true
-  | None -> ());
-  t.prev_calc <- Some cur
+      if not (Bits.is_zero rising) then t.irq_flag <- true;
+      t.prev_calc <- Some cur
+  | None -> t.prev_calc <- Some cur
 
 let seq t () =
   track_irq t;

@@ -188,14 +188,15 @@ let make ?(obs = Obs.none) ?(issue_overhead = 1) ?wait_mode port =
 
 let component t = t.comp
 
+let running t = match t.state with Idle -> false | _ -> true
+
 let load t prog =
-  if t.state <> Idle then failwith "Cpu.load: already running";
+  if running t then failwith "Cpu.load: already running";
   t.prog <- prog;
   t.reads <- [];
   t.polls <- 0;
   next_op t
 
-let running t = t.state <> Idle
 let read_data t = List.rev t.reads
 let polls t = t.polls
 

@@ -132,10 +132,7 @@ let attach_cycle_breakdown t =
   let c_idle = Metrics.counter m "breakdown/idle" in
   let stubs = Peripheral.stubs t.peripheral in
   Kernel.on_settle t.kernel (fun _cycle ->
-      let calc =
-        List.exists (fun s -> Stub_model.state s = Stub_model.Calc) stubs
-      in
-      if calc then Metrics.incr c_calc
+      if List.exists Stub_model.calculating stubs then Metrics.incr c_calc
       else if t.port.Bus_port.busy () then Metrics.incr c_bus
       else if Cpu.running t.cpu then Metrics.incr c_driver
       else Metrics.incr c_idle)

@@ -68,14 +68,17 @@ let histogram ?(limits = default_limits) t name =
       t.histograms <- h :: t.histograms;
       h
 
+(* top-level, not a local closure: [observe] runs every simulated cycle *)
+let rec bucket (limits : int array) (v : int) i =
+  if i >= Array.length limits || v <= Array.unsafe_get limits i then i
+  else bucket limits v (i + 1)
+
 let observe h v =
   h.n <- h.n + 1;
   h.sum <- h.sum + v;
   if v < h.vmin then h.vmin <- v;
   if v > h.vmax then h.vmax <- v;
-  let nl = Array.length h.limits in
-  let rec bucket i = if i >= nl || v <= h.limits.(i) then i else bucket (i + 1) in
-  let i = bucket 0 in
+  let i = bucket h.limits v 0 in
   h.buckets.(i) <- h.buckets.(i) + 1
 
 let observations h = h.n

@@ -39,6 +39,7 @@ type t = {
   mutable comb_iters_total : int;
   mutable comb_evals_total : int;
   mutable checks_run_total : int;
+  mutable settle_evals : int; (* evaluations of the settle in flight *)
   (* forward-order caches, rebuilt lazily whenever a registration list
      changes (sealing); cycle/settle never traverse the reversed lists *)
   mutable sealed : bool;
@@ -139,6 +140,7 @@ let create ?(max_comb_iters = 64) ?(sched = `Event) ?obs () =
     comb_iters_total = 0;
     comb_evals_total = 0;
     checks_run_total = 0;
+    settle_evals = 0;
     sealed = false;
     comps_fwd = [||];
     comp_doms = [||];
@@ -288,10 +290,63 @@ let seal t =
       t.seal_hook <- None;
       f ()
 
+(* The settle and cycle loops below are top-level functions over the
+   kernel's sealed arrays — no per-cycle closures, refs that escape into
+   them, or tuple returns — so a steady-state cycle allocates nothing. *)
+
+let eval t (c : Component.t) =
+  c.Component.comb ();
+  (match t.rec_ with Some r -> record_eval r c | None -> ());
+  t.settle_evals <- t.settle_evals + 1
+
+(* legacy scheduler: re-evaluate every component on every delta pass until
+   a pass leaves the global change counter untouched *)
+let rec sweep_passes t executed productive =
+  if executed >= t.max_comb_iters then
+    raise (Comb_divergence { cycle = t.cycle_count; iterations = executed });
+  let before = Signal.change_count () in
+  let comps = t.comps_fwd in
+  for i = 0 to Array.length comps - 1 do
+    eval t (Array.unsafe_get comps i)
+  done;
+  if Signal.change_count () <> before then
+    sweep_passes t (executed + 1) (productive + 1)
+  else productive
+
+(* event-driven scheduler: a delta pass only evaluates dirty components (in
+   registration order, so in-pass propagation matches the sweep);
+   evaluations mark their fan-out dirty for this pass (later components) or
+   the next one (earlier components) *)
+let event_pass t =
+  let comps = t.comps_fwd in
+  for i = 0 to Array.length comps - 1 do
+    let c = Array.unsafe_get comps i in
+    match c.Component.sensitivity with
+    | Component.Always -> eval t c
+    | Component.Reads _ ->
+        if c.Component.dirty then begin
+          c.Component.dirty <- false;
+          t.n_dirty <- t.n_dirty - 1;
+          eval t c
+        end
+  done
+
+let rec event_passes t executed productive =
+  if t.n_dirty = 0 && not t.has_always then productive
+  else if executed >= t.max_comb_iters then
+    raise (Comb_divergence { cycle = t.cycle_count; iterations = executed })
+  else begin
+    let before = Signal.change_count () in
+    event_pass t;
+    let changed = Signal.change_count () <> before in
+    let productive = if changed then productive + 1 else productive in
+    if changed || t.n_dirty > 0 then event_passes t (executed + 1) productive
+    else productive
+  end
+
 let settle t =
   if not t.sealed then seal t;
-  let comps = t.comps_fwd in
-  let evals = ref 0 in
+  t.settle_evals <- 0;
   (* [iters] counts {e productive} delta passes — passes that changed at
      least one signal — identically for all three schedulers (a quiescent
      settle reports 0). Divergence guards still count {e executed} passes,
@@ -299,105 +354,62 @@ let settle t =
      passes is caught no later than before. *)
   let iters =
     match t.sched with
-    | `Sweep ->
-        (* legacy scheduler: re-evaluate every component on every delta pass
-           until a pass leaves the global change counter untouched *)
-        let rec go executed productive =
-          if executed >= t.max_comb_iters then
-            raise
-              (Comb_divergence { cycle = t.cycle_count; iterations = executed });
-          let before = Signal.change_count () in
-          (match t.rec_ with
-          | None -> Array.iter (fun (c : Component.t) -> c.Component.comb ()) comps
-          | Some r ->
-              Array.iter
-                (fun (c : Component.t) ->
-                  c.Component.comb ();
-                  record_eval r c)
-                comps);
-          evals := !evals + Array.length comps;
-          if Signal.change_count () <> before then go (executed + 1) (productive + 1)
-          else productive
-        in
-        go 0 0
-    | `Compiled ->
+    | `Sweep -> sweep_passes t 0 0
+    | `Compiled -> (
         let tape =
           match t.tape with
           | Some tape -> tape
           | None -> assert false (* seal always compiles under [`Compiled] *)
         in
-        (match Tape.settle tape ~max_iters:t.max_comb_iters ~record:t.rec_fn with
-        | productive, ev ->
-            evals := ev;
+        match Tape.settle tape ~max_iters:t.max_comb_iters ~record:t.rec_fn with
+        | productive ->
+            t.settle_evals <- Tape.evals tape;
             productive
         | exception Tape.Divergence executed ->
             raise
               (Comb_divergence { cycle = t.cycle_count; iterations = executed }))
     | `Event ->
-        (* event-driven scheduler: a delta pass only evaluates dirty
-           components (in registration order, so in-pass propagation matches
-           the sweep); evaluations mark their fan-out dirty for this pass
-           (later components) or the next one (earlier components) *)
-        Array.iter (fun c -> mark_dirty t c) t.edge_comps;
-        (* the recorder branch is resolved once per settle, not once per
-           component visit — the two step closures differ only in the
-           [record_eval] *)
-        let step =
-          match t.rec_ with
-          | None ->
-              fun (c : Component.t) ->
-                (match c.Component.sensitivity with
-                | Component.Always ->
-                    c.Component.comb ();
-                    incr evals
-                | Component.Reads _ ->
-                    if c.Component.dirty then begin
-                      c.Component.dirty <- false;
-                      t.n_dirty <- t.n_dirty - 1;
-                      c.Component.comb ();
-                      incr evals
-                    end)
-          | Some r ->
-              fun (c : Component.t) ->
-                (match c.Component.sensitivity with
-                | Component.Always ->
-                    c.Component.comb ();
-                    record_eval r c;
-                    incr evals
-                | Component.Reads _ ->
-                    if c.Component.dirty then begin
-                      c.Component.dirty <- false;
-                      t.n_dirty <- t.n_dirty - 1;
-                      c.Component.comb ();
-                      record_eval r c;
-                      incr evals
-                    end)
-        in
-        let rec go executed productive =
-          if t.n_dirty = 0 && not t.has_always then productive
-          else if executed >= t.max_comb_iters then
-            raise
-              (Comb_divergence { cycle = t.cycle_count; iterations = executed })
-          else begin
-            let before = Signal.change_count () in
-            Array.iter step comps;
-            let changed = Signal.change_count () <> before in
-            let productive = if changed then productive + 1 else productive in
-            if changed || t.n_dirty > 0 then go (executed + 1) productive
-            else productive
-          end
-        in
-        go 0 0
+        let edge = t.edge_comps in
+        for i = 0 to Array.length edge - 1 do
+          mark_dirty t (Array.unsafe_get edge i)
+        done;
+        event_passes t 0 0
   in
+  let evals = t.settle_evals in
   t.comb_iters_total <- t.comb_iters_total + iters;
-  t.comb_evals_total <- t.comb_evals_total + !evals;
+  t.comb_evals_total <- t.comb_evals_total + evals;
   if Obs.active t.obs then begin
     Metrics.observe t.comb_hist iters;
-    Metrics.add t.evals_counter !evals
+    Metrics.add t.evals_counter evals
   end;
   match t.rec_ with
   | Some r -> Recorder.sched_pass r ~subject:t.rec_kernel_id ~iters
   | None -> ()
+
+(* [multi] gates every per-item domain test off the single-clock hot path.
+   Domain gating is scheduler-independent (only the settle strategy differs
+   between schedulers), so multi-clock interleaving is deterministic and
+   identical under Event/Sweep/Compiled. Returns the number of checks run. *)
+let run_checks t tick =
+  let checks = t.checks_fwd in
+  let ran = ref 0 in
+  for i = 0 to Array.length checks - 1 do
+    if (not t.multi) || dom_fires (Array.unsafe_get t.check_doms i) tick then begin
+      (match t.rec_ with
+      | Some r -> Recorder.check_eval r ~subject:(Array.unsafe_get t.check_ids i)
+      | None -> ());
+      let _, f = Array.unsafe_get checks i in
+      f tick;
+      incr ran
+    end
+  done;
+  !ran
+
+let rec count_domain_edges tick = function
+  | [] -> ()
+  | d :: rest ->
+      if dom_fires d tick then d.d_cycles <- d.d_cycles + 1;
+      count_domain_edges tick rest
 
 let cycle t =
   (* guarded: [Obs.none] is one value shared by every kernel that opted
@@ -409,71 +421,44 @@ let cycle t =
   Signal.attach_recorder t.rec_;
   settle t;
   let tick = t.cycle_count in
-  (* [multi] gates every per-item domain test off the single-clock hot
-     path; with one domain the loops below are exactly the legacy ones.
-     Domain gating is scheduler-independent (only the settle strategy
-     differs between schedulers), so multi-clock interleaving is
-     deterministic and identical under Event/Sweep/Compiled. *)
-  let checks_ran = ref 0 in
-  (match t.rec_ with
-  | None ->
-      if not t.multi then begin
-        Array.iter (fun (_, f) -> f tick) t.checks_fwd;
-        checks_ran := Array.length t.checks_fwd
-      end
-      else
-        for i = 0 to Array.length t.checks_fwd - 1 do
-          if dom_fires (Array.unsafe_get t.check_doms i) tick then begin
-            (snd (Array.unsafe_get t.checks_fwd i)) tick;
-            incr checks_ran
-          end
-        done
-  | Some r -> (
-      (* the last events a failing run records are its own check
-         evaluation and the failure itself — the dump ends at the bug.
-         One handler outside the loop (the failing check's name rides on
-         the exception), so the per-check cost is one recorded event. *)
-      try
-        for i = 0 to Array.length t.checks_fwd - 1 do
-          if (not t.multi) || dom_fires (Array.unsafe_get t.check_doms i) tick
-          then begin
-            Recorder.check_eval r ~subject:(Array.unsafe_get t.check_ids i);
-            (snd (Array.unsafe_get t.checks_fwd i)) tick;
-            incr checks_ran
-          end
-        done
-      with Check_failed { check; message; _ } as e ->
-        Recorder.check_fail r ~subject:(Recorder.intern r check) ~message;
-        raise e));
-  (match !checks_ran with
-  | 0 -> ()
-  | n ->
-      t.checks_run_total <- t.checks_run_total + n;
-      if Obs.active t.obs then Metrics.add t.checks_counter n);
-  if not t.multi then
-    Array.iter (fun f -> f tick) t.settle_hooks_fwd
-  else
-    for i = 0 to Array.length t.settle_hooks_fwd - 1 do
-      if dom_fires (Array.unsafe_get t.settle_doms i) tick then
-        (Array.unsafe_get t.settle_hooks_fwd i) tick
-    done;
-  if not t.multi then
-    Array.iter (fun (c : Component.t) -> c.Component.seq ()) t.comps_fwd
-  else
-    (* only components whose domain has an edge on this tick clock their
-       state; everyone reads settled pre-edge values, so evaluation order
-       between coincident domains cannot matter *)
-    for i = 0 to Array.length t.comps_fwd - 1 do
-      if dom_fires (Array.unsafe_get t.comp_doms i) tick then
-        (Array.unsafe_get t.comps_fwd i).Component.seq ()
-    done;
+  let ran =
+    match t.rec_ with
+    | None -> run_checks t tick
+    | Some r -> (
+        (* the last events a failing run records are its own check
+           evaluation and the failure itself — the dump ends at the bug.
+           One handler outside the loop (the failing check's name rides on
+           the exception), so the per-check cost is one recorded event. *)
+        try run_checks t tick
+        with Check_failed { check; message; _ } as e ->
+          Recorder.check_fail r ~subject:(Recorder.intern r check) ~message;
+          raise e)
+  in
+  if ran > 0 then begin
+    t.checks_run_total <- t.checks_run_total + ran;
+    if Obs.active t.obs then Metrics.add t.checks_counter ran
+  end;
+  let settles = t.settle_hooks_fwd in
+  for i = 0 to Array.length settles - 1 do
+    if (not t.multi) || dom_fires (Array.unsafe_get t.settle_doms i) tick then
+      (Array.unsafe_get settles i) tick
+  done;
+  (* only components whose domain has an edge on this tick clock their
+     state; everyone reads settled pre-edge values, so evaluation order
+     between coincident domains cannot matter *)
+  let comps = t.comps_fwd in
+  for i = 0 to Array.length comps - 1 do
+    if (not t.multi) || dom_fires (Array.unsafe_get t.comp_doms i) tick then
+      (Array.unsafe_get comps i).Component.seq ()
+  done;
   Signal.commit_pending ();
-  List.iter
-    (fun d -> if dom_fires d tick then d.d_cycles <- d.d_cycles + 1)
-    t.domains;
+  count_domain_edges tick t.domains;
   t.cycle_count <- t.cycle_count + 1;
   if Obs.active t.obs then Metrics.incr t.cycles_counter;
-  Array.iter (fun f -> f t.cycle_count) t.hooks_fwd
+  let hooks = t.hooks_fwd in
+  for i = 0 to Array.length hooks - 1 do
+    (Array.unsafe_get hooks i) t.cycle_count
+  done
 
 let run t n =
   for _ = 1 to n do

@@ -7,7 +7,18 @@ type t = {
       (* domain-unique id, never reused and never reset (unlike the default
          [sigN] name counter) — the compiled tape keys its slot table on it *)
   width : int;
+  narrow : bool;
+      (* [width <= 62]: every normalized value of at most 62 bits is a
+         non-negative OCaml int, so a narrow signal keeps its value as the
+         immediate [imm], [get_int] never fails on it, and an int compare
+         decides whether a write changes anything. 63- and 64-bit signals
+         are wide: their value lives only in [value]. *)
+  mutable imm : int;
+      (* the value of a narrow signal (0 for a wide one); always equal to
+         [value] as an int — reads and change detection use only this *)
   mutable value : Bits.t;
+      (* the value as a [Bits.t]; for a narrow signal rebuilt only when
+         [imm] actually changes, so [get] never allocates *)
   mutable listeners : (unit -> unit) list;
       (* fan-out: fired (in registration order is irrelevant — they only mark
          components dirty) whenever the value actually changes *)
@@ -30,6 +41,44 @@ type t = {
          dropping every queued write in the domain *)
 }
 
+(* The deferred-write queue: parallel arrays in write order (oldest first),
+   grown by doubling and otherwise reused, so [set_next] stores a signal
+   and an int (plus a [Bits.t] the caller already built) without
+   allocating. [q_bits] holds [no_bits] when the write came in as an int. *)
+type queue = {
+  mutable q_sigs : t array;
+  mutable q_imms : int array;
+  mutable q_bits : Bits.t array;
+  mutable q_len : int;
+}
+
+let no_bits = Bits.create ~width:1 0L
+
+let dummy =
+  {
+    name = "";
+    uid = 0;
+    width = 1;
+    narrow = true;
+    imm = 0;
+    value = no_bits;
+    listeners = [];
+    commit_stamp = 0;
+    rec_stamp = 0;
+    rec_id = -1;
+    tape_stamp = 0;
+    tape_slot = -1;
+    owner = 0;
+  }
+
+let queue () =
+  {
+    q_sigs = Array.make 16 dummy;
+    q_imms = Array.make 16 0;
+    q_bits = Array.make 16 no_bits;
+    q_len = 0;
+  }
+
 (* The signal store (change counter, deferred-write queue, name counter,
    commit epoch) used to be module-global refs. Parallel grids run one
    kernel per pool task, so the store is domain-local: every task sees its
@@ -38,7 +87,10 @@ type t = {
    discipline still applies. *)
 type store = {
   mutable changes : int;
-  mutable s_pending : (t * Bits.t) list;
+  mutable s_pending : queue;
+  mutable s_spare : queue;
+      (* [commit_pending] swaps the two queues to detach the pending writes
+         before applying them *)
   mutable counter : int;
   mutable uid_counter : int;
       (* unlike [counter] this one is never reset: uids stay unique for the
@@ -60,7 +112,8 @@ let store_key : store Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
       {
         changes = 0;
-        s_pending = [];
+        s_pending = queue ();
+        s_spare = queue ();
         counter = 0;
         uid_counter = 0;
         commit_epoch = 0;
@@ -83,6 +136,8 @@ let create ?name width =
       name;
       uid = st.uid_counter;
       width;
+      narrow = width <= 62;
+      imm = 0;
       value = Bits.zero width;
       listeners = [];
       commit_stamp = 0;
@@ -101,9 +156,10 @@ let create ?name width =
 let name t = t.name
 let uid t = t.uid
 let width t = t.width
+let narrow t = t.narrow
 let get t = t.value
-let get_bool t = Bits.to_bool t.value
-let get_int t = Bits.to_int t.value
+let get_bool t = if t.narrow then t.imm <> 0 else Bits.to_bool t.value
+let get_int t = if t.narrow then t.imm else Bits.to_int t.value
 
 let on_change t f = t.listeners <- f :: t.listeners
 
@@ -128,77 +184,148 @@ let record_change r t =
     end
   in
   (* low 63 bits: only full 64-bit signals truncate, and only in the dump *)
-  Recorder.signal_change r ~subject:id ~value:(Int64.to_int (Bits.to_int64 t.value))
+  let value =
+    if t.narrow then t.imm else Int64.to_int (Bits.to_int64 t.value)
+  in
+  Recorder.signal_change r ~subject:id ~value
+
+(* the bookkeeping of an actual change, after the new value is stored *)
+let changed t =
+  let st = store () in
+  st.changes <- st.changes + 1;
+  (match st.s_recorder with None -> () | Some r -> record_change r t);
+  (match st.s_touch with None -> () | Some h -> h t);
+  match t.listeners with
+  | [] -> ()
+  | ls -> List.iter (fun f -> f ()) ls
+
+let width_mismatch what t v =
+  raise
+    (Bits.Width_mismatch
+       (Printf.sprintf "Signal.%s %s: %d vs %d" what t.name (Bits.width v)
+          t.width))
+
+(* an int masked to a narrow signal's width, as [Bits.of_int] would *)
+let mask_imm t v = v land ((1 lsl t.width) - 1)
+
+(* [i] is already masked to the (narrow) width *)
+let set_imm t i =
+  if i <> t.imm then begin
+    t.imm <- i;
+    t.value <- Bits.of_int ~width:t.width i;
+    changed t
+  end
+
+(* [v] has the signal's width *)
+let store_bits t v =
+  if t.narrow then begin
+    let i = Int64.to_int (Bits.to_int64 v) in
+    if i <> t.imm then begin
+      t.imm <- i;
+      t.value <- v;
+      changed t
+    end
+  end
+  else if not (Bits.equal t.value v) then begin
+    t.value <- v;
+    changed t
+  end
 
 let set t v =
-  if Bits.width v <> t.width then
-    raise
-      (Bits.Width_mismatch
-         (Printf.sprintf "Signal.set %s: %d vs %d" t.name (Bits.width v)
-            t.width));
-  if not (Bits.equal t.value v) then begin
-    t.value <- v;
-    let st = store () in
-    st.changes <- st.changes + 1;
-    (match st.s_recorder with None -> () | Some r -> record_change r t);
-    (match st.s_touch with None -> () | Some h -> h t);
-    match t.listeners with
-    | [] -> ()
-    | ls -> List.iter (fun f -> f ()) ls
-  end
+  if Bits.width v <> t.width then width_mismatch "set" t v;
+  store_bits t v
 
 let set_bool t b =
   if t.width <> 1 then
     raise (Bits.Width_mismatch (Printf.sprintf "Signal.set_bool %s" t.name));
-  set t (Bits.of_bool b)
+  let i = Bool.to_int b in
+  if i <> t.imm then begin
+    t.imm <- i;
+    t.value <- Bits.of_bool b;
+    changed t
+  end
 
-let set_int t v = set t (Bits.of_int ~width:t.width v)
+let set_int t v =
+  if t.narrow then set_imm t (mask_imm t v)
+  else store_bits t (Bits.of_int ~width:t.width v)
+
+let push t i b =
+  let q = (store ()).s_pending in
+  let n = q.q_len in
+  if n = Array.length q.q_sigs then begin
+    let grow a fill =
+      let a' = Array.make (2 * n) fill in
+      Array.blit a 0 a' 0 n;
+      a'
+    in
+    q.q_sigs <- grow q.q_sigs dummy;
+    q.q_imms <- grow q.q_imms 0;
+    q.q_bits <- grow q.q_bits no_bits
+  end;
+  Array.unsafe_set q.q_sigs n t;
+  Array.unsafe_set q.q_imms n i;
+  Array.unsafe_set q.q_bits n b;
+  q.q_len <- n + 1
 
 let set_next t v =
-  if Bits.width v <> t.width then
-    raise
-      (Bits.Width_mismatch
-         (Printf.sprintf "Signal.set_next %s: %d vs %d" t.name (Bits.width v)
-            t.width));
-  let st = store () in
-  st.s_pending <- (t, v) :: st.s_pending
+  if Bits.width v <> t.width then width_mismatch "set_next" t v;
+  push t 0 v
 
-let set_next_bool t b = set_next t (Bits.of_bool b)
-let set_next_int t v = set_next t (Bits.of_int ~width:t.width v)
+let set_next_bool t b =
+  if t.width <> 1 then width_mismatch "set_next" t (Bits.of_bool b);
+  push t (Bool.to_int b) no_bits
+
+let set_next_int t v =
+  if t.narrow then push t (mask_imm t v) no_bits
+  else push t 0 (Bits.of_int ~width:t.width v)
+
 let change_count () = (store ()).changes
 
 let commit_pending () =
-  (* Last write wins: the list is newest-first, so the first write stamped
-     with the current epoch shadows any older queued writes to the same
-     signal — a single O(n) scan, no membership lists.
+  (* Last write wins: the queue is scanned newest-first, so the first write
+     stamped with the current epoch shadows any older queued writes to the
+     same signal — a single O(n) scan, no membership lists.
 
-     The queue is detached {e before} the scan: if an apply raises (a
-     [Width_mismatch] from [set], or a listener failing), the queue is
+     The queue is detached {e before} the scan (swapped with the empty
+     spare): if an apply raises (a listener failing), the live queue is
      already empty and the next cycle cannot silently replay the stale
      writes. Epoch stamps need no restoring — the next commit bumps the
      epoch, so half-applied stamps are never mistaken for current ones. *)
   let st = store () in
-  match st.s_pending with
-  | [] -> ()
-  | writes ->
-      st.s_pending <- [];
-      st.commit_epoch <- st.commit_epoch + 1;
-      let epoch = st.commit_epoch in
-      List.iter
-        (fun (s, v) ->
-          if s.commit_stamp <> epoch then begin
-            s.commit_stamp <- epoch;
-            set s v
-          end)
-        writes
+  let q = st.s_pending in
+  if q.q_len > 0 then begin
+    st.s_pending <- st.s_spare;
+    st.s_spare <- q;
+    st.s_pending.q_len <- 0;
+    st.commit_epoch <- st.commit_epoch + 1;
+    let epoch = st.commit_epoch in
+    for k = q.q_len - 1 downto 0 do
+      let s = Array.unsafe_get q.q_sigs k in
+      if s.commit_stamp <> epoch then begin
+        s.commit_stamp <- epoch;
+        let b = Array.unsafe_get q.q_bits k in
+        if b == no_bits then set_imm s (Array.unsafe_get q.q_imms k)
+        else store_bits s b
+      end
+    done
+  end
 
-let clear_pending () = (store ()).s_pending <- []
+let clear_pending () = (store ()).s_pending.q_len <- 0
 
 let clear_pending_for ~owner =
-  let st = store () in
-  match st.s_pending with
-  | [] -> ()
-  | writes -> st.s_pending <- List.filter (fun (s, _) -> s.owner <> owner) writes
+  (* in-place compaction, keeping the surviving writes in order *)
+  let q = (store ()).s_pending in
+  let kept = ref 0 in
+  for k = 0 to q.q_len - 1 do
+    let s = q.q_sigs.(k) in
+    if s.owner <> owner then begin
+      q.q_sigs.(!kept) <- s;
+      q.q_imms.(!kept) <- q.q_imms.(k);
+      q.q_bits.(!kept) <- q.q_bits.(k);
+      incr kept
+    end
+  done;
+  q.q_len <- !kept
 
 let reset_names () = (store ()).counter <- 0
 
@@ -228,9 +355,6 @@ let restore_value t v =
   (* cache-replay restore: bring the signal back to a snapshotted value
      without firing listeners, the recorder, or the change counter — the
      kernel is reset around this, so nothing is watching *)
-  if Bits.width v <> t.width then
-    raise
-      (Bits.Width_mismatch
-         (Printf.sprintf "Signal.restore_value %s: %d vs %d" t.name
-            (Bits.width v) t.width));
+  if Bits.width v <> t.width then width_mismatch "restore_value" t v;
+  if t.narrow then t.imm <- Int64.to_int (Bits.to_int64 v);
   t.value <- v

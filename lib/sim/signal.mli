@@ -30,11 +30,23 @@ val uid : t -> int
 
 val width : t -> int
 
+val narrow : t -> bool
+(** The value-store rule: a signal of width [<= 62] is {e narrow} and keeps
+    its value as an immediate [int] (every such value is a non-negative
+    OCaml int, so {!get_int} cannot fail on it). Reads and change detection
+    on narrow signals are int operations, and {!set_bool}, {!set_int} and
+    the deferred writes build a [Bits.t] only when the value actually
+    changes. 63- and 64-bit signals are wide and hold only a [Bits.t]. *)
+
 val get : t -> Bits.t
+(** Never allocates. *)
+
 val get_bool : t -> bool
 (** True iff non-zero (any width). *)
 
 val get_int : t -> int
+(** The immediate of a narrow signal. On a wide signal raises [Failure]
+    when the value does not fit a non-negative OCaml [int]. *)
 
 val set : t -> Bits.t -> unit
 (** Immediate combinational drive. Raises [Bits.Width_mismatch] when widths
@@ -47,7 +59,9 @@ val set_int : t -> int -> unit
 (** Masked to the signal width. *)
 
 val set_next : t -> Bits.t -> unit
-(** Deferred registered drive; last write to a signal in a cycle wins. *)
+(** Deferred registered drive; last write to a signal in a cycle wins.
+    Queuing a write allocates nothing in the steady state (the queue is a
+    reused array store). *)
 
 val set_next_bool : t -> bool -> unit
 val set_next_int : t -> int -> unit

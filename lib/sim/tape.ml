@@ -4,9 +4,10 @@ open Splice_bits
 
    [compile] runs once at seal time: it levelizes the sealed component graph
    from the declared [Reads] sensitivity lists, flattens the signal state
-   those lists mention into contiguous structure-of-arrays buffers (values
-   of width <= 63 packed as immediate ints, 64-bit signals in a small side
-   table), and emits a linear evaluation order. [settle] then walks that
+   those lists mention into contiguous structure-of-arrays buffers (the
+   immediates of narrow signals — [Signal.narrow] — packed as ints,
+   wide signals in a small side table), and emits a linear evaluation
+   order. [settle] then walks that
    tape with zero allocation in the steady state: dirtiness is an int
    bitset over tape positions, writes are observed through the domain-local
    [Signal.set_touch] hook (installed only while settling), and reader
@@ -28,21 +29,23 @@ type t = {
   edge_mask : int array; (* positions of edge-sensitive components *)
   slots : Signal.t array; (* slot -> signal, for the snapshot scan *)
   packed : int array;
-      (* slot -> last observed value for narrow (width <= 63) signals;
-         [Bits] values are normalized, so the low-63-bit injection is exact *)
+      (* slot -> last observed immediate of a narrow signal
+         ([Signal.narrow]) *)
   wide_idx : int array; (* slot -> index into [wide_vals], or -1 if narrow *)
-  wide_vals : Bits.t array; (* side table for 64-bit signals *)
+  wide_vals : Bits.t array; (* side table for wide signals *)
   readers : int array array; (* slot -> bitmask of reader positions *)
   slot_of_uid : (int, int) Hashtbl.t;
       (* Signal.uid -> slot; cold path only — after the first touch the
          slot (or -1 for signals no tape component reads) lives on the
          signal itself, keyed by [stamp] *)
-  touch : Signal.t -> unit; (* preallocated [Signal.set_touch] hook *)
+  touch : (Signal.t -> unit) option;
+      (* preallocated [Signal.set_touch] hook, [Some] included *)
   mutable last_changes : int;
       (* [Signal.change_count] at the last settle exit: if it has not moved
          since, no signal in the domain changed between settles and the
          snapshot scan is skipped — a quiescent cycle costs O(nwords), like
          the event scheduler's empty-dirty-set shortcut *)
+  mutable evals : int; (* component evaluations of the last settle *)
 }
 
 exception Divergence of int
@@ -51,12 +54,6 @@ exception Divergence of int
 let stamps = Atomic.make 1
 (* signals initialize tape_stamp to 0, so starting at 1 keeps a fresh
    signal's cache stale for every tape *)
-
-let narrow s = Signal.width s <= 63
-
-let value_int s =
-  (* injective for width <= 63: normalized values fit the OCaml int *)
-  Int64.to_int (Bits.to_int64 (Signal.get s))
 
 let or_readers t slot =
   let m = t.readers.(slot) in
@@ -83,7 +80,7 @@ let on_touch t s =
   in
   if slot >= 0 then begin
     let wi = t.wide_idx.(slot) in
-    if wi < 0 then t.packed.(slot) <- value_int s
+    if wi < 0 then t.packed.(slot) <- Signal.get_int s
     else t.wide_vals.(wi) <- Signal.get s;
     or_readers t slot
   end
@@ -244,7 +241,7 @@ let compile (comps : Component.t array) =
   let nwide = ref 0 in
   Array.iteri
     (fun slot s ->
-      if narrow s then packed.(slot) <- value_int s
+      if Signal.narrow s then packed.(slot) <- Signal.get_int s
       else begin
         wide_idx.(slot) <- !nwide;
         incr nwide;
@@ -271,10 +268,11 @@ let compile (comps : Component.t array) =
       wide_vals;
       readers;
       slot_of_uid;
-      touch = (fun s -> on_touch t s);
+      touch = Some (fun s -> on_touch t s);
       (* force a scan at the first settle: calibration already changed
          signals, and the testbench may poke more before cycle 0 *)
       last_changes = Signal.change_count () - 1;
+      evals = 0;
     }
   in
   t
@@ -304,21 +302,20 @@ let restore t sn =
      replaying host restores signal values around this call *)
   t.last_changes <- Signal.change_count () - 1
 
-let any_dirty t =
-  let d = t.dirty in
-  let rec go w = w < t.nwords && (Array.unsafe_get d w <> 0 || go (w + 1)) in
-  go 0
+let rec any_dirty_from t w =
+  w < t.nwords && (Array.unsafe_get t.dirty w <> 0 || any_dirty_from t (w + 1))
+
+let any_dirty t = any_dirty_from t 0
 
 (* Catch state changed outside a settle — testbench pokes between cycles,
    seq-phase [commit_pending] writes — by diffing every slot against the
-   snapshot. One linear pass over int arrays; allocation-free for narrow
-   slots. *)
+   snapshot. One linear pass over int arrays, allocation-free. *)
 let scan t =
   for slot = 0 to Array.length t.slots - 1 do
     let s = Array.unsafe_get t.slots slot in
     let wi = Array.unsafe_get t.wide_idx slot in
     if wi < 0 then begin
-      let v = value_int s in
+      let v = Signal.get_int s in
       if v <> Array.unsafe_get t.packed slot then begin
         Array.unsafe_set t.packed slot v;
         or_readers t slot
@@ -333,65 +330,71 @@ let scan t =
     end
   done
 
+(* One delta pass: the pinned [Always] components, then every dirty tape
+   position in order. Top-level (no closure) so a settle never allocates. *)
+let pass t record =
+  let order = t.order in
+  let n = Array.length order in
+  let always = t.always in
+  for i = 0 to Array.length always - 1 do
+    let c = Array.unsafe_get always i in
+    c.Component.comb ();
+    (match record with None -> () | Some f -> f c);
+    t.evals <- t.evals + 1
+  done;
+  for w = 0 to t.nwords - 1 do
+    (* a whole-word skip is safe: a zero word at entry holds no dirty
+       position, and marks can only originate from evaluations — which
+       the zero word by construction is not running *)
+    if Array.unsafe_get t.dirty w <> 0 then begin
+      let base = w lsl 5 in
+      (* not [min]: the polymorphic compare would run per dirty word *)
+      let hi = if n - 1 - base < 31 then n - 1 - base else 31 in
+      for j = 0 to hi do
+        let b = 1 lsl j in
+        if Array.unsafe_get t.dirty w land b <> 0 then begin
+          Array.unsafe_set t.dirty w (Array.unsafe_get t.dirty w land lnot b);
+          let c = Array.unsafe_get order (base + j) in
+          c.Component.comb ();
+          (match record with None -> () | Some f -> f c);
+          t.evals <- t.evals + 1
+        end
+      done
+    end
+  done
+
+let rec passes t ~max_iters ~record executed productive =
+  let n_always = Array.length t.always in
+  if n_always = 0 && not (any_dirty t) then productive
+  else if executed >= max_iters then raise (Divergence executed)
+  else begin
+    let before = Signal.change_count () in
+    pass t record;
+    let changed = Signal.change_count () <> before in
+    let productive = if changed then productive + 1 else productive in
+    (* a change with no tape reader marks nothing dirty: only [Always]
+       components (unknown reads) force the conservative extra pass *)
+    if any_dirty t || (changed && n_always > 0) then
+      passes t ~max_iters ~record (executed + 1) productive
+    else productive
+  end
+
 let settle t ~max_iters ~(record : (Component.t -> unit) option) =
   if Signal.change_count () <> t.last_changes then scan t;
   for w = 0 to t.nwords - 1 do
     t.dirty.(w) <- t.dirty.(w) lor t.edge_mask.(w)
   done;
-  let order = t.order in
-  let n = Array.length order in
-  let always = t.always in
-  let n_always = Array.length always in
-  let evals = ref 0 in
-  Signal.set_touch (Some t.touch);
+  t.evals <- 0;
+  Signal.set_touch t.touch;
   (* manual unwind instead of [Fun.protect]: the hot path must not allocate
      a closure per settle *)
-  let pass () =
-    for i = 0 to n_always - 1 do
-      let c = Array.unsafe_get always i in
-      c.Component.comb ();
-      (match record with None -> () | Some f -> f c);
-      incr evals
-    done;
-    for w = 0 to t.nwords - 1 do
-      (* a whole-word skip is safe: a zero word at entry holds no dirty
-         position, and marks can only originate from evaluations — which
-         the zero word by construction is not running *)
-      if Array.unsafe_get t.dirty w <> 0 then begin
-        let base = w lsl 5 in
-        let hi = min 31 (n - 1 - base) in
-        for j = 0 to hi do
-          let b = 1 lsl j in
-          if Array.unsafe_get t.dirty w land b <> 0 then begin
-            Array.unsafe_set t.dirty w (Array.unsafe_get t.dirty w land lnot b);
-            let c = Array.unsafe_get order (base + j) in
-            c.Component.comb ();
-            (match record with None -> () | Some f -> f c);
-            incr evals
-          end
-        done
-      end
-    done
-  in
-  let rec go executed productive =
-    if n_always = 0 && not (any_dirty t) then productive
-    else if executed >= max_iters then raise (Divergence executed)
-    else begin
-      let before = Signal.change_count () in
-      pass ();
-      let changed = Signal.change_count () <> before in
-      let productive = if changed then productive + 1 else productive in
-      (* a change with no tape reader marks nothing dirty: only [Always]
-         components (unknown reads) force the conservative extra pass *)
-      if any_dirty t || (changed && n_always > 0) then go (executed + 1) productive
-      else productive
-    end
-  in
-  match go 0 0 with
+  match passes t ~max_iters ~record 0 0 with
   | productive ->
       Signal.set_touch None;
       t.last_changes <- Signal.change_count ();
-      (productive, !evals)
+      productive
   | exception e ->
       Signal.set_touch None;
       raise e
+
+let evals t = t.evals

@@ -8,8 +8,9 @@
       Kahn's algorithm, registration index breaking ties and combinational
       cycles;
     + {e SoA flatten} — intern every read signal into a slot of contiguous
-      structure-of-arrays buffers: values of width ≤ 63 packed as immediate
-      ints, 64-bit signals in a [Bits.t] side table;
+      structure-of-arrays buffers: narrow signals' immediates
+      ({!Signal.narrow}) packed as ints, wide signals in a [Bits.t]
+      side table;
     + {e tape emit} — precompute, per slot, the bitmask of reader positions,
       plus the mask of edge-sensitive positions re-armed every settle.
 
@@ -52,9 +53,13 @@ val restore : t -> snapshot -> unit
     state a fresh compile leaves behind). Zero allocation beyond the
     snapshot itself. *)
 
-val settle : t -> max_iters:int -> record:(Component.t -> unit) option -> (int * int)
+val settle : t -> max_iters:int -> record:(Component.t -> unit) option -> int
 (** [settle t ~max_iters ~record] runs delta passes until quiescent and
-    returns [(productive_passes, evaluations)] — a pass is productive when
+    returns the number of productive passes — a pass is productive when
     it changed at least one signal (the uniform iteration accounting, see
-    {!Kernel.stats}). [record] is the kernel's preallocated flight-recorder
-    hook ([None] when recording is off). *)
+    {!Kernel.stats}); {!evals} then holds the settle's evaluation count.
+    [record] is the kernel's preallocated flight-recorder hook ([None] when
+    recording is off). Allocates nothing. *)
+
+val evals : t -> int
+(** Component evaluations performed by the last {!settle}. *)

@@ -21,10 +21,22 @@ let make ?(obs = Obs.none) ~stubs (sis : Sis_if.t) =
              id (id - 1) vec_width))
     ids;
   let width = Signal.width sis.Sis_if.data_out in
+  (* id -> ports, and the CALC_DONE bit/signal pairs, as arrays: the mux and
+     the status vector are rebuilt on every comb evaluation *)
+  let max_id = List.fold_left max 0 ids in
+  let by_id = Array.make (max_id + 1) None in
+  List.iter (fun (id, p) -> by_id.(id) <- Some p) stubs;
+  let lookup arr id =
+    if id >= 0 && id < Array.length arr then Array.unsafe_get arr id else None
+  in
+  let done_bits = Array.of_list (List.map (fun (id, _) -> id - 1) stubs) in
+  let done_sigs =
+    Array.of_list (List.map (fun (_, (p : Stub_model.ports)) -> p.calc_done) stubs)
+  in
   let comb () =
     (* output mux, selected by FUNC_ID *)
     let id = Signal.get_int sis.Sis_if.func_id in
-    (match List.assoc_opt id stubs with
+    (match lookup by_id id with
     | Some (p : Stub_model.ports) ->
         Signal.set sis.Sis_if.data_out (Signal.get p.data_out);
         Signal.set_bool sis.Sis_if.data_out_valid
@@ -35,25 +47,26 @@ let make ?(obs = Obs.none) ~stubs (sis : Sis_if.t) =
         Signal.set_bool sis.Sis_if.data_out_valid false;
         Signal.set_bool sis.Sis_if.io_done false);
     (* CALC_DONE status vector: bit (id-1) per instance; construction
-       rejected any id whose bit would fall outside the vector *)
-    let vec =
-      List.fold_left
-        (fun acc (id, (p : Stub_model.ports)) ->
-          if Signal.get_bool p.calc_done then Bits.set_bit acc (id - 1) true
-          else acc)
-        (Bits.zero vec_width) stubs
-    in
-    Signal.set sis.Sis_if.calc_done vec
+       rejected any id whose bit would fall outside the vector. Built as an
+       int64 and boxed only when it differs from the driven value. *)
+    let vec = ref 0L in
+    for i = 0 to Array.length done_sigs - 1 do
+      if Signal.get_bool (Array.unsafe_get done_sigs i) then
+        vec := Int64.logor !vec (Int64.shift_left 1L (Array.unsafe_get done_bits i))
+    done;
+    if (!vec : int64) <> Bits.to_int64 (Signal.get sis.Sis_if.calc_done) then
+      Signal.set sis.Sis_if.calc_done (Bits.create ~width:vec_width !vec)
   in
   (* grant bookkeeping: a grant is an IO_DONE-high cycle for the selected
      function; the wait histogram measures request strobe -> first grant *)
   let m = Obs.metrics obs in
   let grants = Metrics.counter m "arbiter/grants" in
-  let per_id =
-    List.map
-      (fun id -> (id, Metrics.counter m (Printf.sprintf "arbiter/grants/%d" id)))
-      sorted
-  in
+  let per_id = Array.make (max_id + 1) None in
+  List.iter
+    (fun id ->
+      per_id.(id) <-
+        Some (Metrics.counter m (Printf.sprintf "arbiter/grants/%d" id)))
+    sorted;
   let h_wait =
     Metrics.histogram ~limits:[| 0; 1; 2; 4; 8; 16; 32; 64; 128 |] m
       "arbiter/wait_cycles"
@@ -68,7 +81,7 @@ let make ?(obs = Obs.none) ~stubs (sis : Sis_if.t) =
         let requested = Signal.get_bool sis.Sis_if.io_enable in
         if done_ then begin
           Metrics.incr grants;
-          (match List.assoc_opt id per_id with
+          (match lookup per_id id with
           | Some c -> Metrics.incr c
           | None -> ());
           match !waiting with
@@ -77,7 +90,7 @@ let make ?(obs = Obs.none) ~stubs (sis : Sis_if.t) =
               waiting := None
           | _ -> if requested then Metrics.observe h_wait 0
         end
-        else if requested && !waiting = None then
+        else if requested && Option.is_none !waiting then
           waiting := Some (id, Obs.now obs)
       end
     end

@@ -166,23 +166,20 @@ let write_stalled t =
 
 let read_requested_now t = selected t && Sis_if.read_requested t.sis
 
-let output_words t = match t.phase with POut ws -> Some ws | _ -> None
+let read_served_now t = (t.pending_read && selected t) || read_requested_now t
 
+(* an output word is on offer and a read wants it *)
 let serving t =
-  match output_words t with
-  | Some (w :: _) when (t.pending_read && selected t) || read_requested_now t ->
-      Some w
-  | _ -> None
+  match t.phase with POut (_ :: _) -> read_served_now t | _ -> false
 
 let comb t () =
-  let zero = Bits.zero (Signal.width t.ports.data_out) in
-  match serving t with
-  | Some w ->
+  match t.phase with
+  | POut (w :: _) when read_served_now t ->
       Signal.set t.ports.data_out w;
       Signal.set_bool t.ports.data_out_valid true;
       Signal.set_bool t.ports.io_done true
-  | None ->
-      Signal.set t.ports.data_out zero;
+  | _ ->
+      Signal.set t.ports.data_out (Bits.zero (Signal.width t.ports.data_out));
       Signal.set_bool t.ports.data_out_valid false;
       Signal.set_bool t.ports.io_done (write_presented_to_me t)
 
@@ -206,7 +203,7 @@ let seq t () =
   else begin
     (* capture the serve decision against the pre-edge state: this is what
        the comb phase actually drove onto the ports this cycle *)
-    let served = serving t <> None in
+    let served = serving t in
     (match t.phase with
     | PIn p when write_presented_to_me t ->
         t.pending_write <- false;
@@ -281,4 +278,5 @@ let state t =
   | PCalc _ -> Calc
   | POut _ -> Output
 
+let calculating t = match t.phase with PCalc _ -> true | PIn _ | POut _ -> false
 let completions t = t.completions

@@ -74,5 +74,9 @@ val func_id : t -> int
 (** The instance's assigned identifier ([func.func_id + instance]). *)
 
 val state : t -> state
+
+val calculating : t -> bool
+(** [state t = Calc], without building a [state]. *)
+
 val completions : t -> int
 (** How many full input→calc→output rounds have completed. *)

@@ -193,9 +193,190 @@ let loopback_props =
       arb_loopback loopback_prop;
   ]
 
+(* -------- signal store vs a Bits-only reference model -------- *)
+
+(* The signal store keeps narrow values as immediate ints and queues
+   deferred writes in reused arrays. The model below keeps every value as a
+   [Bits.t] and the queue as a newest-first list, the representation the
+   store replaced; random op sequences at the representation edges (1, 8,
+   62, 63, 64 bits; negative and out-of-range ints) must leave both in the
+   same observable state after every op. *)
+
+let store_widths = [| 1; 8; 62; 63; 64 |]
+
+type store_op =
+  | Set of int * int64
+  | Set_bool of int * bool
+  | Set_int of int * int
+  | Set_next of int * int64
+  | Set_next_bool of int * bool
+  | Set_next_int of int * int
+  | Commit
+  | Clear_for of int  (** owner 1 or 2 *)
+  | Restore of int * int64
+
+let pp_store_op = function
+  | Set (i, v) -> Printf.sprintf "set s%d 0x%Lx" i v
+  | Set_bool (i, b) -> Printf.sprintf "set_bool s%d %b" i b
+  | Set_int (i, n) -> Printf.sprintf "set_int s%d %d" i n
+  | Set_next (i, v) -> Printf.sprintf "set_next s%d 0x%Lx" i v
+  | Set_next_bool (i, b) -> Printf.sprintf "set_next_bool s%d %b" i b
+  | Set_next_int (i, n) -> Printf.sprintf "set_next_int s%d %d" i n
+  | Commit -> "commit_pending"
+  | Clear_for o -> Printf.sprintf "clear_pending_for %d" o
+  | Restore (i, v) -> Printf.sprintf "restore_value s%d 0x%Lx" i v
+
+let gen_store_op =
+  QCheck.Gen.(
+    let sig_ = int_bound (Array.length store_widths - 1) in
+    let i64 =
+      oneof
+        [
+          oneofl [ 0L; 1L; -1L; Int64.max_int; Int64.min_int; 0xFFL; 0x3FFFFFFFFFFFFFFFL ];
+          map Int64.of_int int;
+          ui64;
+        ]
+    in
+    let int_ =
+      oneof
+        [
+          oneofl [ 0; 1; -1; 255; 256; max_int; min_int; 1 lsl 61; (1 lsl 62) - 1 ];
+          int;
+          small_signed_int;
+        ]
+    in
+    frequency
+      [
+        (3, map2 (fun i v -> Set (i, v)) sig_ i64);
+        (2, map2 (fun i b -> Set_bool (i, b)) sig_ bool);
+        (3, map2 (fun i n -> Set_int (i, n)) sig_ int_);
+        (3, map2 (fun i v -> Set_next (i, v)) sig_ i64);
+        (1, map2 (fun i b -> Set_next_bool (i, b)) sig_ bool);
+        (3, map2 (fun i n -> Set_next_int (i, n)) sig_ int_);
+        (3, return Commit);
+        (1, map (fun o -> Clear_for (1 + o)) (int_bound 1));
+        (1, map2 (fun i v -> Restore (i, v)) sig_ i64);
+      ])
+
+let arb_store_ops =
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map pp_store_op ops))
+    ~shrink:QCheck.Shrink.list
+    QCheck.Gen.(list_size (int_range 1 60) gen_store_op)
+
+let store_prop ops =
+  Signal.clear_pending ();
+  let n = Array.length store_widths in
+  let sigs =
+    Array.mapi
+      (fun i w ->
+        let s = Signal.create ~name:(Printf.sprintf "s%d" i) w in
+        Signal.set_owner s ~owner:(1 + (i land 1));
+        s)
+      store_widths
+  in
+  let fired = Array.make n 0 in
+  Array.iteri (fun i s -> Signal.on_change s (fun () -> fired.(i) <- fired.(i) + 1)) sigs;
+  (* the model *)
+  let value = Array.map Bits.zero store_widths in
+  let m_fired = Array.make n 0 in
+  let m_changes = ref 0 in
+  let pending = ref [] in
+  let m_set i v =
+    if not (Bits.equal value.(i) v) then begin
+      value.(i) <- v;
+      incr m_changes;
+      m_fired.(i) <- m_fired.(i) + 1
+    end
+  in
+  let bits i v = Bits.create ~width:store_widths.(i) v in
+  let bool_ok i = store_widths.(i) = 1 in
+  let changes0 = Signal.change_count () in
+  (* [mismatch]: the store raised where the model does not, or the other
+     way round (only the bool setters on wider signals raise) *)
+  let step op =
+    let mismatch =
+      match op with
+      | Set (i, v) -> Signal.set sigs.(i) (bits i v); m_set i (bits i v); false
+      | Set_int (i, k) ->
+          Signal.set_int sigs.(i) k;
+          m_set i (Bits.of_int ~width:store_widths.(i) k);
+          false
+      | Set_bool (i, b) -> (
+          match Signal.set_bool sigs.(i) b with
+          | () -> if bool_ok i then m_set i (Bits.of_bool b); not (bool_ok i)
+          | exception Bits.Width_mismatch _ -> bool_ok i)
+      | Set_next (i, v) ->
+          Signal.set_next sigs.(i) (bits i v);
+          pending := (i, bits i v) :: !pending;
+          false
+      | Set_next_int (i, k) ->
+          Signal.set_next_int sigs.(i) k;
+          pending := (i, Bits.of_int ~width:store_widths.(i) k) :: !pending;
+          false
+      | Set_next_bool (i, b) -> (
+          match Signal.set_next_bool sigs.(i) b with
+          | () ->
+              if bool_ok i then pending := (i, Bits.of_bool b) :: !pending;
+              not (bool_ok i)
+          | exception Bits.Width_mismatch _ -> bool_ok i)
+      | Commit ->
+          Signal.commit_pending ();
+          let seen = Array.make n false in
+          let writes = !pending in
+          pending := [];
+          List.iter
+            (fun (i, v) ->
+              if not seen.(i) then begin
+                seen.(i) <- true;
+                m_set i v
+              end)
+            writes;
+          false
+      | Clear_for o ->
+          Signal.clear_pending_for ~owner:o;
+          pending := List.filter (fun (i, _) -> Signal.owner sigs.(i) <> o) !pending;
+          false
+      | Restore (i, v) ->
+          Signal.restore_value sigs.(i) (bits i v);
+          value.(i) <- bits i v;
+          false
+    in
+    if mismatch then QCheck.Test.fail_reportf "%s: raise mismatch" (pp_store_op op);
+    let int_of f = match f () with v -> Some v | exception Failure _ -> None in
+    Array.iteri
+      (fun i s ->
+        let fail what =
+          QCheck.Test.fail_reportf "after %s: s%d (%d bits) %s" (pp_store_op op) i
+            store_widths.(i) what
+        in
+        if not (Bits.equal (Signal.get s) value.(i)) then
+          fail
+            (Printf.sprintf "get %s, model %s"
+               (Bits.to_hex_string (Signal.get s))
+               (Bits.to_hex_string value.(i)));
+        if int_of (fun () -> Signal.get_int s) <> int_of (fun () -> Bits.to_int value.(i))
+        then fail "get_int differs";
+        if Signal.get_bool s <> Bits.to_bool value.(i) then fail "get_bool differs";
+        if fired.(i) <> m_fired.(i) then fail "listener firings differ")
+      sigs;
+    if Signal.change_count () - changes0 <> !m_changes then
+      QCheck.Test.fail_reportf "after %s: change_count differs" (pp_store_op op)
+  in
+  List.iter step ops;
+  Signal.clear_pending ();
+  true
+
+let store_props =
+  [
+    prop ~count:400 "signal store matches a Bits-only model" arb_store_ops
+      store_prop;
+  ]
+
 let tests =
   [
     ("properties.spec", spec_props);
+    ("properties.signal_store", store_props);
     ("properties.verilog", verilog_props);
     ("properties.fuzz", fuzz_props);
     ("properties.loopback", loopback_props);
