@@ -104,4 +104,4 @@ let () =
     @ Test_lint.tests @ Test_clint.tests @ Test_engine.tests @ Test_gcc.tests
     @ Test_edge.tests @ Test_obs.tests @ Test_properties.tests
     @ Test_check.tests @ Test_par.tests @ Test_cover.tests @ Test_cdc.tests
-    @ Test_cache.tests @ Test_serve.tests @ Test_alloc.tests)
+    @ Test_cache.tests @ Test_serve.tests @ Test_alloc.tests @ Test_protocol.tests)
