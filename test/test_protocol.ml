@@ -196,6 +196,60 @@ let with_sync_bus f =
   Registry.register (module Sync);
   Fun.protect ~finally:(fun () -> Registry.unregister sync_bus) f
 
+(* -------- one decode, three consumers -------- *)
+
+(* Run [scenarios] (default: all of Fig 9.2) on [host] with a coverage map attached, then count
+   SIS word transfers three ways: completed [sis/write]/[sis/read] pairs in
+   the flight recorder, the [sis/writes + sis/reads] counters, and the
+   [write + read] bins of the bus's [phase] coverpoint. *)
+let agreement ?(scenarios = Interp_scenarios.all) name host =
+  let bus = (Host.spec host).Spec.bus_name in
+  let c = Cover.create () in
+  Bus_cover.attach c ~bus ~caps:(Registry.lookup_caps bus) (Host.kernel host)
+    (Host.sis host);
+  List.iter (fun s -> ignore (Interpolator.run host s)) scenarios;
+  let obs = Host.obs host in
+  let r = Option.get (Obs.recorder obs) in
+  Alcotest.(check bool)
+    (name ^ ": recorder kept every event")
+    true
+    (Recorder.total r <= Recorder.capacity r);
+  let pairs =
+    List.length
+      (List.filter
+         (fun ((ev : Query.event), _) ->
+           ev.Query.ev_subject = "sis/write" || ev.Query.ev_subject = "sis/read")
+         (Query.transactions (Query.of_recorder r)))
+  in
+  let m = Obs.metrics obs in
+  let counted =
+    Metrics.counter_value m "sis/writes" + Metrics.counter_value m "sis/reads"
+  in
+  let g = Option.get (Cover.find_group c (Bus_cover.group_name bus)) in
+  let phase = Cover.bins (Option.get (Cover.find_point g "phase")) in
+  let covered = List.assoc "write" phase + List.assoc "read" phase in
+  Alcotest.(check bool) (name ^ ": transfers seen") true (pairs > 0);
+  Alcotest.(check int) (name ^ ": counters = recorder pairs") pairs counted;
+  Alcotest.(check int) (name ^ ": phase bins = recorder pairs") pairs covered
+
+let agreement_tests =
+  List.map
+    (fun impl ->
+      let name = Interpolator.impl_name impl in
+      Alcotest.test_case name `Quick (fun () ->
+          agreement name (Interpolator.make_host impl)))
+    Interpolator.all_impls
+  (* every registered bus, the AXI bridge's slow SIS domain included, on
+     one scenario (the whole grid overflows the AXI host's ring) *)
+  @ List.map
+      (fun bus ->
+        Alcotest.test_case ("interpolator on " ^ bus) `Quick (fun () ->
+            agreement
+              ~scenarios:[ Interp_scenarios.by_id 1 ]
+              bus
+              (Interpolator.make_host_on_bus bus)))
+      (Registry.names ())
+
 let tests =
   [
     ( "protocol.pinned",
@@ -210,4 +264,5 @@ let tests =
           Alcotest.test_case "generic strictly synchronous write stall" `Quick
             (fun () -> with_sync_bus (fun () -> run_case strict_sync_case));
         ] );
+    ("protocol.agreement", agreement_tests);
   ]
