@@ -18,106 +18,35 @@ type rules = {
   no_write_stall : string option;  (* strictly synchronous buses only *)
 }
 
-type st = {
-  mutable in_write : bool;  (* a write word presented, IO_DONE still low *)
-  mutable in_read : bool;  (* a read requested, DATA_OUT_VALID still low *)
-  mutable prev_done : bool;
-  mutable prev_access : bool;
-  mutable held_fid : int;
-  mutable held_data : Bits.t option;
-}
+(* The rules as predicates over the interface's decoded tick. *)
+let fire (r : rules) cycle rule cond =
+  match rule with
+  | Some msg when cond -> Kernel.check_fail ~cycle ~check:r.check msg
+  | _ -> ()
 
-let run_rules kernel (r : rules) (sis : Sis_if.t) =
-  let st =
-    {
-      in_write = false;
-      in_read = false;
-      prev_done = false;
-      prev_access = false;
-      held_fid = 0;
-      held_data = None;
-    }
-  in
-  Kernel.at_reset kernel (fun () ->
-      st.in_write <- false;
-      st.in_read <- false;
-      st.prev_done <- false;
-      st.prev_access <- false;
-      st.held_fid <- 0;
-      st.held_data <- None);
-  fun cycle ->
-    let fail fmt =
-      Format.kasprintf
-        (fun message -> Kernel.check_fail ~cycle ~check:r.check message)
-        fmt
-    in
-    let io_en = Signal.get_bool sis.Sis_if.io_enable in
-    if Signal.get_bool sis.Sis_if.rst then begin
-      if io_en then fail "request strobed during bus reset";
-      st.in_write <- false;
-      st.in_read <- false;
-      st.prev_done <- false;
-      st.prev_access <- false;
-      st.held_data <- None
-    end
-    else begin
-      let div = Signal.get_bool sis.Sis_if.data_in_valid in
-      let dov = Signal.get_bool sis.Sis_if.data_out_valid in
-      let done_ = Signal.get_bool sis.Sis_if.io_done in
-      let fid = Signal.get_int sis.Sis_if.func_id in
-      let new_write = io_en && div in
-      let new_read = io_en && not div in
-      if new_write && fid = 0 then
-        fail "write presented to the read-only status register (FUNC_ID 0)";
-      (* acknowledges may only answer a request (addrAck-before-dataAck) *)
-      let wr_ack = done_ && not dov and rd_ack = dov in
-      (match r.wr_ack_needs_req with
-      | Some msg when wr_ack && not (st.in_write || new_write) -> fail "%s" msg
-      | _ -> ());
-      (match r.rd_ack_needs_req with
-      | Some msg when rd_ack && not (st.in_read || new_read) -> fail "%s" msg
-      | _ -> ());
-      (* single-cycle acknowledge / mandatory idle phase between accesses *)
-      (match r.single_cycle_ack with
-      | Some msg when done_ && st.prev_done -> fail "%s" msg
-      | _ -> ());
-      (match r.single_cycle_access with
-      | Some msg when io_en && st.prev_access -> fail "%s" msg
-      | _ -> ());
-      (* qualifier stability while a transfer is wait-stated *)
-      if st.in_write || st.in_read then begin
-        (match r.stable_fid with
-        | Some msg when fid <> st.held_fid -> fail "%s" msg
-        | _ -> ());
-        match (r.stable_data, st.held_data) with
-        | Some msg, Some held
-          when st.in_write && not (Bits.equal held (Signal.get sis.Sis_if.data_in))
-          ->
-            fail "%s" msg
-        | _ -> ()
-      end;
-      (* strictly synchronous transfers cannot be paused by the slave *)
-      (match r.no_write_stall with
-      | Some msg when new_write && fid <> 0 && not done_ -> fail "%s" msg
-      | _ -> ());
-      (* outstanding-transfer bookkeeping (mirrors Figs 4.5/4.6 tracking) *)
-      if new_write && not done_ then begin
-        st.in_write <- true;
-        st.held_fid <- fid;
-        st.held_data <- Some (Signal.get sis.Sis_if.data_in)
-      end;
-      if new_read && not dov then begin
-        st.in_read <- true;
-        st.held_fid <- fid
-      end;
-      if done_ && not dov then begin
-        st.in_write <- false;
-        st.held_data <- None
-      end;
-      if dov then st.in_read <- false;
-      st.prev_done <- done_;
-      st.prev_access <- io_en
-    end
+let check_rules (r : rules) (d : Sis_if.decoder) cycle =
+  if d.reset then begin
+    if d.strobe then
+      Kernel.check_fail ~cycle ~check:r.check "request strobed during bus reset"
+  end
+  else begin
+    if d.write && d.fid = 0 then
+      Kernel.check_fail ~cycle ~check:r.check
+        "write presented to the read-only status register (FUNC_ID 0)";
+    let writing = d.write || d.pending = Write in
+    let reading = d.read || d.pending = Read in
+    (* acknowledges may only answer a request (addrAck-before-dataAck) *)
+    fire r cycle r.wr_ack_needs_req (d.word_done && not writing);
+    fire r cycle r.rd_ack_needs_req (d.read_data && not reading);
+    (* single-cycle acknowledge / mandatory idle phase between accesses *)
+    fire r cycle r.single_cycle_ack (d.done_ && d.prev_done);
+    fire r cycle r.single_cycle_access (d.strobe && d.prev_strobe);
+    (* qualifier stability while a transfer is wait-stated *)
+    fire r cycle r.stable_fid (d.pending <> Idle && d.fid <> d.held_fid);
+    fire r cycle r.stable_data d.data_moved;
+    (* strictly synchronous transfers cannot be paused by the slave *)
+    fire r cycle r.no_write_stall (d.write && d.fid <> 0 && not d.done_)
+  end
 
 let no_rules name =
   {
@@ -328,12 +257,9 @@ let attach_axi_native kernel =
 
 let attach kernel ~bus sis =
   let r = rules_for bus in
-  (* a CDC bus's SIS side lives in its peripheral clock domain: gate the
-     protocol rules there so "previous cycle" means the previous PCLK edge *)
-  (match Kernel.find_domain kernel (bus ^ ".pclk") with
-  | Some d -> Kernel.add_check_in kernel d r.check (run_rules kernel r sis)
-  | None -> Kernel.add_check kernel r.check (run_rules kernel r sis));
+  Sis_if.watch kernel sis;
+  (* a CDC bus's SIS side lives in its peripheral clock domain, so
+     "previous cycle" means the previous PCLK edge *)
+  Kernel.add_check_in kernel (Sis_if.domain kernel ~bus) r.check (fun cycle ->
+      check_rules r (Sis_if.decode sis cycle) cycle);
   if String.equal bus "axi" then attach_axi_native kernel
-
-let attach_bus kernel (module B : Bus.S) sis =
-  attach kernel ~bus:B.caps.Splice_syntax.Bus_caps.name sis

@@ -2,10 +2,13 @@
     {!Splice_sis.Sis_monitor}).
 
     Each supported bus gets a cycle-by-cycle checker registered through
-    {!Splice_sim.Kernel.add_check} under the name ["<bus>-protocol"]. The
-    checker watches the SIS lines through the bus's combinational adapter
-    mapping (the native mirrors of Figs 4.5–4.8) and raises
-    {!Splice_sim.Kernel.Check_failed} on a handshake-axiom violation, e.g.:
+    {!Splice_sim.Kernel.add_check_in} under the name ["<bus>-protocol"], in
+    the bus's SIS-side domain ({!Splice_sis.Sis_if.domain}). A bus's
+    rules are a table of messages (data); the checker evaluates each as a
+    predicate over the interface's {!Splice_sis.Sis_if.decoder} — the SIS
+    lines seen through the bus's combinational adapter mapping (the native
+    mirrors of Figs 4.5–4.8) — and raises {!Splice_sim.Kernel.Check_failed}
+    on a handshake-axiom violation, e.g.:
 
     - {b PLB}: a data acknowledge ([PLB_RdAck]/[PLB_WrAck]) with no request
       outstanding — the addrAck-before-dataAck ordering;
@@ -39,6 +42,3 @@ val supported : string list
 val attach : Kernel.t -> bus:string -> Sis_if.t -> unit
 (** Attach the monitor for [bus] (dedicated if {!supported}, generic
     otherwise). The check name is ["<bus>-protocol"]. *)
-
-val attach_bus : Kernel.t -> (module Splice_buses.Bus.S) -> Sis_if.t -> unit
-(** {!attach} keyed on the module's capability name. *)

@@ -5,11 +5,10 @@ open Splice_syntax
 let group_name bus = "bus/" ^ bus
 
 (* Phase encoding shared by the [phase] aspect bins and the [phase_seq]
-   transition bins. The classification mirrors Bus_monitor's SIS-side
-   model: a presentation cycle is IO_ENABLE with DATA_IN_VALID selecting
-   write vs read; IO_DONE without DATA_OUT_VALID acknowledges a write;
-   DATA_OUT_VALID acknowledges a read; an outstanding transfer with no
-   strobe and no acknowledge is a wait state. *)
+   transition bins, read off the interface's Sis_if decoder: a presentation
+   (write or read), IO_DONE without DATA_OUT_VALID acknowledging a write,
+   DATA_OUT_VALID acknowledging a read, and a wait state while a transfer
+   stays outstanding. *)
 let ph_idle = 0
 let ph_reset = 1
 let ph_write = 2
@@ -147,18 +146,7 @@ let declare c ~bus ~caps =
 
 (* ---- cycle-level sampling ---------------------------------------- *)
 
-type st = {
-  mutable in_write : bool;
-  mutable in_read : bool;
-  mutable prev : int;  (* previous cycle's primary phase *)
-  mutable seen_prev : bool;
-  mutable last_fid : int;
-  mutable seen_grant : bool;
-  mutable wcnt : int;  (* wait cycles of the outstanding write word *)
-  mutable rcnt : int;
-}
-
-let attach c ~bus ~caps kernel (sis : Sis_if.t) =
+let attach c ~bus ~caps kernel sis =
   declare c ~bus ~caps;
   let g = Cover.group c (group_name bus) in
   let pa = pseudo_async_of caps in
@@ -168,105 +156,49 @@ let attach c ~bus ~caps kernel (sis : Sis_if.t) =
   let grant = find "grant" in
   let wait_r = find "wait_r" in
   let wait_w = if pa then Some (find "wait_w") else None in
-  let st =
-    { in_write = false; in_read = false; prev = ph_idle; seen_prev = false;
-      last_fid = 0; seen_grant = false; wcnt = 0; rcnt = 0 }
-  in
-  Kernel.at_reset kernel (fun () ->
-      st.in_write <- false;
-      st.in_read <- false;
-      st.prev <- ph_idle;
-      st.seen_prev <- false;
-      st.last_fid <- 0;
-      st.seen_grant <- false;
-      st.wcnt <- 0;
-      st.rcnt <- 0);
-  (* a bus whose peripheral side lives in a named slow domain (the AXI
-     bridge's "<bus>.pclk") only drives the SIS lines on that domain's
-     edges; sampling the ticks in between would count each phase once per
-     tick instead of once per bus cycle and flood phase_seq with
-     self-transitions *)
-  let dom =
-    match Kernel.find_domain kernel (bus ^ ".pclk") with
-    | Some d -> d
-    | None -> Kernel.base_domain kernel
-  in
-  Kernel.on_settle_in kernel dom (fun _cycle ->
-      let rst = Signal.get_bool sis.Sis_if.rst in
-      let io_en = Signal.get_bool sis.Sis_if.io_enable in
-      let div = Signal.get_bool sis.Sis_if.data_in_valid in
-      let dov = Signal.get_bool sis.Sis_if.data_out_valid in
-      let done_ = Signal.get_bool sis.Sis_if.io_done in
-      let fid = Signal.get_int sis.Sis_if.func_id in
+  Sis_if.watch kernel sis;
+  (* the previous decoded tick's primary phase *)
+  let prev = ref ph_idle in
+  (* sampled once per SIS-side clock edge: sampling the fast ticks of a
+     CDC bus would count each phase once per tick instead of once per bus
+     cycle and flood phase_seq with self-transitions *)
+  Kernel.on_settle_in kernel (Sis_if.domain kernel ~bus) (fun cycle ->
+      let d = Sis_if.decode sis cycle in
       let primary =
-        if rst then begin
+        if d.reset then begin
           Cover.sample phase ph_reset;
-          st.in_write <- false;
-          st.in_read <- false;
-          st.seen_grant <- false;
           ph_reset
         end
         else begin
-          (* a presentation is the first strobed cycle of a word — the
-             engine holds IO_ENABLE across wait states, so strobes must
-             be edge-detected against the outstanding-transfer state or
-             every stall cycle would look like a fresh presentation *)
-          let new_write = io_en && div && not st.in_write in
-          let new_read = io_en && (not div) && not st.in_read in
-          let wr_ack = done_ && not dov in
-          let rd_ack = dov in
-          let waiting_w =
-            st.in_write && (not new_write) && (not wr_ack) && not rd_ack
-          in
-          let waiting_r =
-            st.in_read && (not new_read) && (not new_write) && not rd_ack
-          in
+          let wr_ack = d.word_done and rd_ack = d.read_data in
+          let waiting_w = d.wait && d.pending = Write in
+          let waiting_r = d.wait && d.pending = Read in
           (* multi-hot aspects: a strictly synchronous write cycle is both
              a presentation and its own acknowledge *)
-          if new_write then Cover.sample phase ph_write;
-          if new_read then Cover.sample phase ph_read;
+          if d.write then Cover.sample phase ph_write;
+          if d.read then Cover.sample phase ph_read;
           if wr_ack then Cover.sample phase ph_ack_w;
           if rd_ack then Cover.sample phase ph_ack_r;
           if waiting_w then Cover.sample phase ph_wait_w;
           if waiting_r then Cover.sample phase ph_wait_r;
-          (* grant patterns: who wins the strobe at each presentation
-             (not per held-strobe cycle — a stalled word is one grant) *)
-          if new_write || new_read then begin
-            if fid = 0 then Cover.sample grant 0
-            else begin
-              if not st.seen_grant then Cover.sample grant 1
-              else if fid = st.last_fid then Cover.sample grant 2
-              else Cover.sample grant 3;
-              st.seen_grant <- true;
-              st.last_fid <- fid
-            end
+          (* grant patterns: who wins the strobe at each presentation *)
+          if d.write || d.read then begin
+            if d.fid = 0 then Cover.sample grant 0
+            else if d.last_grant = 0 then Cover.sample grant 1
+            else if d.fid = d.last_grant then Cover.sample grant 2
+            else Cover.sample grant 3
           end;
           (* per-word wait-state counts — cycles the acknowledge was
              withheld, 0 = acknowledged in the presentation cycle —
              sampled at the acknowledge *)
-          if new_write then st.wcnt <- (if wr_ack then 0 else 1);
-          if new_read then st.rcnt <- (if rd_ack then 0 else 1);
-          if st.in_write && (not new_write) && not wr_ack then
-            st.wcnt <- st.wcnt + 1;
-          if st.in_read && (not new_read) && not rd_ack then
-            st.rcnt <- st.rcnt + 1;
-          if wr_ack && (st.in_write || new_write) then begin
+          if wr_ack && (d.write || d.pending = Write) then
             (match wait_w with
-            | Some p -> Cover.sample p st.wcnt
+            | Some p -> Cover.sample p (if d.write then 0 else d.waited)
             | None -> ());
-            st.wcnt <- 0
-          end;
-          if rd_ack && (st.in_read || new_read) then begin
-            Cover.sample wait_r st.rcnt;
-            st.rcnt <- 0
-          end;
-          (* outstanding-transfer bookkeeping (same as Bus_monitor's) *)
-          if new_write && not done_ then st.in_write <- true;
-          if new_read && not dov then st.in_read <- true;
-          if wr_ack then st.in_write <- false;
-          if dov then st.in_read <- false;
-          if new_write then ph_write
-          else if new_read then ph_read
+          if rd_ack && (d.read || d.pending = Read) then
+            Cover.sample wait_r (if d.read then 0 else d.waited);
+          if d.write then ph_write
+          else if d.read then ph_read
           else if wr_ack then ph_ack_w
           else if rd_ack then ph_ack_r
           else if waiting_w then ph_wait_w
@@ -277,9 +209,8 @@ let attach c ~bus ~caps kernel (sis : Sis_if.t) =
           end
         end
       in
-      if st.seen_prev then Cover.sample_pair seq ~from_:st.prev ~to_:primary;
-      st.prev <- primary;
-      st.seen_prev <- true)
+      if not d.first then Cover.sample_pair seq ~from_:!prev ~to_:primary;
+      prev := primary)
 
 (* ---- transaction-level sampling (adapter engine) ----------------- *)
 

@@ -1,11 +1,11 @@
 (** Auto-derived protocol coverage groups for the registered buses.
 
-    Mirrors [Bus_monitor]'s SIS-side phase model: the same
-    (presentation, wait, acknowledge) classification the protocol rules
-    check is what the coverpoints count, so a covered bin is a scenario
-    the monitors actually vetted. Bin sets are derived from
-    [Bus_caps.t] structure — burst-length log ranges from
-    [max_burst_words]/[dma_max_bytes], DMA direction bins only where
+    The cycle-level points read the interface's protocol decoder
+    ({!Splice_sis.Sis_if.decoder}), as the monitors, metrics and recorder
+    do: a covered bin is a scenario the monitors vetted, and the [phase]
+    bins [write + read] equal the [sis/writes + sis/reads] counters. Bin
+    sets are derived from [Bus_caps.t] structure — burst-length log ranges
+    from [max_burst_words]/[dma_max_bytes], DMA direction bins only where
     [supports_dma], write-side wait bins only where [pseudo_async]
     (strictly synchronous buses may not stall writes, per the monitors).
 
@@ -36,9 +36,9 @@ val attach :
   Cover.t -> bus:string -> caps:Bus_caps.t option ->
   Splice_sim.Kernel.t -> Splice_sis.Sis_if.t -> unit
 (** Declare (if needed) and hook cycle-level sampling — phase aspects,
-    phase sequence, grants, wait-state counts — into the kernel's
-    settled view. State lives in the hook's closure, so one attachment
-    per (kernel, run). *)
+    phase sequence, grants, wait-state counts — into the kernel's settled
+    view, once per edge of {!Splice_sis.Sis_if.domain}. The hook keeps
+    only the previous phase, so one attachment per (kernel, run). *)
 
 (** Transaction-level points, resolved once at adapter-engine creation
     and sampled at request start — the interning discipline that keeps

@@ -264,6 +264,7 @@ let diff_config cache =
     seed = 123;
     count = 6;
     buses = [ "plb"; "apb"; "axi" ];
+    cover = true;
     cache;
   }
 
@@ -284,6 +285,10 @@ let digest_tests =
         let on_ = run_diff true in
         let off = run_diff false in
         Alcotest.(check int64) "digest" off.Diff.r_digest on_.Diff.r_digest;
+        (* a replay rewinds the SIS decoder too: coverage read off it
+           must not see the previous run *)
+        let map r = Cover.to_string (Option.get r.Diff.r_cover) in
+        Alcotest.(check string) "coverage map" (map off) (map on_);
         check_int "calls" off.Diff.r_calls on_.Diff.r_calls;
         check_bool "no failure" true (on_.Diff.r_failure = None);
         check_bool "cache saw reuse" true (on_.Diff.r_cache_hits > 0);
