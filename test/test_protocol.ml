@@ -196,6 +196,13 @@ let with_sync_bus f =
   Registry.register (module Sync);
   Fun.protect ~finally:(fun () -> Registry.unregister sync_bus) f
 
+(* The decoder's reconciled rule, shared by every consumer: DATA_OUT_VALID
+   (not IO_DONE) answers a read, so a read acknowledged by IO_DONE alone is
+   still outstanding when the next strobe arrives. *)
+let reconciled_case =
+  sis ~cycle:1 "new IO_ENABLE while a read is outstanding"
+    [ read_req @ [ done_ true ]; [] ]
+
 (* -------- one decode, three consumers -------- *)
 
 (* Run [scenarios] (default: all of Fig 9.2) on [host] with a coverage map attached, then count
@@ -264,5 +271,10 @@ let tests =
           Alcotest.test_case "generic strictly synchronous write stall" `Quick
             (fun () -> with_sync_bus (fun () -> run_case strict_sync_case));
         ] );
+    ( "protocol.decoder",
+      [
+        Alcotest.test_case "a read is answered by DATA_OUT_VALID only" `Quick
+          (fun () -> run_case reconciled_case);
+      ] );
     ("protocol.agreement", agreement_tests);
   ]
