@@ -81,10 +81,6 @@ type entry = {
   e_key : key;
   e_host : Host.t;
   e_reuse : Host.reuse;
-  mutable e_compiled : Host.compiled_snap option;
-      (* captured lazily, from the seal hook of the first [`Compiled] run:
-         the sealed tape + its buffer snapshot + post-calibration values —
-         later same-scheduler hits skip recompilation entirely *)
 }
 
 type t = {
@@ -111,13 +107,6 @@ let stats (t : t) =
 
 let capacity t = t.capacity
 
-(* install the one-shot capture hook so the entry learns its compiled
-   snapshot the first time it seals under [`Compiled] *)
-let arm_capture e =
-  if e.e_compiled = None then
-    Host.on_sealed e.e_host (fun () ->
-        e.e_compiled <- Host.capture_compiled e.e_host e.e_reuse)
-
 let find_and_promote (t : t) hash key =
   let rec go acc = function
     | [] -> None
@@ -143,27 +132,13 @@ let acquire (t : t) ~key ~(sched : Kernel.sched) ~build =
   match find_and_promote t hash key with
   | Some e ->
       t.hits <- t.hits + 1;
-      (match (sched, e.e_compiled) with
-      | `Compiled, (Some _ as compiled) ->
-          Host.reset ~sched:`Compiled ?compiled e.e_host e.e_reuse
-      | _ ->
-          Host.reset ~sched e.e_host e.e_reuse;
-          if sched = `Compiled then arm_capture e);
+      Host.reset ~sched e.e_host e.e_reuse;
       (e.e_host, true)
   | None ->
       t.misses <- t.misses + 1;
       let host = build () in
-      let e =
-        {
-          e_hash = hash;
-          e_key = key;
-          e_host = host;
-          e_reuse = Host.prepare_reuse host;
-          e_compiled = None;
-        }
-      in
-      if sched = `Compiled then arm_capture e;
-      insert t e;
+      let e_reuse = Host.prepare_reuse host in
+      insert t { e_hash = hash; e_key = key; e_host = host; e_reuse };
       (host, false)
 
 (* ------------------------------------------------------------------ *)

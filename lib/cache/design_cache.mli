@@ -9,9 +9,9 @@
 
     The {e scheduler is not part of the key}: one elaborated design
     serves [`Event], [`Sweep] and [`Compiled] — a hit re-targets the
-    kernel and the next seal rebuilds what the new scheduler needs. The
-    first [`Compiled] run additionally captures the sealed op-tape and
-    its buffer snapshot, so later compiled hits skip recompilation too.
+    kernel and the next seal rebuilds what the new scheduler needs
+    (under [`Compiled], the op-tape, compiled from the restored values
+    exactly as a fresh build compiles it).
 
     Determinism contract: a hit is byte-identical to a fresh build —
     digests, failure dumps, stats and recorder rings never depend on the

@@ -159,26 +159,6 @@ let prepare_reuse t =
     r_mark = Obs.mark (Kernel.obs t.kernel);
   }
 
-type compiled_snap = {
-  cs_tape : Tape.t;
-  cs_snap : Tape.snapshot;
-  cs_values : Splice_bits.Bits.t array;
-      (* post-calibration, parallel to [r_signals] *)
-}
-
-let capture_compiled t r =
-  match Kernel.tape t.kernel with
-  | None -> None
-  | Some tape ->
-      Some
-        {
-          cs_tape = tape;
-          cs_snap = Tape.snapshot tape;
-          cs_values = Array.map Signal.get r.r_signals;
-        }
-
-let on_sealed t f = Kernel.set_seal_hook t.kernel (Some f)
-
 (* Rewind the host to its end-of-elaboration state so the next run replays
    byte-identically to a fresh build. Order matters:
    + detach the domain recorder first — reset hooks may drive signals, and
@@ -191,21 +171,11 @@ let on_sealed t f = Kernel.set_seal_hook t.kernel (Some f)
      touched — construction-time values win, exactly the state a fresh
      build hands to its first cycle;
    + finally rewind the observability context.
-   With [compiled] (and the kernel re-targeted to [`Compiled]), also
-   restore the tape's buffers and re-adopt it, skipping recompilation. *)
-let reset ?sched ?compiled t r =
+   The kernel is left unsealed: the replay's first cycle seals again and,
+   under [`Compiled], compiles the tape from the restored values. *)
+let reset ?sched t r =
   Signal.attach_recorder None;
   Signal.clear_pending_for ~owner:(Kernel.id t.kernel);
   Kernel.reset ?sched t.kernel;
-  let values =
-    match compiled with Some cs -> cs.cs_values | None -> r.r_values
-  in
-  Array.iteri
-    (fun i s -> Signal.restore_value s values.(i))
-    r.r_signals;
-  Obs.reset_to_mark (Kernel.obs t.kernel) r.r_mark;
-  match compiled with
-  | None -> ()
-  | Some cs ->
-      Tape.restore cs.cs_tape cs.cs_snap;
-      Kernel.adopt_tape t.kernel cs.cs_tape
+  Array.iteri (fun i s -> Signal.restore_value s r.r_values.(i)) r.r_signals;
+  Obs.reset_to_mark (Kernel.obs t.kernel) r.r_mark

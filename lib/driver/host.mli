@@ -78,9 +78,9 @@ val plan_for :
     them and stamps their owner; {!adopt} extends the set with post-build
     attachments such as protocol monitors). {!prepare_reuse} snapshots the
     end-of-elaboration state; {!reset} rewinds the host to it, so a design
-    cache replays a hit by restoring buffers instead of re-elaborating —
-    and the replay's digests, dumps and stats are byte-identical to a
-    fresh build's. *)
+    cache replays a hit by restoring signal values instead of
+    re-elaborating — and the replay's digests, dumps and stats are
+    byte-identical to a fresh build's. *)
 
 val adopt : t -> (unit -> 'a) -> 'a
 (** Run an attachment step (e.g. [Bus_monitor.attach]) with its signal
@@ -101,19 +101,8 @@ val prepare_reuse : t -> reuse
 (** Take the snapshot. Call once, after {!create} and every {!adopt}, and
     before the first simulated cycle. *)
 
-type compiled_snap
-(** The [`Compiled] replay fast path: the sealed tape, its buffer snapshot
-    ({!Kernel.tape} + [Tape.snapshot]) and the post-calibration signal
-    values, captured from inside a seal hook. *)
-
-val on_sealed : t -> (unit -> unit) -> unit
-(** One-shot hook after the kernel's next seal ({!Kernel.set_seal_hook});
-    the design cache captures {!capture_compiled} from it. *)
-
-val capture_compiled : t -> reuse -> compiled_snap option
-(** [None] unless the kernel is sealed under [`Compiled]. *)
-
-val reset : ?sched:Kernel.sched -> ?compiled:compiled_snap -> t -> reuse -> unit
+val reset : ?sched:Kernel.sched -> t -> reuse -> unit
 (** Rewind to the {!reuse} snapshot, optionally re-targeting the scheduler.
-    With [compiled] (callers must then pass [~sched:`Compiled]), restore
-    the captured tape instead of letting the first cycle recompile it. *)
+    The kernel is left unsealed, so the next cycle seals again — under
+    [`Compiled] that compiles the tape from the restored values, exactly
+    as a fresh build does. *)

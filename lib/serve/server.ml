@@ -543,11 +543,13 @@ let dispatch t req =
 let handle_line t fd line =
   let t_recv = Obs.now_ns () in
   let rid = fresh_req t in
-  let id_echo =
-    match Json.of_string line with
-    | Ok j -> Json.member "id" j
-    | Error _ -> None
+  (* parse once: the request, the [id] echo and a rejected reply's [kind]
+     all read the same value *)
+  let json = Json.of_string line in
+  let field name =
+    match json with Ok j -> Json.member name j | Error _ -> None
   in
+  let id_echo = field "id" in
   let send ~kind ~outcome ?(fields = []) ?(spans = []) () =
     let reply = P.reply ~req:rid ?id:id_echo ~kind ~outcome ~fields ~spans () in
     (* book-keep before the write: once the client holds the reply, the
@@ -555,15 +557,15 @@ let handle_line t fd line =
     record t ~kind ~outcome ~latency_ns:(Obs.now_ns () - t_recv) None;
     write_all fd (Json.to_string reply ^ "\n")
   in
-  match P.parse_line line with
+  let request =
+    match json with
+    | Error e -> Error (Printf.sprintf "malformed JSON: %s" e)
+    | Ok j -> P.parse j
+  in
+  match request with
   | Error e ->
       let kind =
-        match Json.of_string line with
-        | Ok j -> (
-            match Option.bind (Json.member "kind" j) Json.to_str with
-            | Some k -> k
-            | None -> "unknown")
-        | Error _ -> "unknown"
+        Option.value ~default:"unknown" (Option.bind (field "kind") Json.to_str)
       in
       send ~kind ~outcome:P.Rejected ~fields:[ ("error", Json.String e) ] ();
       true

@@ -60,10 +60,6 @@ type t = {
       (* design-level reset actions beyond per-component [reset] callbacks:
          cover watchers, FIFO memories, connect-time side effects a replay
          must reproduce *)
-  mutable seal_hook : (unit -> unit) option;
-      (* one-shot post-seal callback (cleared before it runs): the design
-         cache uses it to capture the compiled tape + calibrated signal
-         state for the same-scheduler replay fast path *)
   mutable k_elaborate_ns : int64;
       (* build-phase accounting, distinct from settle time: elaborate is
          stamped by the host ([note_elaborate_ns]), seal/compile are
@@ -154,7 +150,6 @@ let create ?(max_comb_iters = 64) ?(sched = `Event) ?obs () =
     n_dirty = 0;
     tape = None;
     reset_hooks = [];
-    seal_hook = None;
     k_elaborate_ns = 0L;
     k_seal_ns = 0L;
     k_compile_ns = 0L;
@@ -283,12 +278,7 @@ let seal t =
   t.sealed <- true;
   (* seal time excludes the tape compilation, which is accounted separately *)
   t.k_seal_ns <-
-    Int64.add t.k_seal_ns (Int64.of_int (Obs.now_ns () - t0 - compile_delta));
-  match t.seal_hook with
-  | None -> ()
-  | Some f ->
-      t.seal_hook <- None;
-      f ()
+    Int64.add t.k_seal_ns (Int64.of_int (Obs.now_ns () - t0 - compile_delta))
 
 (* The settle and cycle loops below are top-level functions over the
    kernel's sealed arrays — no per-cycle closures, refs that escape into
@@ -485,7 +475,6 @@ let run_until ?(max = 100_000) ?(what = "condition") t p =
   go ()
 
 let cycles t = t.cycle_count
-let tape t = t.tape
 let id t = t.gen
 let obs t = t.obs
 let sched t = t.sched
@@ -505,7 +494,6 @@ let stats t =
 let note_elaborate_ns t ns = t.k_elaborate_ns <- Int64.add t.k_elaborate_ns ns
 
 let at_reset t f = t.reset_hooks <- f :: t.reset_hooks
-let set_seal_hook t f = t.seal_hook <- f
 
 (* Instance reset: bring a finished kernel back to the state it had at the
    end of design elaboration, so the next run replays byte-identically to a
@@ -514,8 +502,7 @@ let set_seal_hook t f = t.seal_hook <- f
    the kernel itself owns. The kernel is left {e unsealed}: the first cycle
    of the replay re-seals — re-interning check ids and, under [`Compiled],
    recompiling the tape from the restored values — exactly the sequence a
-   fresh host executes, which is what makes replay outputs bit-equal.
-   (The compiled fast path skips the recompile via {!adopt_tape}.) *)
+   fresh host executes, which is what makes replay outputs bit-equal. *)
 let reset ?sched t =
   (match sched with Some s -> t.sched <- s | None -> ());
   t.cycle_count <- 0;
@@ -526,7 +513,6 @@ let reset ?sched t =
   t.k_elaborate_ns <- 0L;
   t.k_seal_ns <- 0L;
   t.k_compile_ns <- 0L;
-  t.seal_hook <- None;
   (* drop the tape and unseal; clear dirty bookkeeping, then queue every
      combinational [Reads] component for the first pass — the state a fresh
      kernel reaches right before its first seal marks them. Components whose
@@ -547,17 +533,3 @@ let reset ?sched t =
      registration order (the order the build created that state in) *)
   List.iter (fun ((c : Component.t), _) -> c.Component.reset ()) (List.rev t.components);
   List.iter (fun f -> f ()) (List.rev t.reset_hooks)
-
-(* The compiled replay fast path: re-adopt a previously compiled tape (its
-   mutable buffers restored via {!Tape.restore}) instead of unsealing. The
-   forward-order arrays from the last seal are still valid — a replay never
-   registers anything new — so only the recorder's check ids need
-   re-interning (the intern table was truncated to the build-time mark). *)
-let adopt_tape t tape =
-  t.tape <- Some tape;
-  t.sealed <- true;
-  match t.rec_ with
-  | Some r ->
-      t.check_ids <-
-        Array.map (fun (name, _) -> Recorder.intern r name) t.checks_fwd
-  | None -> t.check_ids <- [||]

@@ -240,17 +240,3 @@ val at_reset : t -> (unit -> unit) -> unit
 (** Register a design-level reset action (run after every component's own
     [reset], in registration order): cover watchers, FIFO memories,
     connect-time side effects a replay must reproduce. *)
-
-val set_seal_hook : t -> (unit -> unit) option -> unit
-(** Install a one-shot callback invoked right after the next seal completes
-    (cleared before it runs). The design cache uses it to capture the
-    freshly compiled tape and calibrated signal state. *)
-
-val tape : t -> Tape.t option
-(** The compiled op-tape, present while sealed under [`Compiled]. *)
-
-val adopt_tape : t -> Tape.t -> unit
-(** Compiled replay fast path: after {!reset} [~sched:`Compiled] and a
-    {!Tape.restore}, mark the kernel sealed with [tape] instead of letting
-    the first cycle recompile. Only valid when nothing was registered since
-    the seal that produced [tape]. *)

@@ -277,31 +277,6 @@ let compile (comps : Component.t array) =
   in
   t
 
-(* Instance-reset fast path: a design cache snapshots the tape's mutable
-   state right after seal (post-calibration) and restores it on a cache
-   hit, so a same-scheduler replay skips recompilation entirely. The
-   immutable structure — order, readers, masks, slot map — is shared. *)
-type snapshot = {
-  sn_packed : int array;
-  sn_wide : Bits.t array;
-  sn_dirty : int array;
-}
-
-let snapshot t =
-  {
-    sn_packed = Array.copy t.packed;
-    sn_wide = Array.copy t.wide_vals;
-    sn_dirty = Array.copy t.dirty;
-  }
-
-let restore t sn =
-  Array.blit sn.sn_packed 0 t.packed 0 (Array.length t.packed);
-  Array.blit sn.sn_wide 0 t.wide_vals 0 (Array.length t.wide_vals);
-  Array.blit sn.sn_dirty 0 t.dirty 0 (Array.length t.dirty);
-  (* force a scan at the next settle, exactly as a fresh compile does: the
-     replaying host restores signal values around this call *)
-  t.last_changes <- Signal.change_count () - 1
-
 let rec any_dirty_from t w =
   w < t.nwords && (Array.unsafe_get t.dirty w <> 0 || any_dirty_from t (w + 1))
 

@@ -38,21 +38,6 @@ val compile : Component.t array -> t
     exactly the all-dirty first pass the interpreted schedulers start from),
     so signals settle toward the same first-cycle fixpoint. *)
 
-type snapshot
-(** The tape's mutable state — SoA slot buffers (packed + wide) and the
-    dirty bitset — captured immediately after {!compile} so a design cache
-    can replay without recompiling. The immutable structure (evaluation
-    order, reader masks, edge mask, slot map) is shared between the live
-    tape and the snapshot. *)
-
-val snapshot : t -> snapshot
-
-val restore : t -> snapshot -> unit
-(** Blit the snapshotted buffers back and force a slot scan at the next
-    settle (the caller restores signal values around this call, exactly the
-    state a fresh compile leaves behind). Zero allocation beyond the
-    snapshot itself. *)
-
 val settle : t -> max_iters:int -> record:(Component.t -> unit) option -> int
 (** [settle t ~max_iters ~record] runs delta passes until quiescent and
     returns the number of productive passes — a pass is productive when

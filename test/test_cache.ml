@@ -205,18 +205,46 @@ let replay_tests =
           let warm, hit0 = acquire () in
           check_bool "first acquire is a miss" false hit0;
           ignore (observe warm);
-          (* first replay: plain reset (compiled: captures the tape) *)
+          (* first replay: reset after a run that started from a fresh
+             build *)
           let h1, hit1 = acquire () in
           check_bool "second acquire is a hit" true hit1;
           check_observation "replay 1" fresh (observe h1);
-          (* second replay: under `Compiled this exercises the adopted-tape
-             fast path (snapshot restore instead of recompilation); the VCD
+          (* second replay: reset after a run that was itself a replay (under
+             `Compiled, its second tape compile on the same host); the VCD
              of this replayed run must match the fresh build's byte for
              byte *)
           let h2, hit2 = acquire () in
           check_bool "third acquire is a hit" true hit2;
           check_observation "replay 2" fresh (observe ~vcd:true h2)))
     [ (`Event, "event"); (`Sweep, "sweep"); (`Compiled, "compiled") ]
+
+(* fuzz only ever replays an entry event -> sweep -> compiled; one entry
+   must move between the schedulers in any order, every step matching a
+   fresh build under the scheduler it runs on *)
+let sched_order_tests =
+  [
+    t "one entry replays under every scheduler in any order" (fun () ->
+        let fresh =
+          List.map
+            (fun sched -> (sched, observe (build_monitored sched ())))
+            [ `Event; `Sweep; `Compiled ]
+        in
+        let builds = ref 0 in
+        let build () =
+          incr builds;
+          build_monitored `Compiled ()
+        in
+        let c = Design_cache.create ~capacity:4 in
+        List.iteri
+          (fun i sched ->
+            let host, hit = Design_cache.acquire c ~key:base_key ~sched ~build in
+            check_bool (Printf.sprintf "step %d hits" i) (i > 0) hit;
+            check_observation (Printf.sprintf "step %d" i)
+              (List.assoc sched fresh) (observe host))
+          [ `Compiled; `Event; `Sweep; `Compiled; `Event ];
+        check_int "one elaboration" 1 !builds);
+  ]
 
 (* the CPU model caches one counter handle per driver op kind; a replay
    rewinds the registry to its mark, so the handles must be registered
@@ -337,7 +365,7 @@ let retire_tests =
 let tests =
   [
     ("cache.key", key_tests);
-    ("cache.replay", replay_tests @ op_counter_tests);
+    ("cache.replay", replay_tests @ sched_order_tests @ op_counter_tests);
     ("cache.digest", digest_tests);
     ("cache.retire", retire_tests);
   ]

@@ -214,7 +214,9 @@ let server_tests =
                 check_bool "malformed not ok" false (ok_of r);
                 check_string "malformed outcome" "rejected" (str_of r "outcome");
                 check_bool "malformed reason" true
-                  (String.length (str_of r "error") > 0);
+                  (String.starts_with ~prefix:"malformed JSON: "
+                     (str_of r "error"));
+                check_string "malformed kind" "unknown" (str_of r "kind");
                 let r = req c "{\"kind\":\"frobnicate\"}" in
                 check_string "unknown kind rejected" "rejected"
                   (str_of r "outcome");
@@ -223,6 +225,18 @@ let server_tests =
                 let r = req c "{\"kind\":\"sleep\",\"ms\":-1}" in
                 check_string "bad field rejected" "rejected"
                   (str_of r "outcome");
+                (* a rejected request still echoes its id and its kind *)
+                let r = req c "{\"kind\":\"sleep\",\"ms\":-1,\"id\":9}" in
+                check_string "rejected with id" "rejected" (str_of r "outcome");
+                check_int "rejected id echoed" 9 (int_of r "id");
+                check_string "rejected kind echoed" "sleep" (str_of r "kind");
+                (* valid JSON that is not an object has no kind to echo *)
+                let r = req c "[1]" in
+                check_string "non-object rejected" "rejected"
+                  (str_of r "outcome");
+                check_string "non-object kind" "unknown" (str_of r "kind");
+                check_bool "non-object has no id" true
+                  (Json.member "id" r = None);
                 (* request serials keep climbing on one connection *)
                 let a = int_of (req c "{\"kind\":\"ping\"}") "req" in
                 let b = int_of (req c "{\"kind\":\"ping\"}") "req" in
