@@ -1,5 +1,5 @@
 (** One-stop rendering of every paper artifact: Figs 9.1, 9.2, 9.3 and the
-    ablation tables, as printable text. Used by [bench/main.exe] and the
+    ablation tables, as printable text. Used by [splice eval] and the
     examples. *)
 
 val fig_9_1 : unit -> string

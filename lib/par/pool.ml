@@ -66,29 +66,6 @@ let submit t task =
   Condition.signal t.nonempty;
   Mutex.unlock t.mutex
 
-let queued t =
-  Mutex.lock t.mutex;
-  let n = Queue.length t.queue in
-  Mutex.unlock t.mutex;
-  n
-
-(* Bounded submission — the backpressure hook a long-running service
-   needs: the decision and the enqueue happen under one lock, so the
-   queue can never exceed [limit] no matter how many threads race. *)
-let try_submit t ~limit task =
-  if t.shut then invalid_arg "Pool.try_submit: pool is shut down";
-  if Array.length t.workers = 0 then
-    invalid_arg "Pool.try_submit: sequential pool has no workers";
-  if limit < 0 then invalid_arg "Pool.try_submit: negative limit";
-  Mutex.lock t.mutex;
-  let accepted = Queue.length t.queue < limit in
-  if accepted then begin
-    Queue.add task t.queue;
-    Condition.signal t.nonempty
-  end;
-  Mutex.unlock t.mutex;
-  accepted
-
 (* One map = one claim counter + one result slot per element. Workers (and
    the caller) claim indices atomically and run until the array is drained;
    a per-map countdown of finished drainers tells the caller everything is

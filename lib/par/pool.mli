@@ -1,6 +1,6 @@
 (** Fixed-size domain pool for the embarrassingly parallel grids (the
-    differential fuzz matrix, the evaluation tables, the bench outer
-    loops).
+    differential fuzz matrix, the evaluation tables) and the service's
+    request workers.
 
     A pool spawns its worker domains once at {!create} and feeds them
     from a work queue of closures; {!map_ordered} fans an array out over
@@ -41,19 +41,6 @@ val submit : t -> (unit -> unit) -> unit
     task silently. Prefer {!map_ordered} unless fire-and-forget is
     really wanted. Raises [Invalid_argument] on a sequential or
     shut-down pool. *)
-
-val queued : t -> int
-(** Tasks enqueued (via {!submit} / {!try_submit}) and not yet taken by a
-    worker. A point-in-time reading; only bounds enforced by
-    {!try_submit} are reliable. *)
-
-val try_submit : t -> limit:int -> (unit -> unit) -> bool
-(** Bounded {!submit}: enqueue and return [true] only when fewer than
-    [limit] tasks are already waiting — the check and the enqueue are one
-    atomic step, so the queue never exceeds [limit]. [false] means the
-    caller must shed load (reply "overloaded", retry later) rather than
-    buffer unboundedly. Raises like {!submit} on sequential or shut-down
-    pools, and [Invalid_argument] on a negative [limit]. *)
 
 val map_ordered : t -> ('a -> 'b) -> 'a array -> 'b array
 (** [map_ordered p f arr]: [Array.map f arr], computed by [size p]

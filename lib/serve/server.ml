@@ -6,13 +6,11 @@
 
    Concurrency model. Connection I/O runs on systhreads (all on the main
    domain: blocking syscalls release the runtime lock, so reads never
-   starve each other). CPU-bound execution goes through
-   [Pool.try_submit] when the service has worker domains ([jobs > 1]);
-   excess load is shed with an `overloaded` reply rather than buffered —
-   the queue never exceeds [queue_limit]. With [jobs = 1] execution runs
-   inline on the connection thread, serialized by a dedicated mutex:
-   systhreads share the main domain's domain-local state (signal store,
-   design cache), so two inline simulations must never interleave.
+   starve each other). CPU-bound execution runs on a pool of [jobs]
+   worker domains, [jobs = 1] included. Admission is one counter under
+   [t.lock]: requests executing or waiting. A request is admitted while
+   it is below [jobs + queue_limit]; excess load is shed with an
+   `overloaded` reply rather than buffered.
 
    Determinism contract. One request is one self-contained task on one
    domain: fuzz requests run [Diff.run] without a nested pool, so the
@@ -50,13 +48,12 @@ type t = {
   cfg : config;
   fd : Unix.file_descr;
   port : int;
-  pool : Pool.t option;  (* [None] when [jobs <= 1] *)
-  inline_lock : Mutex.t;  (* serializes inline (jobs=1) execution *)
+  pool : Pool.t;
   lock : Mutex.t;  (* guards every mutable field and both registries *)
   drained : Condition.t;
   mutable stopping : bool;
   mutable in_flight : int;
-  mutable inline_admitted : int;  (* inline requests running or waiting *)
+  mutable admitted : int;  (* requests executing or waiting for a worker *)
   mutable next_req : int;
   mutable served : int;
   started : float;
@@ -86,7 +83,7 @@ let ivar_wait i =
   Mutex.unlock i.im;
   x
 
-(* ---- request execution (worker domain or inline) ------------------- *)
+(* ---- request execution (on a worker domain) ------------------------- *)
 
 type exec = {
   x_outcome : P.outcome;
@@ -285,10 +282,7 @@ let locked t f =
 
 let fresh_req t = locked t (fun () -> t.next_req <- t.next_req + 1; t.next_req)
 
-let queue_depth t =
-  match t.pool with
-  | Some p -> Pool.queued p
-  | None -> max 0 (t.inline_admitted - 1)
+let queue_depth t = max 0 (t.admitted - Pool.domains t.pool)
 
 let record t ~kind ~(outcome : P.outcome) ~latency_ns x =
   locked t (fun () ->
@@ -504,41 +498,27 @@ let persist_dump t ~rid dump =
         Some path
       with _ -> None)
 
-(* Runs [req] on an executor (pool worker or inline) and returns
-   [Some (queue_wait_ns, exec)] — or [None] when load must be shed. *)
+(* Runs [req] on a pool worker and returns [Some (queue_wait_ns, exec)]
+   — or [None] when load must be shed. *)
 let dispatch t req =
-  match t.pool with
-  | Some p ->
-      let cell = ivar () in
-      let t_submit = Obs.now_ns () in
-      let accepted =
-        Pool.try_submit p ~limit:t.cfg.queue_limit (fun () ->
-            let t_start = Obs.now_ns () in
-            ivar_fill cell (t_start - t_submit, exec_request req))
-      in
-      if accepted then Some (ivar_wait cell) else None
-  | None ->
-      let admitted =
-        locked t (fun () ->
-            if t.inline_admitted <= t.cfg.queue_limit then (
-              t.inline_admitted <- t.inline_admitted + 1;
-              true)
-            else false)
-      in
-      if not admitted then None
-      else begin
-        let t_submit = Obs.now_ns () in
-        Mutex.lock t.inline_lock;
+  let admitted =
+    locked t (fun () ->
+        let ok = t.admitted < Pool.domains t.pool + t.cfg.queue_limit in
+        if ok then t.admitted <- t.admitted + 1;
+        ok)
+  in
+  if not admitted then None
+  else begin
+    let cell = ivar () in
+    let t_submit = Obs.now_ns () in
+    Pool.submit t.pool (fun () ->
         let t_start = Obs.now_ns () in
-        let x =
-          Fun.protect
-            ~finally:(fun () ->
-              Mutex.unlock t.inline_lock;
-              locked t (fun () -> t.inline_admitted <- t.inline_admitted - 1))
-            (fun () -> exec_request req)
-        in
-        Some (t_start - t_submit, x)
-      end
+        let x = exec_request req in
+        (* release the slot before the reply can reach the client *)
+        locked t (fun () -> t.admitted <- t.admitted - 1);
+        ivar_fill cell (t_start - t_submit, x));
+    Some (ivar_wait cell)
+  end
 
 let handle_line t fd line =
   let t_recv = Obs.now_ns () in
@@ -714,20 +694,17 @@ let create ?(config = default_config) () =
     | Unix.ADDR_INET (_, p) -> p
     | _ -> assert false
   in
-  let pool =
-    if config.jobs > 1 then Some (Pool.create ~domains:config.jobs ()) else None
-  in
+  let pool = Pool.create ~domains:(max 1 config.jobs) () in
   {
     cfg = config;
     fd;
     port;
     pool;
-    inline_lock = Mutex.create ();
     lock = Mutex.create ();
     drained = Condition.create ();
     stopping = false;
     in_flight = 0;
-    inline_admitted = 0;
+    admitted = 0;
     next_req = 0;
     served = 0;
     started = Unix.gettimeofday ();
@@ -764,5 +741,5 @@ let serve t =
     Condition.wait t.drained t.lock
   done;
   Mutex.unlock t.lock;
-  Option.iter Pool.shutdown t.pool;
+  Pool.shutdown t.pool;
   try Unix.close t.fd with Unix.Unix_error _ -> ()

@@ -3,11 +3,10 @@
     [/healthz] and [/stats]).
 
     Execution shards across a {!Splice_par.Pool} of [jobs] worker domains
-    behind a bounded queue: when [queue_limit] requests are already
-    waiting, new work is shed with an [overloaded] reply instead of
-    buffering — backpressure is explicit. With [jobs = 1] requests run
-    inline on the connection thread, serialized (systhreads share the
-    main domain's domain-local caches and signal stores).
+    ([jobs = 1] is a pool of one) behind a bounded queue: when [jobs]
+    requests are executing and [queue_limit] more are waiting, new work
+    is shed with an [overloaded] reply instead of buffering —
+    backpressure is explicit.
 
     Determinism: each request is one self-contained task on one domain,
     so fuzz digests, eval digests and failure dumps are byte-identical
@@ -18,8 +17,8 @@
 type config = {
   host : string;
   port : int;  (** 0 picks an ephemeral port; read it back with {!port} *)
-  jobs : int;  (** executors: 1 = inline, N>1 = a pool of N domains *)
-  queue_limit : int;  (** queued (not yet running) requests admitted *)
+  jobs : int;  (** worker domains executing requests (at least 1) *)
+  queue_limit : int;  (** requests admitted to wait while all [jobs] run *)
   dump_dir : string option;
       (** persist failing requests' flight-recorder dumps here as
           [req-NNNNNN-dump.json]; the reply echoes the path *)

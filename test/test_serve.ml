@@ -2,11 +2,11 @@
    the daemon-vs-CLI determinism contract.
 
    Server instances listen on ephemeral loopback ports with [serve]
-   running in a systhread. Anything that must compare against a direct
-   (in-process) run computes the direct result *before* the server is
-   involved: with [jobs = 1] the daemon executes inline on connection
-   threads of this same domain, so the test must not simulate
-   concurrently with it. *)
+   running in a systhread. The daemon executes every request on its own
+   pool of worker domains ([jobs = 1] is a pool of one), so a direct
+   (in-process) run on the test's domain shares no domain-local state
+   with it. Tests still compute the direct result before the server is
+   involved, so the two never compete for the CPU. *)
 
 open Splice
 
@@ -150,24 +150,6 @@ let protocol_tests =
           "# TYPE splice_build_info gauge\nsplice_build_info{version=\"1.0.0\"} 1\n"
           (Openmetrics.family ~name:"build_info" ~typ:`Gauge
              [ ([ ("version", "1.0.0") ], Openmetrics.Int 1) ]));
-    t "pool: try_submit bounds the queue and rejects misuse" (fun () ->
-        let p = Pool.create ~domains:1 () in
-        Fun.protect
-          ~finally:(fun () -> Pool.shutdown p)
-          (fun () ->
-            check_bool "accepted under limit" true
-              (Pool.try_submit p ~limit:4 (fun () -> ()));
-            check_bool "queued is sane" true (Pool.queued p >= 0);
-            Alcotest.check_raises "negative limit"
-              (Invalid_argument "Pool.try_submit: negative limit") (fun () ->
-                ignore (Pool.try_submit p ~limit:(-1) (fun () -> ()))));
-        let seq = Pool.create ~domains:0 () in
-        Fun.protect
-          ~finally:(fun () -> Pool.shutdown seq)
-          (fun () ->
-            Alcotest.check_raises "sequential pool has no queue"
-              (Invalid_argument "Pool.try_submit: sequential pool has no workers")
-              (fun () -> ignore (Pool.try_submit seq ~limit:4 (fun () -> ())))));
     t "cache: metrics_into surfaces the domain cache counters" (fun () ->
         (* make sure this domain has a cache with traffic on it *)
         ignore (Diff.run { Diff.default_config with seed = 3; count = 1 });
@@ -344,6 +326,55 @@ let server_tests =
                 check_bool "in-flight request still completed" true (ok_of r);
                 check_int "slept" 600 (int_of r "slept_ms")
             | None -> Alcotest.fail "slow request lost its reply"));
+    t "serve: queue limit 0 serves an idle daemon and sheds past jobs (jobs 2)"
+      (fun () ->
+        with_server
+          { Serve.default_config with jobs = 2; queue_limit = 0 }
+          (fun _srv port ->
+            with_conn port (fun c ->
+                let r = req c (fuzz_line ~seed:1 ~count:1 ()) in
+                check_string "idle daemon serves" "ok" (str_of r "outcome"));
+            let replies = Array.make 2 None in
+            let sleepers =
+              Array.init 2 (fun i ->
+                  Thread.create
+                    (fun () ->
+                      with_conn port (fun c ->
+                          replies.(i) <-
+                            Some (req c "{\"kind\":\"sleep\",\"ms\":800}")))
+                    ())
+            in
+            (* wait until both sleepers are in flight, then a little longer:
+               a request counts as in flight just before it is admitted *)
+            let stats c =
+              match Json.member "stats" (req c "{\"kind\":\"stats\"}") with
+              | Some s -> s
+              | None -> Alcotest.fail "stats reply has no stats"
+            in
+            with_conn port (fun c ->
+                let deadline = Unix.gettimeofday () +. 5. in
+                while
+                  int_of (stats c) "in_flight" < 2
+                  && Unix.gettimeofday () < deadline
+                do
+                  Thread.delay 0.01
+                done;
+                Thread.delay 0.1;
+                let s = stats c in
+                check_int "both sleepers running" 2 (int_of s "in_flight");
+                check_int "nothing waits" 0 (int_of s "queue_depth");
+                let r = req c (fuzz_line ~seed:1 ~count:1 ()) in
+                check_string "third request shed" "overloaded"
+                  (str_of r "outcome"));
+            Array.iter Thread.join sleepers;
+            Array.iteri
+              (fun i r ->
+                match r with
+                | Some r ->
+                    check_bool (Printf.sprintf "sleeper %d completed" i) true
+                      (ok_of r)
+                | None -> Alcotest.failf "sleeper %d lost its reply" i)
+              replies));
     t "serve: shutdown drains in-flight requests" (fun () ->
         let srv = Serve.create ~config:Serve.default_config () in
         let port = Serve.port srv in
