@@ -10,7 +10,7 @@ type row = {
 (* the five implementations elaborate once per domain and then replay: the
    key carries the impl identity (two impls share a spec source but not a
    bus model) so a hit is always the same design *)
-let interp_key impl =
+let key_of impl =
   {
     Splice_cache.Design_cache.k_tag =
       "eval/interp/" ^ Interpolator.impl_name impl;
@@ -21,6 +21,22 @@ let interp_key impl =
     k_monitors = true;
     k_env = 0;
   }
+
+(* built on first use, not per grid: [k_bus] costs a spec parse. An atomic
+   rather than a [Lazy.t], which raises when pool domains force it at
+   once; domains that race here build equal lists. *)
+let interp_keys = Atomic.make None
+
+let interp_key impl =
+  let keys =
+    match Atomic.get interp_keys with
+    | Some keys -> keys
+    | None ->
+        let keys = List.map (fun i -> (i, key_of i)) Interpolator.all_impls in
+        Atomic.set interp_keys (Some keys);
+        keys
+  in
+  List.assoc impl keys
 
 (* each implementation cell builds (or replays) its own host, with its own
    kernel and domain-local signals: an independent task for the pool *)

@@ -15,9 +15,14 @@ type t = {
   mutable counters : counter list;  (* newest first *)
   mutable gauges : gauge list;
   mutable histograms : histogram list;
+  mutable views : (unit -> unit) list;
+      (* on-read sync hooks: owners of view metrics (the kernel's [sim/*])
+         fold the totals they keep into their records before every read *)
 }
 
-let create () = { counters = []; gauges = []; histograms = [] }
+let create () = { counters = []; gauges = []; histograms = []; views = [] }
+let on_read t f = t.views <- f :: t.views
+let sync t = List.iter (fun f -> f ()) t.views
 
 let counter t name =
   match List.find_opt (fun c -> c.c_name = name) t.counters with
@@ -73,13 +78,17 @@ let rec bucket (limits : int array) (v : int) i =
   if i >= Array.length limits || v <= Array.unsafe_get limits i then i
   else bucket limits v (i + 1)
 
-let observe h v =
-  h.n <- h.n + 1;
-  h.sum <- h.sum + v;
-  if v < h.vmin then h.vmin <- v;
-  if v > h.vmax then h.vmax <- v;
-  let i = bucket h.limits v 0 in
-  h.buckets.(i) <- h.buckets.(i) + 1
+let observe_n h v k =
+  if k > 0 then begin
+    h.n <- h.n + k;
+    h.sum <- h.sum + (v * k);
+    if v < h.vmin then h.vmin <- v;
+    if v > h.vmax then h.vmax <- v;
+    let i = bucket h.limits v 0 in
+    h.buckets.(i) <- h.buckets.(i) + k
+  end
+
+let observe h v = observe_n h v 1
 
 let observations h = h.n
 let total h = h.sum
@@ -124,19 +133,31 @@ let percentile h q =
     q
 
 let by_name name_of l = List.sort (fun a b -> compare (name_of a) (name_of b)) l
-let counters t = by_name (fun c -> c.c_name) t.counters
-let gauges t = by_name (fun g -> g.g_name) t.gauges
-let histograms t = by_name (fun h -> h.h_name) t.histograms
+
+let counters t =
+  sync t;
+  by_name (fun c -> c.c_name) t.counters
+
+let gauges t =
+  sync t;
+  by_name (fun g -> g.g_name) t.gauges
+
+let histograms t =
+  sync t;
+  by_name (fun h -> h.h_name) t.histograms
+
 let counter_name c = c.c_name
 let gauge_name g = g.g_name
 let histogram_name h = h.h_name
 
 let counter_value t name =
+  sync t;
   match List.find_opt (fun c -> c.c_name = name) t.counters with
   | Some c -> c.count
   | None -> 0
 
 let find_histogram t name =
+  sync t;
   List.find_opt (fun h -> h.h_name = name) t.histograms
 
 (* Deterministic cross-registry aggregation: the parallel grids run one
@@ -145,6 +166,7 @@ let find_histogram t name =
    associative: counters and histograms sum, gauges (instantaneous
    levels) take the max. *)
 let merge_into ~into src =
+  sync src;
   List.iter
     (fun c -> add (counter into c.c_name) c.count)
     src.counters;
@@ -169,7 +191,10 @@ let merge_into ~into src =
       end)
     src.histograms
 
+(* syncs first, so a view's pending delta is dropped along with
+   everything else, as an eagerly recorded value would be *)
 let reset t =
+  sync t;
   List.iter (fun c -> c.count <- 0) t.counters;
   List.iter (fun g -> g.level <- 0) t.gauges;
   List.iter

@@ -2,7 +2,9 @@
 
     Built for always-on use inside the cycle-accurate simulation: every
     recording operation is a few integer mutations on a pre-registered
-    record — no allocation, no hashing, no formatting on the hot path.
+    record — no allocation, no hashing, no formatting on the hot path —
+    and a metric whose value its owner already keeps is a view, filled in
+    on read (see {!on_read}).
     Registration ([counter] / [gauge] / [histogram]) is find-or-create by
     name and is expected at component-construction time only.
 
@@ -39,6 +41,29 @@ val incr : counter -> unit
 val add : counter -> int -> unit
 val set : gauge -> int -> unit
 val observe : histogram -> int -> unit
+
+val observe_n : histogram -> int -> int -> unit
+(** [observe_n h v k] records [v] [k] times at once (no-op for [k <= 0]),
+    exactly as [k] calls of {!observe} would. *)
+
+(** {1 Views (on-read sync)}
+
+    A metric whose value a component already keeps elsewhere — the kernel's
+    cycle, check and evaluation totals — need not be written on the hot
+    path. Its owner registers a sync hook instead, which folds the
+    increments since the hook's previous run into the metric's record.
+    Every registry read below ({!counters}, {!gauges}, {!histograms},
+    {!counter_value}, {!find_histogram}, {!merge_into} on its source) and
+    {!reset} runs the hooks first, so what a reader sees is what eager
+    recording would have produced. Registration never syncs, and neither
+    do the handle readers ({!count}, {!observations}, ...): a handle
+    reflects the last registry read. *)
+
+val on_read : t -> (unit -> unit) -> unit
+(** Register a sync hook; hooks are never removed. *)
+
+val sync : t -> unit
+(** Run every sync hook now. *)
 
 (** {1 Marks (design-cache replay)} *)
 
@@ -96,7 +121,8 @@ val counter_value : t -> string -> int
 val find_histogram : t -> string -> histogram option
 
 val reset : t -> unit
-(** Zero every metric, keeping registrations (handles stay valid). *)
+(** Zero every metric, keeping registrations (handles stay valid). Syncs
+    first, so pending view increments are zeroed too. *)
 
 val merge_into : into:t -> t -> unit
 (** [merge_into ~into src] folds [src] into [into], by metric name:

@@ -36,11 +36,13 @@ let merge ~into src =
 let active t = t.enabled
 let metrics t = t.metrics
 let recorder t = if t.enabled then t.recorder else None
-let now t = t.now
+(* a view like the kernel's metrics: the owning kernel's sync hook
+   fills it in *)
+let now t =
+  Metrics.sync t.metrics;
+  t.now
 
-let set_now t cycle =
-  t.now <- cycle;
-  match t.recorder with Some r -> Recorder.set_now r cycle | None -> ()
+let set_now t cycle = t.now <- cycle
 
 external now_ns : unit -> int = "splice_obs_now_ns" [@@noalloc]
 

@@ -1,11 +1,11 @@
 (** Observability context: one metrics registry and one optional flight
-    recorder, sharing the simulation's cycle clock.
+    recorder for a simulation.
 
     A context is owned by each simulation kernel ([Kernel.create ?obs]) and
     handed to every instrumented component at wiring time. Metrics are
-    always on (integer mutations only); flight recording is on by default
-    ([~recording:false] opts out) because a recorded event is a few
-    integer stores into a bounded ring. The recorder is the one capture
+    always on (integer mutations only, or views filled in on read);
+    flight recording is on by default ([~recording:false] opts out)
+    because a recorded event is two word stores into a bounded ring. The recorder is the one capture
     path for transactions — bus transfers, SIS word transfers and driver
     calls are [Txn_begin]/[Txn_end] pairs on their own tracks, which both
     the post-mortem dump and the Chrome-trace export read. [none] is a
@@ -43,10 +43,13 @@ val merge : into:t -> t -> unit
     state); raises [Invalid_argument] when both are the same context. *)
 
 val now : t -> int
-(** The current simulation cycle, maintained by the owning kernel. *)
+(** The owning kernel's cycle count ([Kernel.cycles]) — a view the kernel
+    fills in through its metrics sync hook ({!Metrics.on_read}), so no
+    cycle writes it — or whatever {!set_now} or {!merge} last left. *)
 
 val set_now : t -> int -> unit
-(** Also forwards the cycle to the flight recorder's event clock. *)
+(** Set the context's cycle clock. The flight recorder's event clock is
+    separate ({!Recorder.set_now}) and maintained by the kernel. *)
 
 val now_ns : unit -> int
 (** Monotonic wall time in nanoseconds ([CLOCK_MONOTONIC]; the origin is

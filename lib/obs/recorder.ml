@@ -1,11 +1,12 @@
 (* Flight recorder: a fixed-size ring of packed events, recorded
    unconditionally while a simulation runs and dumped post mortem when a
    protocol check fails. The hot path is two unchecked stores into two
-   adjacent words of one preallocated array — no allocation, no
-   formatting, no branching at all (the slot index is [total land mask],
-   so even the ring wrap is branch-free) — so the recorder can stay on for
-   every fuzz cell and every benchmark without perturbing what it
-   observes.
+   adjacent words of one ring chunk — no formatting, and the ring wrap is
+   branch-free (the slot index is [total land mask]) — so the recorder can
+   stay on for every fuzz cell and every benchmark without perturbing what
+   it observes. The ring is split into fixed-size chunks allocated on their
+   first write: a short run (most fuzz cells) pays for the events it
+   records, not for the whole window.
 
    Subjects (signal, component, check and transaction-track names) are
    interned once into a small string table; hot call sites cache the id
@@ -81,7 +82,11 @@ type t = {
          lazily re-interned on the replay, in the same first-use order *)
   capacity : int;  (* always a power of two *)
   mask : int;  (* capacity - 1: slot of event [n] is [n land mask] *)
-  ev : int array;  (* 2 * capacity: packed word + arg, interleaved *)
+  chunk_shift : int;  (* slot [i] lives in chunk [i lsr chunk_shift] ... *)
+  chunk_mask : int;  (* ... at event offset [i land chunk_mask] *)
+  chunks : int array array;
+      (* 2 words per event (packed word + arg, interleaved); [||] until the
+         chunk's first write *)
   mutable total : int;  (* events ever recorded (dropped = total - kept) *)
   mutable r_now : int;  (* simulation cycle, maintained by the kernel *)
   (* intern table: cold path only *)
@@ -92,20 +97,27 @@ type t = {
 
 let default_capacity = 8192
 
+(* events per chunk (8 KB of words); smaller rings are one chunk *)
+let chunk_events = 512
+
 (* recorders are created across pool domains; the stamp source must not
    hand two recorders the same cache key *)
 let next_stamp = Atomic.make 1
 
 let rec pow2_above n k = if k >= n then k else pow2_above n (2 * k)
+let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2)
 
 let create ?(capacity = default_capacity) () =
   if capacity < 1 then invalid_arg "Recorder.create: capacity must be >= 1";
   let capacity = pow2_above capacity 1 in
+  let per_chunk = min capacity chunk_events in
   {
     stamp = Atomic.fetch_and_add next_stamp 1;
     capacity;
     mask = capacity - 1;
-    ev = Array.make (2 * capacity) 0;
+    chunk_shift = log2 per_chunk;
+    chunk_mask = per_chunk - 1;
+    chunks = Array.make (capacity / per_chunk) [||];
     total = 0;
     r_now = 0;
     tbl = Hashtbl.create 64;
@@ -137,15 +149,25 @@ let intern t name =
 let subject_name t id =
   if id < 0 || id >= t.n_names then Printf.sprintf "?%d" id else t.names.(id)
 
-(* The unsafe stores are bounded by construction: [2 * (total land mask)]
-   is always inside the 2*capacity array. *)
+let[@inline never] alloc_chunk t k =
+  let c = Array.make (2 * (t.chunk_mask + 1)) 0 in
+  t.chunks.(k) <- c;
+  c
+
+(* The unsafe accesses are bounded by construction: [slot lsr chunk_shift]
+   indexes the capacity/chunk-sized table, and [2 * (slot land
+   chunk_mask)] is inside a chunk of 2 words per event. *)
 let[@inline] record t kind ~subject ~arg =
-  let i = 2 * (t.total land t.mask) in
-  Array.unsafe_set t.ev i
+  let slot = t.total land t.mask in
+  let k = slot lsr t.chunk_shift in
+  let c = Array.unsafe_get t.chunks k in
+  let c = if Array.length c = 0 then alloc_chunk t k else c in
+  let i = 2 * (slot land t.chunk_mask) in
+  Array.unsafe_set c i
     ((t.r_now lsl meta_bits)
     lor ((subject land subject_mask) lsl 3)
     lor kind_code kind);
-  Array.unsafe_set t.ev (i + 1) arg;
+  Array.unsafe_set c (i + 1) arg;
   t.total <- t.total + 1
 
 let[@inline] signal_change t ~subject ~value =
@@ -163,6 +185,7 @@ let[@inline] sched_pass t ~subject ~iters =
 
 let[@inline] comp_eval t ~subject = record t Comp_eval ~subject ~arg:1
 
+(* chunks stay allocated: the next run refills them *)
 let clear t = t.total <- 0
 
 (* Design-cache replay support: a host marks the intern table at the end of
@@ -203,14 +226,16 @@ let iter_slots t f =
 
 let events t =
   let acc = ref [] in
-  iter_slots t (fun i ->
-      let w = t.ev.(2 * i) in
+  iter_slots t (fun slot ->
+      let c = t.chunks.(slot lsr t.chunk_shift) in
+      let i = 2 * (slot land t.chunk_mask) in
+      let w = c.(i) in
       acc :=
         {
           e_cycle = w lsr meta_bits;
           e_kind = kind_of_code (w land 7);
           e_subject = subject_name t ((w lsr 3) land subject_mask);
-          e_arg = t.ev.((2 * i) + 1);
+          e_arg = c.(i + 1);
         }
         :: !acc);
   List.rev !acc

@@ -5,12 +5,15 @@
     mortem when a protocol check fires, and exported as a Chrome trace.
 
     Hot-path discipline: {!record} (and its typed wrappers) is two
-    unchecked stores into two adjacent words of one preallocated array —
-    cycle, subject id and kind pack into the first word, the argument is
-    the second — and the power-of-two ring makes the slot index a mask,
-    so there is no allocation, no hashing, and no branch. The packing
-    truncates cycles to 40 bits and subject ids to 20, both far beyond
-    any real run.
+    unchecked stores into two adjacent words of a ring chunk — cycle,
+    subject id and kind pack into the first word, the argument is the
+    second — and the power-of-two ring makes the slot index a mask, so
+    there is no hashing and no wrap branch. The ring is split into
+    fixed-size chunks of 512 events (one chunk for smaller rings), each
+    allocated on its first write, so a recorder costs memory only for the
+    events it has recorded; the one branch per event tests for that first
+    write. The packing truncates cycles to 40 bits and subject ids to 20,
+    both far beyond any real run.
     Subjects are interned once ({!intern}, cold path) and hot call sites
     cache the returned id next to the subject, keyed by {!stamp}, so the
     intern table is never touched while recording. When the ring wraps,
@@ -35,8 +38,9 @@ type kind =
 val create : ?capacity:int -> unit -> t
 (** A fresh recorder holding the last [capacity] (default
     {!default_capacity}) events; [capacity] is rounded up to the next
-    power of two so the ring index is a mask. Raises [Invalid_argument]
-    when [capacity < 1]. *)
+    power of two so the ring index is a mask. No ring chunk is allocated
+    before the first event. Raises [Invalid_argument] when
+    [capacity < 1]. *)
 
 val default_capacity : int
 (** 8192 events — with typical per-cycle event counts, a window of a few
@@ -65,7 +69,7 @@ val intern : t -> string -> int
 val subject_name : t -> int -> string
 (** Inverse of {!intern}; ["?id"] for unknown ids. *)
 
-(** {1 Recording (hot path — no allocation)} *)
+(** {1 Recording (hot path — allocates only a chunk's first write)} *)
 
 val record : t -> kind -> subject:int -> arg:int -> unit
 val signal_change : t -> subject:int -> value:int -> unit
@@ -81,7 +85,8 @@ val sched_pass : t -> subject:int -> iters:int -> unit
 val comp_eval : t -> subject:int -> unit
 
 val clear : t -> unit
-(** Forget every event (interned subjects survive). *)
+(** Forget every event (interned subjects survive; allocated chunks are
+    kept for reuse). *)
 
 val mark : t -> int
 (** Position of the intern table (for {!reset_to_mark}); a host takes the
@@ -110,6 +115,11 @@ val events : t -> event list
 (** The retained window, oldest first. *)
 
 (** {1 Dump (the post-mortem artifact)} *)
+
+val metrics_json : Metrics.t -> Json.t
+(** The registry snapshot a dump embeds under ["metrics"]: counters and
+    gauges by name, histograms with limits, buckets, count, sum, min and
+    max. *)
 
 val dump : ?context:string -> ?metrics:Metrics.t -> t -> Json.t
 (** Versioned JSON dump: ring geometry, drop count, the event window

@@ -36,7 +36,9 @@ type t = {
   mutable hooks : (int -> unit) list; (* reversed *)
   mutable settle_hooks : ((int -> unit) * domain) list; (* reversed *)
   mutable cycle_count : int;
-  mutable comb_iters_total : int;
+  iter_counts : int array;
+      (* settles by productive delta-pass count (index), the source of
+         [stats.comb_iters] and of the [sim/comb_iters] view *)
   mutable comb_evals_total : int;
   mutable checks_run_total : int;
   mutable settle_evals : int; (* evaluations of the settle in flight *)
@@ -75,10 +77,17 @@ type t = {
          (allocating it per settle would break the zero-allocation loop) *)
   rec_kernel_id : int;
   mutable check_ids : int array;
+  (* the [sim/*] metrics are views of the totals above: [sync_metrics]
+     folds what changed since it last ran ([synced_*]) into them whenever
+     the registry is read, so the cycle loop never touches a metric *)
   comb_hist : Metrics.histogram;
   cycles_counter : Metrics.counter;
   checks_counter : Metrics.counter;
   evals_counter : Metrics.counter;
+  mutable synced_cycles : int;
+  mutable synced_checks : int;
+  mutable synced_evals : int;
+  synced_iters : int array;
 }
 
 type stats = {
@@ -110,56 +119,84 @@ let record_eval r (c : Component.t) =
 
 let gen_counter = Atomic.make 0
 
+let sync_metrics t =
+  if t.cycle_count <> t.synced_cycles then begin
+    Obs.set_now t.obs t.cycle_count;
+    Metrics.add t.cycles_counter (t.cycle_count - t.synced_cycles);
+    t.synced_cycles <- t.cycle_count
+  end;
+  Metrics.add t.checks_counter (t.checks_run_total - t.synced_checks);
+  t.synced_checks <- t.checks_run_total;
+  Metrics.add t.evals_counter (t.comb_evals_total - t.synced_evals);
+  t.synced_evals <- t.comb_evals_total;
+  Array.iteri
+    (fun iters n ->
+      Metrics.observe_n t.comb_hist iters (n - t.synced_iters.(iters));
+      t.synced_iters.(iters) <- n)
+    t.iter_counts
+
 let create ?(max_comb_iters = 64) ?(sched = `Event) ?obs () =
   let obs = match obs with Some o -> o | None -> Obs.create () in
   let m = Obs.metrics obs in
   let rec_ = Obs.recorder obs in
   let base = { d_name = "base"; d_period = 1; d_phase = 0; d_cycles = 0 } in
-  {
-    base;
-    domains = [ base ];
-    multi = false;
-    rec_;
-    rec_fn = (match rec_ with Some r -> Some (fun c -> record_eval r c) | None -> None);
-    gen = 1 + Atomic.fetch_and_add gen_counter 1;
-    rec_kernel_id =
-      (match rec_ with Some r -> Recorder.intern r "kernel" | None -> -1);
-    check_ids = [||];
-    max_comb_iters;
-    sched;
-    obs;
-    components = [];
-    checks = [];
-    hooks = [];
-    settle_hooks = [];
-    cycle_count = 0;
-    comb_iters_total = 0;
-    comb_evals_total = 0;
-    checks_run_total = 0;
-    settle_evals = 0;
-    sealed = false;
-    comps_fwd = [||];
-    comp_doms = [||];
-    checks_fwd = [||];
-    check_doms = [||];
-    hooks_fwd = [||];
-    settle_hooks_fwd = [||];
-    settle_doms = [||];
-    edge_comps = [||];
-    has_always = false;
-    n_dirty = 0;
-    tape = None;
-    reset_hooks = [];
-    k_elaborate_ns = 0L;
-    k_seal_ns = 0L;
-    k_compile_ns = 0L;
-    comb_hist =
-      Metrics.histogram ~limits:[| 1; 2; 3; 4; 6; 8; 16; 32; 64 |] m
-        "sim/comb_iters";
-    cycles_counter = Metrics.counter m "sim/cycles";
-    checks_counter = Metrics.counter m "sim/checks_run";
-    evals_counter = Metrics.counter m "sim/comb_evals";
-  }
+  (* a settle reports at most as many productive delta passes as it
+     executed, and it executes at most [max_comb_iters] *)
+  let iter_slots = max 1 (max_comb_iters + 1) in
+  let t =
+    {
+      base;
+      domains = [ base ];
+      multi = false;
+      rec_;
+      rec_fn = (match rec_ with Some r -> Some (fun c -> record_eval r c) | None -> None);
+      gen = 1 + Atomic.fetch_and_add gen_counter 1;
+      rec_kernel_id =
+        (match rec_ with Some r -> Recorder.intern r "kernel" | None -> -1);
+      check_ids = [||];
+      max_comb_iters;
+      sched;
+      obs;
+      components = [];
+      checks = [];
+      hooks = [];
+      settle_hooks = [];
+      cycle_count = 0;
+      iter_counts = Array.make iter_slots 0;
+      comb_evals_total = 0;
+      checks_run_total = 0;
+      settle_evals = 0;
+      sealed = false;
+      comps_fwd = [||];
+      comp_doms = [||];
+      checks_fwd = [||];
+      check_doms = [||];
+      hooks_fwd = [||];
+      settle_hooks_fwd = [||];
+      settle_doms = [||];
+      edge_comps = [||];
+      has_always = false;
+      n_dirty = 0;
+      tape = None;
+      reset_hooks = [];
+      k_elaborate_ns = 0L;
+      k_seal_ns = 0L;
+      k_compile_ns = 0L;
+      comb_hist =
+        Metrics.histogram ~limits:[| 1; 2; 3; 4; 6; 8; 16; 32; 64 |] m
+          "sim/comb_iters";
+      cycles_counter = Metrics.counter m "sim/cycles";
+      checks_counter = Metrics.counter m "sim/checks_run";
+      evals_counter = Metrics.counter m "sim/comb_evals";
+      synced_cycles = 0;
+      synced_checks = 0;
+      synced_evals = 0;
+      synced_iters = Array.make iter_slots 0;
+    }
+  in
+  (* never on [Obs.none]: it is shared by every opted-out kernel *)
+  if Obs.active obs then Metrics.on_read m (fun () -> sync_metrics t);
+  t
 
 let base_domain t = t.base
 let domain_name d = d.d_name
@@ -365,13 +402,8 @@ let settle t =
         done;
         event_passes t 0 0
   in
-  let evals = t.settle_evals in
-  t.comb_iters_total <- t.comb_iters_total + iters;
-  t.comb_evals_total <- t.comb_evals_total + evals;
-  if Obs.active t.obs then begin
-    Metrics.observe t.comb_hist iters;
-    Metrics.add t.evals_counter evals
-  end;
+  t.comb_evals_total <- t.comb_evals_total + t.settle_evals;
+  t.iter_counts.(iters) <- t.iter_counts.(iters) + 1;
   match t.rec_ with
   | Some r -> Recorder.sched_pass r ~subject:t.rec_kernel_id ~iters
   | None -> ()
@@ -402,9 +434,7 @@ let rec count_domain_edges tick = function
       count_domain_edges tick rest
 
 let cycle t =
-  (* guarded: [Obs.none] is one value shared by every kernel that opted
-     out, including kernels in other pool domains — never write to it *)
-  if Obs.active t.obs then Obs.set_now t.obs t.cycle_count;
+  (match t.rec_ with Some r -> Recorder.set_now r t.cycle_count | None -> ());
   (* (re-)point the domain-local signal store at this kernel's recorder —
      [None] detaches, so an opted-out kernel never records into the ring
      of whichever instrumented kernel ran before it in this domain *)
@@ -424,10 +454,7 @@ let cycle t =
           Recorder.check_fail r ~subject:(Recorder.intern r check) ~message;
           raise e)
   in
-  if ran > 0 then begin
-    t.checks_run_total <- t.checks_run_total + ran;
-    if Obs.active t.obs then Metrics.add t.checks_counter ran
-  end;
+  t.checks_run_total <- t.checks_run_total + ran;
   let settles = t.settle_hooks_fwd in
   for i = 0 to Array.length settles - 1 do
     if (not t.multi) || dom_fires (Array.unsafe_get t.settle_doms i) tick then
@@ -444,7 +471,6 @@ let cycle t =
   Signal.commit_pending ();
   count_domain_edges tick t.domains;
   t.cycle_count <- t.cycle_count + 1;
-  if Obs.active t.obs then Metrics.incr t.cycles_counter;
   let hooks = t.hooks_fwd in
   for i = 0 to Array.length hooks - 1 do
     (Array.unsafe_get hooks i) t.cycle_count
@@ -481,9 +507,11 @@ let sched t = t.sched
 let check_names t = List.rev_map (fun (name, _, _) -> name) t.checks
 
 let stats t =
+  let comb_iters = ref 0 in
+  Array.iteri (fun iters n -> comb_iters := !comb_iters + (iters * n)) t.iter_counts;
   {
     cycles = t.cycle_count;
-    comb_iters = t.comb_iters_total;
+    comb_iters = !comb_iters;
     comb_evals = t.comb_evals_total;
     checks_run = t.checks_run_total;
     elaborate_ns = t.k_elaborate_ns;
@@ -505,11 +533,18 @@ let at_reset t f = t.reset_hooks <- f :: t.reset_hooks
    fresh host executes, which is what makes replay outputs bit-equal. *)
 let reset ?sched t =
   (match sched with Some s -> t.sched <- s | None -> ());
+  (* the views keep what the run recorded until the caller rewinds the
+     observability context, as eagerly written metrics would *)
+  if Obs.active t.obs then sync_metrics t;
   t.cycle_count <- 0;
   List.iter (fun d -> d.d_cycles <- 0) t.domains;
-  t.comb_iters_total <- 0;
+  Array.fill t.iter_counts 0 (Array.length t.iter_counts) 0;
   t.comb_evals_total <- 0;
   t.checks_run_total <- 0;
+  t.synced_cycles <- 0;
+  t.synced_checks <- 0;
+  t.synced_evals <- 0;
+  Array.fill t.synced_iters 0 (Array.length t.synced_iters) 0;
   t.k_elaborate_ns <- 0L;
   t.k_seal_ns <- 0L;
   t.k_compile_ns <- 0L;

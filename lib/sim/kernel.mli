@@ -43,9 +43,14 @@
     fan-out listeners are attached, so the per-cycle hot path never
     re-reverses or re-counts lists.
 
-    Every kernel owns a {!Splice_obs.Obs.t} observability context (cycle
-    histogram of delta passes, cycle/check/eval counters); instrumented
-    components reach it through {!obs}.
+    Every kernel owns a {!Splice_obs.Obs.t} observability context;
+    instrumented components reach it through {!obs}. The kernel's own
+    metrics — counters [sim/cycles], [sim/checks_run], [sim/comb_evals] and
+    the [sim/comb_iters] histogram of productive delta passes per settle —
+    are views of the totals behind {!stats}: the cycle loop touches no
+    metric, and a sync hook ({!Splice_obs.Metrics.on_read}) folds what
+    changed into the registry whenever it is read. Several kernels may
+    share one context; its [sim/*] metrics then sum theirs.
 
     When the context carries a flight recorder ([Obs.recorder], the
     default), the kernel additionally records the post-mortem event
@@ -116,7 +121,8 @@ val create :
   ?max_comb_iters:int -> ?sched:sched -> ?obs:Splice_obs.Obs.t -> unit -> t
 (** [max_comb_iters] defaults to 64. [sched] defaults to [`Event]. [obs]
     defaults to a fresh enabled context (pass [Splice_obs.Obs.none] to opt
-    out of instrumentation). *)
+    out of instrumentation). An enabled [obs] gets this kernel's metrics
+    sync hook. *)
 
 val add : t -> Component.t -> unit
 (** Evaluation order is registration order (within each delta pass).
@@ -201,8 +207,9 @@ val id : t -> int
     its native channel signals for monitors — key on this. *)
 
 val obs : t -> Splice_obs.Obs.t
-(** The kernel's observability context. Its cycle clock ([Obs.now], and
-    the recorder's event clock) is set at the start of every cycle. *)
+(** The kernel's observability context. The recorder's event clock is set
+    at the start of every cycle; [Obs.now] and the [sim/*] metrics are
+    views, filled in when the context is read. *)
 
 val sched : t -> sched
 (** The scheduler this kernel was created with. *)

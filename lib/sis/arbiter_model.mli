@@ -9,15 +9,11 @@
 
 open Splice_sim
 
-val make :
-  ?obs:Splice_obs.Obs.t ->
-  stubs:(int * Stub_model.ports) list ->
-  Sis_if.t ->
-  Component.t
+val make : stubs:(int * Stub_model.ports) list -> Sis_if.t -> Component.t
 (** [stubs] maps each assigned function id (≥ 1) to that instance's ports.
-    Raises [Invalid_argument] on duplicate or non-positive ids.
+    Raises [Invalid_argument] on duplicate or non-positive ids, and on an
+    id whose [CALC_DONE] bit falls outside the vector.
 
-    [obs] (default [Obs.none]) receives [arbiter/grants] (total word grants
-    — IO_DONE-high cycles), [arbiter/grants/<id>] per function id, and an
-    [arbiter/wait_cycles] histogram of request-strobe→first-grant
-    latencies. *)
+    The arbiter is purely combinational. Its grant metrics
+    ([arbiter/grants], [arbiter/grants/<id>], [arbiter/wait_cycles]) are
+    read off the interface's decoder by {!Sis_monitor.instrument}. *)

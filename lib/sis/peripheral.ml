@@ -25,19 +25,15 @@ let build ?(monitor = true) kernel (spec : Spec.t) ~behaviors =
             ((f.name, instance), stub)))
       spec.funcs
   in
-  let arbiter =
-    Arbiter_model.make ~obs:(Kernel.obs kernel)
-      ~stubs:
-        (List.map
-           (fun (_, s) -> (Stub_model.func_id s, Stub_model.ports s))
-           stubs)
-      sis
+  let ports =
+    List.map (fun (_, s) -> (Stub_model.func_id s, Stub_model.ports s)) stubs
   in
+  let arbiter = Arbiter_model.make ~stubs:ports sis in
   (* stubs first, then the arbiter, so a single settle pass usually suffices *)
   List.iter (fun (_, s) -> Kernel.add kernel (Stub_model.component s)) stubs;
   Kernel.add kernel arbiter;
   if monitor then Sis_monitor.attach kernel sis;
-  Sis_monitor.instrument kernel sis;
+  Sis_monitor.instrument kernel sis ~func_ids:(List.map fst ports);
   { spec; sis; stubs }
 
 let sis t = t.sis

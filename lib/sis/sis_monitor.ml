@@ -36,7 +36,7 @@ let attach kernel sis =
   Kernel.add_check kernel check (fun cycle ->
       axioms (Sis_if.decode sis cycle) cycle)
 
-let instrument kernel sis =
+let instrument kernel sis ~func_ids =
   let open Splice_obs in
   let obs = Kernel.obs kernel in
   if Obs.active obs then begin
@@ -44,6 +44,23 @@ let instrument kernel sis =
     let words = Metrics.counter m "sis/transactions" in
     let writes = Metrics.counter m "sis/writes" in
     let reads = Metrics.counter m "sis/reads" in
+    (* the arbiter grants a function one word per IO_DONE-high tick: the
+       same ticks [sis/transactions] counts *)
+    let grants = Metrics.counter m "arbiter/grants" in
+    let per_id = Array.make (List.fold_left max 0 func_ids + 1) None in
+    List.iter
+      (fun id ->
+        per_id.(id) <-
+          Some (Metrics.counter m (Printf.sprintf "arbiter/grants/%d" id)))
+      (List.sort_uniq compare func_ids);
+    let h_wait =
+      Metrics.histogram ~limits:[| 0; 1; 2; 4; 8; 16; 32; 64; 128 |] m
+        "arbiter/wait_cycles"
+    in
+    (* request strobe -> first grant: the FUNC_ID and tick of the strobe
+       still waiting for one (-1 = none) *)
+    let wait_id = ref (-1) and wait_start = ref 0 in
+    Kernel.at_reset kernel (fun () -> wait_id := -1);
     (* track ids interned once, at wiring time — before a design cache
        marks the recorder, so a replay keeps them *)
     let rec_ = Obs.recorder obs in
@@ -55,8 +72,23 @@ let instrument kernel sis =
     Sis_if.watch kernel sis;
     Kernel.on_settle kernel (fun cycle ->
         let d = Sis_if.decode sis cycle in
-        if not d.reset then begin
-          if d.done_ then Metrics.incr words;
+        if d.reset then wait_id := -1
+        else begin
+          if d.done_ then begin
+            Metrics.incr words;
+            Metrics.incr grants;
+            (if d.fid < Array.length per_id then
+               match per_id.(d.fid) with Some c -> Metrics.incr c | None -> ());
+            if !wait_id = d.fid then begin
+              Metrics.observe h_wait (cycle - !wait_start);
+              wait_id := -1
+            end
+            else if d.strobe then Metrics.observe h_wait 0
+          end
+          else if d.strobe && !wait_id < 0 then begin
+            wait_id := d.fid;
+            wait_start := cycle
+          end;
           if d.write then Metrics.incr writes;
           if d.read then Metrics.incr reads
         end;

@@ -22,13 +22,17 @@ open Splice_sim
 
 val attach : Kernel.t -> Sis_if.t -> unit
 
-val instrument : Kernel.t -> Sis_if.t -> unit
+val instrument : Kernel.t -> Sis_if.t -> func_ids:int list -> unit
 (** Record the decoded transfers into the kernel's [Obs.t] from an
     [on_settle] hook:
 
     - counters [sis/transactions] (one per IO_DONE-high cycle: back-to-back
       1-cycle writes keep IO_DONE high, one word per cycle, Fig 4.3),
       [sis/writes], [sis/reads] (presented word requests);
+    - the arbiter's grants, which are the same IO_DONE-high ticks:
+      [arbiter/grants], [arbiter/grants/<id>] for each of [func_ids] (the
+      stubs' ids behind the arbiter), and the [arbiter/wait_cycles]
+      histogram of request-strobe→first-grant latencies;
     - when the context carries a flight recorder, one
       [Txn_begin]/[Txn_end] pair per presented request on track
       [sis/write] or [sis/read], the begin's argument the FUNC_ID, the end

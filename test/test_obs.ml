@@ -128,20 +128,25 @@ let json_tests =
 (* Kernel stats + timeout payload                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* a kernel of one counter component and one check; the comb must
+   actually change a signal: iterations count productive delta passes, so
+   a pure nop would record 0 *)
+let counting_kernel obs =
+  let k = Kernel.create ~obs () in
+  let s = Signal.create 8 in
+  let n = ref 0 in
+  Kernel.add k
+    (Component.make
+       ~comb:(fun () -> Signal.set_int s ((!n + 1) land 0xff))
+       ~seq:(fun () -> incr n)
+       "counter");
+  Kernel.add_check k "noop" (fun _ -> ());
+  k
+
 let kernel_tests =
   [
     t "stats mirror the run and the sim/* metrics" (fun () ->
-        let k = Kernel.create () in
-        (* the comb must actually change a signal: iterations count
-           productive delta passes, so a pure nop would record 0 *)
-        let s = Signal.create 8 in
-        let n = ref 0 in
-        Kernel.add k
-          (Component.make
-             ~comb:(fun () -> Signal.set_int s ((!n + 1) land 0xff))
-             ~seq:(fun () -> incr n)
-             "counter");
-        Kernel.add_check k "noop" (fun _ -> ());
+        let k = counting_kernel (Obs.create ()) in
         Kernel.run k 10;
         let s = Kernel.stats k in
         check_int "cycles" 10 s.Kernel.cycles;
@@ -164,6 +169,119 @@ let kernel_tests =
             check_int "elapsed counts only this call" 5 elapsed;
             check_int "cycle is absolute" 8 cycle;
             Alcotest.(check string) "what" "never" waiting_for);
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Kernel metric views                                                 *)
+(* ------------------------------------------------------------------ *)
+
+let hist_summary h =
+  ( Metrics.observations h,
+    Metrics.total h,
+    Metrics.min_value h,
+    Metrics.max_value h,
+    Metrics.bucket_counts h )
+
+(* The sim/* views must equal the kernel's own totals, and the
+   [sim/comb_iters] histogram must equal one built eagerly from the
+   [Sched_pass] events (one per settle, the argument its pass count) —
+   so every settle must still be in the ring. *)
+let check_views name k =
+  let s = Kernel.stats k in
+  let obs = Kernel.obs k in
+  let m = Obs.metrics obs in
+  let c metric = Metrics.counter_value m metric in
+  check_int (name ^ ": sim/cycles") s.Kernel.cycles (c "sim/cycles");
+  check_int (name ^ ": sim/checks_run") s.Kernel.checks_run (c "sim/checks_run");
+  check_int (name ^ ": sim/comb_evals") s.Kernel.comb_evals (c "sim/comb_evals");
+  let h = Option.get (Metrics.find_histogram m "sim/comb_iters") in
+  check_int (name ^ ": comb_iters count") s.Kernel.cycles (Metrics.observations h);
+  check_int (name ^ ": comb_iters sum") s.Kernel.comb_iters (Metrics.total h);
+  let r = Option.get (Obs.recorder obs) in
+  check_bool (name ^ ": ring kept every settle") true
+    (Recorder.total r <= Recorder.capacity r);
+  let eager =
+    Metrics.histogram ~limits:[| 1; 2; 3; 4; 6; 8; 16; 32; 64 |]
+      (Metrics.create ()) "eager"
+  in
+  List.iter
+    (fun (e : Recorder.event) ->
+      if e.Recorder.e_kind = Recorder.Sched_pass then
+        Metrics.observe eager e.Recorder.e_arg)
+    (Recorder.events r);
+  check_bool (name ^ ": comb_iters min/max/buckets") true
+    (hist_summary h = hist_summary eager)
+
+let views_tests =
+  let grid host = List.iter (fun s -> ignore (Interpolator.run host s)) Interp_scenarios.all in
+  let scheds = [ ("event", `Event); ("sweep", `Sweep); ("compiled", `Compiled) ] in
+  [
+    t "sim/* equal Kernel.stats under every scheduler, also on replay" (fun () ->
+        List.iter
+          (fun (name, sched) ->
+            let obs = Obs.create ~ring:(1 lsl 16) () in
+            let host = Interpolator.make_host ~obs ~sched Interpolator.Splice_plb_dma in
+            let reuse = Host.prepare_reuse host in
+            grid host;
+            check_views name (Host.kernel host);
+            let snapshot () = Json.to_string (Recorder.metrics_json (Obs.metrics obs)) in
+            let first = snapshot () in
+            Host.reset ~sched host reuse;
+            grid host;
+            check_views (name ^ " replay") (Host.kernel host);
+            Alcotest.(check string) (name ^ ": replay metrics") first (snapshot ()))
+          scheds);
+    t "Obs.merge sums the views" (fun () ->
+        let runs =
+          List.map
+            (fun (_, sched) ->
+              let host = Interpolator.make_host ~sched Interpolator.Splice_fcb in
+              grid host;
+              (Host.obs host, Kernel.stats (Host.kernel host)))
+            scheds
+        in
+        let agg = Obs.create ~recording:false () in
+        List.iter (fun (o, _) -> Obs.merge ~into:agg o) runs;
+        let m = Obs.metrics agg in
+        let sum f = List.fold_left (fun acc (_, s) -> acc + f s) 0 runs in
+        check_int "sim/cycles" (sum (fun s -> s.Kernel.cycles)) (Metrics.counter_value m "sim/cycles");
+        check_int "sim/checks_run" (sum (fun s -> s.Kernel.checks_run))
+          (Metrics.counter_value m "sim/checks_run");
+        check_int "sim/comb_evals" (sum (fun s -> s.Kernel.comb_evals))
+          (Metrics.counter_value m "sim/comb_evals");
+        let h = Option.get (Metrics.find_histogram m "sim/comb_iters") in
+        check_int "comb_iters count" (sum (fun s -> s.Kernel.cycles)) (Metrics.observations h);
+        check_int "comb_iters sum" (sum (fun s -> s.Kernel.comb_iters)) (Metrics.total h));
+    t "a context shared by two kernels sums their views" (fun () ->
+        let obs = Obs.create () in
+        let k1 = counting_kernel obs and k2 = counting_kernel obs in
+        let m = Obs.metrics obs in
+        let cycles () = Metrics.counter_value m "sim/cycles" in
+        Kernel.run k1 3;
+        check_int "first kernel" 3 (cycles ());
+        Kernel.run k2 5;
+        Kernel.run k1 2;
+        check_int "both kernels, reads interleaved" 10 (cycles ());
+        check_int "checks" 10 (Metrics.counter_value m "sim/checks_run");
+        let evals = (Kernel.stats k1).Kernel.comb_evals + (Kernel.stats k2).Kernel.comb_evals in
+        check_int "evals" evals (Metrics.counter_value m "sim/comb_evals");
+        let h = Option.get (Metrics.find_histogram m "sim/comb_iters") in
+        check_int "one observation per cycle" 10 (Metrics.observations h));
+    t "views behave like eager metrics across resets" (fun () ->
+        let obs = Obs.create () in
+        let k = counting_kernel obs in
+        let m = Obs.metrics obs in
+        let cycles () = Metrics.counter_value m "sim/cycles" in
+        Kernel.run k 3;
+        Metrics.reset m;
+        Kernel.run k 2;
+        check_int "a registry reset drops what came before" 2 (cycles ());
+        Kernel.reset k;
+        check_int "a kernel reset keeps what was recorded" 2 (cycles ());
+        check_int "Obs.now is the cycle count at the reset" 5 (Obs.now obs);
+        Kernel.run k 4;
+        check_int "and the next run adds to it" 6 (cycles ());
+        check_int "Obs.now follows the kernel" 4 (Obs.now obs));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -391,6 +509,87 @@ let vcd_tests =
 (* Flight recorder                                                     *)
 (* ------------------------------------------------------------------ *)
 
+(* The chunked ring against a list model: record [n] synthetic events
+   (event [j] at cycle [j / 3], its kind, subject and argument derived
+   from [j]), then the window read back — directly and through a parsed
+   dump — must be the model's last [capacity] events. *)
+let ring_kinds =
+  Recorder.[| Signal_change; Txn_begin; Txn_end; Check_eval; Sched_pass; Comp_eval |]
+
+let model_event j =
+  let kind = ring_kinds.(j mod Array.length ring_kinds) in
+  let arg =
+    match kind with
+    | Recorder.Txn_end | Recorder.Check_eval -> 0
+    | Recorder.Comp_eval -> 1
+    | _ -> j
+  in
+  (j / 3, kind, [| "a"; "b"; "c" |].(j mod 3), arg)
+
+let record_model r ids n =
+  for j = 0 to n - 1 do
+    let _, kind, _, arg = model_event j in
+    Recorder.set_now r (j / 3);
+    Recorder.record r kind ~subject:ids.(j mod 3) ~arg
+  done
+
+let window_matches r ~capacity n =
+  let keep = min n capacity in
+  let model = List.init keep (fun i -> model_event (n - keep + i)) in
+  let evs =
+    List.map
+      (fun (e : Recorder.event) ->
+        Recorder.(e.e_cycle, e.e_kind, e.e_subject, e.e_arg))
+      (Recorder.events r)
+  in
+  let d = Result.get_ok (Query.of_string (Recorder.dump_string r)) in
+  let dumped =
+    List.map
+      (fun (e : Query.event) -> Query.(e.ev_cycle, e.ev_kind, e.ev_subject, e.ev_value))
+      d.Query.d_events
+  in
+  evs = model && dumped = model
+  && Recorder.total r = n
+  && d.Query.d_total = n
+  && d.Query.d_dropped = n - keep
+  && d.Query.d_ring = capacity
+
+(* capacities below, at and above one 512-event chunk (3 rounds to 4, 513
+   to two chunks); counts biased to every chunk and wrap boundary *)
+let arb_ring =
+  let open QCheck.Gen in
+  let count cap =
+    let chunk = min cap 512 in
+    let edges =
+      List.concat_map
+        (fun k -> [ (k * chunk) - 1; k * chunk; (k * chunk) + 1 ])
+        (List.init ((3 * cap / chunk) + 1) Fun.id)
+      |> List.filter (fun n -> n >= 0)
+    in
+    frequency [ (3, oneofl edges); (1, int_bound ((3 * cap) + 2)) ]
+  in
+  let gen =
+    oneofl [ 1; 3; 512; 513; 8192 ] >>= fun requested ->
+    let rec pow2 k = if k >= requested then k else pow2 (2 * k) in
+    triple (return requested) (count (pow2 1)) (count (pow2 1))
+  in
+  QCheck.make ~print:QCheck.Print.(triple int int int) gen
+
+let ring_property =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:60 ~name:"chunked ring = last-capacity list model"
+       arb_ring (fun (requested, n1, n2) ->
+         let r = Recorder.create ~capacity:requested () in
+         let ids = Array.map (Recorder.intern r) [| "a"; "b"; "c" |] in
+         let mark = Recorder.mark r in
+         let capacity = Recorder.capacity r in
+         record_model r ids n1;
+         let first = window_matches r ~capacity n1 in
+         (* reuse: the replay refills chunks the first run allocated *)
+         Recorder.reset_to_mark r mark;
+         record_model r ids n2;
+         first && window_matches r ~capacity n2))
+
 let recorder_tests =
   [
     t "ring wraparound keeps the last capacity events" (fun () ->
@@ -477,6 +676,7 @@ let recorder_tests =
         check_bool "opt-out" true
           (Obs.recorder (Obs.create ~recording:false ()) = None);
         check_bool "none" true (Obs.recorder Obs.none = None));
+    ring_property;
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -799,6 +999,7 @@ let tests =
     ("obs.metrics", metrics_tests);
     ("obs.json", json_tests);
     ("obs.kernel", kernel_tests);
+    ("obs.views", views_tests);
     ("obs.sis", sis_tests);
     ("obs.breakdown", breakdown_tests);
     ("obs.vcd", vcd_tests);

@@ -208,8 +208,11 @@ let reconciled_case =
 (* Run [scenarios] (default: all of Fig 9.2) on [host] with a coverage map attached, then count
    SIS word transfers three ways: completed [sis/write]/[sis/read] pairs in
    the flight recorder, the [sis/writes + sis/reads] counters, and the
-   [write + read] bins of the bus's [phase] coverpoint. *)
-let agreement ?(scenarios = Interp_scenarios.all) name host =
+   [write + read] bins of the bus's [phase] coverpoint. Word grants agree
+   too: [arbiter/grants] counts the IO_DONE ticks [sis/transactions] does,
+   and the per-function counters split it. With [pin], the MD5 of the
+   run's metrics snapshot must equal it. *)
+let agreement ?(scenarios = Interp_scenarios.all) ?pin name host =
   let bus = (Host.spec host).Spec.bus_name in
   let c = Cover.create () in
   Bus_cover.attach c ~bus ~caps:(Registry.lookup_caps bus) (Host.kernel host)
@@ -237,7 +240,44 @@ let agreement ?(scenarios = Interp_scenarios.all) name host =
   let covered = List.assoc "write" phase + List.assoc "read" phase in
   Alcotest.(check bool) (name ^ ": transfers seen") true (pairs > 0);
   Alcotest.(check int) (name ^ ": counters = recorder pairs") pairs counted;
-  Alcotest.(check int) (name ^ ": phase bins = recorder pairs") pairs covered
+  Alcotest.(check int) (name ^ ": phase bins = recorder pairs") pairs covered;
+  let grants = Metrics.counter_value m "arbiter/grants" in
+  Alcotest.(check bool) (name ^ ": grants seen") true (grants > 0);
+  Alcotest.(check int)
+    (name ^ ": arbiter/grants = sis/transactions")
+    (Metrics.counter_value m "sis/transactions")
+    grants;
+  let per_id =
+    List.fold_left
+      (fun acc c ->
+        if String.starts_with ~prefix:"arbiter/grants/" (Metrics.counter_name c)
+        then acc + Metrics.count c
+        else acc)
+      0 (Metrics.counters m)
+  in
+  Alcotest.(check int) (name ^ ": sum of arbiter/grants/<id>") grants per_id;
+  Option.iter
+    (fun pin ->
+      Alcotest.(check string)
+        (name ^ ": metrics snapshot digest")
+        pin
+        (Digest.to_hex
+           (Digest.string (Json.to_string (Recorder.metrics_json m)))))
+    pin
+
+(* MD5 of [Recorder.metrics_json] after scenario 1 on [make_host_on_bus]:
+   every sim/sis/arbiter/bus/driver value of the run, pinned per bus *)
+let metrics_pins =
+  [
+    ("plb", "584cedd689c3694c4f7425600a6dce77");
+    ("opb", "d574391af9c84203d33b8b969a5c7455");
+    ("fcb", "a0e8e12607187704372516b4e16c00a2");
+    ("apb", "4bb43a996e03bb514f183f9fb4abdfdb");
+    ("ahb", "30c31f3304c053760060f1b5a1c9e89c");
+    ("wishbone", "dce8da6856100d4a23b4a5b1a1a18222");
+    ("avalon", "f0897720e8e11868644d411e0939bdcc");
+    ("axi", "51af791d1450aeae7084b42c3d8b79f0");
+  ]
 
 let agreement_tests =
   List.map
@@ -253,6 +293,7 @@ let agreement_tests =
         Alcotest.test_case ("interpolator on " ^ bus) `Quick (fun () ->
             agreement
               ~scenarios:[ Interp_scenarios.by_id 1 ]
+              ?pin:(List.assoc_opt bus metrics_pins)
               bus
               (Interpolator.make_host_on_bus bus)))
       (Registry.names ())
