@@ -134,28 +134,57 @@ let digest_failure acc f =
 let traffic_for iseed spec =
   Specgen.traffic (Specgen.Rng.make (iseed lxor 0x5bd1e995)) spec
 
-exception Call_failed of string option * string * string option
-(* (function, message, flight-recorder dump at the moment of failure) *)
+exception Call_failed of string option * string
+(* (function, message) *)
 
-(* Serialize the host's flight-recorder ring (if the obs context carries
-   one — the default) at the point of failure: the ring ends at the
-   violation, and the metrics snapshot rides along. *)
-let dump_of host msg =
-  let obs = Host.obs host in
-  match Obs.recorder obs with
-  | Some r ->
-      Some (Recorder.dump_string ~context:msg ~metrics:(Obs.metrics obs) r)
-  | None -> None
+(* A (spec, bus) cell's inputs, derived once from the generated spec and
+   its iteration seed: the validated spec, its traffic, the bus caps and
+   the design-cache key. *)
+type cell = {
+  spec : Spec.t;
+  tr : Specgen.traffic;
+  caps : Bus_caps.t option;
+  key : Splice_cache.Design_cache.key;
+}
 
-(* Run one spec's traffic on one bus under one scheduler with every monitor
-   attached. Returns per-call cycle counts (for the E14 cross-check).
-   The host comes out of the domain's design cache when one is enabled: a
-   hit rewinds an already-elaborated design ([Host.reset]) instead of
-   rebuilding it, and — because the scheduler is not part of the cache
-   key — the three schedulers of one (spec, bus) cell share a single
-   elaboration. The replay is byte-identical to a fresh build, so digests,
-   dumps and shrink traces do not depend on the hit/miss pattern. *)
-let exec ~max_cycles ~cache ~key ~cover ~caps ~spec ~tr bus sched =
+let cell_of ~iseed ~cover g bus =
+  match Specgen.validate (Specgen.with_bus g bus) with
+  | Error e -> Error (Printf.sprintf "spec does not validate on %s: %s" bus e)
+  | Ok spec ->
+      let tr = traffic_for iseed spec in
+      let key =
+        {
+          (* calc_cycles is baked into the stub behaviours at elaboration
+             time, so designs with different calc budgets must not be
+             interchanged; the rest of the traffic replays per run *)
+          Splice_cache.Design_cache.k_tag =
+            "fuzz/calc=" ^ string_of_int tr.Specgen.t_calc_cycles;
+          k_src = Specgen.render g;
+          k_bus = bus;
+          k_ratio = g.Specgen.g_ratio;
+          k_depth = g.Specgen.g_depth;
+          k_monitors = true;
+          k_env =
+            (match cover with
+            | Some c -> Splice_cover.Cover.id c
+            | None -> 0);
+        }
+      in
+      Ok { spec; tr; caps = Registry.lookup_caps bus; key }
+
+(* Run one cell's traffic on one bus under one scheduler with every monitor
+   attached, on a host wired to [obs]. Returns per-call cycle counts (for
+   the E14 cross-check). The host comes out of the domain's design cache
+   when one is enabled: a hit rewinds an already-elaborated design
+   ([Host.reset]) instead of rebuilding it, and — because the scheduler is
+   not part of the cache key — the three schedulers of one (spec, bus)
+   cell share a single elaboration. The replay is byte-identical to a
+   fresh build, so digests and shrink traces do not depend on the
+   hit/miss pattern. Sweep runs pass [Obs.none]: nothing reads a passing
+   run's metrics or flight recorder, and a failure's dump comes from an
+   instrumented re-run ([dump_of]). *)
+let exec ~obs ~max_cycles ~cache ~cover cell bus sched =
+  let { spec; tr; caps; key } = cell in
   let build () =
     (* one isolated simulation per build: restart the domain-local
        default-name counter so any sigN in a failure message is a
@@ -180,7 +209,7 @@ let exec ~max_cycles ~cache ~key ~cover ~caps ~spec ~tr bus sched =
                  Axi.ratio = key.Splice_cache.Design_cache.k_ratio;
                  depth = key.Splice_cache.Design_cache.k_depth;
                });
-          Host.create ~sched spec
+          Host.create ~obs ~sched spec
             ~behaviors:
               (Specgen.behavior ~calc_cycles:tr.Specgen.t_calc_cycles))
     in
@@ -203,7 +232,7 @@ let exec ~max_cycles ~cache ~key ~cover ~caps ~spec ~tr bus sched =
   let t_run = Obs.now_ns () in
   build_ns := !build_ns + (t_run - t_build);
   let run () =
-    let fail func msg = raise (Call_failed (func, msg, dump_of host msg)) in
+    let fail func msg = raise (Call_failed (func, msg)) in
     List.map
       (fun (c : Specgen.call) ->
         let f =
@@ -252,13 +281,13 @@ let exec ~max_cycles ~cache ~key ~cover ~caps ~spec ~tr bus sched =
   in
   match run () with
   | cycles -> finish (Ok cycles)
-  | exception Call_failed (func, msg, dump) ->
+  | exception Call_failed (func, msg) ->
       (* an aborted cycle may leave deferred writes queued in the
          domain's signal store; drop this kernel's — and only this
          kernel's — before the next run (other cached designs may own
          pending writes of their own) *)
       Host.retire host;
-      finish (Error (func, msg, dump))
+      finish (Error (func, msg))
 
 (* One (spec, bus) cell of the matrix: validate and derive traffic once,
    then every scheduler against one cached design, then the E14
@@ -267,40 +296,17 @@ let exec_bus ~max_cycles ~iseed ~cover ~cache g bus scheds =
   match scheds with
   | [] -> Ok []
   | first_sched :: _ -> (
-  match Specgen.validate (Specgen.with_bus g bus) with
-  | Error e ->
-      Error
-        ( first_sched,
-          None,
-          Printf.sprintf "spec does not validate on %s: %s" bus e,
-          None )
-  | Ok spec -> (
-  let tr = traffic_for iseed spec in
-  let caps = Registry.lookup_caps bus in
-  let key =
-    {
-      (* calc_cycles is baked into the stub behaviours at elaboration
-         time, so designs with different calc budgets must not be
-         interchanged; the rest of the traffic replays per run *)
-      Splice_cache.Design_cache.k_tag =
-        "fuzz/calc=" ^ string_of_int tr.Specgen.t_calc_cycles;
-      k_src = Specgen.render g;
-      k_bus = bus;
-      k_ratio = g.Specgen.g_ratio;
-      k_depth = g.Specgen.g_depth;
-      k_monitors = true;
-      k_env =
-        (match cover with
-        | Some c -> Splice_cover.Cover.id c
-        | None -> 0);
-    }
-  in
+  match cell_of ~iseed ~cover g bus with
+  | Error msg -> Error (first_sched, None, msg)
+  | Ok cell -> (
   let rec go acc = function
     | [] -> Ok (List.rev acc)
     | sched :: rest -> (
-        match exec ~max_cycles ~cache ~key ~cover ~caps ~spec ~tr bus sched with
+        match
+          exec ~obs:Obs.none ~max_cycles ~cache ~cover cell bus sched
+        with
         | Ok cycles -> go ((sched, cycles) :: acc) rest
-        | Error (func, msg, dump) -> Error (sched, func, msg, dump))
+        | Error (func, msg) -> Error (sched, func, msg))
   in
   match go [] scheds with
   | Error _ as e -> e
@@ -324,12 +330,31 @@ let exec_bus ~max_cycles ~iseed ~cover ~cache g bus scheds =
                   (List.combine c0 c))
               rest
           in
-          (* no dump on an E14 mismatch: both runs completed and their
-             hosts are gone; the repro command regenerates either one *)
-          (match mismatch with
-          | Some (s, f, m) -> Error (s, f, m, None)
-          | None -> Ok runs)
+          (match mismatch with Some e -> Error e | None -> Ok runs)
       | [] -> Ok runs)))
+
+(* The failure dump: re-run the final (shrunk) failing cell under its
+   failing scheduler on a fresh, instrumented host — no design cache, no
+   coverage map, as the shrink probes run — and serialize its flight
+   recorder when the call fails again. The simulation is deterministic,
+   so the ring ends at the same violation the sweep saw, and the metrics
+   snapshot rides along. [None] when the re-run does not fail: an E14
+   mismatch (every run completed) or a spec that does not validate. *)
+let dump_of ~max_cycles ~iseed g bus sched =
+  match cell_of ~iseed ~cover:None g bus with
+  | Error _ -> None
+  | Ok cell -> (
+      let obs = Obs.create () in
+      match
+        exec ~obs ~max_cycles ~cache:Splice_cache.Design_cache.disabled
+          ~cover:None cell bus sched
+      with
+      | Ok _ -> None
+      | Error (_, msg) ->
+          Option.map
+            (fun r ->
+              Recorder.dump_string ~context:msg ~metrics:(Obs.metrics obs) r)
+            (Obs.recorder obs))
 
 let repro_command f =
   let cdc =
@@ -369,7 +394,7 @@ let shrink_failure ~max_cycles ~iseed ~bus ~scheds ~cache g =
        an already-cached design replays it *)
     match exec_bus ~max_cycles ~iseed ~cover:None ~cache g' bus scheds with
     | Ok _ -> None
-    | Error (sched, func, msg, dump) -> Some (sched, func, msg, dump)
+    | Error e -> Some e
   in
   let rec go g cur =
     if !budget <= 0 then (g, cur)
@@ -677,11 +702,10 @@ let run ?(log = ignore) ?pool config =
                        (it + 1) config.count iseed nbuses
                        (List.length config.scheds))
                 end
-            | Error (sched, func, msg, dump) ->
-                let g', (sched', func', msg', dump') =
+            | Error e ->
+                let g', (sched', func', msg') =
                   shrink_failure ~max_cycles:config.max_cycles ~iseed ~bus
-                    ~scheds:config.scheds ~cache:cache_cfg g
-                    (sched, func, msg, dump)
+                    ~scheds:config.scheds ~cache:cache_cfg g e
                 in
                 let f =
                   {
@@ -694,11 +718,14 @@ let run ?(log = ignore) ?pool config =
                     f_spec = g';
                     f_ratio = g'.Specgen.g_ratio;
                     f_depth = g'.Specgen.g_depth;
-                    (* the dump of the *shrunk* failing run — like the rest of
-                       the failure it is a deterministic function of the task
-                       seed, but it is not folded into the digest (the digest
-                       predates dumps and E15 pins it) *)
-                    f_dump = dump';
+                    (* the dump of an instrumented re-run of the *shrunk*
+                       failing cell — like the rest of the failure it is a
+                       deterministic function of the task seed, but it is
+                       not folded into the digest (the digest predates
+                       dumps and E15 pins it) *)
+                    f_dump =
+                      dump_of ~max_cycles:config.max_cycles ~iseed g' bus
+                        sched';
                   }
                 in
                 iterations := it + 1;

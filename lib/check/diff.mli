@@ -79,12 +79,15 @@ type failure = {
   f_depth : int;  (** the (shrunk) CDC FIFO depth ([--fifo-depth]) *)
   f_dump : string option;
       (** flight-recorder dump (JSON, see {!Splice_obs.Recorder.dump}) of
-          the {e shrunk} failing run, serialized at the moment of failure —
-          feed it to [splice trace] for post-mortem analysis. [None] when
-          the host ran without a recorder or the failure is an E14
-          cycle-count mismatch (both runs completed). Deterministic for a
-          given seed at any worker count, but {e not} folded into
-          [r_digest]. *)
+          the {e shrunk} failing run — feed it to [splice trace] for
+          post-mortem analysis. Sweep runs are uninstrumented; after
+          shrinking, the final failing cell is re-run once under the
+          failing scheduler on a fresh instrumented host (no design
+          cache, no coverage map), and its recorder is serialized when
+          the same call fails again. [None] when the failure is an E14
+          cycle-count mismatch (every run completed) or the spec does not
+          validate. Deterministic for a given seed at any worker count,
+          but {e not} folded into [r_digest]. *)
 }
 
 type report = {

@@ -39,7 +39,11 @@ let interp_key impl =
   List.assoc impl keys
 
 (* each implementation cell builds (or replays) its own host, with its own
-   kernel and domain-local signals: an independent task for the pool *)
+   kernel and domain-local signals: an independent task for the pool. The
+   host is uninstrumented ([Obs.none]): a row carries only cycle counts,
+   and [measure_detailed] is the instrumented run. Every cached build in
+   [lib/eval] does the same, so a hit never hands an instrumented host to
+   an uninstrumented caller or the reverse. *)
 let measure ?pool ?(cache = Splice_cache.Design_cache.default_config) () =
   let map f l =
     match pool with
@@ -52,7 +56,7 @@ let measure ?pool ?(cache = Splice_cache.Design_cache.default_config) () =
       let host, _hit =
         Splice_cache.Design_cache.with_cache cache ~key:(interp_key impl)
           ~sched:`Event
-          ~build:(fun () -> Interpolator.make_host impl)
+          ~build:(fun () -> Interpolator.make_host ~obs:Obs.none impl)
       in
       let per_scenario =
         List.map

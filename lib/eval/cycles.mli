@@ -26,7 +26,8 @@ val measure :
     kernel) in parallel; the rows are identical either way. [cache]
     (default on) replays each implementation's elaborated host through the
     per-domain {!Splice_cache.Design_cache} — rows are byte-identical with
-    it disabled. *)
+    it disabled. The hosts are built on [Obs.none]: {!measure_detailed}
+    is the instrumented run. *)
 
 val cycles_of : row list -> Interpolator.impl -> int
 (** Total cycles across scenarios. Raises [Not_found]. *)

@@ -235,7 +235,8 @@ module Scheduler = struct
           Splice_cache.Design_cache.with_cache cache
             ~key:(Cycles.interp_key impl) ~sched
             ~build:(fun () ->
-              Splice_devices.Interpolator.make_host ~sched impl)
+              Splice_devices.Interpolator.make_host ~obs:Splice_obs.Obs.none
+                ~sched impl)
         in
         let cycles =
           List.fold_left
@@ -265,7 +266,8 @@ module Scheduler = struct
           Splice_cache.Design_cache.with_cache cache ~key:(arb_key k) ~sched
             ~build:(fun () ->
               let spec = validate (Arbitration.spec_src k) in
-              Host.create ~sched spec ~behaviors:Arbitration.behaviors)
+              Host.create ~obs:Splice_obs.Obs.none ~sched spec
+                ~behaviors:Arbitration.behaviors)
         in
         kernel_totals host (run_call host ~n:8 ~elems:(elems_of 8)))
 
@@ -769,8 +771,8 @@ void sink(int n, int*:8 xs);|}
           let host, _hit =
             Splice_cache.Design_cache.with_cache cache ~key ~sched
               ~build:(fun () ->
-                Host.create ~sched (validate spec_src)
-                  ~behaviors:sink_behavior)
+                Host.create ~obs:Splice_obs.Obs.none ~sched
+                  (validate spec_src) ~behaviors:sink_behavior)
           in
           let cycles = run_call host ~n:8 ~elems:(elems_of 8) in
           let k = Host.kernel host in

@@ -34,7 +34,14 @@ let rec to_buffer buf = function
   | Float f ->
       if Float.is_integer f && Float.abs f < 1e15 then
         Buffer.add_string buf (Printf.sprintf "%.1f" f)
-      else Buffer.add_string buf (Printf.sprintf "%.17g" f)
+      else begin
+        let s = Printf.sprintf "%.17g" f in
+        Buffer.add_string buf s;
+        (* integral values from 1e15 to 1e17 print without a point or an
+           exponent, and would parse back as [Int] *)
+        if String.for_all (fun c -> c = '-' || (c >= '0' && c <= '9')) s then
+          Buffer.add_string buf ".0"
+      end
   | String s -> escape buf s
   | List l ->
       Buffer.add_char buf '[';

@@ -34,7 +34,13 @@ let merge ~into src =
   end
 
 let active t = t.enabled
-let metrics t = t.metrics
+
+(* A disabled context keeps no state: it hands out a fresh throwaway
+   registry on every request, so a handle registered on it is attached to
+   nothing shared. Every pool domain builds hosts on the one [none], and
+   a shared registry would collect their metrics (and their kernels'
+   sync hooks) for the life of the process. *)
+let metrics t = if t.enabled then t.metrics else Metrics.create ()
 let recorder t = if t.enabled then t.recorder else None
 (* a view like the kernel's metrics: the owning kernel's sync hook
    fills it in *)
@@ -57,9 +63,13 @@ let mark t =
     mk_recorder = (match t.recorder with Some r -> Recorder.mark r | None -> 0);
   }
 
+(* no-op on a disabled context, which has nothing to rewind and is
+   shared by every domain *)
 let reset_to_mark t m =
-  Metrics.reset_to_mark t.metrics m.mk_metrics;
-  (match t.recorder with
-  | Some r -> Recorder.reset_to_mark r m.mk_recorder
-  | None -> ());
-  t.now <- 0
+  if t.enabled then begin
+    Metrics.reset_to_mark t.metrics m.mk_metrics;
+    (match t.recorder with
+    | Some r -> Recorder.reset_to_mark r m.mk_recorder
+    | None -> ());
+    t.now <- 0
+  end

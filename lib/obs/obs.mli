@@ -2,10 +2,12 @@
     recorder for a simulation.
 
     A context is owned by each simulation kernel ([Kernel.create ?obs]) and
-    handed to every instrumented component at wiring time. Metrics are
-    always on (integer mutations only, or views filled in on read);
-    flight recording is on by default ([~recording:false] opts out)
-    because a recorded event is two word stores into a bounded ring. The recorder is the one capture
+    handed to every instrumented component at wiring time. An enabled
+    context's metrics are integer mutations only, or views filled in on
+    read; its flight recording is on by default ([~recording:false] opts
+    out) because a recorded event is two word stores into a bounded ring.
+    Runs whose output nobody reads (fuzz sweeps, the Fig 9.2 grid) are
+    built on [none]. The recorder is the one capture
     path for transactions — bus transfers, SIS word transfers and driver
     calls are [Txn_begin]/[Txn_end] pairs on their own tracks, which both
     the post-mortem dump and the Chrome-trace export read. [none] is a
@@ -25,7 +27,12 @@ val none : t
 (** Shared disabled context — the zero-overhead opt-out. *)
 
 val active : t -> bool
+
 val metrics : t -> Metrics.t
+(** The context's registry. On a disabled context (such as {!none}) each
+    call returns a fresh empty registry, so whatever is registered on it
+    is attached to nothing shared: [Metrics.counters (metrics none)] is
+    always [[]]. *)
 
 val recorder : t -> Recorder.t option
 (** The flight recorder, [None] when recording was opted out or the
@@ -70,4 +77,4 @@ val reset_to_mark : t -> mark -> unit
     zero the rest ({!Metrics.reset_to_mark}), forget recorded events and
     post-mark interned subjects ({!Recorder.reset_to_mark}), and reset the
     cycle clock — so a cache-hit replay produces metrics and dumps
-    byte-identical to a fresh build's. *)
+    byte-identical to a fresh build's. No-op on a disabled context. *)

@@ -1,11 +1,13 @@
-(* Flight recorder: a fixed-size ring of packed events, recorded
-   unconditionally while a simulation runs and dumped post mortem when a
-   protocol check fails. The hot path is two unchecked stores into two
-   adjacent words of one ring chunk — no formatting, and the ring wrap is
-   branch-free (the slot index is [total land mask]) — so the recorder can
-   stay on for every fuzz cell and every benchmark without perturbing what
-   it observes. The ring is split into fixed-size chunks allocated on their
-   first write: a short run (most fuzz cells) pays for the events it
+(* Flight recorder: a fixed-size ring of packed events, recorded on every
+   cycle of a kernel whose observability context carries one, and dumped
+   post mortem when a check fails. Runs nobody reads (fuzz sweeps, the
+   Fig 9.2 grid) are built on [Obs.none] and record nothing; a fuzz
+   failure's dump comes from an instrumented re-run of the failing cell.
+   The hot path is two unchecked stores into two adjacent words of one
+   ring chunk — no formatting, and the ring wrap is branch-free (the slot
+   index is [total land mask]) — so recording does not perturb what it
+   observes. The ring is split into fixed-size chunks allocated on their
+   first write: a short run (a fuzz re-run) pays for the events it
    records, not for the whole window.
 
    Subjects (signal, component, check and transaction-track names) are

@@ -1,8 +1,10 @@
 (** Flight recorder: a fixed-size ring buffer of packed simulation events
     — signal transitions, transaction begin/end (bus transfers, SIS word
     transfers, driver calls), check evaluations and failures, scheduler
-    decisions — recorded unconditionally while a kernel runs, dumped post
-    mortem when a protocol check fires, and exported as a Chrome trace.
+    decisions — recorded on every cycle of a kernel whose context carries
+    a recorder, dumped post mortem when a protocol check fires, and
+    exported as a Chrome trace. Runs whose output nobody reads are built
+    on [Obs.none] and record nothing.
 
     Hot-path discipline: {!record} (and its typed wrappers) is two
     unchecked stores into two adjacent words of a ring chunk — cycle,

@@ -184,3 +184,20 @@ let reply ~req ?id ~kind ~outcome ?(fields = []) ?(spans = []) () =
     match spans with
     | [] -> []
     | spans -> [ ("spans", Json.List (List.map span_json spans)) ])
+
+(* A reply whose spans price its own encoding, encoded once: every member
+   but [spans] (always last) is written first, [spans_of] gets the
+   nanoseconds that took, and its spans close the object. The bytes are
+   those of [Json.to_string (reply ... ~spans:(spans_of ns) ())]. *)
+let encode_reply ~req ?id ~kind ~outcome ?fields spans_of =
+  let t0 = Obs.now_ns () in
+  let buf = Buffer.create 1024 in
+  Json.to_buffer buf (reply ~req ?id ~kind ~outcome ?fields ());
+  match spans_of (Obs.now_ns () - t0) with
+  | [] -> Buffer.contents buf
+  | spans ->
+      Buffer.truncate buf (Buffer.length buf - 1);
+      Buffer.add_string buf {|,"spans":|};
+      Json.to_buffer buf (Json.List (List.map span_json spans));
+      Buffer.add_char buf '}';
+      Buffer.contents buf

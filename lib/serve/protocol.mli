@@ -62,3 +62,16 @@ val reply :
   ?spans:span list ->
   unit ->
   Splice_obs.Json.t
+
+val encode_reply :
+  req:int ->
+  ?id:Splice_obs.Json.t ->
+  kind:string ->
+  outcome:outcome ->
+  ?fields:(string * Splice_obs.Json.t) list ->
+  (int -> span list) ->
+  string
+(** [encode_reply ... spans_of] encodes {!reply} once, with spans that may
+    price that encode: everything but [spans] is encoded first, and
+    [spans_of] receives the wall nanoseconds it took. The result equals
+    [Json.to_string (reply ... ~spans:(spans_of ns) ())]. *)

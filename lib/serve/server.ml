@@ -601,7 +601,6 @@ let handle_line t fd line =
                   | Some path -> [ ("dump_file", Json.String path) ]
                   | None -> []))
             in
-            let t_enc = Obs.now_ns () in
             let fields =
               x.x_fields @ dump_fields
               @ [
@@ -609,35 +608,25 @@ let handle_line t fd line =
                   ("cache_misses", Json.Int x.x_misses);
                 ]
             in
-            let spans_of reply_ns =
-              [
-                P.span "request"
-                  (Obs.now_ns () - t_recv)
-                  ~children:
-                    [
-                      P.span "queue_wait" queue_wait_ns;
-                      P.span "elaborate" x.x_elab_ns;
-                      P.span "simulate" x.x_sim_ns;
-                      P.span "reply" reply_ns;
-                    ];
-              ]
-            in
-            (* encode once to price the reply span, then re-encode with it *)
-            let probe =
-              P.reply ~req:rid ?id:id_echo ~kind ~outcome:x.x_outcome ~fields
-                ~spans:(spans_of 0) ()
-            in
-            ignore (Json.to_string probe);
-            let reply_ns = Obs.now_ns () - t_enc in
             let reply =
-              P.reply ~req:rid ?id:id_echo ~kind ~outcome:x.x_outcome ~fields
-                ~spans:(spans_of reply_ns) ()
+              P.encode_reply ~req:rid ?id:id_echo ~kind ~outcome:x.x_outcome
+                ~fields (fun reply_ns ->
+                  [
+                    P.span "request"
+                      (Obs.now_ns () - t_recv)
+                      ~children:
+                        [
+                          P.span "queue_wait" queue_wait_ns;
+                          P.span "elaborate" x.x_elab_ns;
+                          P.span "simulate" x.x_sim_ns;
+                          P.span "reply" reply_ns;
+                        ];
+                  ])
             in
             record t ~kind ~outcome:x.x_outcome
               ~latency_ns:(Obs.now_ns () - t_recv)
               (Some x);
-            (try write_all fd (Json.to_string reply ^ "\n")
-             with Unix.Unix_error _ -> ());
+            (try write_all fd (reply ^ "\n") with Unix.Unix_error _ -> ());
             finish ();
             true
       end)

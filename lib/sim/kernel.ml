@@ -194,7 +194,9 @@ let create ?(max_comb_iters = 64) ?(sched = `Event) ?obs () =
       synced_iters = Array.make iter_slots 0;
     }
   in
-  (* never on [Obs.none]: it is shared by every opted-out kernel *)
+  (* never on [Obs.none]: nothing reads its throwaway registry, and the
+     hook's [Obs.set_now] would write the context every opted-out kernel
+     shares *)
   if Obs.active obs then Metrics.on_read m (fun () -> sync_metrics t);
   t
 

@@ -149,6 +149,30 @@ let specgen_tests =
 
 (* -------- differential executor -------- *)
 
+(* A PLB whose port flips the low bit of every word it reads back,
+   registered as "buggy" for the duration of [f]: every fuzz sweep over it
+   fails the golden model. *)
+let with_buggy_bus f =
+  let module Buggy = struct
+    include Plb
+
+    let caps = { Plb.caps with Bus_caps.name = "buggy" }
+
+    let connect kernel spec sis =
+      let port = Plb.connect kernel spec sis in
+      {
+        port with
+        Bus_port.bus_name = "buggy";
+        result =
+          (fun () ->
+            List.map
+              (fun w -> Bits.logxor w (Bits.of_int ~width:(Bits.width w) 1))
+              (port.Bus_port.result ()));
+      }
+  end in
+  Registry.register (module Buggy);
+  Fun.protect ~finally:(fun () -> Registry.unregister "buggy") f
+
 let diff_tests =
   [
     t "fixed-seed differential sweep is clean on all registered buses" (fun () ->
@@ -221,27 +245,7 @@ let diff_tests =
         (* self-test of the whole loop: register a bus whose port flips the
            low bit of every word it reads back, fuzz it, and require a
            golden-model failure with a reproducible counterexample *)
-        let module Buggy = struct
-          include Plb
-
-          let caps = { Plb.caps with Bus_caps.name = "buggy" }
-
-          let connect kernel spec sis =
-            let port = Plb.connect kernel spec sis in
-            {
-              port with
-              Bus_port.bus_name = "buggy";
-              result =
-                (fun () ->
-                  List.map
-                    (fun w -> Bits.logxor w (Bits.of_int ~width:(Bits.width w) 1))
-                    (port.Bus_port.result ()));
-            }
-        end in
-        Registry.register (module Buggy);
-        Fun.protect
-          ~finally:(fun () -> Registry.unregister "buggy")
-          (fun () ->
+        with_buggy_bus (fun () ->
             let report =
               Diff.run
                 { Diff.default_config with seed = 5; count = 20; buses = [ "buggy" ] }
@@ -277,27 +281,7 @@ let diff_tests =
         (* the dump is part of the shrunk counterexample, so the PR 4
            determinism contract extends to it: same seed, same bytes,
            whatever the worker count *)
-        let module Buggy = struct
-          include Plb
-
-          let caps = { Plb.caps with Bus_caps.name = "buggy" }
-
-          let connect kernel spec sis =
-            let port = Plb.connect kernel spec sis in
-            {
-              port with
-              Bus_port.bus_name = "buggy";
-              result =
-                (fun () ->
-                  List.map
-                    (fun w -> Bits.logxor w (Bits.of_int ~width:(Bits.width w) 1))
-                    (port.Bus_port.result ()));
-            }
-        end in
-        Registry.register (module Buggy);
-        Fun.protect
-          ~finally:(fun () -> Registry.unregister "buggy")
-          (fun () ->
+        with_buggy_bus (fun () ->
             let config =
               { Diff.default_config with seed = 5; count = 20; buses = [ "buggy" ] }
             in
@@ -319,6 +303,58 @@ let diff_tests =
                 Alcotest.(check string) "messages agree" fs.Diff.f_message
                   fp.Diff.f_message
             | _ -> Alcotest.fail "corrupting bus survived a sweep"));
+    t "failure dumps are pinned" (fun () ->
+        (* sweep runs are uninstrumented and the dump comes from a fresh
+           instrumented re-run of the shrunk cell: these MD5s are those of
+           the dumps taken at the point of failure on instrumented sweep
+           hosts, so the re-run must reproduce them byte for byte, with
+           the cache off and with coverage sampling on *)
+        with_buggy_bus (fun () ->
+            let base =
+              { Diff.default_config with seed = 5; count = 20; buses = [ "buggy" ] }
+            in
+            List.iter
+              (fun (label, config, md5, bytes) ->
+                match (Diff.run config).Diff.r_failure with
+                | None -> Alcotest.failf "%s: corrupting bus survived" label
+                | Some { Diff.f_dump = None; _ } ->
+                    Alcotest.failf "%s: failure carried no dump" label
+                | Some { Diff.f_dump = Some dump; _ } ->
+                    check_int (label ^ ": dump bytes") bytes (String.length dump);
+                    Alcotest.(check string)
+                      (label ^ ": dump md5") md5
+                      (Digest.to_hex (Digest.string dump)))
+              [
+                ("seed 5", base, "bee8a76dc5f632cf721279f8bec24551", 8031);
+                ( "seed 5, cache off",
+                  { base with cache = false },
+                  "bee8a76dc5f632cf721279f8bec24551",
+                  8031 );
+                ( "seed 5, coverage on",
+                  { base with cover = true },
+                  "bee8a76dc5f632cf721279f8bec24551",
+                  8031 );
+                ( "seed 7, sweep",
+                  { base with seed = 7; count = 10; scheds = [ `Sweep ] },
+                  "1ee7b140ede0f9f945dec29c122411f7",
+                  9127 );
+                ( "seed 11, compiled + event",
+                  { base with seed = 11; count = 10; scheds = [ `Compiled; `Event ] },
+                  "875a5ae4a847667adf4d05b638791a16",
+                  5655 );
+              ]));
+    t "uninstrumented sweeps leave Obs.none empty" (fun () ->
+        (* fuzz and Fig 9.2 hosts are built on the shared disabled context
+           from every pool domain at once: nothing may register on it *)
+        let pool = Option.get (Pool.of_jobs 4) in
+        Fun.protect
+          ~finally:(fun () -> Pool.shutdown pool)
+          (fun () ->
+            ignore (Diff.run ~pool { Diff.default_config with seed = 3; count = 4 }));
+        ignore (Cycles.measure ());
+        let m = Obs.metrics Obs.none in
+        check_int "no counters" 0 (List.length (Metrics.counters m));
+        check_int "no histograms" 0 (List.length (Metrics.histograms m)));
   ]
 
 let tests =

@@ -187,6 +187,106 @@ let fuzz_props =
         | exception Error.Splice_error _ -> true);
   ]
 
+(* -------- the service's request path -------- *)
+
+(* JSON values over the request vocabulary: objects keyed mostly by the
+   fields [Protocol.parse] reads, holding every kind of value, so the
+   parser is driven past its kind dispatch into every field check *)
+let gen_json =
+  QCheck.Gen.(
+    let key =
+      frequency
+        [
+          ( 4,
+            oneofl
+              [
+                "kind"; "seed"; "count"; "bus"; "sched"; "ratio"; "depth";
+                "cache"; "cache_size"; "source"; "dump"; "ms"; "id";
+              ] );
+          (1, string_size ~gen:char (int_range 0 6));
+        ]
+    in
+    let str =
+      frequency
+        [
+          (2, oneofl Serve_protocol.kinds);
+          (1, oneofl ("3:1" :: "0:2" :: "all" :: "both" :: Registry.names ()));
+          (2, string_size ~gen:char (int_range 0 12));
+        ]
+    in
+    let finite f = if Float.is_finite f then f else 0.5 in
+    let scalar =
+      frequency
+        [
+          (1, return Json.Null);
+          (1, map (fun b -> Json.Bool b) bool);
+          (3, map (fun i -> Json.Int i) (oneof [ small_signed_int; int ]));
+          ( 2,
+            map
+              (fun f -> Json.Float f)
+              (oneof [ map finite float; map float_of_int int ]) );
+          (3, map (fun s -> Json.String s) str);
+        ]
+    in
+    sized
+    @@ fix (fun self n ->
+           if n <= 1 then scalar
+           else
+             frequency
+               [
+                 (2, scalar);
+                 ( 1,
+                   map
+                     (fun l -> Json.List l)
+                     (list_size (int_range 0 4) (self (n / 4))) );
+                 ( 2,
+                   map
+                     (fun kvs -> Json.Obj kvs)
+                     (list_size (int_range 0 5) (pair key (self (n / 4)))) );
+               ]))
+
+let arb_json = QCheck.make ~print:Json.to_string gen_json
+
+(* request lines: arbitrary bytes, JSON token soup, and encoded values cut
+   at an arbitrary point *)
+let arb_line =
+  QCheck.make ~print:String.escaped
+    QCheck.Gen.(
+      let token =
+        oneofl
+          [
+            "{"; "}"; "["; "]"; ":"; ","; "\""; "\\"; "\\u"; "\\u00"; "00e";
+            "\"kind\""; "\"fuzz\""; "\"seed\""; "-"; "1"; "1e400"; "-0";
+            "0x1F"; "1.5"; "true"; "nul"; "null"; " "; "\n"; "\xff";
+          ]
+      in
+      frequency
+        [
+          (1, string ~gen:char);
+          (2, map (String.concat "") (list_size (int_range 0 30) token));
+          ( 2,
+            map2
+              (fun v cut ->
+                let s = Json.to_string v in
+                String.sub s 0 (cut mod (String.length s + 1)))
+              gen_json nat );
+          (1, map Json.to_string gen_json);
+        ])
+
+let never_raises f x = match f x with Ok _ | Error _ -> true | exception _ -> false
+
+let request_props =
+  [
+    prop ~count:500 "Json.of_string never raises" arb_line
+      (never_raises Json.of_string);
+    prop ~count:500 "Protocol.parse_line never raises" arb_line
+      (never_raises Serve_protocol.parse_line);
+    prop ~count:300 "Protocol.parse never raises on any JSON value" arb_json
+      (never_raises Serve_protocol.parse);
+    prop ~count:500 "Json.of_string (Json.to_string v) = Ok v" arb_json
+      (fun v -> Json.of_string (Json.to_string v) = Ok v);
+  ]
+
 let loopback_props =
   [
     prop ~count:60 "random data loopback through random peripherals"
@@ -379,5 +479,6 @@ let tests =
     ("properties.signal_store", store_props);
     ("properties.verilog", verilog_props);
     ("properties.fuzz", fuzz_props);
+    ("properties.request", request_props);
     ("properties.loopback", loopback_props);
   ]

@@ -130,6 +130,32 @@ let protocol_tests =
             check_int "cache_size" 7 f.cache_size
         | Ok _ -> Alcotest.fail "parsed as a different kind"
         | Error e -> Alcotest.failf "did not parse: %s" e);
+    t "reply: one encode gives the bytes of the spanned envelope" (fun () ->
+        (* the reply span prices the one encode; the bytes must be those
+           of the whole envelope encoded with the spans it yields *)
+        let fields =
+          [ ("digest", Json.String "0x1"); ("dump", Json.String "a\"b\n") ]
+        in
+        let spans =
+          [ Serve_protocol.span "request" 7
+              ~children:[ Serve_protocol.span "reply" 5 ] ]
+        in
+        List.iter
+          (fun (id, spans) ->
+            let priced = ref (-1) in
+            let got =
+              Serve_protocol.encode_reply ~req:3 ?id ~kind:"fuzz"
+                ~outcome:Serve_protocol.Ok_ ~fields (fun ns ->
+                  priced := ns;
+                  spans)
+            in
+            check_string "encode_reply = to_string reply"
+              (Json.to_string
+                 (Serve_protocol.reply ~req:3 ?id ~kind:"fuzz"
+                    ~outcome:Serve_protocol.Ok_ ~fields ~spans ()))
+              got;
+            check_bool "spans_of is handed the encode time" true (!priced >= 0))
+          [ (None, spans); (Some (Json.Int 9), spans); (None, []) ]);
     t "openmetrics: hostile label values escape per the spec" (fun () ->
         check_string "escape" "a\\\"b\\\\c\\nd"
           (Openmetrics.escape_label_value "a\"b\\c\nd");
