@@ -339,6 +339,11 @@ let eval_cmd =
           observability layer attached and export the results.")
     Term.(const run $ digest $ stats $ trace $ openmetrics $ jobs_arg)
 
+(* a converter over one of [Diff]'s option parsers, which the service
+   protocol shares; [print] renders a value back for cmdliner *)
+let diff_conv parse print =
+  Arg.conv ((fun s -> Result.map_error (fun e -> `Msg e) (parse s)), print)
+
 let fuzz_cmd =
   let seed =
     Arg.(
@@ -367,16 +372,11 @@ let fuzz_cmd =
     Arg.(
       value
       & opt
-          (enum
-             [
-               ("all", `All);
-               ("both", `Both);
-               ("event", `Event);
-               ("sweep", `Sweep);
-               ("compiled", `Compiled);
-             ])
-          `All
-      & info [ "sched" ] ~docv:"SCHED"
+          (diff_conv Splice.Diff.scheds_of_string (fun fmt l ->
+               Format.pp_print_string fmt
+                 (String.concat "," (List.map Splice.Diff.sched_name l))))
+          Splice.Diff.default_config.Splice.Diff.scheds
+      & info [ "sched" ] ~docv:"SCHED" ~absent:"all"
           ~doc:
             "Kernel scheduler(s): $(b,event), $(b,sweep), $(b,compiled), \
              $(b,both) (event+sweep), or $(b,all) — the default — running \
@@ -432,18 +432,13 @@ let fuzz_cmd =
              experiment E17.")
   in
   let clock_ratio =
-    let parse s =
-      match String.split_on_char ':' s with
-      | [ a; b ] -> (
-          match (int_of_string_opt a, int_of_string_opt b) with
-          | Some a, Some b when a >= 1 && b >= 1 -> Ok (a, b)
-          | _ -> Error (`Msg (Printf.sprintf "bad clock ratio %S (want A:B, both >= 1)" s)))
-      | _ -> Error (`Msg (Printf.sprintf "bad clock ratio %S (want A:B)" s))
-    in
-    let print fmt (a, b) = Format.fprintf fmt "%d:%d" a b in
     Arg.(
       value
-      & opt (some (conv (parse, print))) None
+      & opt
+          (some
+             (diff_conv Splice.Diff.ratio_of_string (fun fmt (a, b) ->
+                  Format.fprintf fmt "%d:%d" a b)))
+          None
       & info [ "clock-ratio" ] ~docv:"A:B"
           ~doc:
             "Pin the ACLK:PCLK clock-frequency ratio of CDC buses (axi) \
@@ -466,23 +461,15 @@ let fuzz_cmd =
       value & flag
       & info [ "no-cache" ]
           ~doc:
-            "Disable the per-domain design cache and re-elaborate every \
-             (spec, bus, scheduler) cell from scratch. Every report field \
-             except the hit/miss counters is byte-identical either way — \
-             this flag exists for timing comparisons and for CI's \
+            "Turn off cell-local replay: every scheduler run of a (spec, \
+             bus) cell elaborates its own host instead of replaying the \
+             host the cell built for its first scheduler. Every report \
+             field except the hit/miss counters is byte-identical either \
+             way — this flag exists for timing comparisons and for CI's \
              determinism cross-check.")
   in
-  let cache_size =
-    Arg.(
-      value
-      & opt int Splice.Design_cache.default_size
-      & info [ "cache-size" ] ~docv:"N"
-          ~doc:
-            "Per-domain design-cache capacity in elaborated designs (LRU \
-             eviction).")
-  in
-  let run seed count bus sched quiet jobs json record cover no_guide
-      clock_ratio fifo_depth no_cache cache_size =
+  let run seed count bus scheds quiet jobs json record cover no_guide
+      clock_ratio fifo_depth no_cache =
     let seed =
       match seed with
       | Some s -> s
@@ -498,11 +485,15 @@ let fuzz_cmd =
           Printf.eprintf "unknown bus %S (see `splice buses`)\n" b;
           exit 2
     in
-    let scheds =
-      match sched with
-      | `All -> [ `Event; `Sweep; `Compiled ]
-      | `Both -> [ `Event; `Sweep ]
-      | (`Event | `Sweep | `Compiled) as s -> [ s ]
+    let check = function
+      | Ok v -> v
+      | Error msg ->
+          prerr_endline msg;
+          exit 2
+    in
+    let count = check (Splice.Diff.check_count count) in
+    let fifo_depth =
+      Option.map (fun d -> check (Splice.Diff.check_depth d)) fifo_depth
     in
     let config =
       {
@@ -516,19 +507,8 @@ let fuzz_cmd =
         ratio = clock_ratio;
         depth = fifo_depth;
         cache = not no_cache;
-        cache_size;
       }
     in
-    (match cache_size with
-    | n when n < 1 ->
-        Printf.eprintf "bad --cache-size %d (want >= 1)\n" n;
-        exit 2
-    | _ -> ());
-    (match fifo_depth with
-    | Some d when d < 2 || d > 64 || d land (d - 1) <> 0 ->
-        Printf.eprintf "bad --fifo-depth %d (want a power of two in 2..64)\n" d;
-        exit 2
-    | _ -> ());
     Printf.printf "splice fuzz: seed=%d count=%d buses=%s scheds=%s jobs=%d\n%!"
       seed count
       (String.concat ","
@@ -590,7 +570,6 @@ let fuzz_cmd =
                     Obj
                       [
                         ("enabled", Bool config.Splice.Diff.cache);
-                        ("size", Int config.Splice.Diff.cache_size);
                         ("hits", Int report.Splice.Diff.r_cache_hits);
                         ("misses", Int report.Splice.Diff.r_cache_misses);
                       ] );
@@ -682,7 +661,7 @@ let fuzz_cmd =
           on failure.")
     Term.(
       const run $ seed $ count $ bus $ sched $ quiet $ jobs_arg $ json $ record
-      $ cover $ no_guide $ clock_ratio $ fifo_depth $ no_cache $ cache_size)
+      $ cover $ no_guide $ clock_ratio $ fifo_depth $ no_cache)
 
 let trace_cmd =
   (* [some string], not [some file]: a missing path must reach [Query.load]

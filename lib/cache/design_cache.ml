@@ -9,22 +9,21 @@ open Splice_par
    adapter, monitors — plus the end-of-elaboration snapshot that
    [Host.reset] rewinds to. The key is the canonical content of everything
    elaboration depends on: the spec source, the bus, the CDC configuration
-   (clock ratio + FIFO depth), the monitor set, the behavior parameters and
-   the ambient-environment identity (a cover map, when one is attached).
-   The {e scheduler is deliberately not part of the key}: the same
-   elaborated design serves all three schedulers — a hit resets the kernel
-   and re-targets it, and the next seal rebuilds whatever the new scheduler
-   needs. That is where the fuzz grid's reuse comes from: every
-   (spec, bus) cell runs under [`Event], [`Sweep] and [`Compiled], paying
-   one elaboration instead of three.
+   (clock ratio + FIFO depth) and a caller tag naming the behaviors. The
+   {e scheduler is deliberately not part of the key}: the same elaborated
+   design serves all three schedulers — a hit resets the kernel and
+   re-targets it, and the next seal rebuilds whatever the new scheduler
+   needs. The eval grids are the callers: [Cycles.measure] and the E14
+   ablation replay one implementation's host across calls, and the E8 and
+   CDC cells replay theirs across schedulers. (The fuzz sweep does its
+   replays inside each cell, with no cache; see [Check.Diff].)
 
    Determinism: a hit replays byte-identically to a fresh build (the
    [Host.reset] contract), so results never depend on the hit/miss pattern
    — which is what allows a {e per-domain} cache (no shared mutation, no
-   locks) to leave digests, dumps and shrink traces bit-equal at any [-j]
-   and with the cache disabled. Only the hit/miss counters are
-   scheduling-dependent (cross-cell hits require the repeat to land in the
-   same domain); nothing downstream of them is. *)
+   locks) to leave every grid bit-equal at any [-j]. Only the hit/miss
+   counters are scheduling-dependent (cross-call hits require the repeat
+   to land in the same domain); nothing downstream of them is. *)
 
 type key = {
   k_tag : string;  (* caller namespace + behavior discriminators *)
@@ -32,12 +31,6 @@ type key = {
   k_bus : string;
   k_ratio : int * int;  (* CDC clock ratio (bus : peripheral) *)
   k_depth : int;  (* CDC FIFO depth *)
-  k_monitors : bool;
-  k_env : int;
-      (* identity of the ambient environment the design was elaborated
-         under (e.g. a functional-coverage map it samples into); 0 = none.
-         Distinct environments must miss: a cached design keeps sampling
-         into the map it was built against. *)
 }
 
 (* Canonical content hash: fold the key's rendering through the splitmix64
@@ -55,10 +48,6 @@ let hash_key k =
   Buffer.add_string buf (string_of_int ratio_b);
   Buffer.add_char buf '\x00';
   Buffer.add_string buf (string_of_int k.k_depth);
-  Buffer.add_char buf '\x00';
-  Buffer.add_string buf (if k.k_monitors then "m1" else "m0");
-  Buffer.add_char buf '\x00';
-  Buffer.add_string buf (string_of_int k.k_env);
   Buffer.add_char buf '\x00';
   Buffer.add_string buf k.k_src;
   let s = Buffer.contents buf in
@@ -145,32 +134,19 @@ let acquire (t : t) ~key ~(sched : Kernel.sched) ~build =
 (* Per-domain ambient cache                                            *)
 (* ------------------------------------------------------------------ *)
 
-type config = { enabled : bool; size : int }
-
-let default_size = 32
-let default_config = { enabled = true; size = default_size }
-let disabled = { enabled = false; size = 0 }
-
 let slot : t option ref Dls.t = Dls.make (fun () -> ref None)
 
-let domain_cache cfg =
-  if not cfg.enabled then None
-  else begin
-    let r = Dls.get slot in
+let with_cache ~key ~sched ~build =
+  let r = Dls.get slot in
+  let c =
     match !r with
-    | Some c when c.capacity = cfg.size -> Some c
-    | _ ->
-        (* first use in this domain, or a size change between runs in the
-           caller domain (workers die with their pool): start fresh *)
-        let c = create ~capacity:(max 1 cfg.size) in
+    | Some c -> c
+    | None ->
+        let c = create ~capacity:32 in
         r := Some c;
-        Some c
-  end
-
-let with_cache cfg ~key ~sched ~build =
-  match domain_cache cfg with
-  | None -> (build (), false)
-  | Some c -> acquire c ~key ~sched ~build
+        c
+  in
+  acquire c ~key ~sched ~build
 
 let domain_stats () =
   match !(Dls.get slot) with None -> None | Some c -> Some (stats c)

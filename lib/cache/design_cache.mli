@@ -1,7 +1,7 @@
 (** Content-hashed design cache with instance-reset replay.
 
     Elaborating a host — peripheral, bus adapter, CDC FIFOs, monitors —
-    costs far more than the handful of calls a fuzz cell or sweep point
+    costs far more than the handful of calls an evaluation grid point
     runs on it. This cache keys fully built {!Splice_driver.Host.t}s by
     the canonical content of everything elaboration depends on, and
     replays a hit by rewinding the host to its end-of-elaboration
@@ -13,12 +13,17 @@
     (under [`Compiled], the op-tape, compiled from the restored values
     exactly as a fresh build compiles it).
 
+    The eval grids use it ([Cycles.measure], the E14 and E8 scheduler
+    ablations, the E18 CDC sweep). The differential fuzz sweep does not:
+    each of its cells replays its own host across its schedulers and
+    drops it at the end of the cell ({!Splice_check.Diff}).
+
     Determinism contract: a hit is byte-identical to a fresh build —
-    digests, failure dumps, stats and recorder rings never depend on the
-    hit/miss pattern. Caches are therefore kept {e per domain} (via
+    rows, digests, stats and recorder rings never depend on the hit/miss
+    pattern. Caches are therefore kept {e per domain} (via
     [Splice_par.Dls], no shared mutation, no locks) and results stay
-    bit-equal at any [-j] and with the cache disabled. Only the hit/miss
-    {e counters} depend on how work landed on domains. *)
+    bit-equal at any [-j]. Only the hit/miss {e counters} depend on how
+    work landed on domains. *)
 
 open Splice_sim
 open Splice_driver
@@ -26,15 +31,11 @@ open Splice_driver
 type key = {
   k_tag : string;
       (** caller namespace plus any behavior discriminators not visible in
-          the source text (e.g. ["fuzz/calc=12"]) *)
+          the source text (e.g. ["eval/interp/splice_plb_simple"]) *)
   k_src : string;  (** canonical spec source text *)
   k_bus : string;
   k_ratio : int * int;  (** CDC clock ratio *)
   k_depth : int;  (** CDC FIFO depth *)
-  k_monitors : bool;
-  k_env : int;
-      (** ambient-environment identity (e.g. the cover map the design
-          samples into; 0 = none) — distinct environments must miss *)
 }
 
 val hash_key : key -> int64
@@ -63,33 +64,14 @@ val capacity : t -> int
 
 (** {1 Per-domain ambient cache}
 
-    The fuzz/eval grids run one task per pool domain; each domain keeps
-    its own cache in a [Splice_par.Dls] slot, so no state is shared across
+    The eval grids run one task per pool domain; each domain keeps its
+    own cache in a [Splice_par.Dls] slot, so no state is shared across
     domains and worker caches die with the pool. *)
 
-type config = { enabled : bool; size : int }
-
-val default_size : int
-(** 32 entries. *)
-
-val default_config : config
-(** Enabled at {!default_size}. *)
-
-val disabled : config
-
-val domain_cache : config -> t option
-(** This domain's cache (created on first use; recreated when [size]
-    changed between runs in a persistent domain), or [None] when
-    disabled. *)
-
 val with_cache :
-  config ->
-  key:key ->
-  sched:Kernel.sched ->
-  build:(unit -> Host.t) ->
-  Host.t * bool
-(** {!acquire} through the domain cache; a plain [build ()] (reported as a
-    miss) when disabled. *)
+  key:key -> sched:Kernel.sched -> build:(unit -> Host.t) -> Host.t * bool
+(** {!acquire} through this domain's cache, created on first use with
+    room for 32 designs. *)
 
 val domain_stats : unit -> stats option
 (** Counters of this domain's cache, if one exists. *)

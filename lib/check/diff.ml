@@ -17,7 +17,6 @@ type config = {
   ratio : (int * int) option;
   depth : int option;
   cache : bool;
-  cache_size : int;
 }
 
 let default_config =
@@ -34,7 +33,6 @@ let default_config =
     ratio = None;
     depth = None;
     cache = true;
-    cache_size = Splice_cache.Design_cache.default_size;
   }
 
 type failure = {
@@ -60,29 +58,49 @@ type report = {
   r_trajectory : (int * int * int) list;
   r_cache_hits : int;
   r_cache_misses : int;
-      (* summed per-cell deltas of the per-domain design caches. Unlike
-         everything else in the report these are scheduling-dependent
-         (a cross-cell hit needs the repeat to land on the same domain),
-         which is why they are not folded into [r_digest]. *)
+      (* replays and builds of the cells' hosts (0 and 0 with the cache
+         off): a count fixed by the config, but kept out of [r_digest],
+         which predates it *)
   r_build_ns : int;
   r_sim_ns : int;
-      (* wall time the grid cells spent acquiring designs (elaboration,
-         or a cache-hit rewind) vs executing calls — the elaborate /
-         simulate split a service surfaces as per-request spans. Wall
-         clock, so like the cache counters these never join [r_digest]. *)
+      (* wall time the grid cells spent acquiring hosts (elaboration, or
+         a replay's rewind) vs executing calls — the elaborate / simulate
+         split a service surfaces as per-request spans. Wall clock, so
+         never part of [r_digest]. *)
 }
-
-(* Per-domain phase accumulators, bumped by [exec] and read as deltas
-   around each grid task — the same DLS-delta pattern as the cache
-   counters above, and safe for the same reason: one task at a time per
-   domain. *)
-let phase_ns : (int ref * int ref) Splice_par.Dls.t =
-  Splice_par.Dls.make (fun () -> (ref 0, ref 0))
 
 let sched_name = function
   | `Event -> "event"
   | `Sweep -> "sweep"
   | `Compiled -> "compiled"
+
+(* ---- option parsers, shared by the CLI and the service protocol ---- *)
+
+let scheds_of_string = function
+  | "all" -> Ok [ `Event; `Sweep; `Compiled ]
+  | "both" -> Ok [ `Event; `Sweep ]
+  | "event" -> Ok [ `Event ]
+  | "sweep" -> Ok [ `Sweep ]
+  | "compiled" -> Ok [ `Compiled ]
+  | s ->
+      Error
+        (Printf.sprintf
+           "unknown sched %S (want all, both, event, sweep or compiled)" s)
+
+let ratio_of_string s =
+  match String.split_on_char ':' s with
+  | [ a; b ] -> (
+      match (int_of_string_opt a, int_of_string_opt b) with
+      | Some a, Some b when a >= 1 && b >= 1 -> Ok (a, b)
+      | _ -> Error (Printf.sprintf "bad clock ratio %S (want A:B, both >= 1)" s))
+  | _ -> Error (Printf.sprintf "bad clock ratio %S (want A:B)" s)
+
+let check_count n =
+  if n >= 1 then Ok n else Error (Printf.sprintf "bad count %d (want >= 1)" n)
+
+let check_depth d =
+  if d >= 2 && d <= 64 && d land (d - 1) = 0 then Ok d
+  else Error (Printf.sprintf "bad fifo depth %d (want a power of two in 2..64)" d)
 
 (* Per-iteration seeds come from splitmix64 seed-splitting of the root
    seed: every (spec, bus) task derives all of its randomness from
@@ -139,100 +157,72 @@ exception Call_failed of string option * string
 
 (* A (spec, bus) cell's inputs, derived once from the generated spec and
    its iteration seed: the validated spec, its traffic, the bus caps and
-   the design-cache key. *)
+   the CDC dimensions the bus elaborates with. *)
 type cell = {
   spec : Spec.t;
   tr : Specgen.traffic;
   caps : Bus_caps.t option;
-  key : Splice_cache.Design_cache.key;
+  cdc : Axi.cdc;
 }
 
-let cell_of ~iseed ~cover g bus =
+let cell_of ~iseed g bus =
   match Specgen.validate (Specgen.with_bus g bus) with
   | Error e -> Error (Printf.sprintf "spec does not validate on %s: %s" bus e)
   | Ok spec ->
-      let tr = traffic_for iseed spec in
-      let key =
+      Ok
         {
-          (* calc_cycles is baked into the stub behaviours at elaboration
-             time, so designs with different calc budgets must not be
-             interchanged; the rest of the traffic replays per run *)
-          Splice_cache.Design_cache.k_tag =
-            "fuzz/calc=" ^ string_of_int tr.Specgen.t_calc_cycles;
-          k_src = Specgen.render g;
-          k_bus = bus;
-          k_ratio = g.Specgen.g_ratio;
-          k_depth = g.Specgen.g_depth;
-          k_monitors = true;
-          k_env =
-            (match cover with
-            | Some c -> Splice_cover.Cover.id c
-            | None -> 0);
+          spec;
+          tr = traffic_for iseed spec;
+          caps = Registry.lookup_caps bus;
+          cdc = { Axi.ratio = g.Specgen.g_ratio; depth = g.Specgen.g_depth };
         }
-      in
-      Ok { spec; tr; caps = Registry.lookup_caps bus; key }
 
-(* Run one cell's traffic on one bus under one scheduler with every monitor
-   attached, on a host wired to [obs]. Returns per-call cycle counts (for
-   the E14 cross-check). The host comes out of the domain's design cache
-   when one is enabled: a hit rewinds an already-elaborated design
-   ([Host.reset]) instead of rebuilding it, and — because the scheduler is
-   not part of the cache key — the three schedulers of one (spec, bus)
-   cell share a single elaboration. The replay is byte-identical to a
-   fresh build, so digests and shrink traces do not depend on the
-   hit/miss pattern. Sweep runs pass [Obs.none]: nothing reads a passing
-   run's metrics or flight recorder, and a failure's dump comes from an
-   instrumented re-run ([dump_of]). *)
-let exec ~obs ~max_cycles ~cache ~cover cell bus sched =
-  let { spec; tr; caps; key } = cell in
-  let build () =
-    (* one isolated simulation per build: restart the domain-local
-       default-name counter so any sigN in a failure message is a
-       function of this cell alone, not of pool scheduling *)
-    Signal.reset_names ();
-    (* the adapter engine is created inside [Host.create]; it picks
-       its transaction coverpoints out of the ambient map, so the map
-       must be installed (and the bus's group declared) first *)
-    Option.iter (fun c -> Splice_cover.Bus_cover.declare c ~bus ~caps) cover;
-    let host =
-      Fun.protect
-        ~finally:(fun () ->
-          Splice_cover.Cover.set_ambient None;
-          Axi.set_cdc None)
-        (fun () ->
-          Splice_cover.Cover.set_ambient cover;
-          (* the CDC sweep dimensions ride on the cache key; connect reads
-             them once, so clearing after Host.create is safe *)
-          Axi.set_cdc
-            (Some
-               {
-                 Axi.ratio = key.Splice_cache.Design_cache.k_ratio;
-                 depth = key.Splice_cache.Design_cache.k_depth;
-               });
-          Host.create ~obs ~sched spec
-            ~behaviors:
-              (Specgen.behavior ~calc_cycles:tr.Specgen.t_calc_cycles))
-    in
-    (* post-build attachments join the host's owned signal set so an
-       instance reset restores them along with the design proper *)
-    Host.adopt host (fun () ->
-        Bus_monitor.attach (Host.kernel host) ~bus (Host.sis host);
-        Option.iter
-          (fun c ->
-            Splice_cover.Bus_cover.attach c ~bus ~caps (Host.kernel host)
-              (Host.sis host))
-          cover);
-    host
+(* Elaborate one cell's host under [sched], wired to [obs], with the
+   per-bus protocol monitor (and, when [cover] is given, the coverage
+   samplers) attached. *)
+let build ~obs ~cover cell bus sched =
+  let { spec; tr; caps; cdc } = cell in
+  (* one isolated simulation per build: restart the domain-local
+     default-name counter so any sigN in a failure message is a function
+     of this cell alone, not of pool scheduling *)
+  Signal.reset_names ();
+  (* the adapter engine is created inside [Host.create]; it picks its
+     transaction coverpoints out of the ambient map, so the map must be
+     installed (and the bus's group declared) first *)
+  Option.iter (fun c -> Splice_cover.Bus_cover.declare c ~bus ~caps) cover;
+  let host =
+    Fun.protect
+      ~finally:(fun () ->
+        Splice_cover.Cover.set_ambient None;
+        Axi.set_cdc None)
+      (fun () ->
+        Splice_cover.Cover.set_ambient cover;
+        (* connect reads the CDC dimensions once, so clearing them after
+           Host.create is safe *)
+        Axi.set_cdc (Some cdc);
+        Host.create ~obs ~sched spec
+          ~behaviors:(Specgen.behavior ~calc_cycles:tr.Specgen.t_calc_cycles))
   in
-  let build_ns, sim_ns = Splice_par.Dls.get phase_ns in
-  let t_build = Obs.now_ns () in
-  let host, _hit =
-    Splice_cache.Design_cache.with_cache cache ~key ~sched ~build
-  in
-  let t_run = Obs.now_ns () in
-  build_ns := !build_ns + (t_run - t_build);
-  let run () =
-    let fail func msg = raise (Call_failed (func, msg)) in
+  (* post-build attachments join the host's owned signal set so an
+     instance reset restores them along with the design proper *)
+  Host.adopt host (fun () ->
+      Bus_monitor.attach (Host.kernel host) ~bus (Host.sis host);
+      Option.iter
+        (fun c ->
+          Splice_cover.Bus_cover.attach c ~bus ~caps (Host.kernel host)
+            (Host.sis host))
+        cover);
+  host
+
+(* Run the cell's traffic on [host]. Returns per-call cycle counts (for
+   the E14 cross-check), or the first failing call. A failed host is
+   retired: an aborted cycle may leave deferred writes queued in the
+   domain's signal store, and they must not reach the next host built
+   in this domain. *)
+let run_calls ~max_cycles cell host =
+  let { spec; tr; _ } = cell in
+  let fail func msg = raise (Call_failed (func, msg)) in
+  match
     List.map
       (fun (c : Specgen.call) ->
         let f =
@@ -274,80 +264,115 @@ let exec ~obs ~max_cycles ~cache ~cover cell bus sched =
                expected);
         (c.Specgen.c_func, cycles))
       tr.Specgen.t_calls
-  in
-  let finish r =
-    sim_ns := !sim_ns + (Obs.now_ns () - t_run);
-    r
-  in
-  match run () with
-  | cycles -> finish (Ok cycles)
+  with
+  | cycles -> Ok cycles
   | exception Call_failed (func, msg) ->
-      (* an aborted cycle may leave deferred writes queued in the
-         domain's signal store; drop this kernel's — and only this
-         kernel's — before the next run (other cached designs may own
-         pending writes of their own) *)
       Host.retire host;
-      finish (Error (func, msg))
+      Error (func, msg)
+
+(* The E14 cross-check: every scheduler's per-call cycle counts must
+   equal the first scheduler's. *)
+let e14_mismatch = function
+  | [] -> None
+  | (s0, c0) :: rest ->
+      List.find_map
+        (fun (s, c) ->
+          List.find_map
+            (fun ((f0, n0), (f1, n1)) ->
+              if f0 = f1 && n0 <> n1 then
+                Some
+                  ( s,
+                    Some f0,
+                    Printf.sprintf
+                      "E14 scheduler invariant broken: %s took %d cycles \
+                       under %s but %d under %s"
+                      f0 n0 (sched_name s0) n1 (sched_name s) )
+              else None)
+            (List.combine c0 c))
+        rest
+
+(* What one cell spent: hosts replayed and built (both 0 with the cache
+   off), and wall ns acquiring hosts and running calls. *)
+type cost = { replays : int; builds : int; build_ns : int; sim_ns : int }
 
 (* One (spec, bus) cell of the matrix: validate and derive traffic once,
-   then every scheduler against one cached design, then the E14
-   cycle-count cross-check between them. Returns the calls executed. *)
+   then every scheduler in turn, then the E14 cycle-count cross-check
+   between them. With [cache] the cell elaborates one host, under its
+   first scheduler, and each later scheduler replays it ([Host.reset]
+   re-targets the kernel and rewinds it to the end-of-elaboration
+   snapshot); without, every scheduler builds afresh. The replay is
+   byte-identical to a fresh build, so nothing but [cost] depends on
+   [cache], and nothing outlives the cell. The first failing call ends
+   the cell. Sweep runs are built on [Obs.none]: nothing reads a passing
+   run's metrics or flight recorder, and a failure's dump comes from an
+   instrumented re-run ([dump_of]). *)
 let exec_bus ~max_cycles ~iseed ~cover ~cache g bus scheds =
-  match scheds with
-  | [] -> Ok []
-  | first_sched :: _ -> (
-  match cell_of ~iseed ~cover g bus with
-  | Error msg -> Error (first_sched, None, msg)
-  | Ok cell -> (
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | sched :: rest -> (
-        match
-          exec ~obs:Obs.none ~max_cycles ~cache ~cover cell bus sched
-        with
-        | Ok cycles -> go ((sched, cycles) :: acc) rest
-        | Error (func, msg) -> Error (sched, func, msg))
+  let replays = ref 0 and builds = ref 0 in
+  let build_ns = ref 0 and sim_ns = ref 0 in
+  let result =
+    match scheds with
+    | [] -> Ok []
+    | first_sched :: _ -> (
+        match cell_of ~iseed g bus with
+        | Error msg -> Error (first_sched, None, msg)
+        | Ok cell -> (
+            let reuse = ref None in
+            let acquire sched =
+              match !reuse with
+              | Some (host, r) ->
+                  incr replays;
+                  Host.reset ~sched host r;
+                  host
+              | None ->
+                  let host = build ~obs:Obs.none ~cover cell bus sched in
+                  if cache then begin
+                    incr builds;
+                    reuse := Some (host, Host.prepare_reuse host)
+                  end;
+                  host
+            in
+            let rec go acc = function
+              | [] -> Ok (List.rev acc)
+              | sched :: rest -> (
+                  let t0 = Obs.now_ns () in
+                  let host = acquire sched in
+                  let t1 = Obs.now_ns () in
+                  let r = run_calls ~max_cycles cell host in
+                  build_ns := !build_ns + (t1 - t0);
+                  sim_ns := !sim_ns + (Obs.now_ns () - t1);
+                  match r with
+                  | Ok cycles -> go ((sched, cycles) :: acc) rest
+                  | Error (func, msg) -> Error (sched, func, msg))
+            in
+            match go [] scheds with
+            | Error _ as e -> e
+            | Ok runs -> (
+                match e14_mismatch runs with
+                | Some e -> Error e
+                | None -> Ok runs)))
   in
-  match go [] scheds with
-  | Error _ as e -> e
-  | Ok runs -> (
-      match runs with
-      | (s0, c0) :: rest ->
-          let mismatch =
-            List.find_map
-              (fun (s, c) ->
-                List.find_map
-                  (fun ((f0, n0), (f1, n1)) ->
-                    if f0 = f1 && n0 <> n1 then
-                      Some
-                        ( s,
-                          Some f0,
-                          Printf.sprintf
-                            "E14 scheduler invariant broken: %s took %d cycles \
-                             under %s but %d under %s"
-                            f0 n0 (sched_name s0) n1 (sched_name s) )
-                    else None)
-                  (List.combine c0 c))
-              rest
-          in
-          (match mismatch with Some e -> Error e | None -> Ok runs)
-      | [] -> Ok runs)))
+  ( result,
+    {
+      replays = !replays;
+      builds = !builds;
+      build_ns = !build_ns;
+      sim_ns = !sim_ns;
+    } )
 
 (* The failure dump: re-run the final (shrunk) failing cell under its
-   failing scheduler on a fresh, instrumented host — no design cache, no
-   coverage map, as the shrink probes run — and serialize its flight
-   recorder when the call fails again. The simulation is deterministic,
-   so the ring ends at the same violation the sweep saw, and the metrics
-   snapshot rides along. [None] when the re-run does not fail: an E14
-   mismatch (every run completed) or a spec that does not validate. *)
+   failing scheduler on a fresh, instrumented host — no coverage map, as
+   the shrink probes run — and serialize its flight recorder when the
+   call fails again. The simulation is deterministic, so the ring ends at
+   the same violation the sweep saw, and the metrics snapshot rides
+   along. [None] when the re-run does not fail: an E14 mismatch (every
+   run completed) or a spec that does not validate. *)
 let dump_of ~max_cycles ~iseed g bus sched =
-  match cell_of ~iseed ~cover:None g bus with
+  match cell_of ~iseed g bus with
   | Error _ -> None
   | Ok cell -> (
       let obs = Obs.create () in
       match
-        exec ~obs ~max_cycles ~cache:Splice_cache.Design_cache.disabled
-          ~cover:None cell bus sched
+        run_calls ~max_cycles cell (build ~obs ~cover:None cell bus sched)
       with
       | Ok _ -> None
       | Error (_, msg) ->
@@ -389,12 +414,10 @@ let shrink_failure ~max_cycles ~iseed ~bus ~scheds ~cache g =
   let fails g' =
     decr budget;
     (* shrinking probes never sample coverage: the map reflects the sweep
-       proper, not the post-hoc bisection — and with no per-cell map the
-       probes share the k_env = 0 namespace, so a probe that regenerates
-       an already-cached design replays it *)
+       proper, not the post-hoc bisection *)
     match exec_bus ~max_cycles ~iseed ~cover:None ~cache g' bus scheds with
-    | Ok _ -> None
-    | Error e -> Some e
+    | Ok _, _ -> None
+    | Error e, _ -> Some e
   in
   let rec go g cur =
     if !budget <= 0 then (g, cur)
@@ -538,11 +561,6 @@ let run ?(log = ignore) ?pool config =
     buses;
   let nbuses = List.length buses in
   let buses_arr = Array.of_list buses in
-  let cache_cfg =
-    if config.cache then
-      { Splice_cache.Design_cache.enabled = true; size = config.cache_size }
-    else Splice_cache.Design_cache.disabled
-  in
   let map f arr =
     match pool with
     | None -> Array.map f arr
@@ -656,35 +674,20 @@ let run ?(log = ignore) ?pool config =
             let cmap =
               Option.map (fun _ -> Splice_cover.Cover.create ()) agg
             in
-            let delta_from =
-              match Splice_cache.Design_cache.domain_stats () with
-              | Some s ->
-                  (s.Splice_cache.Design_cache.hits, s.Splice_cache.Design_cache.misses)
-              | None -> (0, 0)
-            in
-            let pb, ps = Splice_par.Dls.get phase_ns in
-            let pb0 = !pb and ps0 = !ps in
-            let res =
+            let res, cost =
               exec_bus ~max_cycles:config.max_cycles ~iseed ~cover:cmap
-                ~cache:cache_cfg g bus config.scheds
+                ~cache:config.cache g bus config.scheds
             in
-            let cdelta =
-              match Splice_cache.Design_cache.domain_stats () with
-              | Some s ->
-                  ( s.Splice_cache.Design_cache.hits - fst delta_from,
-                    s.Splice_cache.Design_cache.misses - snd delta_from )
-              | None -> (0, 0)
-            in
-            (it, iseed, bus, g, cmap, cdelta, (!pb - pb0, !ps - ps0), res))
+            (it, iseed, bus, g, cmap, cost, res))
           cells
       in
       Array.iter
-        (fun (it, iseed, bus, g, cmap, (dh, dm), (db, ds), res) ->
+        (fun (it, iseed, bus, g, cmap, cost, res) ->
           if !failure = None then begin
-            cache_hits := !cache_hits + dh;
-            cache_misses := !cache_misses + dm;
-            build_ns := !build_ns + db;
-            sim_ns := !sim_ns + ds;
+            cache_hits := !cache_hits + cost.replays;
+            cache_misses := !cache_misses + cost.builds;
+            build_ns := !build_ns + cost.build_ns;
+            sim_ns := !sim_ns + cost.sim_ns;
             (* the failing cell's partial map merges too — the aggregate
                is the deterministic prefix up to and including it *)
             (match (agg, cmap) with
@@ -705,7 +708,7 @@ let run ?(log = ignore) ?pool config =
             | Error e ->
                 let g', (sched', func', msg') =
                   shrink_failure ~max_cycles:config.max_cycles ~iseed ~bus
-                    ~scheds:config.scheds ~cache:cache_cfg g e
+                    ~scheds:config.scheds ~cache:config.cache g e
                 in
                 let f =
                   {

@@ -51,19 +51,37 @@ type config = {
   depth : int option;
       (** pin the CDC FIFO depth (power of two) — the [--fifo-depth] flag *)
   cache : bool;
-      (** reuse elaborated designs through the per-domain
-          {!Splice_cache.Design_cache}: the three schedulers of each
-          (spec, bus) cell share one elaboration, and identical cells
-          replay it outright. Hits rewind the design to its
-          end-of-elaboration snapshot, so every report field except the
-          hit/miss counters is byte-identical with the cache off. *)
-  cache_size : int;  (** per-domain LRU capacity (entries) *)
+      (** cell-local replay: each (spec, bus) cell elaborates one host,
+          under its first scheduler, and every later scheduler replays it
+          ({!Splice_driver.Host.reset} rewinds it to its
+          end-of-elaboration snapshot). The host dies with its cell. Off,
+          every scheduler run builds afresh; every report field except the
+          hit/miss counters is byte-identical either way. *)
 }
 
 val default_config : config
 (** seed 0, count 50, all buses, all three schedulers, 20_000-cycle
     watchdog; coverage off, guidance off (8 candidates, batches of 10 when
-    on); design cache on at {!Splice_cache.Design_cache.default_size}. *)
+    on); cell-local replay on. *)
+
+(** {1 Option parsers}
+
+    The checks behind [splice fuzz]'s options and the service's fuzz
+    requests, so both reject the same values with the same one-line
+    message. *)
+
+val scheds_of_string : string -> (Kernel.sched list, string) result
+(** [all] (event, sweep, compiled), [both] (event, sweep), [event],
+    [sweep] or [compiled]. *)
+
+val ratio_of_string : string -> (int * int, string) result
+(** An [A:B] clock ratio, both terms [>= 1]. *)
+
+val check_count : int -> (int, string) result
+(** At least one iteration. *)
+
+val check_depth : int -> (int, string) result
+(** A CDC FIFO depth: a power of two in 2..64. *)
 
 type failure = {
   f_iteration : int;
@@ -82,8 +100,8 @@ type failure = {
           the {e shrunk} failing run — feed it to [splice trace] for
           post-mortem analysis. Sweep runs are uninstrumented; after
           shrinking, the final failing cell is re-run once under the
-          failing scheduler on a fresh instrumented host (no design
-          cache, no coverage map), and its recorder is serialized when
+          failing scheduler on a fresh instrumented host (no replay, no
+          coverage map), and its recorder is serialized when
           the same call fails again. [None] when the failure is an E14
           cycle-count mismatch (every run completed) or the spec does not
           validate. Deterministic for a given seed at any worker count,
@@ -108,16 +126,17 @@ type report = {
           bins total), one sample per [guide_batch] iterations *)
   r_cache_hits : int;
   r_cache_misses : int;
-      (** summed per-cell deltas of the per-domain design caches. Like
-          [r_build_ns]/[r_sim_ns] these depend on pool scheduling (a
-          cross-cell hit needs the repeat to land on the same domain) —
-          which is why they stay out of [r_digest]. Both 0 with the cache
-          disabled. *)
+      (** cell-local reuse, counted: hits are replays, misses are builds,
+          summed over the cells up to and including a failing one. A
+          deterministic function of the config, equal at every [-j]: a
+          clean sweep has [cells] misses and [cells × (|scheds| − 1)]
+          hits. Both 0 with [cache = false]. Kept out of [r_digest],
+          which predates them. *)
   r_build_ns : int;
-      (** wall nanoseconds the grid cells spent acquiring designs —
-          elaboration on a cache miss, the instance-reset rewind on a
-          hit. Wall clock (machine- and scheduling-dependent), never part
-          of [r_digest]; the simulation service reports it as each fuzz
+      (** wall nanoseconds the grid cells spent acquiring hosts —
+          elaboration on a build, the instance-reset rewind on a replay.
+          Wall clock (machine- and scheduling-dependent), never part of
+          [r_digest]; the simulation service reports it as each fuzz
           request's [elaborate] span. *)
   r_sim_ns : int;
       (** wall nanoseconds the grid cells spent executing calls — the

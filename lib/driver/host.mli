@@ -72,15 +72,15 @@ val sis : t -> Sis_if.t
 val plan_for :
   t -> func:string -> args:(string * int64 list) list -> Plan.t
 
-(** {1 Instance reset (design-cache replay)}
+(** {1 Instance reset (replay)}
 
     A host owns every signal created while it was built ({!create} records
     them and stamps their owner; {!adopt} extends the set with post-build
     attachments such as protocol monitors). {!prepare_reuse} snapshots the
-    end-of-elaboration state; {!reset} rewinds the host to it, so a design
-    cache replays a hit by restoring signal values instead of
-    re-elaborating — and the replay's digests, dumps and stats are
-    byte-identical to a fresh build's. *)
+    end-of-elaboration state; {!reset} rewinds the host to it, so a fuzz
+    cell's later schedulers and a design-cache hit replay the host by
+    restoring signal values instead of re-elaborating — and the replay's
+    digests, dumps and stats are byte-identical to a fresh build's. *)
 
 val adopt : t -> (unit -> 'a) -> 'a
 (** Run an attachment step (e.g. [Bus_monitor.attach]) with its signal
@@ -89,9 +89,10 @@ val adopt : t -> (unit -> 'a) -> 'a
 
 val retire : t -> unit
 (** Drop deferred writes queued by this design ({e only} this design):
-    scoped teardown after an aborted call, so retiring one host cannot
-    drop pending writes belonging to another design cached in the same
-    domain. *)
+    scoped teardown after an aborted call. A fuzz cell retires its host
+    when a call fails; retiring one host cannot drop pending writes
+    belonging to another design alive in the same domain (an eval
+    grid's cached host, or a later cell's). *)
 
 type reuse
 (** The end-of-elaboration snapshot: owned signal values plus the

@@ -18,8 +18,6 @@ let key_of impl =
     k_bus = (Interpolator.spec_for impl).Splice_syntax.Spec.bus_name;
     k_ratio = (1, 1);
     k_depth = 0;
-    k_monitors = true;
-    k_env = 0;
   }
 
 (* built on first use, not per grid: [k_bus] costs a spec parse. An atomic
@@ -44,7 +42,7 @@ let interp_key impl =
    and [measure_detailed] is the instrumented run. Every cached build in
    [lib/eval] does the same, so a hit never hands an instrumented host to
    an uninstrumented caller or the reverse. *)
-let measure ?pool ?(cache = Splice_cache.Design_cache.default_config) () =
+let measure ?pool () =
   let map f l =
     match pool with
     | None -> List.map f l
@@ -54,7 +52,7 @@ let measure ?pool ?(cache = Splice_cache.Design_cache.default_config) () =
   map
     (fun impl ->
       let host, _hit =
-        Splice_cache.Design_cache.with_cache cache ~key:(interp_key impl)
+        Splice_cache.Design_cache.with_cache ~key:(interp_key impl)
           ~sched:`Event
           ~build:(fun () -> Interpolator.make_host ~obs:Obs.none impl)
       in

@@ -15,18 +15,14 @@ val interp_key : Interpolator.impl -> Splice_cache.Design_cache.key
     not a bus model, so the tag keeps them distinct). Shared with the E14
     scheduler ablation so the grids replay each other's elaborations. *)
 
-val measure :
-  ?pool:Splice_par.Pool.t ->
-  ?cache:Splice_cache.Design_cache.config ->
-  unit ->
-  row list
+val measure : ?pool:Splice_par.Pool.t -> unit -> row list
 (** Runs every implementation on every scenario; also cross-checks each
     result against the golden model and raises [Failure] on mismatch.
     [pool] runs the implementation cells (each with its own host and
-    kernel) in parallel; the rows are identical either way. [cache]
-    (default on) replays each implementation's elaborated host through the
-    per-domain {!Splice_cache.Design_cache} — rows are byte-identical with
-    it disabled. The hosts are built on [Obs.none]: {!measure_detailed}
+    kernel) in parallel; the rows are identical either way. Each
+    implementation's elaborated host is replayed across calls through the
+    per-domain {!Splice_cache.Design_cache} (a replay is byte-identical to
+    a fresh build). The hosts are built on [Obs.none]: {!measure_detailed}
     is the instrumented run. *)
 
 val cycles_of : row list -> Interpolator.impl -> int

@@ -227,13 +227,13 @@ module Scheduler = struct
      The design cache makes the ablation itself cheap: the scheduler is not
      part of the key, so one elaboration serves all three measurements of a
      point (and replays Cycles.measure's, when the cells share a domain) *)
-  let interp_point ?(cache = Splice_cache.Design_cache.default_config) impl =
+  let interp_point impl =
     point_of
       ~label:(Splice_devices.Interpolator.impl_name impl)
       (fun sched ->
         let host, _hit =
-          Splice_cache.Design_cache.with_cache cache
-            ~key:(Cycles.interp_key impl) ~sched
+          Splice_cache.Design_cache.with_cache ~key:(Cycles.interp_key impl)
+            ~sched
             ~build:(fun () ->
               Splice_devices.Interpolator.make_host ~obs:Splice_obs.Obs.none
                 ~sched impl)
@@ -252,18 +252,16 @@ module Scheduler = struct
       k_bus = "plb";
       k_ratio = (1, 1);
       k_depth = 0;
-      k_monitors = true;
-      k_env = 0;
     }
 
   (* the E8 workload: the 8-word call with k functions behind the arbiter,
      where the sweep kernel's cost grows with k but the call does not *)
-  let arbitration_point ?(cache = Splice_cache.Design_cache.default_config) k =
+  let arbitration_point k =
     point_of
       ~label:(Printf.sprintf "E8 arbitration, %d function(s)" k)
       (fun sched ->
         let host, _hit =
-          Splice_cache.Design_cache.with_cache cache ~key:(arb_key k) ~sched
+          Splice_cache.Design_cache.with_cache ~key:(arb_key k) ~sched
             ~build:(fun () ->
               let spec = validate (Arbitration.spec_src k) in
               Host.create ~obs:Splice_obs.Obs.none ~sched spec
@@ -271,15 +269,15 @@ module Scheduler = struct
         in
         kernel_totals host (run_call host ~n:8 ~elems:(elems_of 8)))
 
-  let run ?pool ?cache ?(max_functions = 8) () =
+  let run ?pool ?(max_functions = 8) () =
     let cells =
       List.map (fun i -> `Impl i) Splice_devices.Interpolator.all_impls
       @ List.init max_functions (fun i -> `Arb (i + 1))
     in
     pool_map pool
       (function
-        | `Impl i -> interp_point ?cache i
-        | `Arb k -> arbitration_point ?cache k)
+        | `Impl i -> interp_point i
+        | `Arb k -> arbitration_point k)
       cells
 
   let table points =
@@ -655,17 +653,15 @@ module Cache_replay = struct
     else 100.0 *. float_of_int p.hits /. float_of_int (p.hits + p.misses)
 
   (* paired minima, modes interleaved: load spikes hit both sides equally
-     and the min filters them. The hit/miss counters come from the first
-     (cold-cache) repetition — later repetitions replay designs the
-     previous sweep left in the persistent per-domain caches, which is the
-     steady-state benefit but would overstate the cold hit rate. *)
+     and the min filters them. Replay is cell-local, so every repetition
+     of a mode reports the same counters; the last one's are kept. *)
   let run ?pool ?(reps = 2) ?(seed = 42) ?(count = 10)
       ?(buses = [ "plb"; "apb" ]) () =
     let cfg cache =
       { Splice_check.Diff.default_config with seed; count; buses; cache }
     in
     let best = [| infinity; infinity |] in
-    let cold = [| None; None |] in
+    let last = [| None; None |] in
     for _ = 1 to max 1 reps do
       List.iter
         (fun i ->
@@ -673,12 +669,12 @@ module Cache_replay = struct
           let r = Splice_check.Diff.run ?pool (cfg (i = 1)) in
           let w = Unix.gettimeofday () -. t0 in
           if w < best.(i) then best.(i) <- w;
-          if cold.(i) = None then cold.(i) <- Some r)
+          last.(i) <- Some r)
         [ 0; 1 ]
     done;
     List.map
       (fun i ->
-        let r = Option.get cold.(i) in
+        let r = Option.get last.(i) in
         {
           cache_on = i = 1;
           wall_s = best.(i);
@@ -705,13 +701,13 @@ module Cache_replay = struct
   let table points =
     let buf = Buffer.create 512 in
     Buffer.add_string buf
-      "Design-cache replay (E19): the fixed-seed differential fuzz sweep, \
-       cache off vs on\n";
+      "Cell-local replay (E19): the fixed-seed differential fuzz sweep, \
+       replay off vs on\n";
     Buffer.add_string buf
       "(identical digests required — replay must be invisible; wall-clock \
        is the paired\n minimum and machine-dependent)\n";
     Buffer.add_string buf
-      (Printf.sprintf "%6s %10s %8s %7s %7s %7s %18s\n" "cache" "wall(s)"
+      (Printf.sprintf "%6s %10s %8s %7s %7s %7s %18s\n" "replay" "wall(s)"
          "calls" "hits" "misses" "hit%" "digest");
     List.iter
       (fun p ->
@@ -723,8 +719,8 @@ module Cache_replay = struct
     Buffer.add_string buf
       (Printf.sprintf "replay speedup %.2fx; %s\n" (speedup points)
          (if deterministic points then
-            "digests identical with and without the cache"
-          else "DIGEST MISMATCH: the cache changed the results"));
+            "digests identical with and without replay"
+          else "DIGEST MISMATCH: replay changed the results"));
     Buffer.contents buf
 end
 
@@ -751,7 +747,7 @@ void sink(int n, int*:8 xs);|}
   (* ratio and depth are key fields, so each grid cell elaborates once and
      the other two schedulers replay it; the ambient CDC config only
      matters inside the build closure (it is consumed at elaboration) *)
-  let cell ?(cache = Splice_cache.Design_cache.default_config) (ratio, depth) =
+  let cell (ratio, depth) =
     let key =
       {
         Splice_cache.Design_cache.k_tag = "eval/cdc";
@@ -759,8 +755,6 @@ void sink(int n, int*:8 xs);|}
         k_bus = "axi";
         k_ratio = ratio;
         k_depth = depth;
-        k_monitors = true;
-        k_env = 0;
       }
     in
     let run sched =
@@ -769,7 +763,7 @@ void sink(int n, int*:8 xs);|}
         ~finally:(fun () -> Splice_buses.Axi.set_cdc None)
         (fun () ->
           let host, _hit =
-            Splice_cache.Design_cache.with_cache cache ~key ~sched
+            Splice_cache.Design_cache.with_cache ~key ~sched
               ~build:(fun () ->
                 Host.create ~obs:Splice_obs.Obs.none ~sched
                   (validate spec_src) ~behaviors:sink_behavior)
@@ -795,9 +789,8 @@ void sink(int n, int*:8 xs);|}
       agree = c_e = c_s && c_e = c_c;
     }
 
-  let run ?pool ?cache ?(ratios = default_ratios) ?(depths = default_depths)
-      () =
-    pool_map pool (cell ?cache)
+  let run ?pool ?(ratios = default_ratios) ?(depths = default_depths) () =
+    pool_map pool cell
       (List.concat_map (fun r -> List.map (fun d -> (r, d)) depths) ratios)
 
   let all_agree = List.for_all (fun p -> p.agree)

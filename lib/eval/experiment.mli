@@ -74,28 +74,20 @@ module Scheduler : sig
   (** Percentage of comb evaluations the compiled op-tape avoided (vs
       sweep). *)
 
-  val interp_point :
-    ?cache:Splice_cache.Design_cache.config ->
-    Splice_devices.Interpolator.impl ->
-    point
+  val interp_point : Splice_devices.Interpolator.impl -> point
   (** The Fig 9.2 workload (all scenarios) on one implementation. The
-      scheduler is not part of the design-cache key, so with [cache] on
-      (the default) one elaboration serves all three measurements. *)
+      scheduler is not part of the design-cache key, so one elaboration
+      serves all three measurements. *)
 
-  val arbitration_point :
-    ?cache:Splice_cache.Design_cache.config -> int -> point
+  val arbitration_point : int -> point
   (** The E8 workload with [k] functions behind the arbiter. *)
 
   val run :
-    ?pool:Splice_par.Pool.t ->
-    ?cache:Splice_cache.Design_cache.config ->
-    ?max_functions:int ->
-    unit ->
-    point list
+    ?pool:Splice_par.Pool.t -> ?max_functions:int -> unit -> point list
   (** Every Fig 9.2 implementation plus the E8 sweep up to
       [max_functions]; [pool] runs the cells in parallel with identical
-      results, and [cache] replays each cell's elaboration across its
-      three scheduler runs (points are identical with it disabled). *)
+      results. Each cell's elaboration is replayed across its three
+      scheduler runs through the per-domain design cache. *)
 
   val table : point list -> string
 end
@@ -195,21 +187,20 @@ module Coverage : sig
   val table : point list -> string
 end
 
-(** E19 — design-cache replay: the fixed-seed differential fuzz sweep run
-    with the per-domain {!Splice_cache.Design_cache} off and on. Two claims
-    at once: the wall-clock win of replaying elaborated designs via
-    instance reset (each (spec, bus) cell elaborates once for its three
-    schedulers instead of three times, and identical cells replay
-    outright), and — the part that must hold on any machine — that both
-    modes produce a bit-identical sweep digest. *)
+(** E19 — cell-local replay: the fixed-seed differential fuzz sweep run
+    with {!Splice_check.Diff.config.cache} off and on. Two claims at once:
+    the wall-clock effect of replaying elaborated designs via instance
+    reset (each (spec, bus) cell elaborates once for its three schedulers
+    instead of three times), and — the part that must hold on any machine
+    — that both modes produce a bit-identical sweep digest. *)
 module Cache_replay : sig
   type point = {
     cache_on : bool;
     wall_s : float;  (** paired minimum over the repetitions *)
     calls : int;
     digest : int64;  (** {!Splice_check.Diff.report.r_digest} *)
-    hits : int;  (** cold-run design-cache hits (0 when off) *)
-    misses : int;
+    hits : int;  (** hosts replayed (0 when off) *)
+    misses : int;  (** hosts built with replay on (0 when off) *)
   }
 
   val hit_rate : point -> float
@@ -257,14 +248,13 @@ module Cdc_sweep : sig
 
   val run :
     ?pool:Splice_par.Pool.t ->
-    ?cache:Splice_cache.Design_cache.config ->
     ?ratios:(int * int) list ->
     ?depths:int list ->
     unit ->
     point list
-  (** [cache] (default on): ratio and depth are design-cache key fields,
-      so each grid cell elaborates once and its other two scheduler runs
-      replay the snapshot. *)
+  (** Ratio and depth are design-cache key fields, so each grid cell
+      elaborates once and its other two scheduler runs replay the
+      snapshot. *)
 
   val all_agree : point list -> bool
   val table : point list -> string

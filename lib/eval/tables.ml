@@ -123,7 +123,7 @@ let everything ?pool () =
   Buffer.add_string buf (Experiment.Scaling.table (Experiment.Scaling.run ()));
   section "Coverage-guided fuzzing (E17)";
   Buffer.add_string buf (Experiment.Coverage.table (Experiment.Coverage.run ()));
-  section "Design-cache replay (E19)";
+  section "Cell-local replay (E19)";
   Buffer.add_string buf
     (Experiment.Cache_replay.table (Experiment.Cache_replay.run ?pool ()));
   section "CDC ratio sweep (E18)";

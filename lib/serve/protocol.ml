@@ -18,7 +18,6 @@ type request =
       ratio : (int * int) option;
       depth : int option;
       cache : bool;
-      cache_size : int;
     }
   | Trace of { dump : string }
   | Sleep of { ms : int }
@@ -62,22 +61,6 @@ let int_field j name = Option.bind (Json.member name j) Json.to_int
 let bool_field j name =
   match Json.member name j with Some (Json.Bool b) -> Some b | _ -> None
 
-let parse_sched = function
-  | "all" -> Ok [ `Event; `Sweep; `Compiled ]
-  | "both" -> Ok [ `Event; `Sweep ]
-  | "event" -> Ok [ `Event ]
-  | "sweep" -> Ok [ `Sweep ]
-  | "compiled" -> Ok [ `Compiled ]
-  | s -> Error (Printf.sprintf "unknown sched %S" s)
-
-let parse_ratio s =
-  match String.split_on_char ':' s with
-  | [ a; b ] -> (
-      match (int_of_string_opt a, int_of_string_opt b) with
-      | Some a, Some b when a >= 1 && b >= 1 -> Ok (a, b)
-      | _ -> Error (Printf.sprintf "bad clock ratio %S (want A:B, both >= 1)" s))
-  | _ -> Error (Printf.sprintf "bad clock ratio %S (want A:B)" s)
-
 let parse_fuzz j =
   let ( let* ) = Result.bind in
   let* seed =
@@ -85,10 +68,13 @@ let parse_fuzz j =
     | Some s -> Ok s
     | None -> Error "fuzz: missing integer field \"seed\""
   in
-  let count = Option.value ~default:50 (int_field j "count") in
+  let* count =
+    Splice_check.Diff.check_count
+      (Option.value ~default:50 (int_field j "count"))
+  in
   let* () =
-    if count >= 1 && count <= max_count then Ok ()
-    else Error (Printf.sprintf "fuzz: count must be in 1..%d" max_count)
+    if count <= max_count then Ok ()
+    else Error (Printf.sprintf "fuzz: count must be at most %d" max_count)
   in
   let* bus =
     match str_field j "bus" with
@@ -97,30 +83,21 @@ let parse_fuzz j =
     | Some b -> Error (Printf.sprintf "unknown bus %S" b)
   in
   let* scheds =
-    match str_field j "sched" with
-    | None -> parse_sched "all"
-    | Some s -> parse_sched s
+    Splice_check.Diff.scheds_of_string
+      (Option.value ~default:"all" (str_field j "sched"))
   in
   let* ratio =
     match str_field j "ratio" with
     | None -> Ok None
-    | Some r -> Result.map Option.some (parse_ratio r)
+    | Some r -> Result.map Option.some (Splice_check.Diff.ratio_of_string r)
   in
   let* depth =
     match int_field j "depth" with
     | None -> Ok None
-    | Some d when d >= 2 && d <= 64 && d land (d - 1) = 0 -> Ok (Some d)
-    | Some d ->
-        Error (Printf.sprintf "bad fifo depth %d (want a power of two in 2..64)" d)
+    | Some d -> Result.map Option.some (Splice_check.Diff.check_depth d)
   in
   let cache = Option.value ~default:true (bool_field j "cache") in
-  let cache_size =
-    Option.value
-      ~default:Splice_cache.Design_cache.default_size
-      (int_field j "cache_size")
-  in
-  let* () = if cache_size >= 1 then Ok () else Error "fuzz: cache_size must be >= 1" in
-  Ok (Fuzz { seed; count; bus; scheds; ratio; depth; cache; cache_size })
+  Ok (Fuzz { seed; count; bus; scheds; ratio; depth; cache })
 
 let parse j =
   match j with

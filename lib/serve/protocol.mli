@@ -8,7 +8,8 @@
     requests. Replies always carry the server-assigned [req] serial,
     [kind], [ok], an [outcome] from {!outcomes}, and — for executed
     requests — a [spans] tree (queue_wait / elaborate / simulate /
-    reply) plus [cache_hits]/[cache_misses] deltas. *)
+    reply) plus [cache_hits]/[cache_misses]: a fuzz request's replay
+    counts ({!Splice_check.Diff.report}), 0 for every other kind. *)
 
 type request =
   | Spec of { source : string }  (** parse + validate a specification *)
@@ -21,7 +22,6 @@ type request =
       ratio : (int * int) option;
       depth : int option;
       cache : bool;
-      cache_size : int;
     }  (** a differential fuzz run; failures carry the recorder dump *)
   | Trace of { dump : string }  (** summarize a flight-recorder dump *)
   | Sleep of { ms : int }  (** occupies an executor — for drain tests *)
@@ -42,6 +42,12 @@ val outcomes : string list
 val ok_of_outcome : outcome -> bool
 
 val parse : Splice_obs.Json.t -> (request, string) result
+(** Members a kind does not read are ignored, so a request from an older
+    client (one still sending [cache_size], say) parses. A fuzz
+    request's [count], [sched], [ratio] and [depth] go through
+    {!Splice_check.Diff}'s option parsers — the checks [splice fuzz]
+    applies — plus the {!max_count} bound. *)
+
 val parse_line : string -> (request, string) result
 
 (** {1 Spans} *)

@@ -1,8 +1,7 @@
 (* The simulation service: a TCP daemon that accepts line-delimited JSON
    requests (and plain HTTP GETs on the same port for /metrics, /healthz
    and /stats), shards request execution across a `lib/par` domain pool
-   with a bounded queue, and serves compiled designs out of the
-   per-domain design cache.
+   with a bounded queue.
 
    Concurrency model. Connection I/O runs on systhreads (all on the main
    domain: blocking syscalls release the runtime lock, so reads never
@@ -16,8 +15,8 @@
    domain: fuzz requests run [Diff.run] without a nested pool, so the
    report digest — and any failure dump — is byte-identical to the same
    [splice fuzz] invocation at any [-j], per the repo-wide seed-splitting
-   contract. Wall-clock observability (spans, latency series, cache
-   hit/miss) rides alongside and never feeds the digests. *)
+   contract. Wall-clock observability (spans, latency series) and the
+   replay hit/miss counts ride alongside and never feed the digests. *)
 
 open Splice_obs
 module P = Protocol
@@ -57,7 +56,7 @@ type t = {
   mutable next_req : int;
   mutable served : int;
   started : float;
-  service : Metrics.t;  (* daemon-side series: cache totals, latency *)
+  service : Metrics.t;  (* daemon-side series: replay totals, latency *)
   sim : Metrics.t;  (* merged per-request simulation registries *)
   requests : (string * string, int ref) Hashtbl.t;  (* (kind, outcome) *)
 }
@@ -110,12 +109,6 @@ let plain outcome fields =
 
 let rejected msg = plain P.Rejected [ ("error", Json.String msg) ]
 
-let cache_stats () =
-  match Splice_cache.Design_cache.domain_stats () with
-  | Some s ->
-      (s.Splice_cache.Design_cache.hits, s.Splice_cache.Design_cache.misses)
-  | None -> (0, 0)
-
 let exec_spec source =
   let t0 = Obs.now_ns () in
   match
@@ -147,11 +140,9 @@ let exec_spec source =
               issues))
 
 let exec_eval () =
-  let h0, m0 = cache_stats () in
   let t0 = Obs.now_ns () in
   let drows = Splice_eval.Cycles.measure_detailed () in
   let total = Obs.now_ns () - t0 in
-  let h1, m1 = cache_stats () in
   let open Splice_eval.Cycles in
   let rows = List.map (fun d -> d.row) drows in
   let digest = Splice_eval.Cycles.digest rows in
@@ -168,32 +159,29 @@ let exec_eval () =
   in
   let elab = min elab total in
   {
-    x_outcome = P.Ok_;
-    x_fields =
-      [
-        ("digest", Json.String (Printf.sprintf "0x%016Lx" digest));
-        ( "rows",
-          Json.List
-            (List.map
-               (fun r ->
-                 Json.Obj
-                   [
-                     ( "impl",
-                       Json.String
-                         (Splice_devices.Interpolator.impl_name r.impl) );
-                     ("cycles", Json.Int r.total);
-                   ])
-               rows) );
-      ];
+    (plain P.Ok_
+       [
+         ("digest", Json.String (Printf.sprintf "0x%016Lx" digest));
+         ( "rows",
+           Json.List
+             (List.map
+                (fun r ->
+                  Json.Obj
+                    [
+                      ( "impl",
+                        Json.String
+                          (Splice_devices.Interpolator.impl_name r.impl) );
+                      ("cycles", Json.Int r.total);
+                    ])
+                rows) );
+       ])
+    with
     x_elab_ns = elab;
     x_sim_ns = max 0 (total - elab);
-    x_hits = h1 - h0;
-    x_misses = m1 - m0;
     x_metrics = Some (Metrics.merged (List.map (fun d -> Obs.metrics d.obs) drows));
-    x_dump = None;
   }
 
-let exec_fuzz ~seed ~count ~bus ~scheds ~ratio ~depth ~cache ~cache_size =
+let exec_fuzz ~seed ~count ~bus ~scheds ~ratio ~depth ~cache =
   let open Splice_check in
   let cfg =
     {
@@ -205,7 +193,6 @@ let exec_fuzz ~seed ~count ~bus ~scheds ~ratio ~depth ~cache ~cache_size =
       ratio;
       depth;
       cache;
-      cache_size;
     }
   in
   let r = Diff.run cfg in
@@ -259,8 +246,8 @@ let exec_request (req : P.request) =
     match req with
     | P.Spec { source } -> exec_spec source
     | P.Eval -> exec_eval ()
-    | P.Fuzz { seed; count; bus; scheds; ratio; depth; cache; cache_size } ->
-        exec_fuzz ~seed ~count ~bus ~scheds ~ratio ~depth ~cache ~cache_size
+    | P.Fuzz { seed; count; bus; scheds; ratio; depth; cache } ->
+        exec_fuzz ~seed ~count ~bus ~scheds ~ratio ~depth ~cache
     | P.Trace { dump } -> exec_trace dump
     | P.Sleep { ms } ->
         let t0 = Obs.now_ns () in
@@ -416,10 +403,13 @@ let write_all fd s =
   go 0
 
 (* Reads one newline-terminated line; [acc] carries bytes already read
-   past the previous line. A clean EOF at a line boundary is [`Eof];
-   an EOF mid-line drops the partial line (the client vanished). *)
+   past the previous line. A line longer than [max_line] is [`Oversized]
+   wherever its newline falls — in the read that completes it or one
+   still to come. A clean EOF at a line boundary is [`Eof]; an EOF
+   mid-line drops the partial line (the client vanished). *)
 let rec read_line fd acc ~max_line =
   match String.index_opt acc '\n' with
+  | Some i when i > max_line -> `Oversized
   | Some i ->
       let line = String.sub acc 0 i in
       let line =

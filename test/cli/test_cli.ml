@@ -111,6 +111,14 @@ let () =
   let rc, out = run "fuzz --bus nosuchbus" in
   check "fuzz rejects unknown buses" (fun () ->
       rc = 2 && contains out "unknown bus");
+  (* an empty sweep is a usage error, not a pass: non-zero exit, one line *)
+  List.iter
+    (fun arg ->
+      let rc, out = run ("fuzz --seed 7 " ^ arg) in
+      check ("fuzz rejects " ^ arg) (fun () ->
+          rc <> 0 && contains out "bad count"
+          && not (String.contains (String.trim out) '\n')))
+    [ "--count 0"; "--count=-3" ];
   (* coverage: fuzz --cover writes a map the cover verb can report and gate *)
   let cov = Filename.temp_file "splicecov" ".json" in
   let rc, out =

@@ -1,8 +1,10 @@
 (* Design cache: content-hashed keys, LRU bounds, and — the load-bearing
    property — that an instance-reset replay is byte-identical to a fresh
    build on every scheduler (VCD dump, results, cycle counts, kernel
-   stats). Plus the owner-scoped pending-write teardown the cache made
-   necessary (Host.retire must not bleed into other cached designs). *)
+   stats). The fuzz sweep's cell-local replay: invisible in the report,
+   counted exactly, and off the domain cache. Plus the owner-scoped
+   pending-write teardown replay made necessary (Host.retire must not
+   bleed into other live designs). *)
 
 open Splice
 
@@ -21,8 +23,6 @@ let base_key =
     k_bus = "plb";
     k_ratio = (1, 1);
     k_depth = 0;
-    k_monitors = true;
-    k_env = 0;
   }
 
 let spec_src =
@@ -71,17 +71,15 @@ let key_tests =
             { base_key with Design_cache.k_bus = "apb" };
             { base_key with Design_cache.k_ratio = (3, 2) };
             { base_key with Design_cache.k_depth = 4 };
-            { base_key with Design_cache.k_monitors = false };
-            { base_key with Design_cache.k_env = 7 };
           ];
         let s = Design_cache.stats c in
         check_int "hits" 2 s.Design_cache.hits;
-        check_int "misses" 8 s.Design_cache.misses);
+        check_int "misses" 6 s.Design_cache.misses);
     t "hash is a pure function of the key" (fun () ->
         Alcotest.(check int64)
           "equal keys, equal hashes"
           (Design_cache.hash_key base_key)
-          (Design_cache.hash_key { base_key with Design_cache.k_env = 0 });
+          (Design_cache.hash_key { base_key with Design_cache.k_tag = "test" });
         check_bool "different keys, different hashes" true
           (Design_cache.hash_key base_key
           <> Design_cache.hash_key
@@ -327,6 +325,45 @@ let digest_tests =
         let j4 = run_diff ~jobs:4 true in
         Alcotest.(check int64) "digest" j1.Diff.r_digest j4.Diff.r_digest;
         check_int "calls" j1.Diff.r_calls j4.Diff.r_calls);
+    t "one build per cell, one replay per later scheduler, at any -j"
+      (fun () ->
+        let nscheds = List.length (diff_config true).Diff.scheds in
+        List.iter
+          (fun jobs ->
+            let r = run_diff ~jobs true in
+            let cells = r.Diff.r_iterations * List.length r.Diff.r_buses in
+            let msg = Printf.sprintf "-j %d" jobs in
+            check_int (msg ^ ": cells") 18 cells;
+            check_int (msg ^ ": misses = cells") cells r.Diff.r_cache_misses;
+            check_int
+              (msg ^ ": hits = cells x (scheds - 1)")
+              (cells * (nscheds - 1))
+              r.Diff.r_cache_hits)
+          [ 1; 4 ]);
+    t "a sweep leaves the caller domain's design cache untouched" (fun () ->
+        (* the eval grid gives this domain a cache with entries in it *)
+        ignore (Cycles.measure ());
+        let before = Design_cache.domain_stats () in
+        check_bool "domain cache exists" true (before <> None);
+        ignore (run_diff true);
+        check_bool "stats and entries unchanged" true
+          (Design_cache.domain_stats () = before));
+    t "cell-local replay is invisible under any scheduler order" (fun () ->
+        let run cache =
+          Diff.run
+            {
+              Diff.default_config with
+              seed = 77;
+              count = 3;
+              buses = [ "plb"; "axi" ];
+              scheds = [ `Compiled; `Sweep; `Event ];
+              cache;
+            }
+        in
+        let on_ = run true and off = run false in
+        Alcotest.(check int64) "digest" off.Diff.r_digest on_.Diff.r_digest;
+        check_bool "no failure" true (on_.Diff.r_failure = None);
+        check_int "replays" (2 * on_.Diff.r_cache_misses) on_.Diff.r_cache_hits);
   ]
 
 (* ------------------------------------------------------------------ *)

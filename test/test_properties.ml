@@ -287,6 +287,98 @@ let request_props =
       (fun v -> Json.of_string (Json.to_string v) = Ok v);
   ]
 
+(* -------- flight-recorder dumps -------- *)
+
+(* A real dump: one call through a recorded PLB host, with a context line
+   and the run's metrics snapshot, on a ring small enough to wrap. *)
+let recorded_dump =
+  lazy
+    (let spec =
+       Validate.of_string_exn ~lookup_bus:Registry.lookup_caps
+         "%device_name rec\n%bus_type plb\n%bus_width 32\n\
+          %base_address 0x80000000\nint sum(int n, int*:n xs);"
+     in
+     let obs = Obs.create ~ring:64 () in
+     let host =
+       Host.create ~obs spec ~behaviors:(fun _ ->
+           Stub_model.behavior ~cycles:3 (fun inputs ->
+               [ List.fold_left Int64.add 0L (List.assoc "xs" inputs) ]))
+     in
+     ignore
+       (Host.call host ~func:"sum"
+          ~args:[ ("n", [ 4L ]); ("xs", [ 1L; 2L; 3L; 4L ]) ]);
+     let r = Option.get (Obs.recorder obs) in
+     ( r,
+       Recorder.dump_string ~context:"sum: \"quoted\" context" ~metrics:(Obs.metrics obs) r ))
+
+(* damage to a dump: a truncation, or a few bytes overwritten — mostly
+   with JSON punctuation, digits and tag letters, so the damage reaches
+   past the tokenizer into the dump's own field checks *)
+type dump_edit = Cut of int | Overwrite of (int * char) list
+
+let arb_dump_edit =
+  let vocab = "{}[]\":,\\-.0123456789eEfatsnulx \n\000\255" in
+  QCheck.make
+    ~print:(function
+      | Cut n -> Printf.sprintf "cut at %d" n
+      | Overwrite l ->
+          String.concat "; "
+            (List.map (fun (i, c) -> Printf.sprintf "%d := %C" i c) l))
+    QCheck.Gen.(
+      let pos = int_bound 1_000_000 in
+      frequency
+        [
+          (1, map (fun n -> Cut n) pos);
+          ( 3,
+            map
+              (fun l -> Overwrite l)
+              (list_size (int_range 1 8)
+                 (pair pos
+                    (frequency
+                       [
+                         (3, map (String.get vocab) (int_bound (String.length vocab - 1)));
+                         (1, char);
+                       ]))) );
+        ])
+
+let apply_dump_edit s = function
+  | Cut n -> String.sub s 0 (n mod (String.length s + 1))
+  | Overwrite l ->
+      let b = Bytes.of_string s in
+      List.iter (fun (i, c) -> Bytes.set b (i mod Bytes.length b) c) l;
+      Bytes.to_string b
+
+let dump_props =
+  [
+    Alcotest.test_case "an intact dump parses back to the recorder's events"
+      `Quick (fun () ->
+        let r, dump = Lazy.force recorded_dump in
+        match Query.of_string dump with
+        | Error e -> Alcotest.failf "dump did not parse: %s" e
+        | Ok d ->
+            let triples =
+              List.map
+                (fun (e : Query.event) -> (e.ev_cycle, e.ev_kind, e.ev_subject))
+                d.Query.d_events
+            in
+            Alcotest.(check bool) "ring wrapped" true (Recorder.total r > 64);
+            Alcotest.(check int) "window" 64 (List.length triples);
+            Alcotest.(check bool) "events = Recorder.events" true
+              (triples
+              = List.map
+                  (fun (e : Recorder.event) -> (e.e_cycle, e.e_kind, e.e_subject))
+                  (Recorder.events r));
+            Alcotest.(check bool) "events = Query.of_recorder" true
+              (d.Query.d_events = (Query.of_recorder r).Query.d_events);
+            Alcotest.(check (option string)) "context"
+              (Some "sum: \"quoted\" context") d.Query.d_context;
+            Alcotest.(check bool) "metrics snapshot" true (d.Query.d_counters <> []));
+    prop ~count:1000 "Query.of_string never raises on a damaged dump"
+      arb_dump_edit (fun edit ->
+        never_raises Query.of_string
+          (apply_dump_edit (snd (Lazy.force recorded_dump)) edit));
+  ]
+
 let loopback_props =
   [
     prop ~count:60 "random data loopback through random peripherals"
@@ -480,5 +572,6 @@ let tests =
     ("properties.verilog", verilog_props);
     ("properties.fuzz", fuzz_props);
     ("properties.request", request_props);
+    ("properties.dump", dump_props);
     ("properties.loopback", loopback_props);
   ]
