@@ -53,9 +53,9 @@ type t = {
      "bus/<name>" track id, resolved once at engine creation *)
   rec_ : Recorder.t option;
   rec_track : int;
-  (* transaction-level coverpoints of the domain's ambient coverage map
-     (if one is installed and declared for this bus), resolved once at
-     engine creation — same interning discipline as [rec_track] *)
+  (* transaction-level coverpoints of the build's coverage map (if one
+     was given and declared for this bus), resolved once at engine
+     creation — same interning discipline as [rec_track] *)
   cover_txn : Splice_cover.Bus_cover.txn option;
 }
 
@@ -272,7 +272,7 @@ let seq t () =
       end
       else t.phase <- Teardown (n - 1)
 
-let make ?(obs = Obs.none) cfg sis =
+let make ?(obs = Obs.none) ?cover cfg sis =
   let m = Obs.metrics obs in
   let metric name = Metrics.counter m ("bus/" ^ cfg.name ^ "/" ^ name) in
   let rec_ = Obs.recorder obs in
@@ -308,9 +308,8 @@ let make ?(obs = Obs.none) cfg sis =
       rec_;
       rec_track;
       cover_txn =
-        Option.bind
-          (Splice_cover.Cover.ambient ())
-          (fun c -> Splice_cover.Bus_cover.find_txn c ~bus:cfg.name);
+        Option.bind cover (fun c ->
+            Splice_cover.Bus_cover.find_txn c ~bus:cfg.name);
     }
   in
   t.comp <-

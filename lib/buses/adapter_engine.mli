@@ -37,14 +37,19 @@ type config = {
 
 type t
 
-val make : ?obs:Splice_obs.Obs.t -> config -> Sis_if.t -> t
+val make :
+  ?obs:Splice_obs.Obs.t -> ?cover:Splice_cover.Cover.t -> config ->
+  Sis_if.t -> t
 (** [obs] (default [Obs.none]) receives per-bus metrics under
     [bus/<name>/…] — transfers, words written/read, wait-states (stub not
     ready), overhead cycles (setup/teardown/word gaps), a burst-length
     histogram — and, when the context carries a flight recorder, one
     [Txn_begin]/[Txn_end] pair per native bus transaction on track
-    [bus/<name>]. {!Bus.connect_with_engine} wires
-    the kernel's own context through automatically. *)
+    [bus/<name>]. [cover], when its [bus/<name>] group is already declared
+    ({!Splice_cover.Bus_cover.declare}), receives the transaction-level
+    coverpoints, resolved here once; otherwise the engine samples
+    nothing. {!Bus.connect_with_engine} wires the kernel's own context
+    and the build's map through automatically. *)
 
 val component : t -> Component.t
 val port : t -> wait_mode:[ `Null | `Poll ] -> max_burst_words:int ->

@@ -54,24 +54,12 @@ let check_params _ = Ok ()
 
 (* ---- CDC configuration ---------------------------------------------
    Clock ratio and FIFO depth are simulation parameters, not spec syntax:
-   the fuzzer sweeps them per iteration and the CLI pins them, both
-   through this ambient slot (the [Cover.set_ambient] idiom — domain-local
-   so pool workers never see each other's cell). *)
-
-type cdc = { ratio : int * int; depth : int }
-(* ratio = (aclk_freq : pclk_freq); depth = command/response FIFO depth *)
-
-let default_cdc = { ratio = (3, 1); depth = 4 }
+   they arrive as [connect]'s [~cdc] argument ([Bus.cdc]), which the
+   fuzzer draws per iteration and the CLI pins. *)
 
 (* the generator's universe; also the coverage bins in [Bus_cover] *)
 let ratios_all = [ (1, 1); (2, 1); (3, 1); (3, 2); (5, 2) ]
 let depths_all = [ 2; 4; 8; 16 ]
-
-let cdc_key : cdc option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let set_cdc c = Domain.DLS.get cdc_key := c
-let current_cdc () = Option.value !(Domain.DLS.get cdc_key) ~default:default_cdc
 
 let rec gcd a b = if b = 0 then a else gcd b (a mod b)
 
@@ -108,13 +96,6 @@ module Native = struct
     rresp : Signal.t;
   }
 
-  let signals t =
-    [
-      t.awvalid; t.awready; t.awaddr; t.wvalid; t.wready; t.wdata; t.bvalid;
-      t.bready; t.bresp; t.arvalid; t.arready; t.araddr; t.rvalid; t.rready;
-      t.rdata; t.rresp;
-    ]
-
   let create ~width =
     let s n w = Signal.create ~name:("axi." ^ n) w in
     {
@@ -137,32 +118,6 @@ module Native = struct
     }
 end
 
-(* ---- per-kernel instance registry -----------------------------------
-   Monitors and tests need the native channels and domains of the bridge
-   a kernel carries; the bus port API has no slot for them, so connect
-   publishes an instance keyed by [Kernel.id] in a bounded domain-local
-   table (dead kernels age out of the tail). *)
-
-type instance = {
-  nat : Native.t;
-  aclk : Kernel.domain;
-  pclk : Kernel.domain;
-  i_ratio : int * int; (* reduced *)
-  i_depth : int;
-  i_wcmd : Async_fifo.t;
-  i_rcmd : Async_fifo.t;
-}
-
-let instances_key : (int * instance) list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
-
-let register_instance k inst =
-  let r = Domain.DLS.get instances_key in
-  let keep = List.filteri (fun i _ -> i < 7) !r in
-  r := (Kernel.id k, inst) :: keep
-
-let instance_for k = List.assoc_opt (Kernel.id k) !(Domain.DLS.get instances_key)
-
 (* ---- master / slave / bridge FSMs ----------------------------------- *)
 
 type mstate = {
@@ -179,8 +134,75 @@ type bphase = B_idle | B_wait_w | B_push_w | B_wait_r | B_push_r
 
 let okay = Bits.zero 2
 
-let connect kernel (spec : Spec.t) sis =
-  let { ratio; depth } = current_cdc () in
+(* ---- native-channel protocol check -----------------------------------
+   AXI4-Lite channel axioms, checked at ACLK edges: once VALID is asserted
+   it must hold, with stable payload, until the READY handshake (A3.2.1 of
+   the AMBA spec); responses may not outnumber the accepted requests they
+   answer; AXI4-Lite slaves only ever answer OKAY here (no decode errors
+   inside the bridge's own address window). The bridge registers it
+   itself, as [Peripheral.build] does the SIS monitor. *)
+
+type chan_st = {
+  mutable p_valid : bool;
+  mutable p_ready : bool;
+  mutable p_payload : Bits.t option;
+  mutable fired : int;
+}
+
+let attach_channel_check kernel aclk (nat : Native.t) =
+  let mk () = { p_valid = false; p_ready = false; p_payload = None; fired = 0 } in
+  let aw = mk () and w = mk () and ar = mk () in
+  let r_ = mk () and b = mk () in
+  let clear st =
+    st.p_valid <- false;
+    st.p_ready <- false;
+    st.p_payload <- None;
+    st.fired <- 0
+  in
+  Kernel.at_reset kernel (fun () -> List.iter clear [ aw; w; ar; r_; b ]);
+  let check = "axi-channels" in
+  Kernel.add_check_in kernel aclk check (fun cycle ->
+      let fail fmt =
+        Format.kasprintf
+          (fun message -> Kernel.check_fail ~cycle ~check message)
+          fmt
+      in
+      let step name st valid ready payload =
+        let v = Signal.get_bool valid and rdy = Signal.get_bool ready in
+        let pl = Option.map Signal.get payload in
+        if st.p_valid && not st.p_ready then begin
+          if not v then
+            fail "%sVALID dropped before %sREADY (VALID must hold until \
+                  the handshake)" name name;
+          match (st.p_payload, pl) with
+          | Some a, Some b when not (Bits.equal a b) ->
+              fail "%s payload changed while VALID was waiting for READY"
+                name
+          | _ -> ()
+        end;
+        if v && rdy then st.fired <- st.fired + 1;
+        st.p_valid <- v;
+        st.p_ready <- rdy;
+        st.p_payload <- pl
+      in
+      step "AW" aw nat.awvalid nat.awready (Some nat.awaddr);
+      step "W" w nat.wvalid nat.wready (Some nat.wdata);
+      step "AR" ar nat.arvalid nat.arready (Some nat.araddr);
+      step "R" r_ nat.rvalid nat.rready (Some nat.rdata);
+      step "B" b nat.bvalid nat.bready (Some nat.bresp);
+      if Signal.get_bool nat.bvalid && Signal.get_int nat.bresp <> 0 then
+        fail "BRESP is not OKAY";
+      if Signal.get_bool nat.rvalid && Signal.get_int nat.rresp <> 0 then
+        fail "RRESP is not OKAY";
+      if b.fired > min aw.fired w.fired then
+        fail "B handshake with no outstanding write (responses outnumber \
+              accepted AW/W transfers)";
+      if r_.fired > ar.fired then
+        fail "R handshake with no outstanding read (responses outnumber \
+              accepted AR transfers)")
+
+let connect ~cover ~cdc:{ Bus.ratio; depth } ~monitor kernel (spec : Spec.t)
+    sis =
   let p_aclk, p_pclk = periods ratio in
   let aclk = Kernel.add_domain kernel ~name:"axi.aclk" ~period:p_aclk () in
   let pclk = Kernel.add_domain kernel ~name:"axi.pclk" ~period:p_pclk () in
@@ -204,7 +226,9 @@ let connect kernel (spec : Spec.t) sis =
          4L)
   in
   (* PCLK side: the APB engine, verbatim *)
-  let engine = Adapter_engine.make ~obs:(Kernel.obs kernel) engine_config sis in
+  let engine =
+    Adapter_engine.make ~obs:(Kernel.obs kernel) ?cover engine_config sis
+  in
   Kernel.add_in kernel pclk (Adapter_engine.component engine);
   let eport =
     Adapter_engine.port engine ~wait_mode ~max_burst_words:1
@@ -430,8 +454,8 @@ let connect kernel (spec : Spec.t) sis =
     (Component.make ~seq:bridge_seq
        ~reset:(fun () -> bst := B_idle)
        "axi-bridge");
-  (* ---- coverage (ambient-map discipline, ACLK-edge sampling) *)
-  (match Splice_cover.Cover.ambient () with
+  (* ---- coverage (the build's map, ACLK-edge sampling) *)
+  (match cover with
   | None -> ()
   | Some c -> (
       match Splice_cover.Bus_cover.find_axi c with
@@ -459,16 +483,7 @@ let connect kernel (spec : Spec.t) sis =
               then sample `Ar_stall;
               if Signal.get_bool (Async_fifo.full wcmd) then sample `Bp_w;
               if Signal.get_bool (Async_fifo.full rcmd) then sample `Bp_r)));
-  register_instance kernel
-    {
-      nat;
-      aclk;
-      pclk;
-      i_ratio = reduce ratio;
-      i_depth = depth;
-      i_wcmd = wcmd;
-      i_rcmd = rcmd;
-    };
+  if monitor then attach_channel_check kernel aclk nat;
   {
     Bus_port.bus_name = "axi";
     submit =
@@ -569,7 +584,7 @@ let extra_markers =
   [
     ( "CALC_DONE_WIDTH",
       fun (spec : Spec.t) -> string_of_int (max 1 spec.total_instances) );
-    ("FIFO_DEPTH", fun (_ : Spec.t) -> string_of_int (current_cdc ()).depth);
+    ("FIFO_DEPTH", fun (_ : Spec.t) -> string_of_int Bus.default_cdc.depth);
   ]
 
 let driver_header (spec : Spec.t) =

@@ -1,6 +1,5 @@
 open Splice_sim
 open Splice_sis
-open Splice_bits
 open Splice_buses
 
 (* What a bus's handshake axioms look like when watched through the SIS
@@ -132,8 +131,8 @@ let wishbone_rules =
 
 let axi_rules =
   (* the SIS-facing half of the AXI4-Lite bridge is its APB engine, so the
-     SIS axioms are the APB's; the native AXI channels get their own
-     dedicated check (see [attach_axi_native]) *)
+     SIS axioms are the APB's; the native AXI channels are checked by the
+     bridge itself ("axi-channels", registered by [Axi.connect]) *)
   {
     (no_rules "axi") with
     rd_ack_needs_req =
@@ -179,87 +178,10 @@ let rules_for name =
   | Some r -> r
   | None -> generic_rules name (Registry.lookup_caps name)
 
-(* Native-side AXI4-Lite channel axioms, checked at ACLK edges: once VALID
-   is asserted it must hold, with stable payload, until the READY handshake
-   (A3.2.1 of the AMBA spec); responses may not outnumber the accepted
-   requests they answer; AXI4-Lite slaves only ever answer OKAY here (no
-   decode errors inside the bridge's own address window). *)
-
-type chan_st = {
-  mutable p_valid : bool;
-  mutable p_ready : bool;
-  mutable p_payload : Bits.t option;
-  mutable fired : int;
-}
-
-let attach_axi_native kernel =
-  match Axi.instance_for kernel with
-  | None -> ()
-  | Some inst ->
-      let nat = inst.Axi.nat in
-      let mk () = { p_valid = false; p_ready = false; p_payload = None; fired = 0 } in
-      let aw = mk () and w = mk () and ar = mk () in
-      let r_ = mk () and b = mk () in
-      let clear st =
-        st.p_valid <- false;
-        st.p_ready <- false;
-        st.p_payload <- None;
-        st.fired <- 0
-      in
-      Kernel.at_reset kernel (fun () -> List.iter clear [ aw; w; ar; r_; b ]);
-      let check = "axi-channels" in
-      Kernel.add_check_in kernel inst.Axi.aclk check (fun cycle ->
-          let fail fmt =
-            Format.kasprintf
-              (fun message -> Kernel.check_fail ~cycle ~check message)
-              fmt
-          in
-          let step name st valid ready payload =
-            let v = Signal.get_bool valid and rdy = Signal.get_bool ready in
-            let pl = Option.map Signal.get payload in
-            if st.p_valid && not st.p_ready then begin
-              if not v then
-                fail "%sVALID dropped before %sREADY (VALID must hold until \
-                      the handshake)" name name;
-              match (st.p_payload, pl) with
-              | Some a, Some b when not (Bits.equal a b) ->
-                  fail "%s payload changed while VALID was waiting for READY"
-                    name
-              | _ -> ()
-            end;
-            if v && rdy then st.fired <- st.fired + 1;
-            st.p_valid <- v;
-            st.p_ready <- rdy;
-            st.p_payload <- pl
-          in
-          step "AW" aw nat.Axi.Native.awvalid nat.Axi.Native.awready
-            (Some nat.Axi.Native.awaddr);
-          step "W" w nat.Axi.Native.wvalid nat.Axi.Native.wready
-            (Some nat.Axi.Native.wdata);
-          step "AR" ar nat.Axi.Native.arvalid nat.Axi.Native.arready
-            (Some nat.Axi.Native.araddr);
-          step "R" r_ nat.Axi.Native.rvalid nat.Axi.Native.rready
-            (Some nat.Axi.Native.rdata);
-          step "B" b nat.Axi.Native.bvalid nat.Axi.Native.bready
-            (Some nat.Axi.Native.bresp);
-          if Signal.get_bool nat.Axi.Native.bvalid
-             && Signal.get_int nat.Axi.Native.bresp <> 0
-          then fail "BRESP is not OKAY";
-          if Signal.get_bool nat.Axi.Native.rvalid
-             && Signal.get_int nat.Axi.Native.rresp <> 0
-          then fail "RRESP is not OKAY";
-          if b.fired > min aw.fired w.fired then
-            fail "B handshake with no outstanding write (responses outnumber \
-                  accepted AW/W transfers)";
-          if r_.fired > ar.fired then
-            fail "R handshake with no outstanding read (responses outnumber \
-                  accepted AR transfers)")
-
 let attach kernel ~bus sis =
   let r = rules_for bus in
   Sis_if.watch kernel sis;
   (* a CDC bus's SIS side lives in its peripheral clock domain, so
      "previous cycle" means the previous PCLK edge *)
   Kernel.add_check_in kernel (Sis_if.domain kernel ~bus) r.check (fun cycle ->
-      check_rules r (Sis_if.decode sis cycle) cycle);
-  if String.equal bus "axi" then attach_axi_native kernel
+      check_rules r (Sis_if.decode sis cycle) cycle)

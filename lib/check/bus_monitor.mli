@@ -25,10 +25,9 @@
     - {b Wishbone}: [ACK_O] with [CYC_I]/[STB_I] negated (no classic cycle
       in progress);
     - {b AXI}: the APB axioms on the bridge's SIS side (gated to the
-      peripheral clock domain), plus a second native-side check
-      ["axi-channels"] at ACLK edges — VALID held with stable payload until
-      READY on all five channels, responses never outnumbering accepted
-      requests, OKAY-only responses.
+      peripheral clock domain). The native channels are not watched here:
+      the bridge registers its own ["axi-channels"] check at ACLK edges
+      whenever it is built with monitors on (see {!Splice_buses.Axi}).
 
     Buses registered by users without a dedicated monitor get a generic
     checker derived from their {!Splice_syntax.Bus_caps.t}. *)

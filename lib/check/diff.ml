@@ -12,8 +12,6 @@ type config = {
   max_cycles : int;
   cover : bool;
   guide : bool;
-  guide_candidates : int;
-  guide_batch : int;
   ratio : (int * int) option;
   depth : int option;
   cache : bool;
@@ -28,8 +26,6 @@ let default_config =
     max_cycles = 20_000;
     cover = false;
     guide = false;
-    guide_candidates = 8;
-    guide_batch = 10;
     ratio = None;
     depth = None;
     cache = true;
@@ -156,14 +152,9 @@ exception Call_failed of string option * string
 (* (function, message) *)
 
 (* A (spec, bus) cell's inputs, derived once from the generated spec and
-   its iteration seed: the validated spec, its traffic, the bus caps and
-   the CDC dimensions the bus elaborates with. *)
-type cell = {
-  spec : Spec.t;
-  tr : Specgen.traffic;
-  caps : Bus_caps.t option;
-  cdc : Axi.cdc;
-}
+   its iteration seed: the validated spec, its traffic and the CDC
+   dimensions the bus elaborates with. *)
+type cell = { spec : Spec.t; tr : Specgen.traffic; cdc : Bus.cdc }
 
 let cell_of ~iseed g bus =
   match Specgen.validate (Specgen.with_bus g bus) with
@@ -173,45 +164,26 @@ let cell_of ~iseed g bus =
         {
           spec;
           tr = traffic_for iseed spec;
-          caps = Registry.lookup_caps bus;
-          cdc = { Axi.ratio = g.Specgen.g_ratio; depth = g.Specgen.g_depth };
+          cdc = { Bus.ratio = g.Specgen.g_ratio; depth = g.Specgen.g_depth };
         }
 
 (* Elaborate one cell's host under [sched], wired to [obs], with the
    per-bus protocol monitor (and, when [cover] is given, the coverage
    samplers) attached. *)
 let build ~obs ~cover cell bus sched =
-  let { spec; tr; caps; cdc } = cell in
+  let { spec; tr; cdc } = cell in
   (* one isolated simulation per build: restart the domain-local
      default-name counter so any sigN in a failure message is a function
      of this cell alone, not of pool scheduling *)
   Signal.reset_names ();
-  (* the adapter engine is created inside [Host.create]; it picks its
-     transaction coverpoints out of the ambient map, so the map must be
-     installed (and the bus's group declared) first *)
-  Option.iter (fun c -> Splice_cover.Bus_cover.declare c ~bus ~caps) cover;
   let host =
-    Fun.protect
-      ~finally:(fun () ->
-        Splice_cover.Cover.set_ambient None;
-        Axi.set_cdc None)
-      (fun () ->
-        Splice_cover.Cover.set_ambient cover;
-        (* connect reads the CDC dimensions once, so clearing them after
-           Host.create is safe *)
-        Axi.set_cdc (Some cdc);
-        Host.create ~obs ~sched spec
-          ~behaviors:(Specgen.behavior ~calc_cycles:tr.Specgen.t_calc_cycles))
+    Host.create ~obs ~sched ?cover ~cdc spec
+      ~behaviors:(Specgen.behavior ~calc_cycles:tr.Specgen.t_calc_cycles)
   in
-  (* post-build attachments join the host's owned signal set so an
-     instance reset restores them along with the design proper *)
+  (* the monitor joins the host's owned signal set so an instance reset
+     restores it along with the design proper *)
   Host.adopt host (fun () ->
-      Bus_monitor.attach (Host.kernel host) ~bus (Host.sis host);
-      Option.iter
-        (fun c ->
-          Splice_cover.Bus_cover.attach c ~bus ~caps (Host.kernel host)
-            (Host.sis host))
-        cover);
+      Bus_monitor.attach (Host.kernel host) ~bus (Host.sis host));
   host
 
 (* Run the cell's traffic on [host]. Returns per-call cycle counts (for
@@ -438,7 +410,13 @@ let shrink_failure ~max_cycles ~iseed ~bus ~scheds ~cache g =
    [--seed S --count 1] repro contract. Instead each guided iteration
    screens [guide_candidates] derived seeds, scores the static shape of
    the spec each one generates against the holes still open in the
-   aggregate map, and runs the winner under its own seed. *)
+   aggregate map, and runs the winner under its own seed. The hole set
+   refreshes (and one trajectory sample is recorded) every [guide_batch]
+   iterations, independent of the pool's chunking, so guided runs are
+   [-j]-invariant. *)
+
+let guide_candidates = 8
+let guide_batch = 10
 
 type needs = {
   nd_write_lens : int list;  (* open write-burst lengths, ≤16 words, sorted *)
@@ -605,23 +583,21 @@ let run ?(log = ignore) ?pool config =
   (* Guidance (and the trajectory) works in fixed-size batches of
      iterations, deliberately decoupled from [chunk_iters]: the pool's
      chunking varies with the worker count, the batch boundary must not. *)
-  let batch =
-    if config.cover then max 1 config.guide_batch else config.count
-  in
+  let batch = if config.cover then guide_batch else config.count in
   let seeds_for lo hi =
     match agg with
-    | Some c when config.guide && config.guide_candidates > 1 ->
+    | Some c when config.guide ->
         let nd = needs_of c in
         let taken = Array.make n_need_families 0 in
         let out = Array.make (hi - lo) 0 in
         (* explicit loop, not Array.init: [taken] mutates per pick, so the
            selection order must be the iteration order *)
         for k = 0 to hi - lo - 1 do
-          let base = (lo + k) * config.guide_candidates in
+          let base = (lo + k) * guide_candidates in
           let best = ref (iteration_seed config.seed base) in
           let best_score = ref min_int in
           let best_contrib = ref [||] in
-          for j = 0 to config.guide_candidates - 1 do
+          for j = 0 to guide_candidates - 1 do
             let s = iteration_seed config.seed (base + j) in
             let g = Specgen.spec ~buses (Specgen.Rng.make s) in
             let ft = Specgen.features g in

@@ -33,18 +33,14 @@ type config = {
           cells in canonical order — byte-identical at any [-j] *)
   guide : bool;
       (** coverage-guided seed scheduling (needs [cover]): instead of
-          taking iteration [i]'s canonical seed, screen
-          [guide_candidates] derived seeds per iteration and run the one
-          whose generated spec's {!Specgen.features} best target the
-          aggregate map's open bins. The winner's seed is what failures
-          report, so [splice fuzz --seed S --count 1] reproduces a
-          guided failure exactly like a random one. *)
-  guide_candidates : int;  (** candidate seeds screened per iteration *)
-  guide_batch : int;
-      (** iterations per guidance batch: the hole set refreshes (and one
-          trajectory sample is recorded) every [guide_batch] iterations,
+          taking iteration [i]'s canonical seed, screen 8 derived seeds
+          per iteration and run the one whose generated spec's
+          {!Specgen.features} best target the aggregate map's open bins.
+          The hole set refreshes every 10 iterations (a guidance batch),
           independent of the pool's chunking, so guided runs are
-          [-j]-invariant *)
+          [-j]-invariant. The winner's seed is what failures report, so
+          [splice fuzz --seed S --count 1] reproduces a guided failure
+          exactly like a random one. *)
   ratio : (int * int) option;
       (** pin the ACLK:PCLK clock ratio of CDC buses (axi) instead of
           letting each iteration draw one — the [--clock-ratio] flag *)
@@ -61,8 +57,7 @@ type config = {
 
 val default_config : config
 (** seed 0, count 50, all buses, all three schedulers, 20_000-cycle
-    watchdog; coverage off, guidance off (8 candidates, batches of 10 when
-    on); cell-local replay on. *)
+    watchdog; coverage off, guidance off; cell-local replay on. *)
 
 (** {1 Option parsers}
 
@@ -123,7 +118,7 @@ type report = {
           [-j] (canonical-order merge, failure-prefix discipline) *)
   r_trajectory : (int * int * int) list;
       (** coverage closure per batch: (iterations completed, bins hit,
-          bins total), one sample per [guide_batch] iterations *)
+          bins total), one sample per guidance batch of 10 iterations *)
   r_cache_hits : int;
   r_cache_misses : int;
       (** cell-local reuse, counted: hits are replays, misses are builds,

@@ -42,7 +42,7 @@ type gspec = {
   g_ratio : int * int;
       (** ACLK:PCLK clock ratio for CDC buses (axi) — a simulation
           parameter, not declaration syntax: {!render} ignores it, the
-          executor pins it through {!Splice_buses.Axi.set_cdc} *)
+          executor passes it to [Host.create ~cdc] *)
   g_depth : int;  (** CDC command/response FIFO depth (power of two) *)
 }
 

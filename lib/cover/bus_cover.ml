@@ -97,8 +97,9 @@ let pseudo_async_of = function
 (* ---- AXI channel handshake / CDC configuration points -------------
    The AXI4-Lite bus is the one registered bus with native channels on a
    second clock domain; its cycle-level sampler lives in the bus model
-   itself (the adapter-engine ambient-map idiom), but the bins are
-   declared here so the group exists in pre-declared aggregate maps. *)
+   itself (it gets the map as a [connect] argument, as the adapter engine
+   does), but the bins are declared here so the group exists in
+   pre-declared aggregate maps. *)
 
 let axi_handshake_bins =
   [ ("aw", 0); ("w", 1); ("ar", 2); ("r", 3); ("b", 4);

@@ -20,7 +20,9 @@
       new one;
     - [wait_r] (+ [wait_w]): per-word wait-state count ranges;
     - [burst], [dir], [dir_x_burst]: transaction-level points sampled by
-      the bus adapter engine through the ambient map. *)
+      the bus adapter engine, which gets the map from the host that
+      elaborates it ([Host.create ~cover] declares the group, builds the
+      bus with the map, then runs {!attach}). *)
 
 open Splice_syntax
 
@@ -47,7 +49,7 @@ type txn
 
 val find_txn : Cover.t -> bus:string -> txn option
 (** [None] until {!declare} has run for the bus — an engine created with
-    no ambient coverage (or before declaration) samples nothing. *)
+    no coverage map (or before declaration) samples nothing. *)
 
 val sample_txn :
   txn ->
@@ -66,8 +68,9 @@ val sample_txn :
     points — [handshake] (per-channel VALID/READY fires, stalls and
     command-FIFO backpressure), [cdc_ratio] / [cdc_depth] (which cell of
     the clock-ratio x FIFO-depth design grid the run exercised) and their
-    [ratio_x_depth] cross. The bus model samples them through the ambient
-    map with the same resolve-once discipline as {!txn}. *)
+    [ratio_x_depth] cross. The bus model samples them through the map its
+    [connect] is given, with the same resolve-once discipline as
+    {!txn}. *)
 
 type axi
 

@@ -20,23 +20,14 @@ type point = {
 }
 
 type group = { g_name : string; g_points : (string, point) Hashtbl.t }
-type t = { c_id : int; c_groups : (string, group) Hashtbl.t }
-
-(* process-unique map identity: what a design cache keys its ambient
-   environment on — two runs against different maps must never share a
-   cached design, because the design samples into the map it was built
-   against *)
-let next_id = Atomic.make 1
+type t = { c_groups : (string, group) Hashtbl.t }
 
 type bins =
   | Values of (string * int) list
   | Ranges of (string * int * int) list
   | Transitions of (string * int * int) list
 
-let create () =
-  { c_id = Atomic.fetch_and_add next_id 1; c_groups = Hashtbl.create 7 }
-
-let id t = t.c_id
+let create () = { c_groups = Hashtbl.create 7 }
 
 let group t name =
   match Hashtbl.find_opt t.c_groups name with
@@ -505,11 +496,3 @@ let openmetrics t =
   Openmetrics.render ~counters
     ~gauges:[ ("cover/bins_hit", h); ("cover/bins_total", tot) ]
     ~histograms:[]
-
-(* ---- ambient map ------------------------------------------------- *)
-
-let ambient_key : t option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let set_ambient c = Domain.DLS.get ambient_key := c
-let ambient () = !(Domain.DLS.get ambient_key)

@@ -15,10 +15,9 @@
     order in the orchestrator (the [Metrics.merge_into] discipline)
     produces byte-identical serialized maps at any worker count.
 
-    The {e ambient} map is a per-domain slot (like the signal store) that
-    lets deeply-buried components — bus adapter engines created inside
-    [Host.create] — discover the map of the current run without threading
-    it through every constructor. *)
+    A map reaches the components that sample into it as an argument: a
+    host given one ([Host.create ~cover]) hands it to its bus model's
+    [connect], which passes it on to the adapter engine. *)
 
 type t
 type group
@@ -30,12 +29,6 @@ type bins =
   | Transitions of (string * int * int) list  (** bin name, from, to *)
 
 val create : unit -> t
-
-val id : t -> int
-(** Process-unique identity of the map (never 0). A design cache keys its
-    ambient environment on this: designs built against different maps
-    must never be interchanged, because a cached design keeps sampling
-    into the map it was elaborated under. *)
 
 val group : t -> string -> group
 (** Find or create. *)
@@ -132,8 +125,3 @@ val openmetrics : t -> string
 (** OpenMetrics text exposition: one [cover/<group>/<point>/<bin>]
     counter per bin plus [cover/bins_hit] / [cover/bins_total] gauges,
     terminated by [# EOF]. *)
-
-(** {1 Ambient map} (per-domain) *)
-
-val set_ambient : t option -> unit
-val ambient : unit -> t option

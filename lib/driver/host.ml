@@ -2,6 +2,7 @@ open Splice_sim
 open Splice_sis
 open Splice_syntax
 open Splice_buses
+open Splice_cover
 open Splice_obs
 
 type t = {
@@ -17,12 +18,12 @@ type t = {
          resolved at creation, before a design cache marks the recorder *)
   mutable signals : Signal.t list;
       (* every signal the design owns, newest first: the build's creations
-         plus anything adopted afterwards (monitors, cover probes) — the
-         set a design cache snapshots and restores for instance reset *)
+         plus anything adopted afterwards (monitors) — the set a design
+         cache snapshots and restores for instance reset *)
 }
 
 let create ?(monitor = true) ?issue_overhead ?(lean_driver = false) ?bus ?obs
-    ?sched (spec : Spec.t) ~behaviors =
+    ?sched ?cover ?(cdc = Bus.default_cdc) (spec : Spec.t) ~behaviors =
   let (module B : Bus.S) =
     match bus with
     | Some b -> b
@@ -31,12 +32,17 @@ let create ?(monitor = true) ?issue_overhead ?(lean_driver = false) ?bus ?obs
         | Some b -> b
         | None -> failwith (Printf.sprintf "Host.create: unknown bus %S" spec.bus_name))
   in
+  let bus_name = B.caps.Bus_caps.name and caps = Some B.caps in
   let t0 = Obs.now_ns () in
   let (host, created) =
     Signal.record_created (fun () ->
         let kernel = Kernel.create ?sched ?obs () in
         let peripheral = Peripheral.build ~monitor kernel spec ~behaviors in
-        let port = B.connect kernel spec (Peripheral.sis peripheral) in
+        let sis = Peripheral.sis peripheral in
+        (* the bus model resolves its transaction coverpoints at connect,
+           so the bus's group must exist first *)
+        Option.iter (fun c -> Bus_cover.declare c ~bus:bus_name ~caps) cover;
+        let port = B.connect ~cover ~cdc ~monitor kernel spec sis in
         let wait_mode =
           if spec.Spec.interrupts && B.caps.Bus_caps.supports_interrupts then
             Some `Irq
@@ -46,6 +52,9 @@ let create ?(monitor = true) ?issue_overhead ?(lean_driver = false) ?bus ?obs
           Cpu.make ~obs:(Kernel.obs kernel) ?issue_overhead ?wait_mode port
         in
         Kernel.add kernel (Cpu.component cpu);
+        Option.iter
+          (fun c -> Bus_cover.attach c ~bus:bus_name ~caps kernel sis)
+          cover;
         let recorder = Obs.recorder (Kernel.obs kernel) in
         let call_tracks =
           match recorder with
@@ -74,9 +83,9 @@ let create ?(monitor = true) ?issue_overhead ?(lean_driver = false) ?bus ?obs
   Kernel.note_elaborate_ns host.kernel (Int64.of_int (Obs.now_ns () - t0));
   host
 
-(* Extend the design with post-build attachments (protocol monitors, cover
-   probes): their signals join the owned set so instance reset restores
-   them, and the elaboration clock keeps running. *)
+(* Extend the design with post-build attachments (protocol monitors):
+   their signals join the owned set so instance reset restores them, and
+   the elaboration clock keeps running. *)
 let adopt t f =
   let t0 = Obs.now_ns () in
   let (v, created) = Signal.record_created f in
@@ -118,6 +127,7 @@ let call ?instance ?max_cycles t ~func ~args =
 
 let kernel t = t.kernel
 let spec t = t.spec
+let signals t = List.rev t.signals
 let obs t = Kernel.obs t.kernel
 
 (* Attribute every simulated cycle to exactly one layer so the counters sum

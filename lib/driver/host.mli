@@ -18,6 +18,8 @@ val create :
   ?bus:(module Splice_buses.Bus.S) ->
   ?obs:Splice_obs.Obs.t ->
   ?sched:Kernel.sched ->
+  ?cover:Splice_cover.Cover.t ->
+  ?cdc:Splice_buses.Bus.cdc ->
   Spec.t ->
   behaviors:(string -> Stub_model.behavior) ->
   t
@@ -29,7 +31,18 @@ val create :
     monitor, CPU, and the host's own [driver/<func>] call track — is
     wired to it. [sched] selects the kernel's comb scheduler (default
     event-driven; [`Sweep] is the legacy oracle the E14 ablation compares
-    against). *)
+    against).
+
+    The bus model's build inputs travel as arguments of its
+    {!Splice_buses.Bus.S.connect}, and only from here: [monitor]
+    (default on) also turns on the model's own native checks (the AXI
+    bridge's ["axi-channels"]); [cdc] (default
+    {!Splice_buses.Bus.default_cdc}) is the clock-domain-crossing
+    configuration; [cover], when given, gets the bus's protocol group
+    declared ({!Splice_cover.Bus_cover.declare}) before the bus connects,
+    so the adapter engine samples transactions into it, and the
+    cycle-level sampler attached ({!Splice_cover.Bus_cover.attach})
+    inside the elaboration window. *)
 
 val call :
   ?instance:int ->
@@ -53,6 +66,9 @@ val call_full :
 
 val kernel : t -> Kernel.t
 val spec : t -> Spec.t
+
+val signals : t -> Signal.t list
+(** The signals the design owns (see {!adopt}), in creation order. *)
 
 val obs : t -> Splice_obs.Obs.t
 (** The kernel's observability context ([Kernel.obs (kernel t)]). *)

@@ -593,8 +593,9 @@ module Coverage = struct
     in
     let guided = mode true in
     let random = mode false in
-    (* both modes batch iterations identically (guide_batch is fixed), so
-       the two trajectories sample the same iteration boundaries *)
+    (* both modes batch iterations identically (Diff's guidance batch is
+       a constant), so the two trajectories sample the same iteration
+       boundaries *)
     List.map2
       (fun (it, gh, tot) (_, rh, _) ->
         { iterations = it; guided_hit = gh; random_hit = rh; total = tot })
@@ -745,8 +746,7 @@ void sink(int n, int*:8 xs);|}
   let default_depths = [ 2; 4; 8 ]
 
   (* ratio and depth are key fields, so each grid cell elaborates once and
-     the other two schedulers replay it; the ambient CDC config only
-     matters inside the build closure (it is consumed at elaboration) *)
+     the other two schedulers replay it *)
   let cell (ratio, depth) =
     let key =
       {
@@ -758,24 +758,20 @@ void sink(int n, int*:8 xs);|}
       }
     in
     let run sched =
-      Splice_buses.Axi.set_cdc (Some { Splice_buses.Axi.ratio; depth });
-      Fun.protect
-        ~finally:(fun () -> Splice_buses.Axi.set_cdc None)
-        (fun () ->
-          let host, _hit =
-            Splice_cache.Design_cache.with_cache ~key ~sched
-              ~build:(fun () ->
-                Host.create ~obs:Splice_obs.Obs.none ~sched
-                  (validate spec_src) ~behaviors:sink_behavior)
-          in
-          let cycles = run_call host ~n:8 ~elems:(elems_of 8) in
-          let k = Host.kernel host in
-          let edges d =
-            match Splice_sim.Kernel.find_domain k d with
-            | Some d -> Splice_sim.Kernel.domain_cycles d
-            | None -> 0
-          in
-          (cycles, edges "axi.aclk", edges "axi.pclk"))
+      let host, _hit =
+        Splice_cache.Design_cache.with_cache ~key ~sched ~build:(fun () ->
+            Host.create ~obs:Splice_obs.Obs.none ~sched
+              ~cdc:{ Splice_buses.Bus.ratio; depth }
+              (validate spec_src) ~behaviors:sink_behavior)
+      in
+      let cycles = run_call host ~n:8 ~elems:(elems_of 8) in
+      let k = Host.kernel host in
+      let edges d =
+        match Splice_sim.Kernel.find_domain k d with
+        | Some d -> Splice_sim.Kernel.domain_cycles d
+        | None -> 0
+      in
+      (cycles, edges "axi.aclk", edges "axi.pclk")
     in
     let c_e, a, p = run `Event in
     let c_s, _, _ = run `Sweep in

@@ -1,5 +1,5 @@
-(** Domain-local slots: per-domain singletons (ambient configuration,
-    per-domain caches) over [Domain.DLS].
+(** Domain-local slots: per-domain singletons (per-domain caches) over
+    [Domain.DLS].
 
     Each pool worker — and the caller domain — sees its own copy,
     initialized on first access. Slot state is never shared or locked;

@@ -104,7 +104,10 @@ let apb_tests =
               Stub_model.behavior ~cycles:30 (fun inputs ->
                   [ List.hd (List.assoc "x" inputs) ]))
         in
-        let port = Apb.connect kernel spec (Peripheral.sis periph) in
+        let port =
+          Apb.connect ~cover:None ~cdc:Bus.default_cdc ~monitor:true
+            kernel spec (Peripheral.sis periph)
+        in
         let cpu = Cpu.make port in
         Kernel.add kernel (Cpu.component cpu);
         (* a broken driver: write, then read immediately with no poll *)
@@ -124,7 +127,10 @@ let apb_tests =
           Peripheral.build kernel spec ~behaviors:(fun _ ->
               Stub_model.behavior ~cycles:1 (fun _ -> [ 0L ]))
         in
-        let port = Apb.connect kernel spec (Peripheral.sis periph) in
+        let port =
+          Apb.connect ~cover:None ~cdc:Bus.default_cdc ~monitor:true
+            kernel spec (Peripheral.sis periph)
+        in
         let cpu = Cpu.make port in
         Kernel.add kernel (Cpu.component cpu);
         (* start g (id 2), let it finish, then read the status register *)
@@ -176,7 +182,10 @@ let plb_native_tests =
         in
         let sis = Peripheral.sis periph in
         let native = Plb.native_mirror kernel ~ce_slots:2 sis in
-        let port = Plb.connect kernel spec sis in
+        let port =
+          Plb.connect ~cover:None ~cdc:Bus.default_cdc ~monitor:true
+            kernel spec sis
+        in
         let cpu = Cpu.make port in
         Kernel.add kernel (Cpu.component cpu);
         (* record native signal activity over a full write+read call *)
@@ -219,7 +228,10 @@ let fcb_apb_native_tests =
         in
         let sis = Peripheral.sis periph in
         let native = Fcb.native_mirror kernel sis in
-        let port = Fcb.connect kernel spec sis in
+        let port =
+          Fcb.connect ~cover:None ~cdc:Bus.default_cdc ~monitor:true
+            kernel spec sis
+        in
         let cpu = Cpu.make port in
         Kernel.add kernel (Cpu.component cpu);
         let saw_store = ref false and saw_load = ref false and saw_done = ref false in
@@ -250,7 +262,10 @@ let fcb_apb_native_tests =
         in
         let sis = Peripheral.sis periph in
         let native = Apb.native_mirror kernel ~base_address:0x1000L sis in
-        let port = Apb.connect kernel spec sis in
+        let port =
+          Apb.connect ~cover:None ~cdc:Bus.default_cdc ~monitor:true
+            kernel spec sis
+        in
         let cpu = Cpu.make port in
         Kernel.add kernel (Cpu.component cpu);
         let addrs = ref [] in
@@ -276,7 +291,10 @@ let engine_tests =
         let periph =
           Peripheral.build kernel spec ~behaviors:(fun _ -> Stub_model.null_behavior)
         in
-        let port = Plb.connect kernel spec (Peripheral.sis periph) in
+        let port =
+          Plb.connect ~cover:None ~cdc:Bus.default_cdc ~monitor:true
+            kernel spec (Peripheral.sis periph)
+        in
         port.Bus_port.submit (Bus_port.Write { func_id = 1; data = [ Bits.zero 32 ] });
         match
           port.Bus_port.submit (Bus_port.Write { func_id = 1; data = [ Bits.zero 32 ] })
@@ -304,7 +322,10 @@ let engine_tests =
           Peripheral.build kernel spec ~behaviors:(fun _ ->
               Stub_model.behavior (fun _ -> [ 1L ]))
         in
-        let port = Plb.connect kernel spec (Peripheral.sis periph) in
+        let port =
+          Plb.connect ~cover:None ~cdc:Bus.default_cdc ~monitor:true
+            kernel spec (Peripheral.sis periph)
+        in
         let cpu = Cpu.make port in
         Kernel.add kernel (Cpu.component cpu);
         (* push two of four words, then reset mid-transfer *)

@@ -196,25 +196,30 @@ let axi_spec =
    int add2(int x, int y);\nint sum(int n, int*:n xs);"
 
 let make_host ?(ratio = (3, 1)) ?(depth = 4) ?sched () =
-  Splice.Axi.set_cdc (Some { Splice.Axi.ratio; depth });
-  Fun.protect
-    ~finally:(fun () -> Splice.Axi.set_cdc None)
-    (fun () ->
-      let spec =
-        Splice.Validate.of_string_exn ~lookup_bus:Splice.Registry.lookup_caps
-          axi_spec
-      in
-      Splice.Host.create ?sched spec ~behaviors:(function
-        | "add2" ->
-            Splice.Stub_model.behavior ~cycles:3 (fun inputs ->
-                [
-                  Int64.add
-                    (List.hd (List.assoc "x" inputs))
-                    (List.hd (List.assoc "y" inputs));
-                ])
-        | _ ->
-            Splice.Stub_model.behavior ~cycles:5 (fun inputs ->
-                [ List.fold_left Int64.add 0L (List.assoc "xs" inputs) ])))
+  let spec =
+    Splice.Validate.of_string_exn ~lookup_bus:Splice.Registry.lookup_caps
+      axi_spec
+  in
+  Splice.Host.create ?sched ~cdc:{ Splice.Bus.ratio; depth } spec
+    ~behaviors:(function
+    | "add2" ->
+        Splice.Stub_model.behavior ~cycles:3 (fun inputs ->
+            [
+              Int64.add
+                (List.hd (List.assoc "x" inputs))
+                (List.hd (List.assoc "y" inputs));
+            ])
+    | _ ->
+        Splice.Stub_model.behavior ~cycles:5 (fun inputs ->
+            [ List.fold_left Int64.add 0L (List.assoc "xs" inputs) ]))
+
+(* one monitored add2 call on [host]: the number of checks it ran *)
+let monitored_add2_checks host =
+  let k = Splice.Host.kernel host in
+  Splice.Bus_monitor.attach k ~bus:"axi" (Splice.Host.sis host);
+  ignore
+    (Splice.Host.call host ~func:"add2" ~args:[ ("x", [ 1L ]); ("y", [ 2L ]) ]);
+  (Kernel.stats k).Kernel.checks_run
 
 let smoke_tests =
   [
@@ -251,6 +256,21 @@ let smoke_tests =
             ~args:[ ("x", [ 1L ]); ("y", [ 2L ]) ]
         in
         Alcotest.(check (list int64)) "monitored result" [ 3L ] r);
+    t "axi native check does not depend on how many axi hosts were built"
+      (fun () ->
+        (* the bridge carries its own axi-channels check, so a host that
+           gets its SIS monitor late — after eight more AXI builds in this
+           domain — runs exactly the checks of one monitored at once *)
+        let early = monitored_add2_checks (make_host ()) in
+        let late = make_host () in
+        for _ = 1 to 8 do
+          ignore (make_host ())
+        done;
+        check_int "checks run by one add2 call" early
+          (monitored_add2_checks late);
+        check_bool "axi-channels on the late host" true
+          (List.mem "axi-channels"
+             (Kernel.check_names (Splice.Host.kernel late))));
     t "axi domains: cycle counters follow the reduced ratio" (fun () ->
         let host = make_host ~ratio:(6, 2) () in
         let k = Splice.Host.kernel host in
@@ -272,6 +292,13 @@ let smoke_tests =
 
 (* -------- scheduler equality on a two-domain cell -------- *)
 
+(* the bridge's AXI4-Lite channels, by signal name *)
+let native_channels =
+  List.map (( ^ ) "axi.")
+    [ "AWVALID"; "AWREADY"; "AWADDR"; "WVALID"; "WREADY"; "WDATA"; "BVALID";
+      "BREADY"; "BRESP"; "ARVALID"; "ARREADY"; "ARADDR"; "RVALID"; "RREADY";
+      "RDATA"; "RRESP" ]
+
 let vcd_timestamps contents =
   List.filter_map
     (fun line ->
@@ -289,12 +316,16 @@ let sched_tests =
           let host = make_host ~ratio:(3, 2) ~depth:2 ~sched () in
           let k = Splice.Host.kernel host in
           Splice.Bus_monitor.attach k ~bus:"axi" (Splice.Host.sis host);
-          let inst = Option.get (Splice.Axi.instance_for k) in
+          let native =
+            List.filter
+              (fun s -> List.mem (Signal.name s) native_channels)
+              (Splice.Host.signals host)
+          in
+          check_int "native channels found" 16 (List.length native);
           let path = Filename.temp_file "splice_cdc" ".vcd" in
           let vcd =
             Vcd.create ~path ~module_name:"tb"
-              (Splice.Sis_if.signals (Splice.Host.sis host)
-              @ Splice.Axi.Native.signals inst.Splice.Axi.nat)
+              (Splice.Sis_if.signals (Splice.Host.sis host) @ native)
           in
           Vcd.attach vcd k;
           let r, c =

@@ -158,8 +158,8 @@ let with_buggy_bus f =
 
     let caps = { Plb.caps with Bus_caps.name = "buggy" }
 
-    let connect kernel spec sis =
-      let port = Plb.connect kernel spec sis in
+    let connect ~cover ~cdc ~monitor kernel spec sis =
+      let port = Plb.connect ~cover ~cdc ~monitor kernel spec sis in
       {
         port with
         Bus_port.bus_name = "buggy";

@@ -80,6 +80,18 @@ let busgen_tests =
             check_bool (bus ^ " no markers") true (Template.markers_in s = []);
             check_bool (bus ^ " mentions SIS") true (contains s "SIS_FUNC_ID"))
           [ "plb"; "opb"; "fcb"; "apb"; "ahb" ]);
+    t "AXI adapter's FIFO depth generic is the default CDC depth" (fun () ->
+        (* generation reads no simulation state: the generic is always
+           Bus.default_cdc's depth *)
+        let p =
+          Project.from_source ~gen_date:"t"
+            "%device_name dev\n%bus_type axi\n%bus_width 32\n\
+             %base_address 0x80000000\nint f(int x);"
+        in
+        check_bool "C_FIFO_DEPTH defaults to 4" true
+          (List.exists
+             (fun f -> contains f.Project.contents "C_FIFO_DEPTH : integer := 4")
+             p.Project.hardware));
     t "check_params rejects illegal widths" (fun () ->
         let spec = { (spec_of "void f(int x);") with Spec.bus_width = 16 } in
         match Busgen.check_params (module Plb) spec with

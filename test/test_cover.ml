@@ -1,6 +1,7 @@
 (* lib/cover tests: bin semantics, the settled-value watch hook, canonical
    serialization and deterministic merging, the per-bus protocol groups on
-   every registered bus, the adapter engine's ambient transaction sampling,
+   every registered bus, the adapter engine's transaction sampling into a
+   host-given map,
    and the headline properties — coverage maps bit-identical at any -j and
    guided fuzzing strictly ahead of random at an equal budget. *)
 
@@ -278,21 +279,16 @@ let bus_group_tests =
         check_bool "apb has no dma dirs" true
           (not (List.mem "dma_w" (dir_names apb)));
         check_bool "plb has dma dirs" true (List.mem "dma_w" (dir_names plb)));
-    t "ambient map + engine sample transactions, including status grants"
+    t "host-given map + engine sample transactions, including status grants"
       (fun () ->
         Signal.reset_names ();
         let c = Cover.create () in
-        let caps = Registry.lookup_caps "plb" in
-        Bus_cover.declare c ~bus:"plb" ~caps;
         let spec = Interpolator.spec_for Interpolator.Splice_plb_simple in
-        Cover.set_ambient (Some c);
+        (* the host declares the bus's group, hands the map to the bus
+           model and attaches the cycle-level sampler itself *)
         let host =
-          Fun.protect
-            ~finally:(fun () -> Cover.set_ambient None)
-            (fun () ->
-              Host.create spec ~behaviors:(fun f -> Interpolator.behavior f))
+          Host.create ~cover:c spec ~behaviors:(fun f -> Interpolator.behavior f)
         in
-        Bus_cover.attach c ~bus:"plb" ~caps (Host.kernel host) (Host.sis host);
         let txn = Option.get (Bus_cover.find_txn c ~bus:"plb") in
         Bus_cover.sample_txn txn ~func_id:0 ~dir:`Read ~words:1;
         let g = Option.get (Cover.find_group c "bus/plb") in
@@ -306,7 +302,7 @@ let bus_group_tests =
         let phase = Option.get (Cover.find_point g "phase") in
         check_bool "engine sampled dirs" true (Cover.hit dir > before_dir);
         check_bool "cycle sampler hit phases" true (Cover.hit phase >= 3));
-    t "no ambient map means the engine samples nothing" (fun () ->
+    t "no coverage map means the engine samples nothing" (fun () ->
         Signal.reset_names ();
         let spec = Interpolator.spec_for Interpolator.Splice_plb_simple in
         let host =

@@ -67,7 +67,10 @@ let knob_tests =
           Peripheral.build kernel spec ~behaviors:(fun _ ->
               Stub_model.behavior ~cycles:1 (fun _ -> [ 0L ]))
         in
-        let port = Plb.connect kernel spec (Peripheral.sis periph) in
+        let port =
+          Plb.connect ~cover:None ~cdc:Bus.default_cdc ~monitor:true
+            kernel spec (Peripheral.sis periph)
+        in
         let cpu = Cpu.make port in
         Kernel.add kernel (Cpu.component cpu);
         (* start f (id 1), let it finish, then status-read *)
@@ -139,7 +142,10 @@ let knob_tests =
           Peripheral.build kernel spec ~behaviors:(fun _ ->
               Stub_model.behavior ~cycles:500 (fun _ -> [ 1L ]))
         in
-        let port = Apb.connect kernel spec (Peripheral.sis periph) in
+        let port =
+          Apb.connect ~cover:None ~cdc:Bus.default_cdc ~monitor:true
+            kernel spec (Peripheral.sis periph)
+        in
         let cpu = Cpu.make ~wait_mode:`Null port in
         Kernel.add kernel (Cpu.component cpu);
         let _, cycles =

@@ -216,9 +216,41 @@ let consolidation_tests =
           (saving (List.nth points 5) > saving (List.nth points 1)));
   ]
 
+let cdc_sweep_tests =
+  [
+    t "E18: every (ratio, depth) cell of the CDC sweep, pinned" (fun () ->
+        (* the ratio and depth reach the bridge as Host.create's ~cdc: a
+           cell that stopped receiving them would elaborate at the
+           default 3:1 and change its cycle and edge counts *)
+        let row ratio (cycles, aclk, pclk) =
+          List.map (fun depth -> (ratio, depth, cycles, aclk, pclk)) [ 2; 4; 8 ]
+        in
+        let expected =
+          row (1, 1) (212, 212, 212)
+          @ row (2, 1) (309, 309, 155)
+          @ row (3, 1) (398, 398, 133)
+          @ row (3, 2) (467, 234, 156)
+          @ row (5, 2) (663, 332, 133)
+        in
+        let points = Experiment.Cdc_sweep.run () in
+        check_bool "every scheduler agrees" true
+          (Experiment.Cdc_sweep.all_agree points);
+        let show (ra, rb) d c a p =
+          Printf.sprintf "%d:%d/%d -> %d/%d/%d" ra rb d c a p
+        in
+        Alcotest.(check (list string))
+          "ratio/depth -> cycles/aclk/pclk"
+          (List.map (fun (r, d, c, a, p) -> show r d c a p) expected)
+          (List.map
+             (fun (p : Experiment.Cdc_sweep.point) ->
+               show p.ratio p.depth p.cycles p.aclk_edges p.pclk_edges)
+             points));
+  ]
+
 let tests =
   [
     ("eval.fig-9-2", fig_9_2_tests);
     ("eval.fig-9-3", fig_9_3_tests);
     ("eval.ablations", ablation_tests @ interrupt_ablation_tests @ consolidation_tests);
+    ("eval.cdc", cdc_sweep_tests);
   ]

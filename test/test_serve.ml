@@ -488,8 +488,8 @@ let server_tests =
 
           let caps = { Plb.caps with Bus_caps.name = "buggy" }
 
-          let connect kernel spec sis =
-            let port = Plb.connect kernel spec sis in
+          let connect ~cover ~cdc ~monitor kernel spec sis =
+            let port = Plb.connect ~cover ~cdc ~monitor kernel spec sis in
             {
               port with
               Bus_port.bus_name = "buggy";
@@ -553,4 +553,93 @@ let server_tests =
                       (String.length (str_of tr "summary") > 0)))));
   ]
 
-let tests = [ ("serve", protocol_tests @ server_tests) ]
+(* ---- HTTP path property ----------------------------------------------
+   One daemon, a few hundred [GET <path>] lines with arbitrary printable
+   paths: every reply is a 200 or a 404 whose Content-Length is the body's
+   byte length, and the daemon still answers a ping afterwards. The QCheck
+   seed comes from QCHECK_SEED when set (the test_properties.ml
+   contract). *)
+
+let qseed =
+  match Option.bind (Sys.getenv_opt "QCHECK_SEED") int_of_string_opt with
+  | Some n -> n
+  | None ->
+      Random.self_init ();
+      Random.bits ()
+
+let http_max_line = 256
+
+(* printable ASCII, no CR/LF; with "GET " and the CRLF the line stays
+   within [http_max_line] *)
+let arb_http_path =
+  QCheck.make ~print:String.escaped
+    QCheck.Gen.(
+      string_size ~gen:(char_range ' ' '~') (int_bound (http_max_line - 8)))
+
+(* send one raw request line, read the whole reply (the daemon closes the
+   connection after an HTTP response) *)
+let raw_http ~port line =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+      ignore (Unix.write_substring fd line 0 (String.length line));
+      let buf = Bytes.create 4096 and b = Buffer.create 4096 in
+      let rec go () =
+        let n = try Unix.read fd buf 0 4096 with Unix.Unix_error _ -> 0 in
+        if n > 0 then (
+          Buffer.add_subbytes b buf 0 n;
+          go ())
+      in
+      go ();
+      Buffer.contents b)
+
+(* [Ok ()] when [raw] is a 200/404 with a truthful Content-Length *)
+let check_http_reply raw =
+  let find sub from =
+    let n = String.length sub in
+    let rec go i =
+      if i + n > String.length raw then None
+      else if String.sub raw i n = sub then Some i
+      else go (i + 1)
+    in
+    go from
+  in
+  let status_ok =
+    List.exists
+      (fun p -> String.starts_with ~prefix:p raw)
+      [ "HTTP/1.1 200 "; "HTTP/1.1 404 " ]
+  in
+  match (find "\r\n\r\n" 0, find "\r\nContent-Length: " 0) with
+  | _ when not status_ok -> Error "status is neither 200 nor 404"
+  | None, _ -> Error "no end of headers"
+  | _, None -> Error "no Content-Length"
+  | Some hdr_end, Some cl when cl < hdr_end -> (
+      let v = cl + String.length "\r\nContent-Length: " in
+      let eol = Option.value (find "\r\n" v) ~default:v in
+      let body = String.length raw - (hdr_end + 4) in
+      match int_of_string_opt (String.sub raw v (eol - v)) with
+      | Some n when n = body -> Ok ()
+      | Some n -> Error (Printf.sprintf "Content-Length %d, body %d bytes" n body)
+      | None -> Error "unparsable Content-Length")
+  | Some _, Some _ -> Error "Content-Length outside the headers"
+
+let http_tests =
+  [
+    t "serve: GET on any printable path is a 200 or a truthful 404" (fun () ->
+        with_server { Serve.default_config with max_line = http_max_line }
+          (fun _srv port ->
+            QCheck.Test.check_exn
+              ~rand:(Random.State.make [| qseed |])
+              (QCheck.Test.make ~count:300 ~name:"http path" arb_http_path
+                 (fun path ->
+                   match check_http_reply (raw_http ~port ("GET " ^ path ^ "\r\n")) with
+                   | Ok () -> true
+                   | Error e -> QCheck.Test.fail_report e));
+            with_conn port (fun c ->
+                check_bool "daemon still answers ping" true
+                  (ok_of (req c "{\"kind\":\"ping\"}")))));
+  ]
+
+let tests = [ ("serve", protocol_tests @ server_tests @ http_tests) ]
