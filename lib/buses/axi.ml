@@ -143,63 +143,76 @@ let okay = Bits.zero 2
    itself, as [Peripheral.build] does the SIS monitor. *)
 
 type chan_st = {
+  c_name : string;
+  c_valid : Signal.t;
+  c_ready : Signal.t;
+  c_payload : Signal.t;
   mutable p_valid : bool;
   mutable p_ready : bool;
-  mutable p_payload : Bits.t option;
+  mutable p_payload : Bits.t; (* meaningful only while [p_valid] *)
   mutable fired : int;
 }
 
+let channel_check = "axi-channels"
+
+let channel_fail ~cycle fmt =
+  Format.kasprintf
+    (fun message -> Kernel.check_fail ~cycle ~check:channel_check message)
+    fmt
+
+(* one channel's edge: a top-level function over the channel's own record,
+   so the check allocates nothing on an ACLK edge that passes *)
+let channel_step cycle st =
+  let v = Signal.get_bool st.c_valid and rdy = Signal.get_bool st.c_ready in
+  let pl = Signal.get st.c_payload in
+  if st.p_valid && not st.p_ready then begin
+    if not v then
+      channel_fail ~cycle
+        "%sVALID dropped before %sREADY (VALID must hold until the \
+         handshake)" st.c_name st.c_name;
+    if not (Bits.equal st.p_payload pl) then
+      channel_fail ~cycle "%s payload changed while VALID was waiting for READY"
+        st.c_name
+  end;
+  if v && rdy then st.fired <- st.fired + 1;
+  st.p_valid <- v;
+  st.p_ready <- rdy;
+  st.p_payload <- pl
+
 let attach_channel_check kernel aclk (nat : Native.t) =
-  let mk () = { p_valid = false; p_ready = false; p_payload = None; fired = 0 } in
-  let aw = mk () and w = mk () and ar = mk () in
-  let r_ = mk () and b = mk () in
+  let mk c_name c_valid c_ready c_payload =
+    { c_name; c_valid; c_ready; c_payload; p_valid = false; p_ready = false;
+      p_payload = Signal.get c_payload; fired = 0 }
+  in
+  let aw = mk "AW" nat.awvalid nat.awready nat.awaddr in
+  let w = mk "W" nat.wvalid nat.wready nat.wdata in
+  let ar = mk "AR" nat.arvalid nat.arready nat.araddr in
+  let r_ = mk "R" nat.rvalid nat.rready nat.rdata in
+  let b = mk "B" nat.bvalid nat.bready nat.bresp in
   let clear st =
     st.p_valid <- false;
     st.p_ready <- false;
-    st.p_payload <- None;
     st.fired <- 0
   in
   Kernel.at_reset kernel (fun () -> List.iter clear [ aw; w; ar; r_; b ]);
-  let check = "axi-channels" in
-  Kernel.add_check_in kernel aclk check (fun cycle ->
-      let fail fmt =
-        Format.kasprintf
-          (fun message -> Kernel.check_fail ~cycle ~check message)
-          fmt
-      in
-      let step name st valid ready payload =
-        let v = Signal.get_bool valid and rdy = Signal.get_bool ready in
-        let pl = Option.map Signal.get payload in
-        if st.p_valid && not st.p_ready then begin
-          if not v then
-            fail "%sVALID dropped before %sREADY (VALID must hold until \
-                  the handshake)" name name;
-          match (st.p_payload, pl) with
-          | Some a, Some b when not (Bits.equal a b) ->
-              fail "%s payload changed while VALID was waiting for READY"
-                name
-          | _ -> ()
-        end;
-        if v && rdy then st.fired <- st.fired + 1;
-        st.p_valid <- v;
-        st.p_ready <- rdy;
-        st.p_payload <- pl
-      in
-      step "AW" aw nat.awvalid nat.awready (Some nat.awaddr);
-      step "W" w nat.wvalid nat.wready (Some nat.wdata);
-      step "AR" ar nat.arvalid nat.arready (Some nat.araddr);
-      step "R" r_ nat.rvalid nat.rready (Some nat.rdata);
-      step "B" b nat.bvalid nat.bready (Some nat.bresp);
+  Kernel.add_check_in kernel aclk channel_check (fun cycle ->
+      channel_step cycle aw;
+      channel_step cycle w;
+      channel_step cycle ar;
+      channel_step cycle r_;
+      channel_step cycle b;
       if Signal.get_bool nat.bvalid && Signal.get_int nat.bresp <> 0 then
-        fail "BRESP is not OKAY";
+        channel_fail ~cycle "BRESP is not OKAY";
       if Signal.get_bool nat.rvalid && Signal.get_int nat.rresp <> 0 then
-        fail "RRESP is not OKAY";
+        channel_fail ~cycle "RRESP is not OKAY";
       if b.fired > min aw.fired w.fired then
-        fail "B handshake with no outstanding write (responses outnumber \
-              accepted AW/W transfers)";
+        channel_fail ~cycle
+          "B handshake with no outstanding write (responses outnumber \
+           accepted AW/W transfers)";
       if r_.fired > ar.fired then
-        fail "R handshake with no outstanding read (responses outnumber \
-              accepted AR transfers)")
+        channel_fail ~cycle
+          "R handshake with no outstanding read (responses outnumber \
+           accepted AR transfers)")
 
 let connect ~cover ~cdc:{ Bus.ratio; depth } ~monitor kernel (spec : Spec.t)
     sis =
@@ -245,6 +258,10 @@ let connect ~cover ~cdc:{ Bus.ratio; depth } ~monitor kernel (spec : Spec.t)
   (* a single-edge pulse on a FIFO strobe: asserted by one edge's seq,
      consumed by the FIFO at the next edge, dropped by this helper there *)
   let clear_pulse s = if Signal.get_bool s then Signal.set_next_bool s false in
+  (* a READY line (BREADY/RREADY from the master, AW/W/AR READY from the
+     slave) has a single writer, so queueing it only when its value would
+     change leaves every committed value as it was *)
+  let drive s b = if Signal.get_bool s <> b then Signal.set_next_bool s b in
   (* ---- AXI master (ACLK): turns one Bus_port request into pipelined
      single-word channel transfers; completion = every word accepted and
      every response collected *)
@@ -253,8 +270,8 @@ let connect ~cover ~cdc:{ Bus.ratio; depth } ~monitor kernel (spec : Spec.t)
       expect_r = 0; collected = [] }
   in
   let master_seq () =
-    Signal.set_next_bool nat.Native.bready true;
-    Signal.set_next_bool nat.Native.rready true;
+    drive nat.Native.bready true;
+    drive nat.Native.rready true;
     let fire v r = Signal.get_bool v && Signal.get_bool r in
     if m.busy then begin
       if fire nat.Native.awvalid nat.Native.awready then begin
@@ -348,8 +365,8 @@ let connect ~cover ~cdc:{ Bus.ratio; depth } ~monitor kernel (spec : Spec.t)
         && (not (Signal.get_bool (Async_fifo.full wcmd)))
         && not (Signal.get_bool (Async_fifo.wr_en wcmd))
       in
-      Signal.set_next_bool nat.Native.awready can;
-      Signal.set_next_bool nat.Native.wready can
+      drive nat.Native.awready can;
+      drive nat.Native.wready can
     end;
     (* read address *)
     if fire nat.Native.arvalid nat.Native.arready then begin
@@ -359,7 +376,7 @@ let connect ~cover ~cdc:{ Bus.ratio; depth } ~monitor kernel (spec : Spec.t)
     end
     else begin
       clear_pulse (Async_fifo.wr_en rcmd);
-      Signal.set_next_bool nat.Native.arready
+      drive nat.Native.arready
         (Signal.get_bool nat.Native.arvalid
         && (not (Signal.get_bool (Async_fifo.full rcmd)))
         && not (Signal.get_bool (Async_fifo.wr_en rcmd)))

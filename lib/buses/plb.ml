@@ -272,27 +272,35 @@ let native_mirror kernel ~ce_slots (sis : Sis_if.t) =
     Signal.set n.Native.data_in (Signal.get sis.Sis_if.data_in);
     Signal.set n.Native.data_out (Signal.get sis.Sis_if.data_out)
   in
+  let comp = ref None in
+  (* [comb] reads the two in-flight flags: announce when either flips *)
   let seq () =
     let io_en = Signal.get_bool sis.Sis_if.io_enable in
     let div = Signal.get_bool sis.Sis_if.data_in_valid in
     let dov = Signal.get_bool sis.Sis_if.data_out_valid in
     let done_ = Signal.get_bool sis.Sis_if.io_done in
+    let was_read = !in_read and was_write = !in_write in
     if io_en && div && not done_ then in_write := true;
     if io_en && (not div) && not dov then in_read := true;
     if done_ && not dov then in_write := false;
-    if dov then in_read := false
+    if dov then in_read := false;
+    if !in_read <> was_read || !in_write <> was_write then
+      Option.iter Component.rearm !comp
   in
-  Kernel.add kernel
-    (Component.make
-       ~reads:
-         [
-           sis.Sis_if.io_enable; sis.Sis_if.data_in_valid;
-           sis.Sis_if.data_out_valid; sis.Sis_if.io_done; sis.Sis_if.func_id;
-           sis.Sis_if.data_in; sis.Sis_if.data_out;
-         ]
-       ~comb ~seq
-       ~reset:(fun () ->
-         in_read := false;
-         in_write := false)
-       "plb-native-mirror");
+  let c =
+    Component.make
+      ~reads:
+        [
+          sis.Sis_if.io_enable; sis.Sis_if.data_in_valid;
+          sis.Sis_if.data_out_valid; sis.Sis_if.io_done; sis.Sis_if.func_id;
+          sis.Sis_if.data_in; sis.Sis_if.data_out;
+        ]
+      ~comb ~seq
+      ~reset:(fun () ->
+        in_read := false;
+        in_write := false)
+      "plb-native-mirror"
+  in
+  comp := Some c;
+  Kernel.add kernel c;
   n

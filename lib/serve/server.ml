@@ -402,30 +402,69 @@ let write_all fd s =
   let rec go off = if off < n then go (off + Unix.write_substring fd s off (n - off)) in
   go 0
 
-(* Reads one newline-terminated line; [acc] carries bytes already read
-   past the previous line. A line longer than [max_line] is [`Oversized]
-   wherever its newline falls — in the read that completes it or one
-   still to come. A clean EOF at a line boundary is [`Eof]; an EOF
+(* A connection's line reader. [buf] holds the bytes read but not yet
+   returned: [buf[start..]] is the line in progress plus anything already
+   read past it, and [buf[start..scanned)] is known to hold no newline, so
+   each byte is scanned once and a long line costs linear time — the
+   buffer grows by doubling and the line is copied out once. One 4 KiB
+   read chunk is reused for the life of the connection. *)
+type line_reader = {
+  fd : Unix.file_descr;
+  max_line : int;
+  chunk : Bytes.t;
+  buf : Buffer.t;
+  mutable start : int;
+  mutable scanned : int;
+}
+
+let line_reader fd ~max_line =
+  { fd; max_line; chunk = Bytes.create 4096; buf = Buffer.create 4096;
+    start = 0; scanned = 0 }
+
+(* first newline in [buf[from..]], or -1 *)
+let rec newline_from buf from =
+  if from >= Buffer.length buf then -1
+  else if Buffer.nth buf from = '\n' then from
+  else newline_from buf (from + 1)
+
+(* Reads one newline-terminated line. A line longer than [max_line] is
+   [`Oversized] wherever its newline falls — in the read that completes it
+   or one still to come. A clean EOF at a line boundary is [`Eof]; an EOF
    mid-line drops the partial line (the client vanished). *)
-let rec read_line fd acc ~max_line =
-  match String.index_opt acc '\n' with
-  | Some i when i > max_line -> `Oversized
-  | Some i ->
-      let line = String.sub acc 0 i in
-      let line =
-        if line <> "" && line.[String.length line - 1] = '\r' then
-          String.sub line 0 (String.length line - 1)
-        else line
+let rec read_line r =
+  let buf = r.buf in
+  match newline_from buf r.scanned with
+  | i when i >= 0 && i - r.start > r.max_line -> `Oversized
+  | i when i >= 0 ->
+      let stop =
+        if i > r.start && Buffer.nth buf (i - 1) = '\r' then i - 1 else i
       in
-      let rest = String.sub acc (i + 1) (String.length acc - i - 1) in
-      `Line (line, rest)
-  | None ->
-      if String.length acc > max_line then `Oversized
-      else
-        let buf = Bytes.create 4096 in
-        let n = try Unix.read fd buf 0 4096 with Unix.Unix_error _ -> 0 in
+      let line = Buffer.sub buf r.start (stop - r.start) in
+      r.start <- i + 1;
+      r.scanned <- i + 1;
+      `Line line
+  | _ ->
+      if Buffer.length buf - r.start > r.max_line then `Oversized
+      else begin
+        (* drop the returned lines before growing the buffer: what is kept
+           is the partial line, copied at most once per returned line *)
+        if r.start > 0 then begin
+          let rest = Buffer.sub buf r.start (Buffer.length buf - r.start) in
+          Buffer.clear buf;
+          Buffer.add_string buf rest;
+          r.start <- 0
+        end;
+        r.scanned <- Buffer.length buf;
+        let n =
+          try Unix.read r.fd r.chunk 0 (Bytes.length r.chunk)
+          with Unix.Unix_error _ -> 0
+        in
         if n = 0 then `Eof
-        else read_line fd (acc ^ Bytes.sub_string buf 0 n) ~max_line
+        else begin
+          Buffer.add_subbytes buf r.chunk 0 n;
+          read_line r
+        end
+      end
 
 let http_response ~status ~content_type body =
   Printf.sprintf
@@ -622,8 +661,9 @@ let handle_line t fd line =
       end)
 
 let handle_conn t fd =
-  let rec loop acc =
-    match read_line fd acc ~max_line:t.cfg.max_line with
+  let reader = line_reader fd ~max_line:t.cfg.max_line in
+  let rec loop () =
+    match read_line reader with
     | `Eof -> ()
     | `Oversized ->
         let reply =
@@ -640,19 +680,19 @@ let handle_conn t fd =
         (try write_all fd (Json.to_string reply ^ "\n")
          with Unix.Unix_error _ -> ());
         record t ~kind:"unknown" ~outcome:P.Rejected ~latency_ns:0 None
-    | `Line (line, rest) ->
-        if line = "" then loop rest
+    | `Line line ->
+        if line = "" then loop ()
         else if String.length line >= 4 && String.sub line 0 4 = "GET " then
           (* plain HTTP GET on the same port; respond and close *)
           try handle_http t fd line with Unix.Unix_error _ -> ()
         else begin
           let continue = try handle_line t fd line with Unix.Unix_error _ -> false in
-          if continue then loop rest
+          if continue then loop ()
         end
   in
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () -> loop "")
+    loop
 
 (* ---- lifecycle ------------------------------------------------------ *)
 

@@ -55,6 +55,21 @@ val metrics_exposition : t -> string
     p50/p95/p99 latency gauges, [splice_build_info],
     [splice_uptime_seconds], terminated by [# EOF]. *)
 
+(** {1 Request lines} *)
+
+type line_reader
+(** A connection's buffered line reader: one per connection, reusing one
+    read chunk and one growing buffer, so a line costs time and allocation
+    linear in its length. *)
+
+val line_reader : Unix.file_descr -> max_line:int -> line_reader
+
+val read_line : line_reader -> [ `Line of string | `Oversized | `Eof ]
+(** The next newline-terminated line, without its newline or a trailing
+    CR. A line longer than [max_line] bytes is [`Oversized] wherever its
+    newline falls. A clean EOF at a line boundary is [`Eof]; an EOF
+    mid-line drops the partial line. *)
+
 val stats_json : t -> Splice_obs.Json.t
 (** The [/stats] body: uptime, queue depth, in-flight count, request
     table and latency percentiles as JSON. *)

@@ -79,6 +79,14 @@ let create ?(name = "afifo") k ~wr_dom ~rd_dom ~depth ~width =
      bits inverted (the reflected-code wrap signature); conservative
      because the synchronized pointer lags the true one *)
   let top2 = 3 lsl (ptr_bits - 2) in
+  (* each synchronizer flop has a single writer — the seq below that
+     clocks it — so skipping the write when the value would not change
+     leaves the committed state exactly as it was; it only keeps the
+     deferred-write queue short *)
+  let sync dst src =
+    let v = Signal.get_int src in
+    if v <> Signal.get_int dst then Signal.set_next_int dst v
+  in
   let wr_comb () =
     Signal.set_bool t.full
       (Signal.get_int t.wr_gray = Signal.get_int t.rd_gray_s2 lxor top2)
@@ -93,8 +101,8 @@ let create ?(name = "afifo") k ~wr_dom ~rd_dom ~depth ~width =
       Signal.set_next_int t.wr_ptr wp';
       Signal.set_next_int t.wr_gray (gray_encode wp')
     end;
-    Signal.set_next t.rd_gray_s1 (Signal.get t.rd_gray);
-    Signal.set_next t.rd_gray_s2 (Signal.get t.rd_gray_s1)
+    sync t.rd_gray_s1 t.rd_gray;
+    sync t.rd_gray_s2 t.rd_gray_s1
   in
   let rd_comb () =
     let empty = Signal.get_int t.rd_gray = Signal.get_int t.wr_gray_s2 in
@@ -111,9 +119,17 @@ let create ?(name = "afifo") k ~wr_dom ~rd_dom ~depth ~width =
       Signal.set_next_int t.rd_ptr rp';
       Signal.set_next_int t.rd_gray (gray_encode rp')
     end;
-    Signal.set_next t.wr_gray_s1 (Signal.get t.wr_gray);
-    Signal.set_next t.wr_gray_s2 (Signal.get t.wr_gray_s1)
+    sync t.wr_gray_s1 t.wr_gray;
+    sync t.wr_gray_s2 t.wr_gray_s1
   in
+  (* Neither comb announces a state change ([Component.rearm]): [wr_comb]
+     reads only declared signals, and [rd_comb] reads declared signals
+     plus [mem.(rd_ptr)]. A push is accepted only below full, so it lands
+     on the read slot only while the FIFO is truly empty; a truly empty
+     FIFO also reads as empty through the lagging synchronized write
+     pointer, and then [rd_comb] ignores [mem]. So the slot cannot change
+     while the FIFO reads as non-empty, and [rd_ptr], a declared read,
+     moves before the next slot is read. *)
   Kernel.add_in k wr_dom
     (Component.make
        ~reads:[ t.wr_gray; t.rd_gray_s2 ]

@@ -1,6 +1,4 @@
-type sensitivity =
-  | Always
-  | Reads of { signals : Signal.t list; edge : bool }
+type sensitivity = Always | Reads of Signal.t list
 
 type t = {
   name : string;
@@ -19,6 +17,10 @@ type t = {
   mutable rec_id : int;
       (* cached flight-recorder intern id (see Signal); lets the kernel
          record Comp_eval events without hashing the component name *)
+  mutable arm : unit -> unit;
+      (* what [rearm] does: queue this component with the scheduler of the
+         kernel that sealed it last (a nop before any seal and under the
+         sweep, which evaluates everything anyway) *)
   reset : unit -> unit;
       (* restore closure-held state (refs, mutable records) to its
          construction-time value; run by [Kernel.reset] so a cached design
@@ -27,16 +29,12 @@ type t = {
 
 let nop () = ()
 
-let make ?reads ?state ?comb ?seq ?reset name =
+let make ?reads ?comb ?seq ?reset name =
   let sensitivity =
     match (comb, reads) with
-    | None, _ -> Reads { signals = []; edge = false }
+    | None, _ -> Reads []
     | Some _, None -> Always
-    | Some _, Some signals ->
-        let edge =
-          match state with Some b -> b | None -> Option.is_some seq
-        in
-        Reads { signals; edge }
+    | Some _, Some signals -> Reads signals
   in
   {
     name;
@@ -48,8 +46,10 @@ let make ?reads ?state ?comb ?seq ?reset name =
     reg_gen = 0;
     rec_stamp = 0;
     rec_id = -1;
+    arm = nop;
     reset = (match reset with Some f -> f | None -> nop);
   }
 
+let rearm t = t.arm ()
 let name t = t.name
 let sensitivity t = t.sensitivity

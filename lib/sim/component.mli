@@ -9,27 +9,32 @@
     {1 Sensitivity}
 
     [reads] declares the complete set of signals the [comb] callback reads.
-    The event-driven kernel only re-evaluates a component when one of its
-    declared reads changed — so the declaration is a contract: [comb] must be
-    a deterministic function of exactly those signals (plus, when [state] is
-    true, internal state that only the component's own [seq] mutates). A
-    component constructed with a [comb] but no [reads] falls back to the
-    legacy always-dirty behaviour: it is re-evaluated on every delta pass,
-    exactly as the sweep scheduler would, which is always safe and lets
-    call sites migrate incrementally.
+    The event-driven and compiled schedulers only re-evaluate a component
+    when one of its declared reads changed, or when the component announced
+    a state change with {!rearm} — so the declaration is a contract: [comb]
+    must be a deterministic function of exactly those signals plus internal
+    state whose every comb-visible change is announced. A component
+    constructed with a [comb] but no [reads] falls back to the legacy
+    always-dirty behaviour: it is re-evaluated on every delta pass, exactly
+    as the sweep scheduler would, which is always safe and lets call sites
+    migrate incrementally.
 
-    [state] marks the combinational output as also depending on clocked
-    internal state, so the kernel re-arms the component after every clock
-    edge in addition to its signal sensitivities. It defaults to [true]
-    whenever a [seq] callback is supplied; pass [~state:false] for
-    components whose [seq] only does bookkeeping that [comb] never reads
-    (e.g. metrics). *)
+    {1 Announcing state changes}
+
+    A component whose [comb] also reads state that its own [seq] mutates
+    (a phase register, a pending flag) calls {!rearm} from that [seq]
+    whenever the part of the state [comb] reads changes. The kernel then
+    re-evaluates it at the next settle, and only then: there is no
+    per-edge re-arm. A change that is not announced is a contract breach
+    the sweep scheduler — which evaluates everything on every pass and
+    ignores announcements — exposes as an output difference; that is what
+    the fuzz sweep's event-vs-sweep comparison checks. *)
 
 type sensitivity =
   | Always  (** legacy fallback: evaluate on every delta pass *)
-  | Reads of { signals : Signal.t list; edge : bool }
-      (** [signals]: comb re-runs when any of them changes; [edge]: comb
-          additionally re-runs after every clock edge (state-dependent). *)
+  | Reads of Signal.t list
+      (** comb re-runs when any of these signals changes, or after a
+          {!rearm} *)
 
 type t = {
   name : string;
@@ -47,6 +52,9 @@ type t = {
   mutable rec_stamp : int;
       (** kernel-owned: flight-recorder stamp validating [rec_id] *)
   mutable rec_id : int;  (** kernel-owned: cached recorder intern id *)
+  mutable arm : unit -> unit;
+      (** kernel-owned: the action behind {!rearm}, installed by every seal
+          for the sealing kernel's scheduler (a nop until then) *)
   reset : unit -> unit;
       (** restore closure-held state to its construction-time value; run
           by [Kernel.reset] when a cached design is replayed *)
@@ -54,7 +62,6 @@ type t = {
 
 val make :
   ?reads:Signal.t list ->
-  ?state:bool ->
   ?comb:(unit -> unit) ->
   ?seq:(unit -> unit) ->
   ?reset:(unit -> unit) ->
@@ -62,11 +69,17 @@ val make :
   t
 (** Missing callbacks default to no-ops. A component without [comb] is never
     scheduled for combinational evaluation; one with [comb] but no [reads]
-    is treated as {!Always} dirty. [state] defaults to [true] iff [seq] is
-    given (see the sensitivity contract above). [reset] (default no-op)
-    must restore every ref and mutable record captured by the callbacks to
-    the exact value it held when [make] returned — the contract that makes
+    is treated as {!Always} dirty. [reset] (default no-op) must restore
+    every ref and mutable record captured by the callbacks to the exact
+    value it held when [make] returned — the contract that makes
     {!Kernel.reset} replay equivalent to a fresh build. *)
+
+val rearm : t -> unit
+(** Announce, from the component's own [seq], that state its [comb] reads
+    has changed: the kernel re-evaluates the component at the next settle.
+    A nop for components without [comb], for {!Always} components and under
+    the sweep scheduler. Announcing when nothing comb-visible changed is
+    safe (one wasted evaluation); failing to announce a change is not. *)
 
 val name : t -> string
 val sensitivity : t -> sensitivity

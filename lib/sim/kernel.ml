@@ -52,8 +52,6 @@ type t = {
   mutable hooks_fwd : (int -> unit) array;
   mutable settle_hooks_fwd : (int -> unit) array;
   mutable settle_doms : domain array; (* parallel to [settle_hooks_fwd] *)
-  mutable edge_comps : Component.t array;
-      (* state-sensitive components, re-marked dirty at every settle *)
   mutable has_always : bool;
   mutable n_dirty : int;
   mutable tape : Tape.t option;
@@ -174,7 +172,6 @@ let create ?(max_comb_iters = 64) ?(sched = `Event) ?obs () =
       hooks_fwd = [||];
       settle_hooks_fwd = [||];
       settle_doms = [||];
-      edge_comps = [||];
       has_always = false;
       n_dirty = 0;
       tape = None;
@@ -278,13 +275,20 @@ let seal t =
   t.settle_hooks_fwd <- Array.map fst settles;
   t.settle_doms <- Array.map snd settles;
   t.has_always <- false;
-  let edge = ref [] in
   Array.iter
     (fun (c : Component.t) ->
       match c.Component.sensitivity with
       | Component.Always -> t.has_always <- true
-      | Component.Reads { signals; edge = e } ->
-          if e && c.Component.has_comb then edge := c :: !edge;
+      | Component.Reads signals ->
+          (* the one re-arm path: a component's announcement ([Component.rearm]
+             from its seq) queues it for the next settle, nothing re-arms it
+             per edge. The tape installs its own action when it compiles;
+             the sweep evaluates everything and ignores announcements *)
+          if c.Component.has_comb then
+            c.Component.arm <-
+              (match t.sched with
+              | `Event -> fun () -> mark_dirty t c
+              | `Sweep | `Compiled -> ignore);
           if t.sched = `Event && c.Component.reg_gen <> t.gen then begin
             (* a component migrating from an earlier kernel may carry that
                kernel's dirty bit; clear it before this kernel counts it *)
@@ -303,7 +307,6 @@ let seal t =
             if c.Component.has_comb then mark_dirty t c
           end)
     t.comps_fwd;
-  t.edge_comps <- Array.of_list (List.rev !edge);
   let compile_delta =
     if t.sched = `Compiled then begin
       let c0 = Obs.now_ns () in
@@ -397,12 +400,7 @@ let settle t =
         | exception Tape.Divergence executed ->
             raise
               (Comb_divergence { cycle = t.cycle_count; iterations = executed }))
-    | `Event ->
-        let edge = t.edge_comps in
-        for i = 0 to Array.length edge - 1 do
-          mark_dirty t (Array.unsafe_get edge i)
-        done;
-        event_passes t 0 0
+    | `Event -> event_passes t 0 0
   in
   t.comb_evals_total <- t.comb_evals_total + t.settle_evals;
   t.iter_counts.(iters) <- t.iter_counts.(iters) + 1;
@@ -550,7 +548,8 @@ let reset ?sched t =
   t.k_elaborate_ns <- 0L;
   t.k_seal_ns <- 0L;
   t.k_compile_ns <- 0L;
-  (* drop the tape and unseal; clear dirty bookkeeping, then queue every
+  (* drop the tape and unseal; clear dirty bookkeeping (announcements a
+     run's last seq raised included), then queue every
      combinational [Reads] component for the first pass — the state a fresh
      kernel reaches right before its first seal marks them. Components whose
      listeners are already registered with this kernel (reg_gen = gen) are

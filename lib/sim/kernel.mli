@@ -14,8 +14,9 @@
 
     Under the default [`Event] scheduler the kernel keeps a dirty set: a
     delta pass only re-evaluates components whose declared sensitivities
-    (see {!Component.make}) changed — via a signal fan-out listener, a clock
-    edge (state-sensitive components), or the legacy always-dirty fallback.
+    (see {!Component.make}) changed — via a signal fan-out listener, the
+    component's own state-change announcement ({!Component.rearm}), or the
+    legacy always-dirty fallback.
     The [`Sweep] scheduler is the original behaviour — every component on
     every pass — kept for the E14 ablation and as a migration oracle.
 

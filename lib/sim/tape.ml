@@ -12,7 +12,8 @@ open Splice_bits
    bitset over tape positions, writes are observed through the domain-local
    [Signal.set_touch] hook (installed only while settling), and reader
    fan-out is a precomputed bitmask OR — no per-signal listener closures,
-   no list traversal, no boxing. *)
+   no list traversal, no boxing. A component's own announcement
+   ([Component.rearm], from its seq) sets its position's bit directly. *)
 
 type t = {
   stamp : int;
@@ -25,8 +26,7 @@ type t = {
   always : Component.t array;
       (* [Always] components: pinned to every pass, evaluated first *)
   nwords : int; (* words in the position bitsets: (|order| + 31) / 32 *)
-  dirty : int array; (* positions queued for evaluation this settle *)
-  edge_mask : int array; (* positions of edge-sensitive components *)
+  dirty : int array; (* positions queued for evaluation *)
   slots : Signal.t array; (* slot -> signal, for the snapshot scan *)
   packed : int array;
       (* slot -> last observed immediate of a narrow signal
@@ -116,7 +116,7 @@ let compile (comps : Component.t array) =
     Array.map
       (fun (c : Component.t) ->
         match c.Component.sensitivity with
-        | Component.Reads { signals; _ } ->
+        | Component.Reads signals ->
             List.sort_uniq compare (List.map intern signals)
         | Component.Always -> [])
       cands
@@ -224,16 +224,6 @@ let compile (comps : Component.t array) =
       (fun ks -> mask_of_positions (List.map (fun k -> pos_of_cand.(k)) ks))
       readers_of_slot
   in
-  let edge_mask =
-    let ps = ref [] in
-    Array.iteri
-      (fun k (c : Component.t) ->
-        match c.Component.sensitivity with
-        | Component.Reads { edge = true; _ } -> ps := pos_of_cand.(k) :: !ps
-        | _ -> ())
-      cands;
-    mask_of_positions !ps
-  in
   (* SoA snapshot of the calibrated values *)
   let packed = Array.make (max nslots 1) 0 in
   let wide_idx = Array.make (max nslots 1) (-1) in
@@ -261,7 +251,6 @@ let compile (comps : Component.t array) =
       always;
       nwords;
       dirty = all_dirty;
-      edge_mask;
       slots;
       packed;
       wide_idx;
@@ -275,6 +264,13 @@ let compile (comps : Component.t array) =
       evals = 0;
     }
   in
+  (* the tape's one re-arm path: an announcement queues the position for
+     the next settle *)
+  Array.iteri
+    (fun p (c : Component.t) ->
+      let w = p lsr 5 and b = 1 lsl (p land 31) in
+      c.Component.arm <- (fun () -> t.dirty.(w) <- t.dirty.(w) lor b))
+    order;
   t
 
 let rec any_dirty_from t w =
@@ -356,9 +352,6 @@ let rec passes t ~max_iters ~record executed productive =
 
 let settle t ~max_iters ~(record : (Component.t -> unit) option) =
   if Signal.change_count () <> t.last_changes then scan t;
-  for w = 0 to t.nwords - 1 do
-    t.dirty.(w) <- t.dirty.(w) lor t.edge_mask.(w)
-  done;
   t.evals <- 0;
   Signal.set_touch t.touch;
   (* manual unwind instead of [Fun.protect]: the hot path must not allocate

@@ -11,13 +11,15 @@
       structure-of-arrays buffers: narrow signals' immediates
       ({!Signal.narrow}) packed as ints, wide signals in a [Bits.t]
       side table;
-    + {e tape emit} — precompute, per slot, the bitmask of reader positions,
-      plus the mask of edge-sensitive positions re-armed every settle.
+    + {e tape emit} — precompute, per slot, the bitmask of reader
+      positions, and point each component's {!Component.rearm} at its own
+      position's bit.
 
     {!settle} then walks the tape with zero allocation in the steady state:
     dirtiness is an int bitset over tape positions; writes flow through the
     domain-local touch hook (installed only while settling) straight into a
-    bitmask OR. [`Always`] components are pinned to every pass. Settled
+    bitmask OR, and a component's announcement from its seq sets its bit
+    for the next settle. [`Always`] components are pinned to every pass. Settled
     values are bit-identical to the [`Event`]/[`Sweep`] schedulers — the
     tape still iterates to the same fixpoint, it only schedules fewer,
     better-ordered evaluations.

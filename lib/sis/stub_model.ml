@@ -195,7 +195,16 @@ let finalize_input t io got_rev =
       in
       t.received <- t.received @ [ (io.io_name, elems) ]
 
-let seq t () =
+(* [comb] reads the phase only as input / calc / output-with-its-head-word:
+   a [PIn] word accumulation, a move to the next input and a [PCalc]
+   countdown leave what it drives unchanged *)
+let same_view a b =
+  match (a, b) with
+  | PIn _, PIn _ | PCalc _, PCalc _ | POut [], POut [] -> true
+  | POut (w :: _), POut (v :: _) -> Bits.equal w v
+  | _ -> false
+
+let step t =
   if Signal.get_bool t.sis.Sis_if.rst then begin
     t.pending_write <- false;
     reset_to_start t
@@ -231,6 +240,17 @@ let seq t () =
      else if read_requested_now t then t.pending_read <- true)
   end
 
+(* the clocked body, announcing every change of the state [comb] reads *)
+let seq t () =
+  let phase = t.phase in
+  let pending_read = t.pending_read and pending_write = t.pending_write in
+  step t;
+  if
+    t.pending_read <> pending_read
+    || t.pending_write <> pending_write
+    || not (same_view phase t.phase)
+  then Component.rearm t.comp
+
 let make ~spec ~func ~instance ~sis ~ports ~behavior =
   let t =
     {
@@ -250,9 +270,9 @@ let make ~spec ~func ~instance ~sis ~ports ~behavior =
   in
   (match func.Spec.inputs with [] -> enter_input t 0 [] | l -> enter_input t 0 l);
   let name = Printf.sprintf "stub:%s#%d" func.Spec.name instance in
-  (* [comb t] reads only the selection/strobe lines (the phase machine and
-     pending flags are clocked state, covered by the default edge
-     sensitivity); DATA_IN is sampled by [seq], not by [comb] *)
+  (* [comb t] reads the selection/strobe lines plus clocked state — the
+     phase view and the pending flags — whose changes [seq t] announces;
+     DATA_IN is sampled by [seq], not by [comb] *)
   t.comp <-
     Component.make
       ~reads:[ sis.Sis_if.func_id; sis.Sis_if.io_enable; sis.Sis_if.data_in_valid ]

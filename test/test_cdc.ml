@@ -108,10 +108,11 @@ let arb_scenario = QCheck.make ~print:print_scenario ~shrink:shrink_scenario gen
 (* Push every value through the FIFO with coin-flip pacing on both sides;
    the FIFO's own overflow/underflow assertions arm the run, an every-tick
    settle hook asserts the flags stay conservative, and the drained
-   sequence must equal the pushed one exactly (no drop/dup/reorder). *)
-let run_scenario sc =
+   sequence must equal the pushed one exactly (no drop/dup/reorder).
+   [on_tick], when given, sees the FIFO after every settle. *)
+let run_scenario ?(sched = `Event) ?(on_tick = fun _ -> ()) sc =
   Signal.reset_names ();
-  let k = Kernel.create () in
+  let k = Kernel.create ~sched ~obs:Splice_obs.Obs.none () in
   let wr_dom =
     Kernel.add_domain k ~name:"wr" ~phase:(snd sc.sc_wr) ~period:(fst sc.sc_wr) ()
   in
@@ -164,7 +165,8 @@ let run_scenario sc =
       if (not (Signal.get_bool (Splice.Async_fifo.full f))) && lv >= sc.sc_depth
       then failwith "full deasserted while truly full";
       if Signal.get_bool (Splice.Async_fifo.empty f) = false && lv = 0 then
-        failwith "empty deasserted while truly empty");
+        failwith "empty deasserted while truly empty";
+      on_tick f);
   let n = List.length sc.sc_values in
   let budget = ref (200 + (n * 40 * 5)) in
   while List.length !popped < n && !budget > 0 do
@@ -187,6 +189,76 @@ let fifo_props =
         | Error e -> QCheck.Test.fail_report (e ^ ": " ^ print_scenario sc)
         | exception Failure e ->
             QCheck.Test.fail_report (e ^ ": " ^ print_scenario sc));
+  ]
+
+(* -------- async FIFO soundness across schedulers -------- *)
+
+(* The FIFO's combs announce no state change: [rd_comb] reads [mem] at
+   the read pointer, which is sound only because that slot cannot change
+   while the FIFO reads as non-empty. A random push/pop schedule at every
+   AXI clock ratio and depth, in both crossing directions, must then give
+   the same [rd_data]/[empty]/[full] trace, tick by tick, under event and
+   compiled as under the sweep, which evaluates every comb every pass. *)
+let gen_schedule =
+  QCheck.Gen.(
+    let* n = int_range 1 40 in
+    let* values = list_repeat n (int_bound 0xFFFF) in
+    let* coin = int_bound 0x3FFFFFFF in
+    return (values, coin))
+
+let arb_schedule =
+  QCheck.make
+    ~print:(fun (values, coin) ->
+      Printf.sprintf "n=%d coin=%d" (List.length values) coin)
+    gen_schedule
+
+let fifo_trace sched sc =
+  let trace = ref [] in
+  let on_tick f =
+    trace :=
+      ( Signal.get_int (Splice.Async_fifo.rd_data f),
+        Signal.get_bool (Splice.Async_fifo.empty f),
+        Signal.get_bool (Splice.Async_fifo.full f) )
+      :: !trace
+  in
+  match run_scenario ~sched ~on_tick sc with
+  | Ok () -> Ok (List.rev !trace)
+  | Error e -> Error e
+  | exception Failure e -> Error e
+
+let soundness_props =
+  [
+    prop ~count:12 "async FIFO traces agree under event, sweep and compiled"
+      arb_schedule
+      (fun (values, coin) ->
+        List.for_all
+          (fun ratio ->
+            let fast, slow = Splice.Axi.periods ratio in
+            List.for_all
+              (fun depth ->
+                List.for_all
+                  (fun (wr, rd) ->
+                    let sc =
+                      { sc_wr = (wr, 0); sc_rd = (rd, 0); sc_depth = depth;
+                        sc_values = values; sc_coin = coin }
+                    in
+                    let where =
+                      Printf.sprintf "%d:%d depth %d, %s" (fst ratio)
+                        (snd ratio) depth (print_scenario sc)
+                    in
+                    match fifo_trace `Sweep sc with
+                    | Error e -> QCheck.Test.fail_report (e ^ ": " ^ where)
+                    | Ok oracle ->
+                        List.for_all
+                          (fun sched ->
+                            fifo_trace sched sc = Ok oracle
+                            || QCheck.Test.fail_reportf "%s trace differs: %s"
+                                 (if sched = `Event then "event" else "compiled")
+                                 where)
+                          [ `Event; `Compiled ])
+                  [ (fast, slow); (slow, fast) ])
+              Splice.Axi.depths_all)
+          Splice.Axi.ratios_all);
   ]
 
 (* -------- AXI host end-to-end -------- *)
@@ -423,7 +495,7 @@ let corpus_tests =
 let tests =
   [
     ("cdc.gray", gray_props);
-    ("cdc.fifo", fifo_props);
+    ("cdc.fifo", fifo_props @ soundness_props);
     ("cdc", smoke_tests);
     ("cdc.sched", sched_tests);
     ("cdc.corpus", corpus_tests);

@@ -271,14 +271,14 @@ let agreement ?(scenarios = Interp_scenarios.all) ?pin name host =
    check, one evaluation per ACLK edge *)
 let metrics_pins =
   [
-    ("plb", "584cedd689c3694c4f7425600a6dce77");
-    ("opb", "d574391af9c84203d33b8b969a5c7455");
-    ("fcb", "a0e8e12607187704372516b4e16c00a2");
-    ("apb", "4bb43a996e03bb514f183f9fb4abdfdb");
-    ("ahb", "30c31f3304c053760060f1b5a1c9e89c");
-    ("wishbone", "dce8da6856100d4a23b4a5b1a1a18222");
-    ("avalon", "f0897720e8e11868644d411e0939bdcc");
-    ("axi", "2ee084e9c6a5e98437be7719d350a440");
+    ("plb", "64f4faf8cc12f74b4eb4bd1400c95788");
+    ("opb", "54183c544f5aa1543b607588e33e3839");
+    ("fcb", "16b38d51be8a97cedb9a74bdd2b0dbfd");
+    ("apb", "6192bc2173a3f7774c9b4c2d66823770");
+    ("ahb", "8f071283efff715c9ce3c56ea60564bd");
+    ("wishbone", "2cb3b1c1c5a5eddb1a42f36534eaeb33");
+    ("avalon", "a52675a9386a86d992966e24075a3412");
+    ("axi", "885ae44d851aeb16883e8415ac351e65");
   ]
 
 let agreement_tests =

@@ -272,6 +272,35 @@ let server_tests =
                 check_string "oversized outcome" "rejected" (str_of r "outcome");
                 check_string "oversized reason" "request line exceeds 128 bytes"
                   (str_of r "error"))));
+    t "serve: a near-max_line line reads in linear allocation" (fun () ->
+        (* the line reader once re-concatenated its whole accumulator on
+           every 4 KiB read: ~128 MiB of copying for a 1 MiB line. Counted
+           in allocated bytes, not wall time, so the bound is exact *)
+        let max_line = Serve.default_config.Serve.max_line in
+        let long = String.make (max_line - 3) 'x' ^ "\r" in
+        let path = Filename.temp_file "splice" ".lines" in
+        Fun.protect
+          ~finally:(fun () -> Sys.remove path)
+          (fun () ->
+            Out_channel.with_open_bin path (fun oc ->
+                output_string oc (long ^ "\nnext\n"));
+            let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+            Fun.protect
+              ~finally:(fun () -> Unix.close fd)
+              (fun () ->
+                let r = Serve.line_reader fd ~max_line in
+                let before = Gc.allocated_bytes () in
+                let first = Serve.read_line r in
+                let allocated = Gc.allocated_bytes () -. before in
+                check_bool "long line read whole, CR dropped" true
+                  (first = `Line (String.sub long 0 (max_line - 3)));
+                check_bool
+                  (Printf.sprintf "allocated %.0f bytes for a %d-byte line"
+                     allocated (String.length long))
+                  true
+                  (allocated <= 8. *. float_of_int (String.length long));
+                check_bool "next line" true (Serve.read_line r = `Line "next");
+                check_bool "then EOF" true (Serve.read_line r = `Eof))));
     t "serve: spec requests validate, reject and report" (fun () ->
         with_server Serve.default_config (fun _srv port ->
             with_conn port (fun c ->

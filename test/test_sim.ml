@@ -285,36 +285,121 @@ let scheduler_tests =
         | exception Kernel.Comb_divergence { iterations; _ } ->
             check_int "gave up at the limit" 8 iterations);
         Signal.clear_pending ());
-    t "edge-sensitive components re-arm every cycle" (fun () ->
-        (* comb output depends on state mutated only by the component's own
-           seq — no input signal ever changes, yet the output must track the
-           internal counter (the conservative ~state:true contract) *)
-        let out = Signal.create 8 in
-        let count = ref 0 in
-        let k = Kernel.create () in
-        Kernel.add k
-          (Component.make ~reads:[] ~state:true
-             ~comb:(fun () -> Signal.set_int out !count)
-             ~seq:(fun () -> incr count)
-             "edge");
-        Kernel.run k 3;
-        (* settled (pre-edge) view of the third cycle *)
-        check_int "tracks state" 2 (Signal.get_int out));
-    t "edge-sensitive components re-arm under the compiled scheduler"
+    t "announced state changes re-evaluate the component, event and compiled"
       (fun () ->
-        (* no input signal ever changes, so nothing marks the tape dirty —
-           only the edge mask ORed in at every settle keeps the component
-           tracking its internal state *)
-        let out = Signal.create 8 in
-        let count = ref 0 in
-        let k = Kernel.create ~sched:`Compiled () in
-        Kernel.add k
-          (Component.make ~reads:[] ~state:true
-             ~comb:(fun () -> Signal.set_int out !count)
-             ~seq:(fun () -> incr count)
-             "edge");
-        Kernel.run k 3;
-        check_int "tracks state" 2 (Signal.get_int out));
+        (* comb output depends only on state mutated by the component's own
+           seq; no input signal ever changes. The seq announces each change
+           of the comb-visible half of its counter, so the output tracks it
+           with one evaluation per announcement and none in between *)
+        List.iter
+          (fun sched ->
+            let out = Signal.create 8 in
+            let count = ref 0 in
+            let comp = ref None in
+            let k = Kernel.create ~sched () in
+            let c =
+              Component.make ~reads:[]
+                ~comb:(fun () -> Signal.set_int out (!count / 2))
+                ~seq:(fun () ->
+                  incr count;
+                  if !count mod 2 = 0 then Option.iter Component.rearm !comp)
+                "announcer"
+            in
+            comp := Some c;
+            Kernel.add k c;
+            Kernel.run k 7;
+            (* settled (pre-edge) view of the seventh cycle: count = 6 *)
+            check_int "tracks state" 3 (Signal.get_int out);
+            (* the first settle plus one per announcement (counts 2, 4, 6) *)
+            check_int "evaluated only when announced" 4
+              (Kernel.stats k).Kernel.comb_evals)
+          [ `Event; `Compiled ]);
+    t "an unannounced state change is what the sweep oracle exposes" (fun () ->
+        (* the same component with the announcement left out: under the
+           sweep, which ignores announcements and evaluates everything,
+           the output still tracks the state; under event and compiled it
+           freezes at its first value. The fuzz sweep's event-vs-sweep data
+           check relies on exactly this difference *)
+        let trace sched =
+          let out = Signal.create 8 in
+          let count = ref 0 in
+          let k = Kernel.create ~sched () in
+          Kernel.add k
+            (Component.make ~reads:[]
+               ~comb:(fun () -> Signal.set_int out !count)
+               ~seq:(fun () -> incr count)
+               "silent");
+          let seen = ref [] in
+          Kernel.on_settle k (fun _ -> seen := Signal.get_int out :: !seen);
+          Kernel.run k 4;
+          List.rev !seen
+        in
+        Alcotest.(check (list int)) "sweep tracks" [ 0; 1; 2; 3 ] (trace `Sweep);
+        Alcotest.(check (list int)) "event misses" [ 0; 0; 0; 0 ] (trace `Event);
+        Alcotest.(check (list int))
+          "compiled misses" [ 0; 0; 0; 0 ] (trace `Compiled));
+    t "Host.reset drops an announcement raised at the end of a run" (fun () ->
+        (* a component that announces on every edge always leaves one
+           announcement pending when a run stops; a replay after
+           [Host.reset] must still equal a fresh build cycle for cycle and
+           evaluation for evaluation *)
+        let spec =
+          Validate.of_string_exn ~lookup_bus:Registry.lookup_caps
+            "%device_name d\n%bus_type plb\n%bus_width 32\n\
+             %base_address 0x80000000\nint add2(int x, int y);"
+        in
+        let build sched =
+          let host =
+            Host.create ~sched ~obs:Splice_obs.Obs.none spec
+              ~behaviors:(fun _ ->
+                Stub_model.behavior ~cycles:2 (fun inputs ->
+                    [
+                      Int64.add
+                        (List.hd (List.assoc "x" inputs))
+                        (List.hd (List.assoc "y" inputs));
+                    ]))
+          in
+          (* adopted, so the replay snapshot restores its output too *)
+          let out =
+            Host.adopt host (fun () ->
+                let out = Signal.create ~name:"ticks" 16 in
+                let count = ref 0 in
+                let comp = ref None in
+                let c =
+                  Component.make ~reads:[]
+                    ~comb:(fun () -> Signal.set_int out !count)
+                    ~seq:(fun () ->
+                      incr count;
+                      Option.iter Component.rearm !comp)
+                    ~reset:(fun () -> count := 0)
+                    "ticker"
+                in
+                comp := Some c;
+                Kernel.add (Host.kernel host) c;
+                out)
+          in
+          (host, out)
+        in
+        let call host =
+          let r, cycles =
+            Host.call host ~func:"add2" ~args:[ ("x", [ 20L ]); ("y", [ 22L ]) ]
+          in
+          let st = Kernel.stats (Host.kernel host) in
+          (r, cycles, st.Kernel.comb_evals, st.Kernel.comb_iters)
+        in
+        List.iter
+          (fun sched ->
+            let host, out = build sched in
+            let reuse = Host.prepare_reuse host in
+            let fresh = call host in
+            let fresh_ticks = Signal.get_int out in
+            Host.reset host reuse;
+            let replay = call host in
+            check_bool "replay = fresh build" true (fresh = replay);
+            check_int "ticker replays" fresh_ticks (Signal.get_int out);
+            let other, _ = build sched in
+            check_bool "fresh build = first run" true (call other = fresh))
+          [ `Event; `Compiled ]);
   ]
 
 let wave_tests =
