@@ -163,35 +163,38 @@ let lint_cmd =
           (fun (f : Splice.Project.file) ->
             let issues =
               if Filename.check_suffix f.path ".vhd" then
-                List.map
-                  (fun (i : Splice.Vhdl_lint.issue) ->
-                    Format.asprintf "%a" Splice.Vhdl_lint.pp_issue i)
-                  (Splice.Vhdl_lint.lint f.contents)
+                Some
+                  (List.map
+                     (fun (i : Splice.Vhdl_lint.issue) ->
+                       Format.asprintf "%a" Splice.Vhdl_lint.pp_issue i)
+                     (Splice.Vhdl_lint.lint f.contents))
               else if
                 Filename.check_suffix f.path ".c"
                 || Filename.check_suffix f.path ".h"
               then
-                List.map
-                  (fun (i : Splice.C_lint.issue) ->
-                    Format.asprintf "%a" Splice.C_lint.pp_issue i)
-                  (Splice.C_lint.lint
-                     ~header:(Filename.check_suffix f.path ".h")
-                     f.contents)
-              else []
+                Some
+                  (List.map
+                     (fun (i : Splice.C_lint.issue) ->
+                       Format.asprintf "%a" Splice.C_lint.pp_issue i)
+                     (Splice.C_lint.lint
+                        ~header:(Filename.check_suffix f.path ".h")
+                        f.contents))
+              else None
             in
-            if issues = [] then Printf.printf "%-28s clean\n" f.path
-            else begin
-              bad := !bad + List.length issues;
-              List.iter (fun i -> Printf.printf "%-28s %s\n" f.path i) issues
-            end)
+            match issues with
+            | None -> Printf.printf "%-28s not linted\n" f.path
+            | Some [] -> Printf.printf "%-28s clean\n" f.path
+            | Some issues ->
+                bad := !bad + List.length issues;
+                List.iter (fun i -> Printf.printf "%-28s %s\n" f.path i) issues)
           (Splice.Project.files project);
         if !bad = 0 then 0 else 1
   in
   Cmd.v
     (Cmd.info "lint"
        ~doc:
-         "Generate a specification's project in memory and lint every HDL \
-          and C file.")
+         "Generate a specification's project in memory and lint every VHDL \
+          and C file; other files are listed as not linted.")
     Term.(const run $ spec_arg)
 
 let markers_cmd =

@@ -58,10 +58,8 @@ let design (spec : Spec.t) =
         Instance
           {
             inst_name = "u_" ^ inst_label f i;
-            (* VHDL-93 direct entity instantiation (no component decls needed);
-               the Verilog printer strips the prefix *)
-            comp_name = "entity work.func_" ^ f.Spec.name;
-            generic_map = [ ("C_MY_FUNC_ID", string_of_int id) ];
+            comp_name = "func_" ^ f.Spec.name;
+            generic_map = [ ("C_MY_FUNC_ID", id) ];
             port_map =
               [
                 ("CLK", Ref "CLK");
@@ -146,14 +144,13 @@ let design (spec : Spec.t) =
                        [
                          If
                            ( [
-                               ( Raw
-                                   "(calc_done_vec and (not calc_done_prev)) /= \
-                                    std_logic_vector(to_unsigned(0, calc_done_vec'length))",
+                               ( Binop
+                                   ( Neq,
+                                     Binop (And, Ref "calc_done_vec", Not (Ref "calc_done_prev")),
+                                     All_zeros ),
                                  [ Assign (Ref "irq_latch", Bool_lit true) ] );
                                ( Binop
-                                   ( And,
-                                     Ref "IO_ENABLE",
-                                     Raw "unsigned(FUNC_ID) = 0" ),
+                                   (And, Ref "IO_ENABLE", Binop (Eq, Ref "FUNC_ID", Int_lit 0)),
                                  [ Assign (Ref "irq_latch", Bool_lit false) ] );
                              ],
                              [] );

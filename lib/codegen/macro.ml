@@ -1,5 +1,6 @@
 open Splice_syntax
 open Splice_hdl
+open Hdl_ast
 
 let base_addr_literal (spec : Spec.t) =
   match spec.Spec.base_address with
@@ -22,79 +23,27 @@ let standard ?gen_date (spec : Spec.t) =
     ("DMA_ENABLED", if spec.Spec.dma then "true" else "false");
   ]
 
-(* Reuse the VHDL printer by rendering a throwaway design around the snippet
-   and slicing out the architecture body. *)
-let render_concurrent c =
-  let d =
-    {
-      Hdl_ast.header = [];
-      name = "snippet";
-      generics = [];
-      ports = [];
-      constants = [];
-      signals = [];
-      body = [ c ];
-    }
-  in
-  let full = Vhdl.to_string d in
-  let find_from start needle =
-    let nl = String.length needle and fl = String.length full in
-    let rec go i =
-      if i + nl > fl then None
-      else if String.sub full i nl = needle then Some i
-      else go (i + 1)
-    in
-    go start
-  in
-  let b =
-    match find_from 0 "\nbegin\n" with
-    | Some i -> i + String.length "\nbegin\n"
-    | None -> 0
-  in
-  let e = match find_from b "end architecture" with Some i -> i | None -> String.length full in
-  String.sub full b (e - b)
-
-let render_process p = render_concurrent (Hdl_ast.Proc p)
-
 let for_function (spec : Spec.t) (f : Spec.func) =
-  let consts =
-    Stubgen.stub_constants spec f
-    |> List.map (fun (c : Hdl_ast.constant_decl) ->
-           match c.const_width with
-           | Some w ->
-               Printf.sprintf "  constant %s : std_logic_vector(%d downto 0) := %s;"
-                 c.const_name (w - 1)
-                 (Vhdl.expr (Hdl_ast.Lit (c.const_value, w)))
-           | None -> Printf.sprintf "  constant %s : integer := %d;" c.const_name c.const_value)
-    |> String.concat "\n"
-  in
-  let signals =
-    Stubgen.stub_signals spec f
-    |> List.map (fun (s : Hdl_ast.signal_decl) ->
-           Printf.sprintf "  signal %s : %s;" s.sig_name
-             (if s.sig_width = 1 then "std_logic"
-              else Printf.sprintf "std_logic_vector(%d downto 0)" (s.sig_width - 1)))
-    |> String.concat "\n"
-  in
+  let lines decl xs = String.concat "\n" (List.map decl xs) in
   [
     ("FUNC_NAME", f.Spec.name);
     ("MY_FUNC_ID", string_of_int f.Spec.func_id);
     ("FUNC_INSTS", string_of_int f.Spec.instances);
-    ("FUNC_CONSTS", consts);
-    ("FUNC_SIGNALS", signals);
-    ("FUNC_FSM", render_process (Stubgen.fsm_process spec f));
-    ("FUNC_STUB", render_process (Stubgen.stub_process spec f));
+    ("FUNC_CONSTS", lines Vhdl.constant_decl (Stubgen.stub_constants spec f));
+    ("FUNC_SIGNALS", lines Vhdl.signal_decl (Stubgen.stub_signals spec f));
+    ("FUNC_FSM", Vhdl.concurrent (Proc (Stubgen.fsm_process spec f)));
+    ("FUNC_STUB", Vhdl.concurrent (Proc (Stubgen.stub_process spec f)));
   ]
 
 let arbiter_macros (spec : Spec.t) =
   [
     ( "DATA_OUT_MUX",
-      render_concurrent (Arbitergen.mux_assign spec ~port:"DATA_OUT" ~stub_port:"data_out")
+      Vhdl.concurrent (Arbitergen.mux_assign spec ~port:"DATA_OUT" ~stub_port:"data_out")
     );
     ( "DATA_OUT_V_MUX",
-      render_concurrent
+      Vhdl.concurrent
         (Arbitergen.mux_assign spec ~port:"DATA_OUT_VALID" ~stub_port:"data_out_valid") );
     ( "IO_DONE_MUX",
-      render_concurrent (Arbitergen.mux_assign spec ~port:"IO_DONE" ~stub_port:"io_done") );
-    ("CALC_DONE_ENCODE", render_concurrent (Arbitergen.calc_done_encode spec));
+      Vhdl.concurrent (Arbitergen.mux_assign spec ~port:"IO_DONE" ~stub_port:"io_done") );
+    ("CALC_DONE_ENCODE", Vhdl.concurrent (Arbitergen.calc_done_encode spec));
   ]

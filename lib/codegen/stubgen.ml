@@ -35,28 +35,53 @@ let static_words spec (io : Spec.io) =
   | _ ->
       Some (Plan.xfer_of_io spec Plan.In io ~values:(fun _ -> 1)).Plan.words
 
-(* runtime VHDL expression for the final word index of an implicit transfer *)
-let implicit_last_word_expr spec (io : Spec.io) var =
+let counter_name (io : Spec.io) = io.Spec.io_name ^ "_counter"
+let value_reg_name name = name ^ "_value"
+
+(* the final word index of an implicit transfer, as integer arithmetic on
+   the captured count [var] *)
+let implicit_last_word spec (io : Spec.io) var =
   let w = spec.Spec.bus_width in
   let ew = io.Spec.io_width in
-  let v = Printf.sprintf "to_integer(unsigned(%s_value))" var in
+  let v = To_int (Ref (value_reg_name var)) in
+  let minus_one e = Binop (Sub, e, Int_lit 1) in
   if io.Spec.fields <> [] then
     let wpe =
       List.fold_left
         (fun acc (_, (i : Ctype.info)) -> acc + ((i.Ctype.width + w - 1) / w))
         0 io.Spec.fields
     in
-    Printf.sprintf "(%s * %d - 1)" v wpe
-  else if ew > w then
-    let wpe = (ew + w - 1) / w in
-    Printf.sprintf "(%s * %d - 1)" v wpe
+    minus_one (Binop (Mul, v, Int_lit wpe))
+  else if ew > w then minus_one (Binop (Mul, v, Int_lit ((ew + w - 1) / w)))
   else if Spec.effective_packed spec io then
     let per = w / ew in
-    Printf.sprintf "((%s + %d) / %d - 1)" v (per - 1) per
-  else Printf.sprintf "(%s - 1)" v
+    minus_one (Binop (Div, Binop (Add, v, Int_lit (per - 1)), Int_lit per))
+  else minus_one v
 
-let counter_name (io : Spec.io) = io.Spec.io_name ^ "_counter"
-let value_reg_name name = name ^ "_value"
+(* count the words of [io]'s transfer in [counter]: [last] runs on the
+   final word, after the counter is cleared (and at once for a single word) *)
+let advance spec (io : Spec.io) counter last =
+  match (static_words spec io, io.Spec.count) with
+  | Some 1, _ | None, (None | Some (Ast.Fixed _)) -> last
+  | Some n, _ ->
+      let w = bits_for (n - 1) in
+      [
+        If
+          ( [
+              ( Binop (Eq, Ref counter, Lit (n - 1, w)),
+                Assign (Ref counter, All_zeros) :: last );
+            ],
+            [ Assign (Ref counter, Binop (Add, Ref counter, Lit (1, w))) ] );
+      ]
+  | None, Some (Ast.Var v) ->
+      [
+        If
+          ( [
+              ( Binop (Eq, To_int (Ref counter), implicit_last_word spec io v),
+                Assign (Ref counter, All_zeros) :: last );
+            ],
+            [ Assign (Ref counter, Binop (Add, Ref counter, Int_lit 1)) ] );
+      ]
 
 let stub_constants spec (f : Spec.func) =
   let state_w = state_width f in
@@ -114,8 +139,7 @@ let stub_signals spec (f : Spec.func) =
   in
   base @ counters @ rb_counters @ out
 
-let my_func_id_cond =
-  Raw "unsigned(FUNC_ID) = to_unsigned(C_MY_FUNC_ID, FUNC_ID'length)"
+let my_func_id_cond = Binop (Eq, Ref "FUNC_ID", Int_ref "C_MY_FUNC_ID")
 
 let write_arrives = Binop (And, Ref "DATA_IN_VALID", my_func_id_cond)
 let read_arrives = Binop (And, Ref "IO_ENABLE", Binop (And, Not (Ref "DATA_IN_VALID"), my_func_id_cond))
@@ -169,36 +193,8 @@ let input_state_arm spec (io : Spec.io option) next_state =
       in
       let capture_index =
         if io.Spec.used_as_index then
-          [ Assign (Ref (value_reg_name name), Raw "DATA_IN(31 downto 0)") ]
+          [ Assign (Ref (value_reg_name name), Slice ("DATA_IN", 31, 0)) ]
         else []
-      in
-      let advance =
-        match words with
-        | Some 1 -> [ goto next_state ]
-        | Some n ->
-            let cname = counter_name io in
-            let w = bits_for (n - 1) in
-            [
-              If
-                ( [
-                    ( Binop (Eq, Ref cname, Lit (n - 1, w)),
-                      [ Assign (Ref cname, All_zeros); goto next_state ] );
-                  ],
-                  [ Assign (Ref cname, Binop (Add, Ref cname, Lit (1, w))) ] );
-            ]
-        | None ->
-            let cname = counter_name io in
-            let var = match io.Spec.count with Some (Ast.Var v) -> v | _ -> assert false in
-            [
-              If
-                ( [
-                    ( Raw
-                        (Printf.sprintf "to_integer(unsigned(%s)) = %s" cname
-                           (implicit_last_word_expr spec io var)),
-                      [ Assign (Ref cname, All_zeros); goto next_state ] );
-                  ],
-                  [ Assign (Ref cname, Raw (Printf.sprintf "std_logic_vector(unsigned(%s) + 1)" cname)) ] );
-            ]
       in
       ( Choice_ref ("IN_" ^ name),
         [ Comment (Printf.sprintf "Handling %s for input '%s'" x name) ]
@@ -208,7 +204,7 @@ let input_state_arm spec (io : Spec.io option) next_state =
               ( [
                   ( write_arrives,
                     (store_comment :: capture_index)
-                    @ advance
+                    @ advance spec io (counter_name io) [ goto next_state ]
                     @ [ Assign (Ref "IO_DONE", Bool_lit true) ] );
                 ],
                 [] );
@@ -232,7 +228,6 @@ let calc_state_arm f =
 (* one serving arm per by-reference parameter (§10.2): the driver reads the
    updated values back before the return value *)
 let readback_state_arm spec (io : Spec.io) next_state =
-  let words = static_words spec io in
   let counter = io.Spec.io_name ^ "_rb_counter" in
   let serve =
     [
@@ -243,45 +238,18 @@ let readback_state_arm spec (io : Spec.io) next_state =
       Assign (Ref "IO_DONE", Bool_lit true);
     ]
   in
-  let advance =
-    match (words, io.Spec.count) with
-    | Some 1, _ -> [ Assign (Ref "next_state", Ref next_state) ]
-    | Some n, _ ->
-        let w = bits_for (n - 1) in
-        [
-          If
-            ( [
-                ( Binop (Eq, Ref counter, Lit (n - 1, w)),
-                  [ Assign (Ref counter, All_zeros);
-                    Assign (Ref "next_state", Ref next_state) ] );
-              ],
-              [ Assign (Ref counter, Binop (Add, Ref counter, Lit (1, w))) ] );
-        ]
-    | None, Some (Ast.Var v) ->
-        [
-          If
-            ( [
-                ( Raw
-                    (Printf.sprintf "to_integer(unsigned(%s)) = %s" counter
-                       (implicit_last_word_expr spec io v)),
-                  [ Assign (Ref counter, All_zeros);
-                    Assign (Ref "next_state", Ref next_state) ] );
-              ],
-              [
-                Assign
-                  (Ref counter,
-                   Raw (Printf.sprintf "std_logic_vector(unsigned(%s) + 1)" counter));
-              ] );
-        ]
-    | None, _ -> [ Assign (Ref "next_state", Ref next_state) ]
-  in
   ( Choice_ref ("OUT_" ^ io.Spec.io_name),
     [
       Comment
         (Printf.sprintf "Reading back by-reference parameter '%s' (§10.2)"
            io.Spec.io_name);
       Assign (Ref "CALC_DONE", Bool_lit true);
-      If ([ (read_arrives, serve @ advance) ], []);
+      If
+        ( [
+            ( read_arrives,
+              serve @ advance spec io counter [ Assign (Ref "next_state", Ref next_state) ] );
+          ],
+          [] );
     ] )
 
 let output_state_arm spec (f : Spec.func) =
@@ -316,43 +284,8 @@ let output_state_arm spec (f : Spec.func) =
           Assign (Ref "IO_DONE", Bool_lit true);
         ]
       in
-      let words = static_words spec o in
       let finish = [ Assign (Ref "CALC_DONE", Bool_lit false); goto_first ] in
-      let body =
-        match (words, o.Spec.count) with
-        | Some 1, _ -> serve_word @ finish
-        | Some n, _ ->
-            let w = bits_for (n - 1) in
-            serve_word
-            @ [
-                If
-                  ( [
-                      ( Binop (Eq, Ref "result_counter", Lit (n - 1, w)),
-                        Assign (Ref "result_counter", All_zeros) :: finish );
-                    ],
-                    [
-                      Assign
-                        (Ref "result_counter", Binop (Add, Ref "result_counter", Lit (1, w)));
-                    ] );
-              ]
-        | None, Some (Ast.Var v) ->
-            serve_word
-            @ [
-                If
-                  ( [
-                      ( Raw
-                          (Printf.sprintf "to_integer(unsigned(result_counter)) = %s"
-                             (implicit_last_word_expr spec o v)),
-                        Assign (Ref "result_counter", All_zeros) :: finish );
-                    ],
-                    [
-                      Assign
-                        ( Ref "result_counter",
-                          Raw "std_logic_vector(unsigned(result_counter) + 1)" );
-                    ] );
-              ]
-        | None, _ -> serve_word @ finish
-      in
+      let body = serve_word @ advance spec o "result_counter" finish in
       Some
         ( Choice_ref "OUT_RESULT",
           [
@@ -442,14 +375,7 @@ let design spec (f : Spec.func) =
         "all bus-level signalling is already handled (Ch 5).";
       ];
     name = "func_" ^ f.Spec.name;
-    generics =
-      [
-        {
-          gen_name = "C_MY_FUNC_ID";
-          gen_type = "integer";
-          gen_default = string_of_int f.Spec.func_id;
-        };
-      ];
+    generics = [ { gen_name = "C_MY_FUNC_ID"; gen_default = f.Spec.func_id } ];
     ports =
       [
         clk_port;

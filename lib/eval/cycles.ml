@@ -36,6 +36,20 @@ let interp_key impl =
   in
   List.assoc impl keys
 
+(* one scenario on [impl]'s host: its cycle count, after checking the
+   result against the golden model *)
+let run_checked impl host s =
+  let result, cycles = Interpolator.run host s in
+  let expected = Interpolator.reference (Interp_scenarios.inputs s) in
+  if result <> expected then
+    failwith
+      (Printf.sprintf "%s, scenario %d: hardware returned %Ld, golden model %Ld"
+         (Interpolator.impl_name impl) s.Interp_scenarios.id result expected);
+  cycles
+
+let row_of impl per_scenario =
+  { impl; per_scenario; total = List.fold_left (fun acc (_, c) -> acc + c) 0 per_scenario }
+
 (* each implementation cell builds (or replays) its own host, with its own
    kernel and domain-local signals: an independent task for the pool. The
    host is uninstrumented ([Obs.none]): a row carries only cycle counts,
@@ -56,24 +70,10 @@ let measure ?pool () =
           ~sched:`Event
           ~build:(fun () -> Interpolator.make_host ~obs:Obs.none impl)
       in
-      let per_scenario =
-        List.map
-          (fun s ->
-            let result, cycles = Interpolator.run host s in
-            let expected =
-              Interpolator.reference (Interp_scenarios.inputs s)
-            in
-            if result <> expected then
-              failwith
-                (Printf.sprintf
-                   "%s, scenario %d: hardware returned %Ld, golden model %Ld"
-                   (Interpolator.impl_name impl) s.Interp_scenarios.id result
-                   expected);
-            (s.Interp_scenarios.id, cycles))
-          Interp_scenarios.all
-      in
-      let total = List.fold_left (fun acc (_, c) -> acc + c) 0 per_scenario in
-      { impl; per_scenario; total })
+      row_of impl
+        (List.map
+           (fun s -> (s.Interp_scenarios.id, run_checked impl host s))
+           Interp_scenarios.all))
     Interpolator.all_impls
 
 (* ------------------------------------------------------------------ *)
@@ -143,23 +143,12 @@ let measure_detailed () =
         List.map
           (fun s ->
             let before = snap () in
-            let result, cycles = Interpolator.run host s in
-            let expected =
-              Interpolator.reference (Interp_scenarios.inputs s)
-            in
-            if result <> expected then
-              failwith
-                (Printf.sprintf
-                   "%s, scenario %d: hardware returned %Ld, golden model %Ld"
-                   (Interpolator.impl_name impl) s.Interp_scenarios.id result
-                   expected);
+            let cycles = run_checked impl host s in
             (s.Interp_scenarios.id, cycles, diff (snap ()) before))
           Interp_scenarios.all
       in
-      let per_scenario = List.map (fun (id, c, _) -> (id, c)) per in
-      let total = List.fold_left (fun acc (_, c) -> acc + c) 0 per_scenario in
       {
-        row = { impl; per_scenario; total };
+        row = row_of impl (List.map (fun (id, c, _) -> (id, c)) per);
         breakdowns = List.map (fun (id, _, b) -> (id, b)) per;
         obs;
         kstats = Splice_sim.Kernel.stats (Splice_driver.Host.kernel host);

@@ -1,33 +1,30 @@
-type binop = And | Or | Xor | Eq | Neq | Lt | Le | Gt | Ge | Add | Sub
+type binop = And | Eq | Neq | Add | Sub | Mul | Div
 
 type expr =
   | Ref of string
-  | Index of string * expr
   | Slice of string * int * int
   | Lit of int * int
   | Int_lit of int
+  | Int_ref of string
+  | To_int of expr
   | Bool_lit of bool
   | All_zeros
-  | All_ones
   | Binop of binop * expr * expr
   | Not of expr
   | Concat of expr list
-  | Resize of expr * int
-  | Raw of string
 
-type case_choice = Choice_lit of int * int | Choice_ref of string | Choice_others
+type case_choice = Choice_ref of string | Choice_others
 
 type stmt =
   | Assign of expr * expr
   | If of (expr * stmt list) list * stmt list
   | Case of expr * (case_choice * stmt list) list
-  | Null
   | Comment of string
 
 type dir = In | Out
 
 type port = { port_name : string; dir : dir; width : int }
-type generic = { gen_name : string; gen_type : string; gen_default : string }
+type generic = { gen_name : string; gen_default : int }
 type signal_decl = { sig_name : string; sig_width : int }
 type constant_decl = { const_name : string; const_width : int option; const_value : int }
 
@@ -45,7 +42,7 @@ type concurrent =
   | Instance of {
       inst_name : string;
       comp_name : string;
-      generic_map : (string * string) list;
+      generic_map : (string * int) list;
       port_map : (string * expr) list;
     }
   | Ccomment of string
@@ -90,7 +87,7 @@ let validate d =
     | Case (_, arms) ->
         if arms = [] then err "empty case in %s" d.name;
         List.iter (fun (_, ss) -> List.iter check_stmt ss) arms
-    | Assign _ | Null | Comment _ -> ()
+    | Assign _ | Comment _ -> ()
   in
   List.iter
     (function

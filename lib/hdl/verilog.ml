@@ -3,39 +3,28 @@ open Hdl_ast
 let range_of_width w = if w = 1 then "" else Printf.sprintf "[%d:0] " (w - 1)
 
 let rec expr = function
-  | Raw s -> s
-  | Ref n -> n
-  | Index (s, e) -> Printf.sprintf "%s[%s]" s (expr e)
+  | Ref n | Int_ref n -> n
   | Slice (s, hi, lo) -> Printf.sprintf "%s[%d:%d]" s hi lo
   | Lit (v, w) -> Printf.sprintf "%d'd%d" w v
   | Int_lit i -> string_of_int i
+  | To_int e -> expr e
   | Bool_lit b -> if b then "1'b1" else "1'b0"
-  | All_zeros -> "'0"
-  | All_ones -> "'1"
+  | All_zeros -> "0" (* an unsized 0 zero-extends to its context's width *)
   | Binop (op, a, b) ->
       let s =
         match op with
-        | And -> "&" | Or -> "|" | Xor -> "^"
-        | Eq -> "==" | Neq -> "!=" | Lt -> "<" | Le -> "<="
-        | Gt -> ">" | Ge -> ">=" | Add -> "+" | Sub -> "-"
+        | And -> "&" | Eq -> "==" | Neq -> "!="
+        | Add -> "+" | Sub -> "-" | Mul -> "*" | Div -> "/"
       in
       Printf.sprintf "(%s %s %s)" (expr a) s (expr b)
   | Not e -> Printf.sprintf "(~%s)" (expr e)
   | Concat es -> Printf.sprintf "{%s}" (String.concat ", " (List.map expr es))
-  | Resize (e, _) -> expr e (* implicit zero-extension in Verilog contexts *)
-
-let cond = function
-  | Binop ((And | Or), _, _) as e ->
-      (* bitwise and/or of 1-bit nets doubles as logical *)
-      expr e
-  | e -> expr e
 
 let rec stmt buf indent s =
   let pad = String.make indent ' ' in
   match s with
   | Assign (lhs, rhs) ->
       Buffer.add_string buf (Printf.sprintf "%s%s <= %s;\n" pad (expr lhs) (expr rhs))
-  | Null -> Buffer.add_string buf (pad ^ ";\n")
   | Comment c -> Buffer.add_string buf (Printf.sprintf "%s// %s\n" pad c)
   | If (branches, else_) ->
       List.iteri
@@ -43,7 +32,7 @@ let rec stmt buf indent s =
           Buffer.add_string buf
             (Printf.sprintf "%s%s (%s) begin\n" pad
                (if i = 0 then "if" else "end else if")
-               (cond c));
+               (expr c));
           List.iter (stmt buf (indent + 2)) body)
         branches;
       if else_ <> [] then begin
@@ -55,12 +44,7 @@ let rec stmt buf indent s =
       Buffer.add_string buf (Printf.sprintf "%scase (%s)\n" pad (expr scrutinee));
       List.iter
         (fun (choice, body) ->
-          let c =
-            match choice with
-            | Choice_lit (v, w) -> Printf.sprintf "%d'd%d" w v
-            | Choice_ref r -> r
-            | Choice_others -> "default"
-          in
+          let c = match choice with Choice_ref r -> r | Choice_others -> "default" in
           Buffer.add_string buf (Printf.sprintf "%s  %s: begin\n" pad c);
           List.iter (stmt buf (indent + 4)) body;
           Buffer.add_string buf (Printf.sprintf "%s  end\n" pad))
@@ -70,11 +54,7 @@ let rec stmt buf indent s =
 (* which nets are assigned inside processes (must be reg) *)
 let reg_targets d =
   let regs = Hashtbl.create 16 in
-  let root = function
-    | Ref n -> Some n
-    | Index (n, _) | Slice (n, _, _) -> Some n
-    | _ -> None
-  in
+  let root = function Ref n | Slice (n, _, _) -> Some n | _ -> None in
   let rec scan = function
     | Assign (lhs, _) -> (
         match root lhs with Some n -> Hashtbl.replace regs n () | None -> ())
@@ -82,39 +62,29 @@ let reg_targets d =
         List.iter (fun (_, ss) -> List.iter scan ss) bs;
         List.iter scan e
     | Case (_, arms) -> List.iter (fun (_, ss) -> List.iter scan ss) arms
-    | Null | Comment _ -> ()
+    | Comment _ -> ()
   in
   List.iter (function Proc p -> List.iter scan p.body | _ -> ()) d.body;
   regs
 
-let concurrent buf regs = function
+let concurrent buf = function
   | Ccomment c -> Buffer.add_string buf (Printf.sprintf "  // %s\n" c)
   | Cassign (lhs, rhs) ->
       Buffer.add_string buf (Printf.sprintf "  assign %s = %s;\n" (expr lhs) (expr rhs))
   | Cassign_cond (lhs, branches, default) ->
       let rec chain = function
         | [] -> expr default
-        | (c, v) :: rest -> Printf.sprintf "(%s) ? %s : %s" (cond c) (expr v) (chain rest)
+        | (c, v) :: rest -> Printf.sprintf "(%s) ? %s : %s" (expr c) (expr v) (chain rest)
       in
       Buffer.add_string buf
         (Printf.sprintf "  assign %s = %s;\n" (expr lhs) (chain branches))
   | Instance { inst_name; comp_name; generic_map; port_map } ->
-      (* strip a VHDL-style "entity work." prefix if present *)
-      let comp_name =
-        let prefix = "entity work." in
-        if String.length comp_name > String.length prefix
-           && String.sub comp_name 0 (String.length prefix) = prefix
-        then
-          String.sub comp_name (String.length prefix)
-            (String.length comp_name - String.length prefix)
-        else comp_name
-      in
       Buffer.add_string buf (Printf.sprintf "  %s" comp_name);
       if generic_map <> [] then
         Buffer.add_string buf
           (Printf.sprintf " #(%s)"
              (String.concat ", "
-                (List.map (fun (k, v) -> Printf.sprintf ".%s(%s)" k v) generic_map)));
+                (List.map (fun (k, v) -> Printf.sprintf ".%s(%d)" k v) generic_map)));
       Buffer.add_string buf (Printf.sprintf " %s (\n" inst_name);
       let n = List.length port_map in
       List.iteri
@@ -122,8 +92,7 @@ let concurrent buf regs = function
           Buffer.add_string buf
             (Printf.sprintf "    .%s(%s)%s\n" k (expr v) (if i = n - 1 then "" else ",")))
         port_map;
-      Buffer.add_string buf "  );\n";
-      ignore regs
+      Buffer.add_string buf "  );\n"
   | Proc p ->
       let trigger =
         if p.clocked then "posedge CLK"
@@ -145,7 +114,7 @@ let to_string (d : design) =
     List.iteri
       (fun i g ->
         Buffer.add_string buf
-          (Printf.sprintf "  parameter %s = %s%s\n" g.gen_name g.gen_default
+          (Printf.sprintf "  parameter %s = %d%s\n" g.gen_name g.gen_default
              (if i = n - 1 then "" else ",")))
       d.generics;
     Buffer.add_string buf ")"
@@ -182,6 +151,6 @@ let to_string (d : design) =
         (Printf.sprintf "  %s%s%s;\n" kind (range_of_width s.sig_width) s.sig_name))
     d.signals;
   Buffer.add_string buf "\n";
-  List.iter (concurrent buf regs) d.body;
+  List.iter (concurrent buf) d.body;
   Buffer.add_string buf "\nendmodule\n";
   Buffer.contents buf

@@ -2,5 +2,4 @@
     output the thesis lists as future work (§10.2), implemented here. *)
 
 val expr : Hdl_ast.expr -> string
-val cond : Hdl_ast.expr -> string
 val to_string : Hdl_ast.design -> string

@@ -10,63 +10,90 @@ let bin_literal v w =
   done;
   Buffer.contents b
 
-let rec expr = function
-  | Raw s -> s
+let is_arith = function Add | Sub | Mul | Div -> true | And | Eq | Neq -> false
+
+(* the sort rule of Hdl_ast: integer atoms, and arithmetic whose left
+   operand is an integer *)
+let rec is_int = function
+  | Int_lit _ | Int_ref _ | To_int _ -> true
+  | Binop (op, a, _) -> is_arith op && is_int a
+  | _ -> false
+
+let arith_op = function Add -> "+" | Sub -> "-" | Mul -> "*" | _ -> "/"
+let prec = function Mul | Div -> 2 | _ -> 1
+
+(* the length of a vector expression, for sizing an integer against it:
+   bitwise operands share their width, so the leftmost signal's will do *)
+let rec length_of = function
+  | Ref n -> n ^ "'length"
+  | Binop (_, a, _) | Not a -> length_of a
+  | e -> invalid_arg ("Vhdl.length_of: not a sized vector: " ^ expr e)
+
+and expr = function
   | Ref n -> n
-  | Index (s, Int_lit i) -> Printf.sprintf "%s(%d)" s i
-  | Index (s, e) -> Printf.sprintf "%s(to_integer(unsigned(%s)))" s (expr e)
   | Slice (s, hi, lo) -> Printf.sprintf "%s(%d downto %d)" s hi lo
   | Lit (v, 1) -> Printf.sprintf "'%d'" (v land 1)
   | Lit (v, w) -> Printf.sprintf "\"%s\"" (bin_literal v w)
-  | Int_lit i -> string_of_int i
   | Bool_lit b -> if b then "'1'" else "'0'"
   | All_zeros -> "(others => '0')"
-  | All_ones -> "(others => '1')"
-  | Binop ((Add | Sub) as op, a, b) ->
-      Printf.sprintf "std_logic_vector(unsigned(%s) %s unsigned(%s))" (expr a)
-        (if op = Add then "+" else "-")
-        (expr b)
-  | Binop ((And | Or | Xor) as op, a, b) ->
-      let s = match op with And -> "and" | Or -> "or" | _ -> "xor" in
-      Printf.sprintf "(%s %s %s)" (expr a) s (expr b)
-  | Binop (_, _, _) as e ->
-      (* comparison used in value context: encode as '1'/'0' via boolean *)
-      Printf.sprintf "bool_to_sl(%s)" (cond e)
+  | (Int_lit _ | Int_ref _ | To_int _) as e -> int_expr e
+  | Binop (And, a, b) -> Printf.sprintf "(%s and %s)" (expr a) (expr b)
+  | Binop ((Eq | Neq), _, _) as e ->
+      invalid_arg ("Vhdl.expr: a comparison is a condition, not a value: " ^ cond e)
+  | Binop (op, a, b) as e ->
+      if is_int a then int_expr e
+      else
+        Printf.sprintf "std_logic_vector(unsigned(%s) %s %s)" (expr a) (arith_op op)
+          (if is_int b then int_operand b else Printf.sprintf "unsigned(%s)" (expr b))
   | Not e -> Printf.sprintf "(not %s)" (expr e)
   | Concat es -> String.concat " & " (List.map expr es)
-  | Resize (e, w) ->
-      Printf.sprintf "std_logic_vector(resize(unsigned(%s), %d))" (expr e) w
+
+and int_expr = function
+  | Int_lit i -> string_of_int i
+  | Int_ref n -> n
+  | Binop (op, a, b) when is_arith op ->
+      let side min e =
+        match e with
+        | Binop (op', _, _) when is_arith op' && prec op' < min ->
+            "(" ^ int_expr e ^ ")"
+        | _ -> int_expr e
+      in
+      Printf.sprintf "%s %s %s" (side (prec op) a) (arith_op op) (side (prec op + 1) b)
+  | To_int e | e -> Printf.sprintf "to_integer(unsigned(%s))" (expr e)
+
+(* an integer operand of a comparison or vector arithmetic *)
+and int_operand e =
+  match e with
+  | Binop _ -> "(" ^ int_expr e ^ ")"
+  | _ -> int_expr e
 
 and cond = function
-  | Raw s -> s
   | Ref n -> Printf.sprintf "%s = '1'" n
-  | Index (s, Int_lit i) -> Printf.sprintf "%s(%d) = '1'" s i
-  | Index _ as e -> Printf.sprintf "%s = '1'" (expr e)
   | Bool_lit b -> if b then "true" else "false"
-  | Binop (Eq, a, b) -> Printf.sprintf "%s = %s" (cmp_operand a) (cmp_operand b)
-  | Binop (Neq, a, b) -> Printf.sprintf "%s /= %s" (cmp_operand a) (cmp_operand b)
-  | Binop (Lt, a, b) -> Printf.sprintf "unsigned(%s) < unsigned(%s)" (expr a) (expr b)
-  | Binop (Le, a, b) -> Printf.sprintf "unsigned(%s) <= unsigned(%s)" (expr a) (expr b)
-  | Binop (Gt, a, b) -> Printf.sprintf "unsigned(%s) > unsigned(%s)" (expr a) (expr b)
-  | Binop (Ge, a, b) -> Printf.sprintf "unsigned(%s) >= unsigned(%s)" (expr a) (expr b)
+  | Binop (((Eq | Neq) as op), a, b) -> (
+      let rel = if op = Eq then "=" else "/=" in
+      match (a, b) with
+      | _ when is_int a && is_int b ->
+          Printf.sprintf "%s %s %s" (int_operand a) rel (int_operand b)
+      | _ when is_int a -> cond (Binop (op, b, a))
+      | _, Int_lit n -> Printf.sprintf "unsigned(%s) %s %d" (expr a) rel n
+      | _ when is_int b ->
+          Printf.sprintf "unsigned(%s) %s to_unsigned(%s, %s)" (expr a) rel
+            (int_expr b) (length_of a)
+      | _, All_zeros ->
+          Printf.sprintf "%s %s std_logic_vector(to_unsigned(0, %s))" (expr a) rel
+            (length_of a)
+      | _ -> Printf.sprintf "%s %s %s" (expr a) rel (expr b))
   | Binop (And, a, b) -> Printf.sprintf "(%s and %s)" (cond a) (cond b)
-  | Binop (Or, a, b) -> Printf.sprintf "(%s or %s)" (cond a) (cond b)
-  | Binop (Xor, a, b) -> Printf.sprintf "(%s xor %s)" (cond a) (cond b)
-  | Binop ((Add | Sub), _, _) as e -> Printf.sprintf "%s /= 0" (expr e)
   | Not e -> Printf.sprintf "not (%s)" (cond e)
+  | e when is_int e -> Printf.sprintf "%s /= 0" (int_expr e)
   | e -> Printf.sprintf "unsigned(%s) /= 0" (expr e)
-
-and cmp_operand e =
-  match e with
-  | Lit _ | Bool_lit _ | All_zeros | All_ones -> expr e
-  | _ -> expr e
 
 let rec stmt buf indent s =
   let pad = String.make indent ' ' in
   match s with
   | Assign (lhs, rhs) ->
       Buffer.add_string buf (Printf.sprintf "%s%s <= %s;\n" pad (expr lhs) (expr rhs))
-  | Null -> Buffer.add_string buf (pad ^ "null;\n")
   | Comment c -> Buffer.add_string buf (Printf.sprintf "%s-- %s\n" pad c)
   | If (branches, else_) ->
       List.iteri
@@ -86,12 +113,7 @@ let rec stmt buf indent s =
       Buffer.add_string buf (Printf.sprintf "%scase %s is\n" pad (expr scrutinee));
       List.iter
         (fun (choice, body) ->
-          let c =
-            match choice with
-            | Choice_lit (v, w) -> expr (Lit (v, w))
-            | Choice_ref r -> r
-            | Choice_others -> "others"
-          in
+          let c = match choice with Choice_ref r -> r | Choice_others -> "others" in
           Buffer.add_string buf (Printf.sprintf "%s  when %s =>\n" pad c);
           if body = [] then Buffer.add_string buf (pad ^ "    null;\n")
           else List.iter (stmt buf (indent + 4)) body)
@@ -103,7 +125,7 @@ let port_decl p =
     (match p.dir with In -> "in" | Out -> "out")
     (type_of_width p.width)
 
-let concurrent buf = function
+let add_concurrent buf = function
   | Ccomment c -> Buffer.add_string buf (Printf.sprintf "  -- %s\n" c)
   | Cassign (lhs, rhs) ->
       Buffer.add_string buf (Printf.sprintf "  %s <= %s;\n" (expr lhs) (expr rhs))
@@ -115,12 +137,13 @@ let concurrent buf = function
         (Printf.sprintf "  %s <= %s else %s;\n" (expr lhs)
            (String.concat " else " parts) (expr default))
   | Instance { inst_name; comp_name; generic_map; port_map } ->
-      Buffer.add_string buf (Printf.sprintf "  %s : %s\n" inst_name comp_name);
+      (* VHDL-93 direct entity instantiation: no component declarations *)
+      Buffer.add_string buf (Printf.sprintf "  %s : entity work.%s\n" inst_name comp_name);
       if generic_map <> [] then
         Buffer.add_string buf
           (Printf.sprintf "    generic map (%s)\n"
              (String.concat ", "
-                (List.map (fun (k, v) -> Printf.sprintf "%s => %s" k v) generic_map)));
+                (List.map (fun (k, v) -> Printf.sprintf "%s => %d" k v) generic_map)));
       Buffer.add_string buf "    port map (\n";
       let n = List.length port_map in
       List.iteri
@@ -145,28 +168,21 @@ let concurrent buf = function
       else List.iter (stmt buf 4) p.body;
       Buffer.add_string buf (Printf.sprintf "  end process %s;\n" p.proc_name)
 
-let needs_bool_helper d =
-  let rec in_expr = function
-    | Binop ((Eq | Neq | Lt | Le | Gt | Ge), _, _) -> true
-    | Binop (_, a, b) -> in_expr a || in_expr b
-    | Not e | Resize (e, _) -> in_expr e
-    | Concat es -> List.exists in_expr es
-    | _ -> false
-  in
-  let value_ctx_cmp rhs = match rhs with Binop ((Eq | Neq | Lt | Le | Gt | Ge), _, _) -> true | _ -> false in
-  let rec in_stmt = function
-    | Assign (_, rhs) -> value_ctx_cmp rhs || in_expr rhs
-    | If (bs, e) ->
-        List.exists (fun (_, ss) -> List.exists in_stmt ss) bs || List.exists in_stmt e
-    | Case (_, arms) -> List.exists (fun (_, ss) -> List.exists in_stmt ss) arms
-    | Null | Comment _ -> false
-  in
-  List.exists
-    (function
-      | Proc p -> List.exists in_stmt p.body
-      | Cassign (_, rhs) -> value_ctx_cmp rhs
-      | _ -> false)
-    d.body
+let concurrent c =
+  let buf = Buffer.create 256 in
+  add_concurrent buf c;
+  Buffer.contents buf
+
+let constant_decl c =
+  match c.const_width with
+  | Some w ->
+      Printf.sprintf "  constant %-20s : %s := %s;" c.const_name (type_of_width w)
+        (expr (Lit (c.const_value, w)))
+  | None -> Printf.sprintf "  constant %-20s : integer := %d;" c.const_name c.const_value
+
+let signal_decl s =
+  Printf.sprintf "  signal %-22s : %s := %s;" s.sig_name (type_of_width s.sig_width)
+    (if s.sig_width = 1 then "'0'" else "(others => '0')")
 
 let to_string (d : design) =
   let buf = Buffer.create 4096 in
@@ -181,8 +197,7 @@ let to_string (d : design) =
     List.iteri
       (fun i g ->
         Buffer.add_string buf
-          (Printf.sprintf "    %-24s : %s := %s%s\n" g.gen_name g.gen_type
-             g.gen_default
+          (Printf.sprintf "    %-24s : integer := %d%s\n" g.gen_name g.gen_default
              (if i = n - 1 then "" else ";")))
       d.generics;
     Buffer.add_string buf "  );\n"
@@ -200,34 +215,10 @@ let to_string (d : design) =
   Buffer.add_string buf (Printf.sprintf "end entity %s;\n\n" d.name);
   (* architecture *)
   Buffer.add_string buf (Printf.sprintf "architecture rtl of %s is\n" d.name);
-  List.iter
-    (fun c ->
-      match c.const_width with
-      | Some w ->
-          Buffer.add_string buf
-            (Printf.sprintf "  constant %-20s : %s := %s;\n" c.const_name
-               (type_of_width w)
-               (expr (Lit (c.const_value, w))))
-      | None ->
-          Buffer.add_string buf
-            (Printf.sprintf "  constant %-20s : integer := %d;\n" c.const_name
-               c.const_value))
-    d.constants;
-  List.iter
-    (fun s ->
-      Buffer.add_string buf
-        (Printf.sprintf "  signal %-22s : %s := %s;\n" s.sig_name
-           (type_of_width s.sig_width)
-           (if s.sig_width = 1 then "'0'" else "(others => '0')")))
-    d.signals;
-  if needs_bool_helper d then
-    Buffer.add_string buf
-      "  function bool_to_sl(b : boolean) return std_logic is\n\
-      \  begin\n\
-      \    if b then return '1'; else return '0'; end if;\n\
-      \  end function;\n";
+  List.iter (fun c -> Buffer.add_string buf (constant_decl c ^ "\n")) d.constants;
+  List.iter (fun s -> Buffer.add_string buf (signal_decl s ^ "\n")) d.signals;
   Buffer.add_string buf "begin\n";
-  List.iter (concurrent buf) d.body;
+  List.iter (add_concurrent buf) d.body;
   Buffer.add_string buf "end architecture rtl;\n";
   Buffer.contents buf
 

@@ -2,10 +2,18 @@
     output format (Fig 3.16). *)
 
 val expr : Hdl_ast.expr -> string
-(** Value-context rendering (std_logic / std_logic_vector). *)
+(** Value-context rendering (std_logic / std_logic_vector, or integer for
+    the integer sort). *)
 
 val cond : Hdl_ast.expr -> string
 (** Boolean-context rendering (1-bit refs become [x = '1']). *)
+
+val concurrent : Hdl_ast.concurrent -> string
+(** One architecture-body statement, as {!to_string} prints it. *)
+
+val constant_decl : Hdl_ast.constant_decl -> string
+val signal_decl : Hdl_ast.signal_decl -> string
+(** One architecture declaration line (no trailing newline). *)
 
 val to_string : Hdl_ast.design -> string
 (** Complete design file: library clauses, entity, architecture. *)

@@ -1,4 +1,4 @@
-(** Raw (unvalidated) abstract syntax of a Splice specification file:
+(** Unvalidated abstract syntax of a Splice specification file:
     interface declarations (§3.1) plus target-specification directives
     (§3.2). *)
 

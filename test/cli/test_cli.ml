@@ -56,6 +56,16 @@ let () =
   (* lint *)
   let rc, out = run ("lint " ^ spec "fir.splice") in
   check "lint clean" (fun () -> rc = 0 && contains out "clean");
+  (* files lint has no linter for are listed as such, never as clean *)
+  let rc, out = run ("lint " ^ spec "packet_cksum.splice") in
+  let says name verdict = contains out (Printf.sprintf "%-28s %s\n" name verdict) in
+  check "lint marks unlinted files" (fun () ->
+      rc = 0
+      && List.for_all
+           (fun f -> says f "not linted")
+           [ "user_cksum.v"; "func_fletcher32.v"; "func_parity.v"; "func_prime_tables.v"; "Makefile" ]
+      && List.for_all (fun f -> says f "clean")
+           [ "plb_interface.vhd"; "cksum_driver.c"; "cksum_driver.h" ]);
   (* gen, with overwrite protection and --linux *)
   let dir = Filename.temp_file "splicegen" "" in
   Sys.remove dir;

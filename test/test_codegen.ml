@@ -389,6 +389,266 @@ let api_tests =
         Api.uninstall "fussy");
   ]
 
+(* -------- generated-text pins -------- *)
+
+(* Per-file MD5s of whole generated projects: a generator or printer change
+   that moves one byte of any generated file fails here, naming the file.
+   The corpus is the shipped example specs, one seeded [Specgen] spec per
+   bus, and [sites_source] in both HDLs. [sites_source] reaches every
+   variable-length counter (input, by-reference readback, result), every
+   shape of the last-word index (wide element, packed, plain, struct
+   fields), the captured index value and the completion-interrupt
+   controller. *)
+let sites_source hdl =
+  Printf.sprintf
+    "%%device_name sites\n%%target_hdl %s\n%%bus_type plb\n%%bus_width 32\n\
+     %%base_address 0x80020000\n%%interrupt_support true\n\
+     %%user_struct point { int x; int y; }\n\
+     void wide(int n, double*:n xs);\n\
+     void packed(int n, char*:n+ bs);\n\
+     int plain(int n, int*:n ys);\n\
+     point fields(int n, point*:n& ps);\n\
+     int*:m result(int m);\n"
+    hdl
+
+let pinned_buses = [ "plb"; "opb"; "fcb"; "apb"; "ahb"; "wishbone"; "avalon"; "axi" ]
+
+let golden_corpus () =
+  let examples =
+    List.map
+      (fun (name, path) -> ("examples/" ^ name, Test_specs_dir.read_file path))
+      (Test_specs_dir.spec_files ())
+  in
+  if examples = [] then Alcotest.fail "examples/specs not found";
+  let generated =
+    List.mapi
+      (fun i bus ->
+        ( "specgen/" ^ bus,
+          Specgen.render (Specgen.spec ~buses:[ bus ] (Specgen.Rng.make (2200 + i))) ))
+      pinned_buses
+  in
+  examples @ generated
+  @ [ ("sites/vhdl", sites_source "vhdl"); ("sites/verilog", sites_source "verilog") ]
+
+let file_pins src =
+  List.map
+    (fun (f : Project.file) -> (f.path, Digest.to_hex (Digest.string f.contents)))
+    (Project.files (Project.from_source ~gen_date:"pinned" src))
+
+let golden_pins =
+  [
+    ( "examples/fir.splice",
+      [
+        ("plb_interface.vhd", "92c63f2cb2fa42175a5f53f35a636ce7");
+        ("user_fir.vhd", "112942b48164d0e7d7bb068a9f822c07");
+        ("func_set_taps.vhd", "86b7517d14d050fee0e788da20869e24");
+        ("func_filter.vhd", "c7f7d1ceaa87917f976c5086a80f527c");
+        ("func_decimate.vhd", "0c1038b80745ef9cf05a687c7bba38d1");
+        ("splice_lib.h", "df8658a37fceb00e4afd76772a472b3b");
+        ("Makefile", "9363c24061365d40ec09ea4c0102561f");
+        ("fir_driver.h", "98db9413fe3e9c7bb9b80157692bef8a");
+        ("fir_driver.c", "cddb791c42ca6534e2099f16b145bb28");
+        ("test_fir.c", "e7735b444f8e90be7c6b99a7e348d046");
+      ] );
+    ( "examples/hw_timer.splice",
+      [
+        ("plb_interface.vhd", "5c3e2c5262f8349b9c8389737158551a");
+        ("user_hw_timer.vhd", "7495fa94b62c9cb365fea7aee48df30e");
+        ("func_disable.vhd", "3031ca83b75b1ce373f39246b0d92016");
+        ("func_enable.vhd", "fb65f3aa41a717aa6c99a1a88ea1a3e1");
+        ("func_set_threshold.vhd", "1d74ed49710e1b61d863960026c13256");
+        ("func_get_threshold.vhd", "775e54b7eca0921adbe387f1735a3e26");
+        ("func_get_snapshot.vhd", "fbec46bd5593725f3b67c1a6a070dc0c");
+        ("func_get_clock.vhd", "978edcbc5606d169f8bf2a8a700fe890");
+        ("func_get_status.vhd", "9d5fb7ddd3c9bdb298e108027e1ff1b6");
+        ("splice_lib.h", "9f6683cbdd8c7fc37e3113c439457128");
+        ("Makefile", "78d60a8b832d894e71696f5556b427f3");
+        ("hw_timer_driver.h", "fcc6d2ef1370975efe4228861b521c2c");
+        ("hw_timer_driver.c", "207442b1b84dfaff91a1bcae8dcd7b7e");
+        ("test_hw_timer.c", "cac34100e2ea432f0984bded3825d1b2");
+      ] );
+    ( "examples/interp.splice",
+      [
+        ("fcb_interface.vhd", "eaba5de5f66b6cfc041bbe5c02d0c54d");
+        ("user_interp.vhd", "e8bbc2b417b8499a6cef691bbf276830");
+        ("func_interp.vhd", "660b1a012aa0af61cd0c498efe8dda9c");
+        ("splice_lib.h", "1a61bf1451d77ae5343eef95311f5355");
+        ("Makefile", "be05c2567daa1f88c2d1f36878f7e38e");
+        ("interp_driver.h", "fd787e35da6a2ad2e3c3bde2e759fedf");
+        ("interp_driver.c", "a76bf1fdff0524cd93916ee539a61395");
+        ("test_interp.c", "02f5cddfffe7d779524a2a29fde5a5a8");
+      ] );
+    ( "examples/nav_points.splice",
+      [
+        ("avalon_interface.vhd", "aa5e572086c1d3c6c76a1a4720701138");
+        ("user_nav.vhd", "fa4a06ff0cceefbf875f02b0e65bb44e");
+        ("func_centroid.vhd", "2dd8945117d04cf027913bcc1bc4124c");
+        ("func_smooth.vhd", "2b449dc1155c3c52118382dc484ba7eb");
+        ("splice_lib.h", "607a953035a19a48f5f8ce6102f7e928");
+        ("Makefile", "c429941c54d79159264b9d7c90d2204a");
+        ("nav_driver.h", "b22518a4fcbfba1fea25ecda9600e8ca");
+        ("nav_driver.c", "39bef13c527df50814388dbf2729a359");
+        ("test_nav.c", "d5475ea130b71d6a52faff3f2ca32180");
+      ] );
+    ( "examples/packet_cksum.splice",
+      [
+        ("plb_interface.vhd", "90dd2a364864d9b0c55473017c772722");
+        ("user_cksum.v", "46b62ba013b26f466819e70bfbf1d548");
+        ("func_fletcher32.v", "5d6e89a32c63c976a75fafcf118781c4");
+        ("func_parity.v", "62d5e298e2ef3939a54adf0d72961eaf");
+        ("func_prime_tables.v", "011d04e0c320e88f272102b361cd1cd4");
+        ("splice_lib.h", "343289f0a7b3e6de52e0ebe3980f91d2");
+        ("Makefile", "b9e4418be897fe90c91e72a38b8a5f55");
+        ("cksum_driver.h", "5a05937586b201d491e6ba6bd3ff8e6e");
+        ("cksum_driver.c", "8f131b1e9096321ff60481530c728785");
+        ("test_cksum.c", "a4393b4a6f42780c92a7d55631ab7ac4");
+      ] );
+    ( "specgen/plb",
+      [
+        ("plb_interface.vhd", "d5f395d169ce7e201a867328b4ef39a0");
+        ("user_randomdev.vhd", "af84d4d12dbdaa481163ba8afc043edb");
+        ("func_fn_0.vhd", "c048ecddc9e596a167a7dddff93f5b92");
+        ("func_fn_1.vhd", "bcbb572b926425ae1ad141cdc0413b6b");
+        ("splice_lib.h", "6e74a0339f5eba13523515e66e143aad");
+        ("Makefile", "e766406a373e5dc28634c98461c6851f");
+        ("randomdev_driver.h", "ae7daf53d134bf79d2732b00dafa50ff");
+        ("randomdev_driver.c", "ccb9e7a615255601b7fbffd365bf1682");
+        ("test_randomdev.c", "0da45e64382170300de4a5e017fcf758");
+      ] );
+    ( "specgen/opb",
+      [
+        ("opb_interface.vhd", "c569fbe0bd2c1346761ef0e64e4f2046");
+        ("user_randomdev.vhd", "5640c19e07d5ae87acbd40bd53d5915c");
+        ("func_fn_0.vhd", "0b17987163003ecf1e1340a00a201620");
+        ("func_fn_1.vhd", "855a46d42326d58b5728ac0715fa8ac9");
+        ("splice_lib.h", "689efb5c2dd8c86d56e7ae86032272d0");
+        ("Makefile", "e766406a373e5dc28634c98461c6851f");
+        ("randomdev_driver.h", "24848a50d1306e9c45577827abe6daea");
+        ("randomdev_driver.c", "03ae896894cf56511b970b2bb98beaba");
+        ("test_randomdev.c", "53337f7cf9563ff23d33b9f560e7eac5");
+      ] );
+    ( "specgen/fcb",
+      [
+        ("fcb_interface.vhd", "a1f599b3b1fab27bc2d6fd1f0bb5c627");
+        ("user_randomdev.vhd", "4b8e669caba872145cf176f46e512195");
+        ("func_fn_0.vhd", "9457c64e9027a8ccda213b647c391ed1");
+        ("func_fn_1.vhd", "e91f40ceef015afb90d5f51c017a1af4");
+        ("func_fn_2.vhd", "7483fd867ca2773066f7939cd8deefd0");
+        ("func_fn_3.vhd", "77257032baa2f231775d93b300b801e9");
+        ("splice_lib.h", "efae067727e0c0c1a392ab6fe4128d31");
+        ("Makefile", "e766406a373e5dc28634c98461c6851f");
+        ("randomdev_driver.h", "44e388b1e0efc50ea02d737984907e1e");
+        ("randomdev_driver.c", "f1ddafc208c7161e0ea4d30a23185e6f");
+        ("test_randomdev.c", "32ed8626d96b6683f55ac65d98e8e0da");
+      ] );
+    ( "specgen/apb",
+      [
+        ("apb_interface.vhd", "1b3b217a6983fb4a6962af0b4885ce48");
+        ("user_randomdev.vhd", "1cfe88422d1fdf865d4f8ed5b7888cb5");
+        ("func_fn_0.vhd", "62846e1cd0bffbd86ae0eb155d57eaad");
+        ("func_fn_1.vhd", "6f026dc65a70405779f40f4db197b142");
+        ("func_fn_2.vhd", "850df5983b4d5714e4e1fcfe22b4eb98");
+        ("func_fn_3.vhd", "5568361e9f6080490e2ce5d07cc6f4e0");
+        ("splice_lib.h", "9e6c18f54778b2fad70d0c6a95651fa8");
+        ("Makefile", "e766406a373e5dc28634c98461c6851f");
+        ("randomdev_driver.h", "6c3f538ff3348aad84c3877e11bd58ce");
+        ("randomdev_driver.c", "d72c0a6038e074bed215250bb5679ec8");
+        ("test_randomdev.c", "aa02131fcbb33d85a37657570d45c887");
+      ] );
+    ( "specgen/ahb",
+      [
+        ("ahb_interface.vhd", "d307839bc73ba1600eff150ce5482744");
+        ("user_randomdev.vhd", "928217ff04511004532228d7a63d22a0");
+        ("func_fn_0.vhd", "26cad0370e47f4ff02a5224fd2765f3f");
+        ("splice_lib.h", "e3c7d6c5d9efc2974ba7fece9564a7b3");
+        ("Makefile", "e766406a373e5dc28634c98461c6851f");
+        ("randomdev_driver.h", "c389d51a8b243161069105ec7ff2ab87");
+        ("randomdev_driver.c", "b50c321c2bb990360651ce5e83df5885");
+        ("test_randomdev.c", "f07c52c223dec9a68ad6fe9b4f71597c");
+      ] );
+    ( "specgen/wishbone",
+      [
+        ("wishbone_interface.vhd", "0c9450bcd82d60ffb4ccd843bed3a95d");
+        ("user_randomdev.vhd", "6478c3e21f4d4df5dffd38baa2cc6e4d");
+        ("func_fn_0.vhd", "448842d0a98f7af09dca107dede1f8b0");
+        ("func_fn_1.vhd", "444f498bcacd6cb90352337d8da699f8");
+        ("splice_lib.h", "b5d7d5c432c8efeff6b06445eda36784");
+        ("Makefile", "e766406a373e5dc28634c98461c6851f");
+        ("randomdev_driver.h", "fed36aa90f2fd59e71129fed920053d9");
+        ("randomdev_driver.c", "7787c16fe4fafc3c58f7a9bbd694a47e");
+        ("test_randomdev.c", "2adfec08549cea4cb9008c6e69239ae7");
+      ] );
+    ( "specgen/avalon",
+      [
+        ("avalon_interface.vhd", "0cbd65e80d95abefe6d6ce51e2d9ac91");
+        ("user_randomdev.vhd", "8f2442bf49e80ee702904f85884eca28");
+        ("func_fn_0.vhd", "6ca7c098688c4073af3caab9b25ac932");
+        ("func_fn_1.vhd", "c22fc13344c5f565ac83adc158841aff");
+        ("func_fn_2.vhd", "a9f3d335b1fa1bc152681cba8628c596");
+        ("func_fn_3.vhd", "cb9cb78991a4ff5fcb94e47162a1dcb7");
+        ("splice_lib.h", "8000d8bdfd6b9aefcc3ce5cdafe6f398");
+        ("Makefile", "e766406a373e5dc28634c98461c6851f");
+        ("randomdev_driver.h", "c2cc5648ca32c775d8185fc84c157b40");
+        ("randomdev_driver.c", "4a9257a7b0d43a26b51e5e546ecdfb19");
+        ("test_randomdev.c", "4f7f17fe8ff90ea8438d7cd071b66290");
+      ] );
+    ( "specgen/axi",
+      [
+        ("axi_interface.vhd", "fe2af6921c2f78b52fe5c7773fd7663b");
+        ("user_randomdev.vhd", "87b260ff8ae3e45a7b68869d8cf2245d");
+        ("func_fn_0.vhd", "31c0078a688b404cb90b93e62291d16e");
+        ("func_fn_1.vhd", "7a2a5c58016ec4d2f27e04ef8cd4724d");
+        ("func_fn_2.vhd", "5207ac918ecdb82d864658a6cd5dbff8");
+        ("splice_lib.h", "79952f035fc6b7717663770cacd69a81");
+        ("Makefile", "e766406a373e5dc28634c98461c6851f");
+        ("randomdev_driver.h", "666b0de508baef0d5c7e4729007cbd55");
+        ("randomdev_driver.c", "15439ed9e4fc549dca93dddb2c341f4c");
+        ("test_randomdev.c", "32d255eda985655f5b7d38c40916072a");
+      ] );
+    ( "sites/vhdl",
+      [
+        ("plb_interface.vhd", "4e08d21e81adee2e4f7961912feb3ee0");
+        ("user_sites.vhd", "2bf04eb3767edbe4ef04b15268d3111e");
+        ("func_wide.vhd", "7cecddd2e0fcf008005122d8939b672e");
+        ("func_packed.vhd", "e7f2d959705d714c78cb8dc5d3c020bd");
+        ("func_plain.vhd", "691feb6c03be783e6a09235aabd05143");
+        ("func_fields.vhd", "c19da118364c98f61f3496dd9c24ba3a");
+        ("func_result.vhd", "2a3cdcd5a2964cad448af5a1f41b7fcb");
+        ("splice_lib.h", "0f0527ecaaa2fff75c7b0c5c5391e3b9");
+        ("Makefile", "836ee86a4cc58159f0f57dfd1ff5f545");
+        ("sites_driver.h", "4522ce00716db6947ee6809823bbc6a6");
+        ("sites_driver.c", "3704fde8c45ef06a974f5bebca6ccc20");
+        ("test_sites.c", "bf1eb97db09c1363633d8dc48af6e8f9");
+      ] );
+    ( "sites/verilog",
+      [
+        ("plb_interface.vhd", "4e08d21e81adee2e4f7961912feb3ee0");
+        ("user_sites.v", "aa814b581c02a2caef2177154ebd4cb4");
+        ("func_wide.v", "1f1f6a3037961eff08fc20c66512f48d");
+        ("func_packed.v", "5cf7220d463b74e854879da5421bb321");
+        ("func_plain.v", "6bf84b1e4134ba761d3a558000f8f08b");
+        ("func_fields.v", "69e658b28d6a7929061c78b7a22db055");
+        ("func_result.v", "3b050828ed652b1babcd084658ca8b6a");
+        ("splice_lib.h", "0f0527ecaaa2fff75c7b0c5c5391e3b9");
+        ("Makefile", "836ee86a4cc58159f0f57dfd1ff5f545");
+        ("sites_driver.h", "4522ce00716db6947ee6809823bbc6a6");
+        ("sites_driver.c", "3704fde8c45ef06a974f5bebca6ccc20");
+        ("test_sites.c", "bf1eb97db09c1363633d8dc48af6e8f9");
+      ] );
+  ]
+
+let golden_tests =
+  [
+    t "generated files match their pinned MD5s" (fun () ->
+        List.iter
+          (fun (label, src) ->
+            Alcotest.(check (list (pair string string)))
+              label
+              (try List.assoc label golden_pins with Not_found -> [])
+              (file_pins src))
+          (golden_corpus ()));
+  ]
+
 let tests =
   [
     ("codegen.macros", macro_tests);
@@ -400,4 +660,5 @@ let tests =
     ("codegen.linux", linuxgen_tests);
     ("codegen.project", project_tests);
     ("codegen.api", api_tests);
+    ("codegen.golden", golden_tests);
   ]

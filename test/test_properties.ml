@@ -148,6 +148,45 @@ let arb_garbage =
       in
       map (String.concat " ") (list_size (int_range 0 40) token))
 
+(* text that must never reach a .v file outside a [//] comment: VHDL-only
+   tokens and the SystemVerilog fill literal ['0], which Verilog-2001 tools
+   reject. Returns the tokens found, in the order listed. *)
+let non_verilog_2001 contents =
+  let code =
+    String.split_on_char '\n' contents
+    |> List.map (fun line ->
+           let n = String.length line in
+           let rec cut i =
+             if i + 1 >= n then line
+             else if line.[i] = '/' && line.[i + 1] = '/' then String.sub line 0 i
+             else cut (i + 1)
+           in
+           cut 0)
+    |> String.concat "\n"
+  in
+  let words =
+    String.split_on_char ' '
+      (String.map
+         (fun c ->
+           match c with
+           | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> c
+           | _ -> ' ')
+         code)
+  in
+  List.filter (Astring_contains.contains code)
+    [ "downto"; "std_logic"; "to_unsigned"; "to_integer"; "'length"; "/="; "others =>"; "'0" ]
+  @ List.filter (fun w -> List.mem w words) [ "and"; "not" ]
+
+(* every .v file is a module and carries no VHDL *)
+let verilog_clean (p : Project.t) =
+  List.for_all
+    (fun (f : Project.file) ->
+      (not (Filename.check_suffix f.path ".v"))
+      || Astring_contains.contains f.contents "module"
+         && Astring_contains.contains f.contents "endmodule"
+         && non_verilog_2001 f.contents = [])
+    (Project.files p)
+
 let verilog_props =
   [
     prop ~count:40 "Verilog output generates for random specs (§10.2)" arb_spec
@@ -156,13 +195,19 @@ let verilog_props =
         | Error _ -> false
         | Ok spec ->
             let spec = { spec with Spec.hdl = Ast.Verilog } in
-            let p = Project.generate ~gen_date:"prop" spec in
-            List.for_all
-              (fun (f : Project.file) ->
-                (not (Filename.check_suffix f.path ".v"))
-                || (Astring_contains.contains f.contents "module"
-                   && Astring_contains.contains f.contents "endmodule"))
-              (Project.files p));
+            verilog_clean (Project.generate ~gen_date:"prop" spec));
+    Alcotest.test_case "packet_cksum's Verilog carries no VHDL" `Quick (fun () ->
+        let p =
+          Project.from_source ~gen_date:"prop"
+            (Test_specs_dir.read_file
+               (List.assoc "packet_cksum.splice" (Test_specs_dir.spec_files ())))
+        in
+        List.iter
+          (fun (f : Project.file) ->
+            if Filename.check_suffix f.path ".v" then
+              Alcotest.(check (list string)) f.path [] (non_verilog_2001 f.contents))
+          (Project.files p);
+        Alcotest.(check bool) "clean" true (verilog_clean p));
   ]
 
 let fuzz_props =
