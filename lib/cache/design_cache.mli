@@ -19,8 +19,7 @@
     drops it at the end of the cell ({!Splice_check.Diff}).
 
     Determinism contract: a hit is byte-identical to a fresh build —
-    rows, digests, stats and recorder rings never depend on the hit/miss
-    pattern. Caches are therefore kept {e per domain} (via
+    rows, digests and stats never depend on the hit/miss pattern. Caches are therefore kept {e per domain} (via
     [Splice_par.Dls], no shared mutation, no locks) and results stay
     bit-equal at any [-j]. Only the hit/miss {e counters} depend on how
     work landed on domains. *)

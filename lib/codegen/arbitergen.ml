@@ -28,7 +28,9 @@ let mux_assign (spec : Spec.t) ~port ~stub_port =
   in
   Cassign_cond (Ref port, branches, if width = 1 then Bool_lit false else All_zeros)
 
-let calc_done_encode ?(target = "CALC_DONE") (spec : Spec.t) =
+(* [target] is the CALC_DONE port, or the internal vector the interrupt
+   controller (§10.2) routes it through *)
+let calc_done_encode (spec : Spec.t) ~target =
   let parts =
     (* VHDL concatenation puts the most significant element first *)
     List.rev_map (fun (_, _, id) -> Ref (sig_of id "calc_done")) (instances spec)
@@ -122,8 +124,8 @@ let design (spec : Spec.t) =
           mux_assign spec ~port:"DATA_OUT_VALID" ~stub_port:"data_out_valid";
           mux_assign spec ~port:"IO_DONE" ~stub_port:"io_done";
           Ccomment "status vector: CALC_DONE bit (id-1) per instance (§4.2.2)";
-          (if spec.Spec.interrupts then calc_done_encode ~target:"calc_done_vec" spec
-           else calc_done_encode spec);
+          calc_done_encode spec
+            ~target:(if spec.Spec.interrupts then "calc_done_vec" else "CALC_DONE");
         ]
       @
       (if spec.Spec.interrupts then

@@ -11,11 +11,3 @@ open Splice_hdl
 val design : Spec.t -> Hdl_ast.design
 val generate : Spec.t -> string
 val file_name : Spec.t -> string  (** [user_<device>.vhd] (Fig 8.3) *)
-
-val mux_assign : Spec.t -> port:string -> stub_port:string -> Hdl_ast.concurrent
-(** The when/else selector for one shared output (exposed for the
-    [DATA_OUT_MUX] etc. macros of Fig 7.1). *)
-
-val calc_done_encode : ?target:string -> Spec.t -> Hdl_ast.concurrent
-(** [target] defaults to the CALC_DONE port; the interrupt controller
-    (§10.2) routes it through an internal vector instead. *)

@@ -37,7 +37,6 @@ let generate ?gen_date (module B : Bus.S) (spec : Spec.t) =
   | Error [] -> assert false);
   let markers =
     Macro.standard ?gen_date spec
-    @ Macro.arbiter_macros spec
     @ List.map (fun (name, f) -> (name, f spec)) B.extra_markers
   in
   Template.expand ~markers B.adapter_template

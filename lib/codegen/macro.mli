@@ -1,5 +1,4 @@
-(** The standard template macros of Fig 7.1, plus helpers for building the
-    per-function macro values from generated HDL. *)
+(** The standard template macros of Fig 7.1. *)
 
 open Splice_syntax
 
@@ -7,14 +6,6 @@ val standard : ?gen_date:string -> Spec.t -> (string * string) list
 (** [COMP_NAME], [BUS_WIDTH], [FUNC_ID_WIDTH], [BASE_ADDR], [GEN_DATE],
     [DMA_ENABLED]. [gen_date] defaults to the current local time; pass a
     fixed string for reproducible output. *)
-
-val for_function : Spec.t -> Spec.func -> (string * string) list
-(** [FUNC_NAME], [MY_FUNC_ID], [FUNC_INSTS], [FUNC_CONSTS], [FUNC_SIGNALS],
-    [FUNC_FSM], [FUNC_STUB] — the per-function macro set, rendered from the
-    same HDL the stub generator emits. *)
-
-val arbiter_macros : Spec.t -> (string * string) list
-(** [DATA_OUT_MUX], [DATA_OUT_V_MUX], [IO_DONE_MUX], [CALC_DONE_ENCODE]. *)
 
 val base_addr_literal : Spec.t -> string
 (** VHDL hex literal for the base address ([x"..."], zeros when absent). *)

@@ -83,9 +83,8 @@ let advance spec (io : Spec.io) counter last =
             [ Assign (Ref counter, Binop (Add, Ref counter, Int_lit 1)) ] );
       ]
 
-let stub_constants spec (f : Spec.func) =
+let stub_constants (f : Spec.func) =
   let state_w = state_width f in
-  ignore spec;
   List.mapi
     (fun i name -> { const_name = name; const_width = Some state_w; const_value = i })
     (state_names f)
@@ -351,7 +350,7 @@ let stub_process spec (f : Spec.func) =
       ];
   }
 
-let fsm_process _spec _f =
+let fsm_process =
   {
     proc_name = "smb";
     clocked = false;
@@ -389,9 +388,9 @@ let design spec (f : Spec.func) =
         { port_name = "IO_DONE"; dir = Out; width = 1 };
         { port_name = "CALC_DONE"; dir = Out; width = 1 };
       ];
-    constants = stub_constants spec f;
+    constants = stub_constants f;
     signals = stub_signals spec f;
-    body = [ Proc (stub_process spec f); Proc (fsm_process spec f) ];
+    body = [ Proc (stub_process spec f); Proc fsm_process ];
   }
 
 let generate spec f =

@@ -22,14 +22,3 @@ val generate : Spec.t -> Spec.func -> string
 
 val file_name : Spec.t -> Spec.func -> string
 (** [func_<name>.vhd] (Fig 8.3) or [func_<name>.v]. *)
-
-(** Pieces exposed for the per-function macros of Fig 7.1: *)
-
-val fsm_process : Spec.t -> Spec.func -> Hdl_ast.process
-(** The SMB (§5.3.2). *)
-
-val stub_process : Spec.t -> Spec.func -> Hdl_ast.process
-(** The ICOB (§5.3.1). *)
-
-val stub_constants : Spec.t -> Spec.func -> Hdl_ast.constant_decl list
-val stub_signals : Spec.t -> Spec.func -> Hdl_ast.signal_decl list

@@ -30,10 +30,7 @@ type t = {
   m_overhead : Metrics.counter;
   m_op : Metrics.counter option array;
       (* [driver/op/<kind>], indexed by [op_index], registered on first
-         use and forgotten on reset: a design-cache replay rewinds the
-         registry to its mark, so the replay must register them again, in
-         its own first-use order, for the registry to match a fresh
-         build's *)
+         use *)
 }
 
 let op_kinds =
@@ -181,8 +178,7 @@ let make ?(obs = Obs.none) ?(issue_overhead = 1) ?wait_mode port =
         t.state <- Idle;
         t.prog <- [];
         t.reads <- [];
-        t.polls <- 0;
-        Array.fill t.m_op 0 (Array.length t.m_op) None)
+        t.polls <- 0)
       ("cpu:" ^ port.Bus_port.bus_name);
   t
 

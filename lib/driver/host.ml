@@ -15,7 +15,7 @@ type t = {
   recorder : Recorder.t option;
   call_tracks : (string * int) list;
       (* function name -> its interned "driver/<func>" recorder track,
-         resolved at creation, before a design cache marks the recorder *)
+         resolved at creation *)
   mutable signals : Signal.t list;
       (* every signal the design owns, newest first: the build's creations
          plus anything adopted afterwards (monitors) — the set a design
@@ -158,34 +158,29 @@ let sis t = Peripheral.sis t.peripheral
 type reuse = {
   r_signals : Signal.t array; (* creation order, owned set frozen here *)
   r_values : Splice_bits.Bits.t array; (* their values at end of elaboration *)
-  r_mark : Obs.mark;
 }
 
 let prepare_reuse t =
   let signals = Array.of_list (List.rev t.signals) in
-  {
-    r_signals = signals;
-    r_values = Array.map Signal.get signals;
-    r_mark = Obs.mark (Kernel.obs t.kernel);
-  }
+  { r_signals = signals; r_values = Array.map Signal.get signals }
 
-(* Rewind the host to its end-of-elaboration state so the next run replays
-   byte-identically to a fresh build. Order matters:
+(* Rewind the design to its end-of-elaboration state so the next run
+   replays byte-identically to a fresh build. Order matters:
    + detach the domain recorder first — reset hooks may drive signals, and
-     those writes must not land in the (about-to-be-truncated) ring;
+     those writes are not part of any run;
    + drop this design's leaked pending writes before the hooks re-queue
      construction-time deferred writes;
    + [Kernel.reset] restores closure state (per-component [reset] +
      [at_reset] hooks) and unseals;
    + then blast the snapshotted signal values over everything the hooks
      touched — construction-time values win, exactly the state a fresh
-     build hands to its first cycle;
-   + finally rewind the observability context.
-   The kernel is left unsealed: the replay's first cycle seals again and,
-   under [`Compiled], compiles the tape from the restored values. *)
+     build hands to its first cycle.
+   The observability context is left alone: what it observes accumulates
+   across runs. The kernel is left unsealed: the replay's first cycle
+   seals again and, under [`Compiled], compiles the tape from the restored
+   values. *)
 let reset ?sched t r =
   Signal.attach_recorder None;
   Signal.clear_pending_for ~owner:(Kernel.id t.kernel);
   Kernel.reset ?sched t.kernel;
-  Array.iteri (fun i s -> Signal.restore_value s r.r_values.(i)) r.r_signals;
-  Obs.reset_to_mark (Kernel.obs t.kernel) r.r_mark
+  Array.iteri (fun i s -> Signal.restore_value s r.r_values.(i)) r.r_signals

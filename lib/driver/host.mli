@@ -93,10 +93,13 @@ val plan_for :
     A host owns every signal created while it was built ({!create} records
     them and stamps their owner; {!adopt} extends the set with post-build
     attachments such as protocol monitors). {!prepare_reuse} snapshots the
-    end-of-elaboration state; {!reset} rewinds the host to it, so a fuzz
+    end-of-elaboration state; {!reset} rewinds the design to it, so a fuzz
     cell's later schedulers and a design-cache hit replay the host by
     restoring signal values instead of re-elaborating — and the replay's
-    digests, dumps and stats are byte-identical to a fresh build's. *)
+    results, digests and [Kernel.stats] are byte-identical to a fresh
+    build's. Reset rewinds the design, not its observations: an
+    instrumented host's metrics and flight recording keep accumulating
+    across runs, the way [Obs.merge] sums separate runs. *)
 
 val adopt : t -> (unit -> 'a) -> 'a
 (** Run an attachment step (e.g. [Bus_monitor.attach]) with its signal
@@ -111,8 +114,7 @@ val retire : t -> unit
     grid's cached host, or a later cell's). *)
 
 type reuse
-(** The end-of-elaboration snapshot: owned signal values plus the
-    observability mark ({!Splice_obs.Obs.mark}). *)
+(** The end-of-elaboration snapshot: the owned signals' values. *)
 
 val prepare_reuse : t -> reuse
 (** Take the snapshot. Call once, after {!create} and every {!adopt}, and

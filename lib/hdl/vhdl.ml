@@ -168,11 +168,6 @@ let add_concurrent buf = function
       else List.iter (stmt buf 4) p.body;
       Buffer.add_string buf (Printf.sprintf "  end process %s;\n" p.proc_name)
 
-let concurrent c =
-  let buf = Buffer.create 256 in
-  add_concurrent buf c;
-  Buffer.contents buf
-
 let constant_decl c =
   match c.const_width with
   | Some w ->
@@ -220,20 +215,4 @@ let to_string (d : design) =
   Buffer.add_string buf "begin\n";
   List.iter (add_concurrent buf) d.body;
   Buffer.add_string buf "end architecture rtl;\n";
-  Buffer.contents buf
-
-let component_decl (d : design) =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf (Printf.sprintf "  component %s\n" d.name);
-  if d.ports <> [] then begin
-    Buffer.add_string buf "    port (\n";
-    let n = List.length d.ports in
-    List.iteri
-      (fun i p ->
-        Buffer.add_string buf
-          (Printf.sprintf "  %s%s\n" (port_decl p) (if i = n - 1 then "" else ";")))
-      d.ports;
-    Buffer.add_string buf "    );\n"
-  end;
-  Buffer.add_string buf "  end component;\n";
   Buffer.contents buf

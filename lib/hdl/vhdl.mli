@@ -8,16 +8,5 @@ val expr : Hdl_ast.expr -> string
 val cond : Hdl_ast.expr -> string
 (** Boolean-context rendering (1-bit refs become [x = '1']). *)
 
-val concurrent : Hdl_ast.concurrent -> string
-(** One architecture-body statement, as {!to_string} prints it. *)
-
-val constant_decl : Hdl_ast.constant_decl -> string
-val signal_decl : Hdl_ast.signal_decl -> string
-(** One architecture declaration line (no trailing newline). *)
-
 val to_string : Hdl_ast.design -> string
 (** Complete design file: library clauses, entity, architecture. *)
-
-val component_decl : Hdl_ast.design -> string
-(** A [component ... end component;] declaration block for instantiating
-    this design from another architecture. *)

@@ -191,47 +191,6 @@ let merge_into ~into src =
       end)
     src.histograms
 
-(* syncs first, so a view's pending delta is dropped along with
-   everything else, as an eagerly recorded value would be *)
-let reset t =
-  sync t;
-  List.iter (fun c -> c.count <- 0) t.counters;
-  List.iter (fun g -> g.level <- 0) t.gauges;
-  List.iter
-    (fun h ->
-      Array.fill h.buckets 0 (Array.length h.buckets) 0;
-      h.n <- 0;
-      h.sum <- 0;
-      h.vmin <- max_int;
-      h.vmax <- min_int)
-    t.histograms
-
-(* Design-cache replay support: serialization walks the whole registry, so
-   a replayed run whose registry kept metrics lazily registered by the
-   previous run (e.g. [driver/op/<kind>] counters) would dump a superset of
-   a fresh build's. The mark records the registry sizes at the end of
-   elaboration; resetting to it drops everything registered later (the
-   lists are newest-first, so that is a prefix) and zeroes the rest.
-   Handles obtained during elaboration stay valid — their records survive. *)
-type mark = { m_counters : int; m_gauges : int; m_histograms : int }
-
-let mark t =
-  {
-    m_counters = List.length t.counters;
-    m_gauges = List.length t.gauges;
-    m_histograms = List.length t.histograms;
-  }
-
-let reset_to_mark t m =
-  let keep n l =
-    let rec drop k l = if k <= 0 then l else drop (k - 1) (List.tl l) in
-    drop (List.length l - n) l
-  in
-  t.counters <- keep m.m_counters t.counters;
-  t.gauges <- keep m.m_gauges t.gauges;
-  t.histograms <- keep m.m_histograms t.histograms;
-  reset t
-
 (* Live-scrape composition: a service holds several registries (its own
    request series, per-request sim aggregates) and a scrape wants one
    exposition — fold them into a fresh registry without touching any

@@ -53,8 +53,8 @@ val observe_n : histogram -> int -> int -> unit
     path. Its owner registers a sync hook instead, which folds the
     increments since the hook's previous run into the metric's record.
     Every registry read below ({!counters}, {!gauges}, {!histograms},
-    {!counter_value}, {!find_histogram}, {!merge_into} on its source) and
-    {!reset} runs the hooks first, so what a reader sees is what eager
+    {!counter_value}, {!find_histogram}, {!merge_into} on its source) runs
+    the hooks first, so what a reader sees is what eager
     recording would have produced. Registration never syncs, and neither
     do the handle readers ({!count}, {!observations}, ...): a handle
     reflects the last registry read. *)
@@ -64,19 +64,6 @@ val on_read : t -> (unit -> unit) -> unit
 
 val sync : t -> unit
 (** Run every sync hook now. *)
-
-(** {1 Marks (design-cache replay)} *)
-
-type mark
-(** Registry sizes at a point in time (typically end of elaboration). *)
-
-val mark : t -> mark
-
-val reset_to_mark : t -> mark -> unit
-(** Drop every metric registered after [mark] (serialization walks the
-    whole registry, so a replay must not dump a superset of a fresh
-    build's) and zero the rest. Handles obtained before the mark remain
-    valid. *)
 
 (** {1 Reading} *)
 
@@ -119,10 +106,6 @@ val counter_value : t -> string -> int
 (** 0 when the counter was never registered. *)
 
 val find_histogram : t -> string -> histogram option
-
-val reset : t -> unit
-(** Zero every metric, keeping registrations (handles stay valid). Syncs
-    first, so pending view increments are zeroed too. *)
 
 val merge_into : into:t -> t -> unit
 (** [merge_into ~into src] folds [src] into [into], by metric name:

@@ -2,7 +2,6 @@ type t = {
   enabled : bool;
   metrics : Metrics.t;
   recorder : Recorder.t option;
-  mutable now : int;
 }
 
 let create ?(recording = true) ?ring () =
@@ -11,16 +10,9 @@ let create ?(recording = true) ?ring () =
     metrics = Metrics.create ();
     recorder =
       (if recording then Some (Recorder.create ?capacity:ring ()) else None);
-    now = 0;
   }
 
-let none =
-  {
-    enabled = false;
-    metrics = Metrics.create ();
-    recorder = None;
-    now = 0;
-  }
+let none = { enabled = false; metrics = Metrics.create (); recorder = None }
 
 (* Symmetric no-op on disabled contexts: a disabled [src] carries nothing
    worth folding (its metrics are never written), and folding anything
@@ -28,10 +20,8 @@ let none =
    state into every kernel that opted out. *)
 let merge ~into src =
   if into == src then invalid_arg "Obs.merge: cannot merge a context into itself";
-  if into.enabled && src.enabled then begin
-    Metrics.merge_into ~into:into.metrics src.metrics;
-    into.now <- max into.now src.now
-  end
+  if into.enabled && src.enabled then
+    Metrics.merge_into ~into:into.metrics src.metrics
 
 let active t = t.enabled
 
@@ -42,34 +32,5 @@ let active t = t.enabled
    sync hooks) for the life of the process. *)
 let metrics t = if t.enabled then t.metrics else Metrics.create ()
 let recorder t = if t.enabled then t.recorder else None
-(* a view like the kernel's metrics: the owning kernel's sync hook
-   fills it in *)
-let now t =
-  Metrics.sync t.metrics;
-  t.now
-
-let set_now t cycle = t.now <- cycle
 
 external now_ns : unit -> int = "splice_obs_now_ns" [@@noalloc]
-
-(* Design-cache replay: snapshot the registry/intern-table positions at the
-   end of design elaboration, and rewind to them on a cache hit so the
-   replayed run's metrics and dumps are byte-identical to a fresh build's. *)
-type mark = { mk_metrics : Metrics.mark; mk_recorder : int }
-
-let mark t =
-  {
-    mk_metrics = Metrics.mark t.metrics;
-    mk_recorder = (match t.recorder with Some r -> Recorder.mark r | None -> 0);
-  }
-
-(* no-op on a disabled context, which has nothing to rewind and is
-   shared by every domain *)
-let reset_to_mark t m =
-  if t.enabled then begin
-    Metrics.reset_to_mark t.metrics m.mk_metrics;
-    (match t.recorder with
-    | Some r -> Recorder.reset_to_mark r m.mk_recorder
-    | None -> ());
-    t.now <- 0
-  end

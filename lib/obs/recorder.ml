@@ -78,10 +78,7 @@ let subject_mask = 0xFFFFF
 let meta_bits = 23 (* kind (3) + subject (20) *)
 
 type t = {
-  mutable stamp : int;
-      (* process-unique identity for intern-id caches; re-stamped by
-         [reset_to_mark] so ids cached after the mark are invalidated and
-         lazily re-interned on the replay, in the same first-use order *)
+  stamp : int;  (* process-unique identity for intern-id caches *)
   capacity : int;  (* always a power of two *)
   mask : int;  (* capacity - 1: slot of event [n] is [n land mask] *)
   chunk_shift : int;  (* slot [i] lives in chunk [i lsr chunk_shift] ... *)
@@ -130,7 +127,6 @@ let create ?(capacity = default_capacity) () =
 let stamp t = t.stamp
 let capacity t = t.capacity
 let total t = t.total
-let now t = t.r_now
 let set_now t cycle = t.r_now <- cycle
 
 let intern t name =
@@ -186,31 +182,6 @@ let[@inline] sched_pass t ~subject ~iters =
   record t Sched_pass ~subject ~arg:iters
 
 let[@inline] comp_eval t ~subject = record t Comp_eval ~subject ~arg:1
-
-(* chunks stay allocated: the next run refills them *)
-let clear t = t.total <- 0
-
-(* Design-cache replay support: a host marks the intern table at the end of
-   elaboration; a cache hit truncates back to the mark before re-running.
-   Replay dumps must be byte-identical to a fresh build's, and the dump
-   serializes subject names — so names interned after the mark (check ids
-   at seal, signals/components on their first recorded event) must be
-   forgotten and re-interned in the replay's own first-use order, which
-   positional assignment makes identical to a fresh build's. Ids below the
-   mark keep their positions, so handles cached at build time stay valid. *)
-let mark t = t.n_names
-
-let reset_to_mark t m =
-  if m < 0 || m > t.n_names then invalid_arg "Recorder.reset_to_mark";
-  for id = m to t.n_names - 1 do
-    Hashtbl.remove t.tbl t.names.(id);
-    t.names.(id) <- ""
-  done;
-  t.n_names <- m;
-  t.total <- 0;
-  t.r_now <- 0;
-  (* invalidate every intern-id cache keyed by the old stamp *)
-  t.stamp <- Atomic.fetch_and_add next_stamp 1
 
 type event = { e_cycle : int; e_kind : kind; e_subject : string; e_arg : int }
 

@@ -57,10 +57,9 @@ val capacity : t -> int
 val total : t -> int
 (** Events ever recorded; [total - min total capacity] were dropped. *)
 
-val now : t -> int
 val set_now : t -> int -> unit
-(** The simulation cycle stamped onto recorded events, maintained by the
-    owning kernel alongside [Obs.set_now]. *)
+(** The simulation cycle stamped onto recorded events, set by the owning
+    kernel at the start of every cycle. *)
 
 (** {1 Interning (cold path)} *)
 
@@ -85,24 +84,6 @@ val check_fail : t -> subject:int -> message:string -> unit
 
 val sched_pass : t -> subject:int -> iters:int -> unit
 val comp_eval : t -> subject:int -> unit
-
-val clear : t -> unit
-(** Forget every event (interned subjects survive; allocated chunks are
-    kept for reuse). *)
-
-val mark : t -> int
-(** Position of the intern table (for {!reset_to_mark}); a host takes the
-    mark at the end of design elaboration. *)
-
-val reset_to_mark : t -> int -> unit
-(** Design-cache replay: forget every event, reset the event clock, drop
-    all subjects interned after [mark] (they re-intern lazily during the
-    replay, in the same first-use order — positional assignment makes the
-    replay's table, and hence its dumps, byte-identical to a fresh
-    build's), and re-{!stamp} the recorder so cached intern ids from the
-    previous run are invalidated. Ids below the mark keep their positions:
-    handles cached during elaboration stay valid. Raises
-    [Invalid_argument] when [mark] exceeds the current table. *)
 
 (** {1 Reading} *)
 

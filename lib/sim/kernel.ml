@@ -118,11 +118,8 @@ let record_eval r (c : Component.t) =
 let gen_counter = Atomic.make 0
 
 let sync_metrics t =
-  if t.cycle_count <> t.synced_cycles then begin
-    Obs.set_now t.obs t.cycle_count;
-    Metrics.add t.cycles_counter (t.cycle_count - t.synced_cycles);
-    t.synced_cycles <- t.cycle_count
-  end;
+  Metrics.add t.cycles_counter (t.cycle_count - t.synced_cycles);
+  t.synced_cycles <- t.cycle_count;
   Metrics.add t.checks_counter (t.checks_run_total - t.synced_checks);
   t.synced_checks <- t.checks_run_total;
   Metrics.add t.evals_counter (t.comb_evals_total - t.synced_evals);
@@ -191,9 +188,7 @@ let create ?(max_comb_iters = 64) ?(sched = `Event) ?obs () =
       synced_iters = Array.make iter_slots 0;
     }
   in
-  (* never on [Obs.none]: nothing reads its throwaway registry, and the
-     hook's [Obs.set_now] would write the context every opted-out kernel
-     shares *)
+  (* never on [Obs.none]: nothing reads its throwaway registry *)
   if Obs.active obs then Metrics.on_read m (fun () -> sync_metrics t);
   t
 
@@ -525,16 +520,17 @@ let at_reset t f = t.reset_hooks <- f :: t.reset_hooks
 
 (* Instance reset: bring a finished kernel back to the state it had at the
    end of design elaboration, so the next run replays byte-identically to a
-   fresh build. The caller (the design cache, via the host) restores signal
-   values and observability state around this; [reset] handles everything
-   the kernel itself owns. The kernel is left {e unsealed}: the first cycle
-   of the replay re-seals — re-interning check ids and, under [`Compiled],
-   recompiling the tape from the restored values — exactly the sequence a
-   fresh host executes, which is what makes replay outputs bit-equal. *)
+   fresh build. The caller (the host) restores signal values around this;
+   [reset] handles everything the kernel itself owns, which excludes the
+   observability context: it is not rewound. The kernel is left
+   {e unsealed}: the first cycle of the replay re-seals — re-interning
+   check ids and, under [`Compiled], recompiling the tape from the
+   restored values — exactly the sequence a fresh host executes, which is
+   what makes replay outputs bit-equal. *)
 let reset ?sched t =
   (match sched with Some s -> t.sched <- s | None -> ());
-  (* the views keep what the run recorded until the caller rewinds the
-     observability context, as eagerly written metrics would *)
+  (* fold the finished run into the views before the totals restart, so
+     they keep it, as eagerly written metrics would *)
   if Obs.active t.obs then sync_metrics t;
   t.cycle_count <- 0;
   List.iter (fun d -> d.d_cycles <- 0) t.domains;

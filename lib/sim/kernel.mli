@@ -209,8 +209,8 @@ val id : t -> int
 
 val obs : t -> Splice_obs.Obs.t
 (** The kernel's observability context. The recorder's event clock is set
-    at the start of every cycle; [Obs.now] and the [sim/*] metrics are
-    views, filled in when the context is read. *)
+    at the start of every cycle; the [sim/*] metrics are views, filled in
+    when the context is read. *)
 
 val sched : t -> sched
 (** The scheduler this kernel was created with. *)
@@ -234,11 +234,12 @@ val note_elaborate_ns : t -> int64 -> unit
     domain clocks, dirty bookkeeping, the seal) and replays the design's
     construction-time state via per-component [reset] callbacks
     ({!Component.make}) and kernel-level {!at_reset} hooks. The caller
-    restores signal values and observability state around it. The kernel is
-    left unsealed, so the first replay cycle re-seals — re-interning check
-    ids and recompiling the tape under [`Compiled] — exactly the sequence a
-    fresh build executes; replay outputs are bit-identical to a fresh
-    host's. *)
+    restores signal values around it. The kernel is left unsealed, so the
+    first replay cycle re-seals — re-interning check ids and recompiling
+    the tape under [`Compiled] — exactly the sequence a fresh build
+    executes; replay outputs and {!stats} are bit-identical to a fresh
+    host's. The observability context is not rewound: the [sim/*] views
+    keep what earlier runs recorded and add the replay's totals to it. *)
 
 val reset : ?sched:sched -> t -> unit
 (** Rewind to the end-of-elaboration state; [sched] re-targets the kernel

@@ -61,8 +61,7 @@ let instrument kernel sis ~func_ids =
        still waiting for one (-1 = none) *)
     let wait_id = ref (-1) and wait_start = ref 0 in
     Kernel.at_reset kernel (fun () -> wait_id := -1);
-    (* track ids interned once, at wiring time — before a design cache
-       marks the recorder, so a replay keeps them *)
+    (* track ids interned once, at wiring time *)
     let rec_ = Obs.recorder obs in
     let intern name =
       match rec_ with Some r -> Recorder.intern r name | None -> -1

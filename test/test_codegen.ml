@@ -33,24 +33,6 @@ let macro_tests =
         Alcotest.(check (option string))
           "base" (Some "x\"80004000\"")
           (List.assoc_opt "BASE_ADDR" m));
-    t "per-function macros render HDL snippets" (fun () ->
-        let spec = spec_of "int f(int*:4 xs);" in
-        let f = List.hd spec.Spec.funcs in
-        let m = Macro.for_function spec f in
-        check_bool "FUNC_NAME" true (List.assoc "FUNC_NAME" m = "f");
-        check_bool "MY_FUNC_ID" true (List.assoc "MY_FUNC_ID" m = "1");
-        check_bool "FSM mentions cur_state" true
-          (contains (List.assoc "FUNC_FSM" m) "cur_state");
-        check_bool "STUB mentions IO_DONE" true
-          (contains (List.assoc "FUNC_STUB" m) "IO_DONE");
-        check_bool "CONSTS mention states" true
-          (contains (List.assoc "FUNC_CONSTS" m) "IN_xs"));
-    t "arbiter macros render muxes" (fun () ->
-        let spec = spec_of "int f(int x);\nint g(int x);" in
-        let m = Macro.arbiter_macros spec in
-        check_bool "DATA_OUT_MUX" true (contains (List.assoc "DATA_OUT_MUX" m) "when");
-        check_bool "CALC_DONE_ENCODE" true
-          (contains (List.assoc "CALC_DONE_ENCODE" m) "CALC_DONE"));
   ]
 
 let busgen_tests =

@@ -162,10 +162,6 @@ let vhdl_tests =
         check_str "vector against zeros"
           "(a and (not b)) /= std_logic_vector(to_unsigned(0, a'length))"
           (Vhdl.cond (Binop (Neq, Binop (And, Ref "a", Not (Ref "b")), All_zeros))));
-    t "component_decl lists the ports" (fun () ->
-        let s = Vhdl.component_decl tiny_design in
-        check_bool "component" true (contains s "component tiny");
-        check_bool "port" true (contains s "VALID"));
   ]
 
 let verilog_tests =

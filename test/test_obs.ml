@@ -42,18 +42,12 @@ let metrics_tests =
         match Metrics.histogram ~limits:[| 4; 4 |] m "bad" with
         | _ -> Alcotest.fail "expected rejection"
         | exception Invalid_argument _ -> ());
-    t "gauges and reset" (fun () ->
+    t "gauges" (fun () ->
         let m = Metrics.create () in
         let g = Metrics.gauge m "depth" in
         Metrics.set g 7;
         check_int "level" 7 (Metrics.level g);
-        let c = Metrics.counter m "n" in
-        Metrics.incr c;
-        Metrics.reset m;
-        check_int "gauge zeroed" 0 (Metrics.level g);
-        check_int "counter zeroed, handle still valid" 0 (Metrics.count c);
-        Metrics.incr c;
-        check_int "records again" 1 (Metrics.counter_value m "n"));
+        check_bool "find-or-create" true (Metrics.gauge m "depth" == g));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -182,21 +176,25 @@ let hist_summary h =
     Metrics.max_value h,
     Metrics.bucket_counts h )
 
-(* The sim/* views must equal the kernel's own totals, and the
-   [sim/comb_iters] histogram must equal one built eagerly from the
-   [Sched_pass] events (one per settle, the argument its pass count) —
-   so every settle must still be in the ring. *)
-let check_views name k =
-  let s = Kernel.stats k in
-  let obs = Kernel.obs k in
+(* The sim/* views must equal the totals of the runs the context observed
+   (one [Kernel.stats] per run, summed), and the [sim/comb_iters]
+   histogram must equal one built eagerly from the [Sched_pass] events (one
+   per settle, the argument its pass count) — so every settle must still
+   be in the ring. *)
+let check_views name obs runs =
+  let sum f = List.fold_left (fun acc s -> acc + f s) 0 runs in
   let m = Obs.metrics obs in
   let c metric = Metrics.counter_value m metric in
-  check_int (name ^ ": sim/cycles") s.Kernel.cycles (c "sim/cycles");
-  check_int (name ^ ": sim/checks_run") s.Kernel.checks_run (c "sim/checks_run");
-  check_int (name ^ ": sim/comb_evals") s.Kernel.comb_evals (c "sim/comb_evals");
+  let cycles = sum (fun s -> s.Kernel.cycles) in
+  check_int (name ^ ": sim/cycles") cycles (c "sim/cycles");
+  check_int (name ^ ": sim/checks_run") (sum (fun s -> s.Kernel.checks_run))
+    (c "sim/checks_run");
+  check_int (name ^ ": sim/comb_evals") (sum (fun s -> s.Kernel.comb_evals))
+    (c "sim/comb_evals");
   let h = Option.get (Metrics.find_histogram m "sim/comb_iters") in
-  check_int (name ^ ": comb_iters count") s.Kernel.cycles (Metrics.observations h);
-  check_int (name ^ ": comb_iters sum") s.Kernel.comb_iters (Metrics.total h);
+  check_int (name ^ ": comb_iters count") cycles (Metrics.observations h);
+  check_int (name ^ ": comb_iters sum") (sum (fun s -> s.Kernel.comb_iters))
+    (Metrics.total h);
   let r = Option.get (Obs.recorder obs) in
   check_bool (name ^ ": ring kept every settle") true
     (Recorder.total r <= Recorder.capacity r);
@@ -212,24 +210,30 @@ let check_views name k =
   check_bool (name ^ ": comb_iters min/max/buckets") true
     (hist_summary h = hist_summary eager)
 
+(* the deterministic part of [Kernel.stats]; the rest is wall time *)
+let counts (s : Kernel.stats) =
+  (s.Kernel.cycles, s.Kernel.comb_iters, s.Kernel.comb_evals, s.Kernel.checks_run)
+
 let views_tests =
   let grid host = List.iter (fun s -> ignore (Interpolator.run host s)) Interp_scenarios.all in
   let scheds = [ ("event", `Event); ("sweep", `Sweep); ("compiled", `Compiled) ] in
   [
-    t "sim/* equal Kernel.stats under every scheduler, also on replay" (fun () ->
+    t "sim/* equal Kernel.stats under every scheduler, summed over replays" (fun () ->
         List.iter
           (fun (name, sched) ->
-            let obs = Obs.create ~ring:(1 lsl 16) () in
+            (* room for both runs' events *)
+            let obs = Obs.create ~ring:(1 lsl 17) () in
             let host = Interpolator.make_host ~obs ~sched Interpolator.Splice_plb_dma in
             let reuse = Host.prepare_reuse host in
             grid host;
-            check_views name (Host.kernel host);
-            let snapshot () = Json.to_string (Recorder.metrics_json (Obs.metrics obs)) in
-            let first = snapshot () in
+            let fresh = Kernel.stats (Host.kernel host) in
+            check_views name obs [ fresh ];
             Host.reset ~sched host reuse;
             grid host;
-            check_views (name ^ " replay") (Host.kernel host);
-            Alcotest.(check string) (name ^ ": replay metrics") first (snapshot ()))
+            let replay = Kernel.stats (Host.kernel host) in
+            check_bool (name ^ ": replay stats equal a fresh build's") true
+              (counts replay = counts fresh);
+            check_views (name ^ " replay") obs [ fresh; replay ])
           scheds);
     t "Obs.merge sums the views" (fun () ->
         let runs =
@@ -273,15 +277,10 @@ let views_tests =
         let m = Obs.metrics obs in
         let cycles () = Metrics.counter_value m "sim/cycles" in
         Kernel.run k 3;
-        Metrics.reset m;
-        Kernel.run k 2;
-        check_int "a registry reset drops what came before" 2 (cycles ());
         Kernel.reset k;
-        check_int "a kernel reset keeps what was recorded" 2 (cycles ());
-        check_int "Obs.now is the cycle count at the reset" 5 (Obs.now obs);
+        check_int "a kernel reset keeps what was recorded" 3 (cycles ());
         Kernel.run k 4;
-        check_int "and the next run adds to it" 6 (cycles ());
-        check_int "Obs.now follows the kernel" 4 (Obs.now obs));
+        check_int "and the next run adds to it" 7 (cycles ()));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -571,24 +570,18 @@ let arb_ring =
   let gen =
     oneofl [ 1; 3; 512; 513; 8192 ] >>= fun requested ->
     let rec pow2 k = if k >= requested then k else pow2 (2 * k) in
-    triple (return requested) (count (pow2 1)) (count (pow2 1))
+    pair (return requested) (count (pow2 1))
   in
-  QCheck.make ~print:QCheck.Print.(triple int int int) gen
+  QCheck.make ~print:QCheck.Print.(pair int int) gen
 
 let ring_property =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:60 ~name:"chunked ring = last-capacity list model"
-       arb_ring (fun (requested, n1, n2) ->
+       arb_ring (fun (requested, n) ->
          let r = Recorder.create ~capacity:requested () in
          let ids = Array.map (Recorder.intern r) [| "a"; "b"; "c" |] in
-         let mark = Recorder.mark r in
-         let capacity = Recorder.capacity r in
-         record_model r ids n1;
-         let first = window_matches r ~capacity n1 in
-         (* reuse: the replay refills chunks the first run allocated *)
-         Recorder.reset_to_mark r mark;
-         record_model r ids n2;
-         first && window_matches r ~capacity n2))
+         record_model r ids n;
+         window_matches r ~capacity:(Recorder.capacity r) n))
 
 let recorder_tests =
   [
@@ -614,14 +607,6 @@ let recorder_tests =
         check_bool "distinct ids" true (a <> b);
         check_int "stable" a (Recorder.intern r "a");
         Alcotest.(check string) "inverse" "b" (Recorder.subject_name r b));
-    t "clear forgets events, keeps interned subjects" (fun () ->
-        let r = Recorder.create ~capacity:4 () in
-        let s = Recorder.intern r "s" in
-        Recorder.signal_change r ~subject:s ~value:1;
-        Recorder.clear r;
-        check_int "no events" 0 (List.length (Recorder.events r));
-        check_int "no total" 0 (Recorder.total r);
-        check_int "same id after clear" s (Recorder.intern r "s"));
     t "check-failure dump ends at the violation; window exact" (fun () ->
         let obs = Obs.create ~ring:16 () in
         let k = Kernel.create ~obs () in

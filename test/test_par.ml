@@ -160,11 +160,8 @@ let test_metrics_merge_order_independent () =
 let test_obs_merge () =
   let into = Obs.create () and src = Obs.create () in
   Metrics.add (Metrics.counter (Obs.metrics src) "x") 2;
-  Obs.set_now src 40;
-  Obs.set_now into 10;
   Obs.merge ~into src;
   check_int "metrics merged" 2 (Metrics.counter_value (Obs.metrics into) "x");
-  check_int "now is max" 40 (Obs.now into);
   (match Obs.merge ~into into with
   | () -> Alcotest.fail "self-merge must be rejected"
   | exception Invalid_argument _ -> ());
@@ -272,7 +269,6 @@ let test_obs_merge_parallel_identical () =
       let m = Obs.metrics obs in
       Metrics.add (Metrics.counter m "sim/comb_evals") (i * 3);
       Metrics.observe (Metrics.histogram m "cycles") (i mod 7);
-      Obs.set_now obs i;
       obs
     in
     let input = Array.init 24 (fun i -> i) in
@@ -291,8 +287,7 @@ let test_obs_merge_parallel_identical () =
     ( Metrics.counter_value m "sim/comb_evals",
       Metrics.observations h,
       Metrics.total h,
-      Metrics.bucket_counts h,
-      Obs.now acc )
+      Metrics.bucket_counts h )
   in
   let base = aggregate 1 in
   check_bool "-j 2 aggregate identical" true (base = aggregate 2);
