@@ -533,6 +533,9 @@ let reset ?sched t =
      they keep it, as eagerly written metrics would *)
   if Obs.active t.obs then sync_metrics t;
   t.cycle_count <- 0;
+  (* events recorded before the replay's first cycle (a driver call's
+     opening transaction) are stamped cycle 0, as on a fresh build *)
+  (match t.rec_ with Some r -> Recorder.set_now r 0 | None -> ());
   List.iter (fun d -> d.d_cycles <- 0) t.domains;
   Array.fill t.iter_counts 0 (Array.length t.iter_counts) 0;
   t.comb_evals_total <- 0;

@@ -244,6 +244,47 @@ let sched_order_tests =
         check_int "one elaboration" 1 !builds);
   ]
 
+(* a replay rewinds the design, not its observations: an instrumented
+   cached host keeps counting across replays, so after its first run and
+   one replay every counter holds twice a fresh build's count — and the
+   CPU model keeps its cached driver/op handles, so the registry gains no
+   second entry for any of them *)
+let op_counter_tests =
+  let counters host =
+    List.map
+      (fun c -> (Metrics.counter_name c, Metrics.count c))
+      (Metrics.counters (Obs.metrics (Host.obs host)))
+  in
+  let ops host =
+    List.filter
+      (fun (name, _) -> String.starts_with ~prefix:"driver/op/" name)
+      (counters host)
+  in
+  let doubled = List.map (fun (name, n) -> (name, 2 * n)) in
+  [
+    t "driver/op counters accumulate across a cache-hit replay" (fun () ->
+        let fresh = build_monitored `Event () in
+        ignore (observe fresh);
+        let c = Design_cache.create ~capacity:4 in
+        let acquire () =
+          Design_cache.acquire c ~key:base_key ~sched:`Event
+            ~build:(build_monitored `Event)
+        in
+        let warm, _ = acquire () in
+        ignore (observe warm);
+        let hit, was_hit = acquire () in
+        check_bool "second acquire is a hit" true was_hit;
+        check_bool "the hit is the warm host" true (hit == warm);
+        ignore (observe hit);
+        check_bool "ops were counted" true (ops fresh <> []);
+        Alcotest.(check (list (pair string int)))
+          "driver/op/* doubled, in registry order" (doubled (ops fresh))
+          (ops hit);
+        Alcotest.(check (list (pair string int)))
+          "whole counter registry doubled" (doubled (counters fresh))
+          (counters hit));
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Sweep determinism: cache on/off, -j 1 / -j 4                        *)
 (* ------------------------------------------------------------------ *)
@@ -366,7 +407,7 @@ let retire_tests =
 let tests =
   [
     ("cache.key", key_tests);
-    ("cache.replay", replay_tests @ sched_order_tests);
+    ("cache.replay", replay_tests @ sched_order_tests @ op_counter_tests);
     ("cache.digest", digest_tests);
     ("cache.retire", retire_tests);
   ]

@@ -116,6 +116,14 @@ let stubgen_tests =
         let spec = spec_of "void f(char*:5+ cs);" in
         let s = Stubgen.generate spec (List.hd spec.Spec.funcs) in
         check_bool "comment" true (contains s "24 trailing bit(s)"));
+    t "stub FSM steps through the input states to IO_DONE" (fun () ->
+        let spec = spec_of "int f(int*:4 xs);" in
+        let s = Stubgen.generate spec (List.hd spec.Spec.funcs) in
+        check_bool "state constant" true (contains s "constant IN_xs");
+        check_bool "state register" true (contains s "signal cur_state");
+        check_bool "case on the state" true (contains s "case cur_state is");
+        check_bool "input state arm" true (contains s "when IN_xs =>");
+        check_bool "IO_DONE raised" true (contains s "IO_DONE <= '1';"));
     t "verilog output honours %target_hdl (§10.2)" (fun () ->
         let spec =
           Validate.of_string_exn ~lookup_bus:Registry.lookup_caps
@@ -137,6 +145,17 @@ let arbitergen_tests =
         check_bool "g" true (contains s "u_g : entity work.func_g");
         check_bool "id 2 generic" true (contains s "C_MY_FUNC_ID => 2");
         check_bool "id 3 generic" true (contains s "C_MY_FUNC_ID => 3"));
+    t "arbiter muxes outputs by FUNC_ID and packs CALC_DONE (§5.2)" (fun () ->
+        let spec = spec_of "int f(int x);\nint g(int x);" in
+        let s = Arbitergen.generate spec in
+        check_bool "DATA_OUT mux" true
+          (contains s
+             "DATA_OUT <= f1_data_out when (FUNC_ID = \"01\") else \
+              f2_data_out when (FUNC_ID = \"10\") else (others => '0');");
+        check_bool "IO_DONE mux" true
+          (contains s "IO_DONE <= f1_io_done when (FUNC_ID = \"01\")");
+        check_bool "CALC_DONE bit (id-1) per instance" true
+          (contains s "CALC_DONE <= f2_calc_done & f1_calc_done;"));
     t "arbiter design is structurally valid" (fun () ->
         let spec = spec_of "int f(int x):3;\nvoid g();" in
         check_bool "valid" true (Hdl_ast.validate (Arbitergen.design spec) = Ok ()));

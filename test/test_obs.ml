@@ -235,6 +235,34 @@ let views_tests =
               (counts replay = counts fresh);
             check_views (name ^ " replay") obs [ fresh; replay ])
           scheds);
+    t "a replay records the first run's events again" (fun () ->
+        List.iter
+          (fun (name, sched) ->
+            (* room for both runs' events *)
+            let obs = Obs.create ~ring:(1 lsl 17) () in
+            let host = Interpolator.make_host ~obs ~sched Interpolator.Splice_plb_dma in
+            let reuse = Host.prepare_reuse host in
+            let r = Option.get (Obs.recorder obs) in
+            let built = Recorder.total r in
+            grid host;
+            let after_first = Recorder.events r in
+            let n = Recorder.total r - built in
+            check_bool (name ^ ": the run recorded") true (n > 0);
+            Host.reset ~sched host reuse;
+            check_int (name ^ ": reset keeps the recording") (built + n)
+              (Recorder.total r);
+            grid host;
+            check_int (name ^ ": the replay adds as many") (built + (2 * n))
+              (Recorder.total r);
+            let events = Recorder.events r in
+            let drop k l = List.filteri (fun i _ -> i >= k) l in
+            check_bool (name ^ ": nothing dropped") true
+              (List.length events = built + (2 * n));
+            check_bool (name ^ ": first run kept") true
+              (List.filteri (fun i _ -> i < built + n) events = after_first);
+            check_bool (name ^ ": replay events equal the first run's") true
+              (drop (built + n) events = drop built after_first))
+          scheds);
     t "Obs.merge sums the views" (fun () ->
         let runs =
           List.map
@@ -607,6 +635,18 @@ let recorder_tests =
         check_bool "distinct ids" true (a <> b);
         check_int "stable" a (Recorder.intern r "a");
         Alcotest.(check string) "inverse" "b" (Recorder.subject_name r b));
+    t "a kernel reset keeps the window and restamps from cycle 0" (fun () ->
+        let obs = Obs.create ~ring:64 () in
+        let k = counting_kernel obs in
+        Kernel.run k 3;
+        let r = Option.get (Obs.recorder obs) in
+        let before = Recorder.events r in
+        check_bool "the run recorded" true (before <> []);
+        Kernel.reset k;
+        check_bool "window kept" true (Recorder.events r = before);
+        Recorder.txn_begin r ~subject:(Recorder.intern r "probe") ~words:1;
+        let last = List.nth (Recorder.events r) (List.length before) in
+        check_int "stamped cycle 0" 0 last.Recorder.e_cycle);
     t "check-failure dump ends at the violation; window exact" (fun () ->
         let obs = Obs.create ~ring:16 () in
         let k = Kernel.create ~obs () in
@@ -971,6 +1011,14 @@ let merge_tests =
         match Obs.merge ~into:o o with
         | () -> Alcotest.fail "expected Invalid_argument"
         | exception Invalid_argument _ -> ());
+    t "merge leaves flight recordings apart" (fun () ->
+        let a = Obs.create () and b = Obs.create () in
+        let rb = Option.get (Obs.recorder b) in
+        Recorder.signal_change rb ~subject:(Recorder.intern rb "s") ~value:1;
+        Obs.merge ~into:a b;
+        check_int "into records nothing" 0
+          (Recorder.total (Option.get (Obs.recorder a)));
+        check_int "src keeps its event" 1 (Recorder.total rb));
     t "enabled contexts merge by summing" (fun () ->
         let a = Obs.create () and b = Obs.create () in
         Metrics.add (Metrics.counter (Obs.metrics a) "n") 2;
