@@ -7,12 +7,25 @@ type domain = {
   d_period : int; (* ticks between edges, >= 1 *)
   d_phase : int; (* tick offset of the first edge, < period *)
   mutable d_cycles : int; (* edges fired so far *)
+  mutable d_next : int; (* the tick of the next edge *)
+  mutable d_fires : bool; (* an edge on the tick in flight *)
 }
 
 (* a domain's edge falls on tick [n] iff [n mod period = phase]; the base
    domain (period 1, phase 0) fires on every tick, so single-clock designs
-   behave exactly as before *)
-let dom_fires d tick = tick mod d.d_period = d.d_phase
+   behave exactly as before. The cycle loop never divides: it compares the
+   tick with [d_next] once per domain ([decide_edges]) and steps [d_next]
+   by the period when the edge has fired ([count_domain_edges]). A domain
+   added mid-run starts at its first edge at or after the current tick. *)
+let make_domain ~name ~phase ~period ~tick =
+  {
+    d_name = name;
+    d_period = period;
+    d_phase = phase;
+    d_cycles = 0;
+    d_next = tick + ((phase - (tick mod period) + period) mod period);
+    d_fires = false;
+  }
 
 type t = {
   max_comb_iters : int;
@@ -30,7 +43,6 @@ type t = {
   obs : Obs.t;
   base : domain;
   mutable domains : domain list; (* reversed; always contains [base] *)
-  mutable multi : bool; (* more than one domain registered *)
   mutable components : (Component.t * domain) list; (* reversed *)
   mutable checks : (string * (int -> unit) * domain) list; (* reversed *)
   mutable hooks : (int -> unit) list; (* reversed *)
@@ -134,7 +146,7 @@ let create ?(max_comb_iters = 64) ?(sched = `Event) ?obs () =
   let obs = match obs with Some o -> o | None -> Obs.create () in
   let m = Obs.metrics obs in
   let rec_ = Obs.recorder obs in
-  let base = { d_name = "base"; d_period = 1; d_phase = 0; d_cycles = 0 } in
+  let base = make_domain ~name:"base" ~phase:0 ~period:1 ~tick:0 in
   (* a settle reports at most as many productive delta passes as it
      executed, and it executes at most [max_comb_iters] *)
   let iter_slots = max 1 (max_comb_iters + 1) in
@@ -142,7 +154,6 @@ let create ?(max_comb_iters = 64) ?(sched = `Event) ?obs () =
     {
       base;
       domains = [ base ];
-      multi = false;
       rec_;
       rec_fn = (match rec_ with Some r -> Some (fun c -> record_eval r c) | None -> None);
       gen = 1 + Atomic.fetch_and_add gen_counter 1;
@@ -207,15 +218,14 @@ let add_domain t ~name ?(phase = 0) ~period () =
     invalid_arg "Kernel.add_domain: phase must be in [0, period)";
   if find_domain t name <> None then
     invalid_arg ("Kernel.add_domain: duplicate domain name " ^ name);
-  let d = { d_name = name; d_period = period; d_phase = phase; d_cycles = 0 } in
+  let d = make_domain ~name ~phase ~period ~tick:t.cycle_count in
   t.domains <- d :: t.domains;
-  t.multi <- true;
   t.sealed <- false;
   d
 
 (* valid while the current tick is in flight (settle, checks, settle hooks,
    seq) — [cycle_count] has not been incremented yet *)
-let fires t d = dom_fires d t.cycle_count
+let fires t d = t.cycle_count mod d.d_period = d.d_phase
 
 let add_in t d c =
   t.components <- (c, d) :: t.components;
@@ -403,15 +413,17 @@ let settle t =
   | Some r -> Recorder.sched_pass r ~subject:t.rec_kernel_id ~iters
   | None -> ()
 
-(* [multi] gates every per-item domain test off the single-clock hot path.
-   Domain gating is scheduler-independent (only the settle strategy differs
-   between schedulers), so multi-clock interleaving is deterministic and
-   identical under Event/Sweep/Compiled. Returns the number of checks run. *)
+(* Every gated loop below reads its item's domain flag, set once per tick
+   by [decide_edges]; a single-clock kernel's items all sit in the base
+   domain, whose flag is always set. Domain gating is scheduler-independent
+   (only the settle strategy differs between schedulers), so multi-clock
+   interleaving is deterministic and identical under Event/Sweep/Compiled.
+   Returns the number of checks run. *)
 let run_checks t tick =
   let checks = t.checks_fwd in
   let ran = ref 0 in
   for i = 0 to Array.length checks - 1 do
-    if (not t.multi) || dom_fires (Array.unsafe_get t.check_doms i) tick then begin
+    if (Array.unsafe_get t.check_doms i).d_fires then begin
       (match t.rec_ with
       | Some r -> Recorder.check_eval r ~subject:(Array.unsafe_get t.check_ids i)
       | None -> ());
@@ -422,11 +434,23 @@ let run_checks t tick =
   done;
   !ran
 
-let rec count_domain_edges tick = function
+(* before the settle: which domains have an edge on [tick]. Idempotent
+   until [count_domain_edges] steps [d_next], so a tick that raised before
+   its edges committed decides the same edges when it is run again *)
+let rec decide_edges tick = function
   | [] -> ()
   | d :: rest ->
-      if dom_fires d tick then d.d_cycles <- d.d_cycles + 1;
-      count_domain_edges tick rest
+      d.d_fires <- tick = d.d_next;
+      decide_edges tick rest
+
+let rec count_domain_edges = function
+  | [] -> ()
+  | d :: rest ->
+      if d.d_fires then begin
+        d.d_cycles <- d.d_cycles + 1;
+        d.d_next <- d.d_next + d.d_period
+      end;
+      count_domain_edges rest
 
 let cycle t =
   (match t.rec_ with Some r -> Recorder.set_now r t.cycle_count | None -> ());
@@ -434,8 +458,9 @@ let cycle t =
      [None] detaches, so an opted-out kernel never records into the ring
      of whichever instrumented kernel ran before it in this domain *)
   Signal.attach_recorder t.rec_;
-  settle t;
   let tick = t.cycle_count in
+  decide_edges tick t.domains;
+  settle t;
   let ran =
     match t.rec_ with
     | None -> run_checks t tick
@@ -452,7 +477,7 @@ let cycle t =
   t.checks_run_total <- t.checks_run_total + ran;
   let settles = t.settle_hooks_fwd in
   for i = 0 to Array.length settles - 1 do
-    if (not t.multi) || dom_fires (Array.unsafe_get t.settle_doms i) tick then
+    if (Array.unsafe_get t.settle_doms i).d_fires then
       (Array.unsafe_get settles i) tick
   done;
   (* only components whose domain has an edge on this tick clock their
@@ -460,11 +485,11 @@ let cycle t =
      between coincident domains cannot matter *)
   let comps = t.comps_fwd in
   for i = 0 to Array.length comps - 1 do
-    if (not t.multi) || dom_fires (Array.unsafe_get t.comp_doms i) tick then
+    if (Array.unsafe_get t.comp_doms i).d_fires then
       (Array.unsafe_get comps i).Component.seq ()
   done;
   Signal.commit_pending ();
-  count_domain_edges tick t.domains;
+  count_domain_edges t.domains;
   t.cycle_count <- t.cycle_count + 1;
   let hooks = t.hooks_fwd in
   for i = 0 to Array.length hooks - 1 do
@@ -536,7 +561,11 @@ let reset ?sched t =
   (* events recorded before the replay's first cycle (a driver call's
      opening transaction) are stamped cycle 0, as on a fresh build *)
   (match t.rec_ with Some r -> Recorder.set_now r 0 | None -> ());
-  List.iter (fun d -> d.d_cycles <- 0) t.domains;
+  List.iter
+    (fun d ->
+      d.d_cycles <- 0;
+      d.d_next <- d.d_phase)
+    t.domains;
   Array.fill t.iter_counts 0 (Array.length t.iter_counts) 0;
   t.comb_evals_total <- 0;
   t.checks_run_total <- 0;

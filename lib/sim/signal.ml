@@ -157,9 +157,11 @@ let name t = t.name
 let uid t = t.uid
 let width t = t.width
 let narrow t = t.narrow
-let get t = t.value
-let get_bool t = if t.narrow then t.imm <> 0 else Bits.to_bool t.value
-let get_int t = if t.narrow then t.imm else Bits.to_int t.value
+(* the readers every model and monitor calls several times per tick:
+   inlined at the call site, so a narrow read is a field load and a test *)
+let[@inline] get t = t.value
+let[@inline] get_bool t = if t.narrow then t.imm <> 0 else Bits.to_bool t.value
+let[@inline] get_int t = if t.narrow then t.imm else Bits.to_int t.value
 
 let on_change t f = t.listeners <- f :: t.listeners
 

@@ -435,6 +435,89 @@ let sched_tests =
                 (true, -1) ts)));
   ]
 
+(* -------- domain gating, tick by tick -------- *)
+
+(* The base domain plus period 2 phase 1 and period 3 phase 2: every gated
+   item (a seq, a check, a settle hook) of a domain must run on exactly the
+   ticks [n] with [n mod period = phase], [Kernel.fires] must agree on every
+   tick, and a reset must rewind the schedule to tick 0 *)
+let gating_ticks = 30
+
+let gating_tests =
+  List.map
+    (fun (sched, name) ->
+      t (Printf.sprintf "domain gating tick by tick (%s)" name) (fun () ->
+          let k = Kernel.create ~sched () in
+          let doms =
+            [
+              Kernel.base_domain k;
+              Kernel.add_domain k ~name:"p2" ~phase:1 ~period:2 ();
+              Kernel.add_domain k ~name:"p3" ~phase:2 ~period:3 ();
+            ]
+          in
+          let logs =
+            List.map
+              (fun d ->
+                let seq = ref [] and chk = ref [] and settle = ref [] in
+                let fired = ref [] in
+                let dn = Kernel.domain_name d in
+                Kernel.add_in k d
+                  (Component.make
+                     ~seq:(fun () -> seq := Kernel.cycles k :: !seq)
+                     ("seq_" ^ dn));
+                Kernel.add_check_in k d ("check_" ^ dn) (fun n ->
+                    chk := n :: !chk);
+                Kernel.on_settle_in k d (fun n -> settle := n :: !settle);
+                (* an ungated probe: [fires] on every tick *)
+                Kernel.on_settle k (fun n ->
+                    if Kernel.fires k d then fired := n :: !fired);
+                (d, [ ("seq", seq); ("check", chk); ("settle", settle);
+                      ("fires", fired) ]))
+              doms
+          in
+          let run label =
+            List.iter
+              (fun (_, l) -> List.iter (fun (_, r) -> r := []) l)
+              logs;
+            Kernel.run k gating_ticks;
+            List.iter
+              (fun (d, l) ->
+                let p = Kernel.domain_period d and ph = Kernel.domain_phase d in
+                let want =
+                  List.filter
+                    (fun n -> n mod p = ph)
+                    (List.init gating_ticks Fun.id)
+                in
+                List.iter
+                  (fun (what, r) ->
+                    Alcotest.(check (list int))
+                      (Printf.sprintf "%s: %s %s ticks" label
+                         (Kernel.domain_name d) what)
+                      want (List.rev !r))
+                  l;
+                check_int
+                  (Printf.sprintf "%s: %s domain_cycles" label
+                     (Kernel.domain_name d))
+                  (List.length want) (Kernel.domain_cycles d))
+              logs
+          in
+          run "first run";
+          Kernel.reset k;
+          run "after reset"))
+    [ (`Event, "event"); (`Sweep, "sweep"); (`Compiled, "compiled") ]
+  @ [
+      t "a domain added mid-run fires on tick mod period = phase" (fun () ->
+          let k = Kernel.create ~obs:Splice_obs.Obs.none () in
+          Kernel.run k 7;
+          let d = Kernel.add_domain k ~name:"late" ~phase:2 ~period:3 () in
+          let log = ref [] in
+          Kernel.add_in k d
+            (Component.make ~seq:(fun () -> log := Kernel.cycles k :: !log) "late");
+          Kernel.run k 13;
+          Alcotest.(check (list int)) "edge ticks" [ 8; 11; 14; 17 ] (List.rev !log);
+          check_int "domain_cycles" 4 (Kernel.domain_cycles d));
+    ]
+
 (* -------- fixed-seed fuzz regression corpus -------- *)
 
 (* Frozen (seed, pins) cells replayed on every dune runtest: each one runs
@@ -498,5 +581,6 @@ let tests =
     ("cdc.fifo", fifo_props @ soundness_props);
     ("cdc", smoke_tests);
     ("cdc.sched", sched_tests);
+    ("cdc.gating", gating_tests);
     ("cdc.corpus", corpus_tests);
   ]
