@@ -313,12 +313,8 @@ let eval_cmd =
                 (fun (r : Splice.Cycles.detailed_row) ->
                   Splice.Obs.merge ~into:agg r.Splice.Cycles.obs)
                 drows;
-              let m = Splice.Obs.metrics agg in
-              (* the measurement ran on this domain, so its design-cache
-                 hit/miss counters are part of the exposition too *)
-              Splice.Design_cache.metrics_into m;
               Splice.Export.write_file path
-                (Splice.Openmetrics.of_metrics_body m
+                (Splice.Openmetrics.of_metrics_body (Splice.Obs.metrics agg)
                 ^ Splice.Openmetrics.family ~name:"build_info" ~typ:`Gauge
                     [
                       ( [ ("version", Splice.version) ],
@@ -519,9 +515,9 @@ let fuzz_cmd =
       (String.concat "," (List.map Splice.Diff.sched_name scheds))
       jobs;
     let log = if quiet then ignore else fun line -> Printf.printf "  %s\n%!" line in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Splice.Obs.now_ns () in
     let report = with_jobs jobs (fun pool -> Splice.Diff.run ~log ?pool config) in
-    let wall = Unix.gettimeofday () -. t0 in
+    let wall = float_of_int (Splice.Obs.now_ns () - t0) /. 1e9 in
     let cells =
       report.Splice.Diff.r_iterations * List.length report.Splice.Diff.r_buses
     in

@@ -195,13 +195,14 @@ let native_mirror kernel ~base_address (sis : Splice_sis.Sis_if.t) =
   in
   Kernel.add kernel
     (Component.make
-       ~reads:
-         [
-           sis.Splice_sis.Sis_if.io_enable;
-           sis.Splice_sis.Sis_if.data_in_valid;
-           sis.Splice_sis.Sis_if.func_id;
-           sis.Splice_sis.Sis_if.data_in;
-           sis.Splice_sis.Sis_if.data_out;
-         ]
-       ~comb "apb-native-mirror");
+       ~comb:
+         ( [
+             sis.Splice_sis.Sis_if.io_enable;
+             sis.Splice_sis.Sis_if.data_in_valid;
+             sis.Splice_sis.Sis_if.func_id;
+             sis.Splice_sis.Sis_if.data_in;
+             sis.Splice_sis.Sis_if.data_out;
+           ],
+           comb )
+       "apb-native-mirror");
   n

@@ -175,14 +175,15 @@ let native_mirror kernel (sis : Splice_sis.Sis_if.t) =
   in
   Kernel.add kernel
     (Component.make
-       ~reads:
-         [
-           sis.Splice_sis.Sis_if.io_enable;
-           sis.Splice_sis.Sis_if.data_in_valid;
-           sis.Splice_sis.Sis_if.func_id;
-           sis.Splice_sis.Sis_if.data_in;
-           sis.Splice_sis.Sis_if.data_out;
-           sis.Splice_sis.Sis_if.io_done;
-         ]
-       ~comb "fcb-native-mirror");
+       ~comb:
+         ( [
+             sis.Splice_sis.Sis_if.io_enable;
+             sis.Splice_sis.Sis_if.data_in_valid;
+             sis.Splice_sis.Sis_if.func_id;
+             sis.Splice_sis.Sis_if.data_in;
+             sis.Splice_sis.Sis_if.data_out;
+             sis.Splice_sis.Sis_if.io_done;
+           ],
+           comb )
+       "fcb-native-mirror");
   n

@@ -289,13 +289,14 @@ let native_mirror kernel ~ce_slots (sis : Sis_if.t) =
   in
   let c =
     Component.make
-      ~reads:
-        [
-          sis.Sis_if.io_enable; sis.Sis_if.data_in_valid;
-          sis.Sis_if.data_out_valid; sis.Sis_if.io_done; sis.Sis_if.func_id;
-          sis.Sis_if.data_in; sis.Sis_if.data_out;
-        ]
-      ~comb ~seq
+      ~comb:
+        ( [
+            sis.Sis_if.io_enable; sis.Sis_if.data_in_valid;
+            sis.Sis_if.data_out_valid; sis.Sis_if.io_done; sis.Sis_if.func_id;
+            sis.Sis_if.data_in; sis.Sis_if.data_out;
+          ],
+          comb )
+      ~seq
       ~reset:(fun () ->
         in_read := false;
         in_write := false)

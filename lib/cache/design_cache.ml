@@ -150,18 +150,3 @@ let with_cache ~key ~sched ~build =
 
 let domain_stats () =
   match !(Dls.get slot) with None -> None | Some c -> Some (stats c)
-
-(* Every OpenMetrics exposition should carry the cache's effectiveness,
-   not just BENCH JSON: register the calling domain's cumulative hit/miss
-   counters into a registry about to be exposed. One-shot per registry —
-   counters only accumulate, so calling this twice on the same registry
-   double-counts. *)
-let metrics_into m =
-  match domain_stats () with
-  | None -> ()
-  | Some s ->
-      let open Splice_obs in
-      Metrics.add (Metrics.counter m "cache/hits") s.hits;
-      Metrics.add (Metrics.counter m "cache/misses") s.misses;
-      Metrics.add (Metrics.counter m "cache/evictions") s.evictions;
-      Metrics.set (Metrics.gauge m "cache/entries") s.entries

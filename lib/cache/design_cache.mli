@@ -74,10 +74,3 @@ val with_cache :
 
 val domain_stats : unit -> stats option
 (** Counters of this domain's cache, if one exists. *)
-
-val metrics_into : Splice_obs.Metrics.t -> unit
-(** Register this domain's cumulative cache counters into [m] —
-    [cache/hits], [cache/misses], [cache/evictions] counters and a
-    [cache/entries] gauge — so any OpenMetrics exposition of [m] carries
-    the cache's effectiveness. No-op when the domain has no cache yet.
-    One-shot: counters accumulate, so call once per snapshot registry. *)

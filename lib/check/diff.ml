@@ -701,7 +701,7 @@ let run ?(log = ignore) ?pool config =
                        failing cell — like the rest of the failure it is a
                        deterministic function of the task seed, but it is
                        not folded into the digest (the digest predates
-                       dumps and E15 pins it) *)
+                       dumps, and tests and CI pin it) *)
                     f_dump =
                       dump_of ~max_cycles:config.max_cycles ~iseed g' bus
                         sched';

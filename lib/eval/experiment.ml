@@ -497,86 +497,6 @@ end
 
 (* ------------------------------------------------------------------ *)
 
-module Scaling = struct
-  type point = {
-    jobs : int;
-    wall_s : float;
-    speedup : float;
-    calls : int;
-    digest : int64;
-    deterministic : bool;
-  }
-
-  let default_jobs = [ 1; 2; 4; 8 ]
-
-  let fuzz_config ~seed ~count ~buses =
-    { Splice_check.Diff.default_config with seed; count; buses }
-
-  let run ?(jobs = default_jobs) ?(seed = 42) ?(count = 8)
-      ?(buses = [ "plb"; "apb" ]) () =
-    let one j =
-      let config = fuzz_config ~seed ~count ~buses in
-      let t0 = Unix.gettimeofday () in
-      let report =
-        match Splice_par.Pool.of_jobs j with
-        | None -> Splice_check.Diff.run config
-        | Some pool ->
-            Fun.protect
-              ~finally:(fun () -> Splice_par.Pool.shutdown pool)
-              (fun () -> Splice_check.Diff.run ~pool config)
-      in
-      (j, Unix.gettimeofday () -. t0, report)
-    in
-    let raw = List.map one jobs in
-    let base_wall, base_digest =
-      match raw with
-      | (_, w, r) :: _ -> (w, r.Splice_check.Diff.r_digest)
-      | [] -> (1.0, 0L)
-    in
-    List.map
-      (fun (j, w, (r : Splice_check.Diff.report)) ->
-        {
-          jobs = j;
-          wall_s = w;
-          speedup = base_wall /. Float.max w 1e-9;
-          calls = r.Splice_check.Diff.r_calls;
-          digest = r.Splice_check.Diff.r_digest;
-          deterministic = Int64.equal r.Splice_check.Diff.r_digest base_digest;
-        })
-      raw
-
-  let deterministic points = List.for_all (fun p -> p.deterministic) points
-
-  let table points =
-    let buf = Buffer.create 512 in
-    Buffer.add_string buf
-      "Parallel scaling (E15): the fixed-seed differential fuzz sweep on a \
-       domain pool\n";
-    Buffer.add_string buf
-      "(identical digests required at every -j; wall-clock and speedup are \
-       machine-dependent\n and only meaningful on a multicore host — CI \
-       containers often expose one core)\n";
-    Buffer.add_string buf
-      (Printf.sprintf "%4s %10s %9s %8s %18s %14s\n" "-j" "wall(s)" "speedup"
-         "calls" "digest" "deterministic");
-    List.iter
-      (fun p ->
-        Buffer.add_string buf
-          (Printf.sprintf "%4d %10.3f %8.2fx %8d 0x%016Lx %14s\n" p.jobs
-             p.wall_s p.speedup p.calls p.digest
-             (if p.deterministic then "yes" else "NO!")))
-      points;
-    (if deterministic points then
-       Buffer.add_string buf
-         "every worker count produced a bit-identical sweep digest\n"
-     else
-       Buffer.add_string buf
-         "DIGEST MISMATCH: parallel execution changed the results — a task \
-          is sharing state\n");
-    Buffer.contents buf
-end
-
-
 module Coverage = struct
   type point = {
     iterations : int;
@@ -639,91 +559,7 @@ module Coverage = struct
     Buffer.contents buf
 end
 
-module Cache_replay = struct
-  type point = {
-    cache_on : bool;
-    wall_s : float;
-    calls : int;
-    digest : int64;
-    hits : int;
-    misses : int;
-  }
-
-  let hit_rate p =
-    if p.hits + p.misses = 0 then 0.0
-    else 100.0 *. float_of_int p.hits /. float_of_int (p.hits + p.misses)
-
-  (* paired minima, modes interleaved: load spikes hit both sides equally
-     and the min filters them. Replay is cell-local, so every repetition
-     of a mode reports the same counters; the last one's are kept. *)
-  let run ?pool ?(reps = 2) ?(seed = 42) ?(count = 10)
-      ?(buses = [ "plb"; "apb" ]) () =
-    let cfg cache =
-      { Splice_check.Diff.default_config with seed; count; buses; cache }
-    in
-    let best = [| infinity; infinity |] in
-    let last = [| None; None |] in
-    for _ = 1 to max 1 reps do
-      List.iter
-        (fun i ->
-          let t0 = Unix.gettimeofday () in
-          let r = Splice_check.Diff.run ?pool (cfg (i = 1)) in
-          let w = Unix.gettimeofday () -. t0 in
-          if w < best.(i) then best.(i) <- w;
-          last.(i) <- Some r)
-        [ 0; 1 ]
-    done;
-    List.map
-      (fun i ->
-        let r = Option.get last.(i) in
-        {
-          cache_on = i = 1;
-          wall_s = best.(i);
-          calls = r.Splice_check.Diff.r_calls;
-          digest = r.Splice_check.Diff.r_digest;
-          hits = r.Splice_check.Diff.r_cache_hits;
-          misses = r.Splice_check.Diff.r_cache_misses;
-        })
-      [ 0; 1 ]
-
-  let speedup points =
-    match
-      ( List.find_opt (fun p -> not p.cache_on) points,
-        List.find_opt (fun p -> p.cache_on) points )
-    with
-    | Some off, Some on_ -> off.wall_s /. Float.max on_.wall_s 1e-9
-    | _ -> 1.0
-
-  let deterministic points =
-    match points with
-    | p :: rest -> List.for_all (fun q -> Int64.equal q.digest p.digest) rest
-    | [] -> true
-
-  let table points =
-    let buf = Buffer.create 512 in
-    Buffer.add_string buf
-      "Cell-local replay (E19): the fixed-seed differential fuzz sweep, \
-       replay off vs on\n";
-    Buffer.add_string buf
-      "(identical digests required — replay must be invisible; wall-clock \
-       is the paired\n minimum and machine-dependent)\n";
-    Buffer.add_string buf
-      (Printf.sprintf "%6s %10s %8s %7s %7s %7s %18s\n" "replay" "wall(s)"
-         "calls" "hits" "misses" "hit%" "digest");
-    List.iter
-      (fun p ->
-        Buffer.add_string buf
-          (Printf.sprintf "%6s %10.3f %8d %7d %7d %6.1f%% 0x%016Lx\n"
-             (if p.cache_on then "on" else "off")
-             p.wall_s p.calls p.hits p.misses (hit_rate p) p.digest))
-      points;
-    Buffer.add_string buf
-      (Printf.sprintf "replay speedup %.2fx; %s\n" (speedup points)
-         (if deterministic points then
-            "digests identical with and without replay"
-          else "DIGEST MISMATCH: replay changed the results"));
-    Buffer.contents buf
-end
+(* ------------------------------------------------------------------ *)
 
 module Cdc_sweep = struct
   type point = {

@@ -92,40 +92,6 @@ module Scheduler : sig
   val table : point list -> string
 end
 
-(** E15 — parallel scaling (the execution engine itself): the fixed-seed
-    differential fuzz sweep ({!Splice_check.Diff}) run on domain pools of
-    increasing size. Two claims are checked at once: the wall-clock
-    speedup of the multicore engine, and — the part that must hold on
-    any machine — that every worker count produces a bit-identical sweep
-    digest (the determinism contract of the seed-split task design). *)
-module Scaling : sig
-  type point = {
-    jobs : int;  (** the [-j] value: executors used *)
-    wall_s : float;
-    speedup : float;  (** first row's wall-clock / this row's *)
-    calls : int;
-    digest : int64;  (** {!Splice_check.Diff.report.r_digest} *)
-    deterministic : bool;  (** digest equals the first row's *)
-  }
-
-  val default_jobs : int list
-  (** [1; 2; 4; 8] *)
-
-  val run :
-    ?jobs:int list ->
-    ?seed:int ->
-    ?count:int ->
-    ?buses:string list ->
-    unit ->
-    point list
-  (** Defaults: jobs {!default_jobs}, seed 42, count 8,
-      buses [plb; apb]. The first entry of [jobs] is the speedup
-      baseline (put 1 first). *)
-
-  val deterministic : point list -> bool
-  val table : point list -> string
-end
-
 (** E11 — interrupt vs. polling synchronisation (§10.2): an APB call whose
     calculation takes [calc] cycles, synchronised by CALC_DONE polling vs the
     completion interrupt. Polling costs one status-read transaction per poll;
@@ -183,46 +149,6 @@ module Coverage : sig
   val run : ?seed:int -> ?count:int -> ?buses:string list -> unit -> point list
   val guided_wins : point list -> bool
   (** Guided strictly ahead at the full budget. *)
-
-  val table : point list -> string
-end
-
-(** E19 — cell-local replay: the fixed-seed differential fuzz sweep run
-    with {!Splice_check.Diff.config.cache} off and on. Two claims at once:
-    the wall-clock effect of replaying elaborated designs via instance
-    reset (each (spec, bus) cell elaborates once for its three schedulers
-    instead of three times), and — the part that must hold on any machine
-    — that both modes produce a bit-identical sweep digest. *)
-module Cache_replay : sig
-  type point = {
-    cache_on : bool;
-    wall_s : float;  (** paired minimum over the repetitions *)
-    calls : int;
-    digest : int64;  (** {!Splice_check.Diff.report.r_digest} *)
-    hits : int;  (** hosts replayed (0 when off) *)
-    misses : int;  (** hosts built with replay on (0 when off) *)
-  }
-
-  val hit_rate : point -> float
-  (** Percent of acquisitions served by replay. *)
-
-  val run :
-    ?pool:Splice_par.Pool.t ->
-    ?reps:int ->
-    ?seed:int ->
-    ?count:int ->
-    ?buses:string list ->
-    unit ->
-    point list
-  (** Defaults: 2 repetitions (modes interleaved, minima kept), seed 42,
-      count 10, buses [plb; apb]. Returns the off point then the on
-      point. *)
-
-  val speedup : point list -> float
-  (** Cache-off wall over cache-on wall. *)
-
-  val deterministic : point list -> bool
-  (** Both modes produced the same digest. *)
 
   val table : point list -> string
 end

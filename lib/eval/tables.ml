@@ -3,10 +3,6 @@ open Splice_resources
 
 let fig_9_1 () = Interp_scenarios.fig_9_1_table ()
 
-let fig_9_2 ?pool () =
-  let rows = Cycles.measure ?pool () in
-  (Cycles.fig_9_2_table rows, Cycles.summarize rows)
-
 let fig_9_3 () =
   let rows =
     List.map
@@ -89,10 +85,10 @@ let everything ?pool () =
   section "Figure 9.1";
   Buffer.add_string buf (fig_9_1 ());
   section "Figure 9.2";
-  let t, summary = fig_9_2 ?pool () in
-  Buffer.add_string buf t;
-  Buffer.add_string buf (Format.asprintf "\n%a\n" Cycles.pp_summary summary);
   let rows = Cycles.measure ?pool () in
+  Buffer.add_string buf (Cycles.fig_9_2_table rows);
+  Buffer.add_string buf
+    (Format.asprintf "\n%a\n" Cycles.pp_summary (Cycles.summarize rows));
   Buffer.add_string buf
     (ascii_bars ~title:"\nTotal cycles across scenarios (Fig 9.2 bar chart):"
        (List.map
@@ -118,14 +114,8 @@ let everything ?pool () =
   section "Scheduler ablation (E14)";
   Buffer.add_string buf
     (Experiment.Scheduler.table (Experiment.Scheduler.run ?pool ()));
-  section "Parallel scaling (E15)";
-  (* spawns its own pools per row; independent of [pool] *)
-  Buffer.add_string buf (Experiment.Scaling.table (Experiment.Scaling.run ()));
   section "Coverage-guided fuzzing (E17)";
   Buffer.add_string buf (Experiment.Coverage.table (Experiment.Coverage.run ()));
-  section "Cell-local replay (E19)";
-  Buffer.add_string buf
-    (Experiment.Cache_replay.table (Experiment.Cache_replay.run ?pool ()));
   section "CDC ratio sweep (E18)";
   Buffer.add_string buf
     (Experiment.Cdc_sweep.table (Experiment.Cdc_sweep.run ?pool ()));

@@ -4,10 +4,6 @@
 
 val fig_9_1 : unit -> string
 
-val fig_9_2 : ?pool:Splice_par.Pool.t -> unit -> string * Cycles.summary
-(** [pool] parallelises the implementation cells ({!Cycles.measure});
-    the table is identical either way. *)
-
 val fig_9_3 : unit -> string
 
 val cross_bus : unit -> string
@@ -20,6 +16,5 @@ val ascii_bars : title:string -> (string * int) list -> string
 
 val everything : ?pool:Splice_par.Pool.t -> unit -> string
 (** All tables, ablations included — the full evaluation section.
-    [pool] parallelises the grid-shaped experiments (Fig 9.2, E8, E14);
-    output is byte-identical at any pool size. The E15 scaling section
-    always runs with its own per-row pools regardless of [pool]. *)
+    [pool] parallelises the grid-shaped experiments (Fig 9.2, E8, E14,
+    E18); output is byte-identical at any pool size. *)

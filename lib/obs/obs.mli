@@ -57,5 +57,6 @@ val merge : into:t -> t -> unit
 val now_ns : unit -> int
 (** Monotonic wall time in nanoseconds ([CLOCK_MONOTONIC]; the origin is
     arbitrary, so only differences mean anything). The one clock every
-    wall-time measurement in the library reads: kernel build phases, the
-    fuzz harness's build/simulate split and the service's spans. *)
+    duration in the library and the CLI reads: kernel build phases, the
+    fuzz harness's build/simulate split, [splice fuzz --json]'s wall time
+    and rates, and the service's spans and uptime. *)

@@ -55,7 +55,7 @@ type t = {
   mutable admitted : int;  (* requests executing or waiting for a worker *)
   mutable next_req : int;
   mutable served : int;
-  started : float;
+  started : int;  (* [Obs.now_ns] at creation *)
   service : Metrics.t;  (* daemon-side series: replay totals, latency *)
   sim : Metrics.t;  (* merged per-request simulation registries *)
   requests : (string * string, int ref) Hashtbl.t;  (* (kind, outcome) *)
@@ -271,6 +271,10 @@ let fresh_req t = locked t (fun () -> t.next_req <- t.next_req + 1; t.next_req)
 
 let queue_depth t = max 0 (t.admitted - Pool.domains t.pool)
 
+(* per-kind request latency lives in one histogram per kind, named by
+   this prefix *)
+let latency_prefix = "serve/latency_us/"
+
 let record t ~kind ~(outcome : P.outcome) ~latency_ns x =
   locked t (fun () ->
       let key = (kind, P.outcome_name outcome) in
@@ -280,7 +284,7 @@ let record t ~kind ~(outcome : P.outcome) ~latency_ns x =
       t.served <- t.served + 1;
       Metrics.incr (Metrics.counter t.service "serve/requests");
       Metrics.observe
-        (Metrics.histogram t.service ("serve/latency_us/" ^ kind))
+        (Metrics.histogram t.service (latency_prefix ^ kind))
         (latency_ns / 1000);
       match x with
       | None -> ()
@@ -291,6 +295,20 @@ let record t ~kind ~(outcome : P.outcome) ~latency_ns x =
           Option.iter (fun m -> Metrics.merge_into ~into:t.sim m) x.x_metrics)
 
 (* ---- expositions ---------------------------------------------------- *)
+
+(* the per-kind latency histograms as (kind, histogram) pairs, in
+   registry order *)
+let latencies t =
+  let n = String.length latency_prefix in
+  List.filter_map
+    (fun h ->
+      let name = Metrics.histogram_name h in
+      if String.length name > n && String.starts_with ~prefix:latency_prefix name then
+        Some (String.sub name n (String.length name - n), h)
+      else None)
+    (Metrics.histograms t.service)
+
+let uptime_s t = float_of_int (Obs.now_ns () - t.started) /. 1e9
 
 let sorted_requests t =
   List.sort compare
@@ -311,24 +329,13 @@ let metrics_exposition t =
       let quantiles =
         Openmetrics.family ~name:"serve_latency_quantile_us" ~typ:`Gauge
           (List.concat_map
-             (fun h ->
-               let name = Metrics.histogram_name h in
-               let prefix = "serve/latency_us/" in
-               if
-                 String.length name > String.length prefix
-                 && String.sub name 0 (String.length prefix) = prefix
-               then
-                 let kind =
-                   String.sub name (String.length prefix)
-                     (String.length name - String.length prefix)
-                 in
-                 List.map
-                   (fun (q, l) ->
-                     ( [ ("kind", kind); ("q", l) ],
-                       Openmetrics.Int (Metrics.percentile h q) ))
-                   [ (0.50, "0.5"); (0.95, "0.95"); (0.99, "0.99") ]
-               else [])
-             (Metrics.histograms t.service))
+             (fun (kind, h) ->
+               List.map
+                 (fun (q, l) ->
+                   ( [ ("kind", kind); ("q", l) ],
+                     Openmetrics.Int (Metrics.percentile h q) ))
+                 [ (0.50, "0.5"); (0.95, "0.95"); (0.99, "0.99") ])
+             (latencies t))
       in
       let build =
         Openmetrics.family ~name:"build_info" ~typ:`Gauge
@@ -336,38 +343,29 @@ let metrics_exposition t =
       in
       let uptime =
         Openmetrics.family ~name:"uptime_seconds" ~typ:`Gauge
-          [ ([], Openmetrics.Float (Unix.gettimeofday () -. t.started)) ]
+          [ ([], Openmetrics.Float (uptime_s t)) ]
       in
       body ^ reqs ^ quantiles ^ build ^ uptime ^ Openmetrics.eof)
 
 let stats_json t =
   locked t (fun () ->
       let latency =
-        List.filter_map
-          (fun h ->
-            let name = Metrics.histogram_name h in
-            let prefix = "serve/latency_us/" in
-            if
-              String.length name > String.length prefix
-              && String.sub name 0 (String.length prefix) = prefix
-            then
-              Some
-                ( String.sub name (String.length prefix)
-                    (String.length name - String.length prefix),
-                  Json.Obj
-                    [
-                      ("p50_us", Json.Int (Metrics.percentile h 0.50));
-                      ("p95_us", Json.Int (Metrics.percentile h 0.95));
-                      ("p99_us", Json.Int (Metrics.percentile h 0.99));
-                      ("count", Json.Int (Metrics.observations h));
-                    ] )
-            else None)
-          (Metrics.histograms t.service)
+        List.map
+          (fun (kind, h) ->
+            ( kind,
+              Json.Obj
+                [
+                  ("p50_us", Json.Int (Metrics.percentile h 0.50));
+                  ("p95_us", Json.Int (Metrics.percentile h 0.95));
+                  ("p99_us", Json.Int (Metrics.percentile h 0.99));
+                  ("count", Json.Int (Metrics.observations h));
+                ] ))
+          (latencies t)
       in
       Json.Obj
         [
           ("version", Json.String version);
-          ("uptime_s", Json.Float (Unix.gettimeofday () -. t.started));
+          ("uptime_s", Json.Float (uptime_s t));
           ("jobs", Json.Int t.cfg.jobs);
           ("queue_limit", Json.Int t.cfg.queue_limit);
           ("in_flight", Json.Int t.in_flight);
@@ -726,7 +724,7 @@ let create ?(config = default_config) () =
     admitted = 0;
     next_req = 0;
     served = 0;
-    started = Unix.gettimeofday ();
+    started = Obs.now_ns ();
     service = Metrics.create ();
     sim = Metrics.create ();
     requests = Hashtbl.create 16;

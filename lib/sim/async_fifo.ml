@@ -132,14 +132,14 @@ let create ?(name = "afifo") k ~wr_dom ~rd_dom ~depth ~width =
      moves before the next slot is read. *)
   Kernel.add_in k wr_dom
     (Component.make
-       ~reads:[ t.wr_gray; t.rd_gray_s2 ]
-       ~comb:wr_comb ~seq:wr_seq
+       ~comb:([ t.wr_gray; t.rd_gray_s2 ], wr_comb)
+       ~seq:wr_seq
        ~reset:(fun () -> Array.fill t.mem 0 depth (Bits.zero width))
        (name ^ ".wr"));
   Kernel.add_in k rd_dom
     (Component.make
-       ~reads:[ t.rd_gray; t.wr_gray_s2; t.rd_ptr ]
-       ~comb:rd_comb ~seq:rd_seq (name ^ ".rd"));
+       ~comb:([ t.rd_gray; t.wr_gray_s2; t.rd_ptr ], rd_comb)
+       ~seq:rd_seq (name ^ ".rd"));
   t
 
 let depth t = t.depth

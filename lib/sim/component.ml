@@ -1,10 +1,8 @@
-type sensitivity = Always | Reads of Signal.t list
-
 type t = {
   name : string;
   comb : unit -> unit;
+  reads : Signal.t list;
   seq : unit -> unit;
-  sensitivity : sensitivity;
   has_comb : bool;
   mutable dirty : bool;
   mutable reg_gen : int;
@@ -29,19 +27,18 @@ type t = {
 
 let nop () = ()
 
-let make ?reads ?comb ?seq ?reset name =
-  let sensitivity =
-    match (comb, reads) with
-    | None, _ -> Reads []
-    | Some _, None -> Always
-    | Some _, Some signals -> Reads signals
+let make ?comb ?seq ?reset name =
+  let has_comb, reads, comb =
+    match comb with
+    | Some (reads, f) -> (true, reads, f)
+    | None -> (false, [], nop)
   in
   {
     name;
-    comb = (match comb with Some f -> f | None -> nop);
+    comb;
+    reads;
     seq = (match seq with Some f -> f | None -> nop);
-    sensitivity;
-    has_comb = Option.is_some comb;
+    has_comb;
     dirty = false;
     reg_gen = 0;
     rec_stamp = 0;
@@ -52,4 +49,3 @@ let make ?reads ?comb ?seq ?reset name =
 
 let rearm t = t.arm ()
 let name t = t.name
-let sensitivity t = t.sensitivity

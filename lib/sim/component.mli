@@ -8,16 +8,14 @@
 
     {1 Sensitivity}
 
-    [reads] declares the complete set of signals the [comb] callback reads.
-    The event-driven and compiled schedulers only re-evaluate a component
-    when one of its declared reads changed, or when the component announced
-    a state change with {!rearm} — so the declaration is a contract: [comb]
-    must be a deterministic function of exactly those signals plus internal
-    state whose every comb-visible change is announced. A component
-    constructed with a [comb] but no [reads] falls back to the legacy
-    always-dirty behaviour: it is re-evaluated on every delta pass, exactly
-    as the sweep scheduler would, which is always safe and lets call sites
-    migrate incrementally.
+    A [comb] callback is supplied together with the complete set of signals
+    it reads, so a combinational process without a sensitivity list does
+    not type-check. The event-driven and compiled schedulers only
+    re-evaluate a component when one of its declared reads changed, or when
+    the component announced a state change with {!rearm} — so the
+    declaration is a contract: [comb] must be a deterministic function of
+    exactly those signals plus internal state whose every comb-visible
+    change is announced.
 
     {1 Announcing state changes}
 
@@ -30,17 +28,13 @@
     ignores announcements — exposes as an output difference; that is what
     the fuzz sweep's event-vs-sweep comparison checks. *)
 
-type sensitivity =
-  | Always  (** legacy fallback: evaluate on every delta pass *)
-  | Reads of Signal.t list
-      (** comb re-runs when any of these signals changes, or after a
-          {!rearm} *)
-
 type t = {
   name : string;
   comb : unit -> unit;
+  reads : Signal.t list;
+      (** comb re-runs when any of these signals changes, or after a
+          {!rearm} *)
   seq : unit -> unit;
-  sensitivity : sensitivity;
   has_comb : bool;  (** false when no [comb] was supplied (callback is a nop) *)
   mutable dirty : bool;  (** kernel-owned: queued for (re-)evaluation *)
   mutable reg_gen : int;
@@ -61,25 +55,24 @@ type t = {
 }
 
 val make :
-  ?reads:Signal.t list ->
-  ?comb:(unit -> unit) ->
+  ?comb:Signal.t list * (unit -> unit) ->
   ?seq:(unit -> unit) ->
   ?reset:(unit -> unit) ->
   string ->
   t
-(** Missing callbacks default to no-ops. A component without [comb] is never
-    scheduled for combinational evaluation; one with [comb] but no [reads]
-    is treated as {!Always} dirty. [reset] (default no-op) must restore
-    every ref and mutable record captured by the callbacks to the exact
-    value it held when [make] returned — the contract that makes
-    {!Kernel.reset} replay equivalent to a fresh build. *)
+(** [~comb:(reads, f)] pairs the combinational callback with the signals it
+    reads. Missing callbacks default to no-ops; a component without [comb]
+    is never scheduled for combinational evaluation. [reset] (default
+    no-op) must restore every ref and mutable record captured by the
+    callbacks to the exact value it held when [make] returned — the
+    contract that makes {!Kernel.reset} replay equivalent to a fresh
+    build. *)
 
 val rearm : t -> unit
 (** Announce, from the component's own [seq], that state its [comb] reads
     has changed: the kernel re-evaluates the component at the next settle.
-    A nop for components without [comb], for {!Always} components and under
-    the sweep scheduler. Announcing when nothing comb-visible changed is
-    safe (one wasted evaluation); failing to announce a change is not. *)
+    A nop for components without [comb] and under the sweep scheduler.
+    Announcing when nothing comb-visible changed is safe (one wasted
+    evaluation); failing to announce a change is not. *)
 
 val name : t -> string
-val sensitivity : t -> sensitivity

@@ -45,7 +45,6 @@ type t = {
   mutable domains : domain list; (* reversed; always contains [base] *)
   mutable components : (Component.t * domain) list; (* reversed *)
   mutable checks : (string * (int -> unit) * domain) list; (* reversed *)
-  mutable hooks : (int -> unit) list; (* reversed *)
   mutable settle_hooks : ((int -> unit) * domain) list; (* reversed *)
   mutable cycle_count : int;
   iter_counts : int array;
@@ -61,10 +60,8 @@ type t = {
   mutable comp_doms : domain array; (* parallel to [comps_fwd] *)
   mutable checks_fwd : (string * (int -> unit)) array;
   mutable check_doms : domain array; (* parallel to [checks_fwd] *)
-  mutable hooks_fwd : (int -> unit) array;
   mutable settle_hooks_fwd : (int -> unit) array;
   mutable settle_doms : domain array; (* parallel to [settle_hooks_fwd] *)
-  mutable has_always : bool;
   mutable n_dirty : int;
   mutable tape : Tape.t option;
       (* the [`Compiled] scheduler's op-tape, (re)built at seal time *)
@@ -165,7 +162,6 @@ let create ?(max_comb_iters = 64) ?(sched = `Event) ?obs () =
       obs;
       components = [];
       checks = [];
-      hooks = [];
       settle_hooks = [];
       cycle_count = 0;
       iter_counts = Array.make iter_slots 0;
@@ -177,10 +173,8 @@ let create ?(max_comb_iters = 64) ?(sched = `Event) ?obs () =
       comp_doms = [||];
       checks_fwd = [||];
       check_doms = [||];
-      hooks_fwd = [||];
       settle_hooks_fwd = [||];
       settle_doms = [||];
-      has_always = false;
       n_dirty = 0;
       tape = None;
       reset_hooks = [];
@@ -241,10 +235,6 @@ let add_check t name f = add_check_in t t.base name f
 
 let check_fail ~cycle ~check message = raise (Check_failed { cycle; check; message })
 
-let on_cycle_end t f =
-  t.hooks <- f :: t.hooks;
-  t.sealed <- false
-
 let on_settle_in t d f =
   t.settle_hooks <- (f, d) :: t.settle_hooks;
   t.sealed <- false
@@ -275,42 +265,37 @@ let seal t =
   | Some r ->
       t.check_ids <- Array.map (fun (name, _) -> Recorder.intern r name) t.checks_fwd
   | None -> t.check_ids <- [||]);
-  t.hooks_fwd <- Array.of_list (List.rev t.hooks);
   let settles = Array.of_list (List.rev t.settle_hooks) in
   t.settle_hooks_fwd <- Array.map fst settles;
   t.settle_doms <- Array.map snd settles;
-  t.has_always <- false;
   Array.iter
     (fun (c : Component.t) ->
-      match c.Component.sensitivity with
-      | Component.Always -> t.has_always <- true
-      | Component.Reads signals ->
-          (* the one re-arm path: a component's announcement ([Component.rearm]
-             from its seq) queues it for the next settle, nothing re-arms it
-             per edge. The tape installs its own action when it compiles;
-             the sweep evaluates everything and ignores announcements *)
-          if c.Component.has_comb then
-            c.Component.arm <-
-              (match t.sched with
-              | `Event -> fun () -> mark_dirty t c
-              | `Sweep | `Compiled -> ignore);
-          if t.sched = `Event && c.Component.reg_gen <> t.gen then begin
-            (* a component migrating from an earlier kernel may carry that
-               kernel's dirty bit; clear it before this kernel counts it *)
-            if c.Component.reg_gen <> 0 then c.Component.dirty <- false;
-            c.Component.reg_gen <- t.gen;
-            (* the generation guard inside the listener turns a stale
-               kernel's fan-out into no-ops once a later kernel takes over
-               the component *)
-            List.iter
-              (fun s ->
-                Signal.on_change s (fun () ->
-                    if c.Component.reg_gen = t.gen then mark_dirty t c))
-              signals;
-            (* newly registered components evaluate once to establish their
-               outputs, exactly like the sweep's first pass would *)
-            if c.Component.has_comb then mark_dirty t c
-          end)
+      (* the one re-arm path: a component's announcement ([Component.rearm]
+         from its seq) queues it for the next settle, nothing re-arms it
+         per edge. The tape installs its own action when it compiles;
+         the sweep evaluates everything and ignores announcements *)
+      if c.Component.has_comb then
+        c.Component.arm <-
+          (match t.sched with
+          | `Event -> fun () -> mark_dirty t c
+          | `Sweep | `Compiled -> ignore);
+      if t.sched = `Event && c.Component.reg_gen <> t.gen then begin
+        (* a component migrating from an earlier kernel may carry that
+           kernel's dirty bit; clear it before this kernel counts it *)
+        if c.Component.reg_gen <> 0 then c.Component.dirty <- false;
+        c.Component.reg_gen <- t.gen;
+        (* the generation guard inside the listener turns a stale
+           kernel's fan-out into no-ops once a later kernel takes over
+           the component *)
+        List.iter
+          (fun s ->
+            Signal.on_change s (fun () ->
+                if c.Component.reg_gen = t.gen then mark_dirty t c))
+          c.Component.reads;
+        (* newly registered components evaluate once to establish their
+           outputs, exactly like the sweep's first pass would *)
+        if c.Component.has_comb then mark_dirty t c
+      end)
     t.comps_fwd;
   let compile_delta =
     if t.sched = `Compiled then begin
@@ -358,18 +343,15 @@ let event_pass t =
   let comps = t.comps_fwd in
   for i = 0 to Array.length comps - 1 do
     let c = Array.unsafe_get comps i in
-    match c.Component.sensitivity with
-    | Component.Always -> eval t c
-    | Component.Reads _ ->
-        if c.Component.dirty then begin
-          c.Component.dirty <- false;
-          t.n_dirty <- t.n_dirty - 1;
-          eval t c
-        end
+    if c.Component.dirty then begin
+      c.Component.dirty <- false;
+      t.n_dirty <- t.n_dirty - 1;
+      eval t c
+    end
   done
 
 let rec event_passes t executed productive =
-  if t.n_dirty = 0 && not t.has_always then productive
+  if t.n_dirty = 0 then productive
   else if executed >= t.max_comb_iters then
     raise (Comb_divergence { cycle = t.cycle_count; iterations = executed })
   else begin
@@ -490,11 +472,7 @@ let cycle t =
   done;
   Signal.commit_pending ();
   count_domain_edges t.domains;
-  t.cycle_count <- t.cycle_count + 1;
-  let hooks = t.hooks_fwd in
-  for i = 0 to Array.length hooks - 1 do
-    (Array.unsafe_get hooks i) t.cycle_count
-  done
+  t.cycle_count <- t.cycle_count + 1
 
 let run t n =
   for _ = 1 to n do
@@ -578,7 +556,7 @@ let reset ?sched t =
   t.k_compile_ns <- 0L;
   (* drop the tape and unseal; clear dirty bookkeeping (announcements a
      run's last seq raised included), then queue every
-     combinational [Reads] component for the first pass — the state a fresh
+     combinational component for the first pass — the state a fresh
      kernel reaches right before its first seal marks them. Components whose
      listeners are already registered with this kernel (reg_gen = gen) are
      skipped by the next seal's registration loop, so the marks below stand
@@ -588,10 +566,7 @@ let reset ?sched t =
   List.iter (fun ((c : Component.t), _) -> c.Component.dirty <- false) t.components;
   t.n_dirty <- 0;
   List.iter
-    (fun ((c : Component.t), _) ->
-      match c.Component.sensitivity with
-      | Component.Reads _ when c.Component.has_comb -> mark_dirty t c
-      | _ -> ())
+    (fun ((c : Component.t), _) -> if c.Component.has_comb then mark_dirty t c)
     t.components;
   (* component-local state first, then design-level hooks, both in
      registration order (the order the build created that state in) *)

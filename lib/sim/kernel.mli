@@ -5,18 +5,17 @@
     + settle the combinational logic: run component [comb] callbacks, in
       registration order, until no signal changes (fixpoint) — raising
       {!Comb_divergence} after [max_comb_iters] delta passes;
-    + run every check registered with {!add_check} (protocol monitors);
+    + run every check registered with {!add_check} (protocol monitors),
+      then every {!on_settle} hook (tracing);
     + run every component's [seq] callback (all observe settled pre-edge
-      values) and commit their deferred writes simultaneously;
-    + fire end-of-cycle hooks (tracing).
+      values) and commit their deferred writes simultaneously.
 
     {1 Scheduling}
 
     Under the default [`Event] scheduler the kernel keeps a dirty set: a
     delta pass only re-evaluates components whose declared sensitivities
-    (see {!Component.make}) changed — via a signal fan-out listener, the
-    component's own state-change announcement ({!Component.rearm}), or the
-    legacy always-dirty fallback.
+    (see {!Component.make}) changed — via a signal fan-out listener or the
+    component's own state-change announcement ({!Component.rearm}).
     The [`Sweep] scheduler is the original behaviour — every component on
     every pass — kept for the E14 ablation and as a migration oracle.
 
@@ -176,11 +175,6 @@ val add_check_in : t -> domain -> string -> (int -> unit) -> unit
 
 val check_fail : cycle:int -> check:string -> string -> 'a
 (** Raise a {!Check_failed}. *)
-
-val on_cycle_end : t -> (int -> unit) -> unit
-(** Hook fired after the registered updates commit (post-edge view:
-    registered outputs show their new values, combinational signals still
-    show the finished cycle's). *)
 
 val on_settle : t -> (int -> unit) -> unit
 (** Tracing hook fired after the comb fixpoint and the protocol checks but

@@ -3,7 +3,7 @@ open Splice_bits
 (* Compiled op-tape scheduler (see DESIGN.md "Scheduling model").
 
    [compile] runs once at seal time: it levelizes the sealed component graph
-   from the declared [Reads] sensitivity lists, flattens the signal state
+   from the declared sensitivity lists, flattens the signal state
    those lists mention into contiguous structure-of-arrays buffers (the
    immediates of narrow signals — [Signal.narrow] — packed as ints,
    wide signals in a small side table), and emits a linear evaluation
@@ -21,10 +21,8 @@ type t = {
          ([Signal.cache_tape_slot]), so the write hook resolves
          signal -> slot with two field reads once warm *)
   order : Component.t array;
-      (* levelized [Reads] components with a comb callback, writers before
+      (* levelized components with a comb callback, writers before
          readers wherever the discovered write sets allow *)
-  always : Component.t array;
-      (* [Always] components: pinned to every pass, evaluated first *)
   nwords : int; (* words in the position bitsets: (|order| + 31) / 32 *)
   dirty : int array; (* positions queued for evaluation *)
   slots : Signal.t array; (* slot -> signal, for the snapshot scan *)
@@ -86,16 +84,13 @@ let on_touch t s =
   end
 
 let compile (comps : Component.t array) =
-  (* partition, preserving registration order *)
-  let cand = ref [] and alw = ref [] in
-  Array.iter
-    (fun (c : Component.t) ->
-      match c.Component.sensitivity with
-      | Component.Always -> alw := c :: !alw
-      | Component.Reads _ -> if c.Component.has_comb then cand := c :: !cand)
-    comps;
-  let cands = Array.of_list (List.rev !cand) in
-  let always = Array.of_list (List.rev !alw) in
+  (* the combinational components, in registration order *)
+  let cands =
+    Array.of_list
+      (List.filter
+         (fun (c : Component.t) -> c.Component.has_comb)
+         (Array.to_list comps))
+  in
   let n = Array.length cands in
   (* intern every signal appearing in a sensitivity list into a slot *)
   let slot_of_uid = Hashtbl.create 64 in
@@ -115,10 +110,7 @@ let compile (comps : Component.t array) =
   let reads =
     Array.map
       (fun (c : Component.t) ->
-        match c.Component.sensitivity with
-        | Component.Reads signals ->
-            List.sort_uniq compare (List.map intern signals)
-        | Component.Always -> [])
+        List.sort_uniq compare (List.map intern c.Component.reads))
       cands
   in
   let nslots = !nslots in
@@ -150,18 +142,11 @@ let compile (comps : Component.t array) =
                end
            | _ -> ()));
   (try
-     let ci = ref 0 in
-     Array.iter
-       (fun (c : Component.t) ->
-         if c.Component.has_comb then begin
-           (match c.Component.sensitivity with
-           | Component.Reads _ ->
-               current := !ci;
-               incr ci
-           | Component.Always -> current := -1);
-           c.Component.comb ()
-         end)
-       comps
+     Array.iteri
+       (fun k (c : Component.t) ->
+         current := k;
+         c.Component.comb ())
+       cands
    with e ->
      Signal.set_touch None;
      raise e);
@@ -248,7 +233,6 @@ let compile (comps : Component.t array) =
     {
       stamp = Atomic.fetch_and_add stamps 1;
       order;
-      always;
       nwords;
       dirty = all_dirty;
       slots;
@@ -301,18 +285,11 @@ let scan t =
     end
   done
 
-(* One delta pass: the pinned [Always] components, then every dirty tape
-   position in order. Top-level (no closure) so a settle never allocates. *)
+(* One delta pass: every dirty tape position in order. Top-level (no
+   closure) so a settle never allocates. *)
 let pass t record =
   let order = t.order in
   let n = Array.length order in
-  let always = t.always in
-  for i = 0 to Array.length always - 1 do
-    let c = Array.unsafe_get always i in
-    c.Component.comb ();
-    (match record with None -> () | Some f -> f c);
-    t.evals <- t.evals + 1
-  done;
   for w = 0 to t.nwords - 1 do
     (* a whole-word skip is safe: a zero word at entry holds no dirty
        position, and marks can only originate from evaluations — which
@@ -335,18 +312,15 @@ let pass t record =
   done
 
 let rec passes t ~max_iters ~record executed productive =
-  let n_always = Array.length t.always in
-  if n_always = 0 && not (any_dirty t) then productive
+  if not (any_dirty t) then productive
   else if executed >= max_iters then raise (Divergence executed)
   else begin
     let before = Signal.change_count () in
     pass t record;
     let changed = Signal.change_count () <> before in
     let productive = if changed then productive + 1 else productive in
-    (* a change with no tape reader marks nothing dirty: only [Always]
-       components (unknown reads) force the conservative extra pass *)
-    if any_dirty t || (changed && n_always > 0) then
-      passes t ~max_iters ~record (executed + 1) productive
+    (* a change with no tape reader marks nothing dirty *)
+    if any_dirty t then passes t ~max_iters ~record (executed + 1) productive
     else productive
   end
 

@@ -3,7 +3,7 @@
     {!compile} turns a sealed component array into a linear evaluation tape:
 
     + {e levelize} — build the writer→reader graph from the declared
-      [Reads] sensitivity lists (writes discovered by a one-shot calibration
+      sensitivity lists (writes discovered by a one-shot calibration
       pass with a recording {!Signal.set_touch} hook) and order it with
       Kahn's algorithm, registration index breaking ties and combinational
       cycles;
@@ -19,10 +19,9 @@
     dirtiness is an int bitset over tape positions; writes flow through the
     domain-local touch hook (installed only while settling) straight into a
     bitmask OR, and a component's announcement from its seq sets its bit
-    for the next settle. [`Always`] components are pinned to every pass. Settled
-    values are bit-identical to the [`Event`]/[`Sweep`] schedulers — the
-    tape still iterates to the same fixpoint, it only schedules fewer,
-    better-ordered evaluations.
+    for the next settle. Settled values are bit-identical to the
+    [`Event`]/[`Sweep`] schedulers — the tape still iterates to the same
+    fixpoint, it only schedules fewer, better-ordered evaluations.
 
     A tape snapshots value state at compile time and re-syncs by diffing
     slots at every settle entry, so testbench writes between cycles and

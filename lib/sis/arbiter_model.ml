@@ -64,4 +64,4 @@ let make ~stubs (sis : Sis_if.t) =
            [ p.data_out; p.data_out_valid; p.io_done; p.calc_done ])
          stubs
   in
-  Component.make ~reads ~comb "arbiter"
+  Component.make ~comb:(reads, comb) "arbiter"

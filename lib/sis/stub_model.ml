@@ -275,8 +275,10 @@ let make ~spec ~func ~instance ~sis ~ports ~behavior =
      DATA_IN is sampled by [seq], not by [comb] *)
   t.comp <-
     Component.make
-      ~reads:[ sis.Sis_if.func_id; sis.Sis_if.io_enable; sis.Sis_if.data_in_valid ]
-      ~comb:(comb t) ~seq:(seq t)
+      ~comb:
+        ( [ sis.Sis_if.func_id; sis.Sis_if.io_enable; sis.Sis_if.data_in_valid ],
+          comb t )
+      ~seq:(seq t)
       ~reset:(fun () ->
         t.received <- [];
         t.pending_read <- false;

@@ -194,7 +194,7 @@ let plb_native_tests =
         and saw_rd_req = ref false
         and saw_rd_ack = ref false
         and ce_onehot_ok = ref true in
-        Kernel.on_cycle_end kernel (fun _ ->
+        Kernel.on_settle kernel (fun _ ->
             if Signal.get_bool native.Plb.Native.wr_req then saw_wr_req := true;
             if Signal.get_bool native.Plb.Native.wr_ack then saw_wr_ack := true;
             if Signal.get_bool native.Plb.Native.rd_req then saw_rd_req := true;

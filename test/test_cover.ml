@@ -119,12 +119,14 @@ let watch_tests =
         let first = ref true in
         Kernel.add k
           (Component.make
-             ~comb:(fun () ->
-               if !first then begin
-                 first := false;
-                 Signal.set_int s 3
-               end;
-               Signal.set_int s 5)
+             ~comb:
+               ( [],
+                 fun () ->
+                   if !first then begin
+                     first := false;
+                     Signal.set_int s 3
+                   end;
+                   Signal.set_int s 5 )
              "driver");
         Kernel.cycle k;
         Alcotest.(check (list (pair string int)))

@@ -1,5 +1,6 @@
-(* Evaluation tests: the Fig 9.2 / 9.3 shape claims of §9.3 (as ratio bands,
-   not absolute cycle counts) and the ablation experiments E4/E5/E8/E9. *)
+(* Evaluation tests: the whole [splice eval] output pinned, the Fig 9.2 /
+   9.3 shape claims of §9.3 (as ratio bands, not absolute cycle counts) and
+   the ablation experiments E4/E5/E8/E9. *)
 
 open Splice
 
@@ -247,8 +248,25 @@ let cdc_sweep_tests =
              points));
   ]
 
+let pinned_tests =
+  [
+    t "splice eval output: identical under a pool, digest pinned" (fun () ->
+        (* every section is a function of the model, not of the machine,
+           so the whole evaluation is one value: equal at any pool size
+           and pinned whole (CI pins the sha256 of the same text) *)
+        let seq = Tables.everything () in
+        let par =
+          Pool.with_pool ~domains:2 (fun pool -> Tables.everything ~pool ())
+        in
+        Alcotest.(check string) "2-domain pool" seq par;
+        Alcotest.(check string)
+          "md5" "b12289256f08618cef7450044e79b3fe"
+          (Digest.to_hex (Digest.string seq)));
+  ]
+
 let tests =
   [
+    ("eval.pinned", pinned_tests);
     ("eval.fig-9-2", fig_9_2_tests);
     ("eval.fig-9-3", fig_9_3_tests);
     ("eval.ablations", ablation_tests @ interrupt_ablation_tests @ consolidation_tests);

@@ -124,16 +124,23 @@ let json_tests =
 
 (* a kernel of one counter component and one check; the comb must
    actually change a signal: iterations count productive delta passes, so
-   a pure nop would record 0 *)
+   a pure nop would record 0. The comb reads only the counter its own seq
+   advances, so the seq announces every step *)
 let counting_kernel obs =
   let k = Kernel.create ~obs () in
   let s = Signal.create 8 in
   let n = ref 0 in
-  Kernel.add k
-    (Component.make
-       ~comb:(fun () -> Signal.set_int s ((!n + 1) land 0xff))
-       ~seq:(fun () -> incr n)
-       "counter");
+  let comp = ref None in
+  let c =
+    Component.make
+      ~comb:([], fun () -> Signal.set_int s ((!n + 1) land 0xff))
+      ~seq:(fun () ->
+        incr n;
+        Option.iter Component.rearm !comp)
+      "counter"
+  in
+  comp := Some c;
+  Kernel.add k c;
   Kernel.add_check k "noop" (fun _ -> ());
   k
 

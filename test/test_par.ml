@@ -300,20 +300,6 @@ let test_cycles_measure_parallel_identical () =
   in
   check_bool "Fig 9.2 rows identical" true (seq = par)
 
-let test_scaling_study () =
-  let points =
-    Experiment.Scaling.run ~jobs:[ 1; 2 ] ~seed:3 ~count:2
-      ~buses:[ "apb" ] ()
-  in
-  check_int "one point per -j" 2 (List.length points);
-  check_bool "digests agree" true (Experiment.Scaling.deterministic points);
-  let p1 = List.hd points in
-  check_int "baseline is -j 1" 1 p1.Experiment.Scaling.jobs;
-  check_bool "baseline speedup 1.0" true
-    (abs_float (p1.Experiment.Scaling.speedup -. 1.0) < 1e-9);
-  check_bool "table renders" true
-    (String.length (Experiment.Scaling.table points) > 0)
-
 let tests =
   [
     ( "par.pool",
@@ -348,6 +334,5 @@ let tests =
           test_obs_merge_parallel_identical;
         t "fig 9.2 measurement identical under pool"
           test_cycles_measure_parallel_identical;
-        t "E15 scaling study" test_scaling_study;
       ] );
   ]

@@ -177,17 +177,6 @@ let protocol_tests =
           "# TYPE splice_build_info gauge\nsplice_build_info{version=\"1.0.0\"} 1\n"
           (Openmetrics.family ~name:"build_info" ~typ:`Gauge
              [ ([ ("version", "1.0.0") ], Openmetrics.Int 1) ]));
-    t "cache: metrics_into surfaces the domain cache counters" (fun () ->
-        (* make sure this domain has a cache with traffic on it *)
-        ignore (Cycles.measure ());
-        let m = Metrics.create () in
-        Design_cache.metrics_into m;
-        check_bool "hits counter exposed" true
-          (Metrics.counter_value m "cache/hits" >= 0);
-        check_bool "entries gauge exposed" true
-          (List.exists
-             (fun g -> Metrics.gauge_name g = "cache/entries")
-             (Metrics.gauges m)));
     t "eval: digest is a stable fold of the measurement rows" (fun () ->
         let row impl cycles =
           {

@@ -97,8 +97,14 @@ let kernel_tests =
            at least two passes are needed *)
         let src = Signal.create 8 and w1 = Signal.create 8 and w2 = Signal.create 8 in
         let k = Kernel.create () in
-        Kernel.add k (Component.make ~comb:(fun () -> Signal.set w2 (Signal.get w1)) "w2");
-        Kernel.add k (Component.make ~comb:(fun () -> Signal.set w1 (Signal.get src)) "w1");
+        Kernel.add k
+          (Component.make
+             ~comb:([ w1 ], fun () -> Signal.set w2 (Signal.get w1))
+             "w2");
+        Kernel.add k
+          (Component.make
+             ~comb:([ src ], fun () -> Signal.set w1 (Signal.get src))
+             "w1");
         Signal.set_int src 9;
         Kernel.cycle k;
         check_int "propagated" 9 (Signal.get_int w2));
@@ -107,7 +113,7 @@ let kernel_tests =
         let k = Kernel.create ~max_comb_iters:8 () in
         Kernel.add k
           (Component.make
-             ~comb:(fun () -> Signal.set s (Bits.succ (Signal.get s)))
+             ~comb:([ s ], fun () -> Signal.set s (Bits.succ (Signal.get s)))
              "oscillator");
         (match Kernel.cycle k with
         | () -> Alcotest.fail "expected divergence"
@@ -138,12 +144,6 @@ let kernel_tests =
         | exception Kernel.Check_failed { check; message; _ } ->
             Alcotest.(check string) "check" "always-fails" check;
             Alcotest.(check string) "msg" "boom" message);
-    t "on_cycle_end hook fires each cycle" (fun () ->
-        let hits = ref [] in
-        let k = Kernel.create () in
-        Kernel.on_cycle_end k (fun c -> hits := c :: !hits);
-        Kernel.run k 3;
-        Alcotest.(check (list int)) "hooks" [ 3; 2; 1 ] !hits);
     t "a component reused by a re-created kernel re-registers" (fun () ->
         (* regression: the sticky [registered] flag made a second kernel
            skip listener registration for a reused component — source
@@ -151,8 +151,8 @@ let kernel_tests =
            kernel never re-evaluated the component *)
         let src = Signal.create 8 and out = Signal.create 8 in
         let c =
-          Component.make ~reads:[ src ]
-            ~comb:(fun () -> Signal.set out (Signal.get src))
+          Component.make
+            ~comb:([ src ], fun () -> Signal.set out (Signal.get src))
             "copy"
         in
         let k1 = Kernel.create () in
@@ -178,12 +178,12 @@ let scheduler_tests =
     let src = Signal.create 8 and w1 = Signal.create 8 and w2 = Signal.create 8 in
     let k = Kernel.create ~sched () in
     Kernel.add k
-      (Component.make ~reads:[ w1 ]
-         ~comb:(fun () -> Signal.set w2 (Signal.get w1))
+      (Component.make
+         ~comb:([ w1 ], fun () -> Signal.set w2 (Signal.get w1))
          "w2");
     Kernel.add k
-      (Component.make ~reads:[ src ]
-         ~comb:(fun () -> Signal.set w1 (Signal.get src))
+      (Component.make
+         ~comb:([ src ], fun () -> Signal.set w1 (Signal.get src))
          "w1");
     (src, w2, k)
   in
@@ -262,8 +262,8 @@ let scheduler_tests =
         let s = Signal.create 8 in
         let k = Kernel.create ~max_comb_iters:8 () in
         Kernel.add k
-          (Component.make ~reads:[ s ]
-             ~comb:(fun () -> Signal.set s (Bits.succ (Signal.get s)))
+          (Component.make
+             ~comb:([ s ], fun () -> Signal.set s (Bits.succ (Signal.get s)))
              "oscillator");
         (match Kernel.cycle k with
         | () -> Alcotest.fail "expected divergence"
@@ -277,8 +277,8 @@ let scheduler_tests =
         let s = Signal.create 8 in
         let k = Kernel.create ~max_comb_iters:8 ~sched:`Compiled () in
         Kernel.add k
-          (Component.make ~reads:[ s ]
-             ~comb:(fun () -> Signal.set s (Bits.succ (Signal.get s)))
+          (Component.make
+             ~comb:([ s ], fun () -> Signal.set s (Bits.succ (Signal.get s)))
              "oscillator");
         (match Kernel.cycle k with
         | () -> Alcotest.fail "expected divergence"
@@ -298,8 +298,8 @@ let scheduler_tests =
             let comp = ref None in
             let k = Kernel.create ~sched () in
             let c =
-              Component.make ~reads:[]
-                ~comb:(fun () -> Signal.set_int out (!count / 2))
+              Component.make
+                ~comb:([], fun () -> Signal.set_int out (!count / 2))
                 ~seq:(fun () ->
                   incr count;
                   if !count mod 2 = 0 then Option.iter Component.rearm !comp)
@@ -325,8 +325,8 @@ let scheduler_tests =
           let count = ref 0 in
           let k = Kernel.create ~sched () in
           Kernel.add k
-            (Component.make ~reads:[]
-               ~comb:(fun () -> Signal.set_int out !count)
+            (Component.make
+               ~comb:([], fun () -> Signal.set_int out !count)
                ~seq:(fun () -> incr count)
                "silent");
           let seen = ref [] in
@@ -366,8 +366,8 @@ let scheduler_tests =
                 let count = ref 0 in
                 let comp = ref None in
                 let c =
-                  Component.make ~reads:[]
-                    ~comb:(fun () -> Signal.set_int out !count)
+                  Component.make
+                    ~comb:([], fun () -> Signal.set_int out !count)
                     ~seq:(fun () ->
                       incr count;
                       Option.iter Component.rearm !comp)
