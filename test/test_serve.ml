@@ -500,6 +500,45 @@ let server_tests =
             check_bool "exposition helper agrees" true
               (is_suffix ~affix:"# EOF\n"
                  (Serve.metrics_exposition srv))));
+    t "serve: /metrics and /stats report the same per-kind latency" (fun () ->
+        with_server Serve.default_config (fun srv port ->
+            with_conn port (fun c ->
+                check_bool "ping" true (ok_of (req c "{\"kind\":\"ping\"}"));
+                check_bool "ping again" true
+                  (ok_of (req c "{\"kind\":\"ping\"}"));
+                check_bool "fuzz" true
+                  (ok_of (req c (fuzz_line ~seed:5 ~count:1 ())));
+                check_bool "malformed line rejected" false
+                  (ok_of (req c "not json")));
+            let stats =
+              match Json.member "latency" (Serve.stats_json srv) with
+              | Some (Json.Obj kinds) ->
+                  List.map
+                    (fun (kind, j) -> (kind, int_of j "count"))
+                    kinds
+              | _ -> Alcotest.fail "/stats has no latency object"
+            in
+            Alcotest.(check (list (pair string int)))
+              "/stats kinds and counts"
+              [ ("fuzz", 1); ("ping", 2); ("unknown", 1) ]
+              stats;
+            let body = Serve.metrics_exposition srv in
+            List.iter
+              (fun (kind, n) ->
+                check_bool (kind ^ " histogram count") true
+                  (is_infix
+                     ~affix:
+                       (Printf.sprintf "\nsplice_serve_latency_us_%s_count %d\n"
+                          kind n)
+                     body);
+                check_bool (kind ^ " p50 gauge") true
+                  (is_infix
+                     ~affix:
+                       (Printf.sprintf
+                          "splice_serve_latency_quantile_us{kind=\"%s\",q=\"0.5\"}"
+                          kind)
+                     body))
+              stats));
     t "serve: a failing fuzz carries its flight-recorder dump" (fun () ->
         let module Buggy = struct
           include Plb

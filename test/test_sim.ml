@@ -144,6 +144,16 @@ let kernel_tests =
         | exception Kernel.Check_failed { check; message; _ } ->
             Alcotest.(check string) "check" "always-fails" check;
             Alcotest.(check string) "msg" "boom" message);
+    t "on_settle hooks fire each cycle in registration order" (fun () ->
+        let hits = ref [] in
+        let k = Kernel.create () in
+        Kernel.on_settle k (fun c -> hits := ("a", c) :: !hits);
+        Kernel.on_settle k (fun c -> hits := ("b", c) :: !hits);
+        Kernel.run k 3;
+        Alcotest.(check (list (pair string int)))
+          "hooks"
+          [ ("a", 0); ("b", 0); ("a", 1); ("b", 1); ("a", 2); ("b", 2) ]
+          (List.rev !hits));
     t "a component reused by a re-created kernel re-registers" (fun () ->
         (* regression: the sticky [registered] flag made a second kernel
            skip listener registration for a reused component — source
