@@ -177,7 +177,8 @@ let channel_step cycle st =
   if v && rdy then st.fired <- st.fired + 1;
   st.p_valid <- v;
   st.p_ready <- rdy;
-  st.p_payload <- pl
+  (* a payload that did not move is the same value: no write barrier *)
+  if st.p_payload != pl then st.p_payload <- pl
 
 let attach_channel_check kernel aclk (nat : Native.t) =
   let mk c_name c_valid c_ready c_payload =
@@ -205,7 +206,9 @@ let attach_channel_check kernel aclk (nat : Native.t) =
         channel_fail ~cycle "BRESP is not OKAY";
       if Signal.get_bool nat.rvalid && Signal.get_int nat.rresp <> 0 then
         channel_fail ~cycle "RRESP is not OKAY";
-      if b.fired > min aw.fired w.fired then
+      (* [b.fired > min aw.fired w.fired], without [Stdlib.min]'s
+         polymorphic compare on every ACLK edge *)
+      if b.fired > aw.fired || b.fired > w.fired then
         channel_fail ~cycle
           "B handshake with no outstanding write (responses outnumber \
            accepted AW/W transfers)";

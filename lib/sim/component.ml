@@ -4,6 +4,7 @@ type t = {
   reads : Signal.t list;
   seq : unit -> unit;
   has_comb : bool;
+  has_seq : bool;
   mutable dirty : bool;
   mutable reg_gen : int;
       (* generation id of the kernel whose fan-out listeners this component
@@ -39,6 +40,7 @@ let make ?comb ?seq ?reset name =
     reads;
     seq = (match seq with Some f -> f | None -> nop);
     has_comb;
+    has_seq = Option.is_some seq;
     dirty = false;
     reg_gen = 0;
     rec_stamp = 0;

@@ -36,6 +36,9 @@ type t = {
           {!rearm} *)
   seq : unit -> unit;
   has_comb : bool;  (** false when no [comb] was supplied (callback is a nop) *)
+  has_seq : bool;
+      (** false when no [seq] was supplied (callback is a nop): the kernel
+          leaves such a component out of its clocked loop *)
   mutable dirty : bool;  (** kernel-owned: queued for (re-)evaluation *)
   mutable reg_gen : int;
       (** kernel-owned: generation id of the kernel this component's fan-out
@@ -61,8 +64,10 @@ val make :
   string ->
   t
 (** [~comb:(reads, f)] pairs the combinational callback with the signals it
-    reads. Missing callbacks default to no-ops; a component without [comb]
-    is never scheduled for combinational evaluation. [reset] (default
+    reads. Missing callbacks default to no-ops. A component without [comb]
+    is never scheduled by the event kernel or the compiled tape (the sweep
+    evaluates every component, this one as a counted no-op); one without
+    [seq] is left out of the kernel's clocked loop. [reset] (default
     no-op) must restore every ref and mutable record captured by the
     callbacks to the exact value it held when [make] returned — the
     contract that makes {!Kernel.reset} replay equivalent to a fresh

@@ -57,7 +57,10 @@ type t = {
      changes (sealing); cycle/settle never traverse the reversed lists *)
   mutable sealed : bool;
   mutable comps_fwd : Component.t array;
-  mutable comp_doms : domain array; (* parallel to [comps_fwd] *)
+  mutable seqs_fwd : (unit -> unit) array;
+      (* the [seq] of every component that has one, in registration order:
+         the clocked loop calls no comb-only component's no-op *)
+  mutable seq_doms : domain array; (* parallel to [seqs_fwd] *)
   mutable checks_fwd : (string * (int -> unit)) array;
   mutable check_doms : domain array; (* parallel to [checks_fwd] *)
   mutable settle_hooks_fwd : (int -> unit) array;
@@ -170,7 +173,8 @@ let create ?(max_comb_iters = 64) ?(sched = `Event) ?obs () =
       settle_evals = 0;
       sealed = false;
       comps_fwd = [||];
-      comp_doms = [||];
+      seqs_fwd = [||];
+      seq_doms = [||];
       checks_fwd = [||];
       check_doms = [||];
       settle_hooks_fwd = [||];
@@ -255,9 +259,11 @@ let mark_dirty t (c : Component.t) =
 
 let seal t =
   let t0 = Obs.now_ns () in
-  let comps = Array.of_list (List.rev t.components) in
-  t.comps_fwd <- Array.map fst comps;
-  t.comp_doms <- Array.map snd comps;
+  let comps = List.rev t.components in
+  t.comps_fwd <- Array.of_list (List.map fst comps);
+  let clocked = List.filter (fun ((c : Component.t), _) -> c.Component.has_seq) comps in
+  t.seqs_fwd <- Array.of_list (List.map (fun ((c : Component.t), _) -> c.Component.seq) clocked);
+  t.seq_doms <- Array.of_list (List.map snd clocked);
   let checks = Array.of_list (List.rev t.checks) in
   t.checks_fwd <- Array.map (fun (name, f, _) -> (name, f)) checks;
   t.check_doms <- Array.map (fun (_, _, d) -> d) checks;
@@ -323,16 +329,16 @@ let eval t (c : Component.t) =
 
 (* legacy scheduler: re-evaluate every component on every delta pass until
    a pass leaves the global change counter untouched *)
-let rec sweep_passes t executed productive =
+let rec sweep_passes t st executed productive =
   if executed >= t.max_comb_iters then
     raise (Comb_divergence { cycle = t.cycle_count; iterations = executed });
-  let before = Signal.change_count () in
+  let before = Signal.changes st in
   let comps = t.comps_fwd in
   for i = 0 to Array.length comps - 1 do
     eval t (Array.unsafe_get comps i)
   done;
-  if Signal.change_count () <> before then
-    sweep_passes t (executed + 1) (productive + 1)
+  if Signal.changes st <> before then
+    sweep_passes t st (executed + 1) (productive + 1)
   else productive
 
 (* event-driven scheduler: a delta pass only evaluates dirty components (in
@@ -350,20 +356,21 @@ let event_pass t =
     end
   done
 
-let rec event_passes t executed productive =
+let rec event_passes t st executed productive =
   if t.n_dirty = 0 then productive
   else if executed >= t.max_comb_iters then
     raise (Comb_divergence { cycle = t.cycle_count; iterations = executed })
   else begin
-    let before = Signal.change_count () in
+    let before = Signal.changes st in
     event_pass t;
-    let changed = Signal.change_count () <> before in
+    let changed = Signal.changes st <> before in
     let productive = if changed then productive + 1 else productive in
-    if changed || t.n_dirty > 0 then event_passes t (executed + 1) productive
+    if changed || t.n_dirty > 0 then event_passes t st (executed + 1) productive
     else productive
   end
 
-let settle t =
+(* [st] is this domain's signal store, looked up once per tick by [cycle] *)
+let settle t st =
   if not t.sealed then seal t;
   t.settle_evals <- 0;
   (* [iters] counts {e productive} delta passes — passes that changed at
@@ -373,21 +380,21 @@ let settle t =
      passes is caught no later than before. *)
   let iters =
     match t.sched with
-    | `Sweep -> sweep_passes t 0 0
+    | `Sweep -> sweep_passes t st 0 0
     | `Compiled -> (
         let tape =
           match t.tape with
           | Some tape -> tape
           | None -> assert false (* seal always compiles under [`Compiled] *)
         in
-        match Tape.settle tape ~max_iters:t.max_comb_iters ~record:t.rec_fn with
+        match Tape.settle tape st ~max_iters:t.max_comb_iters ~record:t.rec_fn with
         | productive ->
             t.settle_evals <- Tape.evals tape;
             productive
         | exception Tape.Divergence executed ->
             raise
               (Comb_divergence { cycle = t.cycle_count; iterations = executed }))
-    | `Event -> event_passes t 0 0
+    | `Event -> event_passes t st 0 0
   in
   t.comb_evals_total <- t.comb_evals_total + t.settle_evals;
   t.iter_counts.(iters) <- t.iter_counts.(iters) + 1;
@@ -436,13 +443,16 @@ let rec count_domain_edges = function
 
 let cycle t =
   (match t.rec_ with Some r -> Recorder.set_now r t.cycle_count | None -> ());
-  (* (re-)point the domain-local signal store at this kernel's recorder —
-     [None] detaches, so an opted-out kernel never records into the ring
-     of whichever instrumented kernel ran before it in this domain *)
-  Signal.attach_recorder t.rec_;
+  (* the domain-local signal store, looked up once: the settle, its passes
+     and the commit below all go through [st] *)
+  let st = Signal.store () in
+  (* (re-)point the store at this kernel's recorder — [None] detaches, so
+     an opted-out kernel never records into the ring of whichever
+     instrumented kernel ran before it in this domain *)
+  Signal.attach st t.rec_;
   let tick = t.cycle_count in
   decide_edges tick t.domains;
-  settle t;
+  settle t st;
   let ran =
     match t.rec_ with
     | None -> run_checks t tick
@@ -465,12 +475,11 @@ let cycle t =
   (* only components whose domain has an edge on this tick clock their
      state; everyone reads settled pre-edge values, so evaluation order
      between coincident domains cannot matter *)
-  let comps = t.comps_fwd in
-  for i = 0 to Array.length comps - 1 do
-    if (Array.unsafe_get t.comp_doms i).d_fires then
-      (Array.unsafe_get comps i).Component.seq ()
+  let seqs = t.seqs_fwd in
+  for i = 0 to Array.length seqs - 1 do
+    if (Array.unsafe_get t.seq_doms i).d_fires then (Array.unsafe_get seqs i) ()
   done;
-  Signal.commit_pending ();
+  Signal.commit st;
   count_domain_edges t.domains;
   t.cycle_count <- t.cycle_count + 1
 

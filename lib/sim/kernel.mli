@@ -7,8 +7,12 @@
       {!Comb_divergence} after [max_comb_iters] delta passes;
     + run every check registered with {!add_check} (protocol monitors),
       then every {!on_settle} hook (tracing);
-    + run every component's [seq] callback (all observe settled pre-edge
-      values) and commit their deferred writes simultaneously.
+    + run the [seq] callback of every component that has one, in
+      registration order (all observe settled pre-edge values), and commit
+      their deferred writes simultaneously.
+
+    A cycle looks the domain-local signal store up once ({!Signal.store})
+    and hands it to the settle, its pass loops and the commit.
 
     {1 Scheduling}
 
@@ -41,7 +45,10 @@
     The first cycle (or any cycle after a registration) {e seals} the
     kernel: registration lists are snapshotted into forward-order arrays and
     fan-out listeners are attached, so the per-cycle hot path never
-    re-reverses or re-counts lists.
+    re-reverses or re-counts lists. The clocked loop's array holds only the
+    components registered with a [seq]; a comb-only component costs nothing
+    on an edge. (The sweep still evaluates every registered component on
+    every pass, a comb-less one as a counted no-op.)
 
     Every kernel owns a {!Splice_obs.Obs.t} observability context;
     instrumented components reach it through {!obs}. The kernel's own
@@ -55,7 +62,8 @@
     When the context carries a flight recorder ([Obs.recorder], the
     default), the kernel additionally records the post-mortem event
     stream: it re-attaches the recorder to the domain-local signal store
-    every cycle (so each actual signal transition lands in the ring), logs
+    every cycle (so each actual signal transition lands in the ring; the
+    same recorder is not stored again), logs
     one [Comp_eval] per combinational evaluation, one [Sched_pass] per
     settled cycle, one [Check_eval] per protocol-check execution, and —
     immediately before a {!Check_failed} propagates — a [Check_fail]

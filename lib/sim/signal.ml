@@ -44,7 +44,10 @@ type t = {
 (* The deferred-write queue: parallel arrays in write order (oldest first),
    grown by doubling and otherwise reused, so [set_next] stores a signal
    and an int (plus a [Bits.t] the caller already built) without
-   allocating. [q_bits] holds [no_bits] when the write came in as an int. *)
+   allocating. [q_imms] holds [bits_write] (-1, never a narrow value) when
+   the write came in as a [Bits.t], which is then in [q_bits]; an int
+   write leaves its [q_bits] slot as it was, so it costs one write
+   barrier (the signal), not two. *)
 type queue = {
   mutable q_sigs : t array;
   mutable q_imms : int array;
@@ -53,6 +56,7 @@ type queue = {
 }
 
 let no_bits = Bits.create ~width:1 0L
+let bits_write = -1
 
 let dummy =
   {
@@ -123,6 +127,7 @@ let store_key : store Domain.DLS.key =
       })
 
 let store () = Domain.DLS.get store_key
+let changes st = st.changes
 
 let create ?name width =
   let st = store () in
@@ -165,8 +170,11 @@ let[@inline] get_int t = if t.narrow then t.imm else Bits.to_int t.value
 
 let on_change t f = t.listeners <- f :: t.listeners
 
-let attach_recorder r = (store ()).s_recorder <- r
-let set_touch h = (store ()).s_touch <- h
+(* the cycling kernel attaches its recorder on every tick: write only a
+   different one, so the usual tick stores nothing and pays no barrier *)
+let attach st r = if st.s_recorder != r then st.s_recorder <- r
+let attach_recorder r = attach (store ()) r
+let set_touch st h = st.s_touch <- h
 let tape_stamp t = t.tape_stamp
 let tape_slot t = t.tape_slot
 
@@ -251,6 +259,8 @@ let set_int t v =
   if t.narrow then set_imm t (mask_imm t v)
   else store_bits t (Bits.of_int ~width:t.width v)
 
+(* [i] is the masked immediate of an int write, or [bits_write] with the
+   value in [b] *)
 let push t i b =
   let q = (store ()).s_pending in
   let n = q.q_len in
@@ -266,12 +276,12 @@ let push t i b =
   end;
   Array.unsafe_set q.q_sigs n t;
   Array.unsafe_set q.q_imms n i;
-  Array.unsafe_set q.q_bits n b;
+  if i = bits_write then Array.unsafe_set q.q_bits n b;
   q.q_len <- n + 1
 
 let set_next t v =
   if Bits.width v <> t.width then width_mismatch "set_next" t v;
-  push t 0 v
+  push t bits_write v
 
 let set_next_bool t b =
   if t.width <> 1 then width_mismatch "set_next" t (Bits.of_bool b);
@@ -279,11 +289,12 @@ let set_next_bool t b =
 
 let set_next_int t v =
   if t.narrow then push t (mask_imm t v) no_bits
-  else push t 0 (Bits.of_int ~width:t.width v)
+  else push t bits_write (Bits.of_int ~width:t.width v)
 
 let change_count () = (store ()).changes
+let pending st = st.s_pending.q_len
 
-let commit_pending () =
+let commit st =
   (* Last write wins: the queue is scanned newest-first, so the first write
      stamped with the current epoch shadows any older queued writes to the
      same signal — a single O(n) scan, no membership lists.
@@ -293,7 +304,6 @@ let commit_pending () =
      already empty and the next cycle cannot silently replay the stale
      writes. Epoch stamps need no restoring — the next commit bumps the
      epoch, so half-applied stamps are never mistaken for current ones. *)
-  let st = store () in
   let q = st.s_pending in
   if q.q_len > 0 then begin
     st.s_pending <- st.s_spare;
@@ -305,12 +315,14 @@ let commit_pending () =
       let s = Array.unsafe_get q.q_sigs k in
       if s.commit_stamp <> epoch then begin
         s.commit_stamp <- epoch;
-        let b = Array.unsafe_get q.q_bits k in
-        if b == no_bits then set_imm s (Array.unsafe_get q.q_imms k)
-        else store_bits s b
+        let i = Array.unsafe_get q.q_imms k in
+        if i = bits_write then store_bits s (Array.unsafe_get q.q_bits k)
+        else set_imm s i
       end
     done
   end
+
+let commit_pending () = commit (store ())
 
 let clear_pending () = (store ()).s_pending.q_len <- 0
 

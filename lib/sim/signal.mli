@@ -61,7 +61,10 @@ val set_int : t -> int -> unit
 val set_next : t -> Bits.t -> unit
 (** Deferred registered drive; last write to a signal in a cycle wins.
     Queuing a write allocates nothing in the steady state (the queue is a
-    reused array store). *)
+    reused array store). The queue keeps a [Bits.t] only for writes that
+    come in as one ({!set_next}, or {!set_next_int} on a wide signal) and
+    marks them in its immediate column; an int write stores the signal
+    and its immediate, and pays a single write barrier. *)
 
 val set_next_bool : t -> bool -> unit
 val set_next_int : t -> int -> unit
@@ -69,6 +72,34 @@ val set_next_int : t -> int -> unit
 val change_count : unit -> int
 (** Domain-local counter incremented whenever any signal actually changes
     value. *)
+
+(** {1 The store, looked up once}
+
+    Each operation above that touches the domain-local store looks it up
+    with a [Domain.DLS] read. A caller that makes several store operations
+    in one stretch — the kernel, once per tick — looks the store up once
+    with {!store} and passes it to the variants below. A store is only
+    valid in the domain that looked it up. *)
+
+type store
+
+val store : unit -> store
+(** This domain's signal store. *)
+
+val changes : store -> int
+(** {!change_count} of the given store. *)
+
+val commit : store -> unit
+(** {!commit_pending} on the given store. *)
+
+val attach : store -> Splice_obs.Recorder.t option -> unit
+(** {!attach_recorder} on the given store. Stores only a recorder
+    physically different from the attached one, so re-attaching the same
+    recorder on every tick writes nothing. *)
+
+val pending : store -> int
+(** The number of writes queued since the last commit (last-write-wins
+    happens at commit, so two writes to one signal count twice). *)
 
 val on_change : t -> (unit -> unit) -> unit
 (** [on_change s f] subscribes [f] to the signal's fan-out list: it fires
@@ -86,7 +117,7 @@ val attach_recorder : Splice_obs.Recorder.t option -> unit
     domain never record into each other's rings. Intern ids are cached on
     the signal (keyed by the recorder's stamp): recording never hashes. *)
 
-val set_touch : (t -> unit) option -> unit
+val set_touch : store -> (t -> unit) option -> unit
 (** Install (or with [None] remove) the domain-local write hook: it fires on
     every {e actual} value change, after the recorder but before the fan-out
     listeners. The compiled scheduler installs it only for the duration of a

@@ -129,7 +129,8 @@ let compile (comps : Component.t array) =
   let writes = Array.make n [] in
   let current = ref (-1) in
   let seen = Hashtbl.create 64 in
-  Signal.set_touch
+  let st = Signal.store () in
+  Signal.set_touch st
     (Some
        (fun s ->
          let k = !current in
@@ -148,9 +149,9 @@ let compile (comps : Component.t array) =
          c.Component.comb ())
        cands
    with e ->
-     Signal.set_touch None;
+     Signal.set_touch st None;
      raise e);
-  Signal.set_touch None;
+  Signal.set_touch st None;
   (* Levelize: Kahn's algorithm over the discovered writer -> reader edges,
      ties (and cycles, e.g. combinational feedback through handshakes)
      broken toward the lowest registration index so in-pass propagation
@@ -244,7 +245,7 @@ let compile (comps : Component.t array) =
       touch = Some (fun s -> on_touch t s);
       (* force a scan at the first settle: calibration already changed
          signals, and the testbench may poke more before cycle 0 *)
-      last_changes = Signal.change_count () - 1;
+      last_changes = Signal.changes st - 1;
       evals = 0;
     }
   in
@@ -311,32 +312,32 @@ let pass t record =
     end
   done
 
-let rec passes t ~max_iters ~record executed productive =
+let rec passes t st ~max_iters ~record executed productive =
   if not (any_dirty t) then productive
   else if executed >= max_iters then raise (Divergence executed)
   else begin
-    let before = Signal.change_count () in
+    let before = Signal.changes st in
     pass t record;
-    let changed = Signal.change_count () <> before in
+    let changed = Signal.changes st <> before in
     let productive = if changed then productive + 1 else productive in
     (* a change with no tape reader marks nothing dirty *)
-    if any_dirty t then passes t ~max_iters ~record (executed + 1) productive
+    if any_dirty t then passes t st ~max_iters ~record (executed + 1) productive
     else productive
   end
 
-let settle t ~max_iters ~(record : (Component.t -> unit) option) =
-  if Signal.change_count () <> t.last_changes then scan t;
+let settle t st ~max_iters ~(record : (Component.t -> unit) option) =
+  if Signal.changes st <> t.last_changes then scan t;
   t.evals <- 0;
-  Signal.set_touch t.touch;
+  Signal.set_touch st t.touch;
   (* manual unwind instead of [Fun.protect]: the hot path must not allocate
      a closure per settle *)
-  match passes t ~max_iters ~record 0 0 with
+  match passes t st ~max_iters ~record 0 0 with
   | productive ->
-      Signal.set_touch None;
-      t.last_changes <- Signal.change_count ();
+      Signal.set_touch st None;
+      t.last_changes <- Signal.changes st;
       productive
   | exception e ->
-      Signal.set_touch None;
+      Signal.set_touch st None;
       raise e
 
 let evals t = t.evals

@@ -39,13 +39,16 @@ val compile : Component.t array -> t
     exactly the all-dirty first pass the interpreted schedulers start from),
     so signals settle toward the same first-cycle fixpoint. *)
 
-val settle : t -> max_iters:int -> record:(Component.t -> unit) option -> int
-(** [settle t ~max_iters ~record] runs delta passes until quiescent and
+val settle :
+  t -> Signal.store -> max_iters:int -> record:(Component.t -> unit) option -> int
+(** [settle t st ~max_iters ~record] runs delta passes until quiescent and
     returns the number of productive passes — a pass is productive when
     it changed at least one signal (the uniform iteration accounting, see
     {!Kernel.stats}); {!evals} then holds the settle's evaluation count.
     [record] is the kernel's preallocated flight-recorder hook ([None] when
-    recording is off). Allocates nothing. *)
+    recording is off). [st] is the domain's signal store, looked up once
+    per tick by the kernel; the change counter and the touch hook are
+    read and set through it. Allocates nothing. *)
 
 val evals : t -> int
 (** Component evaluations performed by the last {!settle}. *)

@@ -47,6 +47,7 @@ type phase =
 type t = {
   spec : Spec.t;
   func : Spec.func;
+  instance : int;
   my_id : int;
   sis : Sis_if.t;
   ports : ports;
@@ -241,7 +242,7 @@ let step t =
   end
 
 (* the clocked body, announcing every change of the state [comb] reads *)
-let seq t () =
+let seq t =
   let phase = t.phase in
   let pending_read = t.pending_read and pending_write = t.pending_write in
   step t;
@@ -251,11 +252,30 @@ let seq t () =
     || not (same_view phase t.phase)
   then Component.rearm t.comp
 
+let calculating t = match t.phase with PCalc _ -> true | PIn _ | POut _ -> false
+
+(* The one clocked process of a peripheral's stubs (§4.2): RST and FUNC_ID
+   are read once, and only the stubs that can act on this edge are stepped
+   — in reset, selected, or counting down their calculation states. For
+   any other stub [step] is an exact no-op: every write, read and pending
+   path in it goes through [selected], and the pending flags are only set
+   while selected. Stepping a stub queues writes ([set_next]) and mutates
+   only its own record, so reading the lines once for all is what each
+   stub's own reads would have returned. *)
+let clock sis stubs () =
+  let rst = Signal.get_bool sis.Sis_if.rst in
+  let id = Signal.get_int sis.Sis_if.func_id in
+  for i = 0 to Array.length stubs - 1 do
+    let t = Array.unsafe_get stubs i in
+    if rst || t.my_id = id || calculating t then seq t
+  done
+
 let make ~spec ~func ~instance ~sis ~ports ~behavior =
   let t =
     {
       spec;
       func;
+      instance;
       my_id = func.Spec.func_id + instance;
       sis;
       ports;
@@ -269,16 +289,19 @@ let make ~spec ~func ~instance ~sis ~ports ~behavior =
     }
   in
   (match func.Spec.inputs with [] -> enter_input t 0 [] | l -> enter_input t 0 l);
-  let name = Printf.sprintf "stub:%s#%d" func.Spec.name instance in
-  (* [comb t] reads the selection/strobe lines plus clocked state — the
-     phase view and the pending flags — whose changes [seq t] announces;
-     DATA_IN is sampled by [seq], not by [comb] *)
+  t
+
+(* [comb t] reads the selection/strobe lines plus clocked state — the phase
+   view and the pending flags — whose changes [seq t] announces; DATA_IN is
+   sampled by [seq], not by [comb] *)
+let build_component ?seq t =
+  let sis = t.sis in
   t.comp <-
     Component.make
       ~comb:
         ( [ sis.Sis_if.func_id; sis.Sis_if.io_enable; sis.Sis_if.data_in_valid ],
           comb t )
-      ~seq:(seq t)
+      ?seq
       ~reset:(fun () ->
         t.received <- [];
         t.pending_read <- false;
@@ -287,8 +310,17 @@ let make ~spec ~func ~instance ~sis ~ports ~behavior =
         match t.func.Spec.inputs with
         | [] -> enter_input t 0 []
         | l -> enter_input t 0 l)
-      name;
-  t
+      (Printf.sprintf "stub:%s#%d" t.func.Spec.name t.instance);
+  t.comp
+
+let bank = function
+  | [] -> []
+  | first :: rest as stubs ->
+      let sis = first.sis in
+      if List.exists (fun t -> t.sis != sis) rest then
+        invalid_arg "Stub_model.bank: stubs of different interfaces";
+      let clocked = build_component ~seq:(clock sis (Array.of_list stubs)) first in
+      clocked :: List.map (fun t -> build_component t) rest
 
 let component t = t.comp
 let ports t = t.ports
@@ -300,5 +332,23 @@ let state t =
   | PCalc _ -> Calc
   | POut _ -> Output
 
-let calculating t = match t.phase with PCalc _ -> true | PIn _ | POut _ -> false
 let completions t = t.completions
+
+let clocked_state t =
+  let words l = String.concat "," (List.map Bits.to_hex_string l) in
+  let phase =
+    match t.phase with
+    | PIn { io; idx; expected; elems; got; rest } ->
+        Printf.sprintf "in %s #%d got %d/%d words [%s], %d elems, %d more inputs"
+          (match io with Some io -> io.Spec.io_name | None -> "-")
+          idx (List.length got) expected (words got) elems (List.length rest)
+    | PCalc n -> Printf.sprintf "calc %d" n
+    | POut l -> Printf.sprintf "out [%s]" (words l)
+  in
+  let received =
+    List.map
+      (fun (name, vs) -> name ^ "=" ^ String.concat "," (List.map Int64.to_string vs))
+      t.received
+  in
+  Printf.sprintf "%s; received [%s]; pending read %b write %b; completions %d"
+    phase (String.concat " " received) t.pending_read t.pending_write t.completions

@@ -17,7 +17,15 @@
       (the "Delayed Read" of Fig 4.3) — strictly synchronous adapters avoid
       the delay by polling [CALC_DONE] first (§4.2.2);
     - [CALC_DONE] rises when the output state is entered and holds until the
-      last output word is read (§5.3.1). *)
+      last output word is read (§5.3.1).
+
+    Clocking (§4.2): a peripheral's stubs share one interface decoded by
+    [FUNC_ID], so a stub acts on a clock edge only in reset, while
+    [FUNC_ID] selects it, or while it runs its calculation states. The
+    stubs of one peripheral are clocked by a single process ({!bank}) that
+    reads [RST] and [FUNC_ID] once per edge and steps only those stubs;
+    for every other stub a step would change nothing. Each stub keeps its
+    own combinational process, reset and state announcement. *)
 
 open Splice_sim
 open Splice_syntax
@@ -68,7 +76,17 @@ val make :
   behavior:behavior ->
   t
 
+val bank : t list -> Component.t list
+(** The components of one peripheral's stubs, in the order given, to be
+    registered with the kernel consecutively and in that order. Each
+    carries its stub's [comb] and [reset]; the first also carries the one
+    clocked process of the whole bank, which steps the stubs in list
+    order, the order they are registered in. Raises
+    [Invalid_argument] when the stubs do not share one {!Sis_if.t}. *)
+
 val component : t -> Component.t
+(** The stub's own component, as built by {!bank}. *)
+
 val ports : t -> ports
 val func_id : t -> int
 (** The instance's assigned identifier ([func.func_id + instance]). *)
@@ -80,3 +98,18 @@ val calculating : t -> bool
 
 val completions : t -> int
 (** How many full input→calc→output rounds have completed. *)
+
+(** {1 Test-only}
+
+    For tests that check the bank's skip: a skipped stub must be one whose
+    own clocked step changes nothing. *)
+
+val seq : t -> unit
+(** The per-stub clocked step the bank runs (with its state
+    announcement). Test-only: stepping a stub outside the kernel's seq
+    phase, or twice on one edge, breaks the model. *)
+
+val clocked_state : t -> string
+(** Test-only: a rendering of every part of the state {!seq} may change —
+    the phase with its words and countdown, the received inputs, the
+    pending flags and the completion count. *)

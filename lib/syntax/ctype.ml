@@ -22,15 +22,21 @@ let native =
 
 let base = { table = native; users = []; structs = [] }
 
+(* [List.assoc_opt]/[List.mem_assoc] over string and word-list keys,
+   compared with [String.equal] instead of the polymorphic compare *)
+let assoc_by eq key l = List.find_map (fun (k, v) -> if eq k key then Some v else None) l
+let assoc_name name l = assoc_by String.equal name l
+let mem_name name l = List.exists (fun (k, _) -> String.equal k name) l
+
 let add_user_type env ~name ~width ~signed =
-  if List.mem_assoc name native then
+  if mem_name name native then
     Error.failf "%%user_type %s: cannot redefine a native type" name;
   if width < 1 || width > 64 then
     Error.failf "%%user_type %s: width %d outside 1..64" name width;
   let info = { width; signed } in
   {
     env with
-    table = (name, info) :: List.remove_assoc name env.table;
+    table = (name, info) :: List.filter (fun (k, _) -> not (String.equal k name)) env.table;
     users = env.users @ [ (name, info) ];
   }
 
@@ -48,15 +54,15 @@ let multi_word =
   ]
 
 let resolve env words =
-  match List.assoc_opt words multi_word with
+  match assoc_by (List.equal String.equal) words multi_word with
   | Some info -> Some info
   | None -> (
       match words with
       | [ w ] -> (
-          match List.assoc_opt w env.table with
+          match assoc_name w env.table with
           | Some info -> Some info
           | None -> (
-              match List.assoc_opt w env.structs with
+              match assoc_name w env.structs with
               | Some fields ->
                   Some
                     {
@@ -68,9 +74,9 @@ let resolve env words =
       | _ -> None)
 
 let add_struct env ~name ~fields =
-  if List.mem_assoc name native then
+  if mem_name name native then
     Error.failf "%%user_struct %s: cannot redefine a native type" name;
-  if List.mem_assoc name env.table || List.mem_assoc name env.structs then
+  if mem_name name env.table || mem_name name env.structs then
     Error.failf "%%user_struct %s: name already defined" name;
   if fields = [] then Error.failf "%%user_struct %s: no fields" name;
   List.iter
@@ -88,10 +94,11 @@ let add_struct env ~name ~fields =
     fields;
   { env with structs = env.structs @ [ (name, fields) ] }
 
-let struct_fields env name = List.assoc_opt name env.structs
+let struct_fields env name = assoc_name name env.structs
 let structs env = env.structs
 
 let is_known_name env name =
-  List.mem_assoc name env.table || List.exists (fun (ws, _) -> List.mem name ws) multi_word
+  mem_name name env.table
+  || List.exists (fun (ws, _) -> List.exists (String.equal name) ws) multi_word
 
 let user_types env = env.users

@@ -13,61 +13,73 @@ type state = {
 }
 
 let loc st = { Loc.line = st.line; col = st.col }
-let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
 
-let peek2 st =
-  if st.pos + 1 < String.length st.src then Some st.src.[st.pos + 1] else None
+(* Lookahead without an option per call: [at_end] guards [cur], and
+   [at]/[at2] test the current/next character against a [char] (an int
+   compare, where comparing options would be polymorphic). *)
+let at_end st = st.pos >= String.length st.src
+let cur st = String.unsafe_get st.src st.pos
+let at st c = (not (at_end st)) && Char.equal (cur st) c
+
+let at2 st c =
+  st.pos + 1 < String.length st.src
+  && Char.equal (String.unsafe_get st.src (st.pos + 1)) c
+
+(* the current character satisfies [p] *)
+let sat st p = (not (at_end st)) && p (cur st)
 
 let advance st =
-  (match peek st with
-  | Some '\n' ->
+  if not (at_end st) then
+    if Char.equal (cur st) '\n' then begin
       st.line <- st.line + 1;
       st.col <- 1
-  | Some _ -> st.col <- st.col + 1
-  | None -> ());
+    end
+    else st.col <- st.col + 1;
   st.pos <- st.pos + 1
 
 let rec skip_trivia st =
-  match peek st with
-  | Some (' ' | '\t' | '\r' | '\n') ->
-      advance st;
-      skip_trivia st
-  | Some '/' when peek2 st = Some '/' ->
-      while peek st <> None && peek st <> Some '\n' do
-        advance st
-      done;
-      skip_trivia st
-  | Some '/' when peek2 st = Some '*' ->
-      let start = loc st in
-      advance st;
-      advance st;
-      let rec close () =
-        match peek st with
-        | None -> Error.fail ~loc:start "unterminated block comment"
-        | Some '*' when peek2 st = Some '/' ->
+  if not (at_end st) then
+    match cur st with
+    | ' ' | '\t' | '\r' | '\n' ->
+        advance st;
+        skip_trivia st
+    | '/' when at2 st '/' ->
+        while not (at_end st || at st '\n') do
+          advance st
+        done;
+        skip_trivia st
+    | '/' when at2 st '*' ->
+        let start = loc st in
+        advance st;
+        advance st;
+        let rec close () =
+          if at_end st then Error.fail ~loc:start "unterminated block comment"
+          else if at st '*' && at2 st '/' then begin
             advance st;
             advance st
-        | Some _ ->
+          end
+          else begin
             advance st;
             close ()
-      in
-      close ();
-      skip_trivia st
-  | _ -> ()
+          end
+        in
+        close ();
+        skip_trivia st
+    | _ -> ()
 
 let lex_ident st =
   let start = st.pos in
-  while (match peek st with Some c -> is_ident c | None -> false) do
+  while sat st is_ident do
     advance st
   done;
   String.sub st.src start (st.pos - start)
 
 let lex_number st l =
-  if peek st = Some '0' && (peek2 st = Some 'x' || peek2 st = Some 'X') then begin
+  if at st '0' && (at2 st 'x' || at2 st 'X') then begin
     advance st;
     advance st;
     let start = st.pos in
-    while (match peek st with Some c -> is_hex_digit c | None -> false) do
+    while sat st is_hex_digit do
       advance st
     done;
     if st.pos = start then Error.fail ~loc:l "expected hex digits after 0x";
@@ -78,7 +90,7 @@ let lex_number st l =
   end
   else begin
     let start = st.pos in
-    while (match peek st with Some c -> is_digit c | None -> false) do
+    while sat st is_digit do
       advance st
     done;
     let s = String.sub st.src start (st.pos - start) in
@@ -94,11 +106,12 @@ let tokenize src =
   let rec go () =
     skip_trivia st;
     let l = loc st in
-    match peek st with
-    | None -> push Token.EOF l
-    | Some c when is_ident_start c -> push (Token.IDENT (lex_ident st)) l; go ()
-    | Some c when is_digit c -> push (lex_number st l) l; go ()
-    | Some c ->
+    if at_end st then push Token.EOF l
+    else
+      let c = cur st in
+      if is_ident_start c then begin push (Token.IDENT (lex_ident st)) l; go () end
+      else if is_digit c then begin push (lex_number st l) l; go () end
+      else begin
         let simple tok = advance st; push tok l in
         (match c with
         | '*' -> simple Token.STAR
@@ -115,6 +128,7 @@ let tokenize src =
         | '%' -> simple Token.PERCENT
         | c -> Error.failf ~loc:l "unexpected character %C" c);
         go ()
+      end
   in
   go ();
   List.rev !toks

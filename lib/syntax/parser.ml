@@ -79,15 +79,26 @@ let directive_keys =
     ([ "user_struct" ], "user_struct");
   ]
 
+(* [List.assoc_opt] with [String.equal]: no polymorphic compare per key *)
+let directive_key words =
+  List.find_map
+    (fun (k, key) -> if List.equal String.equal k words then Some key else None)
+    directive_keys
+
 let parse_directive_key st loc =
   let w1 = expect_ident st "a directive name after '%'" in
   (* Prefer the two-word spelling when it forms a known key. *)
-  match peek_tok st with
-  | Token.IDENT w2 when List.mem_assoc [ w1; w2 ] directive_keys ->
+  let two =
+    match peek_tok st with
+    | Token.IDENT w2 -> directive_key [ w1; w2 ]
+    | _ -> None
+  in
+  match two with
+  | Some key ->
       ignore (next st);
-      List.assoc [ w1; w2 ] directive_keys
-  | _ -> (
-      match List.assoc_opt [ w1 ] directive_keys with
+      key
+  | None -> (
+      match directive_key [ w1 ] with
       | Some key -> key
       | None -> Error.failf ~loc "unknown directive %%%s" w1)
 
@@ -287,13 +298,17 @@ let parse_params st closing =
       in
       go []
 
+(* [e = no_extensions], field by field rather than by polymorphic compare *)
+let plain (e : extensions) =
+  not (e.pointer || e.packed || e.dma || e.by_ref || Option.is_some e.count)
+
 let parse_decl_from st =
   let loc = snd (peek st) in
   let words = collect_idents st in
   if words = [] then Error.fail ~loc "expected a declaration";
   let ret_ext = parse_extensions st no_extensions in
   let ret_words, fname =
-    if ret_ext = no_extensions then
+    if plain ret_ext then
       (* no extension symbols: the last ident is the function name *)
       match List.rev words with
       | [] -> assert false
@@ -326,8 +341,8 @@ let parse_decl_from st =
   ignore (expect st Token.SEMI);
   let ret =
     match (ret_words, ret_ext) with
-    | [ "void" ], e when e = no_extensions -> Ret_void
-    | [ "nowait" ], e when e = no_extensions -> Ret_nowait
+    | [ "void" ], e when plain e -> Ret_void
+    | [ "nowait" ], e when plain e -> Ret_nowait
     | [ "nowait" ], _ -> Error.fail ~loc "nowait cannot carry extensions"
     | ws, e -> Ret_value (ws, e)
   in

@@ -279,7 +279,7 @@ let resolve_func c env ~dma_enabled (d : decl) next_id : Spec.func option * int 
 
 let bits_for n =
   let rec go b = if 1 lsl b > n then b else go (b + 1) in
-  max 1 (go 1)
+  go 1
 
 let build ?lookup_bus (file : file) =
   let c = { issues = [] } in
@@ -297,7 +297,7 @@ let build ?lookup_bus (file : file) =
   let env =
     List.fold_left
       (fun env (loc, name, def, width) ->
-        let signed = not (List.mem "unsigned" def) in
+        let signed = not (List.exists (String.equal "unsigned") def) in
         try Ctype.add_user_type env ~name ~width ~signed
         with Error.Splice_error e ->
           report c loc "%s" e.Error.message;
@@ -367,7 +367,7 @@ let build ?lookup_bus (file : file) =
           report c Loc.dummy "unknown bus %S (no adapter library registered)"
             bus_name
       | Some caps ->
-          if not (List.mem bus_width caps.Bus_caps.widths) then
+          if not (List.exists (Int.equal bus_width) caps.Bus_caps.widths) then
             report c Loc.dummy
               "bus %s does not support a %d-bit data path (legal: %s)"
               bus_name bus_width

@@ -610,10 +610,168 @@ let store_props =
       store_prop;
   ]
 
+(* -------- the stub bank's skip -------- *)
+
+(* A peripheral's stubs are clocked by one process that steps only the
+   stubs in reset, selected by FUNC_ID, or counting down their calculation
+   states (§4.2). Every scheduler runs that same process, so the
+   event-vs-sweep oracle cannot see a wrong skip. These tests drive one
+   peripheral's SIS lines by hand — reset, selection, write words, read
+   requests, and through them calculation — and watch the bank from two
+   seq-only components, one registered before the peripheral and one
+   after, so they run just before and just after the bank on every edge.
+   Outside reset, every stub the bank left alone (clocked state unchanged,
+   not re-armed) is stepped once more on its own: its clocked state, the
+   write queue and its re-arm flag must not move. A skipped stub that
+   should have acted moves; a stub the bank stepped without effect does
+   not, since its step reads the same lines and state again. In reset,
+   every stub must be back at its first input. *)
+
+let bank_spec =
+  Validate.of_string_exn ~lookup_bus:Registry.lookup_caps
+    "%device_name bank\n%bus_type plb\n%bus_width 32\n%base_address 0x0\n\
+     int add(int a, int b):2;\n\
+     void fill(int*:3 v);\n\
+     long long wide(char c);\n\
+     int poll();\n\
+     nowait kick(int x);\n"
+
+let bank_behavior = function
+  | "add" ->
+      Stub_model.behavior ~cycles:3 (fun inputs ->
+          [ List.fold_left (fun acc (_, vs) -> Int64.add acc (List.hd vs)) 0L inputs ])
+  | "fill" -> Stub_model.behavior ~cycles:2 (fun _ -> [])
+  | "wide" -> Stub_model.behavior ~cycles:4 (fun _ -> [ 0x1_0000_0002L ])
+  | "poll" -> Stub_model.behavior (fun _ -> [ 7L ])
+  | _ -> Stub_model.null_behavior
+
+(* one tick of hand-driven SIS lines *)
+type sis_drive = { d_rst : bool; d_fid : int; d_en : bool; d_valid : bool; d_data : int }
+
+let pp_drive d =
+  Printf.sprintf "%s fid=%d en=%b valid=%b data=%d"
+    (if d.d_rst then "RST" else "-") d.d_fid d.d_en d.d_valid d.d_data
+
+let gen_drive =
+  QCheck.Gen.(
+    map
+      (fun (rst, fid, en, valid, data) ->
+        { d_rst = rst = 0; d_fid = fid; d_en = en; d_valid = valid; d_data = data })
+      (tup5 (int_bound 24)
+         (int_bound (bank_spec.Spec.total_instances + 1))
+         bool bool (int_bound 255)))
+
+(* the stubs the bank left alone outside reset, by what they were doing *)
+type bank_tally = {
+  mutable alone : int;
+  mutable in_words : int;  (** mid-input, some words taken *)
+  mutable out : int;  (** output words on offer *)
+  mutable pending : int;  (** a pending read or write *)
+}
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.equal (String.sub s i m) sub || go (i + 1)) in
+  go 0
+
+(* runs [drives] and returns the tally; the first broken rule is an [Error] *)
+let run_bank drives =
+  let kernel = Kernel.create ~sched:`Event () in
+  (* registered first, filled in once the peripheral exists *)
+  let stubs = ref [||] and before = ref [||] in
+  Kernel.add kernel
+    (Component.make
+       ~seq:(fun () -> before := Array.map Stub_model.clocked_state !stubs)
+       "before-bank");
+  let periph =
+    Peripheral.build ~monitor:false kernel bank_spec ~behaviors:bank_behavior
+  in
+  let sis = Peripheral.sis periph in
+  stubs := Array.of_list (Peripheral.stubs periph);
+  let tally = { alone = 0; in_words = 0; out = 0; pending = 0 } in
+  let broken = ref None in
+  let break fmt = Printf.ksprintf (fun m -> if !broken = None then broken := Some m) fmt in
+  let watch_after () =
+    let st = Signal.store () in
+    Array.iteri
+      (fun i s ->
+        let id = Stub_model.func_id s in
+        let now = Stub_model.clocked_state s in
+        let comp = Stub_model.component s in
+        if Signal.get_bool sis.Sis_if.rst then begin
+          if not (Stub_model.state s = Stub_model.Input 0
+                  && contains now "got 0/" && contains now "pending read false write false")
+          then break "id %d not at its first input in reset: %s" id now
+        end
+        else if String.equal now !before.(i) && not comp.Component.dirty then begin
+          let queued = Signal.pending st in
+          Stub_model.seq s;
+          let again = Stub_model.clocked_state s in
+          tally.alone <- tally.alone + 1;
+          (match Stub_model.state s with
+          | Stub_model.Input _ when not (contains now "got 0/") ->
+              tally.in_words <- tally.in_words + 1
+          | Stub_model.Output -> tally.out <- tally.out + 1
+          | Stub_model.Input _ | Stub_model.Calc -> ());
+          if contains now "true" then tally.pending <- tally.pending + 1;
+          if not (String.equal now again) then
+            break "id %d left alone, but its step moves it: %s -> %s" id now again
+          else if Signal.pending st <> queued then
+            break "id %d left alone, but its step queues a write" id
+          else if comp.Component.dirty then
+            break "id %d left alone, but its step re-arms it" id
+        end)
+      !stubs
+  in
+  Kernel.add kernel (Component.make ~seq:watch_after "after-bank");
+  let rec go tick = function
+    | [] -> Ok tally
+    | d :: rest -> (
+        Signal.set_bool sis.Sis_if.rst d.d_rst;
+        Signal.set_int sis.Sis_if.func_id d.d_fid;
+        Signal.set_bool sis.Sis_if.io_enable d.d_en;
+        Signal.set_bool sis.Sis_if.data_in_valid d.d_valid;
+        Signal.set_int sis.Sis_if.data_in d.d_data;
+        Kernel.cycle kernel;
+        match !broken with
+        | Some m -> Error (Printf.sprintf "tick %d (%s): %s" tick (pp_drive d) m)
+        | None -> go (tick + 1) rest)
+  in
+  let r = go 0 drives in
+  Signal.clear_pending ();
+  r
+
+let arb_drives =
+  QCheck.make
+    ~print:(fun ds -> String.concat "\n" (List.map pp_drive ds))
+    ~shrink:QCheck.Shrink.list
+    QCheck.Gen.(list_size (int_range 1 120) gen_drive)
+
+let bank_props =
+  [
+    prop ~count:200 "a stub the bank skips is one its own step leaves alone"
+      arb_drives (fun ds ->
+        match run_bank ds with
+        | Ok _ -> true
+        | Error m -> QCheck.Test.fail_reportf "%s" m);
+    Alcotest.test_case "the bank leaves stubs alone mid-input, in output and pending"
+      `Quick (fun () ->
+        let rand = Random.State.make [| 7919 |] in
+        let drives = List.init 3000 (fun _ -> gen_drive rand) in
+        match run_bank drives with
+        | Error m -> Alcotest.fail m
+        | Ok t ->
+            Alcotest.(check bool) "left alone" true (t.alone > 0);
+            Alcotest.(check bool) "left alone mid-input" true (t.in_words > 0);
+            Alcotest.(check bool) "left alone in output" true (t.out > 0);
+            Alcotest.(check bool) "left alone while pending" true (t.pending > 0));
+  ]
+
 let tests =
   [
     ("properties.spec", spec_props);
     ("properties.signal_store", store_props);
+    ("properties.stub_bank", bank_props);
     ("properties.verilog", verilog_props);
     ("properties.fuzz", fuzz_props);
     ("properties.request", request_props);

@@ -108,17 +108,6 @@ let kernel_tests =
         Signal.set_int src 9;
         Kernel.cycle k;
         check_int "propagated" 9 (Signal.get_int w2));
-    t "comb divergence detected" (fun () ->
-        let s = Signal.create 8 in
-        let k = Kernel.create ~max_comb_iters:8 () in
-        Kernel.add k
-          (Component.make
-             ~comb:([ s ], fun () -> Signal.set s (Bits.succ (Signal.get s)))
-             "oscillator");
-        (match Kernel.cycle k with
-        | () -> Alcotest.fail "expected divergence"
-        | exception Kernel.Comb_divergence _ -> ());
-        Signal.clear_pending ());
     t "cycles counts" (fun () ->
         let k = Kernel.create () in
         Kernel.run k 5;
