@@ -98,9 +98,11 @@ let extra_markers =
   ]
 
 let driver_header (spec : Spec.t) =
-  let base = match spec.base_address with Some a -> a | None -> 0L in
-  Printf.sprintf
-    {|/* splice_lib.h -- APB transaction macros for device %s (Fig 7.2)
+  String.concat ""
+    [
+      {|/* splice_lib.h -- APB transaction macros for device |};
+      spec.device_name;
+      {| (Fig 7.2)
  * Strictly synchronous: WAIT_FOR_RESULTS polls the CALC_DONE status
  * register (function id 0) until the target function's bit rises
  * (§4.2.2, §6.1.1). */
@@ -109,7 +111,9 @@ let driver_header (spec : Spec.t) =
 
 #include <stdint.h>
 
-#define SPLICE_BASE_ADDR  0x%08LxUL
+#define SPLICE_BASE_ADDR  0x|};
+      Spec.base_address_hex spec;
+      {|UL
 #define SET_ADDRESS(id)   (SPLICE_BASE_ADDR + ((uint32_t)(id) * 4u))
 #define SPLICE_STATUS_REG SET_ADDRESS(0)
 
@@ -141,8 +145,8 @@ let driver_header (spec : Spec.t) =
 /* DMA unsupported on the APB */
 
 #endif /* SPLICE_LIB_APB_H */
-|}
-    spec.device_name base
+|};
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Native signal mirror (§4.3.2: "analogous comparisons ... with the   *)

@@ -97,16 +97,20 @@ let extra_markers =
   ]
 
 let driver_header (spec : Spec.t) =
-  let base = match spec.base_address with Some a -> a | None -> 0L in
-  Printf.sprintf
-    {|/* splice_lib.h -- Avalon-MM transaction macros for device %s (Fig 7.2)
+  String.concat ""
+    [
+      {|/* splice_lib.h -- Avalon-MM transaction macros for device |};
+      spec.device_name;
+      {| (Fig 7.2)
  * waitrequest back-pressure makes WAIT_FOR_RESULTS a no-op (§6.1.1). */
 #ifndef SPLICE_LIB_AVALON_H
 #define SPLICE_LIB_AVALON_H
 
 #include <stdint.h>
 
-#define SPLICE_BASE_ADDR  0x%08LxUL
+#define SPLICE_BASE_ADDR  0x|};
+      Spec.base_address_hex spec;
+      {|UL
 #define SET_ADDRESS(id)   (SPLICE_BASE_ADDR + ((uint32_t)(id) * 4u))
 
 #define WRITE_SINGLE(addr, src) \
@@ -129,11 +133,8 @@ let driver_header (spec : Spec.t) =
 
 #define WAIT_FOR_RESULTS(addr) ((void)0) /* waitrequest stalls the master */
 
-%s
-#endif /* SPLICE_LIB_AVALON_H */
-|}
-    spec.device_name base
-    (if spec.dma then
+|};
+      (if spec.dma then
        {|/* SOPC DMA controller registers */
 #define SPLICE_DMA_REG(k)  (SPLICE_BASE_ADDR + 0x80 + 4 * (k))
 #define WRITE_DMA(addr, src, words) do {                      \
@@ -148,4 +149,8 @@ let driver_header (spec : Spec.t) =
   *(volatile uint32_t *)SPLICE_DMA_REG(2) = ((uint32_t)(words) << 1) | 1u; \
   while (*(volatile uint32_t *)SPLICE_DMA_REG(2) & 1u) { }    \
 } while (0)|}
-     else "/* DMA disabled for this device (%dma_support false) */")
+     else "/* DMA disabled for this device (%dma_support false) */");
+      {|
+#endif /* SPLICE_LIB_AVALON_H */
+|};
+    ]

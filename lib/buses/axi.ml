@@ -608,9 +608,11 @@ let extra_markers =
   ]
 
 let driver_header (spec : Spec.t) =
-  let base = match spec.base_address with Some a -> a | None -> 0L in
-  Printf.sprintf
-    {|/* splice_lib.h -- AXI4-Lite transaction macros for device %s
+  String.concat ""
+    [
+      {|/* splice_lib.h -- AXI4-Lite transaction macros for device |};
+      spec.device_name;
+      {|
  * The peripheral sits behind an AXI4-Lite-to-APB CDC bridge: writes and
  * reads are single-word memory-mapped transfers, and WAIT_FOR_RESULTS
  * polls the CALC_DONE status register (function id 0) because the APB
@@ -620,7 +622,9 @@ let driver_header (spec : Spec.t) =
 
 #include <stdint.h>
 
-#define SPLICE_BASE_ADDR  0x%08LxUL
+#define SPLICE_BASE_ADDR  0x|};
+      Spec.base_address_hex spec;
+      {|UL
 #define SET_ADDRESS(id)   (SPLICE_BASE_ADDR + ((uint32_t)(id) * 4u))
 #define SPLICE_STATUS_REG SET_ADDRESS(0)
 
@@ -653,5 +657,5 @@ let driver_header (spec : Spec.t) =
 /* DMA unsupported behind the CDC bridge */
 
 #endif /* SPLICE_LIB_AXI_H */
-|}
-    spec.device_name base
+|};
+    ]

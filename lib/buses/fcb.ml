@@ -91,8 +91,11 @@ let extra_markers =
   ]
 
 let driver_header (spec : Spec.t) =
-  Printf.sprintf
-    {|/* splice_lib.h -- FCB transaction macros for device %s (Fig 7.2)
+  String.concat ""
+    [
+      {|/* splice_lib.h -- FCB transaction macros for device |};
+      spec.device_name;
+      {| (Fig 7.2)
  * The FCB is not memory-mapped: transfers use dedicated co-processor
  * opcodes (inline asm), with the function id in the register field.
  * Double/quad-word bursts are native (§2.3.2). */
@@ -105,26 +108,26 @@ let driver_header (spec : Spec.t) =
 #define SET_ADDRESS(id) ((uint32_t)(id))
 
 #define WRITE_SINGLE(id, src) \
-  __asm__ volatile ("fcbstw  %%0, %%1" :: "r"(*(const uint32_t *)(src)), "i"(id))
+  __asm__ volatile ("fcbstw  %0, %1" :: "r"(*(const uint32_t *)(src)), "i"(id))
 #define WRITE_DOUBLE(id, src) \
-  __asm__ volatile ("fcbstd  %%0, %%1" :: "r"((const uint32_t *)(src)), "i"(id))
+  __asm__ volatile ("fcbstd  %0, %1" :: "r"((const uint32_t *)(src)), "i"(id))
 #define WRITE_QUAD(id, src) \
-  __asm__ volatile ("fcbstq  %%0, %%1" :: "r"((const uint32_t *)(src)), "i"(id))
+  __asm__ volatile ("fcbstq  %0, %1" :: "r"((const uint32_t *)(src)), "i"(id))
 
 #define READ_SINGLE(id, dst) \
-  __asm__ volatile ("fcbldw  %%0, %%1" : "=r"(*(uint32_t *)(dst)) : "i"(id))
+  __asm__ volatile ("fcbldw  %0, %1" : "=r"(*(uint32_t *)(dst)) : "i"(id))
 #define READ_DOUBLE(id, dst) \
-  __asm__ volatile ("fcbldd  %%0, %%1" :: "r"((uint32_t *)(dst)), "i"(id))
+  __asm__ volatile ("fcbldd  %0, %1" :: "r"((uint32_t *)(dst)), "i"(id))
 #define READ_QUAD(id, dst) \
-  __asm__ volatile ("fcbldq  %%0, %%1" :: "r"((uint32_t *)(dst)), "i"(id))
+  __asm__ volatile ("fcbldq  %0, %1" :: "r"((uint32_t *)(dst)), "i"(id))
 
 #define WAIT_FOR_RESULTS(id) ((void)0) /* pseudo-asynchronous */
 
 /* DMA impossible: the FCB is not memory-accessible (§2.3.2) */
 
 #endif /* SPLICE_LIB_FCB_H */
-|}
-    spec.device_name
+|};
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Native signal mirror (§4.3.2: "analogous comparisons ... with the   *)

@@ -100,9 +100,11 @@ let extra_markers =
   ]
 
 let driver_header (spec : Spec.t) =
-  let base = match spec.base_address with Some a -> a | None -> 0L in
-  Printf.sprintf
-    {|/* splice_lib.h -- OPB transaction macros for device %s (Fig 7.2)
+  String.concat ""
+    [
+      {|/* splice_lib.h -- OPB transaction macros for device |};
+      spec.device_name;
+      {| (Fig 7.2)
  * The OPB has no native burst support, so the double/quad macros are
  * redefined as sequences of single-word operations (§6.1.1). */
 #ifndef SPLICE_LIB_OPB_H
@@ -110,7 +112,9 @@ let driver_header (spec : Spec.t) =
 
 #include <stdint.h>
 
-#define SPLICE_BASE_ADDR  0x%08LxUL
+#define SPLICE_BASE_ADDR  0x|};
+      Spec.base_address_hex spec;
+      {|UL
 #define SET_ADDRESS(id)   (SPLICE_BASE_ADDR + ((uint32_t)(id) * 4u))
 
 #define WRITE_SINGLE(addr, src) \
@@ -136,5 +140,5 @@ let driver_header (spec : Spec.t) =
 /* DMA unsupported on the OPB adapter (§2.3.2) */
 
 #endif /* SPLICE_LIB_OPB_H */
-|}
-    spec.device_name base
+|};
+    ]

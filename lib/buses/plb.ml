@@ -143,11 +143,11 @@ let extra_markers =
   ]
 
 let driver_header (spec : Spec.t) =
-  let base =
-    match spec.base_address with Some a -> a | None -> 0L
-  in
-  Printf.sprintf
-    {|/* splice_lib.h -- PLB transaction macros for device %s (Fig 7.2)
+  String.concat ""
+    [
+      {|/* splice_lib.h -- PLB transaction macros for device |};
+      spec.device_name;
+      {| (Fig 7.2)
  * Generated by Splice. Pseudo-asynchronous: WAIT_FOR_RESULTS is a no-op
  * because PLB reads stall until the peripheral acknowledges (§6.1.1). */
 #ifndef SPLICE_LIB_PLB_H
@@ -155,8 +155,12 @@ let driver_header (spec : Spec.t) =
 
 #include <stdint.h>
 
-#define SPLICE_BASE_ADDR   0x%08LxUL
-#define SPLICE_WORD_BYTES  (%d / 8)
+#define SPLICE_BASE_ADDR   0x|};
+      Spec.base_address_hex spec;
+      {|UL
+#define SPLICE_WORD_BYTES  (|};
+      string_of_int spec.bus_width;
+      {| / 8)
 
 /* function id -> memory-mapped register address */
 #define SET_ADDRESS(id) (SPLICE_BASE_ADDR + ((uint32_t)(id) * SPLICE_WORD_BYTES))
@@ -182,11 +186,8 @@ let driver_header (spec : Spec.t) =
 /* PLB stalls reads until CALC_DONE: nothing to poll (§6.1.1) */
 #define WAIT_FOR_RESULTS(addr) ((void)0)
 
-%s
-#endif /* SPLICE_LIB_PLB_H */
-|}
-    spec.device_name base spec.bus_width
-    (if spec.dma then
+|};
+      (if spec.dma then
        {|/* DMA channel registers live in the adapter's id-0 slot */
 #define SPLICE_DMA_REG(k)  (SPLICE_BASE_ADDR + 0x100 + 4 * (k))
 #define WRITE_DMA(addr, src, words) do {                      \
@@ -203,7 +204,11 @@ let driver_header (spec : Spec.t) =
   *(volatile uint32_t *)SPLICE_DMA_REG(3) = 1u; /* go */      \
   while (*(volatile uint32_t *)SPLICE_DMA_REG(3)) { }         \
 } while (0)|}
-     else "/* DMA disabled for this device (%dma_support false) */")
+     else "/* DMA disabled for this device (%dma_support false) */");
+      {|
+#endif /* SPLICE_LIB_PLB_H */
+|};
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Native signal mirror (Figs 4.5-4.8)                                 *)

@@ -99,16 +99,20 @@ let extra_markers =
   ]
 
 let driver_header (spec : Spec.t) =
-  let base = match spec.base_address with Some a -> a | None -> 0L in
-  Printf.sprintf
-    {|/* splice_lib.h -- Wishbone transaction macros for device %s (Fig 7.2)
+  String.concat ""
+    [
+      {|/* splice_lib.h -- Wishbone transaction macros for device |};
+      spec.device_name;
+      {| (Fig 7.2)
  * Classic cycles with CTI-qualified incrementing bursts. */
 #ifndef SPLICE_LIB_WISHBONE_H
 #define SPLICE_LIB_WISHBONE_H
 
 #include <stdint.h>
 
-#define SPLICE_BASE_ADDR  0x%08LxUL
+#define SPLICE_BASE_ADDR  0x|};
+      Spec.base_address_hex spec;
+      {|UL
 #define SET_ADDRESS(id)   (SPLICE_BASE_ADDR + ((uint32_t)(id) * 4u))
 
 #define WRITE_SINGLE(addr, src) \
@@ -134,5 +138,5 @@ let driver_header (spec : Spec.t) =
 /* no standard Wishbone DMA engine */
 
 #endif /* SPLICE_LIB_WISHBONE_H */
-|}
-    spec.device_name base
+|};
+    ]

@@ -10,9 +10,10 @@ let instances (spec : Spec.t) =
     spec.Spec.funcs
 
 let inst_label (f : Spec.func) i =
-  if f.Spec.instances = 1 then f.Spec.name else Printf.sprintf "%s_%d" f.Spec.name i
+  if f.Spec.instances = 1 then f.Spec.name else f.Spec.name ^ "_" ^ string_of_int i
 
-let sig_of id port = Printf.sprintf "f%d_%s" id (String.lowercase_ascii port)
+(* [port] is the stub port's name in lower case *)
+let sig_of id port = "f" ^ string_of_int id ^ "_" ^ port
 
 let mux_assign (spec : Spec.t) ~port ~stub_port =
   let width = if port = "DATA_OUT" then spec.Spec.bus_width else 1 in
@@ -81,8 +82,8 @@ let design (spec : Spec.t) =
   {
     header =
       [
-        Printf.sprintf "user_%s: arbitration unit for device %s"
-          spec.Spec.device_name spec.Spec.device_name;
+        "user_" ^ spec.Spec.device_name ^ ": arbitration unit for device "
+        ^ spec.Spec.device_name;
         "Multiplexes the shared SIS output signals across all user functions";
         "and assembles the CALC_DONE status vector (Ch 5.2).";
       ];
@@ -172,5 +173,5 @@ let generate spec =
   | Ast.Verilog -> Verilog.to_string d
 
 let file_name (spec : Spec.t) =
-  Printf.sprintf "user_%s.%s" spec.Spec.device_name
-    (match spec.Spec.hdl with Ast.Vhdl -> "vhd" | Ast.Verilog -> "v")
+  "user_" ^ spec.Spec.device_name
+  ^ match spec.Spec.hdl with Ast.Vhdl -> ".vhd" | Ast.Verilog -> ".v"

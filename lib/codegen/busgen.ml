@@ -44,5 +44,4 @@ let generate ?gen_date (module B : Bus.S) (spec : Spec.t) =
 (* adapter reference templates are written in VHDL (as the thesis's are);
    a Verilog-targeted project simply mixes languages, which every FPGA
    toolchain supports, so the adapter keeps its .vhd extension *)
-let file_name (spec : Spec.t) =
-  Printf.sprintf "%s_interface.vhd" spec.Spec.bus_name
+let file_name (spec : Spec.t) = spec.Spec.bus_name ^ "_interface.vhd"

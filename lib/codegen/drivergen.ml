@@ -1,275 +1,362 @@
 open Splice_syntax
 open Splice_sis
+open Splice_hdl.Emit
 
-let buf_add = Buffer.add_string
+let add_words b ws =
+  List.iteri
+    (fun i w ->
+      if i > 0 then Buffer.add_char b ' ';
+      add b w)
+    ws
 
-let c_type (io : Spec.io) =
-  String.concat " " io.Spec.type_words ^ if io.Spec.is_pointer then " *" else ""
+let add_c_type b (io : Spec.io) =
+  add_words b io.Spec.type_words;
+  if io.Spec.is_pointer then add b " *"
 
-let param_decl (io : Spec.io) =
-  if io.Spec.is_pointer then Printf.sprintf "%s%s" (c_type io) io.io_name
-  else Printf.sprintf "%s %s" (c_type io) io.io_name
+let c_type io =
+  let b = Buffer.create 32 in
+  add_c_type b io;
+  Buffer.contents b
 
-let ret_type (f : Spec.func) =
-  match f.Spec.output with
-  | None -> "void"
-  | Some o -> c_type o
+let add_param_decl b (io : Spec.io) =
+  add_c_type b io;
+  if not io.Spec.is_pointer then Buffer.add_char b ' ';
+  add b io.io_name
 
-let prototype (f : Spec.func) =
-  let params = List.map param_decl f.Spec.inputs in
-  let params = if f.Spec.instances > 1 then params @ [ "int inst_index" ] else params in
-  let params = if params = [] then [ "void" ] else params in
-  Printf.sprintf "%s %s(%s)" (ret_type f) f.Spec.name (String.concat ", " params)
+let add_prototype b (f : Spec.func) =
+  (match f.Spec.output with None -> add b "void" | Some o -> add_c_type b o);
+  Buffer.add_char b ' ';
+  add b f.Spec.name;
+  Buffer.add_char b '(';
+  List.iteri
+    (fun i io ->
+      if i > 0 then add b ", ";
+      add_param_decl b io)
+    f.Spec.inputs;
+  if f.Spec.instances > 1 then
+    add b (if f.Spec.inputs = [] then "int inst_index" else ", int inst_index")
+  else if f.Spec.inputs = [] then add b "void";
+  Buffer.add_char b ')'
+
+let prototype f =
+  let b = Buffer.create 64 in
+  add_prototype b f;
+  Buffer.contents b
 
 let macro_name = function 1 -> "WRITE_SINGLE" | 2 -> "WRITE_DOUBLE" | 4 -> "WRITE_QUAD" | _ -> "WRITE_BURST"
 let read_macro = function 1 -> "READ_SINGLE" | 2 -> "READ_DOUBLE" | 4 -> "READ_QUAD" | _ -> "READ_BURST"
 
-(* word count expression for an io: a literal for static counts, a C
-   expression over the index parameter for implicit ones *)
 let struct_words_per_elem w (io : Spec.io) =
   List.fold_left
     (fun acc (_, (i : Ctype.info)) -> acc + ((i.Ctype.width + w - 1) / w))
     0 io.Spec.fields
 
-let words_expr spec (io : Spec.io) =
+(* an io's word count: static, or implicit in the index parameter named *)
+type words = Static of int | Implicit of string
+
+let words spec (io : Spec.io) =
+  match io.Spec.count with
+  | Some (Ast.Var v) -> Implicit v
+  | count ->
+      let elems = match count with Some (Ast.Fixed n) -> n | _ -> 1 in
+      Static (Plan.xfer_of_io spec Plan.In io ~values:(fun _ -> elems)).Plan.words
+
+(* the word count of an implicit transfer: a C expression over the index
+   parameter [v] *)
+let add_words_expr b spec (io : Spec.io) v =
   let w = spec.Spec.bus_width in
   let ew = io.Spec.io_width in
-  match io.Spec.count with
-  | Some (Ast.Var v) ->
-      let e =
-        if io.Spec.fields <> [] then
-          Printf.sprintf "(unsigned)%s * %du" v (struct_words_per_elem w io)
-        else if ew > w then
-          Printf.sprintf "(unsigned)%s * %du" v ((ew + w - 1) / w)
-        else if Spec.effective_packed spec io then
-          Printf.sprintf "((unsigned)%s + %du) / %du" v ((w / ew) - 1) (w / ew)
-        else Printf.sprintf "(unsigned)%s" v
-      in
-      (None, e)
-  | _ ->
-      let elems = match io.Spec.count with Some (Ast.Fixed n) -> n | _ -> 1 in
-      ( Some
-          (Plan.xfer_of_io spec Plan.In io ~values:(fun _ -> elems)).Plan.words,
-        "" )
-
-let emit_write_chunks buf spec indent ~addr_var (io : Spec.io) =
-  let pad = String.make indent ' ' in
-  let burst = spec.Spec.burst in
-  let src =
-    if io.Spec.is_pointer then Printf.sprintf "(const uint32_t *)%s" io.io_name
-    else Printf.sprintf "(const uint32_t *)&%s" io.io_name
+  let scaled k =
+    add b "(unsigned)";
+    add b v;
+    add b " * ";
+    add_int b k;
+    Buffer.add_char b 'u'
   in
-  match words_expr spec io with
-  | Some words, _ ->
+  if io.Spec.fields <> [] then scaled (struct_words_per_elem w io)
+  else if ew > w then scaled ((ew + w - 1) / w)
+  else if Spec.effective_packed spec io then begin
+    add b "((unsigned)";
+    add b v;
+    add b " + ";
+    add_int b ((w / ew) - 1);
+    add b "u) / ";
+    add_int b (w / ew);
+    Buffer.add_char b 'u'
+  end
+  else begin
+    add b "(unsigned)";
+    add b v
+  end
+
+(* one transfer macro per chunk: [MACRO(func_addr, <ptr> + off);] *)
+let add_chunks b spec macro words add_ptr =
+  let off = ref 0 in
+  List.iter
+    (fun size ->
+      add b "  ";
+      add b (macro size);
+      add b "(func_addr, ";
+      add_ptr ();
+      add b " + ";
+      add_int b !off;
+      add b ");\n";
+      off := !off + size)
+    (Plan.chunk_words ~burst:spec.Spec.burst ~max_burst_words:4 words)
+
+let add_dma b macro add_ptr add_count =
+  add b "  ";
+  add b macro;
+  add b "(func_addr, ";
+  add_ptr ();
+  add b ", ";
+  add_count ();
+  add b ");\n"
+
+let emit_write_chunks b spec (io : Spec.io) =
+  let src () =
+    add b (if io.Spec.is_pointer then "(const uint32_t *)" else "(const uint32_t *)&");
+    add b io.io_name
+  in
+  match words spec io with
+  | Static n ->
       if io.Spec.is_dma then
-        buf_add buf
-          (Printf.sprintf "%sWRITE_DMA(%s, %s, %du);\n" pad addr_var src words)
+        add_dma b "WRITE_DMA" src (fun () ->
+            add_int b n;
+            Buffer.add_char b 'u')
+      else add_chunks b spec macro_name n src
+  | Implicit v ->
+      let words_expr () = add_words_expr b spec io v in
+      if io.Spec.is_dma then add_dma b "WRITE_DMA" src words_expr
       else begin
-        let chunks = Plan.chunk_words ~burst ~max_burst_words:4 words in
-        let off = ref 0 in
-        List.iter
-          (fun size ->
-            buf_add buf
-              (Printf.sprintf "%s%s(%s, %s + %d);\n" pad (macro_name size)
-                 addr_var src !off);
-            off := !off + size)
-          chunks
-      end
-  | None, expr ->
-      if io.Spec.is_dma then
-        buf_add buf (Printf.sprintf "%sWRITE_DMA(%s, %s, %s);\n" pad addr_var src expr)
-      else begin
-        buf_add buf
-          (Printf.sprintf "%s{ /* %s: variable-length transfer */\n" pad io.io_name);
-        buf_add buf (Printf.sprintf "%s  unsigned w, words = %s;\n" pad expr);
-        if burst then begin
-          buf_add buf (Printf.sprintf "%s  for (w = 0; w + 4 <= words; w += 4)\n" pad);
-          buf_add buf (Printf.sprintf "%s    WRITE_QUAD(%s, %s + w);\n" pad addr_var src);
-          buf_add buf (Printf.sprintf "%s  for (; w < words; ++w)\n" pad)
+        add b "  { /* ";
+        add b io.io_name;
+        add b ": variable-length transfer */\n    unsigned w, words = ";
+        words_expr ();
+        add b ";\n";
+        if spec.Spec.burst then begin
+          add b "    for (w = 0; w + 4 <= words; w += 4)\n      WRITE_QUAD(func_addr, ";
+          src ();
+          add b " + w);\n    for (; w < words; ++w)\n"
         end
-        else buf_add buf (Printf.sprintf "%s  for (w = 0; w < words; ++w)\n" pad);
-        buf_add buf (Printf.sprintf "%s    WRITE_SINGLE(%s, %s + w);\n" pad addr_var src);
-        buf_add buf (Printf.sprintf "%s}\n" pad)
+        else add b "    for (w = 0; w < words; ++w)\n";
+        add b "      WRITE_SINGLE(func_addr, ";
+        src ();
+        add b " + w);\n  }\n"
       end
 
-let emit_read_chunks buf spec indent ~addr_var ~dst (o : Spec.io) =
-  let pad = String.make indent ' ' in
-  let burst = spec.Spec.burst in
-  match words_expr spec o with
-  | Some words, _ ->
+(* the read stores through [(uint32_t * )dst]: [dst] is a pointer
+   parameter's name, [result] or [&result] *)
+let emit_read_chunks b spec ~dst (o : Spec.io) =
+  let add_dst () =
+    add b "(uint32_t *)";
+    add b dst
+  in
+  match words spec o with
+  | Static n ->
       if o.Spec.is_dma then
-        buf_add buf (Printf.sprintf "%sREAD_DMA(%s, %s, %du);\n" pad addr_var dst words)
+        add_dma b "READ_DMA" add_dst (fun () ->
+            add_int b n;
+            Buffer.add_char b 'u')
+      else add_chunks b spec read_macro n add_dst
+  | Implicit v ->
+      let words_expr () = add_words_expr b spec o v in
+      if o.Spec.is_dma then add_dma b "READ_DMA" add_dst words_expr
       else begin
-        let chunks = Plan.chunk_words ~burst ~max_burst_words:4 words in
-        let off = ref 0 in
-        List.iter
-          (fun size ->
-            buf_add buf
-              (Printf.sprintf "%s%s(%s, %s + %d);\n" pad (read_macro size) addr_var
-                 dst !off);
-            off := !off + size)
-          chunks
-      end
-  | None, expr ->
-      if o.Spec.is_dma then
-        buf_add buf (Printf.sprintf "%sREAD_DMA(%s, %s, %s);\n" pad addr_var dst expr)
-      else begin
-        buf_add buf (Printf.sprintf "%s{ unsigned w, words = %s;\n" pad expr);
-        buf_add buf (Printf.sprintf "%s  for (w = 0; w < words; ++w)\n" pad);
-        buf_add buf (Printf.sprintf "%s    READ_SINGLE(%s, %s + w);\n" pad addr_var dst);
-        buf_add buf (Printf.sprintf "%s}\n" pad)
+        add b "  { unsigned w, words = ";
+        words_expr ();
+        add b ";\n    for (w = 0; w < words; ++w)\n      READ_SINGLE(func_addr, ";
+        add_dst ();
+        add b " + w);\n  }\n"
       end
 
-let driver_function (spec : Spec.t) (f : Spec.func) =
-  let buf = Buffer.create 1024 in
-  let id_macro = String.uppercase_ascii f.Spec.name ^ "_ID" in
-  buf_add buf (Printf.sprintf "/* ID used to target %s */\n" f.Spec.name);
-  buf_add buf (Printf.sprintf "#define %s %d\n\n" id_macro f.Spec.func_id);
-  buf_add buf
-    (Printf.sprintf "/* Driver used to activate %s in HW%s */\n" f.Spec.name
-       (if f.Spec.instances > 1 then
-          Printf.sprintf " (%d hardware instances)" f.Spec.instances
-        else ""));
-  buf_add buf (prototype f);
-  buf_add buf "\n{\n";
+let add_driver_function b (spec : Spec.t) (f : Spec.func) =
+  let name = f.Spec.name in
+  let id_macro = String.uppercase_ascii name ^ "_ID" in
+  add b "/* ID used to target ";
+  add b name;
+  add b " */\n#define ";
+  add b id_macro;
+  Buffer.add_char b ' ';
+  add_int b f.Spec.func_id;
+  add b "\n\n/* Driver used to activate ";
+  add b name;
+  add b " in HW";
+  if f.Spec.instances > 1 then begin
+    add b " (";
+    add_int b f.Spec.instances;
+    add b " hardware instances)"
+  end;
+  add b " */\n";
+  add_prototype b f;
+  add b "\n{\n";
   (* locals *)
   (match f.Spec.output with
-  | Some o when o.Spec.is_pointer -> (
-      let n_expr =
-        match o.Spec.count with
-        | Some (Ast.Fixed n) -> string_of_int n
-        | Some (Ast.Var v) -> Printf.sprintf "(unsigned)%s" v
-        | None -> "1"
-      in
-      buf_add buf
-        (Printf.sprintf
-           "  /* multi-value output: caller must free() the result (§6.1.1) */\n");
-      buf_add buf
-        (Printf.sprintf "  %sresult = (%s)malloc(sizeof(*result) * (%s));\n"
-           (c_type o) (c_type o) n_expr))
+  | Some o when o.Spec.is_pointer ->
+      add b "  /* multi-value output: caller must free() the result (§6.1.1) */\n  ";
+      add_c_type b o;
+      add b "result = (";
+      add_c_type b o;
+      add b ")malloc(sizeof(*result) * (";
+      (match o.Spec.count with
+      | Some (Ast.Fixed n) -> add_int b n
+      | Some (Ast.Var v) ->
+          add b "(unsigned)";
+          add b v
+      | None -> Buffer.add_char b '1');
+      add b "));\n"
   | Some o ->
-      buf_add buf (Printf.sprintf "  %s result;\n" (String.concat " " o.Spec.type_words))
+      add b "  ";
+      add_words b o.Spec.type_words;
+      add b " result;\n"
   | None -> ());
-  buf_add buf "  uintptr_t func_addr;\n\n";
-  buf_add buf "  /* Determine the address of the function";
-  if f.Spec.instances > 1 then buf_add buf " instance";
-  buf_add buf " */\n";
-  if f.Spec.instances > 1 then
-    buf_add buf (Printf.sprintf "  func_addr = SET_ADDRESS(%s + inst_index);\n\n" id_macro)
-  else buf_add buf (Printf.sprintf "  func_addr = SET_ADDRESS(%s);\n\n" id_macro);
+  add b "  uintptr_t func_addr;\n\n";
+  add b "  /* Determine the address of the function";
+  if f.Spec.instances > 1 then add b " instance";
+  add b " */\n  func_addr = SET_ADDRESS(";
+  add b id_macro;
+  if f.Spec.instances > 1 then add b " + inst_index";
+  add b ");\n\n";
   (* input transfers, in declaration order *)
   List.iter
     (fun (io : Spec.io) ->
-      let what =
-        match io.Spec.count with
-        | None -> Printf.sprintf "Transfer one value of '%s'" io.io_name
-        | Some (Ast.Fixed n) -> Printf.sprintf "Transfer %d value(s) of '%s'" n io.io_name
-        | Some (Ast.Var v) -> Printf.sprintf "Transfer %s value(s) of '%s'" v io.io_name
-      in
-      buf_add buf (Printf.sprintf "  /* %s */\n" what);
-      emit_write_chunks buf spec 2 ~addr_var:"func_addr" io)
+      (match io.Spec.count with
+      | None -> add b "  /* Transfer one value of '"
+      | Some (Ast.Fixed n) ->
+          add b "  /* Transfer ";
+          add_int b n;
+          add b " value(s) of '"
+      | Some (Ast.Var v) ->
+          add b "  /* Transfer ";
+          add b v;
+          add b " value(s) of '");
+      add b io.io_name;
+      add b "' */\n";
+      emit_write_chunks b spec io)
     f.Spec.inputs;
   if f.Spec.inputs = [] then begin
-    buf_add buf "  /* No inputs: trigger the function with a command write */\n";
-    buf_add buf "  { uint32_t go = 0; WRITE_SINGLE(func_addr, &go); }\n"
+    add b "  /* No inputs: trigger the function with a command write */\n";
+    add b "  { uint32_t go = 0; WRITE_SINGLE(func_addr, &go); }\n"
   end;
   (* wait + output *)
-  if f.Spec.nowait then
-    buf_add buf "\n  /* nowait function: return without synchronising */\n"
+  if f.Spec.nowait then add b "\n  /* nowait function: return without synchronising */\n"
   else begin
     if spec.Spec.interrupts then begin
-      buf_add buf
-        "\n  /* Interrupt-driven synchronisation (%interrupt_support true) */\n";
-      buf_add buf "  SPLICE_WAIT_FOR_IRQ(func_addr);\n\n"
+      add b "\n  /* Interrupt-driven synchronisation (%interrupt_support true) */\n";
+      add b "  SPLICE_WAIT_FOR_IRQ(func_addr);\n\n"
     end
     else begin
-      buf_add buf "\n  /* Wait for calculations to complete */\n";
-      buf_add buf "  WAIT_FOR_RESULTS(func_addr);\n\n"
+      add b "\n  /* Wait for calculations to complete */\n";
+      add b "  WAIT_FOR_RESULTS(func_addr);\n\n"
     end;
     (* read back by-reference parameters into the caller's arrays (§10.2) *)
     List.iter
       (fun (io : Spec.io) ->
-        buf_add buf
-          (Printf.sprintf "  /* Read back updated '%s' (pass-by-reference) */\n"
-             io.Spec.io_name);
-        emit_read_chunks buf spec 2 ~addr_var:"func_addr"
-          ~dst:(Printf.sprintf "(uint32_t *)%s" io.Spec.io_name)
-          io)
+        add b "  /* Read back updated '";
+        add b io.Spec.io_name;
+        add b "' (pass-by-reference) */\n";
+        emit_read_chunks b spec ~dst:io.Spec.io_name io)
       (Spec.readbacks f);
     match f.Spec.output with
     | Some o ->
-        buf_add buf "  /* Grab result from hardware */\n";
-        let dst =
-          if o.Spec.is_pointer then "(uint32_t *)result" else "(uint32_t *)&result"
-        in
-        emit_read_chunks buf spec 2 ~addr_var:"func_addr" ~dst o;
-        buf_add buf "\n  return result;\n"
+        add b "  /* Grab result from hardware */\n";
+        emit_read_chunks b spec ~dst:(if o.Spec.is_pointer then "result" else "&result") o;
+        add b "\n  return result;\n"
     | None ->
         if Spec.readbacks f = [] then begin
-          buf_add buf
-            "  /* Blocking call: confirm completion with an ack read */\n";
-          buf_add buf
-            "  { uint32_t ack; READ_SINGLE(func_addr, &ack); (void)ack; }\n"
+          add b "  /* Blocking call: confirm completion with an ack read */\n";
+          add b "  { uint32_t ack; READ_SINGLE(func_addr, &ack); (void)ack; }\n"
         end
   end;
-  buf_add buf "}\n";
-  Buffer.contents buf
+  add b "}\n"
+
+let driver_function spec f =
+  let b = Buffer.create 1024 in
+  add_driver_function b spec f;
+  Buffer.contents b
 
 let header_file (spec : Spec.t) =
-  let buf = Buffer.create 1024 in
-  let guard = Printf.sprintf "SPLICE_%s_DRIVER_H" (String.uppercase_ascii spec.Spec.device_name) in
-  buf_add buf
-    (Printf.sprintf
-       "/* %s_driver.h -- driver prototypes for device %s (Fig 8.7)\n\
-       \ * Generated by Splice; calling conventions match the original\n\
-       \ * interface declarations (§3.1.1). */\n"
-       spec.Spec.device_name spec.Spec.device_name);
-  buf_add buf (Printf.sprintf "#ifndef %s\n#define %s\n\n" guard guard);
+  let b = Buffer.create 1024 in
+  let dev = spec.Spec.device_name in
+  let guard = "SPLICE_" ^ String.uppercase_ascii dev ^ "_DRIVER_H" in
+  add b "/* ";
+  add b dev;
+  add b "_driver.h -- driver prototypes for device ";
+  add b dev;
+  add b
+    " (Fig 8.7)\n\
+    \ * Generated by Splice; calling conventions match the original\n\
+    \ * interface declarations (§3.1.1). */\n";
+  add b "#ifndef ";
+  add b guard;
+  add b "\n#define ";
+  add b guard;
+  add b "\n\n";
   List.iter
     (fun (name, (info : Ctype.info)) ->
-      buf_add buf
-        (Printf.sprintf "typedef %s %s; /* %%user_type, %d bits */\n"
-           (if info.Ctype.width > 32 then "unsigned long long"
-            else if info.Ctype.signed then "int"
-            else "unsigned long")
-           name info.Ctype.width))
+      add b "typedef ";
+      add b
+        (if info.Ctype.width > 32 then "unsigned long long"
+         else if info.Ctype.signed then "int"
+         else "unsigned long");
+      Buffer.add_char b ' ';
+      add b name;
+      add b "; /* %user_type, ";
+      add_int b info.Ctype.width;
+      add b " bits */\n")
     spec.Spec.user_types;
   List.iter
     (fun (name, fields) ->
-      buf_add buf (Printf.sprintf "typedef struct { /* %%user_struct */\n");
+      add b "typedef struct { /* %user_struct */\n";
       List.iter
         (fun (fname, (info : Ctype.info)) ->
-          buf_add buf
-            (Printf.sprintf "  %s %s; /* %d bits */\n"
-               (if info.Ctype.width > 32 then "unsigned long long"
-                else if info.Ctype.width > 16 then
-                  if info.Ctype.signed then "int" else "unsigned"
-                else if info.Ctype.width > 8 then "short"
-                else "char")
-               fname info.Ctype.width))
+          add b "  ";
+          add b
+            (if info.Ctype.width > 32 then "unsigned long long"
+             else if info.Ctype.width > 16 then
+               if info.Ctype.signed then "int" else "unsigned"
+             else if info.Ctype.width > 8 then "short"
+             else "char");
+          Buffer.add_char b ' ';
+          add b fname;
+          add b "; /* ";
+          add_int b info.Ctype.width;
+          add b " bits */\n")
         fields;
-      buf_add buf (Printf.sprintf "} %s;\n" name))
+      add b "} ";
+      add b name;
+      add b ";\n")
     spec.Spec.structs;
-  if spec.Spec.user_types <> [] || spec.Spec.structs <> [] then buf_add buf "\n";
+  if spec.Spec.user_types <> [] || spec.Spec.structs <> [] then add b "\n";
   List.iter
-    (fun f -> buf_add buf (prototype f ^ ";\n"))
+    (fun f ->
+      add_prototype b f;
+      add b ";\n")
     spec.Spec.funcs;
-  buf_add buf (Printf.sprintf "\n#endif /* %s */\n" guard);
-  Buffer.contents buf
+  add b "\n#endif /* ";
+  add b guard;
+  add b " */\n";
+  Buffer.contents b
 
 let source_file (spec : Spec.t) =
-  let buf = Buffer.create 4096 in
-  buf_add buf
-    (Printf.sprintf
-       "/* %s_driver.c -- Splice-generated drivers for device %s (Ch 6)\n\
-       \ * Target bus: %s (%d-bit) */\n\n"
-       spec.Spec.device_name spec.Spec.device_name spec.Spec.bus_name
-       spec.Spec.bus_width);
-  buf_add buf "#include <stdint.h>\n#include <stdlib.h>\n";
-  buf_add buf "#include \"splice_lib.h\"\n";
-  buf_add buf (Printf.sprintf "#include \"%s_driver.h\"\n\n" spec.Spec.device_name);
+  let b = Buffer.create 4096 in
+  let dev = spec.Spec.device_name in
+  add b "/* ";
+  add b dev;
+  add b "_driver.c -- Splice-generated drivers for device ";
+  add b dev;
+  add b " (Ch 6)\n * Target bus: ";
+  add b spec.Spec.bus_name;
+  add b " (";
+  add_int b spec.Spec.bus_width;
+  add b "-bit) */\n\n";
+  add b "#include <stdint.h>\n#include <stdlib.h>\n";
+  add b "#include \"splice_lib.h\"\n";
+  add b "#include \"";
+  add b dev;
+  add b "_driver.h\"\n\n";
   if spec.Spec.interrupts then
-    buf_add buf
+    add b
       "/* Completion-interrupt support (§10.2): the generated arbiter raises\n\
       \ * IRQ on any CALC_DONE rising edge; reading the status register (id 0)\n\
       \ * acknowledges it. Register splice_isr with your interrupt controller. */\n\
@@ -282,47 +369,76 @@ let source_file (spec : Spec.t) =
       \    { uint32_t st; READ_SINGLE(SET_ADDRESS(0), &st); (void)st; }    \\\n\
       \  } while (0)\n\n";
   List.iter
-    (fun f -> buf_add buf (driver_function spec f ^ "\n"))
+    (fun f ->
+      add_driver_function b spec f;
+      add b "\n")
     spec.Spec.funcs;
-  Buffer.contents buf
+  Buffer.contents b
 
 let test_suite (spec : Spec.t) =
-  let buf = Buffer.create 1024 in
-  buf_add buf
-    (Printf.sprintf
-       "/* test_%s.c -- skeleton software test suite (cf. Fig 8.8) */\n\n"
-       spec.Spec.device_name);
-  buf_add buf "#include <stdio.h>\n#include <stdlib.h>\n";
-  buf_add buf (Printf.sprintf "#include \"%s_driver.h\"\n\n" spec.Spec.device_name);
-  buf_add buf "int main(void)\n{\n";
+  let b = Buffer.create 1024 in
+  let dev = spec.Spec.device_name in
+  add b "/* test_";
+  add b dev;
+  add b ".c -- skeleton software test suite (cf. Fig 8.8) */\n\n";
+  add b "#include <stdio.h>\n#include <stdlib.h>\n";
+  add b "#include \"";
+  add b dev;
+  add b "_driver.h\"\n\n";
+  add b "int main(void)\n{\n";
   List.iter
     (fun (f : Spec.func) ->
-      let args =
-        List.map
-          (fun (io : Spec.io) ->
-            if io.Spec.is_pointer then Printf.sprintf "/* %s */ NULL" io.io_name
-            else if io.Spec.fields <> [] then
+      let name = f.Spec.name in
+      let call () =
+        add b name;
+        Buffer.add_char b '(';
+        List.iteri
+          (fun i (io : Spec.io) ->
+            if i > 0 then add b ", ";
+            if io.Spec.is_pointer then begin
+              add b "/* ";
+              add b io.io_name;
+              add b " */ NULL"
+            end
+            else if io.Spec.fields <> [] then begin
               (* struct scalar: a zeroed compound literal *)
-              Printf.sprintf "(%s){0}" (String.concat " " io.Spec.type_words)
-            else "0")
-          f.Spec.inputs
+              Buffer.add_char b '(';
+              add_words b io.Spec.type_words;
+              add b "){0}"
+            end
+            else Buffer.add_char b '0')
+          f.Spec.inputs;
+        if f.Spec.instances > 1 then add b (if f.Spec.inputs = [] then "0" else ", 0");
+        Buffer.add_char b ')'
       in
-      let args = if f.Spec.instances > 1 then args @ [ "0" ] else args in
-      let call = Printf.sprintf "%s(%s)" f.Spec.name (String.concat ", " args) in
       match f.Spec.output with
       | Some o when o.Spec.is_pointer ->
           (* heap-allocated multi-value result: remember to free it (§6.1.1) *)
-          buf_add buf
-            (Printf.sprintf "  { %sr = %s; printf(\"%s -> %%p\\n\", (void *)r); free(r); }\n"
-               (c_type o) call f.Spec.name)
+          add b "  { ";
+          add_c_type b o;
+          add b "r = ";
+          call ();
+          add b "; printf(\"";
+          add b name;
+          add b " -> %p\\n\", (void *)r); free(r); }\n"
       | Some o when o.Spec.fields <> [] ->
-          buf_add buf
-            (Printf.sprintf "  { %s r = %s; (void)r; printf(\"%s -> struct\\n\"); }\n"
-               (String.concat " " o.Spec.type_words) call f.Spec.name)
+          add b "  { ";
+          add_words b o.Spec.type_words;
+          add b " r = ";
+          call ();
+          add b "; (void)r; printf(\"";
+          add b name;
+          add b " -> struct\\n\"); }\n"
       | Some _ ->
-          buf_add buf
-            (Printf.sprintf "  printf(\"%s -> %%ld\\n\", (long)%s);\n" f.Spec.name call)
-      | None -> buf_add buf (Printf.sprintf "  %s;\n" call))
+          add b "  printf(\"";
+          add b name;
+          add b " -> %ld\\n\", (long)";
+          call ();
+          add b ");\n"
+      | None ->
+          add b "  ";
+          call ();
+          add b ";\n")
     spec.Spec.funcs;
-  buf_add buf "  return 0;\n}\n";
-  Buffer.contents buf
+  add b "  return 0;\n}\n";
+  Buffer.contents b

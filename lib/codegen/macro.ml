@@ -1,14 +1,19 @@
 open Splice_syntax
 
-let base_addr_literal (spec : Spec.t) =
-  match spec.Spec.base_address with
-  | Some a -> Printf.sprintf "x\"%08Lx\"" a
-  | None -> "x\"00000000\""
+let base_addr_literal spec = "x\"" ^ Spec.base_address_hex spec ^ "\""
 
 let default_gen_date () =
   let t = Unix.localtime (Unix.time ()) in
-  Printf.sprintf "%04d-%02d-%02d %02d:%02d" (t.Unix.tm_year + 1900)
-    (t.Unix.tm_mon + 1) t.Unix.tm_mday t.Unix.tm_hour t.Unix.tm_min
+  (* [n] zero-padded to [w] digits *)
+  let digits w n =
+    let s = string_of_int n in
+    String.make (max 0 (w - String.length s)) '0' ^ s
+  in
+  String.concat ""
+    [
+      digits 4 (t.Unix.tm_year + 1900); "-"; digits 2 (t.Unix.tm_mon + 1); "-";
+      digits 2 t.Unix.tm_mday; " "; digits 2 t.Unix.tm_hour; ":"; digits 2 t.Unix.tm_min;
+    ]
 
 let standard ?gen_date (spec : Spec.t) =
   let date = match gen_date with Some d -> d | None -> default_gen_date () in

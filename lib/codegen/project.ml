@@ -29,16 +29,18 @@ let generate ?gen_date ?(linux = false) (spec : Spec.t) =
   in
   let makefile =
     let dev = spec.Spec.device_name in
-    Printf.sprintf
-      "# Makefile for the Splice-generated software of device %s\n\
-       CC      ?= gcc\n\
-       CFLAGS  ?= -O2 -Wall -Wextra\n\n\
-       test_%s: %s_driver.c test_%s.c %s_driver.h splice_lib.h\n\
-       \t$(CC) $(CFLAGS) -o $@ %s_driver.c test_%s.c\n\n\
-       .PHONY: clean\n\
-       clean:\n\
-       \trm -f test_%s\n"
-      dev dev dev dev dev dev dev dev
+    (* one Makefile line per row *)
+    String.concat ""
+      [
+        "# Makefile for the Splice-generated software of device "; dev; "\n";
+        "CC      ?= gcc\n";
+        "CFLAGS  ?= -O2 -Wall -Wextra\n\n";
+        "test_"; dev; ": "; dev; "_driver.c test_"; dev; ".c "; dev; "_driver.h splice_lib.h\n";
+        "\t$(CC) $(CFLAGS) -o $@ "; dev; "_driver.c test_"; dev; ".c\n\n";
+        ".PHONY: clean\n";
+        "clean:\n";
+        "\trm -f test_"; dev; "\n";
+      ]
   in
   let software =
     [

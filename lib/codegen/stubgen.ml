@@ -161,17 +161,17 @@ let input_state_arm spec (io : Spec.io option) next_state =
       let words = static_words spec io in
       let x = (* describe the transfer for the generated comments *)
         match io.Spec.count with
-        | None -> Printf.sprintf "1 write operation(s)"
+        | None -> "1 write operation(s)"
         | Some (Ast.Fixed n) ->
-            Printf.sprintf "%d element(s) / %s write operation(s)" n
-              (match words with Some w -> string_of_int w | None -> "?")
-        | Some (Ast.Var v) -> Printf.sprintf "a variable number (%s) of write operation(s)" v
+            string_of_int n ^ " element(s) / "
+            ^ (match words with Some w -> string_of_int w | None -> "?")
+            ^ " write operation(s)"
+        | Some (Ast.Var v) -> "a variable number (" ^ v ^ ") of write operation(s)"
       in
       let store_comment =
         Comment
-          (Printf.sprintf
-             "TODO (user): store DATA_IN for %s (e.g. into a register file or Block RAM)"
-             name)
+          ("TODO (user): store DATA_IN for " ^ name
+         ^ " (e.g. into a register file or Block RAM)")
       in
       let ignore_comment =
         (* §5.3.1: note how many trailing bits of the last word are padding *)
@@ -183,9 +183,8 @@ let input_state_arm spec (io : Spec.io option) next_state =
             if plan_x.Plan.ignore_bits > 0 then
               [
                 Comment
-                  (Printf.sprintf
-                     "NOTE: the final word carries %d trailing bit(s) of padding that can safely be ignored"
-                     plan_x.Plan.ignore_bits);
+                  ("NOTE: the final word carries " ^ string_of_int plan_x.Plan.ignore_bits
+                 ^ " trailing bit(s) of padding that can safely be ignored");
               ]
             else []
         | _ -> []
@@ -196,7 +195,7 @@ let input_state_arm spec (io : Spec.io option) next_state =
         else []
       in
       ( Choice_ref ("IN_" ^ name),
-        [ Comment (Printf.sprintf "Handling %s for input '%s'" x name) ]
+        [ Comment ("Handling " ^ x ^ " for input '" ^ name ^ "'") ]
         @ ignore_comment
         @ [
             If
@@ -230,18 +229,14 @@ let readback_state_arm spec (io : Spec.io) next_state =
   let counter = io.Spec.io_name ^ "_rb_counter" in
   let serve =
     [
-      Comment
-        (Printf.sprintf "TODO (user): drive the updated '%s' word onto DATA_OUT"
-           io.Spec.io_name);
+      Comment ("TODO (user): drive the updated '" ^ io.Spec.io_name ^ "' word onto DATA_OUT");
       Assign (Ref "DATA_OUT_VALID", Bool_lit true);
       Assign (Ref "IO_DONE", Bool_lit true);
     ]
   in
   ( Choice_ref ("OUT_" ^ io.Spec.io_name),
     [
-      Comment
-        (Printf.sprintf "Reading back by-reference parameter '%s' (§10.2)"
-           io.Spec.io_name);
+      Comment ("Reading back by-reference parameter '" ^ io.Spec.io_name ^ "' (§10.2)");
       Assign (Ref "CALC_DONE", Bool_lit true);
       If
         ( [
@@ -368,8 +363,7 @@ let design spec (f : Spec.func) =
   {
     header =
       [
-        Printf.sprintf "func_%s: user-logic stub for device %s" f.Spec.name
-          spec.Spec.device_name;
+        "func_" ^ f.Spec.name ^ ": user-logic stub for device " ^ spec.Spec.device_name;
         "Generated by Splice: fill in the CALC state(s) and data storage;";
         "all bus-level signalling is already handled (Ch 5).";
       ];
@@ -400,5 +394,5 @@ let generate spec f =
   | Ast.Verilog -> Verilog.to_string d
 
 let file_name spec (f : Spec.func) =
-  Printf.sprintf "func_%s.%s" f.Spec.name
-    (match spec.Spec.hdl with Ast.Vhdl -> "vhd" | Ast.Verilog -> "v")
+  "func_" ^ f.Spec.name
+  ^ match spec.Spec.hdl with Ast.Vhdl -> ".vhd" | Ast.Verilog -> ".v"

@@ -1,55 +1,93 @@
 open Hdl_ast
+open Emit
 
-let range_of_width w = if w = 1 then "" else Printf.sprintf "[%d:0] " (w - 1)
+let add_range b w =
+  if w <> 1 then begin
+    Buffer.add_char b '[';
+    add_int b (w - 1);
+    add b ":0] "
+  end
 
-let rec expr = function
-  | Ref n | Int_ref n -> n
-  | Slice (s, hi, lo) -> Printf.sprintf "%s[%d:%d]" s hi lo
-  | Lit (v, w) -> Printf.sprintf "%d'd%d" w v
-  | Int_lit i -> string_of_int i
-  | To_int e -> expr e
-  | Bool_lit b -> if b then "1'b1" else "1'b0"
-  | All_zeros -> "0" (* an unsized 0 zero-extends to its context's width *)
-  | Binop (op, a, b) ->
-      let s =
-        match op with
-        | And -> "&" | Eq -> "==" | Neq -> "!="
-        | Add -> "+" | Sub -> "-" | Mul -> "*" | Div -> "/"
-      in
-      Printf.sprintf "(%s %s %s)" (expr a) s (expr b)
-  | Not e -> Printf.sprintf "(~%s)" (expr e)
-  | Concat es -> Printf.sprintf "{%s}" (String.concat ", " (List.map expr es))
+let rec expr b = function
+  | Ref n | Int_ref n -> add b n
+  | Slice (s, hi, lo) ->
+      add b s;
+      Buffer.add_char b '[';
+      add_int b hi;
+      Buffer.add_char b ':';
+      add_int b lo;
+      Buffer.add_char b ']'
+  | Lit (v, w) ->
+      add_int b w;
+      add b "'d";
+      add_int b v
+  | Int_lit i -> add_int b i
+  | To_int e -> expr b e
+  | Bool_lit v -> add b (if v then "1'b1" else "1'b0")
+  | All_zeros -> Buffer.add_char b '0' (* an unsized 0 zero-extends to its context's width *)
+  | Binop (op, x, y) ->
+      Buffer.add_char b '(';
+      expr b x;
+      add b
+        (match op with
+        | And -> " & " | Eq -> " == " | Neq -> " != "
+        | Add -> " + " | Sub -> " - " | Mul -> " * " | Div -> " / ");
+      expr b y;
+      Buffer.add_char b ')'
+  | Not e ->
+      add b "(~";
+      expr b e;
+      Buffer.add_char b ')'
+  | Concat es ->
+      Buffer.add_char b '{';
+      add_sep b ", " (expr b) es;
+      Buffer.add_char b '}'
 
-let rec stmt buf indent s =
-  let pad = String.make indent ' ' in
+let rec stmt b indent s =
   match s with
   | Assign (lhs, rhs) ->
-      Buffer.add_string buf (Printf.sprintf "%s%s <= %s;\n" pad (expr lhs) (expr rhs))
-  | Comment c -> Buffer.add_string buf (Printf.sprintf "%s// %s\n" pad c)
+      spaces b indent;
+      expr b lhs;
+      add b " <= ";
+      expr b rhs;
+      add b ";\n"
+  | Comment c ->
+      spaces b indent;
+      add b "// ";
+      add b c;
+      Buffer.add_char b '\n'
   | If (branches, else_) ->
       List.iteri
         (fun i (c, body) ->
-          Buffer.add_string buf
-            (Printf.sprintf "%s%s (%s) begin\n" pad
-               (if i = 0 then "if" else "end else if")
-               (expr c));
-          List.iter (stmt buf (indent + 2)) body)
+          spaces b indent;
+          add b (if i = 0 then "if (" else "end else if (");
+          expr b c;
+          add b ") begin\n";
+          List.iter (stmt b (indent + 2)) body)
         branches;
       if else_ <> [] then begin
-        Buffer.add_string buf (pad ^ "end else begin\n");
-        List.iter (stmt buf (indent + 2)) else_
+        spaces b indent;
+        add b "end else begin\n";
+        List.iter (stmt b (indent + 2)) else_
       end;
-      Buffer.add_string buf (pad ^ "end\n")
+      spaces b indent;
+      add b "end\n"
   | Case (scrutinee, arms) ->
-      Buffer.add_string buf (Printf.sprintf "%scase (%s)\n" pad (expr scrutinee));
+      spaces b indent;
+      add b "case (";
+      expr b scrutinee;
+      add b ")\n";
       List.iter
         (fun (choice, body) ->
-          let c = match choice with Choice_ref r -> r | Choice_others -> "default" in
-          Buffer.add_string buf (Printf.sprintf "%s  %s: begin\n" pad c);
-          List.iter (stmt buf (indent + 4)) body;
-          Buffer.add_string buf (Printf.sprintf "%s  end\n" pad))
+          spaces b (indent + 2);
+          add b (match choice with Choice_ref r -> r | Choice_others -> "default");
+          add b ": begin\n";
+          List.iter (stmt b (indent + 4)) body;
+          spaces b (indent + 2);
+          add b "end\n")
         arms;
-      Buffer.add_string buf (pad ^ "endcase\n")
+      spaces b indent;
+      add b "endcase\n"
 
 (* which nets are assigned inside processes (must be reg) *)
 let reg_targets d =
@@ -67,90 +105,134 @@ let reg_targets d =
   List.iter (function Proc p -> List.iter scan p.body | _ -> ()) d.body;
   regs
 
-let concurrent buf = function
-  | Ccomment c -> Buffer.add_string buf (Printf.sprintf "  // %s\n" c)
+let concurrent b = function
+  | Ccomment c ->
+      add b "  // ";
+      add b c;
+      Buffer.add_char b '\n'
   | Cassign (lhs, rhs) ->
-      Buffer.add_string buf (Printf.sprintf "  assign %s = %s;\n" (expr lhs) (expr rhs))
+      add b "  assign ";
+      expr b lhs;
+      add b " = ";
+      expr b rhs;
+      add b ";\n"
   | Cassign_cond (lhs, branches, default) ->
-      let rec chain = function
-        | [] -> expr default
-        | (c, v) :: rest -> Printf.sprintf "(%s) ? %s : %s" (expr c) (expr v) (chain rest)
-      in
-      Buffer.add_string buf
-        (Printf.sprintf "  assign %s = %s;\n" (expr lhs) (chain branches))
+      add b "  assign ";
+      expr b lhs;
+      add b " = ";
+      List.iter
+        (fun (c, v) ->
+          Buffer.add_char b '(';
+          expr b c;
+          add b ") ? ";
+          expr b v;
+          add b " : ")
+        branches;
+      expr b default;
+      add b ";\n"
   | Instance { inst_name; comp_name; generic_map; port_map } ->
-      Buffer.add_string buf (Printf.sprintf "  %s" comp_name);
-      if generic_map <> [] then
-        Buffer.add_string buf
-          (Printf.sprintf " #(%s)"
-             (String.concat ", "
-                (List.map (fun (k, v) -> Printf.sprintf ".%s(%d)" k v) generic_map)));
-      Buffer.add_string buf (Printf.sprintf " %s (\n" inst_name);
-      let n = List.length port_map in
+      add b "  ";
+      add b comp_name;
+      if generic_map <> [] then begin
+        add b " #(";
+        add_sep b ", "
+          (fun (k, v) ->
+            Buffer.add_char b '.';
+            add b k;
+            Buffer.add_char b '(';
+            add_int b v;
+            Buffer.add_char b ')')
+          generic_map;
+        Buffer.add_char b ')'
+      end;
+      Buffer.add_char b ' ';
+      add b inst_name;
+      add b " (\n";
+      let last = List.length port_map - 1 in
       List.iteri
         (fun i (k, v) ->
-          Buffer.add_string buf
-            (Printf.sprintf "    .%s(%s)%s\n" k (expr v) (if i = n - 1 then "" else ",")))
+          add b "    .";
+          add b k;
+          Buffer.add_char b '(';
+          expr b v;
+          add b (if i = last then ")\n" else "),\n"))
         port_map;
-      Buffer.add_string buf "  );\n"
+      add b "  );\n"
   | Proc p ->
-      let trigger =
-        if p.clocked then "posedge CLK"
-        else if p.sensitivity = [] then "*"
-        else String.concat " or " p.sensitivity
-      in
-      Buffer.add_string buf (Printf.sprintf "  always @(%s) begin : %s\n" trigger p.proc_name);
-      List.iter (stmt buf 4) p.body;
-      Buffer.add_string buf "  end\n"
+      add b "  always @(";
+      if p.clocked then add b "posedge CLK"
+      else if p.sensitivity = [] then Buffer.add_char b '*'
+      else add_sep b " or " (add b) p.sensitivity;
+      add b ") begin : ";
+      add b p.proc_name;
+      Buffer.add_char b '\n';
+      List.iter (stmt b 4) p.body;
+      add b "  end\n"
 
 let to_string (d : design) =
-  let buf = Buffer.create 4096 in
-  List.iter (fun l -> Buffer.add_string buf (Printf.sprintf "// %s\n" l)) d.header;
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun l ->
+      add b "// ";
+      add b l;
+      Buffer.add_char b '\n')
+    d.header;
   let regs = reg_targets d in
-  Buffer.add_string buf (Printf.sprintf "module %s" d.name);
+  add b "module ";
+  add b d.name;
   if d.generics <> [] then begin
-    Buffer.add_string buf " #(\n";
-    let n = List.length d.generics in
-    List.iteri
-      (fun i g ->
-        Buffer.add_string buf
-          (Printf.sprintf "  parameter %s = %d%s\n" g.gen_name g.gen_default
-             (if i = n - 1 then "" else ",")))
+    add b " #(\n";
+    add_sep b ",\n"
+      (fun g ->
+        add b "  parameter ";
+        add b g.gen_name;
+        add b " = ";
+        add_int b g.gen_default)
       d.generics;
-    Buffer.add_string buf ")"
+    add b "\n)"
   end;
-  Buffer.add_string buf " (\n";
-  let n = List.length d.ports in
+  add b " (\n";
+  let last = List.length d.ports - 1 in
   List.iteri
     (fun i p ->
-      let kind =
-        match p.dir with
-        | In -> "input "
-        | Out -> if Hashtbl.mem regs p.port_name then "output reg " else "output "
-      in
-      Buffer.add_string buf
-        (Printf.sprintf "  %s%s%s%s\n" kind (range_of_width p.width) p.port_name
-           (if i = n - 1 then "" else ",")))
+      add b
+        (match p.dir with
+        | In -> "  input "
+        | Out -> if Hashtbl.mem regs p.port_name then "  output reg " else "  output ");
+      add_range b p.width;
+      add b p.port_name;
+      add b (if i = last then "\n" else ",\n"))
     d.ports;
-  Buffer.add_string buf ");\n\n";
+  add b ");\n\n";
   List.iter
     (fun c ->
-      match c.const_width with
+      add b "  localparam ";
+      (match c.const_width with
       | Some w ->
-          Buffer.add_string buf
-            (Printf.sprintf "  localparam %s%s = %d'd%d;\n" (range_of_width w)
-               c.const_name w c.const_value)
+          add_range b w;
+          add b c.const_name;
+          add b " = ";
+          add_int b w;
+          add b "'d"
       | None ->
-          Buffer.add_string buf
-            (Printf.sprintf "  localparam %s = %d;\n" c.const_name c.const_value))
+          add b c.const_name;
+          add b " = ");
+      add_int b c.const_value;
+      add b ";\n")
     d.constants;
   List.iter
     (fun s ->
-      let kind = if Hashtbl.mem regs s.sig_name then "reg " else "wire " in
-      Buffer.add_string buf
-        (Printf.sprintf "  %s%s%s;\n" kind (range_of_width s.sig_width) s.sig_name))
+      add b (if Hashtbl.mem regs s.sig_name then "  reg " else "  wire ");
+      add_range b s.sig_width;
+      add b s.sig_name;
+      add b ";\n")
     d.signals;
-  Buffer.add_string buf "\n";
-  List.iter (concurrent buf) d.body;
-  Buffer.add_string buf "\nendmodule\n";
-  Buffer.contents buf
+  Buffer.add_char b '\n';
+  List.iter (concurrent b) d.body;
+  add b "\nendmodule\n";
+  Buffer.contents b
+
+let expr e =
+  let b = Buffer.create 64 in
+  expr b e;
+  Buffer.contents b

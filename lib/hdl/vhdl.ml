@@ -1,14 +1,21 @@
 open Hdl_ast
+open Emit
 
-let type_of_width w =
-  if w = 1 then "std_logic" else Printf.sprintf "std_logic_vector(%d downto 0)" (w - 1)
+let add_type b w =
+  if w = 1 then add b "std_logic"
+  else begin
+    add b "std_logic_vector(";
+    add_int b (w - 1);
+    add b " downto 0)"
+  end
 
-let bin_literal v w =
-  let b = Buffer.create w in
+(* a [w]-bit literal, most significant bit first, in double quotes *)
+let add_bin_literal b v w =
+  Buffer.add_char b '"';
   for i = w - 1 downto 0 do
     Buffer.add_char b (if (v lsr i) land 1 = 1 then '1' else '0')
   done;
-  Buffer.contents b
+  Buffer.add_char b '"'
 
 let is_arith = function Add | Sub | Mul | Div -> true | And | Eq | Neq -> false
 
@@ -19,200 +26,342 @@ let rec is_int = function
   | Binop (op, a, _) -> is_arith op && is_int a
   | _ -> false
 
-let arith_op = function Add -> "+" | Sub -> "-" | Mul -> "*" | _ -> "/"
+let arith_op = function Add -> " + " | Sub -> " - " | Mul -> " * " | _ -> " / "
 let prec = function Mul | Div -> 2 | _ -> 1
+
+let to_string_with f x =
+  let b = Buffer.create 64 in
+  f b x;
+  Buffer.contents b
 
 (* the length of a vector expression, for sizing an integer against it:
    bitwise operands share their width, so the leftmost signal's will do *)
-let rec length_of = function
-  | Ref n -> n ^ "'length"
-  | Binop (_, a, _) | Not a -> length_of a
-  | e -> invalid_arg ("Vhdl.length_of: not a sized vector: " ^ expr e)
+let rec length_of b = function
+  | Ref n ->
+      add b n;
+      add b "'length"
+  | Binop (_, a, _) | Not a -> length_of b a
+  | e -> invalid_arg ("Vhdl.length_of: not a sized vector: " ^ to_string_with expr e)
 
-and expr = function
-  | Ref n -> n
-  | Slice (s, hi, lo) -> Printf.sprintf "%s(%d downto %d)" s hi lo
-  | Lit (v, 1) -> Printf.sprintf "'%d'" (v land 1)
-  | Lit (v, w) -> Printf.sprintf "\"%s\"" (bin_literal v w)
-  | Bool_lit b -> if b then "'1'" else "'0'"
-  | All_zeros -> "(others => '0')"
-  | (Int_lit _ | Int_ref _ | To_int _) as e -> int_expr e
-  | Binop (And, a, b) -> Printf.sprintf "(%s and %s)" (expr a) (expr b)
+and expr b = function
+  | Ref n -> add b n
+  | Slice (s, hi, lo) ->
+      add b s;
+      Buffer.add_char b '(';
+      add_int b hi;
+      add b " downto ";
+      add_int b lo;
+      Buffer.add_char b ')'
+  | Lit (v, 1) -> add b (if v land 1 = 1 then "'1'" else "'0'")
+  | Lit (v, w) -> add_bin_literal b v w
+  | Bool_lit v -> add b (if v then "'1'" else "'0'")
+  | All_zeros -> add b "(others => '0')"
+  | (Int_lit _ | Int_ref _ | To_int _) as e -> int_expr b e
+  | Binop (And, x, y) ->
+      Buffer.add_char b '(';
+      expr b x;
+      add b " and ";
+      expr b y;
+      Buffer.add_char b ')'
   | Binop ((Eq | Neq), _, _) as e ->
-      invalid_arg ("Vhdl.expr: a comparison is a condition, not a value: " ^ cond e)
-  | Binop (op, a, b) as e ->
-      if is_int a then int_expr e
-      else
-        Printf.sprintf "std_logic_vector(unsigned(%s) %s %s)" (expr a) (arith_op op)
-          (if is_int b then int_operand b else Printf.sprintf "unsigned(%s)" (expr b))
-  | Not e -> Printf.sprintf "(not %s)" (expr e)
-  | Concat es -> String.concat " & " (List.map expr es)
+      invalid_arg
+        ("Vhdl.expr: a comparison is a condition, not a value: " ^ to_string_with cond e)
+  | Binop (op, x, y) as e ->
+      if is_int x then int_expr b e
+      else begin
+        add b "std_logic_vector(unsigned(";
+        expr b x;
+        Buffer.add_char b ')';
+        add b (arith_op op);
+        if is_int y then int_operand b y
+        else begin
+          add b "unsigned(";
+          expr b y;
+          Buffer.add_char b ')'
+        end;
+        Buffer.add_char b ')'
+      end
+  | Not e ->
+      add b "(not ";
+      expr b e;
+      Buffer.add_char b ')'
+  | Concat es -> add_sep b " & " (expr b) es
 
-and int_expr = function
-  | Int_lit i -> string_of_int i
-  | Int_ref n -> n
-  | Binop (op, a, b) when is_arith op ->
+and int_expr b = function
+  | Int_lit i -> add_int b i
+  | Int_ref n -> add b n
+  | Binop (op, x, y) when is_arith op ->
       let side min e =
         match e with
         | Binop (op', _, _) when is_arith op' && prec op' < min ->
-            "(" ^ int_expr e ^ ")"
-        | _ -> int_expr e
+            Buffer.add_char b '(';
+            int_expr b e;
+            Buffer.add_char b ')'
+        | _ -> int_expr b e
       in
-      Printf.sprintf "%s %s %s" (side (prec op) a) (arith_op op) (side (prec op + 1) b)
-  | To_int e | e -> Printf.sprintf "to_integer(unsigned(%s))" (expr e)
+      side (prec op) x;
+      add b (arith_op op);
+      side (prec op + 1) y
+  | To_int e | e ->
+      add b "to_integer(unsigned(";
+      expr b e;
+      add b "))"
 
 (* an integer operand of a comparison or vector arithmetic *)
-and int_operand e =
+and int_operand b e =
   match e with
-  | Binop _ -> "(" ^ int_expr e ^ ")"
-  | _ -> int_expr e
+  | Binop _ ->
+      Buffer.add_char b '(';
+      int_expr b e;
+      Buffer.add_char b ')'
+  | _ -> int_expr b e
 
-and cond = function
-  | Ref n -> Printf.sprintf "%s = '1'" n
-  | Bool_lit b -> if b then "true" else "false"
-  | Binop (((Eq | Neq) as op), a, b) -> (
-      let rel = if op = Eq then "=" else "/=" in
-      match (a, b) with
-      | _ when is_int a && is_int b ->
-          Printf.sprintf "%s %s %s" (int_operand a) rel (int_operand b)
-      | _ when is_int a -> cond (Binop (op, b, a))
-      | _, Int_lit n -> Printf.sprintf "unsigned(%s) %s %d" (expr a) rel n
-      | _ when is_int b ->
-          Printf.sprintf "unsigned(%s) %s to_unsigned(%s, %s)" (expr a) rel
-            (int_expr b) (length_of a)
+and cond b = function
+  | Ref n ->
+      add b n;
+      add b " = '1'"
+  | Bool_lit v -> add b (if v then "true" else "false")
+  | Binop (((Eq | Neq) as op), x, y) -> (
+      let rel = if op = Eq then " = " else " /= " in
+      let unsigned e =
+        add b "unsigned(";
+        expr b e;
+        Buffer.add_char b ')';
+        add b rel
+      in
+      match (x, y) with
+      | _ when is_int x && is_int y ->
+          int_operand b x;
+          add b rel;
+          int_operand b y
+      | _ when is_int x -> cond b (Binop (op, y, x))
+      | _, Int_lit n ->
+          unsigned x;
+          add_int b n
+      | _ when is_int y ->
+          unsigned x;
+          add b "to_unsigned(";
+          int_expr b y;
+          add b ", ";
+          length_of b x;
+          Buffer.add_char b ')'
       | _, All_zeros ->
-          Printf.sprintf "%s %s std_logic_vector(to_unsigned(0, %s))" (expr a) rel
-            (length_of a)
-      | _ -> Printf.sprintf "%s %s %s" (expr a) rel (expr b))
-  | Binop (And, a, b) -> Printf.sprintf "(%s and %s)" (cond a) (cond b)
-  | Not e -> Printf.sprintf "not (%s)" (cond e)
-  | e when is_int e -> Printf.sprintf "%s /= 0" (int_expr e)
-  | e -> Printf.sprintf "unsigned(%s) /= 0" (expr e)
+          expr b x;
+          add b rel;
+          add b "std_logic_vector(to_unsigned(0, ";
+          length_of b x;
+          add b "))"
+      | _ ->
+          expr b x;
+          add b rel;
+          expr b y)
+  | Binop (And, x, y) ->
+      Buffer.add_char b '(';
+      cond b x;
+      add b " and ";
+      cond b y;
+      Buffer.add_char b ')'
+  | Not e ->
+      add b "not (";
+      cond b e;
+      Buffer.add_char b ')'
+  | e when is_int e ->
+      int_expr b e;
+      add b " /= 0"
+  | e ->
+      add b "unsigned(";
+      expr b e;
+      add b ") /= 0"
 
-let rec stmt buf indent s =
-  let pad = String.make indent ' ' in
+let rec stmt b indent s =
   match s with
   | Assign (lhs, rhs) ->
-      Buffer.add_string buf (Printf.sprintf "%s%s <= %s;\n" pad (expr lhs) (expr rhs))
-  | Comment c -> Buffer.add_string buf (Printf.sprintf "%s-- %s\n" pad c)
+      spaces b indent;
+      expr b lhs;
+      add b " <= ";
+      expr b rhs;
+      add b ";\n"
+  | Comment c ->
+      spaces b indent;
+      add b "-- ";
+      add b c;
+      Buffer.add_char b '\n'
   | If (branches, else_) ->
       List.iteri
         (fun i (c, body) ->
-          Buffer.add_string buf
-            (Printf.sprintf "%s%s (%s) then\n" pad
-               (if i = 0 then "if" else "elsif")
-               (cond c));
-          List.iter (stmt buf (indent + 2)) body)
+          spaces b indent;
+          add b (if i = 0 then "if (" else "elsif (");
+          cond b c;
+          add b ") then\n";
+          List.iter (stmt b (indent + 2)) body)
         branches;
       if else_ <> [] then begin
-        Buffer.add_string buf (pad ^ "else\n");
-        List.iter (stmt buf (indent + 2)) else_
+        spaces b indent;
+        add b "else\n";
+        List.iter (stmt b (indent + 2)) else_
       end;
-      Buffer.add_string buf (pad ^ "end if;\n")
+      spaces b indent;
+      add b "end if;\n"
   | Case (scrutinee, arms) ->
-      Buffer.add_string buf (Printf.sprintf "%scase %s is\n" pad (expr scrutinee));
+      spaces b indent;
+      add b "case ";
+      expr b scrutinee;
+      add b " is\n";
       List.iter
         (fun (choice, body) ->
-          let c = match choice with Choice_ref r -> r | Choice_others -> "others" in
-          Buffer.add_string buf (Printf.sprintf "%s  when %s =>\n" pad c);
-          if body = [] then Buffer.add_string buf (pad ^ "    null;\n")
-          else List.iter (stmt buf (indent + 4)) body)
+          spaces b indent;
+          add b "  when ";
+          add b (match choice with Choice_ref r -> r | Choice_others -> "others");
+          add b " =>\n";
+          if body = [] then begin
+            spaces b indent;
+            add b "    null;\n"
+          end
+          else List.iter (stmt b (indent + 4)) body)
         arms;
-      Buffer.add_string buf (pad ^ "end case;\n")
+      spaces b indent;
+      add b "end case;\n"
 
-let port_decl p =
-  Printf.sprintf "    %-24s : %-3s %s" p.port_name
-    (match p.dir with In -> "in" | Out -> "out")
-    (type_of_width p.width)
-
-let add_concurrent buf = function
-  | Ccomment c -> Buffer.add_string buf (Printf.sprintf "  -- %s\n" c)
+let add_concurrent b = function
+  | Ccomment c ->
+      add b "  -- ";
+      add b c;
+      Buffer.add_char b '\n'
   | Cassign (lhs, rhs) ->
-      Buffer.add_string buf (Printf.sprintf "  %s <= %s;\n" (expr lhs) (expr rhs))
+      add b "  ";
+      expr b lhs;
+      add b " <= ";
+      expr b rhs;
+      add b ";\n"
   | Cassign_cond (lhs, branches, default) ->
-      let parts =
-        List.map (fun (c, v) -> Printf.sprintf "%s when (%s)" (expr v) (cond c)) branches
-      in
-      Buffer.add_string buf
-        (Printf.sprintf "  %s <= %s else %s;\n" (expr lhs)
-           (String.concat " else " parts) (expr default))
+      add b "  ";
+      expr b lhs;
+      add b " <= ";
+      add_sep b " else "
+        (fun (c, v) ->
+          expr b v;
+          add b " when (";
+          cond b c;
+          Buffer.add_char b ')')
+        branches;
+      add b " else ";
+      expr b default;
+      add b ";\n"
   | Instance { inst_name; comp_name; generic_map; port_map } ->
       (* VHDL-93 direct entity instantiation: no component declarations *)
-      Buffer.add_string buf (Printf.sprintf "  %s : entity work.%s\n" inst_name comp_name);
-      if generic_map <> [] then
-        Buffer.add_string buf
-          (Printf.sprintf "    generic map (%s)\n"
-             (String.concat ", "
-                (List.map (fun (k, v) -> Printf.sprintf "%s => %d" k v) generic_map)));
-      Buffer.add_string buf "    port map (\n";
-      let n = List.length port_map in
+      add b "  ";
+      add b inst_name;
+      add b " : entity work.";
+      add b comp_name;
+      Buffer.add_char b '\n';
+      if generic_map <> [] then begin
+        add b "    generic map (";
+        add_sep b ", "
+          (fun (k, v) ->
+            add b k;
+            add b " => ";
+            add_int b v)
+          generic_map;
+        add b ")\n"
+      end;
+      add b "    port map (\n";
+      let last = List.length port_map - 1 in
       List.iteri
         (fun i (k, v) ->
-          Buffer.add_string buf
-            (Printf.sprintf "      %-20s => %s%s\n" k (expr v)
-               (if i = n - 1 then "" else ",")))
+          add b "      ";
+          pad b 20 k;
+          add b " => ";
+          expr b v;
+          add b (if i = last then "\n" else ",\n"))
         port_map;
-      Buffer.add_string buf "    );\n"
+      add b "    );\n"
   | Proc p ->
-      let sens =
-        if p.clocked then "CLK"
-        else if p.sensitivity = [] then "all"
-        else String.concat ", " p.sensitivity
-      in
-      Buffer.add_string buf (Printf.sprintf "  %s : process (%s)\n  begin\n" p.proc_name sens);
+      add b "  ";
+      add b p.proc_name;
+      add b " : process (";
+      if p.clocked then add b "CLK"
+      else if p.sensitivity = [] then add b "all"
+      else add_sep b ", " (add b) p.sensitivity;
+      add b ")\n  begin\n";
       if p.clocked then begin
-        Buffer.add_string buf "    if rising_edge(CLK) then\n";
-        List.iter (stmt buf 6) p.body;
-        Buffer.add_string buf "    end if;\n"
+        add b "    if rising_edge(CLK) then\n";
+        List.iter (stmt b 6) p.body;
+        add b "    end if;\n"
       end
-      else List.iter (stmt buf 4) p.body;
-      Buffer.add_string buf (Printf.sprintf "  end process %s;\n" p.proc_name)
+      else List.iter (stmt b 4) p.body;
+      add b "  end process ";
+      add b p.proc_name;
+      add b ";\n"
 
-let constant_decl c =
-  match c.const_width with
+let add_generic b g =
+  add b "    ";
+  pad b 24 g.gen_name;
+  add b " : integer := ";
+  add_int b g.gen_default
+
+let add_port b p =
+  add b "    ";
+  pad b 24 p.port_name;
+  add b (match p.dir with In -> " : in  " | Out -> " : out ");
+  add_type b p.width
+
+let add_constant b c =
+  add b "  constant ";
+  pad b 20 c.const_name;
+  (match c.const_width with
   | Some w ->
-      Printf.sprintf "  constant %-20s : %s := %s;" c.const_name (type_of_width w)
-        (expr (Lit (c.const_value, w)))
-  | None -> Printf.sprintf "  constant %-20s : integer := %d;" c.const_name c.const_value
+      add b " : ";
+      add_type b w;
+      add b " := ";
+      expr b (Lit (c.const_value, w))
+  | None ->
+      add b " : integer := ";
+      add_int b c.const_value);
+  add b ";\n"
 
-let signal_decl s =
-  Printf.sprintf "  signal %-22s : %s := %s;" s.sig_name (type_of_width s.sig_width)
-    (if s.sig_width = 1 then "'0'" else "(others => '0')")
+let add_signal b s =
+  add b "  signal ";
+  pad b 22 s.sig_name;
+  add b " : ";
+  add_type b s.sig_width;
+  add b (if s.sig_width = 1 then " := '0';\n" else " := (others => '0');\n")
+
+let expr e = to_string_with expr e
+let cond e = to_string_with cond e
 
 let to_string (d : design) =
-  let buf = Buffer.create 4096 in
-  List.iter (fun l -> Buffer.add_string buf (Printf.sprintf "-- %s\n" l)) d.header;
-  Buffer.add_string buf
-    "library ieee;\nuse ieee.std_logic_1164.all;\nuse ieee.numeric_std.all;\n\n";
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun l ->
+      add b "-- ";
+      add b l;
+      Buffer.add_char b '\n')
+    d.header;
+  add b "library ieee;\nuse ieee.std_logic_1164.all;\nuse ieee.numeric_std.all;\n\n";
   (* entity *)
-  Buffer.add_string buf (Printf.sprintf "entity %s is\n" d.name);
+  add b "entity ";
+  add b d.name;
+  add b " is\n";
   if d.generics <> [] then begin
-    Buffer.add_string buf "  generic (\n";
-    let n = List.length d.generics in
-    List.iteri
-      (fun i g ->
-        Buffer.add_string buf
-          (Printf.sprintf "    %-24s : integer := %d%s\n" g.gen_name g.gen_default
-             (if i = n - 1 then "" else ";")))
-      d.generics;
-    Buffer.add_string buf "  );\n"
+    add b "  generic (\n";
+    add_sep b ";\n" (add_generic b) d.generics;
+    add b "\n  );\n"
   end;
   if d.ports <> [] then begin
-    Buffer.add_string buf "  port (\n";
-    let n = List.length d.ports in
-    List.iteri
-      (fun i p ->
-        Buffer.add_string buf
-          (Printf.sprintf "%s%s\n" (port_decl p) (if i = n - 1 then "" else ";")))
-      d.ports;
-    Buffer.add_string buf "  );\n"
+    add b "  port (\n";
+    add_sep b ";\n" (add_port b) d.ports;
+    add b "\n  );\n"
   end;
-  Buffer.add_string buf (Printf.sprintf "end entity %s;\n\n" d.name);
+  add b "end entity ";
+  add b d.name;
+  add b ";\n\n";
   (* architecture *)
-  Buffer.add_string buf (Printf.sprintf "architecture rtl of %s is\n" d.name);
-  List.iter (fun c -> Buffer.add_string buf (constant_decl c ^ "\n")) d.constants;
-  List.iter (fun s -> Buffer.add_string buf (signal_decl s ^ "\n")) d.signals;
-  Buffer.add_string buf "begin\n";
-  List.iter (add_concurrent buf) d.body;
-  Buffer.add_string buf "end architecture rtl;\n";
-  Buffer.contents buf
+  add b "architecture rtl of ";
+  add b d.name;
+  add b " is\n";
+  List.iter (add_constant b) d.constants;
+  List.iter (add_signal b) d.signals;
+  add b "begin\n";
+  List.iter (add_concurrent b) d.body;
+  add b "end architecture rtl;\n";
+  Buffer.contents b

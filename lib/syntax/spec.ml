@@ -62,6 +62,19 @@ let io_elem_count io ~values =
 let effective_packed t io =
   (io.is_packed || t.packing) && io.count <> None && 2 * io.io_width <= t.bus_width
 
+let base_address_hex t =
+  let a = Option.value t.base_address ~default:0L in
+  let digits = Bytes.create 16 in
+  for i = 0 to 15 do
+    let nibble = Int64.shift_right_logical a (4 * (15 - i)) in
+    Bytes.set digits i "0123456789abcdef".[Int64.to_int nibble land 15]
+  done;
+  let first = ref 0 in
+  while !first < 8 && Bytes.get digits !first = '0' do
+    incr first
+  done;
+  Bytes.sub_string digits !first (16 - !first)
+
 let pp_io fmt io =
   Format.fprintf fmt "%s %s%s : %d bits%s%s%s%s%s"
     (String.concat " " io.type_words)

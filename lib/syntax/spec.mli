@@ -69,5 +69,9 @@ val effective_packed : t -> io -> bool
     [%packing_support], and only when multiple elements fit a bus word
     (§3.2.2 packs only "small" types). *)
 
+val base_address_hex : t -> string
+(** The base address (0 when there is none) in lower-case hex, at least 8
+    digits: what [Printf]'s [%08Lx] gives, for the generated HDL and C. *)
+
 val pp : Format.formatter -> t -> unit
 (** Diagnostic dump (not re-parseable; use {!Ast.pp_file} for syntax). *)

@@ -76,8 +76,40 @@ let sched_name = function
   | `Sweep -> "sweep"
   | `Compiled -> "compiled"
 
+(* Project generation writes each generated file straight into that
+   file's buffer, so the minor words it allocates stay a small multiple of
+   the bytes it outputs. Measured over the golden corpus after one warm-up
+   pass; [words_per_byte_bound] is the measured value plus 25%. *)
+let words_per_byte_bound = 0.49
+
+let codegen_words_per_byte () =
+  let srcs = List.map snd (Test_codegen.golden_corpus ()) in
+  let generate () = List.map (Project.from_source ~gen_date:"pinned") srcs in
+  ignore (generate ());
+  let w0 = Gc.minor_words () in
+  let projects = generate () in
+  let words = Gc.minor_words () -. w0 in
+  let bytes =
+    List.fold_left
+      (fun acc p ->
+        List.fold_left
+          (fun acc (f : Project.file) -> acc + String.length f.contents)
+          acc (Project.files p))
+      0 projects
+  in
+  words /. float_of_int bytes
+
 let tests =
   [
+    ( "codegen.alloc",
+      [
+        Alcotest.test_case "project generation allocates few minor words per output byte"
+          `Quick (fun () ->
+            let wpb = codegen_words_per_byte () in
+            if wpb > words_per_byte_bound then
+              Alcotest.failf "%.3f minor words per output byte (bound %.2f)" wpb
+                words_per_byte_bound);
+      ] );
     ( "sim.alloc",
       List.map
         (fun sched ->

@@ -33,6 +33,17 @@ let macro_tests =
         Alcotest.(check (option string))
           "base" (Some "x\"80004000\"")
           (List.assoc_opt "BASE_ADDR" m));
+    t "base addresses print as %08Lx does" (fun () ->
+        let spec = spec_of "void f(int x);" in
+        List.iter
+          (fun a ->
+            let expected = Printf.sprintf "%08Lx" (Option.value a ~default:0L) in
+            Alcotest.(check string) expected expected
+              (Spec.base_address_hex { spec with Spec.base_address = a }))
+          [
+            None; Some 0L; Some 0xAL; Some 0x80004000L; Some 0xFFFF_FFFFL;
+            Some 0x1_0000_0000L; Some Int64.max_int; Some (-1L); Some Int64.min_int;
+          ]);
   ]
 
 let busgen_tests =
@@ -638,6 +649,28 @@ let golden_pins =
       ] );
   ]
 
+(* 32 seeded specs per bus, pinned as one MD5 over every generated file
+   (path and contents) of every project: the printers see far more AST
+   shapes here than in the per-file pins above. The same specs re-targeted
+   at Verilog pin the Verilog printer. *)
+let corpus_specs =
+  lazy
+    (let rng = Specgen.Rng.make 2300 in
+     List.concat_map
+       (fun _ ->
+         List.map (fun bus -> Specgen.render (Specgen.spec ~buses:[ bus ] rng)) pinned_buses)
+       (List.init 32 Fun.id))
+
+let corpus_md5 srcs =
+  let file (f : Project.file) = Digest.string (f.path ^ "\000" ^ f.contents) in
+  List.concat_map
+    (fun src -> List.map file (Project.files (Project.from_source ~gen_date:"pinned" src)))
+    srcs
+  |> String.concat "" |> Digest.string |> Digest.to_hex
+
+let corpus_pins =
+  [ ("vhdl", "2adbf4252983bc7194175403d6e84d3d"); ("verilog", "1ccd85ee526702f70a0cd3a691bf2f1f") ]
+
 let golden_tests =
   [
     t "generated files match their pinned MD5s" (fun () ->
@@ -648,6 +681,20 @@ let golden_tests =
               (try List.assoc label golden_pins with Not_found -> [])
               (file_pins src))
           (golden_corpus ()));
+    t "the seeded corpus matches its pinned MD5s" (fun () ->
+        let specs = Lazy.force corpus_specs in
+        let verilog = List.map (fun s -> "%target_hdl verilog\n" ^ s) specs in
+        Alcotest.(check bool)
+          "the re-targeted specs generate Verilog" true
+          (List.exists
+             (fun (f : Project.file) -> Filename.check_suffix f.path ".v")
+             (Project.files (Project.from_source ~gen_date:"pinned" (List.hd verilog))));
+        Alcotest.(check (list (pair string string)))
+          "corpus MD5 per target language" corpus_pins
+          [
+            ("vhdl", corpus_md5 specs);
+            ("verilog", corpus_md5 verilog);
+          ]);
   ]
 
 let tests =

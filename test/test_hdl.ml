@@ -218,10 +218,235 @@ let verilog_tests =
           (contains (Vhdl.to_string d) "u0 : entity work.sub"));
   ]
 
+(* Printer edge cases, with the text each printer gives for them: names
+   wider than the padded declaration and port-map columns (padding never
+   truncates), an empty case arm, both sensitivity-list forms, with and
+   without a generic map, integer arithmetic with and without parentheses,
+   and every shape of comparison. *)
+let edge_design : Hdl_ast.design =
+  let open Hdl_ast in
+  {
+    header = [ "printer edge cases" ];
+    name = "edge";
+    generics =
+      [
+        { gen_name = "C_A_GENERIC_NAME_PAST_24_COLUMNS"; gen_default = 7 };
+        { gen_name = "C_B"; gen_default = 0 };
+      ];
+    ports =
+      [
+        clk_port;
+        { port_name = "A_PORT_NAME_PAST_TWENTY_FOUR"; dir = In; width = 4 };
+        { port_name = "Q"; dir = Out; width = 4 };
+      ];
+    constants =
+      [
+        { const_name = "A_CONSTANT_PAST_TWENTY"; const_width = Some 3; const_value = 5 };
+        { const_name = "N_WORDS_CONSTANT_PAST_20"; const_width = None; const_value = 12 };
+      ];
+    signals =
+      [
+        { sig_name = "a_signal_name_past_22_cols"; sig_width = 1 };
+        { sig_name = "cnt"; sig_width = 4 };
+      ];
+    body =
+      [
+        Instance
+          {
+            inst_name = "u_plain";
+            comp_name = "leaf";
+            generic_map = [];
+            port_map =
+              [
+                ("A_PORT_MAP_NAME_PAST_20", Ref "cnt");
+                ("Q", Concat [ Ref "a_signal_name_past_22_cols"; Slice ("cnt", 2, 0) ]);
+              ];
+          };
+        Instance
+          {
+            inst_name = "u_gen";
+            comp_name = "leaf";
+            generic_map = [ ("C_A", 1); ("C_B", 2) ];
+            port_map = [ ("CLK", Ref "CLK") ];
+          };
+        Proc
+          {
+            proc_name = "comb";
+            clocked = false;
+            sensitivity = [];
+            body =
+              [
+                Case
+                  ( Ref "cnt",
+                    [
+                      (Choice_ref "A_CONSTANT_PAST_TWENTY", []);
+                      (Choice_others, [ Assign (Ref "Q", Ref "cnt") ]);
+                    ] );
+              ];
+          };
+        Proc
+          {
+            proc_name = "listed";
+            clocked = false;
+            sensitivity = [ "cnt"; "A_PORT_NAME_PAST_TWENTY_FOUR" ];
+            body =
+              [
+                If
+                  ( [
+                      ( Binop (Eq, Ref "cnt", Int_lit 3),
+                        [ Assign (Ref "Q", Binop (Add, Ref "cnt", Int_lit 1)) ] );
+                      ( Binop (Neq, Ref "cnt", All_zeros),
+                        [ Assign (Ref "Q", Binop (Sub, Ref "cnt", Binop (Sub, Int_ref "C_B", Int_lit 1))) ] );
+                    ],
+                    [ Comment "nothing to count"; Assign (Ref "Q", Lit (9, 4)) ] );
+              ];
+          };
+      ];
+  }
+
+let edge_vhdl = {|-- printer edge cases
+library ieee;
+use ieee.std_logic_1164.all;
+use ieee.numeric_std.all;
+
+entity edge is
+  generic (
+    C_A_GENERIC_NAME_PAST_24_COLUMNS : integer := 7;
+    C_B                      : integer := 0
+  );
+  port (
+    CLK                      : in  std_logic;
+    A_PORT_NAME_PAST_TWENTY_FOUR : in  std_logic_vector(3 downto 0);
+    Q                        : out std_logic_vector(3 downto 0)
+  );
+end entity edge;
+
+architecture rtl of edge is
+  constant A_CONSTANT_PAST_TWENTY : std_logic_vector(2 downto 0) := "101";
+  constant N_WORDS_CONSTANT_PAST_20 : integer := 12;
+  signal a_signal_name_past_22_cols : std_logic := '0';
+  signal cnt                    : std_logic_vector(3 downto 0) := (others => '0');
+begin
+  u_plain : entity work.leaf
+    port map (
+      A_PORT_MAP_NAME_PAST_20 => cnt,
+      Q                    => a_signal_name_past_22_cols & cnt(2 downto 0)
+    );
+  u_gen : entity work.leaf
+    generic map (C_A => 1, C_B => 2)
+    port map (
+      CLK                  => CLK
+    );
+  comb : process (all)
+  begin
+    case cnt is
+      when A_CONSTANT_PAST_TWENTY =>
+        null;
+      when others =>
+        Q <= cnt;
+    end case;
+  end process comb;
+  listed : process (cnt, A_PORT_NAME_PAST_TWENTY_FOUR)
+  begin
+    if (unsigned(cnt) = 3) then
+      Q <= std_logic_vector(unsigned(cnt) + 1);
+    elsif (cnt /= std_logic_vector(to_unsigned(0, cnt'length))) then
+      Q <= std_logic_vector(unsigned(cnt) - (C_B - 1));
+    else
+      -- nothing to count
+      Q <= "1001";
+    end if;
+  end process listed;
+end architecture rtl;
+|}
+
+let edge_verilog = {|// printer edge cases
+module edge #(
+  parameter C_A_GENERIC_NAME_PAST_24_COLUMNS = 7,
+  parameter C_B = 0
+) (
+  input CLK,
+  input [3:0] A_PORT_NAME_PAST_TWENTY_FOUR,
+  output reg [3:0] Q
+);
+
+  localparam [2:0] A_CONSTANT_PAST_TWENTY = 3'd5;
+  localparam N_WORDS_CONSTANT_PAST_20 = 12;
+  wire a_signal_name_past_22_cols;
+  wire [3:0] cnt;
+
+  leaf u_plain (
+    .A_PORT_MAP_NAME_PAST_20(cnt),
+    .Q({a_signal_name_past_22_cols, cnt[2:0]})
+  );
+  leaf #(.C_A(1), .C_B(2)) u_gen (
+    .CLK(CLK)
+  );
+  always @(*) begin : comb
+    case (cnt)
+      A_CONSTANT_PAST_TWENTY: begin
+      end
+      default: begin
+        Q <= cnt;
+      end
+    endcase
+  end
+  always @(cnt or A_PORT_NAME_PAST_TWENTY_FOUR) begin : listed
+    if ((cnt == 3)) begin
+      Q <= (cnt + 1);
+    end else if ((cnt != 0)) begin
+      Q <= (cnt - (C_B - 1));
+    end else begin
+      // nothing to count
+      Q <= 4'd9;
+    end
+  end
+
+endmodule
+|}
+
+let edge_tests =
+  let open Hdl_ast in
+  [
+    t "VHDL edge cases" (fun () -> check_str "edge.vhd" edge_vhdl (Vhdl.to_string edge_design));
+    t "Verilog edge cases" (fun () ->
+        check_str "edge.v" edge_verilog (Verilog.to_string edge_design));
+    t "integer arithmetic parenthesises only lower-precedence operands" (fun () ->
+        List.iter
+          (fun (e, vhdl, verilog) ->
+            check_str "vhdl" vhdl (Vhdl.expr e);
+            check_str "verilog" verilog (Verilog.expr e))
+          [
+            (Binop (Sub, Binop (Add, Int_ref "a", Int_lit 1), Int_ref "b"), "a + 1 - b", "((a + 1) - b)");
+            (Binop (Sub, Int_ref "a", Binop (Add, Int_ref "b", Int_lit 1)), "a - (b + 1)", "(a - (b + 1))");
+            (Binop (Mul, Binop (Add, Int_ref "a", Int_lit 1), Int_lit 4), "(a + 1) * 4", "((a + 1) * 4)");
+            (Binop (Mul, Binop (Mul, Int_ref "a", Int_lit 2), Int_lit 4), "a * 2 * 4", "((a * 2) * 4)");
+            (Binop (Div, Int_ref "a", Binop (Mul, Int_ref "b", Int_lit 2)), "a / (b * 2)", "(a / (b * 2))");
+            (Binop (Add, Ref "v", Binop (Sub, Int_ref "n", Int_lit 1)), "std_logic_vector(unsigned(v) + (n - 1))", "(v + (n - 1))");
+            (Concat [ Ref "a"; Lit (1, 1); Lit (2, 3) ], "a & '1' & \"010\"", "{a, 1'd1, 3'd2}");
+          ]);
+    t "conditions against literals, zeros and integer expressions" (fun () ->
+        List.iter
+          (fun (c, text) -> check_str text text (Vhdl.cond c))
+          [
+            (Binop (Eq, Ref "id", Int_lit 0), "unsigned(id) = 0");
+            (Binop (Neq, Ref "id", Int_lit 2), "unsigned(id) /= 2");
+            (Binop (Eq, Ref "id", All_zeros), "id = std_logic_vector(to_unsigned(0, id'length))");
+            (Binop (Neq, Ref "id", All_zeros), "id /= std_logic_vector(to_unsigned(0, id'length))");
+            (Binop (Eq, Ref "id", Binop (Add, Int_ref "C_ID", Int_lit 1)), "unsigned(id) = to_unsigned(C_ID + 1, id'length)");
+            (Binop (Neq, Int_ref "C_ID", Ref "id"), "unsigned(id) /= to_unsigned(C_ID, id'length)");
+            (Binop (Eq, Binop (Mul, Int_ref "a", Int_lit 2), Int_lit 3), "(a * 2) = 3");
+            (Not (Ref "go"), "not (go = '1')");
+            (To_int (Ref "c"), "to_integer(unsigned(c)) /= 0");
+            (Slice ("d", 3, 0), "unsigned(d(3 downto 0)) /= 0");
+          ]);
+  ]
+
 let tests =
   [
     ("hdl.template", template_tests);
     ("hdl.ast", ast_tests);
     ("hdl.vhdl", vhdl_tests);
     ("hdl.verilog", verilog_tests);
+    ("hdl.edge", edge_tests);
   ]

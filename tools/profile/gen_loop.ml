@@ -1,0 +1,52 @@
+(* An in-process project-generation loop over the gen_projects corpus of
+   perfbench: the example specs plus 32 seeded specs per bus, generated
+   [passes] times with Project.from_source. Prints the time per project
+   and the minor words allocated per output byte. Profile this rather than
+   perfbench/main.exe, whose set-up child processes and per-pass digest
+   are not project generation.
+
+   gen_loop.exe [passes] [seed]   (defaults 200 and 7919; run from the
+   repository root, which holds examples/specs) *)
+
+open Splice
+
+let arg i default = if Array.length Sys.argv > i then int_of_string Sys.argv.(i) else default
+
+let sources seed =
+  let dir = "examples/specs" in
+  let examples =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".splice")
+    |> List.sort compare
+    |> List.map (fun f -> In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all)
+  in
+  (* the stream and draw order of perfbench's Inputs.generated_specs *)
+  let rng = Specgen.Rng.make (Diff.iteration_seed seed 2) in
+  examples
+  @ List.concat_map
+      (fun _ ->
+        List.map
+          (fun bus -> Specgen.render (Specgen.spec ~buses:[ bus ] rng))
+          (Registry.names ()))
+      (List.init 32 Fun.id)
+
+let () =
+  let passes = arg 1 200 and srcs = sources (arg 2 7919) in
+  let generate () = List.map (Project.from_source ~gen_date:"perfbench") srcs in
+  let bytes =
+    List.fold_left
+      (fun acc p ->
+        List.fold_left
+          (fun acc (f : Project.file) -> acc + String.length f.contents)
+          acc (Project.files p))
+      0 (generate ())
+  in
+  let w0 = Gc.minor_words () and t0 = Unix.gettimeofday () in
+  for _ = 1 to passes do
+    ignore (generate ())
+  done;
+  let dt = Unix.gettimeofday () -. t0 and words = Gc.minor_words () -. w0 in
+  let n = float_of_int (passes * List.length srcs) in
+  Printf.printf "%d projects (%d bytes) x %d passes: %.1f us/project, %.3f minor words/byte\n"
+    (List.length srcs) bytes passes (dt *. 1e6 /. n)
+    (words /. float_of_int (bytes * passes))
