@@ -97,15 +97,21 @@ let gen_cmd =
         prerr_endline msg;
         1
     | Ok spec -> (
-        let project = Splice.Project.generate ~linux spec in
-        match Splice.Project.write_to ~force ~dir:out project with
-        | paths ->
-            List.iter print_endline paths;
-            Printf.printf "generated %d files\n" (List.length paths);
-            0
-        | exception Failure msg ->
-            prerr_endline msg;
-            1)
+        (* a spec the generators refuse (--linux on a bus that is not
+           memory-mapped) is a usage error, not a crash *)
+        match Splice.Project.generate ~linux spec with
+        | exception Splice.Error.Splice_error e ->
+            prerr_endline ("error: " ^ Splice.Error.to_string e);
+            1
+        | project -> (
+            match Splice.Project.write_to ~force ~dir:out project with
+            | paths ->
+                List.iter print_endline paths;
+                Printf.printf "generated %d files\n" (List.length paths);
+                0
+            | exception Failure msg ->
+                prerr_endline msg;
+                1))
   in
   Cmd.v
     (Cmd.info "gen"

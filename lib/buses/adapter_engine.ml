@@ -14,17 +14,20 @@ type config = {
 }
 
 (* [phase] describes what is visible on the SIS lines *during* the current
-   cycle; transitions (set_next) program what the next cycle will show. *)
+   cycle; transitions (set_next) program what the next cycle will show.
+   Every countdown is a deadline — the edge of the engine's domain on which
+   it ends — so an engine that sleeps through it ends it on the same edge
+   as one stepped on every edge. *)
 type phase =
   | Idle
-  | Setup of int
+  | Setup of int  (* the edge the transfer starts on *)
   | Writing of Bits.t list  (* head is the word currently presented *)
-  | WGap of int * Bits.t list
+  | WGap of int * Bits.t list  (* the edge the next word is presented on *)
   | ReadPending of int  (* words still to collect, current one requested *)
-  | RGap of int * int  (* gap cycles left, words remaining *)
+  | RGap of int * int  (* the edge of the next strobe, words remaining *)
   | SyncSample of int
   | StatusSample
-  | Teardown of int
+  | Teardown of int  (* the edge the bus goes idle on *)
 
 type t = {
   cfg : config;
@@ -42,6 +45,13 @@ type t = {
       (* completion-interrupt latch (§10.2): set on any CALC_DONE rising
          edge, cleared when a status-register read acknowledges it *)
   mutable comp : Component.t;
+  sleep : Sleep.t;
+      (* asleep while idle, counting down, or stalled on the stub: woken
+         by a submit or reset pulse, and by RST, CALC_DONE (the IRQ latch
+         watches it), IO_DONE and DATA_OUT_VALID *)
+  mutable waiters : Sleep.t list;
+      (* the masters sleeping on the port ([Bus_port.watch]), woken when
+         [busy_flag] falls or [irq_flag] rises *)
   obs : Obs.t;
   m_transfers : Metrics.counter;
   m_words_written : Metrics.counter;
@@ -64,17 +74,23 @@ let deassert t =
   Signal.set_next_bool t.sis.Sis_if.io_enable false;
   Signal.set_next t.sis.Sis_if.data_in (Bits.zero (Signal.width t.sis.Sis_if.data_in))
 
+(* the edge [n] edges after the one in flight *)
+let after t n = Sleep.now t.sleep + n
+
+(* the bus goes idle: the masters waiting on it wake *)
+let go_idle t =
+  t.phase <- Idle;
+  t.busy_flag <- false;
+  List.iter Sleep.wake t.waiters
+
 let end_transaction t =
   (match t.rec_ with
   | Some r -> Recorder.txn_end r ~subject:t.rec_track
   | None -> ());
   deassert t;
   t.active <- None;
-  if t.cfg.teardown_cycles > 0 then t.phase <- Teardown t.cfg.teardown_cycles
-  else begin
-    t.phase <- Idle;
-    t.busy_flag <- false
-  end
+  if t.cfg.teardown_cycles > 0 then t.phase <- Teardown (after t t.cfg.teardown_cycles)
+  else go_idle t
 
 let set_func_id t id = Signal.set_next_int t.sis.Sis_if.func_id id
 
@@ -132,8 +148,8 @@ let begin_request t req =
     | Bus_port.Dma_read { func_id; _ } -> func_id
   in
   set_func_id t fid;
-  if setup > 0 then t.phase <- Setup setup
-  else t.phase <- Setup 1 (* at least one cycle to register the address phase *)
+  (* at least one cycle to register the address phase *)
+  t.phase <- Setup (after t (if setup > 0 then setup else 1))
 
 let start_transfer t =
   match t.active with
@@ -162,7 +178,7 @@ let next_write_word t rest =
   | w :: _ ->
       if t.gap_w > 0 then begin
         deassert t;
-        t.phase <- WGap (t.gap_w, rest)
+        t.phase <- WGap (after t t.gap_w, rest)
       end
       else begin
         present_write t w;
@@ -173,7 +189,7 @@ let next_read_word t remaining =
   if remaining = 0 then end_transaction t
   else if t.gap_r > 0 then begin
     Signal.set_next_bool t.sis.Sis_if.io_enable false;
-    t.phase <- RGap (t.gap_r, remaining)
+    t.phase <- RGap (after t t.gap_r, remaining)
   end
   else begin
     strobe_read t;
@@ -188,11 +204,22 @@ let track_irq t =
   | Some prev when Bits.equal prev cur -> ()
   | Some prev ->
       let rising = Bits.logand cur (Bits.lognot prev) in
-      if not (Bits.is_zero rising) then t.irq_flag <- true;
+      if not (t.irq_flag || Bits.is_zero rising) then begin
+        t.irq_flag <- true;
+        List.iter Sleep.wake t.waiters
+      end;
       t.prev_calc <- Some cur
   | None -> t.prev_calc <- Some cur
 
-let seq t () =
+(* after a step: sleep through a countdown, or until a submit while idle
+   (a stall on the stub sleeps where it is taken) *)
+let nap t =
+  match t.phase with
+  | Idle -> if t.req = None then Sleep.sleep t.sleep
+  | Setup d | WGap (d, _) | RGap (d, _) | Teardown d -> Sleep.sleep_until t.sleep d
+  | Writing _ | ReadPending _ | SyncSample _ | StatusSample -> ()
+
+let step t =
   track_irq t;
   if t.reset_req then begin
     t.reset_req <- false;
@@ -207,9 +234,9 @@ let seq t () =
           t.req <- None;
           begin_request t req
       | None -> ())
-  | Setup n ->
+  | Setup d ->
       if Obs.active t.obs then Metrics.incr t.m_overhead;
-      if n <= 1 then start_transfer t else t.phase <- Setup (n - 1)
+      if Sleep.now t.sleep >= d then start_transfer t
   | Writing words -> (
       if Signal.get_bool t.sis.Sis_if.io_done then begin
         if Obs.active t.obs then Metrics.incr t.m_words_written;
@@ -220,17 +247,17 @@ let seq t () =
       else begin
         (* stub stalled: hold data/valid static, strobe was one cycle only *)
         if Obs.active t.obs then Metrics.incr t.m_wait_states;
-        Signal.set_next_bool t.sis.Sis_if.io_enable false
+        Signal.set_next_bool t.sis.Sis_if.io_enable false;
+        Sleep.sleep t.sleep
       end)
-  | WGap (n, words) ->
+  | WGap (d, words) ->
       if Obs.active t.obs then Metrics.incr t.m_overhead;
-      if n <= 1 then (
+      if Sleep.now t.sleep >= d then (
         match words with
         | [] -> assert false
         | w :: _ ->
             present_write t w;
             t.phase <- Writing words)
-      else t.phase <- WGap (n - 1, words)
   | ReadPending remaining ->
       if Signal.get_bool t.sis.Sis_if.data_out_valid then begin
         if Obs.active t.obs then Metrics.incr t.m_words_read;
@@ -241,17 +268,17 @@ let seq t () =
       else begin
         (* delayed read (Fig 4.3): keep FUNC_ID static, drop the strobe *)
         if Obs.active t.obs then Metrics.incr t.m_wait_states;
-        Signal.set_next_bool t.sis.Sis_if.io_enable false
+        Signal.set_next_bool t.sis.Sis_if.io_enable false;
+        Sleep.sleep t.sleep
       end
-  | RGap (n, remaining) ->
+  | RGap (d, remaining) ->
       (* gap cycles between read words; re-strobe when done *)
       if Obs.active t.obs then Metrics.incr t.m_overhead;
-      if n <= 1 then begin
+      if Sleep.now t.sleep >= d then begin
         strobe_read t;
         t.phase <-
           (if t.cfg.strictly_sync then SyncSample remaining else ReadPending remaining)
       end
-      else t.phase <- RGap (n - 1, remaining)
   | SyncSample remaining ->
       (* strictly synchronous: sample this very cycle, ready or not (§4.2.2) *)
       if Obs.active t.obs then Metrics.incr t.m_words_read;
@@ -264,13 +291,13 @@ let seq t () =
       collect t (Bits.resize v (Signal.width t.sis.Sis_if.data_in));
       t.irq_flag <- false (* reading the status register acks the IRQ *);
       end_transaction t
-  | Teardown n ->
+  | Teardown d ->
       if Obs.active t.obs then Metrics.incr t.m_overhead;
-      if n <= 1 then begin
-        t.phase <- Idle;
-        t.busy_flag <- false
-      end
-      else t.phase <- Teardown (n - 1)
+      if Sleep.now t.sleep >= d then go_idle t
+
+let seq t () =
+  step t;
+  if Sleep.honoured t.sleep then nap t
 
 let make ?(obs = Obs.none) ?cover cfg sis =
   let m = Obs.metrics obs in
@@ -280,6 +307,15 @@ let make ?(obs = Obs.none) ?cover cfg sis =
     match rec_ with
     | Some r -> Recorder.intern r ("bus/" ^ cfg.name)
     | None -> -1
+  in
+  let sleep =
+    Sleep.create
+      ~wake_on:
+        [
+          sis.Sis_if.rst; sis.Sis_if.calc_done; sis.Sis_if.io_done;
+          sis.Sis_if.data_out_valid;
+        ]
+      ()
   in
   let t =
     {
@@ -296,6 +332,8 @@ let make ?(obs = Obs.none) ?cover cfg sis =
       prev_calc = None;
       irq_flag = false;
       comp = Component.make "engine";
+      sleep;
+      waiters = [];
       obs;
       m_transfers = metric "transfers";
       m_words_written = metric "words_written";
@@ -313,7 +351,7 @@ let make ?(obs = Obs.none) ?cover cfg sis =
     }
   in
   t.comp <-
-    Component.make ~seq:(seq t)
+    Component.make ~seq:(seq t) ~sleep
       ~reset:(fun () ->
         t.phase <- Idle;
         t.req <- None;
@@ -343,11 +381,16 @@ let port t ~wait_mode ~max_burst_words ~supports_dma =
             (Printf.sprintf "bus %s: submit while busy (%s)" t.cfg.name
                (Format.asprintf "%a" Bus_port.pp_req req));
         t.busy_flag <- true;
-        t.req <- Some req);
+        t.req <- Some req;
+        Sleep.wake t.sleep);
     busy = (fun () -> t.busy_flag);
     result = (fun () -> List.rev t.collected);
-    pulse_reset = (fun () -> t.reset_req <- true);
+    pulse_reset =
+      (fun () ->
+        t.reset_req <- true;
+        Sleep.wake t.sleep);
     irq_pending = (fun () -> t.irq_flag);
+    watch = (fun s -> t.waiters <- s :: t.waiters);
     wait_mode;
     max_burst_words;
     supports_dma;

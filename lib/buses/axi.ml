@@ -272,6 +272,13 @@ let connect ~cover ~cdc:{ Bus.ratio; depth } ~monitor kernel (spec : Spec.t)
     { pending = None; busy = false; wq = []; rq = 0; expect_b = 0;
       expect_r = 0; collected = [] }
   in
+  (* masters sleeping on the port ([Bus_port.watch]), woken when the
+     master goes idle *)
+  let waiters = ref [] in
+  let idle () =
+    m.busy <- false;
+    List.iter Sleep.wake !waiters
+  in
   let master_seq () =
     drive nat.Native.bready true;
     drive nat.Native.rready true;
@@ -298,8 +305,7 @@ let connect ~cover ~cdc:{ Bus.ratio; depth } ~monitor kernel (spec : Spec.t)
         m.collected <- Signal.get nat.Native.rdata :: m.collected;
         m.expect_r <- m.expect_r - 1
       end;
-      if m.wq = [] && m.rq = 0 && m.expect_b = 0 && m.expect_r = 0 then
-        m.busy <- false
+      if m.wq = [] && m.rq = 0 && m.expect_b = 0 && m.expect_r = 0 then idle ()
     end
     else
       match m.pending with
@@ -332,7 +338,9 @@ let connect ~cover ~cdc:{ Bus.ratio; depth } ~monitor kernel (spec : Spec.t)
             m.collected <- [];
             Signal.set_next_bool nat.Native.arvalid true;
             Signal.set_next nat.Native.araddr (addr_of fid)
-          end
+          end;
+          (* a request with no word to move is done as it is taken *)
+          if not m.busy then idle ()
   in
   Kernel.add_in kernel aclk
     (Component.make ~seq:master_seq
@@ -517,6 +525,11 @@ let connect ~cover ~cdc:{ Bus.ratio; depth } ~monitor kernel (spec : Spec.t)
     result = (fun () -> List.rev m.collected);
     pulse_reset = eport.Bus_port.pulse_reset;
     irq_pending = eport.Bus_port.irq_pending;
+    watch =
+      (fun s ->
+        waiters := s :: !waiters;
+        (* the IRQ latch is the engine's *)
+        eport.Bus_port.watch s);
     wait_mode;
     max_burst_words = caps.Bus_caps.max_burst_words;
     supports_dma = false;

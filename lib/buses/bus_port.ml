@@ -13,6 +13,7 @@ type t = {
   result : unit -> Bits.t list;
   pulse_reset : unit -> unit;
   irq_pending : unit -> bool;
+  watch : Splice_sim.Sleep.t -> unit;
   wait_mode : [ `Null | `Poll ];
   max_burst_words : int;
   supports_dma : bool;

@@ -23,6 +23,10 @@ type t = {
   pulse_reset : unit -> unit;  (** assert SIS RST for the next cycle *)
   irq_pending : unit -> bool;
       (** completion-interrupt line state (§10.2); cleared by a status read *)
+  watch : Splice_sim.Sleep.t -> unit;
+      (** [watch s]: from now on, wake [s] ({!Splice_sim.Sleep.wake})
+          whenever [busy] falls or [irq_pending] rises — what lets the
+          master sleep while it waits on the port *)
   wait_mode : [ `Null | `Poll ];
       (** how WAIT_FOR_RESULTS is implemented on this bus (§6.1.1): [`Null]
           on pseudo-asynchronous buses (reads stall until ready), [`Poll] on

@@ -278,6 +278,17 @@ let native_mirror kernel ~ce_slots (sis : Sis_if.t) =
     Signal.set n.Native.data_out (Signal.get sis.Sis_if.data_out)
   in
   let comp = ref None in
+  (* the flags are a function of the four lines it reads: a second step
+     on the same lines changes nothing, so it sleeps until one moves *)
+  let sleep =
+    Sleep.create
+      ~wake_on:
+        [
+          sis.Sis_if.io_enable; sis.Sis_if.data_in_valid;
+          sis.Sis_if.data_out_valid; sis.Sis_if.io_done;
+        ]
+      ()
+  in
   (* [comb] reads the two in-flight flags: announce when either flips *)
   let seq () =
     let io_en = Signal.get_bool sis.Sis_if.io_enable in
@@ -290,7 +301,8 @@ let native_mirror kernel ~ce_slots (sis : Sis_if.t) =
     if done_ && not dov then in_write := false;
     if dov then in_read := false;
     if !in_read <> was_read || !in_write <> was_write then
-      Option.iter Component.rearm !comp
+      Option.iter Component.rearm !comp;
+    Sleep.sleep sleep
   in
   let c =
     Component.make
@@ -301,7 +313,7 @@ let native_mirror kernel ~ce_slots (sis : Sis_if.t) =
             sis.Sis_if.data_in; sis.Sis_if.data_out;
           ],
           comb )
-      ~seq
+      ~seq ~sleep
       ~reset:(fun () ->
         in_read := false;
         in_write := false)

@@ -183,5 +183,9 @@ let attach kernel ~bus sis =
   Sis_if.watch kernel sis;
   (* a CDC bus's SIS side lives in its peripheral clock domain, so
      "previous cycle" means the previous PCLK edge *)
-  Kernel.add_check_in kernel (Sis_if.domain kernel ~bus) r.check (fun cycle ->
-      check_rules r (Sis_if.decode sis cycle) cycle)
+  let sleep = Sleep.create () in
+  Kernel.add_check_in ~sleep kernel (Sis_if.domain kernel ~bus) r.check
+    (fun cycle ->
+      let d = Sis_if.decode sis cycle in
+      check_rules r d cycle;
+      Sis_if.nap sleep d)

@@ -28,6 +28,7 @@
 module Bits = Splice_bits.Bits
 module Signal = Splice_sim.Signal
 module Component = Splice_sim.Component
+module Sleep = Splice_sim.Sleep
 module Kernel = Splice_sim.Kernel
 module Vcd = Splice_sim.Vcd
 module Wave = Splice_sim.Wave

@@ -162,8 +162,11 @@ let attach c ~bus ~caps kernel sis =
   let prev = ref ph_idle in
   (* sampled once per SIS-side clock edge: sampling the fast ticks of a
      CDC bus would count each phase once per tick instead of once per bus
-     cycle and flood phase_seq with self-transitions *)
-  Kernel.on_settle_in kernel (Sis_if.domain kernel ~bus) (fun cycle ->
+     cycle and flood phase_seq with self-transitions; wait states are
+     counted in the same edges *)
+  let dom = Sis_if.domain kernel ~bus in
+  let period = Kernel.domain_period dom in
+  Kernel.on_settle_in kernel dom (fun cycle ->
       let d = Sis_if.decode sis cycle in
       let primary =
         if d.reset then begin
@@ -194,10 +197,10 @@ let attach c ~bus ~caps kernel sis =
              sampled at the acknowledge *)
           if wr_ack && (d.write || d.pending = Write) then
             (match wait_w with
-            | Some p -> Cover.sample p (if d.write then 0 else d.waited)
+            | Some p -> Cover.sample p (if d.write then 0 else d.waited / period)
             | None -> ());
           if rd_ack && (d.read || d.pending = Read) then
-            Cover.sample wait_r (if d.read then 0 else d.waited);
+            Cover.sample wait_r (if d.read then 0 else d.waited / period);
           if d.write then ph_write
           else if d.read then ph_read
           else if wr_ack then ph_ack_w

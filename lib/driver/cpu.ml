@@ -6,7 +6,9 @@ open Splice_obs
 type state =
   | Idle
   | Overhead of int * Op.t
-  | Issue of Op.t
+      (* the edge the macro issues on, after [issue_overhead] edges of
+         instruction overhead: a deadline, so a sleeping CPU skips the
+         overhead edges *)
   | Wait_bus of Op.t
   | Poll_issue of int  (* func id *)
   | Poll_wait of int
@@ -24,6 +26,9 @@ type t = {
   mutable reads : Bits.t list;  (* reversed *)
   mutable polls : int;
   mutable comp : Component.t;
+  sleep : Sleep.t;
+      (* asleep while idle, issuing overhead, or waiting on the port —
+         which wakes it when [busy] falls or [irq_pending] rises *)
   obs : Obs.t;
   m_ops : Metrics.counter;
   m_polls : Metrics.counter;
@@ -64,13 +69,24 @@ let op_counter t op =
       t.m_op.(i) <- Some c;
       c
 
-let next_op t =
+(* [first]: the edge of the CPU's next step — the one after the current
+   edge from inside [seq], the next edge from [load] *)
+let next_op t ~first =
   match t.prog with
-  | [] -> t.state <- Idle
+  | [] ->
+      t.state <- Idle;
+      Sleep.sleep t.sleep
   | op :: rest ->
       t.prog <- rest;
-      t.state <-
-        (if t.issue_overhead > 0 then Overhead (t.issue_overhead, op) else Issue op)
+      let issue = first + t.issue_overhead in
+      t.state <- Overhead (issue, op);
+      Sleep.sleep_until t.sleep issue
+
+(* a step that moves on to the next macro *)
+let step_next t = next_op t ~first:(Sleep.now t.sleep + 1)
+
+(* waiting on the port: nothing to do until it goes idle *)
+let wait_port t = if t.port.Bus_port.busy () then Sleep.sleep t.sleep
 
 let req_of_op op =
   let id = Op.func_id op in
@@ -86,42 +102,51 @@ let req_of_op op =
   | Op.Read_dma (_, n) -> Some (Bus_port.Dma_read { func_id = id; words = n })
   | Op.Set_address _ | Op.Wait_for_results _ -> None
 
+let issue t op =
+  if Obs.active t.obs then begin
+    Metrics.incr t.m_ops;
+    Metrics.incr (op_counter t op)
+  end;
+  match op with
+  | Op.Set_address _ -> step_next t
+  | Op.Wait_for_results id -> (
+      match t.wait_mode with
+      | `Null -> step_next t
+      | `Poll -> t.state <- Poll_issue id
+      | `Irq ->
+          t.state <- Irq_wait id;
+          if not (t.port.Bus_port.irq_pending ()) then Sleep.sleep t.sleep)
+  | op -> (
+      match req_of_op op with
+      | Some req ->
+          t.port.Bus_port.submit req;
+          t.state <- Wait_bus op;
+          wait_port t
+      | None -> step_next t)
+
 let seq t () =
   match t.state with
-  | Idle -> ()
-  | Overhead (n, op) ->
-      if Obs.active t.obs then Metrics.incr t.m_overhead;
-      if n <= 1 then t.state <- Issue op else t.state <- Overhead (n - 1, op)
-  | Issue op -> (
-      if Obs.active t.obs then begin
-        Metrics.incr t.m_ops;
-        Metrics.incr (op_counter t op)
-      end;
-      match op with
-      | Op.Set_address _ -> next_op t
-      | Op.Wait_for_results id -> (
-          match t.wait_mode with
-          | `Null -> next_op t
-          | `Poll -> t.state <- Poll_issue id
-          | `Irq -> t.state <- Irq_wait id)
-      | op -> (
-          match req_of_op op with
-          | Some req ->
-              t.port.Bus_port.submit req;
-              t.state <- Wait_bus op
-          | None -> next_op t))
+  | Idle -> Sleep.sleep t.sleep
+  | Overhead (at, op) ->
+      if Sleep.now t.sleep >= at then issue t op
+      else begin
+        if Obs.active t.obs then Metrics.incr t.m_overhead;
+        Sleep.sleep_until t.sleep at
+      end
   | Wait_bus op ->
       if not (t.port.Bus_port.busy ()) then begin
         if Bus_port.is_read (match req_of_op op with Some r -> r | None -> assert false)
         then
           t.reads <- List.rev_append (t.port.Bus_port.result ()) t.reads;
-        next_op t
+        step_next t
       end
+      else Sleep.sleep t.sleep
   | Poll_issue id ->
       t.polls <- t.polls + 1;
       if Obs.active t.obs then Metrics.incr t.m_polls;
       t.port.Bus_port.submit (Bus_port.Read { func_id = 0; words = 1 });
-      t.state <- Poll_wait id
+      t.state <- Poll_wait id;
+      wait_port t
   | Poll_wait id ->
       if not (t.port.Bus_port.busy ()) then begin
         let status =
@@ -131,13 +156,17 @@ let seq t () =
         in
         let bit = id - 1 in
         let done_ = bit < Bits.width status && Bits.bit status bit in
-        if done_ then next_op t
+        if done_ then step_next t
         else
-          t.state <-
-            (* in interrupt mode, a status read that finds our bit clear
-               means the IRQ belonged to another function: sleep again *)
-            (match t.wait_mode with `Irq -> Irq_wait id | _ -> Poll_issue id)
+          (* in interrupt mode, a status read that finds our bit clear
+             means the IRQ belonged to another function: sleep again *)
+          match t.wait_mode with
+          | `Irq ->
+              t.state <- Irq_wait id;
+              if not (t.port.Bus_port.irq_pending ()) then Sleep.sleep t.sleep
+          | _ -> t.state <- Poll_issue id
       end
+      else Sleep.sleep t.sleep
   | Irq_wait id ->
       (* no bus traffic while sleeping; the status read doubles as the
          interrupt acknowledge (it clears the adapter's IRQ latch) *)
@@ -145,8 +174,10 @@ let seq t () =
         t.polls <- t.polls + 1;
         if Obs.active t.obs then Metrics.incr t.m_polls;
         t.port.Bus_port.submit (Bus_port.Read { func_id = 0; words = 1 });
-        t.state <- Poll_wait id
+        t.state <- Poll_wait id;
+        wait_port t
       end
+      else Sleep.sleep t.sleep
 
 let make ?(obs = Obs.none) ?(issue_overhead = 1) ?wait_mode port =
   let wait_mode =
@@ -155,6 +186,8 @@ let make ?(obs = Obs.none) ?(issue_overhead = 1) ?wait_mode port =
     | None -> (port.Bus_port.wait_mode :> [ `Null | `Poll | `Irq ])
   in
   let m = Obs.metrics obs in
+  let sleep = Sleep.create () in
+  port.Bus_port.watch sleep;
   let t =
     {
       port;
@@ -165,6 +198,7 @@ let make ?(obs = Obs.none) ?(issue_overhead = 1) ?wait_mode port =
       reads = [];
       polls = 0;
       comp = Component.make "cpu";
+      sleep;
       obs;
       m_ops = Metrics.counter m "driver/ops";
       m_polls = Metrics.counter m "driver/polls";
@@ -173,7 +207,7 @@ let make ?(obs = Obs.none) ?(issue_overhead = 1) ?wait_mode port =
     }
   in
   t.comp <-
-    Component.make ~seq:(seq t)
+    Component.make ~seq:(seq t) ~sleep
       ~reset:(fun () ->
         t.state <- Idle;
         t.prog <- [];
@@ -191,7 +225,7 @@ let load t prog =
   t.prog <- prog;
   t.reads <- [];
   t.polls <- 0;
-  next_op t
+  next_op t ~first:(Sleep.now t.sleep)
 
 let read_data t = List.rev t.reads
 let polls t = t.polls

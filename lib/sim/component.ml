@@ -24,11 +24,14 @@ type t = {
       (* restore closure-held state (refs, mutable records) to its
          construction-time value; run by [Kernel.reset] so a cached design
          replays from the exact state a fresh build would start in *)
+  sleep : Sleep.t;
+      (* the [seq]'s sleep state: one of its own when [make] is given none,
+         so the kernel can point every component at its domain's clock *)
 }
 
 let nop () = ()
 
-let make ?comb ?seq ?reset name =
+let make ?comb ?seq ?reset ?sleep name =
   let has_comb, reads, comb =
     match comb with
     | Some (reads, f) -> (true, reads, f)
@@ -47,6 +50,7 @@ let make ?comb ?seq ?reset name =
     rec_id = -1;
     arm = nop;
     reset = (match reset with Some f -> f | None -> nop);
+    sleep = (match sleep with Some s -> s | None -> Sleep.create ());
   }
 
 let rearm t = t.arm ()

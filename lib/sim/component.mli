@@ -55,12 +55,14 @@ type t = {
   reset : unit -> unit;
       (** restore closure-held state to its construction-time value; run
           by [Kernel.reset] when a cached design is replayed *)
+  sleep : Sleep.t;  (** the [seq]'s sleep state (see {!Sleep}) *)
 }
 
 val make :
   ?comb:Signal.t list * (unit -> unit) ->
   ?seq:(unit -> unit) ->
   ?reset:(unit -> unit) ->
+  ?sleep:Sleep.t ->
   string ->
   t
 (** [~comb:(reads, f)] pairs the combinational callback with the signals it
@@ -71,7 +73,8 @@ val make :
     no-op) must restore every ref and mutable record captured by the
     callbacks to the exact value it held when [make] returned — the
     contract that makes {!Kernel.reset} replay equivalent to a fresh
-    build. *)
+    build. [sleep] is the handle through which [seq] declares when it may
+    be skipped ({!Sleep}); without one the [seq] is always awake. *)
 
 val rearm : t -> unit
 (** Announce, from the component's own [seq], that state its [comb] reads

@@ -6,9 +6,12 @@ type domain = {
   d_name : string;
   d_period : int; (* ticks between edges, >= 1 *)
   d_phase : int; (* tick offset of the first edge, < period *)
-  mutable d_cycles : int; (* edges fired so far *)
+  d_clock : Sleep.clock;
+      (* edges fired so far: the counter the domain's sleeping processes
+         read their deadlines against *)
   mutable d_next : int; (* the tick of the next edge *)
   mutable d_fires : bool; (* an edge on the tick in flight *)
+  mutable d_skip : int; (* edges in the stretch a jump credits *)
 }
 
 (* a domain's edge falls on tick [n] iff [n mod period = phase]; the base
@@ -22,9 +25,10 @@ let make_domain ~name ~phase ~period ~tick =
     d_name = name;
     d_period = period;
     d_phase = phase;
-    d_cycles = 0;
+    d_clock = { Sleep.edge = 0 };
     d_next = tick + ((phase - (tick mod period) + period) mod period);
     d_fires = false;
+    d_skip = 0;
   }
 
 type t = {
@@ -44,7 +48,7 @@ type t = {
   base : domain;
   mutable domains : domain list; (* reversed; always contains [base] *)
   mutable components : (Component.t * domain) list; (* reversed *)
-  mutable checks : (string * (int -> unit) * domain) list; (* reversed *)
+  mutable checks : (string * (int -> unit) * domain * Sleep.t) list; (* reversed *)
   mutable settle_hooks : ((int -> unit) * domain) list; (* reversed *)
   mutable cycle_count : int;
   iter_counts : int array;
@@ -61,11 +65,29 @@ type t = {
       (* the [seq] of every component that has one, in registration order:
          the clocked loop calls no comb-only component's no-op *)
   mutable seq_doms : domain array; (* parallel to [seqs_fwd] *)
+  mutable seq_sleeps : Sleep.t array; (* parallel to [seqs_fwd] *)
   mutable checks_fwd : (string * (int -> unit)) array;
   mutable check_doms : domain array; (* parallel to [checks_fwd] *)
+  mutable check_sleeps : Sleep.t array; (* parallel to [checks_fwd] *)
+  mutable check_seen : int array;
+      (* parallel to [checks_fwd]: the signal store's change count the
+         check's sleep was last checked against. Any change since wakes a
+         sleeping check — no per-line listener: a check reads nothing but
+         signals and its own history *)
   mutable settle_hooks_fwd : (int -> unit) array;
   mutable settle_doms : domain array; (* parallel to [settle_hooks_fwd] *)
   mutable n_dirty : int;
+  mutable sleepy : bool;
+      (* set by the seal: only the event scheduler on a kernel nobody
+         observes skips sleeping processes, so the sweep and the tape stay
+         oracles and an observed run records every tick *)
+  mutable jumps : bool;
+      (* [sleepy] and no settle hook: a hook watches every tick, so a
+         kernel with one skips sleepers but never jumps *)
+  mutable tick_quiet : bool;
+      (* the tick just run, on a jumping kernel, changed no signal and
+         left no component dirty *)
+  mutable stepped : int; (* ticks run by [cycle], not credited by a jump *)
   mutable tape : Tape.t option;
       (* the [`Compiled] scheduler's op-tape, (re)built at seal time *)
   mutable reset_hooks : (unit -> unit) list; (* reversed *)
@@ -105,6 +127,7 @@ type stats = {
   comb_iters : int;
   comb_evals : int;
   checks_run : int;
+  stepped : int;
   elaborate_ns : int64;
   seal_ns : int64;
   compile_ns : int64;
@@ -175,11 +198,18 @@ let create ?(max_comb_iters = 64) ?(sched = `Event) ?obs () =
       comps_fwd = [||];
       seqs_fwd = [||];
       seq_doms = [||];
+      seq_sleeps = [||];
       checks_fwd = [||];
       check_doms = [||];
+      check_sleeps = [||];
+      check_seen = [||];
       settle_hooks_fwd = [||];
       settle_doms = [||];
       n_dirty = 0;
+      sleepy = false;
+      jumps = false;
+      tick_quiet = false;
+      stepped = 0;
       tape = None;
       reset_hooks = [];
       k_elaborate_ns = 0L;
@@ -205,7 +235,7 @@ let base_domain t = t.base
 let domain_name d = d.d_name
 let domain_period d = d.d_period
 let domain_phase d = d.d_phase
-let domain_cycles d = d.d_cycles
+let domain_cycles d = d.d_clock.edge
 
 let find_domain t name =
   List.find_opt (fun d -> String.equal d.d_name name) t.domains
@@ -225,17 +255,19 @@ let add_domain t ~name ?(phase = 0) ~period () =
    seq) — [cycle_count] has not been incremented yet *)
 let fires t d = t.cycle_count mod d.d_period = d.d_phase
 
-let add_in t d c =
+let add_in t d (c : Component.t) =
+  Sleep.attach c.Component.sleep d.d_clock;
   t.components <- (c, d) :: t.components;
   t.sealed <- false
 
 let add t c = add_in t t.base c
 
-let add_check_in t d name f =
-  t.checks <- (name, f, d) :: t.checks;
+let add_check_in ?(sleep = Sleep.create ()) t d name f =
+  Sleep.attach sleep d.d_clock;
+  t.checks <- (name, f, d, sleep) :: t.checks;
   t.sealed <- false
 
-let add_check t name f = add_check_in t t.base name f
+let add_check ?sleep t name f = add_check_in ?sleep t t.base name f
 
 let check_fail ~cycle ~check message = raise (Check_failed { cycle; check; message })
 
@@ -246,8 +278,18 @@ let on_settle_in t d f =
 let on_settle t f = on_settle_in t t.base f
 
 let rehome_all t d =
-  t.components <- List.map (fun (c, _) -> (c, d)) t.components;
-  t.checks <- List.map (fun (name, f, _) -> (name, f, d)) t.checks;
+  t.components <-
+    List.map
+      (fun ((c : Component.t), _) ->
+        Sleep.attach c.Component.sleep d.d_clock;
+        (c, d))
+      t.components;
+  t.checks <-
+    List.map
+      (fun (name, f, _, sleep) ->
+        Sleep.attach sleep d.d_clock;
+        (name, f, d, sleep))
+      t.checks;
   t.settle_hooks <- List.map (fun (f, _) -> (f, d)) t.settle_hooks;
   t.sealed <- false
 
@@ -264,9 +306,13 @@ let seal t =
   let clocked = List.filter (fun ((c : Component.t), _) -> c.Component.has_seq) comps in
   t.seqs_fwd <- Array.of_list (List.map (fun ((c : Component.t), _) -> c.Component.seq) clocked);
   t.seq_doms <- Array.of_list (List.map snd clocked);
+  t.seq_sleeps <-
+    Array.of_list (List.map (fun ((c : Component.t), _) -> c.Component.sleep) clocked);
   let checks = Array.of_list (List.rev t.checks) in
-  t.checks_fwd <- Array.map (fun (name, f, _) -> (name, f)) checks;
-  t.check_doms <- Array.map (fun (_, _, d) -> d) checks;
+  t.checks_fwd <- Array.map (fun (name, f, _, _) -> (name, f)) checks;
+  t.check_doms <- Array.map (fun (_, _, d, _) -> d) checks;
+  t.check_sleeps <- Array.map (fun (_, _, _, s) -> s) checks;
+  t.check_seen <- Array.make (Array.length checks) (-1);
   (match t.rec_ with
   | Some r ->
       t.check_ids <- Array.map (fun (name, _) -> Recorder.intern r name) t.checks_fwd
@@ -274,6 +320,13 @@ let seal t =
   let settles = Array.of_list (List.rev t.settle_hooks) in
   t.settle_hooks_fwd <- Array.map fst settles;
   t.settle_doms <- Array.map snd settles;
+  t.sleepy <- t.sched = `Event && not (Obs.active t.obs);
+  t.jumps <- t.sleepy && Array.length settles = 0;
+  (* wake listeners only where sleep is honoured; like the fan-out below,
+     registered once per kernel generation (a check's come from
+     [check_seen] instead) *)
+  Array.iter (fun s -> Sleep.seal s ~gen:t.gen ~honoured:t.sleepy) t.seq_sleeps;
+  Array.iter (fun s -> Sleep.seal s ~gen:t.gen ~honoured:t.sleepy) t.check_sleeps;
   Array.iter
     (fun (c : Component.t) ->
       (* the one re-arm path: a component's announcement ([Component.rearm]
@@ -407,17 +460,27 @@ let settle t st =
    domain, whose flag is always set. Domain gating is scheduler-independent
    (only the settle strategy differs between schedulers), so multi-clock
    interleaving is deterministic and identical under Event/Sweep/Compiled.
-   Returns the number of checks run. *)
-let run_checks t tick =
+   Returns the number of checks due, which a sleeping kernel credits
+   whether or not it called them: a sleeping check would have passed.
+   [changes] is the store's change count after the settle: a change since
+   a check's last look wakes it, on an edge of its domain or not, so a
+   jump never passes its next edge. *)
+let run_checks t tick changes =
   let checks = t.checks_fwd in
   let ran = ref 0 in
   for i = 0 to Array.length checks - 1 do
+    if t.sleepy && Array.unsafe_get t.check_seen i <> changes then begin
+      Array.unsafe_set t.check_seen i changes;
+      Sleep.wake (Array.unsafe_get t.check_sleeps i)
+    end;
     if (Array.unsafe_get t.check_doms i).d_fires then begin
       (match t.rec_ with
       | Some r -> Recorder.check_eval r ~subject:(Array.unsafe_get t.check_ids i)
       | None -> ());
-      let _, f = Array.unsafe_get checks i in
-      f tick;
+      if (not t.sleepy) || Sleep.awake (Array.unsafe_get t.check_sleeps i) then begin
+        let _, f = Array.unsafe_get checks i in
+        f tick
+      end;
       incr ran
     end
   done;
@@ -436,7 +499,7 @@ let rec count_domain_edges = function
   | [] -> ()
   | d :: rest ->
       if d.d_fires then begin
-        d.d_cycles <- d.d_cycles + 1;
+        d.d_clock.edge <- d.d_clock.edge + 1;
         d.d_next <- d.d_next + d.d_period
       end;
       count_domain_edges rest
@@ -451,17 +514,18 @@ let cycle t =
      instrumented kernel ran before it in this domain *)
   Signal.attach st t.rec_;
   let tick = t.cycle_count in
+  let changes = Signal.changes st in
   decide_edges tick t.domains;
   settle t st;
   let ran =
     match t.rec_ with
-    | None -> run_checks t tick
+    | None -> run_checks t tick (Signal.changes st)
     | Some r -> (
         (* the last events a failing run records are its own check
            evaluation and the failure itself — the dump ends at the bug.
            One handler outside the loop (the failing check's name rides on
            the exception), so the per-check cost is one recorded event. *)
-        try run_checks t tick
+        try run_checks t tick (Signal.changes st)
         with Check_failed { check; message; _ } as e ->
           Recorder.check_fail r ~subject:(Recorder.intern r check) ~message;
           raise e)
@@ -476,42 +540,121 @@ let cycle t =
      state; everyone reads settled pre-edge values, so evaluation order
      between coincident domains cannot matter *)
   let seqs = t.seqs_fwd in
-  for i = 0 to Array.length seqs - 1 do
-    if (Array.unsafe_get t.seq_doms i).d_fires then (Array.unsafe_get seqs i) ()
-  done;
+  if t.sleepy then
+    for i = 0 to Array.length seqs - 1 do
+      if
+        (Array.unsafe_get t.seq_doms i).d_fires
+        && Sleep.awake (Array.unsafe_get t.seq_sleeps i)
+      then (Array.unsafe_get seqs i) ()
+    done
+  else
+    for i = 0 to Array.length seqs - 1 do
+      if (Array.unsafe_get t.seq_doms i).d_fires then (Array.unsafe_get seqs i) ()
+    done;
   Signal.commit st;
   count_domain_edges t.domains;
-  t.cycle_count <- t.cycle_count + 1
+  t.cycle_count <- t.cycle_count + 1;
+  t.stepped <- t.stepped + 1;
+  t.tick_quiet <- t.jumps && t.n_dirty = 0 && Signal.changes st = changes
 
+(* ---- jumping over ticks where nothing can act ---------------------
+
+   After a quiet tick ([tick_quiet]) every following tick settles nothing
+   (no component is dirty and no signal moves), so it differs from the
+   last only in which processes are due: while all of them sleep it runs
+   no code at all. [skip_to] credits those ticks up to the earliest
+   deadline — their domains' edges and due checks, exactly what stepping
+   would have counted (a quiet settle adds no comb evaluation or
+   productive pass, and only an observed kernel, which never jumps, reads
+   the per-settle histogram) — and leaves the deadline tick itself to
+   [cycle]. *)
+
+(* the tick of the first edge on which [s], in [d], is due: [d_next] and
+   the clock now stand at the domain's next edge *)
+let due_tick d (s : Sleep.t) =
+  let edge = d.d_clock.Sleep.edge in
+  if s.Sleep.until <= edge then d.d_next
+  else d.d_next + ((s.Sleep.until - edge) * d.d_period)
+
+(* stops at a process due on [now], the next tick: nothing to jump *)
+let rec earliest doms sleeps ~now i (due : int) =
+  if i = Array.length sleeps || due <= now then due
+  else begin
+    let s = Array.unsafe_get sleeps i in
+    let tick =
+      if s.Sleep.until = max_int then due else due_tick (Array.unsafe_get doms i) s
+    in
+    earliest doms sleeps ~now (i + 1) (if tick < due then tick else due)
+  end
+
+(* the earliest tick some process is due on; [max_int] when all of them
+   sleep until woken *)
+let next_due t =
+  let now = t.cycle_count in
+  earliest t.check_doms t.check_sleeps ~now 0
+    (earliest t.seq_doms t.seq_sleeps ~now 0 max_int)
+
+let rec skip_domains target = function
+  | [] -> ()
+  | d :: rest ->
+      let n = if d.d_next >= target then 0 else ((target - 1 - d.d_next) / d.d_period) + 1 in
+      d.d_skip <- n;
+      d.d_clock.edge <- d.d_clock.edge + n;
+      d.d_next <- d.d_next + (n * d.d_period);
+      skip_domains target rest
+
+(* after a quiet tick: jump, never past [limit] *)
+let skip_to t limit =
+  let due = next_due t in
+  let target = if due < limit then due else limit in
+  let n = target - t.cycle_count in
+  if n > 0 then begin
+    skip_domains target t.domains;
+    let doms = t.check_doms in
+    for i = 0 to Array.length doms - 1 do
+      t.checks_run_total <- t.checks_run_total + (Array.unsafe_get doms i).d_skip
+    done;
+    t.cycle_count <- target
+  end
+
+(* the end tick saturates: a huge [n] must not wrap it *)
 let run t n =
-  for _ = 1 to n do
-    cycle t
+  let stop = if n > max_int - t.cycle_count then max_int else t.cycle_count + n in
+  while t.cycle_count < stop do
+    cycle t;
+    if t.tick_quiet then skip_to t stop
   done
 
+(* the predicate is tested after each tick [cycle] runs, not on the ticks
+   a jump credits: on those the design's state cannot change *)
 let run_until ?(max = 100_000) ?(what = "condition") t p =
   let start = t.cycle_count in
-  let rec go () =
+  let limit = if max > max_int - start then max_int else start + max in
+  let rec go ran =
     if p () then t.cycle_count - start
-    else if t.cycle_count - start >= max then
-      raise
-        (Timeout
-           {
-             cycle = t.cycle_count;
-             elapsed = t.cycle_count - start;
-             waiting_for = what;
-           })
     else begin
-      cycle t;
-      go ()
+      if ran && t.tick_quiet then skip_to t limit;
+      if t.cycle_count - start >= max then
+        raise
+          (Timeout
+             {
+               cycle = t.cycle_count;
+               elapsed = t.cycle_count - start;
+               waiting_for = what;
+             })
+      else begin
+        cycle t;
+        go true
+      end
     end
   in
-  go ()
+  go false
 
 let cycles t = t.cycle_count
 let id t = t.gen
 let obs t = t.obs
 let sched t = t.sched
-let check_names t = List.rev_map (fun (name, _, _) -> name) t.checks
+let check_names t = List.rev_map (fun (name, _, _, _) -> name) t.checks
 
 let stats t =
   let comb_iters = ref 0 in
@@ -521,6 +664,7 @@ let stats t =
     comb_iters = !comb_iters;
     comb_evals = t.comb_evals_total;
     checks_run = t.checks_run_total;
+    stepped = t.stepped;
     elaborate_ns = t.k_elaborate_ns;
     seal_ns = t.k_seal_ns;
     compile_ns = t.k_compile_ns;
@@ -550,12 +694,14 @@ let reset ?sched t =
   (match t.rec_ with Some r -> Recorder.set_now r 0 | None -> ());
   List.iter
     (fun d ->
-      d.d_cycles <- 0;
+      d.d_clock.edge <- 0;
       d.d_next <- d.d_phase)
     t.domains;
   Array.fill t.iter_counts 0 (Array.length t.iter_counts) 0;
   t.comb_evals_total <- 0;
   t.checks_run_total <- 0;
+  t.stepped <- 0;
+  t.tick_quiet <- false;
   t.synced_cycles <- 0;
   t.synced_checks <- 0;
   t.synced_evals <- 0;
@@ -573,6 +719,9 @@ let reset ?sched t =
   t.tape <- None;
   t.sealed <- false;
   List.iter (fun ((c : Component.t), _) -> c.Component.dirty <- false) t.components;
+  (* every process awake, as on a fresh build *)
+  List.iter (fun ((c : Component.t), _) -> Sleep.wake c.Component.sleep) t.components;
+  List.iter (fun (_, _, _, s) -> Sleep.wake s) t.checks;
   t.n_dirty <- 0;
   List.iter
     (fun ((c : Component.t), _) -> if c.Component.has_comb then mark_dirty t c)

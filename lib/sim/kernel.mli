@@ -33,6 +33,11 @@
     are accurate; [`Event] and [`Sweep] serve as differential oracles for
     [`Compiled] in the fuzz grids.
 
+    Clocked processes — [seq]s and checks — may declare when running them
+    changes nothing ({!Sleep}); under [`Event] a kernel on
+    [Splice_obs.Obs.none] skips them then, and jumps over ticks where
+    every process sleeps (see {!run}).
+
     {e Iteration accounting} is uniform across schedulers: a kernel's
     [comb_iters] counts {e productive} delta passes — passes in which at
     least one signal changed value. A settle that finds the design already
@@ -98,6 +103,7 @@ type stats = {
   comb_iters : int;
   comb_evals : int;
   checks_run : int;
+  stepped : int;
   elaborate_ns : int64;
   seal_ns : int64;
   compile_ns : int64;
@@ -106,7 +112,9 @@ type stats = {
     passes across all cycles (identical across schedulers on an accurately
     declared design), total comb-callback invocations (the work a better
     scheduler saves — this one differs by design), total protocol-check
-    executions.
+    executions. [stepped] is the ticks {!cycle} actually ran: every tick
+    on a kernel that steps, fewer on one that jumps (see {!run}); the
+    other counters are the same either way.
 
     The [_ns] fields are build-phase wall-clock accounting, distinct from
     settle time: [elaborate_ns] is the design construction cost stamped by
@@ -152,7 +160,8 @@ val domain_phase : domain -> int
 
 val domain_cycles : domain -> int
 (** Edges fired so far — the domain-local cycle counter. For the base
-    domain this equals {!cycles}. *)
+    domain this equals {!cycles}. It is the clock the domain's processes
+    read with {!Sleep.now}. *)
 
 val fires : t -> domain -> bool
 (** Whether the domain has an edge on the tick currently in flight. Valid
@@ -162,7 +171,8 @@ val fires : t -> domain -> bool
 
 val add_in : t -> domain -> Component.t -> unit
 (** Like {!add} but the component's [seq] clocks only on [domain] edges.
-    Its [comb] still participates in every settle. *)
+    Its [comb] still participates in every settle. Points the component's
+    {!Sleep.t} at the domain's edge counter ({!rehome_all} re-points it). *)
 
 val rehome_all : t -> domain -> unit
 (** Retag {e everything registered so far} — components, checks, settle
@@ -171,12 +181,18 @@ val rehome_all : t -> domain -> unit
     instrumentation hooks are registered before the bus connects, and all
     of them belong on the peripheral-side clock. *)
 
-val add_check : t -> string -> (int -> unit) -> unit
+val add_check : ?sleep:Sleep.t -> t -> string -> (int -> unit) -> unit
 (** [add_check k name f]: [f cycle] runs after the comb fixpoint each cycle;
     it should raise {!Check_failed} (via {!check_fail}) on protocol
-    violations. *)
+    violations. [sleep] is the handle through which [f] declares when it
+    may be skipped ({!Sleep}); without one the check is always awake. A
+    sleeping check is also woken by any signal change since it last ran,
+    so one that reads only signals and its own history needs no
+    [wake_on]. A check skipped because it sleeps still counts in
+    [stats.checks_run]. *)
 
-val add_check_in : t -> domain -> string -> (int -> unit) -> unit
+val add_check_in :
+  ?sleep:Sleep.t -> t -> domain -> string -> (int -> unit) -> unit
 (** Like {!add_check}, but [f] runs only on ticks where [domain] fires —
     protocol monitors for a slow-side bus must not sample between that
     side's edges. *)
@@ -193,13 +209,29 @@ val on_settle_in : t -> domain -> (int -> unit) -> unit
 (** Domain-gated {!on_settle}: fires only on ticks with a [domain] edge. *)
 
 val cycle : t -> unit
+(** Run one tick. *)
+
 val run : t -> int -> unit
-(** [run k n] executes [n] cycles. *)
+(** [run k n] executes [n] cycles.
+
+    {b Sleep and jumps.} Under [`Event] on a kernel built on
+    [Splice_obs.Obs.none], a tick calls only the awake [seq]s and checks
+    ({!Sleep}); a sleeping one would have changed nothing. And when a tick
+    changed no signal and left no component dirty, the kernel has no
+    settle hook, and every process sleeps, the ticks up to the earliest
+    deadline would all run no code: [run] and {!run_until} jump over them,
+    crediting their domain edges and due checks, so {!cycles},
+    {!domain_cycles} and every {!stats} counter but [stepped] read as if
+    each tick had run. A jump never passes the end of the
+    [run] or the [max] of a {!run_until}. Every other kernel runs every
+    process on every tick of its domain. *)
 
 val run_until : ?max:int -> ?what:string -> t -> (unit -> bool) -> int
 (** [run_until k p] cycles until [p ()] is true (tested after each full
     cycle); returns the number of cycles consumed. Raises {!Timeout} after
-    [max] (default 100_000) cycles. *)
+    [max] (default 100_000) cycles. [p] must be a function of the design's
+    state, not of the tick count: it is not tested on the ticks a jump
+    (see {!run}) credits, on which that state cannot change. *)
 
 val cycles : t -> int
 (** Total ticks simulated so far (base-domain cycles). *)
@@ -233,8 +265,8 @@ val note_elaborate_ns : t -> int64 -> unit
 
     A finished kernel can be brought back to its end-of-elaboration state
     and re-run: {!reset} rewinds everything the kernel owns (counters,
-    domain clocks, dirty bookkeeping, the seal) and replays the design's
-    construction-time state via per-component [reset] callbacks
+    domain clocks, dirty bookkeeping, sleep states, the seal) and replays
+    the design's construction-time state via per-component [reset] callbacks
     ({!Component.make}) and kernel-level {!at_reset} hooks. The caller
     restores signal values around it. The kernel is left unsealed, so the
     first replay cycle re-seals — re-interning check ids and recompiling

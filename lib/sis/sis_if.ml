@@ -25,7 +25,7 @@ and decoder = {
   mutable opens : bool; mutable closes : bool; mutable wait : bool;
   mutable pending : transfer; mutable held_fid : int;
   mutable held_data : Bits.t; mutable data_moved : bool;
-  mutable waited : int;
+  mutable presented : int; mutable waited : int;
   mutable prev_done : bool; mutable prev_strobe : bool;
   mutable last_grant : int;
 }
@@ -37,7 +37,7 @@ let new_decoder () =
     read_data = false; fid = 0; write = false; read = false;
     word_done = false; opens = false; closes = false; wait = false;
     pending = Idle; held_fid = 0; held_data = Bits.zero 1;
-    data_moved = false; waited = 0;
+    data_moved = false; presented = 0; waited = 0;
     prev_done = false; prev_strobe = false; last_grant = 0;
   }
 
@@ -113,10 +113,9 @@ let advance d =
     if d.opens then begin
       d.pending <- (if d.write then Write else Read);
       d.held_fid <- d.fid;
-      d.waited <- 1
+      d.presented <- d.tick
     end
     else if d.closes then d.pending <- Idle
-    else if d.wait then d.waited <- d.waited + 1
   end
 
 let sample t d =
@@ -142,6 +141,7 @@ let sample t d =
     | Write -> rst || strobe || done_
     | Read -> rst || strobe || dov);
   d.wait <- d.pending <> Idle && not d.closes;
+  d.waited <- d.tick - d.presented;
   let data = Signal.get t.data_in in
   d.data_moved <- d.pending = Write && not (Bits.equal d.held_data data);
   (* the word a write leaves outstanding must hold from the next tick on *)
@@ -156,3 +156,21 @@ let decode t tick =
     sample t d
   end;
   d
+
+(* The facts of a tick repeat on every later tick with the same lines
+   when closing the tick ([advance]) leaves the transfer state as it is:
+   nothing opens or closes, the previous-tick lines are these ones, and
+   the last grant does not move (in reset, the state is already the one
+   reset leaves). [waited] still grows, read off the tick. *)
+let quiet d =
+  if d.reset then
+    d.pending = Idle && (not d.prev_done) && (not d.prev_strobe) && d.last_grant = 0
+  else
+    (not d.opens) && (not d.closes)
+    && d.prev_done = d.done_ && d.prev_strobe = d.strobe
+    && ((not (d.write || d.read)) || d.fid = 0 || d.fid = d.last_grant)
+
+(* a protocol watcher's check reads only the decoded facts, so it sleeps
+   while they repeat; the kernel wakes a sleeping check on any signal
+   change *)
+let nap s d = if Sleep.honoured s && quiet d then Sleep.sleep s

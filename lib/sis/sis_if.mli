@@ -64,7 +64,12 @@ and decoder = private {
   mutable held_data : Bits.t;  (** an outstanding write's word *)
   mutable data_moved : bool;
       (** [DATA_IN] differs from the outstanding write's word *)
-  mutable waited : int;  (** ticks since it was presented *)
+  mutable presented : int;  (** the tick it was presented on *)
+  mutable waited : int;
+      (** kernel ticks since it was presented: derived from the tick, not
+          counted per decoded tick, so a watcher that slept through the
+          wait reads it right. A watcher on a domain of period [p] divides
+          by [p] for its own edges. *)
   mutable prev_done : bool;
   mutable prev_strobe : bool;
       (** [IO_DONE] / [IO_ENABLE] on the previous tick (false after reset) *)
@@ -100,4 +105,19 @@ val domain : Kernel.t -> bus:string -> Kernel.domain
 val decode : t -> int -> decoder
 (** [decode t tick], called by a consumer's check or settle hook with the
     tick it was handed, before reading any field: the first call in a tick
-    decodes it, later ones return the same facts. *)
+    decodes it, later ones return the same facts. Ticks no consumer
+    decoded are skipped correctly only while the decoder is {!quiet}:
+    a tick after a quiet one, with the same lines, has the same facts. *)
+
+val quiet : decoder -> bool
+(** Whether the decoded tick's facts repeat on the next tick if no line
+    changes: no transfer opens or closes, the previous-tick [IO_DONE] and
+    [IO_ENABLE] are this tick's, and the last grant stays. Only [waited]
+    differs, and it is read off the tick. *)
+
+val nap : Splice_sim.Sleep.t -> decoder -> unit
+(** Called by a protocol watcher's check, registered with the sleep handle
+    [s] ({!Splice_sim.Kernel.add_check}), after reading the tick's facts:
+    sleep while they would repeat. The kernel wakes a sleeping check on
+    any signal change since it last ran, which covers every line the
+    decoder reads. *)

@@ -33,8 +33,11 @@ let axioms (d : Sis_if.decoder) cycle =
 
 let attach kernel sis =
   Sis_if.watch kernel sis;
-  Kernel.add_check kernel check (fun cycle ->
-      axioms (Sis_if.decode sis cycle) cycle)
+  let sleep = Sleep.create () in
+  Kernel.add_check ~sleep kernel check (fun cycle ->
+      let d = Sis_if.decode sis cycle in
+      axioms d cycle;
+      Sis_if.nap sleep d)
 
 let instrument kernel sis ~func_ids =
   let open Splice_obs in

@@ -42,6 +42,8 @@ type phase =
       rest : Spec.io list;
     }
   | PCalc of int
+      (* the edge the calculation ends on: a deadline, so a bank that
+         sleeps through the calculation states ends it on the same edge *)
   | POut of Bits.t list
 
 type t = {
@@ -61,6 +63,7 @@ type t = {
          consume it as soon as an input state is (re-)entered *)
   mutable completions : int;
   mutable comp : Component.t;
+  mutable bank : Sleep.t;  (* the bank's sleep handle: its [Sleep.now] dates deadlines *)
 }
 
 let values_fn t var =
@@ -78,8 +81,9 @@ let enter_input t idx = function
   | [] -> (
       (* all inputs consumed: calculation *)
       let cycles = t.behavior.calc_cycles t.received in
-      if cycles <= 0 then t.phase <- PCalc 1 (* minimum one calc state (§5.3.1) *)
-      else t.phase <- PCalc cycles)
+      (* minimum one calc state (§5.3.1) *)
+      let cycles = if cycles <= 0 then 1 else cycles in
+      t.phase <- PCalc (Sleep.now t.bank + cycles))
   | io :: rest ->
       let x = Plan.xfer_of_io t.spec Plan.In io ~values:(values_fn t) in
       t.phase <-
@@ -197,8 +201,8 @@ let finalize_input t io got_rev =
       t.received <- t.received @ [ (io.io_name, elems) ]
 
 (* [comb] reads the phase only as input / calc / output-with-its-head-word:
-   a [PIn] word accumulation, a move to the next input and a [PCalc]
-   countdown leave what it drives unchanged *)
+   a [PIn] word accumulation and a move to the next input leave what it
+   drives unchanged *)
 let same_view a b =
   match (a, b) with
   | PIn _, PIn _ | PCalc _, PCalc _ | POut [], POut [] -> true
@@ -224,9 +228,9 @@ let step t =
         end
         else t.phase <- PIn { p with got }
     | PIn _ -> ()
-    | PCalc n ->
+    | PCalc ends ->
         if write_stalled t then t.pending_write <- true;
-        if n <= 1 then enter_output t else t.phase <- PCalc (n - 1)
+        if Sleep.now t.bank >= ends then enter_output t
     | POut _ -> if write_stalled t then t.pending_write <- true);
     (* read service / pending management *)
     (if served then begin
@@ -254,6 +258,22 @@ let seq t =
 
 let calculating t = match t.phase with PCalc _ -> true | PIn _ | POut _ -> false
 
+(* After a step: with the lines as they are, which later edge moves a
+   stub? Outside reset and with no strobe, only a calculation ending, or
+   the selected stub taking a write it held pending or serving a read it
+   held pending. [first_move] is the first such edge, [max_int] for none,
+   [-1] for the next one. *)
+let rec first_move stubs ~id ~valid i (until : int) =
+  if i = Array.length stubs then until
+  else
+    let t = Array.unsafe_get stubs i in
+    match t.phase with
+    | PCalc ends ->
+        first_move stubs ~id ~valid (i + 1) (if ends < until then ends else until)
+    | PIn _ when t.my_id = id && valid && t.pending_write -> -1
+    | POut (_ :: _) when t.my_id = id && t.pending_read -> -1
+    | PIn _ | POut _ -> first_move stubs ~id ~valid (i + 1) until
+
 (* The one clocked process of a peripheral's stubs (§4.2): RST and FUNC_ID
    are read once, and only the stubs that can act on this edge are stepped
    — in reset, selected, or counting down their calculation states. For
@@ -261,14 +281,21 @@ let calculating t = match t.phase with PCalc _ -> true | PIn _ | POut _ -> false
    path in it goes through [selected], and the pending flags are only set
    while selected. Stepping a stub queues writes ([set_next]) and mutates
    only its own record, so reading the lines once for all is what each
-   stub's own reads would have returned. *)
-let clock sis stubs () =
+   stub's own reads would have returned. The bank then sleeps until the
+   first edge that moves a stub, woken earlier by a change of the lines
+   it reads. *)
+let clock sis sleep stubs () =
   let rst = Signal.get_bool sis.Sis_if.rst in
   let id = Signal.get_int sis.Sis_if.func_id in
   for i = 0 to Array.length stubs - 1 do
     let t = Array.unsafe_get stubs i in
     if rst || t.my_id = id || calculating t then seq t
-  done
+  done;
+  if Sleep.honoured sleep && not (rst || Signal.get_bool sis.Sis_if.io_enable) then begin
+    let valid = Signal.get_bool sis.Sis_if.data_in_valid in
+    let until = first_move stubs ~id ~valid 0 max_int in
+    if until >= 0 then Sleep.sleep_until sleep until
+  end
 
 let make ~spec ~func ~instance ~sis ~ports ~behavior =
   let t =
@@ -286,6 +313,7 @@ let make ~spec ~func ~instance ~sis ~ports ~behavior =
       pending_write = false;
       completions = 0;
       comp = Component.make "stub";
+      bank = Sleep.create ();
     }
   in
   (match func.Spec.inputs with [] -> enter_input t 0 [] | l -> enter_input t 0 l);
@@ -294,10 +322,10 @@ let make ~spec ~func ~instance ~sis ~ports ~behavior =
 (* [comb t] reads the selection/strobe lines plus clocked state — the phase
    view and the pending flags — whose changes [seq t] announces; DATA_IN is
    sampled by [seq], not by [comb] *)
-let build_component ?seq t =
+let build_component ?seq ?sleep t =
   let sis = t.sis in
   t.comp <-
-    Component.make
+    Component.make ?sleep
       ~comb:
         ( [ sis.Sis_if.func_id; sis.Sis_if.io_enable; sis.Sis_if.data_in_valid ],
           comb t )
@@ -319,7 +347,19 @@ let bank = function
       let sis = first.sis in
       if List.exists (fun t -> t.sis != sis) rest then
         invalid_arg "Stub_model.bank: stubs of different interfaces";
-      let clocked = build_component ~seq:(clock sis (Array.of_list stubs)) first in
+      let sleep =
+        Sleep.create
+          ~wake_on:
+            [
+              sis.Sis_if.rst; sis.Sis_if.func_id; sis.Sis_if.io_enable;
+              sis.Sis_if.data_in_valid;
+            ]
+          ()
+      in
+      List.iter (fun t -> t.bank <- sleep) stubs;
+      let clocked =
+        build_component ~seq:(clock sis sleep (Array.of_list stubs)) ~sleep first
+      in
       clocked :: List.map (fun t -> build_component t) rest
 
 let component t = t.comp
@@ -342,7 +382,7 @@ let clocked_state t =
         Printf.sprintf "in %s #%d got %d/%d words [%s], %d elems, %d more inputs"
           (match io with Some io -> io.Spec.io_name | None -> "-")
           idx (List.length got) expected (words got) elems (List.length rest)
-    | PCalc n -> Printf.sprintf "calc %d" n
+    | PCalc ends -> Printf.sprintf "calc until edge %d" ends
     | POut l -> Printf.sprintf "out [%s]" (words l)
   in
   let received =

@@ -25,7 +25,10 @@
     stubs of one peripheral are clocked by a single process ({!bank}) that
     reads [RST] and [FUNC_ID] once per edge and steps only those stubs;
     for every other stub a step would change nothing. Each stub keeps its
-    own combinational process, reset and state announcement. *)
+    own combinational process, reset and state announcement. The
+    calculation states end on a deadline edge, and the bank sleeps
+    ({!Splice_sim.Sleep}) until the first one ends or a line it reads
+    changes, unless the selected stub holds a write or read pending. *)
 
 open Splice_sim
 open Splice_syntax
@@ -111,5 +114,5 @@ val seq : t -> unit
 
 val clocked_state : t -> string
 (** Test-only: a rendering of every part of the state {!seq} may change —
-    the phase with its words and countdown, the received inputs, the
+    the phase with its words and deadline, the received inputs, the
     pending flags and the completion count. *)

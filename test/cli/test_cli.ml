@@ -80,6 +80,13 @@ let () =
   let rc, _ = run (Printf.sprintf "gen %s -o %s --force --linux" (spec "hw_timer.splice") dir) in
   check "--force --linux regenerates with the kernel module" (fun () ->
       rc = 0 && Sys.file_exists (Filename.concat dir "hw_timer/hw_timer_linux.c"));
+  (* a bus without a memory map has no Linux driver: a diagnostic, exit 1,
+     and no files written *)
+  let rc, out = run (Printf.sprintf "gen %s -o %s --linux" (spec "interp.splice") dir) in
+  check "--linux on a co-processor bus is refused" (fun () ->
+      rc = 1
+      && contains out "error: Linux driver generation needs a memory-mapped bus"
+      && not (Sys.file_exists (Filename.concat dir "interp")));
   (* eval with observability exports *)
   let stats_file = Filename.temp_file "splicestats" ".txt" in
   let trace_file = Filename.temp_file "splicetrace" ".json" in

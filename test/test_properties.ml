@@ -767,6 +767,145 @@ let bank_props =
             Alcotest.(check bool) "left alone while pending" true (t.pending > 0));
   ]
 
+(* -------- sleeping processes: a jumping run equals a stepping one -------- *)
+
+(* A kernel on [Obs.none] skips sleeping processes and jumps over ticks
+   where none can act; an observed kernel steps every tick. Both must give
+   the same results, per-call cycles and kernel counters. *)
+
+type run = {
+  calls : ((int64 list * int), string) result list;  (** per call, in order *)
+  counters : int * int * int * int;  (** cycles, comb_iters, comb_evals, checks_run *)
+  stepped : int;
+}
+
+let observe host calls =
+  let calls =
+    List.map
+      (fun f -> match f host with r -> Ok r | exception e -> Error (Printexc.to_string e))
+      calls
+  in
+  let s = Kernel.stats (Host.kernel host) in
+  {
+    calls;
+    counters = (s.Kernel.cycles, s.Kernel.comb_iters, s.Kernel.comb_evals, s.Kernel.checks_run);
+    stepped = s.Kernel.stepped;
+  }
+
+(* a fuzz cell as [splice fuzz] builds it, bus monitor included *)
+let cell_run ~obs spec (tr : Specgen.traffic) =
+  let host =
+    Host.create ~obs spec ~behaviors:(Specgen.behavior ~calc_cycles:tr.Specgen.t_calc_cycles)
+  in
+  Host.adopt host (fun () ->
+      Bus_monitor.attach (Host.kernel host) ~bus:spec.Spec.bus_name (Host.sis host));
+  observe host
+    (List.map
+       (fun (c : Specgen.call) host ->
+         Host.call ~instance:c.Specgen.c_instance host ~func:c.Specgen.c_func
+           ~args:c.Specgen.c_args)
+       tr.Specgen.t_calls)
+
+let same_run what (jumped : run) (stepped : run) =
+  if jumped.calls <> stepped.calls then
+    QCheck.Test.fail_reportf "%s: results or per-call cycles differ" what
+  else if jumped.counters <> stepped.counters then
+    let pp (c, i, e, r) = Printf.sprintf "cycles %d, comb_iters %d, comb_evals %d, checks_run %d" c i e r in
+    QCheck.Test.fail_reportf "%s: stats differ: %s jumping, %s stepping" what
+      (pp jumped.counters) (pp stepped.counters)
+  else jumped.stepped <= stepped.stepped
+
+(* the decoder's side of the sleep contract: a tick it calls quiet has
+   the same facts as the next one when the lines hold, so a protocol
+   check that slept through that tick would have seen what it saw *)
+type lines = { l_rst : bool; l_fid : int; l_en : bool; l_valid : bool; l_done : bool; l_dov : bool; l_data : int }
+
+let gen_lines =
+  QCheck.Gen.(
+    map
+      (fun ((rst, fid, en), (valid, done_, dov), (data, hold)) ->
+        ( { l_rst = rst = 0; l_fid = fid; l_en = en; l_valid = valid; l_done = done_; l_dov = dov; l_data = data },
+          hold ))
+      (triple
+         (triple (int_bound 12) (int_bound 3) bool)
+         (triple bool bool bool)
+         (pair (int_bound 3) (int_range 1 4))))
+
+let facts (d : Sis_if.decoder) =
+  Printf.sprintf "%b %b %b %b %b %d %b %b %b %b %b %b %s %d %b %b %b %d" d.reset d.strobe d.valid
+    d.done_ d.read_data d.fid d.write d.read d.word_done d.opens d.closes d.wait
+    (match d.pending with Sis_if.Idle -> "idle" | Sis_if.Write -> "write" | Sis_if.Read -> "read")
+    d.held_fid d.data_moved d.prev_done d.prev_strobe d.last_grant
+
+let quiet_repeats drives =
+  let sis = Sis_if.create ~bus_width:8 ~func_id_width:2 ~instances:3 () in
+  let ticks = List.concat_map (fun (l, hold) -> List.init hold (fun _ -> l)) drives in
+  let rec go tick prev = function
+    | [] -> true
+    | l :: rest ->
+        Signal.set_bool sis.Sis_if.rst l.l_rst;
+        Signal.set_int sis.Sis_if.func_id l.l_fid;
+        Signal.set_bool sis.Sis_if.io_enable l.l_en;
+        Signal.set_bool sis.Sis_if.data_in_valid l.l_valid;
+        Signal.set_bool sis.Sis_if.io_done l.l_done;
+        Signal.set_bool sis.Sis_if.data_out_valid l.l_dov;
+        Signal.set_int sis.Sis_if.data_in l.l_data;
+        let d = Sis_if.decode sis tick in
+        let now = (l, facts d, Sis_if.quiet d) in
+        (match prev with
+        | Some (l', f', true) when l' = l && f' <> facts d ->
+            QCheck.Test.fail_reportf "tick %d: quiet tick's facts %s, next tick's %s" tick f' (facts d)
+        | _ -> ());
+        go (tick + 1) (Some now) rest
+  in
+  go 0 None ticks
+
+let single_clock_buses = List.filter (fun b -> b <> "axi") (Registry.names ())
+
+let sleep_props =
+  [
+    prop ~count:300 "a quiet decoder's facts repeat while the lines hold"
+      (QCheck.make QCheck.Gen.(list_size (int_range 1 60) gen_lines)) quiet_repeats;
+    prop ~count:40 "a jumping run equals a stepping one on every single-clock bus"
+      arb_loopback (fun (g, tseed) ->
+        List.for_all
+          (fun bus ->
+            match Specgen.validate (Specgen.with_bus g bus) with
+            | Error _ -> false
+            | Ok spec ->
+                let tr = Specgen.traffic (Specgen.Rng.make tseed) spec in
+                same_run bus (cell_run ~obs:Obs.none spec tr)
+                  (cell_run ~obs:(Obs.create ()) spec tr))
+          single_clock_buses);
+    Alcotest.test_case "the 20 Fig 9.2 runs jump and equal the stepped runs" `Quick
+      (fun () ->
+        let grid ~obs impl =
+          observe
+            (Interpolator.make_host ~obs impl)
+            (List.map
+               (fun s host ->
+                 let v, cycles = Interpolator.run host s in
+                 ([ v ], cycles))
+               Interp_scenarios.all)
+        in
+        let runs =
+          List.map
+            (fun impl ->
+              let name = Interpolator.impl_name impl in
+              let jumped = grid ~obs:Obs.none impl and stepped = grid ~obs:(Obs.create ()) impl in
+              (match same_run name jumped stepped with
+              | true -> ()
+              | false -> Alcotest.failf "%s: stepped more ticks than the stepping run" name
+              | exception QCheck.Test.Test_fail (_, msgs) -> Alcotest.fail (String.concat "; " msgs));
+              jumped)
+            Interpolator.all_impls
+        in
+        Alcotest.(check int) "20 runs" 20 (List.length (List.concat_map (fun r -> r.calls) runs));
+        let sum f = List.fold_left (fun acc r -> acc + f r) 0 runs in
+        let ticks = sum (fun r -> let c, _, _, _ = r.counters in c) in
+        Alcotest.(check bool) "the grid jumps" true (sum (fun r -> r.stepped) < ticks));
+  ]
+
 let tests =
   [
     ("properties.spec", spec_props);
@@ -777,4 +916,5 @@ let tests =
     ("properties.request", request_props);
     ("properties.dump", dump_props);
     ("properties.loopback", loopback_props);
+    ("properties.sleep", sleep_props);
   ]

@@ -167,25 +167,28 @@ let strict_sync_case =
   bus sync_bus ~cycle:0 "wait state on a strictly synchronous write (§4.2.2)"
     [ write_word ]
 
-let run_case c =
-  let kernel = Kernel.create () in
+(* [lead] quiet ticks first: on a kernel built on [Obs.none] the checks
+   sleep through them, and must wake for the trace *)
+let run_case ?obs ?(lead = 0) c =
+  let kernel = Kernel.create ?obs () in
   let s = Sis_if.create ~bus_width:32 ~func_id_width:4 ~instances:3 () in
   (match c.monitor with
   | Sis -> Sis_monitor.attach kernel s
   | Bus b -> Bus_monitor.attach kernel ~bus:b s);
+  let lead = if lead > 0 then quiet :: List.init (lead - 1) (fun _ -> []) else [] in
   match
     List.iter
       (fun settings ->
         List.iter (fun f -> f s) settings;
         Kernel.cycle kernel)
-      c.trace
+      (lead @ c.trace)
   with
   | () -> Alcotest.failf "%s: trace raised no Check_failed" c.message
   | exception Kernel.Check_failed { cycle; check; message } ->
       Signal.clear_pending ();
       Alcotest.(check string) "check" (check_name c.monitor) check;
       Alcotest.(check string) "message" c.message message;
-      Alcotest.(check int) "cycle" c.cycle cycle
+      Alcotest.(check int) "cycle" (c.cycle + List.length lead) cycle
 
 let with_sync_bus f =
   let module Sync = struct
@@ -318,6 +321,15 @@ let tests =
       [
         Alcotest.test_case "a read is answered by DATA_OUT_VALID only" `Quick
           (fun () -> run_case reconciled_case);
+      ] );
+    ( "protocol.sleeping",
+      [
+        Alcotest.test_case "sleeping checks catch every pinned violation" `Quick
+          (fun () ->
+            List.iter
+              (fun c -> run_case ~obs:Obs.none ~lead:3 c)
+              (reconciled_case :: cases);
+            with_sync_bus (fun () -> run_case ~obs:Obs.none ~lead:3 strict_sync_case));
       ] );
     ("protocol.agreement", agreement_tests);
   ]

@@ -541,6 +541,189 @@ let determinism_tests =
         Alcotest.(check string) "waves" w1 w2);
   ]
 
+(* Sleeping processes (Sleep): a kernel on [Obs.none] calls only awake
+   processes and jumps over ticks where none can act; an observed kernel
+   steps every tick. Each test runs both and compares. *)
+
+let sleepy () = Kernel.create ~obs:Obs.none ()
+let stepping () = Kernel.create ()
+
+(* a process that acts every [period] edges, from a deadline: the ticks it
+   acted on (newest first) and the number of times it was called *)
+let ticker k ~period =
+  let sleep = Sleep.create () in
+  let due = ref 0 and acted = ref [] and calls = ref 0 in
+  let seq () =
+    incr calls;
+    if Sleep.now sleep >= !due then begin
+      acted := Kernel.cycles k :: !acted;
+      due := Sleep.now sleep + period
+    end;
+    Sleep.sleep_until sleep !due
+  in
+  Kernel.add k
+    (Component.make ~seq ~sleep
+       ~reset:(fun () ->
+         due := 0;
+         acted := [];
+         calls := 0)
+       "ticker");
+  (acted, calls)
+
+(* the deterministic part of [Kernel.stats]: cycles, comb_iters,
+   comb_evals, checks_run *)
+let counters k =
+  let s = Kernel.stats k in
+  [ s.Kernel.cycles; s.Kernel.comb_iters; s.Kernel.comb_evals; s.Kernel.checks_run ]
+
+let check_counters name a b = Alcotest.(check (list int)) name (counters a) (counters b)
+
+let sleep_tests =
+  [
+    t "a sleeper wakes exactly at its deadline" (fun () ->
+        let run k =
+          let acted, calls = ticker k ~period:5 in
+          let check_sleep = Sleep.create () in
+          Kernel.add_check ~sleep:check_sleep k "idle" (fun _ -> Sleep.sleep check_sleep);
+          Kernel.run k 20;
+          (List.rev !acted, !calls)
+        in
+        let k = sleepy () and k' = stepping () in
+        let acted, calls = run k and acted', calls' = run k' in
+        Alcotest.(check (list int)) "acts on every fifth tick" [ 0; 5; 10; 15 ] acted;
+        Alcotest.(check (list int)) "as when stepped" acted' acted;
+        check_int "called only when due" 4 calls;
+        check_int "stepped kernel calls every tick" 20 calls';
+        check_int "stepped ticks" 4 (Kernel.stats k).Kernel.stepped;
+        check_int "every tick stepped" 20 (Kernel.stats k').Kernel.stepped;
+        check_int "domain edges credited" 20 (Kernel.domain_cycles (Kernel.base_domain k));
+        check_counters "stats" k' k;
+        check_int "the sleeping check is credited" 20 (Kernel.stats k).Kernel.checks_run);
+    t "a signal wake acts on the same tick as stepping would" (fun () ->
+        let run k =
+          (* a register raised by a deadline process, mirrored by a comb,
+             watched by a process asleep until the mirror changes *)
+          let r = Signal.create ~name:"r" 1 and m = Signal.create ~name:"m" 1 in
+          let sleep = Sleep.create ~wake_on:[ m ] () in
+          let seen = ref [] and last = ref false in
+          Kernel.add k
+            (Component.make ~sleep
+               ~seq:(fun () ->
+                 if Signal.get_bool m <> !last then begin
+                   last := Signal.get_bool m;
+                   seen := Kernel.cycles k :: !seen
+                 end;
+                 Sleep.sleep sleep)
+               "watcher");
+          Kernel.add k
+            (Component.make ~comb:([ r ], fun () -> Signal.set m (Signal.get r)) "mirror");
+          let raise_at = Sleep.create () in
+          Kernel.add k
+            (Component.make ~sleep:raise_at
+               ~seq:(fun () ->
+                 if Sleep.now raise_at >= 7 then begin
+                   Signal.set_next_bool r true;
+                   Sleep.sleep raise_at
+                 end
+                 else Sleep.sleep_until raise_at 7)
+               "raiser");
+          Kernel.run k 30;
+          List.rev !seen
+        in
+        let k = sleepy () and k' = stepping () in
+        let seen = run k and seen' = run k' in
+        Alcotest.(check (list int)) "acts the tick the mirror rises" [ 8 ] seen;
+        Alcotest.(check (list int)) "as when stepped" seen' seen;
+        check_counters "stats" k' k;
+        check_bool "jumped" true ((Kernel.stats k).Kernel.stepped < 30));
+    t "a model's wake acts on the same tick as stepping would" (fun () ->
+        (* the waker sets a flag at tick 12 and wakes the waiter, which is
+           asleep until woken: a waiter later in the tick sees the flag on
+           12, an earlier one on 13 *)
+        let run k ~waiter_first =
+          let waiter = Sleep.create () and flag = ref false and seen = ref [] in
+          let w =
+            Component.make ~sleep:waiter "waiter" ~seq:(fun () ->
+                if !flag then begin
+                  flag := false;
+                  seen := Kernel.cycles k :: !seen
+                end;
+                Sleep.sleep waiter)
+          in
+          let at = Sleep.create () and fired = ref false in
+          let x =
+            Component.make ~sleep:at "waker" ~seq:(fun () ->
+                if (not !fired) && Sleep.now at >= 12 then begin
+                  fired := true;
+                  flag := true;
+                  Sleep.wake waiter
+                end;
+                if !fired then Sleep.sleep at else Sleep.sleep_until at 12)
+          in
+          List.iter (Kernel.add k) (if waiter_first then [ w; x ] else [ x; w ]);
+          Kernel.run k 20;
+          List.rev !seen
+        in
+        List.iter
+          (fun waiter_first ->
+            let k = sleepy () and k' = stepping () in
+            let seen = run k ~waiter_first and seen' = run k' ~waiter_first in
+            Alcotest.(check (list int)) "the tick" [ (if waiter_first then 13 else 12) ] seen;
+            Alcotest.(check (list int)) "as when stepped" seen' seen;
+            check_counters "stats" k' k)
+          [ true; false ]);
+    t "run n never overshoots" (fun () ->
+        let k = sleepy () in
+        let acted, _ = ticker k ~period:100 in
+        Kernel.run k 10;
+        check_int "stops at the end of the run" 10 (Kernel.cycles k);
+        Kernel.run k 95;
+        check_int "and again" 105 (Kernel.cycles k);
+        Alcotest.(check (list int)) "acted at its deadlines" [ 0; 100 ] (List.rev !acted);
+        check_int "edges" 105 (Kernel.domain_cycles (Kernel.base_domain k)));
+    t "run_until ~max raises the same Timeout fields as stepping" (fun () ->
+        let timeout k =
+          ignore (ticker k ~period:1000);
+          Kernel.run k 3;
+          match Kernel.run_until ~max:50 ~what:"never" k (fun () -> false) with
+          | _ -> Alcotest.fail "expected a timeout"
+          | exception Kernel.Timeout { cycle; elapsed; waiting_for } ->
+              (cycle, elapsed, waiting_for)
+        in
+        let k = sleepy () and k' = stepping () in
+        let c, e, w = timeout k and c', e', w' = timeout k' in
+        check_int "cycle" c' c;
+        check_int "elapsed" e' e;
+        Alcotest.(check string) "message" w' w;
+        check_int "at max" 53 c;
+        check_bool "jumped" true ((Kernel.stats k).Kernel.stepped < 10);
+        check_counters "stats" k' k);
+    t "an undeclared process makes the kernel step every tick" (fun () ->
+        let k = sleepy () in
+        ignore (ticker k ~period:1000);
+        let calls = ref 0 in
+        Kernel.add k (Component.make ~seq:(fun () -> incr calls) "always");
+        Kernel.run k 25;
+        check_int "called every tick" 25 !calls;
+        check_int "every tick stepped" 25 (Kernel.stats k).Kernel.stepped);
+    t "Kernel.reset clears sleep state: a replay equals a fresh build" (fun () ->
+        let build () =
+          let k = sleepy () in
+          let acted, calls = ticker k ~period:7 in
+          (k, acted, calls)
+        in
+        let run (k, acted, calls) =
+          Kernel.run k 30;
+          (List.rev !acted, !calls, counters k, (Kernel.stats k).Kernel.stepped)
+        in
+        let fresh = run (build ()) in
+        let ((k, _, _) as replayed) = build () in
+        Kernel.run k 12 (* leaves the ticker asleep until edge 14 *);
+        Kernel.reset k;
+        let replay = run replayed in
+        check_bool "replay equals a fresh build" true (fresh = replay));
+  ]
+
 let tests =
   [
     ("sim.signal", signal_tests);
@@ -548,4 +731,5 @@ let tests =
     ("sim.scheduler", scheduler_tests);
     ("sim.wave", wave_tests);
     ("sim.determinism", determinism_tests);
+    ("sim.sleep", sleep_tests);
   ]
