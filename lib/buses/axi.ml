@@ -616,8 +616,8 @@ end architecture;
 let extra_markers =
   [
     ( "CALC_DONE_WIDTH",
-      fun (spec : Spec.t) -> string_of_int (max 1 spec.total_instances) );
-    ("FIFO_DEPTH", fun (_ : Spec.t) -> string_of_int Bus.default_cdc.depth);
+      fun (spec : Spec.t) -> Splice_hdl.Emit.int_to_string (max 1 spec.total_instances) );
+    ("FIFO_DEPTH", fun (_ : Spec.t) -> Splice_hdl.Emit.int_to_string Bus.default_cdc.depth);
   ]
 
 let driver_header (spec : Spec.t) =

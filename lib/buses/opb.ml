@@ -96,7 +96,7 @@ end architecture;
 let extra_markers =
   [
     ( "CALC_DONE_WIDTH",
-      fun (spec : Spec.t) -> string_of_int (max 1 spec.total_instances) );
+      fun (spec : Spec.t) -> Splice_hdl.Emit.int_to_string (max 1 spec.total_instances) );
   ]
 
 let driver_header (spec : Spec.t) =

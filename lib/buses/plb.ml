@@ -136,9 +136,9 @@ let dma_logic_marker (spec : Spec.t) =
 let extra_markers =
   [
     ( "PLB_NUM_CE",
-      fun (spec : Spec.t) -> string_of_int (spec.total_instances + 1) );
+      fun (spec : Spec.t) -> Splice_hdl.Emit.int_to_string (spec.total_instances + 1) );
     ( "CALC_DONE_WIDTH",
-      fun (spec : Spec.t) -> string_of_int (max 1 spec.total_instances) );
+      fun (spec : Spec.t) -> Splice_hdl.Emit.int_to_string (max 1 spec.total_instances) );
     ("DMA_LOGIC", dma_logic_marker);
   ]
 
@@ -159,7 +159,7 @@ let driver_header (spec : Spec.t) =
       Spec.base_address_hex spec;
       {|UL
 #define SPLICE_WORD_BYTES  (|};
-      string_of_int spec.bus_width;
+      Splice_hdl.Emit.int_to_string spec.bus_width;
       {| / 8)
 
 /* function id -> memory-mapped register address */

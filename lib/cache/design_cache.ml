@@ -96,10 +96,16 @@ let stats (t : t) =
 
 let capacity t = t.capacity
 
+let key_equal a b =
+  String.equal a.k_tag b.k_tag && String.equal a.k_src b.k_src && String.equal a.k_bus b.k_bus
+  && fst a.k_ratio = fst b.k_ratio
+  && snd a.k_ratio = snd b.k_ratio
+  && a.k_depth = b.k_depth
+
 let find_and_promote (t : t) hash key =
   let rec go acc = function
     | [] -> None
-    | e :: rest when e.e_hash = hash && e.e_key = key ->
+    | e :: rest when e.e_hash = hash && key_equal e.e_key key ->
         t.lru <- e :: List.rev_append acc rest;
         Some e
     | e :: rest -> go (e :: acc) rest

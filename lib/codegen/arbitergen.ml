@@ -2,39 +2,58 @@ open Splice_syntax
 open Splice_hdl
 open Hdl_ast
 
-(* every (function, instance) pair with its assigned id, in id order *)
+(* one hardware instance: its function, index, assigned id and the
+   arbiter's four signals for its stub outputs, named once per design *)
+type inst = {
+  func : Spec.func;
+  index : int;
+  id : int;
+  data_out : string;
+  data_out_valid : string;
+  io_done : string;
+  calc_done : string;
+}
+
+(* [port] is the stub port's name in lower case *)
+let sig_of id port = String.concat "" [ "f"; Emit.int_to_string id; "_"; port ]
+
+(* every instance in id order *)
 let instances (spec : Spec.t) =
   List.concat_map
     (fun (f : Spec.func) ->
-      List.init f.Spec.instances (fun i -> (f, i, f.Spec.func_id + i)))
+      List.init f.Spec.instances (fun index ->
+          let id = f.Spec.func_id + index in
+          {
+            func = f;
+            index;
+            id;
+            data_out = sig_of id "data_out";
+            data_out_valid = sig_of id "data_out_valid";
+            io_done = sig_of id "io_done";
+            calc_done = sig_of id "calc_done";
+          }))
     spec.Spec.funcs
 
 let inst_label (f : Spec.func) i =
-  if f.Spec.instances = 1 then f.Spec.name else f.Spec.name ^ "_" ^ string_of_int i
+  if f.Spec.instances = 1 then f.Spec.name
+  else String.concat "" [ f.Spec.name; "_"; Emit.int_to_string i ]
 
-(* [port] is the stub port's name in lower case *)
-let sig_of id port = "f" ^ string_of_int id ^ "_" ^ port
-
-let mux_assign (spec : Spec.t) ~port ~stub_port =
+let mux_assign (spec : Spec.t) insts ~port stub_out =
   let width = if port = "DATA_OUT" then spec.Spec.bus_width else 1 in
   let branches =
     List.map
-      (fun (_, _, id) ->
-        ( Binop
-            ( Eq,
-              Ref "FUNC_ID",
-              Lit (id, spec.Spec.func_id_width) ),
-          Ref (sig_of id stub_port) ))
-      (instances spec)
+      (fun inst ->
+        (Binop (Eq, Ref "FUNC_ID", Lit (inst.id, spec.Spec.func_id_width)), Ref (stub_out inst)))
+      insts
   in
   Cassign_cond (Ref port, branches, if width = 1 then Bool_lit false else All_zeros)
 
 (* [target] is the CALC_DONE port, or the internal vector the interrupt
    controller (§10.2) routes it through *)
-let calc_done_encode (spec : Spec.t) ~target =
+let calc_done_encode insts ~target =
   let parts =
     (* VHDL concatenation puts the most significant element first *)
-    List.rev_map (fun (_, _, id) -> Ref (sig_of id "calc_done")) (instances spec)
+    List.rev_map (fun inst -> Ref inst.calc_done) insts
   in
   match parts with
   | [ single ] -> Cassign (Ref target, single)
@@ -46,23 +65,24 @@ let design (spec : Spec.t) =
   let insts = instances spec in
   let per_inst_signals =
     List.concat_map
-      (fun (_, _, id) ->
+      (fun inst ->
         [
-          { sig_name = sig_of id "data_out"; sig_width = bw };
-          { sig_name = sig_of id "data_out_valid"; sig_width = 1 };
-          { sig_name = sig_of id "io_done"; sig_width = 1 };
-          { sig_name = sig_of id "calc_done"; sig_width = 1 };
+          { sig_name = inst.data_out; sig_width = bw };
+          { sig_name = inst.data_out_valid; sig_width = 1 };
+          { sig_name = inst.io_done; sig_width = 1 };
+          { sig_name = inst.calc_done; sig_width = 1 };
         ])
       insts
   in
   let instantiations =
     List.map
-      (fun ((f : Spec.func), i, id) ->
+      (fun inst ->
+        let f = inst.func in
         Instance
           {
-            inst_name = "u_" ^ inst_label f i;
+            inst_name = "u_" ^ inst_label f inst.index;
             comp_name = "func_" ^ f.Spec.name;
-            generic_map = [ ("C_MY_FUNC_ID", id) ];
+            generic_map = [ ("C_MY_FUNC_ID", inst.id) ];
             port_map =
               [
                 ("CLK", Ref "CLK");
@@ -71,10 +91,10 @@ let design (spec : Spec.t) =
                 ("DATA_IN_VALID", Ref "DATA_IN_VALID");
                 ("IO_ENABLE", Ref "IO_ENABLE");
                 ("FUNC_ID", Ref "FUNC_ID");
-                ("DATA_OUT", Ref (sig_of id "data_out"));
-                ("DATA_OUT_VALID", Ref (sig_of id "data_out_valid"));
-                ("IO_DONE", Ref (sig_of id "io_done"));
-                ("CALC_DONE", Ref (sig_of id "calc_done"));
+                ("DATA_OUT", Ref inst.data_out);
+                ("DATA_OUT_VALID", Ref inst.data_out_valid);
+                ("IO_DONE", Ref inst.io_done);
+                ("CALC_DONE", Ref inst.calc_done);
               ];
           })
       insts
@@ -82,8 +102,11 @@ let design (spec : Spec.t) =
   {
     header =
       [
-        "user_" ^ spec.Spec.device_name ^ ": arbitration unit for device "
-        ^ spec.Spec.device_name;
+        String.concat ""
+          [
+            "user_"; spec.Spec.device_name; ": arbitration unit for device ";
+            spec.Spec.device_name;
+          ];
         "Multiplexes the shared SIS output signals across all user functions";
         "and assembles the CALC_DONE status vector (Ch 5.2).";
       ];
@@ -121,11 +144,11 @@ let design (spec : Spec.t) =
       @ instantiations
       @ [
           Ccomment "shared-output multiplexing, selected by FUNC_ID";
-          mux_assign spec ~port:"DATA_OUT" ~stub_port:"data_out";
-          mux_assign spec ~port:"DATA_OUT_VALID" ~stub_port:"data_out_valid";
-          mux_assign spec ~port:"IO_DONE" ~stub_port:"io_done";
+          mux_assign spec insts ~port:"DATA_OUT" (fun i -> i.data_out);
+          mux_assign spec insts ~port:"DATA_OUT_VALID" (fun i -> i.data_out_valid);
+          mux_assign spec insts ~port:"IO_DONE" (fun i -> i.io_done);
           Ccomment "status vector: CALC_DONE bit (id-1) per instance (§4.2.2)";
-          calc_done_encode spec
+          calc_done_encode insts
             ~target:(if spec.Spec.interrupts then "calc_done_vec" else "CALC_DONE");
         ]
       @
@@ -173,5 +196,8 @@ let generate spec =
   | Ast.Verilog -> Verilog.to_string d
 
 let file_name (spec : Spec.t) =
-  "user_" ^ spec.Spec.device_name
-  ^ match spec.Spec.hdl with Ast.Vhdl -> ".vhd" | Ast.Verilog -> ".v"
+  String.concat ""
+    [
+      "user_"; spec.Spec.device_name;
+      (match spec.Spec.hdl with Ast.Vhdl -> ".vhd" | Ast.Verilog -> ".v");
+    ]

@@ -30,6 +30,23 @@ let check_params (module B : Bus.S) (spec : Spec.t) =
   | Error es -> List.iter (fun e -> err "%s" e) es);
   match !errors with [] -> Ok () | es -> Error (List.rev es)
 
+(* Adapter templates split at their markers, newest first, keyed by the
+   template string itself: a bus module holds its template as one
+   constant, so each is parsed once. Bounded, in case a program builds
+   bus libraries on the fly. Domains share the list; an entry lost to a
+   racing domain is parsed again on its next use. *)
+let parsed = Atomic.make []
+let parsed_max = 32
+
+let parsed_template src =
+  match List.find_opt (fun (s, _) -> s == src) (Atomic.get parsed) with
+  | Some (_, t) -> t
+  | None ->
+      let t = Template.parse src in
+      Atomic.set parsed
+        ((src, t) :: List.filteri (fun i _ -> i < parsed_max - 1) (Atomic.get parsed));
+      t
+
 let generate ?gen_date (module B : Bus.S) (spec : Spec.t) =
   (match check_params (module B) spec with
   | Ok () -> ()
@@ -39,7 +56,7 @@ let generate ?gen_date (module B : Bus.S) (spec : Spec.t) =
     Macro.standard ?gen_date spec
     @ List.map (fun (name, f) -> (name, f spec)) B.extra_markers
   in
-  Template.expand ~markers B.adapter_template
+  Template.render ~markers (parsed_template B.adapter_template)
 
 (* adapter reference templates are written in VHDL (as the thesis's are);
    a Verilog-targeted project simply mixes languages, which every FPGA

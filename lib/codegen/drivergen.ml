@@ -13,10 +13,7 @@ let add_c_type b (io : Spec.io) =
   add_words b io.Spec.type_words;
   if io.Spec.is_pointer then add b " *"
 
-let c_type io =
-  let b = Buffer.create 32 in
-  add_c_type b io;
-  Buffer.contents b
+let c_type io = render (fun b -> add_c_type b io)
 
 let add_param_decl b (io : Spec.io) =
   add_c_type b io;
@@ -38,10 +35,7 @@ let add_prototype b (f : Spec.func) =
   else if f.Spec.inputs = [] then add b "void";
   Buffer.add_char b ')'
 
-let prototype f =
-  let b = Buffer.create 64 in
-  add_prototype b f;
-  Buffer.contents b
+let prototype f = render (fun b -> add_prototype b f)
 
 let macro_name = function 1 -> "WRITE_SINGLE" | 2 -> "WRITE_DOUBLE" | 4 -> "WRITE_QUAD" | _ -> "WRITE_BURST"
 let read_macro = function 1 -> "READ_SINGLE" | 2 -> "READ_DOUBLE" | 4 -> "READ_QUAD" | _ -> "READ_BURST"
@@ -270,15 +264,11 @@ let add_driver_function b (spec : Spec.t) (f : Spec.func) =
   end;
   add b "}\n"
 
-let driver_function spec f =
-  let b = Buffer.create 1024 in
-  add_driver_function b spec f;
-  Buffer.contents b
+let driver_function spec f = render (fun b -> add_driver_function b spec f)
 
-let header_file (spec : Spec.t) =
-  let b = Buffer.create 1024 in
+let add_header_file b (spec : Spec.t) =
   let dev = spec.Spec.device_name in
-  let guard = "SPLICE_" ^ String.uppercase_ascii dev ^ "_DRIVER_H" in
+  let guard = String.concat "" [ "SPLICE_"; String.uppercase_ascii dev; "_DRIVER_H" ] in
   add b "/* ";
   add b dev;
   add b "_driver.h -- driver prototypes for device ";
@@ -335,11 +325,11 @@ let header_file (spec : Spec.t) =
     spec.Spec.funcs;
   add b "\n#endif /* ";
   add b guard;
-  add b " */\n";
-  Buffer.contents b
+  add b " */\n"
 
-let source_file (spec : Spec.t) =
-  let b = Buffer.create 4096 in
+let header_file spec = render (fun b -> add_header_file b spec)
+
+let add_source_file b (spec : Spec.t) =
   let dev = spec.Spec.device_name in
   add b "/* ";
   add b dev;
@@ -372,11 +362,11 @@ let source_file (spec : Spec.t) =
     (fun f ->
       add_driver_function b spec f;
       add b "\n")
-    spec.Spec.funcs;
-  Buffer.contents b
+    spec.Spec.funcs
 
-let test_suite (spec : Spec.t) =
-  let b = Buffer.create 1024 in
+let source_file spec = render (fun b -> add_source_file b spec)
+
+let add_test_suite b (spec : Spec.t) =
   let dev = spec.Spec.device_name in
   add b "/* test_";
   add b dev;
@@ -440,5 +430,6 @@ let test_suite (spec : Spec.t) =
           call ();
           add b ";\n")
     spec.Spec.funcs;
-  add b "  return 0;\n}\n";
-  Buffer.contents b
+  add b "  return 0;\n}\n"
+
+let test_suite spec = render (fun b -> add_test_suite b spec)

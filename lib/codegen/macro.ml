@@ -1,12 +1,13 @@
 open Splice_syntax
+open Splice_hdl
 
-let base_addr_literal spec = "x\"" ^ Spec.base_address_hex spec ^ "\""
+let base_addr_literal spec = String.concat "" [ "x\""; Spec.base_address_hex spec; "\"" ]
 
 let default_gen_date () =
   let t = Unix.localtime (Unix.time ()) in
   (* [n] zero-padded to [w] digits *)
   let digits w n =
-    let s = string_of_int n in
+    let s = Emit.int_to_string n in
     String.make (max 0 (w - String.length s)) '0' ^ s
   in
   String.concat ""
@@ -19,8 +20,8 @@ let standard ?gen_date (spec : Spec.t) =
   let date = match gen_date with Some d -> d | None -> default_gen_date () in
   [
     ("COMP_NAME", spec.Spec.device_name);
-    ("BUS_WIDTH", string_of_int spec.Spec.bus_width);
-    ("FUNC_ID_WIDTH", string_of_int spec.Spec.func_id_width);
+    ("BUS_WIDTH", Emit.int_to_string spec.Spec.bus_width);
+    ("FUNC_ID_WIDTH", Emit.int_to_string spec.Spec.func_id_width);
     ("BASE_ADDR", base_addr_literal spec);
     ("GEN_DATE", date);
     ("DMA_ENABLED", if spec.Spec.dma then "true" else "false");

@@ -55,7 +55,7 @@ let generate ?gen_date ?(linux = false) (spec : Spec.t) =
         contents = Drivergen.source_file spec;
       };
       {
-        path = "test_" ^ spec.Spec.device_name ^ ".c";
+        path = String.concat "" [ "test_"; spec.Spec.device_name; ".c" ];
         contents = Drivergen.test_suite spec;
       };
     ]

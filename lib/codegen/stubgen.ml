@@ -163,15 +163,23 @@ let input_state_arm spec (io : Spec.io option) next_state =
         match io.Spec.count with
         | None -> "1 write operation(s)"
         | Some (Ast.Fixed n) ->
-            string_of_int n ^ " element(s) / "
-            ^ (match words with Some w -> string_of_int w | None -> "?")
-            ^ " write operation(s)"
-        | Some (Ast.Var v) -> "a variable number (" ^ v ^ ") of write operation(s)"
+            String.concat ""
+              [
+                Emit.int_to_string n;
+                " element(s) / ";
+                (match words with Some w -> Emit.int_to_string w | None -> "?");
+                " write operation(s)";
+              ]
+        | Some (Ast.Var v) ->
+            String.concat "" [ "a variable number ("; v; ") of write operation(s)" ]
       in
       let store_comment =
         Comment
-          ("TODO (user): store DATA_IN for " ^ name
-         ^ " (e.g. into a register file or Block RAM)")
+          (String.concat ""
+             [
+               "TODO (user): store DATA_IN for "; name;
+               " (e.g. into a register file or Block RAM)";
+             ])
       in
       let ignore_comment =
         (* §5.3.1: note how many trailing bits of the last word are padding *)
@@ -183,8 +191,12 @@ let input_state_arm spec (io : Spec.io option) next_state =
             if plan_x.Plan.ignore_bits > 0 then
               [
                 Comment
-                  ("NOTE: the final word carries " ^ string_of_int plan_x.Plan.ignore_bits
-                 ^ " trailing bit(s) of padding that can safely be ignored");
+                  (String.concat ""
+                     [
+                       "NOTE: the final word carries ";
+                       Emit.int_to_string plan_x.Plan.ignore_bits;
+                       " trailing bit(s) of padding that can safely be ignored";
+                     ]);
               ]
             else []
         | _ -> []
@@ -195,7 +207,7 @@ let input_state_arm spec (io : Spec.io option) next_state =
         else []
       in
       ( Choice_ref ("IN_" ^ name),
-        [ Comment ("Handling " ^ x ^ " for input '" ^ name ^ "'") ]
+        [ Comment (String.concat "" [ "Handling "; x; " for input '"; name; "'" ]) ]
         @ ignore_comment
         @ [
             If
@@ -229,14 +241,18 @@ let readback_state_arm spec (io : Spec.io) next_state =
   let counter = io.Spec.io_name ^ "_rb_counter" in
   let serve =
     [
-      Comment ("TODO (user): drive the updated '" ^ io.Spec.io_name ^ "' word onto DATA_OUT");
+      Comment
+        (String.concat ""
+           [ "TODO (user): drive the updated '"; io.Spec.io_name; "' word onto DATA_OUT" ]);
       Assign (Ref "DATA_OUT_VALID", Bool_lit true);
       Assign (Ref "IO_DONE", Bool_lit true);
     ]
   in
   ( Choice_ref ("OUT_" ^ io.Spec.io_name),
     [
-      Comment ("Reading back by-reference parameter '" ^ io.Spec.io_name ^ "' (§10.2)");
+      Comment
+        (String.concat ""
+           [ "Reading back by-reference parameter '"; io.Spec.io_name; "' (§10.2)" ]);
       Assign (Ref "CALC_DONE", Bool_lit true);
       If
         ( [
@@ -363,7 +379,8 @@ let design spec (f : Spec.func) =
   {
     header =
       [
-        "func_" ^ f.Spec.name ^ ": user-logic stub for device " ^ spec.Spec.device_name;
+        String.concat ""
+          [ "func_"; f.Spec.name; ": user-logic stub for device "; spec.Spec.device_name ];
         "Generated by Splice: fill in the CALC state(s) and data storage;";
         "all bus-level signalling is already handled (Ch 5).";
       ];
@@ -394,5 +411,5 @@ let generate spec f =
   | Ast.Verilog -> Verilog.to_string d
 
 let file_name spec (f : Spec.func) =
-  "func_" ^ f.Spec.name
-  ^ match spec.Spec.hdl with Ast.Vhdl -> ".vhd" | Ast.Verilog -> ".v"
+  String.concat ""
+    [ "func_"; f.Spec.name; (match spec.Spec.hdl with Ast.Vhdl -> ".vhd" | Ast.Verilog -> ".v") ]

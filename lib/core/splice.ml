@@ -79,6 +79,7 @@ module Hdl_ast = Splice_hdl.Hdl_ast
 module Vhdl = Splice_hdl.Vhdl
 module Verilog = Splice_hdl.Verilog
 module Template = Splice_hdl.Template
+module Emit = Splice_hdl.Emit
 module Vhdl_lint = Splice_hdl.Vhdl_lint
 module Macro = Splice_codegen.Macro
 module Busgen = Splice_codegen.Busgen

@@ -64,7 +64,7 @@ let spec_for impl =
 let mask32 v = Int64.of_int32 (Int64.to_int32 v)
 
 let reference inputs =
-  let get name = match List.assoc_opt name inputs with Some l -> l | None -> [] in
+  let get name = match Spec.assoc_name name inputs with Some l -> l | None -> [] in
   let times = Array.of_list (get "s1") in
   let queries = get "s2" in
   let values = Array.of_list (get "s3") in

@@ -112,7 +112,7 @@ let call_full ?(instance = 0) ?max_cycles t ~func ~args =
   let record kind ~arg =
     match t.recorder with
     | Some r ->
-        Recorder.record r kind ~subject:(List.assoc func t.call_tracks) ~arg
+        Recorder.record r kind ~subject:(Option.get (Spec.assoc_name func t.call_tracks)) ~arg
     | None -> ()
   in
   record Recorder.Txn_begin ~arg:(List.length prog);

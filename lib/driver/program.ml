@@ -5,7 +5,7 @@ open Splice_bits
 type t = Op.t list
 
 let values_of_args args v =
-  match List.assoc_opt v args with
+  match Spec.assoc_name v args with
   | Some (x :: _) -> Int64.to_int x
   | Some [] | None ->
       invalid_arg (Printf.sprintf "Program: implicit index %s missing" v)
@@ -66,7 +66,7 @@ let of_plan ?(instance = 0) ?(lean = false) ~max_burst_words ~supports_dma
     (fun (x : Plan.xfer) ->
       let name = x.Plan.io.Spec.io_name in
       let elems =
-        match List.assoc_opt name args with
+        match Spec.assoc_name name args with
         | Some vs -> vs
         | None -> invalid_arg (Printf.sprintf "Program: missing argument %s" name)
       in

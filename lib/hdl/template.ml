@@ -2,10 +2,14 @@ exception Unknown_marker of { marker : string; known : string list }
 
 let is_marker_char c = (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c = '_'
 
-(* [on_marker name start stop] for each [%NAME%] in [src], in order, with
-   [src.[start]] its opening and [src.[stop]] its closing '%' *)
-let scan src on_marker =
+(* A template split once at its markers: [lits.(i)] is the literal run
+   before marker [names.(i)], and the last run follows the last marker. *)
+type t = { lits : string array; names : string array; distinct : string list }
+
+let parse src =
   let n = String.length src in
+  let lits = ref [] and names = ref [] and copied = ref 0 in
+  (* each [%NAME%] in order: [i] is its opening '%', [j] its closing one *)
   let rec from i =
     match String.index_from_opt src i '%' with
     | None -> ()
@@ -15,32 +19,45 @@ let scan src on_marker =
           incr j
         done;
         if !j > i + 1 && !j < n && src.[!j] = '%' then begin
-          on_marker (String.sub src (i + 1) (!j - i - 1)) i !j;
+          lits := String.sub src !copied (i - !copied) :: !lits;
+          names := String.sub src (i + 1) (!j - i - 1) :: !names;
+          copied := !j + 1;
           from (!j + 1)
         end
         else from (i + 1)
   in
-  from 0
+  from 0;
+  let names = List.rev !names in
+  {
+    lits = Array.of_list (List.rev (String.sub src !copied (n - !copied) :: !lits));
+    names = Array.of_list names;
+    distinct =
+      List.rev
+        (List.fold_left
+           (fun seen m -> if List.exists (String.equal m) seen then seen else m :: seen)
+           [] names);
+  }
 
-(* Replace each marker by [f]'s text ([None] keeps the original text),
-   copying each run between markers with one blit. *)
-let substitute f src =
-  let buf = Buffer.create (String.length src) in
-  let copied = ref 0 in
-  scan src (fun name start stop ->
-      match f name with
-      | Some repl ->
-          Buffer.add_substring buf src !copied (start - !copied);
-          Buffer.add_string buf repl;
-          copied := stop + 1
-      | None -> ());
-  Buffer.add_substring buf src !copied (String.length src - !copied);
-  Buffer.contents buf
+let markers t = t.distinct
 
-let markers_in src =
-  let seen = ref [] in
-  scan src (fun name _ _ -> if not (List.mem name !seen) then seen := name :: !seen);
-  List.rev !seen
+(* one string of the exact length: each marker's text is looked up once,
+   then every run and value is blitted into place *)
+let fill t value =
+  let values = Array.map value t.names in
+  let len = ref 0 in
+  Array.iter (fun s -> len := !len + String.length s) t.lits;
+  Array.iter (fun s -> len := !len + String.length s) values;
+  let out = Bytes.create !len and pos = ref 0 in
+  let put s =
+    Bytes.blit_string s 0 out !pos (String.length s);
+    pos := !pos + String.length s
+  in
+  Array.iteri
+    (fun i lit ->
+      put lit;
+      if i < Array.length values then put values.(i))
+    t.lits;
+  Bytes.unsafe_to_string out
 
 let lookup markers name =
   (* later bindings shadow earlier ones *)
@@ -50,12 +67,16 @@ let lookup markers name =
   in
   go None markers
 
-let expand ~markers src =
-  substitute
-    (fun name ->
+let render ~markers t =
+  fill t (fun name ->
       match lookup markers name with
-      | Some v -> Some v
+      | Some v -> v
       | None -> raise (Unknown_marker { marker = name; known = List.map fst markers }))
-    src
 
-let expand_partial ~markers src = substitute (lookup markers) src
+let render_partial ~markers t =
+  fill t (fun name ->
+      match lookup markers name with Some v -> v | None -> String.concat "" [ "%"; name; "%" ])
+
+let markers_in src = markers (parse src)
+let expand ~markers src = render ~markers (parse src)
+let expand_partial ~markers src = render_partial ~markers (parse src)

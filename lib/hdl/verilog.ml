@@ -169,8 +169,7 @@ let concurrent b = function
       List.iter (stmt b 4) p.body;
       add b "  end\n"
 
-let to_string (d : design) =
-  let b = Buffer.create 4096 in
+let add_design b (d : design) =
   List.iter
     (fun l ->
       add b "// ";
@@ -229,10 +228,7 @@ let to_string (d : design) =
     d.signals;
   Buffer.add_char b '\n';
   List.iter (concurrent b) d.body;
-  add b "\nendmodule\n";
-  Buffer.contents b
+  add b "\nendmodule\n"
 
-let expr e =
-  let b = Buffer.create 64 in
-  expr b e;
-  Buffer.contents b
+let to_string d = render (fun b -> add_design b d)
+let expr e = render (fun b -> expr b e)

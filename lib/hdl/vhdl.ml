@@ -29,10 +29,7 @@ let rec is_int = function
 let arith_op = function Add -> " + " | Sub -> " - " | Mul -> " * " | _ -> " / "
 let prec = function Mul | Div -> 2 | _ -> 1
 
-let to_string_with f x =
-  let b = Buffer.create 64 in
-  f b x;
-  Buffer.contents b
+let to_string_with f x = render (fun b -> f b x)
 
 (* the length of a vector expression, for sizing an integer against it:
    bitwise operands share their width, so the leftmost signal's will do *)
@@ -329,8 +326,7 @@ let add_signal b s =
 let expr e = to_string_with expr e
 let cond e = to_string_with cond e
 
-let to_string (d : design) =
-  let b = Buffer.create 4096 in
+let add_design b (d : design) =
   List.iter
     (fun l ->
       add b "-- ";
@@ -363,5 +359,6 @@ let to_string (d : design) =
   List.iter (add_signal b) d.signals;
   add b "begin\n";
   List.iter (add_concurrent b) d.body;
-  add b "end architecture rtl;\n";
-  Buffer.contents b
+  add b "end architecture rtl;\n"
+
+let to_string d = render (fun b -> add_design b d)

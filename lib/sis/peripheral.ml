@@ -41,8 +41,10 @@ let sis t = t.sis
 let spec t = t.spec
 
 let stub t name ?(instance = 0) () =
-  match List.assoc_opt (name, instance) t.stubs with
-  | Some s -> s
+  match
+    List.find_opt (fun ((n, i), _) -> i = instance && String.equal n name) t.stubs
+  with
+  | Some (_, s) -> s
   | None -> raise Not_found
 
 let stubs t = List.map snd t.stubs

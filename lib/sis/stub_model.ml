@@ -67,7 +67,7 @@ type t = {
 }
 
 let values_fn t var =
-  match List.assoc_opt var t.received with
+  match Spec.assoc_name var t.received with
   | Some (v :: _) -> Int64.to_int v
   | Some [] | None ->
       failwith
@@ -108,7 +108,7 @@ let enter_output t =
       (fun (io : Spec.io) ->
         let x = Plan.xfer_of_io t.spec Plan.Out io ~values:(values_fn t) in
         let elems =
-          match List.assoc_opt io.Spec.io_name updates with
+          match Spec.assoc_name io.Spec.io_name updates with
           | Some vs ->
               if List.length vs <> Plan.expected_values x then
                 failwith
@@ -120,7 +120,7 @@ let enter_output t =
               else vs
           | None -> (
               (* unchanged: echo the received values *)
-              match List.assoc_opt io.Spec.io_name t.received with
+              match Spec.assoc_name io.Spec.io_name t.received with
               | Some vs -> vs
               | None -> List.init (Plan.expected_values x) (fun _ -> 0L))
         in

@@ -43,6 +43,10 @@ let readbacks f = List.filter (fun io -> io.is_by_ref) f.inputs
 let blocking_ack f = f.output = None && not f.nowait && readbacks f = []
 let find_func t name = List.find_opt (fun f -> f.name = name) t.funcs
 
+let rec assoc_name name = function
+  | [] -> None
+  | (k, v) :: rest -> if String.equal k name then Some v else assoc_name name rest
+
 let func_of_id t id =
   if id <= 0 then None
   else

@@ -56,6 +56,10 @@ val blocking_ack : func -> bool
 
 val find_func : t -> string -> func option
 
+val assoc_name : string -> (string * 'a) list -> 'a option
+(** The first binding of a function, parameter or field name, compared
+    with [String.equal]: [List.assoc_opt] compares keys polymorphically. *)
+
 val func_of_id : t -> int -> (func * int) option
 (** [func_of_id spec id] resolves a [FUNC_ID] to its function and instance
     index; [None] for id 0 (status register) and unassigned ids. *)

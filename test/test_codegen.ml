@@ -697,6 +697,80 @@ let golden_tests =
           ]);
   ]
 
+(* Every generated file is rendered into a buffer lent to it by [Emit]
+   (one per domain, reused from file to file): no render may see another's
+   text, whether it runs inside another render, after one that raised, or
+   on another domain at the same time. *)
+let project_text src =
+  List.map
+    (fun (f : Project.file) -> (f.path, f.contents))
+    (Project.files (Project.from_source ~gen_date:"pinned" src))
+
+let check_files = Alcotest.(check (list (pair string string)))
+
+let render_tests =
+  [
+    t "integers print as string_of_int does" (fun () ->
+        List.iter
+          (fun i ->
+            let b = Buffer.create 8 in
+            Emit.add_int b i;
+            Alcotest.(check (pair string string))
+              (string_of_int i)
+              (string_of_int i, string_of_int i)
+              (Emit.int_to_string i, Buffer.contents b))
+          ([ 999; 1000; 65535; 123_456_789; max_int; min_int; min_int + 1 ]
+          @ List.init 601 (fun i -> i - 300)));
+    t "a render nested inside a render matches separate renders" (fun () ->
+        let spec = timer_spec () in
+        let arbiter = Arbitergen.design spec in
+        let vhdl = Vhdl.to_string arbiter and source = Drivergen.source_file spec in
+        let inner = ref [] in
+        let outer =
+          Emit.render (fun b ->
+              Emit.add b "<";
+              inner := [ Vhdl.to_string arbiter ];
+              Emit.add_int b 1234;
+              inner := Drivergen.source_file spec :: !inner;
+              Emit.add b ">")
+        in
+        Alcotest.(check (list string)) "inner renders" [ source; vhdl ] !inner;
+        Alcotest.(check string) "outer render" "<1234>" outer;
+        Alcotest.(check string) "the next render" vhdl (Vhdl.to_string arbiter));
+    t "a generator that raises mid-file leaves the next project byte-identical" (fun () ->
+        let src = Timer.spec_source in
+        let before = project_text src in
+        let arbiter = Arbitergen.design (timer_spec ()) in
+        (* a comparison in value context: the printer raises half-way
+           through the architecture *)
+        let broken =
+          {
+            arbiter with
+            Hdl_ast.body =
+              arbiter.Hdl_ast.body
+              @ [ Hdl_ast.Cassign (Ref "IRQ", Binop (Eq, Ref "IO_DONE", Ref "RST")) ];
+          }
+        in
+        (match Vhdl.to_string broken with
+        | _ -> Alcotest.fail "the broken design printed"
+        | exception Invalid_argument _ -> ());
+        (match
+           Emit.render (fun b ->
+               Emit.add b "half a file";
+               raise Exit)
+         with
+        | _ -> Alcotest.fail "the render returned"
+        | exception Exit -> ());
+        check_files "after the failures" before (project_text src));
+    t "the golden corpus generated on a 2-domain pool equals a sequential run" (fun () ->
+        let srcs = Array.of_list (List.map snd (golden_corpus ())) in
+        (* four rounds, so the domains render files at the same time *)
+        let srcs = Array.concat [ srcs; srcs; srcs; srcs ] in
+        let sequential = Array.map project_text srcs in
+        let pooled = Pool.with_pool ~domains:2 (fun p -> Pool.map_ordered p project_text srcs) in
+        Array.iteri (fun i files -> check_files (string_of_int i) files pooled.(i)) sequential);
+  ]
+
 let tests =
   [
     ("codegen.macros", macro_tests);
@@ -709,4 +783,5 @@ let tests =
     ("codegen.project", project_tests);
     ("codegen.api", api_tests);
     ("codegen.golden", golden_tests);
+    ("codegen.render", render_tests);
   ]

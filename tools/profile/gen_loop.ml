@@ -1,7 +1,9 @@
 (* An in-process project-generation loop over the gen_projects corpus of
    perfbench: the example specs plus 32 seeded specs per bus, generated
-   [passes] times with Project.from_source. Prints the time per project
-   and the minor words allocated per output byte. Profile this rather than
+   [passes] times with Project.from_source. Prints the time per project,
+   the minor words and the words allocated directly in the major heap per
+   output byte, and the process's peak resident set (VmHWM, the figure
+   perfbench reports as peak_rss_mb). Profile this rather than
    perfbench/main.exe, whose set-up child processes and per-pass digest
    are not project generation.
 
@@ -30,6 +32,27 @@ let sources seed =
           (Registry.names ()))
       (List.init 32 Fun.id)
 
+(* words allocated straight into the major heap: major words less the
+   ones promoted from the minor heap (the slice first brings the
+   counters up to date) *)
+let direct_major_words () =
+  ignore (Gc.major_slice 0);
+  let s = Gc.quick_stat () in
+  s.Gc.major_words -. s.Gc.promoted_words
+
+(* this process's VmHWM in MB *)
+let peak_rss_mb () =
+  In_channel.with_open_text "/proc/self/status" (fun ic ->
+      let rec go () =
+        match In_channel.input_line ic with
+        | None -> nan
+        | Some l -> (
+            match Scanf.sscanf_opt l "VmHWM: %d kB" Fun.id with
+            | Some kb -> float_of_int kb /. 1024.
+            | None -> go ())
+      in
+      go ())
+
 let () =
   let passes = arg 1 200 and srcs = sources (arg 2 7919) in
   let generate () = List.map (Project.from_source ~gen_date:"perfbench") srcs in
@@ -41,12 +64,15 @@ let () =
           acc (Project.files p))
       0 (generate ())
   in
-  let w0 = Gc.minor_words () and t0 = Unix.gettimeofday () in
+  let w0 = Gc.minor_words () and m0 = direct_major_words () and t0 = Unix.gettimeofday () in
   for _ = 1 to passes do
     ignore (generate ())
   done;
-  let dt = Unix.gettimeofday () -. t0 and words = Gc.minor_words () -. w0 in
-  let n = float_of_int (passes * List.length srcs) in
-  Printf.printf "%d projects (%d bytes) x %d passes: %.1f us/project, %.3f minor words/byte\n"
-    (List.length srcs) bytes passes (dt *. 1e6 /. n)
-    (words /. float_of_int (bytes * passes))
+  let dt = Unix.gettimeofday () -. t0 in
+  let words = Gc.minor_words () -. w0 and major = direct_major_words () -. m0 in
+  let n = float_of_int (passes * List.length srcs) and out = float_of_int (bytes * passes) in
+  Printf.printf
+    "%d projects (%d bytes) x %d passes: %.1f us/project, %.3f minor words/byte, \
+     %.3f major words/byte, peak RSS %.1f MB\n"
+    (List.length srcs) bytes passes (dt *. 1e6 /. n) (words /. out) (major /. out)
+    (peak_rss_mb ())
