@@ -19,12 +19,29 @@ let create ~width v =
   check_width width;
   { w = width; v = Int64.logand v (mask width) }
 
-let of_int ~width v = create ~width (Int64.of_int v)
-
-(* values are immutable, so the zero of every width and both 1-bit values
-   are shared constants: the simulation's per-cycle defaults never
-   allocate *)
+(* values are immutable, so the zero of every width and every value of
+   at most [small_width] bits are shared constants: the simulation's
+   per-cycle defaults, and the 1-bit and byte values a narrow signal
+   rebuilds, never allocate *)
 let zeros = Array.init max_width (fun i -> { w = i + 1; v = 0L })
+
+let small_width = 8
+
+(* the values of width [w] sit at [(1 lsl w) + v], so [w] and [v] select
+   one entry with one load; the first two slots are unused *)
+let smalls =
+  let a = Array.make (1 lsl (small_width + 1)) zeros.(0) in
+  for w = 1 to small_width do
+    for v = 0 to (1 lsl w) - 1 do
+      a.((1 lsl w) + v) <- (if v = 0 then zeros.(w - 1) else { w; v = Int64.of_int v })
+    done
+  done;
+  a
+
+let of_int ~width v =
+  if width >= 1 && width <= small_width then
+    Array.unsafe_get smalls ((1 lsl width) lor (v land ((1 lsl width) - 1)))
+  else create ~width (Int64.of_int v)
 
 let zero w =
   check_width w;
@@ -33,7 +50,7 @@ let zero w =
 let one w = create ~width:w 1L
 let ones w = create ~width:w (-1L)
 let b_false = zero 1
-let b_true = create ~width:1 1L
+let b_true = of_int ~width:1 1
 let of_bool b = if b then b_true else b_false
 
 let of_binary_string s =

@@ -20,6 +20,9 @@ val create : width:int -> int64 -> t
     [1 <= width <= 64]. *)
 
 val of_int : width:int -> int -> t
+(** [of_int ~width v] masks [v] to [width] bits, as {!create}. A value of
+    at most 8 bits is a shared constant: allocates nothing. *)
+
 val zero : int -> t
 (** A shared constant per width: allocates nothing. *)
 

@@ -32,6 +32,10 @@ let make_domain ~name ~phase ~period ~tick =
   }
 
 type t = {
+  st : Signal.store;
+      (* the signal store of the domain that created the kernel, where its
+         design's signals queue their writes: every tick settles, counts
+         changes and commits through it without a domain-local lookup *)
   max_comb_iters : int;
   mutable sched : sched;
       (* mutable so a cached design can be re-targeted: the cache resets the
@@ -175,6 +179,7 @@ let create ?(max_comb_iters = 64) ?(sched = `Event) ?obs () =
   let iter_slots = max 1 (max_comb_iters + 1) in
   let t =
     {
+      st = Signal.store ();
       base;
       domains = [ base ];
       rec_;
@@ -422,7 +427,7 @@ let rec event_passes t st executed productive =
     else productive
   end
 
-(* [st] is this domain's signal store, looked up once per tick by [cycle] *)
+(* [st] is the kernel's signal store *)
 let settle t st =
   if not t.sealed then seal t;
   t.settle_evals <- 0;
@@ -506,9 +511,7 @@ let rec count_domain_edges = function
 
 let cycle t =
   (match t.rec_ with Some r -> Recorder.set_now r t.cycle_count | None -> ());
-  (* the domain-local signal store, looked up once: the settle, its passes
-     and the commit below all go through [st] *)
-  let st = Signal.store () in
+  let st = t.st in
   (* (re-)point the store at this kernel's recorder — [None] detaches, so
      an opted-out kernel never records into the ring of whichever
      instrumented kernel ran before it in this domain *)

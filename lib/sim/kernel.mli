@@ -11,8 +11,10 @@
       registration order (all observe settled pre-edge values), and commit
       their deferred writes simultaneously.
 
-    A cycle looks the domain-local signal store up once ({!Signal.store})
-    and hands it to the settle, its pass loops and the commit.
+    {!create} records the domain's signal store ({!Signal.store}); every
+    cycle hands it to the settle, its pass loops and the commit without
+    looking it up again. Cycle a kernel only in the domain that created
+    it, with signals created there.
 
     {1 Scheduling}
 

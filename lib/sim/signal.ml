@@ -2,6 +2,10 @@ open Splice_bits
 open Splice_obs
 
 type t = {
+  st : store;
+      (* the store of the domain that created the signal: every write
+         queues into it and every change bumps its counter, with no
+         domain-local lookup *)
   name : string;
   uid : int;
       (* domain-unique id, never reused and never reset (unlike the default
@@ -14,11 +18,12 @@ type t = {
          decides whether a write changes anything. 63- and 64-bit signals
          are wide: their value lives only in [value]. *)
   mutable imm : int;
-      (* the value of a narrow signal (0 for a wide one); always equal to
-         [value] as an int — reads and change detection use only this *)
+      (* the value of a narrow signal (0 for a wide one) — reads, change
+         detection and the int writes use only this *)
   mutable value : Bits.t;
-      (* the value as a [Bits.t]; for a narrow signal rebuilt only when
-         [imm] actually changes, so [get] never allocates *)
+      (* the value of a wide signal; for a narrow one a cache of [imm] as a
+         [Bits.t], stale whenever its payload differs from [imm] and
+         rebuilt by [get] then, so an int write stores only [imm] *)
   mutable listeners : (unit -> unit) list;
       (* fan-out: fired (in registration order is irrelevant — they only mark
          components dirty) whenever the value actually changes *)
@@ -48,48 +53,22 @@ type t = {
    the write came in as a [Bits.t], which is then in [q_bits]; an int
    write leaves its [q_bits] slot as it was, so it costs one write
    barrier (the signal), not two. *)
-type queue = {
+and queue = {
   mutable q_sigs : t array;
   mutable q_imms : int array;
   mutable q_bits : Bits.t array;
   mutable q_len : int;
 }
 
-let no_bits = Bits.create ~width:1 0L
-let bits_write = -1
-
-let dummy =
-  {
-    name = "";
-    uid = 0;
-    width = 1;
-    narrow = true;
-    imm = 0;
-    value = no_bits;
-    listeners = [];
-    commit_stamp = 0;
-    rec_stamp = 0;
-    rec_id = -1;
-    tape_stamp = 0;
-    tape_slot = -1;
-    owner = 0;
-  }
-
-let queue () =
-  {
-    q_sigs = Array.make 16 dummy;
-    q_imms = Array.make 16 0;
-    q_bits = Array.make 16 no_bits;
-    q_len = 0;
-  }
-
 (* The signal store (change counter, deferred-write queue, name counter,
    commit epoch) used to be module-global refs. Parallel grids run one
    kernel per pool task, so the store is domain-local: every task sees its
    own queue and fixpoint counter, and concurrent kernels in different
    domains never race. Within one domain the old single-kernel-at-a-time
-   discipline still applies. *)
-type store = {
+   discipline still applies. A signal records its domain's store when it
+   is created ([st]), so only the operations that name no signal look the
+   store up. *)
+and store = {
   mutable changes : int;
   mutable s_pending : queue;
   mutable s_spare : queue;
@@ -111,6 +90,52 @@ type store = {
       (* when [Some], [create] conses every new signal here (newest first) —
          the host's build-time recording window (see [record_created]) *)
 }
+
+let no_bits = Bits.create ~width:1 0L
+let bits_write = -1
+
+(* the filler of the queue's signal column; it is never written, so its
+   store is a placeholder with empty queues *)
+let no_queue = { q_sigs = [||]; q_imms = [||]; q_bits = [||]; q_len = 0 }
+
+let rec dummy =
+  {
+    st = no_store;
+    name = "";
+    uid = 0;
+    width = 1;
+    narrow = true;
+    imm = 0;
+    value = no_bits;
+    listeners = [];
+    commit_stamp = 0;
+    rec_stamp = 0;
+    rec_id = -1;
+    tape_stamp = 0;
+    tape_slot = -1;
+    owner = 0;
+  }
+
+and no_store =
+  {
+    changes = 0;
+    s_pending = no_queue;
+    s_spare = no_queue;
+    counter = 0;
+    uid_counter = 0;
+    commit_epoch = 0;
+    s_recorder = None;
+    s_touch = None;
+    s_created = None;
+  }
+
+let queue () =
+  {
+    q_sigs = Array.make 16 dummy;
+    q_imms = Array.make 16 0;
+    q_bits = Array.make 16 no_bits;
+    q_len = 0;
+  }
 
 let store_key : store Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
@@ -138,6 +163,7 @@ let create ?name width =
   in
   let s =
     {
+      st;
       name;
       uid = st.uid_counter;
       width;
@@ -162,9 +188,20 @@ let name t = t.name
 let uid t = t.uid
 let width t = t.width
 let narrow t = t.narrow
+
+(* a narrow signal's [value] after int writes moved [imm] away from it *)
+let[@inline never] refresh t =
+  let v = Bits.of_int ~width:t.width t.imm in
+  t.value <- v;
+  v
+
 (* the readers every model and monitor calls several times per tick:
-   inlined at the call site, so a narrow read is a field load and a test *)
-let[@inline] get t = t.value
+   inlined at the call site, so a narrow read is a field load and a test
+   ([get]: and a compare of the cached value's payload) *)
+let[@inline] get t =
+  let v = t.value in
+  if t.narrow && Int64.to_int (Bits.to_int64 v) <> t.imm then refresh t else v
+
 let[@inline] get_bool t = if t.narrow then t.imm <> 0 else Bits.to_bool t.value
 let[@inline] get_int t = if t.narrow then t.imm else Bits.to_int t.value
 
@@ -199,15 +236,19 @@ let record_change r t =
   in
   Recorder.signal_change r ~subject:id ~value
 
+let rec fire = function
+  | [] -> ()
+  | f :: rest ->
+      f ();
+      fire rest
+
 (* the bookkeeping of an actual change, after the new value is stored *)
 let changed t =
-  let st = store () in
+  let st = t.st in
   st.changes <- st.changes + 1;
   (match st.s_recorder with None -> () | Some r -> record_change r t);
   (match st.s_touch with None -> () | Some h -> h t);
-  match t.listeners with
-  | [] -> ()
-  | ls -> List.iter (fun f -> f ()) ls
+  fire t.listeners
 
 let width_mismatch what t v =
   raise
@@ -218,11 +259,10 @@ let width_mismatch what t v =
 (* an int masked to a narrow signal's width, as [Bits.of_int] would *)
 let mask_imm t v = v land ((1 lsl t.width) - 1)
 
-(* [i] is already masked to the (narrow) width *)
+(* [i] is already masked to the (narrow) width; [value] goes stale *)
 let set_imm t i =
   if i <> t.imm then begin
     t.imm <- i;
-    t.value <- Bits.of_int ~width:t.width i;
     changed t
   end
 
@@ -248,12 +288,7 @@ let set t v =
 let set_bool t b =
   if t.width <> 1 then
     raise (Bits.Width_mismatch (Printf.sprintf "Signal.set_bool %s" t.name));
-  let i = Bool.to_int b in
-  if i <> t.imm then begin
-    t.imm <- i;
-    t.value <- Bits.of_bool b;
-    changed t
-  end
+  set_imm t (Bool.to_int b)
 
 let set_int t v =
   if t.narrow then set_imm t (mask_imm t v)
@@ -262,7 +297,7 @@ let set_int t v =
 (* [i] is the masked immediate of an int write, or [bits_write] with the
    value in [b] *)
 let push t i b =
-  let q = (store ()).s_pending in
+  let q = t.st.s_pending in
   let n = q.q_len in
   if n = Array.length q.q_sigs then begin
     let grow a fill =

@@ -11,8 +11,11 @@
     {e domain-local} (one store per OCaml domain, via [Domain.DLS]): within a
     domain run one {!Kernel} at a time, as before, while pool workers
     (see [Splice_par.Pool]) each get an independent store — concurrent
-    kernels in different domains never share signal state. Never pass a
-    signal created in one domain to a kernel cycling in another. *)
+    kernels in different domains never share signal state. {!create}
+    records the domain's store in the signal, and every write and change
+    goes to that store without a domain-local lookup: never pass a signal
+    created in one domain to a kernel cycling in another, nor write it
+    there. *)
 
 open Splice_bits
 
@@ -35,11 +38,17 @@ val narrow : t -> bool
     its value as an immediate [int] (every such value is a non-negative
     OCaml int, so {!get_int} cannot fail on it). Reads and change detection
     on narrow signals are int operations, and {!set_bool}, {!set_int} and
-    the deferred writes build a [Bits.t] only when the value actually
-    changes. 63- and 64-bit signals are wide and hold only a [Bits.t]. *)
+    the deferred int writes store the int and nothing else: no [Bits.t] is
+    built and no write barrier paid. 63- and 64-bit signals are wide and
+    hold only a [Bits.t]. *)
 
 val get : t -> Bits.t
-(** Never allocates. *)
+(** A wide signal's value, or a narrow signal's value as a [Bits.t]. The
+    narrow signal caches it: the first [get] after an int write changed the
+    value builds it ({!Bits.of_int}, which allocates nothing for widths
+    [<= 8]), and later reads allocate nothing until the value changes
+    again. A value written as a [Bits.t] ({!set}, {!set_next}) is cached
+    as it came. *)
 
 val get_bool : t -> bool
 (** True iff non-zero (any width). *)
@@ -75,11 +84,13 @@ val change_count : unit -> int
 
 (** {1 The store, looked up once}
 
-    Each operation above that touches the domain-local store looks it up
-    with a [Domain.DLS] read. A caller that makes several store operations
-    in one stretch — the kernel, once per tick — looks the store up once
-    with {!store} and passes it to the variants below. A store is only
-    valid in the domain that looked it up. *)
+    The writes above use the store recorded in their signal. The
+    operations that name no signal ({!change_count}, {!commit_pending},
+    {!attach_recorder}, ...) look the domain's store up with a
+    [Domain.DLS] read. A caller that makes such operations on every tick
+    — the kernel, which records the store when it is created — looks the
+    store up once with {!store} and passes it to the variants below. A
+    store is only valid in the domain that looked it up. *)
 
 type store
 

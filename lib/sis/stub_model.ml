@@ -39,6 +39,7 @@ type phase =
       expected : int;
       elems : int;
       got : Bits.t list;  (* newest first *)
+      n_got : int;  (* the length of [got] *)
       rest : Spec.io list;
     }
   | PCalc of int
@@ -77,7 +78,8 @@ let values_fn t var =
 let enter_input t idx = function
   | [] when idx = 0 && t.func.Spec.inputs = [] ->
       (* no declared inputs: a single trigger word starts the function *)
-      t.phase <- PIn { io = None; idx; expected = 1; elems = 0; got = []; rest = [] }
+      t.phase <-
+        PIn { io = None; idx; expected = 1; elems = 0; got = []; n_got = 0; rest = [] }
   | [] -> (
       (* all inputs consumed: calculation *)
       let cycles = t.behavior.calc_cycles t.received in
@@ -87,7 +89,16 @@ let enter_input t idx = function
   | io :: rest ->
       let x = Plan.xfer_of_io t.spec Plan.In io ~values:(values_fn t) in
       t.phase <-
-        PIn { io = Some io; idx; expected = x.Plan.words; elems = x.Plan.elems; got = []; rest }
+        PIn
+          {
+            io = Some io;
+            idx;
+            expected = x.Plan.words;
+            elems = x.Plan.elems;
+            got = [];
+            n_got = 0;
+            rest;
+          }
 
 let reset_to_start t =
   t.received <- [];
@@ -221,12 +232,12 @@ let step t =
     (match t.phase with
     | PIn p when write_presented_to_me t ->
         t.pending_write <- false;
-        let got = Signal.get t.sis.Sis_if.data_in :: p.got in
-        if List.length got >= p.expected then begin
+        let got = Signal.get t.sis.Sis_if.data_in :: p.got and n_got = p.n_got + 1 in
+        if n_got >= p.expected then begin
           finalize_input t p.io got;
           enter_input t (p.idx + 1) p.rest
         end
-        else t.phase <- PIn { p with got }
+        else t.phase <- PIn { p with got; n_got }
     | PIn _ -> ()
     | PCalc ends ->
         if write_stalled t then t.pending_write <- true;
@@ -378,10 +389,10 @@ let clocked_state t =
   let words l = String.concat "," (List.map Bits.to_hex_string l) in
   let phase =
     match t.phase with
-    | PIn { io; idx; expected; elems; got; rest } ->
+    | PIn { io; idx; expected; elems; got; n_got; rest } ->
         Printf.sprintf "in %s #%d got %d/%d words [%s], %d elems, %d more inputs"
           (match io with Some io -> io.Spec.io_name | None -> "-")
-          idx (List.length got) expected (words got) elems (List.length rest)
+          idx n_got expected (words got) elems (List.length rest)
     | PCalc ends -> Printf.sprintf "calc until edge %d" ends
     | POut l -> Printf.sprintf "out [%s]" (words l)
   in

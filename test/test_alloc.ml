@@ -71,6 +71,41 @@ let axi_idle_words sched ratio =
        (List.init (Kernel.domain_period aclk * Kernel.domain_period pclk) Fun.id));
   idle_run ~window:32 k
 
+(* A narrow signal keeps its value as an int and a signal queues into the
+   store it was created with, so a deferred int write, its commit and the
+   change it makes store fields and allocate nothing: the listeners of
+   the host's event kernel and its flight recorder are live throughout *)
+let writes = 1_000
+
+let narrow_write_words () =
+  let host = Interpolator.make_host (List.hd Interpolator.all_impls) in
+  ignore (Interpolator.run host (List.hd Interp_scenarios.all));
+  let sis = Host.sis host in
+  let strobe = sis.Sis_if.io_enable and data = sis.Sis_if.data_in in
+  Alcotest.(check bool) "narrow data" true (Signal.narrow data);
+  let changes = Signal.change_count () in
+  let w0 = Gc.minor_words () in
+  for i = 1 to writes do
+    Signal.set_next_bool strobe (i land 1 = 1);
+    Signal.set_next_int data i;
+    Signal.commit_pending ()
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "every write changed its signal" (2 * writes)
+    (Signal.change_count () - changes);
+  words
+
+(* The minor words of one busy Fig 9.2 grid (Cycles.measure, replayed from
+   this domain's design cache after a warm-up grid). The bound is the
+   measured 59,326 plus 25%. *)
+let grid_words_bound = 74_158.
+
+let grid_words () =
+  ignore (Cycles.measure ());
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Cycles.measure ()));
+  Gc.minor_words () -. w0
+
 let sched_name = function
   | `Event -> "event"
   | `Sweep -> "sweep"
@@ -130,7 +165,18 @@ let tests =
                 major_words_per_byte_bound);
       ] );
     ( "sim.alloc",
-      List.map
+      [
+        Alcotest.test_case "narrow deferred writes, their commits and changes allocate nothing"
+          `Quick (fun () ->
+            Alcotest.(check (float 0.))
+              (Printf.sprintf "minor words over %d narrow writes" writes)
+              0. (narrow_write_words ()));
+        Alcotest.test_case "a busy Fig 9.2 grid allocates few minor words" `Quick (fun () ->
+            let words = grid_words () in
+            if words > grid_words_bound then
+              Alcotest.failf "%.0f minor words per grid (bound %.0f)" words grid_words_bound);
+      ]
+      @ List.map
         (fun sched ->
           Alcotest.test_case
             (Printf.sprintf "idle Fig 9.2 cycles allocate nothing (%s)"

@@ -128,6 +128,21 @@ let unit_tests =
         check_bool "zero" true (Bits.is_zero (Bits.shift_left (Bits.ones 8) 64)));
     t "pp" (fun () ->
         check_str "pp" "8'hff" (Format.asprintf "%a" Bits.pp (Bits.ones 8)));
+    t "of_int masks as create does, and shares values of at most 8 bits" (fun () ->
+        for w = 1 to 12 do
+          for v = -600 to 600 do
+            let b = Bits.of_int ~width:w v in
+            if not (Bits.equal b (Bits.create ~width:w (Int64.of_int v))) then
+              Alcotest.failf "of_int ~width:%d %d" w v;
+            check_bool
+              (Printf.sprintf "of_int ~width:%d %d shared" w v)
+              (w <= 8) (b == Bits.of_int ~width:w v)
+          done
+        done;
+        check_bool "of_bool true" true (Bits.of_bool true == Bits.of_int ~width:1 1);
+        check_bool "zero" true (Bits.zero 8 == Bits.of_int ~width:8 256);
+        Alcotest.check_raises "width 0" (Bits.Invalid_width 0) (fun () ->
+            ignore (Bits.of_int ~width:0 1)));
   ]
 
 (* property tests *)

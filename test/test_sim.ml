@@ -539,6 +539,21 @@ let determinism_tests =
         Alcotest.(check (list int64)) "results" r1 r2;
         check_int "cycles" c1 c2;
         Alcotest.(check string) "waves" w1 w2);
+    (* a signal queues into and counts in the store of the domain that
+       created it: a design built and run in another domain touches none
+       of this domain's signal state *)
+    t "a design built in another domain runs there alone" (fun () ->
+        let impl = List.hd Splice.Interpolator.all_impls in
+        let run () =
+          let host = Splice.Interpolator.make_host ~obs:Obs.none impl in
+          List.map (Splice.Interpolator.run host) Splice.Interp_scenarios.all
+        in
+        let here = run () in
+        let changes = Signal.change_count () and pending = Signal.pending (Signal.store ()) in
+        let there = Domain.join (Domain.spawn run) in
+        Alcotest.(check (list (pair int64 int))) "results and cycles" here there;
+        check_int "this domain's change count" changes (Signal.change_count ());
+        check_int "this domain's pending writes" pending (Signal.pending (Signal.store ())));
   ]
 
 (* Sleeping processes (Sleep): a kernel on [Obs.none] calls only awake

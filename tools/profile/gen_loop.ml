@@ -40,19 +40,6 @@ let direct_major_words () =
   let s = Gc.quick_stat () in
   s.Gc.major_words -. s.Gc.promoted_words
 
-(* this process's VmHWM in MB *)
-let peak_rss_mb () =
-  In_channel.with_open_text "/proc/self/status" (fun ic ->
-      let rec go () =
-        match In_channel.input_line ic with
-        | None -> nan
-        | Some l -> (
-            match Scanf.sscanf_opt l "VmHWM: %d kB" Fun.id with
-            | Some kb -> float_of_int kb /. 1024.
-            | None -> go ())
-      in
-      go ())
-
 let () =
   let passes = arg 1 200 and srcs = sources (arg 2 7919) in
   let generate () = List.map (Project.from_source ~gen_date:"perfbench") srcs in
@@ -75,4 +62,4 @@ let () =
     "%d projects (%d bytes) x %d passes: %.1f us/project, %.3f minor words/byte, \
      %.3f major words/byte, peak RSS %.1f MB\n"
     (List.length srcs) bytes passes (dt *. 1e6 /. n) (words /. out) (major /. out)
-    (peak_rss_mb ())
+    (Rss.peak_mb ())
