@@ -19,20 +19,17 @@ let run bus ~calc =
         Splice.Stub_model.behavior ~cycles:calc (fun inputs ->
             [ List.fold_left Int64.add 0L (List.assoc "xs" inputs) ]))
   in
-  let sis = Splice.Host.sis host in
-  let wave = Splice.Wave.create (Splice.Sis_if.signals sis) in
-  Splice.Wave.attach wave (Splice.Host.kernel host);
-  let vcd_path = Printf.sprintf "/tmp/splice_%s.vcd" bus in
-  let vcd =
-    Splice.Vcd.create ~path:vcd_path ~module_name:"sis"
-      (Splice.Sis_if.signals sis)
+  let wave =
+    Splice.Wave.create (Splice.Host.kernel host)
+      (Splice.Sis_if.signals (Splice.Host.sis host))
   in
-  Splice.Vcd.attach vcd (Splice.Host.kernel host);
   let r, cycles =
     Splice.Host.call host ~func:"accumulate"
       ~args:[ ("xs", [ 0x11L; 0x22L; 0x33L ]) ]
   in
-  Splice.Vcd.close vcd;
+  let vcd_path = Printf.sprintf "/tmp/splice_%s.vcd" bus in
+  Out_channel.with_open_bin vcd_path (fun oc ->
+      output_string oc (Splice.Wave.vcd wave ~module_name:"sis"));
   Printf.printf "accumulate([0x11;0x22;0x33]) = 0x%Lx in %d cycles\n"
     (List.hd r) cycles;
   print_string (Splice.Wave.render wave);

@@ -13,8 +13,6 @@ let add_c_type b (io : Spec.io) =
   add_words b io.Spec.type_words;
   if io.Spec.is_pointer then add b " *"
 
-let c_type io = render (fun b -> add_c_type b io)
-
 let add_param_decl b (io : Spec.io) =
   add_c_type b io;
   if not io.Spec.is_pointer then Buffer.add_char b ' ';

@@ -7,9 +7,6 @@
 
 open Splice_syntax
 
-val c_type : Spec.io -> string
-(** The printable C type ("unsigned long", "int *", ...). *)
-
 val prototype : Spec.func -> string
 (** e.g. ["float sample_function(int *x, int y, int inst_index)"]. *)
 

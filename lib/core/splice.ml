@@ -30,7 +30,6 @@ module Signal = Splice_sim.Signal
 module Component = Splice_sim.Component
 module Sleep = Splice_sim.Sleep
 module Kernel = Splice_sim.Kernel
-module Vcd = Splice_sim.Vcd
 module Wave = Splice_sim.Wave
 module Async_fifo = Splice_sim.Async_fifo
 

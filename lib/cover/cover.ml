@@ -1,4 +1,3 @@
-open Splice_sim
 open Splice_obs
 
 (* A bin is a named inclusive range: value bins are degenerate ranges,
@@ -151,33 +150,9 @@ let sample2 p va vb =
       end
   | P_bins | P_trans -> invalid_arg "Cover.sample2: point is not a cross"
 
-let watch kernel p signal =
-  match p.p_kind with
-  | P_cross _ -> invalid_arg "Cover.watch: cross points cannot watch a signal"
-  | P_bins ->
-      (* listener only marks; the settled view is read once per cycle *)
-      let dirty = ref true in
-      Kernel.at_reset kernel (fun () -> dirty := true);
-      Signal.on_change signal (fun () -> dirty := true);
-      Kernel.on_settle kernel (fun _cycle ->
-          if !dirty then begin
-            dirty := false;
-            sample p (Signal.get_int signal)
-          end)
-  | P_trans ->
-      let prev = ref None in
-      Kernel.at_reset kernel (fun () -> prev := None);
-      Kernel.on_settle kernel (fun _cycle ->
-          let v = Signal.get_int signal in
-          (match !prev with
-          | Some last when last <> v -> sample_pair p ~from_:last ~to_:v
-          | _ -> ());
-          prev := Some v)
-
 (* ---- reading ----------------------------------------------------- *)
 
 let group_name g = g.g_name
-let point_name p = p.p_name
 
 let groups t =
   Hashtbl.fold (fun _ g acc -> g :: acc) t.c_groups []

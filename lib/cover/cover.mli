@@ -56,15 +56,6 @@ val sample2 : point -> int -> int -> unit
 (** Count the cross bin for (a-value, b-value); either axis missing its
     bin drops the sample. *)
 
-val watch : Splice_sim.Kernel.t -> point -> Splice_sim.Signal.t -> unit
-(** Sample a live signal's {e settled} value: an [on_change] listener
-    only marks a dirty flag; the [on_settle] hook (after the
-    combinational fixpoint, before the clock edge) reads the value — so
-    glitches within a delta cascade are never counted. Value/range
-    points sample whenever the signal changed that cycle; transition
-    points sample (previous settled, current settled) pairs. Cross
-    points cannot watch a single signal. *)
-
 (** {1 Reading} *)
 
 val groups : t -> group list
@@ -76,7 +67,6 @@ val points : group -> point list
 val find_group : t -> string -> group option
 val find_point : group -> string -> point option
 val group_name : group -> string
-val point_name : point -> string
 
 val bins : point -> (string * int) list
 (** (bin name, hits) in declaration order. *)

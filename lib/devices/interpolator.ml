@@ -141,8 +141,6 @@ let run host scenario =
   | [ v ], cycles -> (v, cycles)
   | _ -> failwith "interpolator: expected a single result"
 
-let run_impl impl scenario = run (make_host impl) scenario
-
 (* ------------------------------------------------------------------ *)
 (* Fig 9.3 resource estimates                                          *)
 (* ------------------------------------------------------------------ *)

@@ -48,9 +48,6 @@ val make_host :
 val run : Host.t -> Interp_scenarios.t -> int64 * int
 (** One complete driver invocation for a scenario: (result, cycles). *)
 
-val run_impl : impl -> Interp_scenarios.t -> int64 * int
-(** Fresh host + {!run}. *)
-
 val make_host_on_bus : string -> Host.t
 (** Supplementary (beyond the paper's five implementations): the same
     Splice-generated interpolator targeted at any registered bus, burst

@@ -205,7 +205,7 @@ val check_fail : cycle:int -> check:string -> string -> 'a
 val on_settle : t -> (int -> unit) -> unit
 (** Tracing hook fired after the comb fixpoint and the protocol checks but
     before the clock edge — every signal shows its settled value for the
-    current cycle. This is the view waveforms should record. *)
+    current cycle: the view [Wave] reads back from the flight recorder. *)
 
 val on_settle_in : t -> domain -> (int -> unit) -> unit
 (** Domain-gated {!on_settle}: fires only on ticks with a [domain] edge. *)

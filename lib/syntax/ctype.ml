@@ -97,8 +97,4 @@ let add_struct env ~name ~fields =
 let struct_fields env name = assoc_name name env.structs
 let structs env = env.structs
 
-let is_known_name env name =
-  mem_name name env.table
-  || List.exists (fun (ws, _) -> List.exists (String.equal name) ws) multi_word
-
 let user_types env = env.users

@@ -35,6 +35,5 @@ val struct_fields : env -> string -> (string * info) list option
 val structs : env -> (string * (string * info) list) list
 (** Registered structs, in registration order. *)
 
-val is_known_name : env -> string -> bool
 val user_types : env -> (string * info) list
 (** User-registered types only, in registration order. *)

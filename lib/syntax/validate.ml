@@ -422,12 +422,6 @@ let build ?lookup_bus (file : file) =
   in
   match c.issues with [] -> Ok spec | issues -> Error (List.rev issues)
 
-let build_exn ?lookup_bus file =
-  match build ?lookup_bus file with
-  | Ok spec -> spec
-  | Error (i :: _) -> Error.fail ~loc:i.loc i.message
-  | Error [] -> assert false
-
 let of_string ?lookup_bus src =
   match Parser.parse_file src with
   | exception Error.Splice_error e ->

@@ -23,10 +23,6 @@ val build :
   Ast.file ->
   (Spec.t, issue list) result
 
-val build_exn :
-  ?lookup_bus:(string -> Bus_caps.t option) -> Ast.file -> Spec.t
-(** Raises [Error.Splice_error] carrying the first issue. *)
-
 val of_string :
   ?lookup_bus:(string -> Bus_caps.t option) ->
   string ->

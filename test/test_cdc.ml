@@ -394,23 +394,14 @@ let sched_tests =
               (Splice.Host.signals host)
           in
           check_int "native channels found" 16 (List.length native);
-          let path = Filename.temp_file "splice_cdc" ".vcd" in
-          let vcd =
-            Vcd.create ~path ~module_name:"tb"
-              (Splice.Sis_if.signals (Splice.Host.sis host) @ native)
+          let w =
+            Wave.create k (Splice.Sis_if.signals (Splice.Host.sis host) @ native)
           in
-          Vcd.attach vcd k;
           let r, c =
             Splice.Host.call host ~func:"sum"
               ~args:[ ("n", [ 3L ]); ("xs", [ 5L; 6L; 7L ]) ]
           in
-          Vcd.close vcd;
-          let stats = Kernel.stats k in
-          let ic = open_in path in
-          let contents = really_input_string ic (in_channel_length ic) in
-          close_in ic;
-          Sys.remove path;
-          (r, c, contents, stats)
+          (r, c, Wave.vcd w ~module_name:"tb", Kernel.stats k)
         in
         let r_e, c_e, d_e, s_e = dump `Event in
         let r_s, c_s, d_s, s_s = dump `Sweep in
@@ -421,6 +412,12 @@ let sched_tests =
         check_int "cycles (compiled)" c_s c_c;
         Alcotest.(check string) "vcd dumps" d_s d_e;
         Alcotest.(check string) "vcd dumps (compiled)" d_s d_c;
+        (* pinned whole: the bytes a per-settle sampler wrote for this call
+           before waveforms were read from the recorder *)
+        check_int "vcd length" 3327 (String.length d_s);
+        Alcotest.(check string)
+          "vcd md5" "1ee5cd872946f8cf3427e02fc17a39a7"
+          (Digest.to_hex (Digest.string d_s));
         check_int "stats cycles" s_s.Kernel.cycles s_c.Kernel.cycles;
         check_int "stats checks_run" s_s.Kernel.checks_run
           s_c.Kernel.checks_run;

@@ -102,67 +102,6 @@ let basics_tests =
         check_int "filtered hit" 1 hit);
   ]
 
-(* ------------------------------ watch ------------------------------ *)
-
-let watch_tests =
-  [
-    t "watch samples settled values only, once per changed cycle" (fun () ->
-        Signal.reset_names ();
-        let s = Signal.create ~name:"w" 8 in
-        let k = Kernel.create () in
-        let c = Cover.create () in
-        let g = Cover.group c "g" in
-        let p = Cover.point g "p" (Cover.Ranges [ ("any", 0, 255) ]) in
-        Cover.watch k p s;
-        (* a comb glitch: the signal passes through 3 before settling at 5 —
-           only the settled 5 may be counted *)
-        let first = ref true in
-        Kernel.add k
-          (Component.make
-             ~comb:
-               ( [],
-                 fun () ->
-                   if !first then begin
-                     first := false;
-                     Signal.set_int s 3
-                   end;
-                   Signal.set_int s 5 )
-             "driver");
-        Kernel.cycle k;
-        Alcotest.(check (list (pair string int)))
-          "one settled sample" [ ("any", 1) ] (Cover.bins p);
-        (* an unchanged cycle adds nothing *)
-        Kernel.cycle k;
-        Alcotest.(check (list (pair string int)))
-          "still one" [ ("any", 1) ] (Cover.bins p));
-    t "watch on a transition point samples settled pairs" (fun () ->
-        Signal.reset_names ();
-        let s = Signal.create ~name:"w" 8 in
-        let k = Kernel.create () in
-        let c = Cover.create () in
-        let g = Cover.group c "g" in
-        let p =
-          Cover.point g "p" (Cover.Transitions [ ("1->2", 1, 2) ])
-        in
-        Cover.watch k p s;
-        let values = ref [ 1; 2; 2 ] in
-        Kernel.add k
-          (Component.make
-             ~seq:(fun () ->
-               match !values with
-               | v :: rest ->
-                   Signal.set_next_int s v;
-                   values := rest
-               | [] -> ())
-             "driver");
-        Kernel.cycle k;
-        Kernel.cycle k;
-        Kernel.cycle k;
-        Kernel.cycle k;
-        Alcotest.(check (list (pair string int)))
-          "pair counted once" [ ("1->2", 1) ] (Cover.bins p));
-  ]
-
 (* --------------------- serialization + merge ---------------------- *)
 
 let sample_map () =
@@ -382,7 +321,6 @@ let guided_tests =
 let tests =
   [
     ("cover.bins", basics_tests);
-    ("cover.watch", watch_tests);
     ("cover.serialization", serialization_tests);
     ("cover.bus_groups", bus_group_tests);
     ("cover.fuzz", fuzz_tests);

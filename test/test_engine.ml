@@ -91,8 +91,7 @@ let knob_tests =
           Host.create spec ~behaviors:(fun _ -> Stub_model.null_behavior)
         in
         let sis = Host.sis host in
-        let wave = Wave.create [ sis.Sis_if.io_done ] in
-        Wave.attach wave (Host.kernel host);
+        let wave = Wave.create (Host.kernel host) [ sis.Sis_if.io_done ] in
         let _ =
           Host.call host ~func:"f" ~args:[ ("xs", [ 1L; 2L; 3L; 4L ]) ]
         in

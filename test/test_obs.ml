@@ -513,13 +513,9 @@ let vcd_tests =
         let signals =
           List.init 200 (fun i -> Signal.create ~name:(Printf.sprintf "s%d" i) 1)
         in
-        let path = Filename.temp_file "splice" ".vcd" in
-        let v = Vcd.create ~path ~module_name:"m" signals in
-        Vcd.close v;
-        let ic = open_in path in
-        let header = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        Sys.remove path;
+        let header =
+          Wave.vcd (Wave.create (Kernel.create ()) signals) ~module_name:"m"
+        in
         (* $var wire <width> <id> <name> $end *)
         let ids = ref [] in
         String.split_on_char '\n' header

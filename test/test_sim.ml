@@ -401,20 +401,27 @@ let scheduler_tests =
           [ `Event; `Compiled ]);
   ]
 
+(* a kernel whose one component counts in [s] on every edge *)
+let counting_kernel ?obs s =
+  let k = Kernel.create ?obs () in
+  let counter = ref 0 in
+  Kernel.add k
+    (Component.make
+       ~seq:(fun () ->
+         incr counter;
+         Signal.set_next_int s !counter)
+       "drv");
+  k
+
+let raises_failure f =
+  match f () with _ -> false | exception Failure _ -> true
+
 let wave_tests =
   [
     t "wave captures history" (fun () ->
         let s = Signal.create ~name:"x" 4 in
-        let k = Kernel.create () in
-        let counter = ref 0 in
-        Kernel.add k
-          (Component.make
-             ~seq:(fun () ->
-               incr counter;
-               Signal.set_next_int s !counter)
-             "drv");
-        let w = Wave.create [ s ] in
-        Wave.attach w k;
+        let k = counting_kernel s in
+        let w = Wave.create k [ s ] in
         Kernel.run k 3;
         (* settled (pre-edge) view: the register still shows its old value
            during the cycle in which the new one is being computed *)
@@ -422,13 +429,16 @@ let wave_tests =
         Alcotest.(check (list int)) "history" [ 0; 1; 2 ] h);
     t "wave renders 1-bit signals as pulses" (fun () ->
         let s = Signal.create ~name:"p" 1 in
-        let w = Wave.create [ s ] in
-        Signal.set_bool s false;
-        Wave.sample w;
-        Signal.set_bool s true;
-        Wave.sample w;
-        Signal.set_bool s false;
-        Wave.sample w;
+        let k = Kernel.create () in
+        let high = ref true in
+        Kernel.add k
+          (Component.make
+             ~seq:(fun () ->
+               Signal.set_next_bool s !high;
+               high := false)
+             "drv");
+        let w = Wave.create k [ s ] in
+        Kernel.run k 3;
         let r = Wave.render w in
         check_bool "contains _#_" true
           (Astring_contains.contains r "_#_"));
@@ -437,35 +447,22 @@ let wave_tests =
         let k = Kernel.create () in
         Kernel.add k
           (Component.make ~seq:(fun () -> Signal.set_next_int s 255) "drv");
-        let path = Filename.temp_file "splice" ".vcd" in
-        let vcd = Vcd.create ~path ~module_name:"tb" [ s ] in
-        Vcd.attach vcd k;
+        let w = Wave.create k [ s ] in
         Kernel.run k 2;
-        Vcd.close vcd;
-        let ic = open_in path in
-        let contents = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        Sys.remove path;
+        let contents = Wave.vcd w ~module_name:"tb" in
         check_bool "header" true (Astring_contains.contains contents "$var wire 8");
         check_bool "value change" true (Astring_contains.contains contents "b11111111"));
     t "vcd set_next lands under the right #N marker" (fun () ->
         (* a set_next issued in cycle c commits at the end of c, so the VCD
            (which dumps the settled pre-edge view under #(c+1)) must first
-           show it under #(c+2) — a regression guard for the [cycle + 1]
-           emission in Vcd.attach *)
+           show it under #(c+2) *)
         let s = Signal.create ~name:"v" 8 in
         let k = Kernel.create () in
         Kernel.add k
           (Component.make ~seq:(fun () -> Signal.set_next_int s 255) "drv");
-        let path = Filename.temp_file "splice" ".vcd" in
-        let vcd = Vcd.create ~path ~module_name:"tb" [ s ] in
-        Vcd.attach vcd k;
+        let w = Wave.create k [ s ] in
         Kernel.run k 2;
-        Vcd.close vcd;
-        let ic = open_in path in
-        let contents = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        Sys.remove path;
+        let contents = Wave.vcd w ~module_name:"tb" in
         check_bool "under #2" true
           (Astring_contains.contains contents "#2\nb11111111");
         check_bool "not under #1" false
@@ -479,19 +476,12 @@ let wave_tests =
               Splice.Interpolator.Splice_plb_simple
           in
           let sis = Splice.Host.sis host in
-          let path = Filename.temp_file "splice" ".vcd" in
-          let vcd = Vcd.create ~path ~module_name:"tb" (Sis_if.signals sis) in
-          Vcd.attach vcd (Splice.Host.kernel host);
+          let w = Wave.create (Splice.Host.kernel host) (Sis_if.signals sis) in
           let r, c =
             Splice.Interpolator.run host (Splice.Interp_scenarios.by_id 1)
           in
-          Vcd.close vcd;
           let stats = Kernel.stats (Splice.Host.kernel host) in
-          let ic = open_in path in
-          let contents = really_input_string ic (in_channel_length ic) in
-          close_in ic;
-          Sys.remove path;
-          (r, c, contents, stats)
+          (r, c, Wave.vcd w ~module_name:"tb", stats)
         in
         let r_e, c_e, d_e, s_e = dump `Event in
         let r_s, c_s, d_s, s_s = dump `Sweep in
@@ -502,12 +492,79 @@ let wave_tests =
         check_int "cycles (compiled)" c_s c_c;
         Alcotest.(check string) "vcd dumps" d_s d_e;
         Alcotest.(check string) "vcd dumps (compiled)" d_s d_c;
+        (* pinned whole: the bytes a per-settle sampler wrote for this call
+           before waveforms were read from the recorder *)
+        check_int "vcd length" 1701 (String.length d_s);
+        Alcotest.(check string)
+          "vcd md5" "71d298a3aa013ed1eef9bd247436521a"
+          (Digest.to_hex (Digest.string d_s));
         (* scheduler-independent kernel stats agree too; comb_iters/evals
            legitimately differ (that is the point of a better scheduler) *)
         check_int "stats cycles" s_s.Kernel.cycles s_c.Kernel.cycles;
         check_int "stats checks_run" s_s.Kernel.checks_run
           s_c.Kernel.checks_run;
         check_int "stats cycles (event)" s_s.Kernel.cycles s_e.Kernel.cycles);
+    t "a window needs a flight recorder" (fun () ->
+        let s = Signal.create ~name:"x" 4 in
+        List.iter
+          (fun obs ->
+            check_bool "raises" true
+              (match Wave.create (Kernel.create ~obs ()) [ s ] with
+              | _ -> false
+              | exception Invalid_argument _ -> true))
+          [ Obs.none; Obs.create ~recording:false () ]);
+    t "a window refuses two signals of one name" (fun () ->
+        let a = Signal.create ~name:"x" 4 and b = Signal.create ~name:"x" 4 in
+        check_bool "raises" true
+          (match Wave.create (Kernel.create ()) [ a; b ] with
+          | _ -> false
+          | exception Invalid_argument _ -> true));
+    t "a read fails when the ring dropped events" (fun () ->
+        let s = Signal.create ~name:"x" 8 in
+        let k = counting_kernel ~obs:(Obs.create ~ring:16 ()) s in
+        let w = Wave.create k [ s ] in
+        Kernel.run k 4;
+        check_int "fits" 4 (List.length (Wave.history w s));
+        Kernel.run k 20;
+        match Wave.render w with
+        | _ -> Alcotest.fail "read a window the ring no longer holds"
+        | exception Failure msg ->
+            check_bool "names the option" true
+              (Astring_contains.contains msg "Obs.create ~ring"));
+    t "a read fails on a write no tick of the kernel recorded" (fun () ->
+        let s = Signal.create ~name:"x" 8 in
+        let k = counting_kernel s in
+        let w = Wave.create k [ s ] in
+        Kernel.run k 2;
+        (* between ticks the store records into the kernel that cycled
+           last: after [other] cycles, this write reaches no ring of [k] *)
+        let other = Kernel.create ~obs:Obs.none () in
+        Kernel.cycle other;
+        Signal.set_int s 200;
+        check_bool "history fails" true
+          (raises_failure (fun () -> Wave.history w s));
+        check_bool "vcd fails" true
+          (raises_failure (fun () -> Wave.vcd w ~module_name:"tb")));
+    t "a 64-bit signal's bit 63 is unknown after a change" (fun () ->
+        let spec =
+          Splice.Validate.of_string_exn ~lookup_bus:Splice.Registry.lookup_caps
+            "%device_name d\n%bus_type plb\n%bus_width 64\n%base_address \
+             0x0\nvoid f(int x);"
+        in
+        let host = Splice.Host.create spec ~behaviors:(fun _ -> Splice.Stub_model.null_behavior) in
+        let data_in = (Splice.Host.sis host).Sis_if.data_in in
+        check_int "64 bits" 64 (Signal.width data_in);
+        let w = Wave.create (Splice.Host.kernel host) [ data_in ] in
+        let _ = Splice.Host.call host ~func:"f" ~args:[ ("x", [ 5L ]) ] in
+        check_bool "history raises" true
+          (match Wave.history w data_in with
+          | _ -> false
+          | exception Invalid_argument _ -> true);
+        check_bool "vcd prints x" true
+          (Astring_contains.contains (Wave.vcd w ~module_name:"tb")
+             ("bx" ^ String.make 60 '0' ^ "101 "));
+        check_bool "render marks it" true
+          (Astring_contains.contains (Wave.render w) " 5? "));
   ]
 
 let determinism_tests =
@@ -526,8 +583,9 @@ let determinism_tests =
                     [ List.fold_left Int64.add 0L (List.assoc "xs" inputs) ]))
           in
           let sis = Splice.Host.sis host in
-          let wave = Wave.create (Splice.Sis_if.signals sis) in
-          Wave.attach wave (Splice.Host.kernel host);
+          let wave =
+            Wave.create (Splice.Host.kernel host) (Splice.Sis_if.signals sis)
+          in
           let r, c =
             Splice.Host.call host ~func:"f"
               ~args:[ ("n", [ 3L ]); ("xs", [ 1L; 2L; 3L ]) ]

@@ -24,8 +24,7 @@ let trace ?(calc = 2) decls ~args =
             | _ -> [ 0L ]))
   in
   let sis = Host.sis host in
-  let wave = Wave.create (Sis_if.signals sis) in
-  Wave.attach wave (Host.kernel host);
+  let wave = Wave.create (Host.kernel host) (Sis_if.signals sis) in
   let _ = Host.call host ~func:(List.hd spec.Spec.funcs).Spec.name ~args in
   (wave, sis)
 
