@@ -432,10 +432,12 @@ let settle t st =
   if not t.sealed then seal t;
   t.settle_evals <- 0;
   (* [iters] counts {e productive} delta passes — passes that changed at
-     least one signal — identically for all three schedulers (a quiescent
-     settle reports 0). Divergence guards still count {e executed} passes,
-     so a design oscillating under [max_comb_iters] unproductive-free
-     passes is caught no later than before. *)
+     least one signal (a quiescent settle reports 0). The event and sweep
+     schedulers count identically; a change the tape's calibration pass
+     makes at seal time is counted by no settle. Divergence
+     guards still count {e executed} passes, so a design oscillating under
+     [max_comb_iters] unproductive-free passes is caught no later than
+     before. *)
   let iters =
     match t.sched with
     | `Sweep -> sweep_passes t st 0 0

@@ -40,14 +40,19 @@
     [Splice_obs.Obs.none] skips them then, and jumps over ticks where
     every process sleeps (see {!run}).
 
-    {e Iteration accounting} is uniform across schedulers: a kernel's
-    [comb_iters] counts {e productive} delta passes — passes in which at
-    least one signal changed value. A settle that finds the design already
-    quiescent reports 0 for every scheduler (the bookkeeping pass that
-    merely verifies the fixpoint is not counted, and the per-scheduler
-    divergence guards keep counting executed passes). [comb_evals], by
-    contrast, counts callback invocations and legitimately differs between
-    schedulers — it is the work a better scheduler saves.
+    {e Iteration accounting}: a kernel's [comb_iters] counts
+    {e productive} delta passes — passes in which at least one signal
+    changed value. A settle that finds the design already quiescent
+    reports 0 (the bookkeeping pass that merely verifies the fixpoint is
+    not counted, and the per-scheduler divergence guards keep counting
+    executed passes). [`Event] and [`Sweep] count alike. [`Compiled] can
+    read fewer: its seal-time calibration pass evaluates every comb once
+    before the first settle and is not counted, so a change that pass
+    makes is no settle's productive pass (on an AXI host the async FIFOs'
+    [empty] flags rise there, and the tape reads one pass fewer per host).
+    [comb_evals], by contrast, counts callback invocations and
+    legitimately differs between schedulers — it is the work a better
+    scheduler saves.
 
     The first cycle (or any cycle after a registration) {e seals} the
     kernel: registration lists are snapshotted into forward-order arrays and

@@ -124,9 +124,13 @@ val attach_recorder : Splice_obs.Recorder.t option -> unit
     with [None]): every subsequent {e actual} value change in this domain
     — immediate {!set} or committed {!set_next} — is recorded as a
     [Signal_change] event. The cycling kernel re-attaches its own
-    recorder at the start of every cycle, so interleaved kernels in one
-    domain never record into each other's rings. Intern ids are cached on
-    the signal (keyed by the recorder's stamp): recording never hashes. *)
+    recorder (or [None]) at the start of every cycle and nothing detaches
+    it afterwards. So a change made during a kernel's cycle lands in that
+    kernel's ring, and a change made between cycles lands in the ring of
+    the kernel that cycled last in this domain, whichever kernel the
+    signal belongs to (none, if that kernel records nothing). Intern ids
+    are cached on the signal (keyed by the recorder's stamp): recording
+    never hashes. *)
 
 val set_touch : store -> (t -> unit) option -> unit
 (** Install (or with [None] remove) the domain-local write hook: it fires on

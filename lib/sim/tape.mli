@@ -43,8 +43,10 @@ val settle :
   t -> Signal.store -> max_iters:int -> record:(Component.t -> unit) option -> int
 (** [settle t st ~max_iters ~record] runs delta passes until quiescent and
     returns the number of productive passes — a pass is productive when
-    it changed at least one signal (the uniform iteration accounting, see
-    {!Kernel.stats}); {!evals} then holds the settle's evaluation count.
+    it changed at least one signal (the iteration accounting of
+    {!Kernel.stats}; a change made by {!compile}'s calibration pass
+    belongs to no settle and is not counted); {!evals} then holds the
+    settle's evaluation count.
     [record] is the kernel's preallocated flight-recorder hook ([None] when
     recording is off). [st] is the domain's signal store, looked up once
     per tick by the kernel; the change counter and the touch hook are

@@ -29,9 +29,9 @@ let build ?(monitor = true) kernel (spec : Spec.t) ~behaviors =
     List.map (fun (_, s) -> (Stub_model.func_id s, Stub_model.ports s)) stubs
   in
   let arbiter = Arbiter_model.make ~stubs:ports sis in
-  (* stubs first, then the arbiter, so a single settle pass usually
-     suffices; the first stub's component clocks the whole bank *)
-  List.iter (Kernel.add kernel) (Stub_model.bank (List.map snd stubs));
+  (* the stubs' one component first, then the arbiter, so a single
+     settle pass usually suffices *)
+  Option.iter (Kernel.add kernel) (Stub_model.bank (List.map snd stubs));
   Kernel.add kernel arbiter;
   if monitor then Sis_monitor.attach kernel sis;
   Sis_monitor.instrument kernel sis ~func_ids:(List.map fst ports);

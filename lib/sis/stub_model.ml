@@ -188,7 +188,16 @@ let read_served_now t = (t.pending_read && selected t) || read_requested_now t
 let serving t =
   match t.phase with POut (_ :: _) -> read_served_now t | _ -> false
 
-let comb t () =
+(* What [comb] drives: the word, DATA_OUT_VALID and IO_DONE. All three are
+   zero unless FUNC_ID selects the stub. *)
+let outputs t =
+  match t.phase with
+  | POut (w :: _) when read_served_now t -> (w, true, true)
+  | _ -> (Bits.zero (Signal.width t.ports.data_out), false, write_presented_to_me t)
+
+(* [outputs], driven; written out, since a returned tuple would allocate on
+   every evaluation *)
+let comb t =
   match t.phase with
   | POut (w :: _) when read_served_now t ->
       Signal.set t.ports.data_out w;
@@ -330,30 +339,35 @@ let make ~spec ~func ~instance ~sis ~ports ~behavior =
   (match func.Spec.inputs with [] -> enter_input t 0 [] | l -> enter_input t 0 l);
   t
 
-(* [comb t] reads the selection/strobe lines plus clocked state — the phase
-   view and the pending flags — whose changes [seq t] announces; DATA_IN is
-   sampled by [seq], not by [comb] *)
-let build_component ?seq ?sleep t =
-  let sis = t.sis in
-  t.comp <-
-    Component.make ?sleep
-      ~comb:
-        ( [ sis.Sis_if.func_id; sis.Sis_if.io_enable; sis.Sis_if.data_in_valid ],
-          comb t )
-      ?seq
-      ~reset:(fun () ->
-        t.received <- [];
-        t.pending_read <- false;
-        t.pending_write <- false;
-        t.completions <- 0;
-        match t.func.Spec.inputs with
-        | [] -> enter_input t 0 []
-        | l -> enter_input t 0 l)
-      (Printf.sprintf "stub:%s#%d" t.func.Spec.name t.instance);
-  t.comp
+(* The one combinational process of a peripheral's stubs. Every non-zero
+   output of [comb] goes through [selected], and a stub's ports are
+   written only by its [comb], so after any evaluation of the bank only
+   the stub FUNC_ID selected then can hold non-zero outputs. An
+   evaluation therefore runs [comb] only for the stub FUNC_ID selects now
+   and the one it selected at the previous evaluation ([last]), in
+   registration order; every other stub already drives the zeros its
+   [comb] would. [last] is [-1] after a build or reset: that evaluation
+   runs every stub. [comb] reads the selection/strobe lines plus clocked
+   state (the phase view and the pending flags) whose changes each stub's
+   [seq] announces on the bank; DATA_IN is sampled by [seq], not [comb]. *)
+let select sis last stubs () =
+  let id = Signal.get_int sis.Sis_if.func_id in
+  let prev = !last in
+  for i = 0 to Array.length stubs - 1 do
+    let t = Array.unsafe_get stubs i in
+    if prev < 0 || t.my_id = id || t.my_id = prev then comb t
+  done;
+  last := id
+
+let reset t =
+  t.received <- [];
+  t.pending_read <- false;
+  t.pending_write <- false;
+  t.completions <- 0;
+  match t.func.Spec.inputs with [] -> enter_input t 0 [] | l -> enter_input t 0 l
 
 let bank = function
-  | [] -> []
+  | [] -> None
   | first :: rest as stubs ->
       let sis = first.sis in
       if List.exists (fun t -> t.sis != sis) rest then
@@ -367,11 +381,24 @@ let bank = function
             ]
           ()
       in
-      List.iter (fun t -> t.bank <- sleep) stubs;
-      let clocked =
-        build_component ~seq:(clock sis sleep (Array.of_list stubs)) ~sleep first
+      let arr = Array.of_list stubs and last = ref (-1) in
+      let comp =
+        Component.make ~sleep
+          ~comb:
+            ( [ sis.Sis_if.func_id; sis.Sis_if.io_enable; sis.Sis_if.data_in_valid ],
+              select sis last arr )
+          ~seq:(clock sis sleep arr)
+          ~reset:(fun () ->
+            List.iter reset stubs;
+            last := -1)
+          (Printf.sprintf "stub:%s#%d" first.func.Spec.name first.instance)
       in
-      clocked :: List.map (fun t -> build_component t) rest
+      List.iter
+        (fun t ->
+          t.bank <- sleep;
+          t.comp <- comp)
+        stubs;
+      Some comp
 
 let component t = t.comp
 let ports t = t.ports

@@ -24,11 +24,17 @@
     [FUNC_ID] selects it, or while it runs its calculation states. The
     stubs of one peripheral are clocked by a single process ({!bank}) that
     reads [RST] and [FUNC_ID] once per edge and steps only those stubs;
-    for every other stub a step would change nothing. Each stub keeps its
-    own combinational process, reset and state announcement. The
-    calculation states end on a deadline edge, and the bank sleeps
+    for every other stub a step would change nothing. The calculation
+    states end on a deadline edge, and the bank sleeps
     ({!Splice_sim.Sleep}) until the first one ends or a line it reads
-    changes, unless the selected stub holds a write or read pending. *)
+    changes, unless the selected stub holds a write or read pending.
+
+    The same bank is the stubs' one combinational process. A stub that
+    [FUNC_ID] does not select drives zeros (§5.2: the arbiter muxes only
+    the selected stub's outputs), so an evaluation of the bank drives
+    only the stub selected now and the one selected at its previous
+    evaluation; the first evaluation after a build or reset drives
+    every stub. *)
 
 open Splice_sim
 open Splice_syntax
@@ -79,16 +85,15 @@ val make :
   behavior:behavior ->
   t
 
-val bank : t list -> Component.t list
-(** The components of one peripheral's stubs, in the order given, to be
-    registered with the kernel consecutively and in that order. Each
-    carries its stub's [comb] and [reset]; the first also carries the one
-    clocked process of the whole bank, which steps the stubs in list
-    order, the order they are registered in. Raises
-    [Invalid_argument] when the stubs do not share one {!Sis_if.t}. *)
+val bank : t list -> Component.t option
+(** The one component of a peripheral's stubs, [None] for no stubs. Its
+    [comb] drives the stubs' ports, its [seq] is the clocked process of
+    the whole bank, and its [reset] resets every stub. Both callbacks take
+    the stubs in the order given. Raises [Invalid_argument] when the
+    stubs do not share one {!Sis_if.t}. *)
 
 val component : t -> Component.t
-(** The stub's own component, as built by {!bank}. *)
+(** The component built by {!bank}, shared by every stub of the bank. *)
 
 val ports : t -> ports
 val func_id : t -> int
@@ -104,8 +109,13 @@ val completions : t -> int
 
 (** {1 Test-only}
 
-    For tests that check the bank's skip: a skipped stub must be one whose
-    own clocked step changes nothing. *)
+    For tests that check the bank's skips: a skipped stub must be one whose
+    own clocked step changes nothing, and after every settle each stub's
+    ports must hold its own {!outputs}. *)
+
+val outputs : t -> Splice_bits.Bits.t * bool * bool
+(** What the stub's ports should hold now: the word, [DATA_OUT_VALID] and
+    [IO_DONE]. All three are zero unless [FUNC_ID] selects the stub. *)
 
 val seq : t -> unit
 (** The per-stub clocked step the bank runs (with its state

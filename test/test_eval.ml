@@ -260,7 +260,7 @@ let pinned_tests =
         in
         Alcotest.(check string) "2-domain pool" seq par;
         Alcotest.(check string)
-          "md5" "b12289256f08618cef7450044e79b3fe"
+          "md5" "ddbb01eb1ecd348d2c241bad66abd3f2"
           (Digest.to_hex (Digest.string seq)));
   ]
 

@@ -610,22 +610,27 @@ let store_props =
       store_prop;
   ]
 
-(* -------- the stub bank's skip -------- *)
+(* -------- the stub bank's skips -------- *)
 
-(* A peripheral's stubs are clocked by one process that steps only the
-   stubs in reset, selected by FUNC_ID, or counting down their calculation
-   states (§4.2). Every scheduler runs that same process, so the
+(* A peripheral's stubs are one component (§4.2). Its clocked process
+   steps only the stubs in reset, selected by FUNC_ID, or counting down
+   their calculation states; its combinational process drives only the
+   stub FUNC_ID selects and the one it selected at its previous
+   evaluation. Every scheduler runs that same component, so the
    event-vs-sweep oracle cannot see a wrong skip. These tests drive one
    peripheral's SIS lines by hand — reset, selection, write words, read
    requests, and through them calculation — and watch the bank from two
    seq-only components, one registered before the peripheral and one
    after, so they run just before and just after the bank on every edge.
-   Outside reset, every stub the bank left alone (clocked state unchanged,
-   not re-armed) is stepped once more on its own: its clocked state, the
-   write queue and its re-arm flag must not move. A skipped stub that
-   should have acted moves; a stub the bank stepped without effect does
-   not, since its step reads the same lines and state again. In reset,
-   every stub must be back at its first input. *)
+   Before the bank, on settled lines: every stub's ports must hold its
+   own [Stub_model.outputs]. A skipped evaluation that should have
+   dropped a deselected stub's outputs leaves them stale. After the
+   bank, outside reset: every stub the bank left alone (clocked state
+   unchanged, bank not re-armed) is stepped once more on its own, and
+   its clocked state, the write queue and the re-arm flag must not move.
+   A skipped stub that should have acted moves; a stub the bank stepped
+   without effect does not, since its step reads the same lines and
+   state again. In reset, every stub must be back at its first input. *)
 
 let bank_spec =
   Validate.of_string_exn ~lookup_bus:Registry.lookup_caps
@@ -661,12 +666,16 @@ let gen_drive =
          (int_bound (bank_spec.Spec.total_instances + 1))
          bool bool (int_bound 255)))
 
-(* the stubs the bank left alone outside reset, by what they were doing *)
+(* what the bank's skips were tried on *)
 type bank_tally = {
-  mutable alone : int;
-  mutable in_words : int;  (** mid-input, some words taken *)
-  mutable out : int;  (** output words on offer *)
-  mutable pending : int;  (** a pending read or write *)
+  mutable alone : int;  (** stubs the seq left alone outside reset *)
+  mutable in_words : int;  (** ... mid-input, some words taken *)
+  mutable out : int;  (** ... with output words on offer *)
+  mutable pending : int;  (** ... with a pending read or write *)
+  mutable moved_in : int;
+      (** FUNC_ID moved away from a stub raising IO_DONE mid-input *)
+  mutable moved_out : int;
+      (** FUNC_ID moved away from a stub driving DATA_OUT_VALID *)
 }
 
 let contains s sub =
@@ -674,23 +683,52 @@ let contains s sub =
   let rec go i = i + m <= n && (String.equal (String.sub s i m) sub || go (i + 1)) in
   go 0
 
+(* the ports, as [Stub_model.outputs] states them *)
+let port_values s =
+  let p = Stub_model.ports s in
+  ( Signal.get p.Stub_model.data_out,
+    Signal.get_bool p.Stub_model.data_out_valid,
+    Signal.get_bool p.Stub_model.io_done )
+
 (* runs [drives] and returns the tally; the first broken rule is an [Error] *)
-let run_bank drives =
-  let kernel = Kernel.create ~sched:`Event () in
-  (* registered first, filled in once the peripheral exists *)
-  let stubs = ref [||] and before = ref [||] in
-  Kernel.add kernel
-    (Component.make
-       ~seq:(fun () -> before := Array.map Stub_model.clocked_state !stubs)
-       "before-bank");
+let run_bank ?(sched = `Event) drives =
+  let kernel = Kernel.create ~sched () in
+  let tally =
+    { alone = 0; in_words = 0; out = 0; pending = 0; moved_in = 0; moved_out = 0 }
+  in
+  let broken = ref None in
+  let break fmt = Printf.ksprintf (fun m -> if !broken = None then broken := Some m) fmt in
+  (* filled in once the peripheral exists *)
+  let stubs = ref [||] and func_id = ref None in
+  (* per stub, at the previous settle: FUNC_ID and the ports *)
+  let last_fid = ref (-1) and last_ports = ref [||] and before = ref [||] in
+  let watch_before () =
+    let fid = match !func_id with Some s -> Signal.get_int s | None -> -1 in
+    let ports = Array.map port_values !stubs in
+    Array.iteri
+      (fun i s ->
+        let id = Stub_model.func_id s in
+        let w, valid, io_done = ports.(i) and w', valid', io_done' = Stub_model.outputs s in
+        if not (Bits.equal w w' && valid = valid' && io_done = io_done') then
+          break "id %d drives (%s, %b, %b), its outputs are (%s, %b, %b)" id
+            (Bits.to_hex_string w) valid io_done (Bits.to_hex_string w') valid' io_done';
+        if id = !last_fid && fid <> id then begin
+          let _, valid, io_done = !last_ports.(i) in
+          if valid then tally.moved_out <- tally.moved_out + 1
+          else if io_done then tally.moved_in <- tally.moved_in + 1
+        end)
+      !stubs;
+    last_fid := fid;
+    last_ports := ports;
+    before := Array.map Stub_model.clocked_state !stubs
+  in
+  Kernel.add kernel (Component.make ~seq:watch_before "before-bank");
   let periph =
     Peripheral.build ~monitor:false kernel bank_spec ~behaviors:bank_behavior
   in
   let sis = Peripheral.sis periph in
   stubs := Array.of_list (Peripheral.stubs periph);
-  let tally = { alone = 0; in_words = 0; out = 0; pending = 0 } in
-  let broken = ref None in
-  let break fmt = Printf.ksprintf (fun m -> if !broken = None then broken := Some m) fmt in
+  func_id := Some sis.Sis_if.func_id;
   let watch_after () =
     let st = Signal.store () in
     Array.iteri
@@ -747,25 +785,67 @@ let arb_drives =
     ~shrink:QCheck.Shrink.list
     QCheck.Gen.(list_size (int_range 1 120) gen_drive)
 
+let bank_id name =
+  (List.find (fun (f : Spec.func) -> String.equal f.Spec.name name) bank_spec.Spec.funcs)
+    .Spec.func_id
+
+(* FUNC_ID moves away from a stub mid-input (add#0 with its first word
+   taken and the write still presented) and mid-output (wide with its
+   first word served and one to go, the read still presented), then comes
+   back to each *)
+let bank_moves =
+  let d ?(rst = false) ?(en = false) ?(valid = false) ?(data = 0) fid =
+    { d_rst = rst; d_fid = fid; d_en = en; d_valid = valid; d_data = data }
+  in
+  let add = bank_id "add" and fill = bank_id "fill" and wide = bank_id "wide"
+  and poll = bank_id "poll" in
+  [ d ~rst:true add; d ~en:true ~valid:true ~data:5 add;
+    d ~en:true ~valid:true ~data:6 fill; d fill; d ~en:true ~valid:true ~data:7 add ]
+  @ [ d ~en:true ~valid:true ~data:1 wide ]
+  @ List.init 5 (fun _ -> d wide)
+  @ [ d ~en:true wide; d ~en:true poll; d poll; d ~en:true wide; d wide ]
+
+let sched_label = function `Event -> "event" | `Sweep -> "sweep" | `Compiled -> "compiled"
+
 let bank_props =
-  [
-    prop ~count:200 "a stub the bank skips is one its own step leaves alone"
-      arb_drives (fun ds ->
-        match run_bank ds with
-        | Ok _ -> true
-        | Error m -> QCheck.Test.fail_reportf "%s" m);
-    Alcotest.test_case "the bank leaves stubs alone mid-input, in output and pending"
-      `Quick (fun () ->
-        let rand = Random.State.make [| 7919 |] in
-        let drives = List.init 3000 (fun _ -> gen_drive rand) in
-        match run_bank drives with
-        | Error m -> Alcotest.fail m
-        | Ok t ->
-            Alcotest.(check bool) "left alone" true (t.alone > 0);
-            Alcotest.(check bool) "left alone mid-input" true (t.in_words > 0);
-            Alcotest.(check bool) "left alone in output" true (t.out > 0);
-            Alcotest.(check bool) "left alone while pending" true (t.pending > 0));
-  ]
+  List.map
+    (fun sched ->
+      prop ~count:200
+        (Printf.sprintf
+           "the bank drives every stub's outputs and skips only idle steps (%s)"
+           (sched_label sched))
+        arb_drives
+        (fun ds ->
+          match run_bank ~sched ds with
+          | Ok _ -> true
+          | Error m -> QCheck.Test.fail_reportf "%s" m))
+    [ `Event; `Sweep; `Compiled ]
+  @ [
+      Alcotest.test_case "the bank leaves stubs alone mid-input, in output and pending"
+        `Quick (fun () ->
+          let rand = Random.State.make [| 7919 |] in
+          let drives = List.init 3000 (fun _ -> gen_drive rand) in
+          match run_bank drives with
+          | Error m -> Alcotest.fail m
+          | Ok t ->
+              Alcotest.(check bool) "left alone" true (t.alone > 0);
+              Alcotest.(check bool) "left alone mid-input" true (t.in_words > 0);
+              Alcotest.(check bool) "left alone in output" true (t.out > 0);
+              Alcotest.(check bool) "left alone while pending" true (t.pending > 0);
+              Alcotest.(check bool) "deselected mid-input" true (t.moved_in > 0);
+              Alcotest.(check bool) "deselected mid-output" true (t.moved_out > 0));
+      Alcotest.test_case "a stub FUNC_ID leaves mid-input or mid-output drives zeros"
+        `Quick (fun () ->
+          List.iter
+            (fun sched ->
+              match run_bank ~sched bank_moves with
+              | Error m -> Alcotest.failf "%s: %s" (sched_label sched) m
+              | Ok t ->
+                  Alcotest.(check (pair int int))
+                    (sched_label sched ^ ": moves mid-input, mid-output")
+                    (2, 1) (t.moved_in, t.moved_out))
+            [ `Event; `Sweep; `Compiled ]);
+    ]
 
 (* -------- sleeping processes: a jumping run equals a stepping one -------- *)
 
@@ -793,9 +873,10 @@ let observe host calls =
   }
 
 (* a fuzz cell as [splice fuzz] builds it, bus monitor included *)
-let cell_run ~obs spec (tr : Specgen.traffic) =
+let cell_run ?sched ~obs spec (tr : Specgen.traffic) =
   let host =
-    Host.create ~obs spec ~behaviors:(Specgen.behavior ~calc_cycles:tr.Specgen.t_calc_cycles)
+    Host.create ?sched ~obs spec
+      ~behaviors:(Specgen.behavior ~calc_cycles:tr.Specgen.t_calc_cycles)
   in
   Host.adopt host (fun () ->
       Bus_monitor.attach (Host.kernel host) ~bus:spec.Spec.bus_name (Host.sis host));
@@ -906,6 +987,34 @@ let sleep_props =
         Alcotest.(check bool) "the grid jumps" true (sum (fun r -> r.stepped) < ticks));
   ]
 
+(* -------- productive passes are counted alike -------- *)
+
+(* [Kernel.stats]'s [comb_iters] counts the delta passes that changed a
+   signal, the same way under the event and sweep schedulers, so the two
+   agree on every fuzz cell, the two-clock AXI cells included (the
+   compiled tape does not: see DESIGN.md "Scheduling model") *)
+let iters_props =
+  [
+    prop ~count:30 "event and sweep count the same productive passes on every bus"
+      arb_loopback (fun (g, tseed) ->
+        List.for_all
+          (fun bus ->
+            match Specgen.validate (Specgen.with_bus g bus) with
+            | Error _ -> false
+            | Ok spec ->
+                let tr = Specgen.traffic (Specgen.Rng.make tseed) spec in
+                let run sched = cell_run ~sched ~obs:Obs.none spec tr in
+                let event = run `Event and sweep = run `Sweep in
+                let iters r = match r.counters with _, i, _, _ -> i in
+                if event.calls <> sweep.calls then
+                  QCheck.Test.fail_reportf "%s: results or per-call cycles differ" bus
+                else if iters event <> iters sweep then
+                  QCheck.Test.fail_reportf "%s: comb_iters %d under event, %d under sweep"
+                    bus (iters event) (iters sweep)
+                else true)
+          (Registry.names ()));
+  ]
+
 let tests =
   [
     ("properties.spec", spec_props);
@@ -917,4 +1026,5 @@ let tests =
     ("properties.dump", dump_props);
     ("properties.loopback", loopback_props);
     ("properties.sleep", sleep_props);
+    ("properties.comb_iters", iters_props);
   ]
