@@ -317,6 +317,11 @@ let clock sis sleep stubs () =
     if until >= 0 then Sleep.sleep_until sleep until
   end
 
+(* the component and sleep handle of a stub until [bank] sets the
+   bank's; shared by every stub, since only a banked stub is stepped *)
+let unbanked = Component.make "stub"
+let unclocked = Sleep.create ()
+
 let make ~spec ~func ~instance ~sis ~ports ~behavior =
   let t =
     {
@@ -332,8 +337,8 @@ let make ~spec ~func ~instance ~sis ~ports ~behavior =
       pending_read = false;
       pending_write = false;
       completions = 0;
-      comp = Component.make "stub";
-      bank = Sleep.create ();
+      comp = unbanked;
+      bank = unclocked;
     }
   in
   (match func.Spec.inputs with [] -> enter_input t 0 [] | l -> enter_input t 0 l);

@@ -93,7 +93,8 @@ val bank : t list -> Component.t option
     stubs do not share one {!Sis_if.t}. *)
 
 val component : t -> Component.t
-(** The component built by {!bank}, shared by every stub of the bank. *)
+(** The component built by {!bank}, shared by every stub of the bank
+    (before {!bank}, a placeholder that no kernel runs). *)
 
 val ports : t -> ports
 val func_id : t -> int
