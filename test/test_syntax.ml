@@ -256,10 +256,114 @@ let parser_directive_tests =
         check_int "items" 4 (List.length f));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Front-end pins                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* One line per token: constructor and payload, then line and column. *)
+let add_tokens buf src =
+  List.iter
+    (fun (tok, (l : Loc.t)) ->
+      Buffer.add_string buf
+        (Printf.sprintf "%s %d:%d\n" (Token.to_string tok) l.line l.col))
+    (Lexer.tokenize src)
+
+(* The gen_projects corpus: the example specs, then 32 seeded specs per
+   bus drawn from the stream perfbench draws them from at seed 7919. *)
+let gen_corpus () =
+  let examples =
+    List.map (fun (_, path) -> Test_specs_dir.read_file path) (Test_specs_dir.spec_files ())
+  in
+  if examples = [] then Alcotest.fail "examples/specs not found";
+  let rng = Specgen.Rng.make (Diff.iteration_seed 7919 2) in
+  examples
+  @ List.concat_map
+      (fun _ ->
+        List.map (fun bus -> Specgen.render (Specgen.spec ~buses:[ bus ] rng)) (Registry.names ()))
+      (List.init 32 Fun.id)
+
+let spec_head = "%device_name d\n%bus_type plb\n%bus_width 32\n%base_address 0x80000000\n"
+
+(* Inputs at the lexer's and the keyword tables' edges: each one's tokens
+   or lexer error, then its validation result or issues. *)
+let edge_inputs =
+  [
+    "%device_name d\r\n%bus_type plb\r\n%bus_width 32\r\n%base_address 0x80000000\r\nint f(int x);\r\n";
+    "\tint\tf(\tint x);\t\n  \tvoid g();";
+    spec_head ^ "int f(int x); // no newline at the end";
+    spec_head ^ "/* a\n   b **/ int /* c */ f(/**/int x);\n/***/";
+    "int f();\n  /* never closed\n";
+    "int f();\n/*";
+    "int x;\n  @";
+    "int x; /";
+    "%base_address 0x;";
+    "%base_address 0x";
+    "%base_address 0x11112222333344445";
+    "%base_address 0xFFFFffffFFFFffff 0X1f 0x1g 007 0";
+    "int f(int*:99999999999999999999 x);";
+    "_a1 b_2 C3_d __ x9y 12ab 4611686018427387903";
+    "%name d\n% bus type plb\n%bus width 32\n% base address 0x80000000\n\
+     % hdl type verilog\n%burst support true\nvoid f(void);";
+    "%name d\n%bus plb\n";
+    "%frobnicate yes";
+    "% user type u";
+    spec_head
+    ^ "unsigned long long f(unsigned long a, signed char b, long long c, unsigned short d,\n\
+      \  unsigned char e, signed int g, unsigned int h, unsigned i, long j);";
+    spec_head ^ "long unsigned f(int long x);";
+    spec_head
+    ^ "%user_type u64, unsigned long long, 64\n%user type s12, int, 12\n\
+       u64 f(s12 x, u64*:2 y);";
+    spec_head ^ "%user_type int, int, 16\n%user_type w, char, 65\nint f();";
+    spec_head
+    ^ "%user_struct pt { int x; unsigned short y; }\n\
+       %user struct q { char c; long long d; }\npt f(pt*:3 ps, q z);";
+    spec_head ^ "%user_struct pt { int x; pt y; }\nint f();";
+    spec_head ^ "%user_struct e { }\nint f();";
+  ]
+
+let edge_result buf src =
+  (match add_tokens buf src with
+  | () -> ()
+  | exception Error.Splice_error e ->
+      Buffer.add_string buf ("lex error " ^ Error.to_string e ^ "\n"));
+  (match Validate.of_string ~lookup_bus:Registry.lookup_caps src with
+  | Ok spec ->
+      Buffer.add_string buf (Format.asprintf "%a\n" Spec.pp spec);
+      List.iter
+        (fun (f : Spec.func) ->
+          List.iter
+            (fun (io : Spec.io) ->
+              Buffer.add_string buf
+                (Printf.sprintf "%s.%s %d %b\n" f.name io.io_name io.io_width io.signed))
+            (f.inputs @ Option.to_list f.output))
+        spec.Spec.funcs
+  | Error issues ->
+      List.iter
+        (fun i -> Buffer.add_string buf (Format.asprintf "issue %a\n" Validate.pp_issue i))
+        issues);
+  Buffer.add_string buf "--\n"
+
+let digest_of f =
+  let buf = Buffer.create 4096 in
+  f buf;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let pin_tests =
+  [
+    t "every token of the gen_projects corpus is pinned" (fun () ->
+        let corpus = gen_corpus () in
+        check_int "specs" 261 (List.length corpus);
+        check_str "md5" "17ab6428ca9255c4b81ed1b281da1b74" (digest_of (fun buf -> List.iter (add_tokens buf) corpus)));
+    t "edge inputs keep their tokens, errors and locations" (fun () ->
+        check_str "md5" "5a66d90873b8944a4636528a7f8bbadc" (digest_of (fun buf -> List.iter (edge_result buf) edge_inputs)));
+  ]
+
 let tests =
   [
     ("syntax.lexer", lexer_tests);
     ("syntax.ctype", ctype_tests);
     ("syntax.parser.decls", parser_decl_tests);
     ("syntax.parser.directives", parser_directive_tests);
+    ("syntax.pins", pin_tests);
   ]
