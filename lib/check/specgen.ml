@@ -1,6 +1,7 @@
 open Splice_syntax
 open Splice_buses
 open Splice_sis
+open Splice_hdl
 
 (* deterministic PRNG: the shared splitmix64 from lib/par (promoted out of
    this module, which used to carry its own copy), re-exported under the
@@ -65,7 +66,7 @@ let gen_func rng i =
     if ret = `Nowait then List.map (fun p -> { p with g_by_ref = false }) params
     else params
   in
-  { g_name = Printf.sprintf "fn_%d" i; g_params = params; g_ret = ret;
+  { g_name = "fn_" ^ Emit.int_to_string i; g_params = params; g_ret = ret;
     g_instances = instances }
 
 let spec ?buses rng =
@@ -104,33 +105,40 @@ let render g =
          g.g_funcs
   in
   let buf = Buffer.create 256 in
-  Buffer.add_string buf "%device_name randomdev\n";
-  Buffer.add_string buf (Printf.sprintf "%%bus_type %s\n%%bus_width 32\n" g.g_bus);
-  Buffer.add_string buf "%base_address 0x80000000\n";
-  if g.g_packing then Buffer.add_string buf "%packing_support true\n";
-  if g.g_burst && burst_ok then Buffer.add_string buf "%burst_support true\n";
-  if any_dma then Buffer.add_string buf "%dma_support true\n";
+  let add = Buffer.add_string buf in
+  add "%device_name randomdev\n%bus_type ";
+  add g.g_bus;
+  add "\n%bus_width 32\n%base_address 0x80000000\n";
+  if g.g_packing then add "%packing_support true\n";
+  if g.g_burst && burst_ok then add "%burst_support true\n";
+  if any_dma then add "%dma_support true\n";
   List.iter
     (fun f ->
-      let ret =
-        match f.g_ret with `Void -> "void" | `Nowait -> "nowait" | `Scalar ty -> ty
-      in
-      let params =
-        List.mapi
-          (fun i p ->
-            match p.g_ptr_count with
-            | None -> Printf.sprintf "%s p%d" p.g_ty i
-            | Some n ->
-                Printf.sprintf "%s*:%d%s%s%s p%d" p.g_ty n
-                  (if p.g_packed then "+" else "")
-                  (if p.g_by_ref then "&" else "")
-                  (if p.g_dma && dma_ok then "^" else "")
-                  i)
-          f.g_params
-      in
-      Buffer.add_string buf
-        (Printf.sprintf "%s %s(%s)%s;\n" ret f.g_name (String.concat ", " params)
-           (if f.g_instances > 1 then Printf.sprintf ":%d" f.g_instances else "")))
+      add (match f.g_ret with `Void -> "void" | `Nowait -> "nowait" | `Scalar ty -> ty);
+      add " ";
+      add f.g_name;
+      add "(";
+      List.iteri
+        (fun i p ->
+          if i > 0 then add ", ";
+          add p.g_ty;
+          (match p.g_ptr_count with
+          | None -> ()
+          | Some n ->
+              add "*:";
+              Emit.add_int buf n;
+              if p.g_packed then add "+";
+              if p.g_by_ref then add "&";
+              if p.g_dma && dma_ok then add "^");
+          add " p";
+          Emit.add_int buf i)
+        f.g_params;
+      add ")";
+      if f.g_instances > 1 then begin
+        add ":";
+        Emit.add_int buf f.g_instances
+      end;
+      add ";\n")
     g.g_funcs;
   Buffer.contents buf
 

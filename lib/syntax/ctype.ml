@@ -1,35 +1,45 @@
 type info = { width : int; signed : bool }
 
 type env = {
-  table : (string * info) list; (* single-word names *)
+  table : (string * info) list; (* user type names, newest first *)
   users : (string * info) list; (* registration order *)
   structs : (string * (string * info) list) list; (* registration order *)
 }
 
-let native =
-  [
-    ("void", { width = 0; signed = false });
-    ("bool", { width = 1; signed = false });
-    ("char", { width = 8; signed = true });
-    ("short", { width = 16; signed = true });
-    ("int", { width = 32; signed = true });
-    ("long", { width = 32; signed = true });
-    ("unsigned", { width = 32; signed = false });
-    ("float", { width = 32; signed = true });
-    ("single", { width = 32; signed = true });
-    ("double", { width = 64; signed = true });
-  ]
+(* The single-word native types. *)
+let native = function
+  | "void" -> Some { width = 0; signed = false }
+  | "bool" -> Some { width = 1; signed = false }
+  | "char" -> Some { width = 8; signed = true }
+  | "short" -> Some { width = 16; signed = true }
+  | "int" | "long" | "float" | "single" -> Some { width = 32; signed = true }
+  | "unsigned" -> Some { width = 32; signed = false }
+  | "double" -> Some { width = 64; signed = true }
+  | _ -> None
 
-let base = { table = native; users = []; structs = [] }
+(* Multi-word native combinations. *)
+let multi_word = function
+  | [ "long"; "long" ] -> Some { width = 64; signed = true }
+  | [ "unsigned"; "long"; "long" ] -> Some { width = 64; signed = false }
+  | [ "unsigned"; ("long" | "int") ] -> Some { width = 32; signed = false }
+  | [ "unsigned"; "short" ] -> Some { width = 16; signed = false }
+  | [ "unsigned"; "char" ] -> Some { width = 8; signed = false }
+  | [ "signed"; "char" ] -> Some { width = 8; signed = true }
+  | [ "signed"; "int" ] -> Some { width = 32; signed = true }
+  | _ -> None
 
-(* [List.assoc_opt]/[List.mem_assoc] over string and word-list keys,
-   compared with [String.equal] instead of the polymorphic compare *)
-let assoc_by eq key l = List.find_map (fun (k, v) -> if eq k key then Some v else None) l
-let assoc_name name l = assoc_by String.equal name l
+let base = { table = []; users = []; structs = [] }
+
+(* [List.assoc_opt]/[List.mem_assoc] over string keys, compared with
+   [String.equal] instead of the polymorphic compare *)
+let rec assoc_name name = function
+  | [] -> None
+  | (k, v) :: rest -> if String.equal k name then Some v else assoc_name name rest
+
 let mem_name name l = List.exists (fun (k, _) -> String.equal k name) l
 
 let add_user_type env ~name ~width ~signed =
-  if mem_name name native then
+  if Option.is_some (native name) then
     Error.failf "%%user_type %s: cannot redefine a native type" name;
   if width < 1 || width > 64 then
     Error.failf "%%user_type %s: width %d outside 1..64" name width;
@@ -40,41 +50,28 @@ let add_user_type env ~name ~width ~signed =
     users = env.users @ [ (name, info) ];
   }
 
-(* Multi-word native combinations, resolved before single-word lookup. *)
-let multi_word =
-  [
-    ([ "long"; "long" ], { width = 64; signed = true });
-    ([ "unsigned"; "long"; "long" ], { width = 64; signed = false });
-    ([ "unsigned"; "long" ], { width = 32; signed = false });
-    ([ "unsigned"; "int" ], { width = 32; signed = false });
-    ([ "unsigned"; "short" ], { width = 16; signed = false });
-    ([ "unsigned"; "char" ], { width = 8; signed = false });
-    ([ "signed"; "char" ], { width = 8; signed = true });
-    ([ "signed"; "int" ], { width = 32; signed = true });
-  ]
-
-let resolve env words =
-  match assoc_by (List.equal String.equal) words multi_word with
-  | Some info -> Some info
-  | None -> (
-      match words with
-      | [ w ] -> (
+(* Natives and user types never share a name (add_user_type refuses it),
+   so the order of the single-word lookups is free. *)
+let resolve env = function
+  | [ w ] -> (
+      match native w with
+      | Some _ as info -> info
+      | None -> (
           match assoc_name w env.table with
-          | Some info -> Some info
+          | Some _ as info -> info
           | None -> (
               match assoc_name w env.structs with
               | Some fields ->
                   Some
                     {
-                      width =
-                        List.fold_left (fun acc (_, i) -> acc + i.width) 0 fields;
+                      width = List.fold_left (fun acc (_, i) -> acc + i.width) 0 fields;
                       signed = false;
                     }
-              | None -> None))
-      | _ -> None)
+              | None -> None)))
+  | words -> multi_word words
 
 let add_struct env ~name ~fields =
-  if mem_name name native then
+  if Option.is_some (native name) then
     Error.failf "%%user_struct %s: cannot redefine a native type" name;
   if mem_name name env.table || mem_name name env.structs then
     Error.failf "%%user_struct %s: name already defined" name;

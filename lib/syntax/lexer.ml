@@ -1,134 +1,109 @@
-let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
-let is_digit c = c >= '0' && c <= '9'
-let is_ident c = is_ident_start c || is_digit c
+(* One loop over the string, with no call per character. [line] and [bol]
+   (the offset where the current line begins) give every location: each
+   character but '\n' moves the column by one, so the column of offset [i]
+   is [i - bol + 1]. Identifiers and numbers hold no newline; they are
+   scanned by index with the end-finders below. *)
 
-let is_hex_digit c =
-  is_digit c || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
+let rec ident_end src n i =
+  if i < n then
+    match String.unsafe_get src i with
+    | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> ident_end src n (i + 1)
+    | _ -> i
+  else i
 
-type state = {
-  src : string;
-  mutable pos : int;
-  mutable line : int;
-  mutable col : int;
-}
+let rec digit_end src n i =
+  if i < n then
+    match String.unsafe_get src i with '0' .. '9' -> digit_end src n (i + 1) | _ -> i
+  else i
 
-let loc st = { Loc.line = st.line; col = st.col }
+let rec hex_end src n i =
+  if i < n then
+    match String.unsafe_get src i with
+    | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> hex_end src n (i + 1)
+    | _ -> i
+  else i
 
-(* Lookahead without an option per call: [at_end] guards [cur], and
-   [at]/[at2] test the current/next character against a [char] (an int
-   compare, where comparing options would be polymorphic). *)
-let at_end st = st.pos >= String.length st.src
-let cur st = String.unsafe_get st.src st.pos
-let at st c = (not (at_end st)) && Char.equal (cur st) c
+(* the '\n' that ends a line comment, which is left to the main loop *)
+let rec line_end src n i =
+  if i < n && not (Char.equal (String.unsafe_get src i) '\n') then line_end src n (i + 1)
+  else i
 
-let at2 st c =
-  st.pos + 1 < String.length st.src
-  && Char.equal (String.unsafe_get st.src (st.pos + 1)) c
+let loc_at line bol i = { Loc.line; col = i - bol + 1 }
 
-(* the current character satisfies [p] *)
-let sat st p = (not (at_end st)) && p (cur st)
-
-let advance st =
-  if not (at_end st) then
-    if Char.equal (cur st) '\n' then begin
-      st.line <- st.line + 1;
-      st.col <- 1
-    end
-    else st.col <- st.col + 1;
-  st.pos <- st.pos + 1
-
-let rec skip_trivia st =
-  if not (at_end st) then
-    match cur st with
-    | ' ' | '\t' | '\r' | '\n' ->
-        advance st;
-        skip_trivia st
-    | '/' when at2 st '/' ->
-        while not (at_end st || at st '\n') do
-          advance st
-        done;
-        skip_trivia st
-    | '/' when at2 st '*' ->
-        let start = loc st in
-        advance st;
-        advance st;
-        let rec close () =
-          if at_end st then Error.fail ~loc:start "unterminated block comment"
-          else if at st '*' && at2 st '/' then begin
-            advance st;
-            advance st
-          end
-          else begin
-            advance st;
-            close ()
-          end
-        in
-        close ();
-        skip_trivia st
-    | _ -> ()
-
-let lex_ident st =
-  let start = st.pos in
-  while sat st is_ident do
-    advance st
-  done;
-  String.sub st.src start (st.pos - start)
-
-let lex_number st l =
-  if at st '0' && (at2 st 'x' || at2 st 'X') then begin
-    advance st;
-    advance st;
-    let start = st.pos in
-    while sat st is_hex_digit do
-      advance st
-    done;
-    if st.pos = start then Error.fail ~loc:l "expected hex digits after 0x";
-    let s = String.sub st.src start (st.pos - start) in
-    if String.length s > 16 then
-      Error.fail ~loc:l "hex literal wider than 64 bits";
-    Token.HEX (Int64.of_string ("0x" ^ s))
-  end
-  else begin
-    let start = st.pos in
-    while sat st is_digit do
-      advance st
-    done;
-    let s = String.sub st.src start (st.pos - start) in
-    match int_of_string_opt s with
-    | Some n -> Token.INT n
-    | None -> Error.failf ~loc:l "integer literal %s out of range" s
-  end
+(* called only on the twelve symbol characters *)
+let symbol = function
+  | '*' -> Token.STAR
+  | ':' -> Token.COLON
+  | '+' -> Token.PLUS
+  | '^' -> Token.CARET
+  | '&' -> Token.AMP
+  | ',' -> Token.COMMA
+  | ';' -> Token.SEMI
+  | '(' -> Token.LPAREN
+  | ')' -> Token.RPAREN
+  | '{' -> Token.LBRACE
+  | '}' -> Token.RBRACE
+  | _ -> Token.PERCENT
 
 let tokenize src =
-  let st = { src; pos = 0; line = 1; col = 1 } in
-  let toks = ref [] in
-  let push tok l = toks := (tok, l) :: !toks in
-  let rec go () =
-    skip_trivia st;
-    let l = loc st in
-    if at_end st then push Token.EOF l
-    else
-      let c = cur st in
-      if is_ident_start c then begin push (Token.IDENT (lex_ident st)) l; go () end
-      else if is_digit c then begin push (lex_number st l) l; go () end
-      else begin
-        let simple tok = advance st; push tok l in
-        (match c with
-        | '*' -> simple Token.STAR
-        | ':' -> simple Token.COLON
-        | '+' -> simple Token.PLUS
-        | '^' -> simple Token.CARET
-        | '&' -> simple Token.AMP
-        | ',' -> simple Token.COMMA
-        | ';' -> simple Token.SEMI
-        | '(' -> simple Token.LPAREN
-        | ')' -> simple Token.RPAREN
-        | '{' -> simple Token.LBRACE
-        | '}' -> simple Token.RBRACE
-        | '%' -> simple Token.PERCENT
-        | c -> Error.failf ~loc:l "unexpected character %C" c);
-        go ()
-      end
-  in
-  go ();
-  List.rev !toks
+  let n = String.length src in
+  let pos = ref 0 and line = ref 1 and bol = ref 0 and toks = ref [] in
+  while !pos < n do
+    let i = !pos in
+    match String.unsafe_get src i with
+    | ' ' | '\t' | '\r' -> pos := i + 1
+    | '\n' ->
+        incr line;
+        pos := i + 1;
+        bol := i + 1
+    | '/' when i + 1 < n && Char.equal (String.unsafe_get src (i + 1)) '/' ->
+        pos := line_end src n (i + 2)
+    | '/' when i + 1 < n && Char.equal (String.unsafe_get src (i + 1)) '*' ->
+        let start = loc_at !line !bol i in
+        let j = ref (i + 2) in
+        while
+          !j < n
+          && not
+               (Char.equal (String.unsafe_get src !j) '*'
+               && !j + 1 < n
+               && Char.equal (String.unsafe_get src (!j + 1)) '/')
+        do
+          if Char.equal (String.unsafe_get src !j) '\n' then begin
+            incr line;
+            bol := !j + 1
+          end;
+          incr j
+        done;
+        if !j >= n then Error.fail ~loc:start "unterminated block comment";
+        pos := !j + 2
+    | 'a' .. 'z' | 'A' .. 'Z' | '_' ->
+        let e = ident_end src n (i + 1) in
+        toks := (Token.IDENT (String.sub src i (e - i)), loc_at !line !bol i) :: !toks;
+        pos := e
+    | '0' .. '9' as c ->
+        let l = loc_at !line !bol i in
+        if Char.equal c '0' && i + 1 < n
+           && (match String.unsafe_get src (i + 1) with 'x' | 'X' -> true | _ -> false)
+        then begin
+          let e = hex_end src n (i + 2) in
+          if e = i + 2 then Error.fail ~loc:l "expected hex digits after 0x";
+          if e - (i + 2) > 16 then Error.fail ~loc:l "hex literal wider than 64 bits";
+          let v = Int64.of_string ("0x" ^ String.sub src (i + 2) (e - i - 2)) in
+          toks := (Token.HEX v, l) :: !toks;
+          pos := e
+        end
+        else begin
+          let e = digit_end src n i in
+          let s = String.sub src i (e - i) in
+          match int_of_string_opt s with
+          | Some v ->
+              toks := (Token.INT v, l) :: !toks;
+              pos := e
+          | None -> Error.failf ~loc:l "integer literal %s out of range" s
+        end
+    | ('*' | ':' | '+' | '^' | '&' | ',' | ';' | '(' | ')' | '{' | '}' | '%') as c ->
+        toks := (symbol c, loc_at !line !bol i) :: !toks;
+        pos := i + 1
+    | c -> Error.failf ~loc:(loc_at !line !bol i) "unexpected character %C" c
+  done;
+  List.rev ((Token.EOF, loc_at !line !bol n) :: !toks)

@@ -50,47 +50,41 @@ let expect_bool st what =
 
 (* Canonical directive keys, with the spaced and aliased spellings the
    thesis itself uses (Fig 8.2 writes "% name" and "% hdl type"). *)
-let directive_keys =
-  [
-    ([ "bus"; "type" ], "bus_type");
-    ([ "bus_type" ], "bus_type");
-    ([ "bus"; "width" ], "bus_width");
-    ([ "bus_width" ], "bus_width");
-    ([ "base"; "address" ], "base_address");
-    ([ "base_address" ], "base_address");
-    ([ "burst"; "support" ], "burst_support");
-    ([ "burst_support" ], "burst_support");
-    ([ "dma"; "support" ], "dma_support");
-    ([ "dma_support" ], "dma_support");
-    ([ "packing"; "support" ], "packing_support");
-    ([ "packing_support" ], "packing_support");
-    ([ "interrupt"; "support" ], "interrupt_support");
-    ([ "interrupt_support" ], "interrupt_support");
-    ([ "device"; "name" ], "device_name");
-    ([ "device_name" ], "device_name");
-    ([ "name" ], "device_name");
-    ([ "target"; "hdl" ], "target_hdl");
-    ([ "target_hdl" ], "target_hdl");
-    ([ "hdl"; "type" ], "target_hdl");
-    ([ "hdl_type" ], "target_hdl");
-    ([ "user"; "type" ], "user_type");
-    ([ "user_type" ], "user_type");
-    ([ "user"; "struct" ], "user_struct");
-    ([ "user_struct" ], "user_struct");
-  ]
+let spaced_directive_key w1 w2 =
+  match (w1, w2) with
+  | "bus", "type" -> Some "bus_type"
+  | "bus", "width" -> Some "bus_width"
+  | "base", "address" -> Some "base_address"
+  | "burst", "support" -> Some "burst_support"
+  | "dma", "support" -> Some "dma_support"
+  | "packing", "support" -> Some "packing_support"
+  | "interrupt", "support" -> Some "interrupt_support"
+  | "device", "name" -> Some "device_name"
+  | ("target", "hdl" | "hdl", "type") -> Some "target_hdl"
+  | "user", "type" -> Some "user_type"
+  | "user", "struct" -> Some "user_struct"
+  | _ -> None
 
-(* [List.assoc_opt] with [String.equal]: no polymorphic compare per key *)
-let directive_key words =
-  List.find_map
-    (fun (k, key) -> if List.equal String.equal k words then Some key else None)
-    directive_keys
+let directive_key = function
+  | "bus_type" -> Some "bus_type"
+  | "bus_width" -> Some "bus_width"
+  | "base_address" -> Some "base_address"
+  | "burst_support" -> Some "burst_support"
+  | "dma_support" -> Some "dma_support"
+  | "packing_support" -> Some "packing_support"
+  | "interrupt_support" -> Some "interrupt_support"
+  | "device_name" | "name" -> Some "device_name"
+  | "target_hdl" | "hdl_type" -> Some "target_hdl"
+  | "user_type" -> Some "user_type"
+  | "user_struct" -> Some "user_struct"
+  | _ -> None
 
 let parse_directive_key st loc =
   let w1 = expect_ident st "a directive name after '%'" in
   (* Prefer the two-word spelling when it forms a known key. *)
   let two =
     match peek_tok st with
-    | Token.IDENT w2 -> directive_key [ w1; w2 ]
+    | Token.IDENT w2 -> spaced_directive_key w1 w2
     | _ -> None
   in
   match two with
@@ -98,7 +92,7 @@ let parse_directive_key st loc =
       ignore (next st);
       key
   | None -> (
-      match directive_key [ w1 ] with
+      match directive_key w1 with
       | Some key -> key
       | None -> Error.failf ~loc "unknown directive %%%s" w1)
 

@@ -107,36 +107,40 @@ let resolve_io c env ~fname ~loc ~what ~name (ty_words : string list)
         None
       end
       else begin
-        if ext.count <> None && not ext.pointer then
+        let counted = Option.is_some ext.count in
+        (* a struct's fields; [] for every other type (no struct is empty) *)
+        let fields =
+          match ty_words with
+          | [ w ] -> Option.value (Ctype.struct_fields env w) ~default:[]
+          | _ -> []
+        in
+        if counted && not ext.pointer then
           report c loc "%s: ':' reference on non-pointer %s %s" fname what name;
-        if ext.pointer && ext.count = None then
+        if ext.pointer && not counted then
           report c loc
             "%s: pointer %s %s needs an explicit or implicit count (§3.1.2)"
             fname what name;
-        if ext.packed && not (ext.pointer && ext.count <> None) then
+        if ext.packed && not (ext.pointer && counted) then
           report c loc
             "%s: '+' requires an explicit or implicit pointer declaration \
              (§3.1.3)"
             fname;
-        if ext.dma && not (ext.pointer && ext.count <> None) then
+        if ext.dma && not (ext.pointer && counted) then
           report c loc
             "%s: '^' requires an explicit or implicit pointer declaration \
              (§3.1.5)"
             fname;
-        if ext.by_ref && not (ext.pointer && ext.count <> None) then
+        if ext.by_ref && not (ext.pointer && counted) then
           report c loc
             "%s: '&' requires an explicit or implicit pointer declaration \
              (§10.2)"
             fname;
-        (match ty_words with
-        | [ w ] when Ctype.struct_fields env w <> None ->
-            if ext.packed then
-              report c loc
-                "%s: struct %s %s cannot be packed (fields are transferred \
-                 individually, §10.2)"
-                fname what name
-        | _ -> ());
-        if ext.by_ref && what = "return" then
+        if ext.packed && fields <> [] then
+          report c loc
+            "%s: struct %s %s cannot be packed (fields are transferred \
+             individually, §10.2)"
+            fname what name;
+        if ext.by_ref && String.equal what "return" then
           report c loc
             "%s: '&' is only meaningful on parameters (the return value is \
              already an output)"
@@ -151,32 +155,36 @@ let resolve_io c env ~fname ~loc ~what ~name (ty_words : string list)
             count = ext.count;
             is_packed = ext.packed;
             is_dma = ext.dma;
-            is_by_ref = ext.by_ref && what <> "return";
-            fields =
-              (match ty_words with
-              | [ w ] -> (
-                  match Ctype.struct_fields env w with
-                  | Some fields -> fields
-                  | None -> [])
-              | _ -> []);
+            is_by_ref = ext.by_ref && not (String.equal what "return");
+            fields;
             used_as_index = false;
           }
       end
 
-let resolve_func c env ~dma_enabled (d : decl) next_id : Spec.func option * int =
+(* the first input named [v] in declaration order, from a reversed list *)
+let rec first_named v found = function
+  | [] -> found
+  | (i : Spec.io) :: rest ->
+      first_named v (if String.equal i.io_name v then Some i else found) rest
+
+let first_named v rev_inputs = first_named v None rev_inputs
+
+let resolve_func c env ~dma_enabled (d : decl) next_id : Spec.func =
   let loc = d.d_loc in
   let fname = d.d_name in
   if not (identifier_ok fname) then
     report c loc "illegal function name %S" fname;
   (* duplicate parameter names *)
-  let seen = Hashtbl.create 8 in
-  List.iter
-    (fun p ->
-      if Hashtbl.mem seen p.p_name then
-        report c p.p_loc "%s: duplicate parameter name %s" fname p.p_name
-      else Hashtbl.add seen p.p_name ())
-    d.d_params;
-  (* inputs, in order, checking implicit reference ordering (§3.3) *)
+  ignore
+    (List.fold_left
+       (fun seen p ->
+         if List.exists (String.equal p.p_name) seen then begin
+           report c p.p_loc "%s: duplicate parameter name %s" fname p.p_name;
+           seen
+         end
+         else p.p_name :: seen)
+       [] d.d_params);
+  (* inputs, checking implicit reference ordering (§3.3); reversed *)
   let inputs = ref [] in
   List.iter
     (fun p ->
@@ -188,9 +196,7 @@ let resolve_func c env ~dma_enabled (d : decl) next_id : Spec.func option * int 
       | Some io ->
           (match io.Spec.count with
           | Some (Var v) -> (
-              match
-                List.find_opt (fun (i : Spec.io) -> i.io_name = v) !inputs
-              with
+              match first_named v !inputs with
               | None ->
                   report c p.p_loc
                     "%s: implicit reference ':%s' must name an earlier input \
@@ -208,7 +214,7 @@ let resolve_func c env ~dma_enabled (d : decl) next_id : Spec.func option * int 
                     inputs :=
                       List.map
                         (fun (i : Spec.io) ->
-                          if i.io_name = v then { i with used_as_index = true }
+                          if String.equal i.io_name v then { i with used_as_index = true }
                           else i)
                         !inputs)
           | _ -> ());
@@ -217,8 +223,9 @@ let resolve_func c env ~dma_enabled (d : decl) next_id : Spec.func option * int 
               "%s: parameter %s requests DMA but %%dma_support is not enabled \
                (§3.2.2)"
               fname io.io_name;
-          inputs := !inputs @ [ io ])
+          inputs := io :: !inputs)
     d.d_params;
+  let inputs = List.rev !inputs in
   (* return value *)
   let output, nowait =
     match d.d_ret with
@@ -234,8 +241,8 @@ let resolve_func c env ~dma_enabled (d : decl) next_id : Spec.func option * int 
             | Some (Var v)
               when not
                      (List.exists
-                        (fun (i : Spec.io) -> i.io_name = v && not i.is_pointer)
-                        !inputs) ->
+                        (fun (i : Spec.io) -> String.equal i.io_name v && not i.is_pointer)
+                        inputs) ->
                 report c loc
                   "%s: return reference ':%s' must name a scalar input" fname v
             | _ -> ());
@@ -252,26 +259,16 @@ let resolve_func c env ~dma_enabled (d : decl) next_id : Spec.func option * int 
     | Some { Spec.count = Some (Var v); _ } ->
         List.map
           (fun (i : Spec.io) ->
-            if i.io_name = v then { i with used_as_index = true } else i)
-          !inputs
-    | _ -> !inputs
+            if String.equal i.io_name v then { i with used_as_index = true } else i)
+          inputs
+    | _ -> inputs
   in
   if nowait && List.exists (fun (i : Spec.io) -> i.Spec.is_by_ref) inputs then
     report c loc
       "%s: '&' write-back parameters need synchronisation and cannot be used \
        on a nowait function"
       fname;
-  let f =
-    {
-      Spec.name = fname;
-      func_id = next_id;
-      instances = d.d_instances;
-      inputs;
-      output;
-      nowait;
-    }
-  in
-  (Some f, next_id + d.d_instances)
+  { Spec.name = fname; func_id = next_id; instances = d.d_instances; inputs; output; nowait }
 
 (* ------------------------------------------------------------------ *)
 (* Whole-file build                                                    *)
@@ -385,22 +382,18 @@ let build ?lookup_bus (file : file) =
             report c Loc.dummy "bus %s has no interrupt line (§10.2)" bus_name));
   (* functions *)
   if decls = [] then report c Loc.dummy "no interface declarations given";
-  let seen_funcs = Hashtbl.create 8 in
-  let funcs, total =
+  (* functions, reversed, and the next free function id *)
+  let rev_funcs, total =
     List.fold_left
       (fun (acc, next_id) d ->
-        if Hashtbl.mem seen_funcs d.d_name then begin
+        if List.exists (fun (f : Spec.func) -> String.equal f.name d.d_name) acc then begin
           report c d.d_loc "duplicate function %s" d.d_name;
           (acc, next_id)
         end
-        else begin
-          Hashtbl.add seen_funcs d.d_name ();
-          match resolve_func c env ~dma_enabled:dma d next_id with
-          | Some f, next_id -> (acc @ [ f ], next_id)
-          | None, next_id -> (acc, next_id)
-        end)
+        else (resolve_func c env ~dma_enabled:dma d next_id :: acc, next_id + d.d_instances))
       ([], 1) decls
   in
+  let funcs = List.rev rev_funcs in
   let total_instances = total - 1 in
   let spec =
     {

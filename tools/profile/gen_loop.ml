@@ -14,24 +14,6 @@ open Splice
 
 let arg i default = if Array.length Sys.argv > i then int_of_string Sys.argv.(i) else default
 
-let sources seed =
-  let dir = "examples/specs" in
-  let examples =
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".splice")
-    |> List.sort compare
-    |> List.map (fun f -> In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all)
-  in
-  (* the stream and draw order of perfbench's Inputs.generated_specs *)
-  let rng = Specgen.Rng.make (Diff.iteration_seed seed 2) in
-  examples
-  @ List.concat_map
-      (fun _ ->
-        List.map
-          (fun bus -> Specgen.render (Specgen.spec ~buses:[ bus ] rng))
-          (Registry.names ()))
-      (List.init 32 Fun.id)
-
 (* words allocated straight into the major heap: major words less the
    ones promoted from the minor heap (the slice first brings the
    counters up to date) *)
@@ -41,7 +23,7 @@ let direct_major_words () =
   s.Gc.major_words -. s.Gc.promoted_words
 
 let () =
-  let passes = arg 1 200 and srcs = sources (arg 2 7919) in
+  let passes = arg 1 200 and srcs = Corpus.gen_sources (arg 2 7919) in
   let generate () = List.map (Project.from_source ~gen_date:"perfbench") srcs in
   let bytes =
     List.fold_left
