@@ -51,7 +51,7 @@ let add_user_type env ~name ~width ~signed =
   }
 
 (* Natives and user types never share a name (add_user_type refuses it),
-   so the order of the single-word lookups is free. *)
+   so looking natives up first finds what the one merged table found. *)
 let resolve env = function
   | [ w ] -> (
       match native w with

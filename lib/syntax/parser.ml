@@ -96,31 +96,25 @@ let parse_directive_key st loc =
       | Some key -> key
       | None -> Error.failf ~loc "unknown directive %%%s" w1)
 
-let parse_user_type st =
-  let name = expect_ident st "a type name" in
-  ignore (expect st Token.COMMA);
-  let rec words acc =
-    match peek_tok st with
-    | Token.IDENT w ->
-        ignore (next st);
-        words (w :: acc)
-    | _ -> List.rev acc
-  in
-  let def = words [] in
-  if def = [] then Error.fail "expected a type definition in %user_type";
-  ignore (expect st Token.COMMA);
-  let width = expect_int st "a bit width" in
-  User_type { ut_name = name; ut_def = def; ut_width = width }
-
-let collect_idents_fwd st =
+(* the identifiers up to the next other token, last first *)
+let idents_rev st =
   let rec go acc =
     match peek_tok st with
     | Token.IDENT s ->
         ignore (next st);
         go (s :: acc)
-    | _ -> List.rev acc
+    | _ -> acc
   in
   go []
+
+let parse_user_type st =
+  let name = expect_ident st "a type name" in
+  ignore (expect st Token.COMMA);
+  let def = List.rev (idents_rev st) in
+  if def = [] then Error.fail "expected a type definition in %user_type";
+  ignore (expect st Token.COMMA);
+  let width = expect_int st "a bit width" in
+  User_type { ut_name = name; ut_def = def; ut_width = width }
 
 let parse_user_struct st =
   let name = expect_ident st "a struct name" in
@@ -131,8 +125,7 @@ let parse_user_struct st =
         ignore (next st);
         List.rev acc
     | Token.IDENT _ -> (
-        let words = collect_idents_fwd st in
-        match List.rev words with
+        match idents_rev st with
         | fname :: (_ :: _ as rev_ty) ->
             ignore (expect st Token.SEMI);
             fields ((List.rev rev_ty, fname) :: acc)
@@ -238,31 +231,21 @@ let is_extension_tok = function
   | Token.STAR | Token.COLON | Token.PLUS | Token.CARET | Token.AMP -> true
   | _ -> false
 
-let collect_idents st =
-  let rec go acc =
-    match peek_tok st with
-    | Token.IDENT s ->
-        ignore (next st);
-        go (s :: acc)
-    | _ -> List.rev acc
-  in
-  go []
-
 let parse_param st =
   let loc = snd (peek st) in
-  let words = collect_idents st in
-  if words = [] then Error.fail ~loc "expected a parameter declaration";
+  let rev_words = idents_rev st in
+  if rev_words = [] then Error.fail ~loc "expected a parameter declaration";
   if is_extension_tok (peek_tok st) then begin
     (* type words, extensions, then the identifier: [int*:5 x] *)
     let ext = parse_extensions st no_extensions in
     let name = expect_ident st "a parameter name" in
     let post = parse_extensions ~allow_pointer:false st no_extensions in
     let ext = merge_extensions loc ext post in
-    { p_loc = loc; p_type = words; p_ext = ext; p_name = name }
+    { p_loc = loc; p_type = List.rev rev_words; p_ext = ext; p_name = name }
   end
   else begin
     (* all idents; the last one is the parameter name: [unsigned long x] *)
-    match List.rev words with
+    match rev_words with
     | [] -> assert false
     | [ _only ] ->
         Error.fail ~loc "parameter is missing a type or a name"
@@ -298,20 +281,20 @@ let plain (e : extensions) =
 
 let parse_decl_from st =
   let loc = snd (peek st) in
-  let words = collect_idents st in
-  if words = [] then Error.fail ~loc "expected a declaration";
+  let rev_words = idents_rev st in
+  if rev_words = [] then Error.fail ~loc "expected a declaration";
   let ret_ext = parse_extensions st no_extensions in
   let ret_words, fname =
     if plain ret_ext then
       (* no extension symbols: the last ident is the function name *)
-      match List.rev words with
+      match rev_words with
       | [] -> assert false
       | [ _only ] ->
           Error.fail ~loc "declaration is missing a return type"
       | name :: rev_ty -> (List.rev rev_ty, name)
     else
       (* extensions separate the return type from the name: [int*:4 f(...)] *)
-      (words, expect_ident st "a function name")
+      (List.rev rev_words, expect_ident st "a function name")
   in
   let opening, closing =
     match next st with

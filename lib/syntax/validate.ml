@@ -140,7 +140,7 @@ let resolve_io c env ~fname ~loc ~what ~name (ty_words : string list)
             "%s: struct %s %s cannot be packed (fields are transferred \
              individually, §10.2)"
             fname what name;
-        if ext.by_ref && String.equal what "return" then
+        if ext.by_ref && what = "return" then
           report c loc
             "%s: '&' is only meaningful on parameters (the return value is \
              already an output)"
@@ -155,19 +155,18 @@ let resolve_io c env ~fname ~loc ~what ~name (ty_words : string list)
             count = ext.count;
             is_packed = ext.packed;
             is_dma = ext.dma;
-            is_by_ref = ext.by_ref && not (String.equal what "return");
+            is_by_ref = ext.by_ref && what <> "return";
             fields;
             used_as_index = false;
           }
       end
 
-(* the first input named [v] in declaration order, from a reversed list *)
-let rec first_named v found = function
-  | [] -> found
-  | (i : Spec.io) :: rest ->
-      first_named v (if String.equal i.io_name v then Some i else found) rest
-
-let first_named v rev_inputs = first_named v None rev_inputs
+(* the first input named [v] in declaration order: the last one in the
+   reversed list *)
+let first_named v rev_inputs =
+  List.fold_left
+    (fun found (i : Spec.io) -> if i.io_name = v then Some i else found)
+    None rev_inputs
 
 let resolve_func c env ~dma_enabled (d : decl) next_id : Spec.func =
   let loc = d.d_loc in
@@ -214,7 +213,7 @@ let resolve_func c env ~dma_enabled (d : decl) next_id : Spec.func =
                     inputs :=
                       List.map
                         (fun (i : Spec.io) ->
-                          if String.equal i.io_name v then { i with used_as_index = true }
+                          if i.io_name = v then { i with used_as_index = true }
                           else i)
                         !inputs)
           | _ -> ());
@@ -241,7 +240,7 @@ let resolve_func c env ~dma_enabled (d : decl) next_id : Spec.func =
             | Some (Var v)
               when not
                      (List.exists
-                        (fun (i : Spec.io) -> String.equal i.io_name v && not i.is_pointer)
+                        (fun (i : Spec.io) -> i.io_name = v && not i.is_pointer)
                         inputs) ->
                 report c loc
                   "%s: return reference ':%s' must name a scalar input" fname v
@@ -259,7 +258,7 @@ let resolve_func c env ~dma_enabled (d : decl) next_id : Spec.func =
     | Some { Spec.count = Some (Var v); _ } ->
         List.map
           (fun (i : Spec.io) ->
-            if String.equal i.io_name v then { i with used_as_index = true } else i)
+            if i.io_name = v then { i with used_as_index = true } else i)
           inputs
     | _ -> inputs
   in
