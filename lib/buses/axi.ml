@@ -495,7 +495,7 @@ let connect ~cover ~cdc:{ Bus.ratio; depth } ~monitor kernel (spec : Spec.t)
           Kernel.at_reset kernel (fun () ->
               Splice_cover.Bus_cover.sample_axi_cdc ax ~ratio:(reduce ratio)
                 ~depth);
-          Kernel.on_settle_in kernel aclk (fun _ ->
+          Kernel.add_check_in kernel aclk "axi-channel-coverage" (fun _ ->
               let fire v r = Signal.get_bool v && Signal.get_bool r in
               let sample = Splice_cover.Bus_cover.sample_axi_fire ax in
               if fire nat.Native.awvalid nat.Native.awready then sample `Aw;

@@ -112,12 +112,8 @@ let iteration_seed = Splice_par.Splitmix.split_seed
    orchestrator after the parallel map, the digest — like the rest of
    the report — is byte-identical at every worker count. *)
 
-let mix acc v =
-  Splice_par.Splitmix.mix64
-    (Int64.add (Int64.mul acc 0x9E3779B97F4A7C15L) v)
-
-let mix_string acc s =
-  String.fold_left (fun a c -> mix a (Int64.of_int (Char.code c))) acc s
+let mix = Splice_par.Splitmix.mix
+let mix_string = Splice_par.Splitmix.mix_string
 
 let digest_cell acc ~iteration ~bus runs =
   let acc = mix acc (Int64.of_int iteration) in

@@ -166,7 +166,7 @@ let attach c ~bus ~caps kernel sis =
      counted in the same edges *)
   let dom = Sis_if.domain kernel ~bus in
   let period = Kernel.domain_period dom in
-  Kernel.on_settle_in kernel dom (fun cycle ->
+  Kernel.add_check_in kernel dom (bus ^ "-coverage") (fun cycle ->
       let d = Sis_if.decode sis cycle in
       let primary =
         if d.reset then begin

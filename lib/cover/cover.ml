@@ -292,43 +292,26 @@ let to_json t =
 
 let ( let* ) = Result.bind
 
-let jint name j =
-  match Option.bind (Json.member name j) Json.to_int with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing integer field %S" name)
-
-let jstr name j =
-  match Option.bind (Json.member name j) Json.to_str with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing string field %S" name)
-
 let jlist name j =
   match Option.bind (Json.member name j) Json.to_list with
   | Some v -> Ok v
   | None -> Error (Printf.sprintf "missing list field %S" name)
 
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-      let* y = f x in
-      let* ys = map_result f rest in
-      Ok (y :: ys)
-
 let binr_of_json j =
-  let* n = jstr "n" j in
-  let* lo = jint "lo" j in
-  let* hi = jint "hi" j in
+  let* n = Json.str_field "n" j in
+  let* lo = Json.int_field "lo" j in
+  let* hi = Json.int_field "hi" j in
   Ok { b_name = n; b_lo = lo; b_hi = hi }
 
 let point_of_json j =
-  let* name = jstr "name" j in
-  let* kind = jstr "kind" j in
+  let* name = Json.str_field "name" j in
+  let* kind = Json.str_field "kind" j in
   let* bjs = jlist "bins" j in
   let* descs =
-    map_result
+    Json.map_result
       (fun bj ->
         let* b = binr_of_json bj in
-        let* c = jint "c" bj in
+        let* c = Json.int_field "c" bj in
         Ok (b, c))
       bjs
   in
@@ -341,8 +324,8 @@ let point_of_json j =
     | "cross" ->
         let* aj = jlist "a" j in
         let* bj = jlist "b" j in
-        let* a = map_result binr_of_json aj in
-        let* b = map_result binr_of_json bj in
+        let* a = Json.map_result binr_of_json aj in
+        let* b = Json.map_result binr_of_json bj in
         Ok (P_cross { cx_a = Array.of_list a; cx_b = Array.of_list b })
     | k -> Error (Printf.sprintf "unknown point kind %S" k)
   in
@@ -355,7 +338,7 @@ let point_of_json j =
          { p_name = name; p_kind = pkind; p_bins = bins; p_counts = counts })
 
 let of_json j =
-  let* v = jint "splice_cover" j in
+  let* v = Json.int_field "splice_cover" j in
   if v <> version then
     Error (Printf.sprintf "unsupported coverage map version %d" v)
   else
@@ -365,7 +348,7 @@ let of_json j =
       List.fold_left
         (fun acc gj ->
           let* () = acc in
-          let* gname = jstr "name" gj in
+          let* gname = Json.str_field "name" gj in
           let* pjs = jlist "points" gj in
           let g = group t gname in
           List.fold_left

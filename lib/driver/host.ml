@@ -141,7 +141,7 @@ let attach_cycle_breakdown t =
   let c_driver = Metrics.counter m "breakdown/driver" in
   let c_idle = Metrics.counter m "breakdown/idle" in
   let stubs = Peripheral.stubs t.peripheral in
-  Kernel.on_settle t.kernel (fun _cycle ->
+  Kernel.add_check t.kernel "cycle-breakdown" (fun _cycle ->
       if List.exists Stub_model.calculating stubs then Metrics.incr c_calc
       else if t.port.Bus_port.busy () then Metrics.incr c_bus
       else if Cpu.running t.cpu then Metrics.incr c_driver

@@ -90,13 +90,7 @@ let breakdown_total b = b.calc + b.bus + b.driver + b.idle
    [eval --digest] and the simulation service returns it from every eval
    request, so daemon-vs-CLI equality is a one-line CI check. *)
 let digest rows =
-  let mix acc v =
-    Splice_par.Splitmix.mix64
-      (Int64.add (Int64.mul acc 0x9E3779B97F4A7C15L) v)
-  in
-  let mix_string acc s =
-    String.fold_left (fun a c -> mix a (Int64.of_int (Char.code c))) acc s
-  in
+  let open Splice_par.Splitmix in
   List.fold_left
     (fun acc r ->
       let acc = mix_string acc (Interpolator.impl_name r.impl) in

@@ -234,3 +234,25 @@ let member name = function Obj kvs -> List.assoc_opt name kvs | _ -> None
 let to_list = function List l -> Some l | _ -> None
 let to_int = function Int i -> Some i | _ -> None
 let to_str = function String s -> Some s | _ -> None
+
+(* field readers for the dump and coverage-map parsers; the messages are
+   part of their error texts *)
+let int_field ?default name j =
+  match Option.bind (member name j) to_int with
+  | Some v -> Ok v
+  | None -> (
+      match default with
+      | Some d -> Ok d
+      | None -> Error (Printf.sprintf "missing integer field %S" name))
+
+let str_field name j =
+  match Option.bind (member name j) to_str with
+  | Some s -> Ok s
+  | None -> Error (Printf.sprintf "missing string field %S" name)
+
+let rec map_result f = function
+  | [] -> Ok []
+  | x :: rest -> (
+      match f x with
+      | Error _ as e -> e
+      | Ok y -> Result.map (fun ys -> y :: ys) (map_result f rest))

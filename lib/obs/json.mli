@@ -25,3 +25,14 @@ val member : string -> t -> t option
 val to_list : t -> t list option
 val to_int : t -> int option
 val to_str : t -> string option
+
+val int_field : ?default:int -> string -> t -> (int, string) result
+(** The integer member [name] of an object; [default] when it is missing
+    or not an integer, else [Error "missing integer field \"name\""]. *)
+
+val str_field : string -> t -> (string, string) result
+(** The string member [name]: [Error "missing string field \"name\""]
+    when it is missing or not a string. *)
+
+val map_result : ('a -> ('b, string) result) -> 'a list -> ('b list, string) result
+(** [f] over the list in order, stopping at the first [Error]. *)

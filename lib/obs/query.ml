@@ -40,25 +40,12 @@ type dump = {
 (* Parsing                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let int_field ?default name j =
-  match Option.bind (Json.member name j) Json.to_int with
-  | Some v -> Ok v
-  | None -> (
-      match default with
-      | Some d -> Ok d
-      | None -> Error (Printf.sprintf "missing integer field %S" name))
-
-let str_field name j =
-  match Option.bind (Json.member name j) Json.to_str with
-  | Some s -> Ok s
-  | None -> Error (Printf.sprintf "missing string field %S" name)
-
 let ( let* ) = Result.bind
 
 let parse_event j =
-  let* c = int_field "c" j in
-  let* tag = str_field "k" j in
-  let* s = str_field "s" j in
+  let* c = Json.int_field "c" j in
+  let* tag = Json.str_field "k" j in
+  let* s = Json.str_field "s" j in
   match Recorder.kind_of_tag tag with
   | None -> Error (Printf.sprintf "unknown event kind %S" tag)
   | Some kind ->
@@ -88,7 +75,7 @@ let parse_int_list j =
       go [] l
 
 let parse_hist j =
-  let* name = str_field "name" j in
+  let* name = Json.str_field "name" j in
   let* limits =
     match Json.member "limits" j with
     | Some l -> parse_int_list l
@@ -99,10 +86,10 @@ let parse_hist j =
     | Some l -> parse_int_list l
     | None -> Error "histogram without buckets"
   in
-  let* count = int_field "count" j in
-  let* sum = int_field "sum" j in
-  let* vmin = int_field ~default:0 "min" j in
-  let* vmax = int_field ~default:0 "max" j in
+  let* count = Json.int_field "count" j in
+  let* sum = Json.int_field "sum" j in
+  let* vmin = Json.int_field ~default:0 "min" j in
+  let* vmax = Json.int_field ~default:0 "max" j in
   Ok
     {
       q_name = name;
@@ -127,25 +114,18 @@ let parse_pairs j =
       go [] fields
   | _ -> Error "expected a metrics object"
 
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-      let* y = f x in
-      let* ys = map_result f rest in
-      Ok (y :: ys)
-
 let of_json j =
-  let* version = int_field "splice_dump" j in
-  if version <> 1 then
+  let* version = Json.int_field "splice_dump" j in
+  if version <> 2 then
     Error (Printf.sprintf "unsupported dump version %d" version)
   else
-    let* ring = int_field "ring" j in
-    let* total = int_field "total" j in
-    let* dropped = int_field ~default:(max 0 (total - ring)) "dropped" j in
-    let* now = int_field "now" j in
+    let* ring = Json.int_field "ring" j in
+    let* total = Json.int_field "total" j in
+    let* dropped = Json.int_field ~default:(max 0 (total - ring)) "dropped" j in
+    let* now = Json.int_field "now" j in
     let* events =
       match Option.bind (Json.member "events" j) Json.to_list with
-      | Some l -> map_result parse_event l
+      | Some l -> Json.map_result parse_event l
       | None -> Error "missing events array"
     in
     let metrics = Json.member "metrics" j in
@@ -161,7 +141,7 @@ let of_json j =
     in
     let* histograms =
       match Option.bind (Option.bind metrics (Json.member "histograms")) Json.to_list with
-      | Some l -> map_result parse_hist l
+      | Some l -> Json.map_result parse_hist l
       | None -> Ok []
     in
     Ok
@@ -360,8 +340,6 @@ let pp_event fmt e =
       Format.fprintf fmt "%8d  txn+  %-28s %d word(s)" e.ev_cycle e.ev_subject
         e.ev_value
   | Recorder.Txn_end -> Format.fprintf fmt "%8d  txn-  %s" e.ev_cycle e.ev_subject
-  | Recorder.Check_eval ->
-      Format.fprintf fmt "%8d  chk   %s" e.ev_cycle e.ev_subject
   | Recorder.Check_fail ->
       Format.fprintf fmt "%8d  FAIL  %-28s %s" e.ev_cycle e.ev_subject
         (Option.value ~default:"" e.ev_message)

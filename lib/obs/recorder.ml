@@ -21,7 +21,6 @@ type kind =
       (* subject = track: "bus/<name>" (arg = words requested),
          "sis/write" / "sis/read" (FUNC_ID), "driver/<func>" (op count) *)
   | Txn_end  (* subject = the same track, arg = 0 *)
-  | Check_eval  (* subject = check name, arg = 0 *)
   | Check_fail  (* subject = check name, arg = interned message id *)
   | Sched_pass  (* subject = "kernel", arg = delta passes this cycle *)
   | Comp_eval  (* subject = component, arg = 1 *)
@@ -30,26 +29,23 @@ let[@inline] kind_code = function
   | Signal_change -> 0
   | Txn_begin -> 1
   | Txn_end -> 2
-  | Check_eval -> 3
-  | Check_fail -> 4
-  | Sched_pass -> 5
-  | Comp_eval -> 6
+  | Check_fail -> 3
+  | Sched_pass -> 4
+  | Comp_eval -> 5
 
 let kind_of_code = function
   | 0 -> Signal_change
   | 1 -> Txn_begin
   | 2 -> Txn_end
-  | 3 -> Check_eval
-  | 4 -> Check_fail
-  | 5 -> Sched_pass
-  | 6 -> Comp_eval
+  | 3 -> Check_fail
+  | 4 -> Sched_pass
+  | 5 -> Comp_eval
   | n -> invalid_arg (Printf.sprintf "Recorder.kind_of_code: %d" n)
 
 let kind_tag = function
   | Signal_change -> "sig"
   | Txn_begin -> "tb"
   | Txn_end -> "te"
-  | Check_eval -> "chk"
   | Check_fail -> "fail"
   | Sched_pass -> "pass"
   | Comp_eval -> "eval"
@@ -58,7 +54,6 @@ let kind_of_tag = function
   | "sig" -> Some Signal_change
   | "tb" -> Some Txn_begin
   | "te" -> Some Txn_end
-  | "chk" -> Some Check_eval
   | "fail" -> Some Check_fail
   | "pass" -> Some Sched_pass
   | "eval" -> Some Comp_eval
@@ -173,7 +168,6 @@ let[@inline] signal_change t ~subject ~value =
 
 let[@inline] txn_begin t ~subject ~words = record t Txn_begin ~subject ~arg:words
 let[@inline] txn_end t ~subject = record t Txn_end ~subject ~arg:0
-let[@inline] check_eval t ~subject = record t Check_eval ~subject ~arg:0
 
 let check_fail t ~subject ~message =
   record t Check_fail ~subject ~arg:(intern t message)
@@ -277,7 +271,7 @@ let dump ?context ?metrics t =
           match e.e_kind with
           | Check_fail -> [ ("m", Json.String (subject_name t e.e_arg)) ]
           | Signal_change -> [ ("v", Json.Int e.e_arg) ]
-          | Txn_begin | Sched_pass | Comp_eval | Txn_end | Check_eval ->
+          | Txn_begin | Sched_pass | Comp_eval | Txn_end ->
               if e.e_arg = 0 then [] else [ ("v", Json.Int e.e_arg) ]
         in
         Json.Obj (base @ arg))
@@ -285,7 +279,7 @@ let dump ?context ?metrics t =
   in
   Json.Obj
     ([
-       ("splice_dump", Json.Int 1);
+       ("splice_dump", Json.Int 2);
        ("ring", Json.Int t.capacity);
        ("total", Json.Int t.total);
        ("dropped", Json.Int (t.total - kept t));

@@ -1,7 +1,7 @@
 (** Flight recorder: a fixed-size ring buffer of packed simulation events
     — signal transitions, transaction begin/end (bus transfers, SIS word
-    transfers, driver calls), check evaluations and failures, scheduler
-    decisions — recorded on every cycle of a kernel whose context carries
+    transfers, driver calls), check failures, scheduler decisions —
+    recorded on every cycle of a kernel whose context carries
     a recorder, dumped post mortem when a protocol check fires, and
     exported as a Chrome trace. Runs whose output nobody reads are built
     on [Obs.none] and record nothing.
@@ -32,7 +32,6 @@ type kind =
           ["sis/read"] the FUNC_ID, ["driver/<func>"] the program's op
           count *)
   | Txn_end  (** subject = the same track *)
-  | Check_eval  (** subject = check name *)
   | Check_fail  (** subject = check name, arg = interned message id *)
   | Sched_pass  (** subject = ["kernel"], arg = delta passes this cycle *)
   | Comp_eval  (** subject = component name, arg = 1 *)
@@ -76,7 +75,6 @@ val record : t -> kind -> subject:int -> arg:int -> unit
 val signal_change : t -> subject:int -> value:int -> unit
 val txn_begin : t -> subject:int -> words:int -> unit
 val txn_end : t -> subject:int -> unit
-val check_eval : t -> subject:int -> unit
 
 val check_fail : t -> subject:int -> message:string -> unit
 (** Interns [message] (cold: failures are terminal) and records it as the
@@ -105,7 +103,8 @@ val metrics_json : Metrics.t -> Json.t
     max. *)
 
 val dump : ?context:string -> ?metrics:Metrics.t -> t -> Json.t
-(** Versioned JSON dump: ring geometry, drop count, the event window
+(** Versioned JSON dump (["splice_dump": 2]; {!Query.of_string} refuses
+    any other version): ring geometry, drop count, the event window
     (oldest first, subjects and failure messages resolved to strings),
     an optional free-form [context] line (the failure message), and an
     optional snapshot of a metrics registry — [Query.of_string] parses
@@ -114,7 +113,7 @@ val dump : ?context:string -> ?metrics:Metrics.t -> t -> Json.t
 val dump_string : ?context:string -> ?metrics:Metrics.t -> t -> string
 
 val kind_tag : kind -> string
-(** Stable short tag used in dumps: ["sig"], ["tb"], ["te"], ["chk"],
-    ["fail"], ["pass"], ["eval"]. *)
+(** Stable short tag used in dumps: ["sig"], ["tb"], ["te"], ["fail"],
+    ["pass"], ["eval"]. *)
 
 val kind_of_tag : string -> kind option

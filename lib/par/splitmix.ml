@@ -16,6 +16,11 @@ let mix64 z =
   in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
+let mix acc v = mix64 (Int64.add (Int64.mul acc gamma) v)
+
+let mix_string acc s =
+  String.fold_left (fun a c -> mix a (Int64.of_int (Char.code c))) acc s
+
 let next t =
   t.state <- Int64.add t.state gamma;
   mix64 t.state

@@ -39,6 +39,13 @@ val mix64 : int64 -> int64
 (** The raw splitmix64 finaliser — a stateless avalanche mix, also used
     as the hash step of deterministic result digests. *)
 
+val mix : int64 -> int64 -> int64
+(** [mix acc v]: one step of a result digest — [v] folded into [acc]
+    through {!mix64}. *)
+
+val mix_string : int64 -> string -> int64
+(** {!mix} over the string's bytes, in order. *)
+
 val split_seed : int -> int -> int
 (** [split_seed root i]: the derived (non-negative) seed of task [i]
     under root seed [root], with [split_seed root 0 = root] so a

@@ -53,7 +53,6 @@ type t = {
   mutable domains : domain list; (* reversed; always contains [base] *)
   mutable components : (Component.t * domain) list; (* reversed *)
   mutable checks : (string * (int -> unit) * domain * Sleep.t) list; (* reversed *)
-  mutable settle_hooks : ((int -> unit) * domain) list; (* reversed *)
   mutable cycle_count : int;
   iter_counts : int array;
       (* settles by productive delta-pass count (index), the source of
@@ -78,18 +77,13 @@ type t = {
          check's sleep was last checked against. Any change since wakes a
          sleeping check — no per-line listener: a check reads nothing but
          signals and its own history *)
-  mutable settle_hooks_fwd : (int -> unit) array;
-  mutable settle_doms : domain array; (* parallel to [settle_hooks_fwd] *)
   mutable n_dirty : int;
   mutable sleepy : bool;
       (* set by the seal: only the event scheduler on a kernel nobody
          observes skips sleeping processes, so the sweep and the tape stay
          oracles and an observed run records every tick *)
-  mutable jumps : bool;
-      (* [sleepy] and no settle hook: a hook watches every tick, so a
-         kernel with one skips sleepers but never jumps *)
   mutable tick_quiet : bool;
-      (* the tick just run, on a jumping kernel, changed no signal and
+      (* the tick just run, on a sleepy kernel, changed no signal and
          left no component dirty *)
   mutable stepped : int; (* ticks run by [cycle], not credited by a jump *)
   mutable tape : Tape.t option;
@@ -105,14 +99,12 @@ type t = {
   mutable k_seal_ns : int64;
   mutable k_compile_ns : int64;
   (* flight recorder (Obs.recorder obs, cached to skip the option chase on
-     the hot path) plus interned subject ids for the kernel itself and the
-     registered checks *)
+     the hot path) plus the kernel's own interned subject id *)
   rec_ : Recorder.t option;
   rec_fn : (Component.t -> unit) option;
       (* preallocated per-evaluation recording hook for the compiled tape
          (allocating it per settle would break the zero-allocation loop) *)
   rec_kernel_id : int;
-  mutable check_ids : int array;
   (* the [sim/*] metrics are views of the totals above: [sync_metrics]
      folds what changed since it last ran ([synced_*]) into them whenever
      the registry is read, so the cycle loop never touches a metric *)
@@ -187,13 +179,11 @@ let create ?(max_comb_iters = 64) ?(sched = `Event) ?obs () =
       gen = 1 + Atomic.fetch_and_add gen_counter 1;
       rec_kernel_id =
         (match rec_ with Some r -> Recorder.intern r "kernel" | None -> -1);
-      check_ids = [||];
       max_comb_iters;
       sched;
       obs;
       components = [];
       checks = [];
-      settle_hooks = [];
       cycle_count = 0;
       iter_counts = Array.make iter_slots 0;
       comb_evals_total = 0;
@@ -208,11 +198,8 @@ let create ?(max_comb_iters = 64) ?(sched = `Event) ?obs () =
       check_doms = [||];
       check_sleeps = [||];
       check_seen = [||];
-      settle_hooks_fwd = [||];
-      settle_doms = [||];
       n_dirty = 0;
       sleepy = false;
-      jumps = false;
       tick_quiet = false;
       stepped = 0;
       tape = None;
@@ -256,8 +243,8 @@ let add_domain t ~name ?(phase = 0) ~period () =
   t.sealed <- false;
   d
 
-(* valid while the current tick is in flight (settle, checks, settle hooks,
-   seq) — [cycle_count] has not been incremented yet *)
+(* valid while the current tick is in flight (settle, checks, seq) —
+   [cycle_count] has not been incremented yet *)
 let fires t d = t.cycle_count mod d.d_period = d.d_phase
 
 let add_in t d (c : Component.t) =
@@ -276,12 +263,6 @@ let add_check ?sleep t name f = add_check_in ?sleep t t.base name f
 
 let check_fail ~cycle ~check message = raise (Check_failed { cycle; check; message })
 
-let on_settle_in t d f =
-  t.settle_hooks <- (f, d) :: t.settle_hooks;
-  t.sealed <- false
-
-let on_settle t f = on_settle_in t t.base f
-
 let rehome_all t d =
   t.components <-
     List.map
@@ -295,7 +276,6 @@ let rehome_all t d =
         Sleep.attach sleep d.d_clock;
         (name, f, d, sleep))
       t.checks;
-  t.settle_hooks <- List.map (fun (f, _) -> (f, d)) t.settle_hooks;
   t.sealed <- false
 
 let mark_dirty t (c : Component.t) =
@@ -318,15 +298,7 @@ let seal t =
   t.check_doms <- Array.map (fun (_, _, d, _) -> d) checks;
   t.check_sleeps <- Array.map (fun (_, _, _, s) -> s) checks;
   t.check_seen <- Array.make (Array.length checks) (-1);
-  (match t.rec_ with
-  | Some r ->
-      t.check_ids <- Array.map (fun (name, _) -> Recorder.intern r name) t.checks_fwd
-  | None -> t.check_ids <- [||]);
-  let settles = Array.of_list (List.rev t.settle_hooks) in
-  t.settle_hooks_fwd <- Array.map fst settles;
-  t.settle_doms <- Array.map snd settles;
   t.sleepy <- t.sched = `Event && not (Obs.active t.obs);
-  t.jumps <- t.sleepy && Array.length settles = 0;
   (* wake listeners only where sleep is honoured; like the fan-out below,
      registered once per kernel generation (a check's come from
      [check_seen] instead) *)
@@ -481,9 +453,6 @@ let run_checks t tick changes =
       Sleep.wake (Array.unsafe_get t.check_sleeps i)
     end;
     if (Array.unsafe_get t.check_doms i).d_fires then begin
-      (match t.rec_ with
-      | Some r -> Recorder.check_eval r ~subject:(Array.unsafe_get t.check_ids i)
-      | None -> ());
       if (not t.sleepy) || Sleep.awake (Array.unsafe_get t.check_sleeps i) then begin
         let _, f = Array.unsafe_get checks i in
         f tick
@@ -526,21 +495,16 @@ let cycle t =
     match t.rec_ with
     | None -> run_checks t tick (Signal.changes st)
     | Some r -> (
-        (* the last events a failing run records are its own check
-           evaluation and the failure itself — the dump ends at the bug.
-           One handler outside the loop (the failing check's name rides on
-           the exception), so the per-check cost is one recorded event. *)
+        (* the last event a failing run records is the failure itself —
+           the dump ends at the bug. One handler outside the loop (the
+           failing check's name rides on the exception), so a passing
+           check records nothing. *)
         try run_checks t tick (Signal.changes st)
         with Check_failed { check; message; _ } as e ->
           Recorder.check_fail r ~subject:(Recorder.intern r check) ~message;
           raise e)
   in
   t.checks_run_total <- t.checks_run_total + ran;
-  let settles = t.settle_hooks_fwd in
-  for i = 0 to Array.length settles - 1 do
-    if (Array.unsafe_get t.settle_doms i).d_fires then
-      (Array.unsafe_get settles i) tick
-  done;
   (* only components whose domain has an edge on this tick clock their
      state; everyone reads settled pre-edge values, so evaluation order
      between coincident domains cannot matter *)
@@ -560,7 +524,7 @@ let cycle t =
   count_domain_edges t.domains;
   t.cycle_count <- t.cycle_count + 1;
   t.stepped <- t.stepped + 1;
-  t.tick_quiet <- t.jumps && t.n_dirty = 0 && Signal.changes st = changes
+  t.tick_quiet <- t.sleepy && t.n_dirty = 0 && Signal.changes st = changes
 
 (* ---- jumping over ticks where nothing can act ---------------------
 
@@ -572,7 +536,8 @@ let cycle t =
    would have counted (a quiet settle adds no comb evaluation or
    productive pass, and only an observed kernel, which never jumps, reads
    the per-settle histogram) — and leaves the deadline tick itself to
-   [cycle]. *)
+   [cycle]. A check that never sleeps (an observer sampling every edge of
+   its domain) is due on each of them, so no jump passes one. *)
 
 (* the tick of the first edge on which [s], in [d], is due: [d_next] and
    the clock now stand at the domain's next edge *)
@@ -684,9 +649,8 @@ let at_reset t f = t.reset_hooks <- f :: t.reset_hooks
    fresh build. The caller (the host) restores signal values around this;
    [reset] handles everything the kernel itself owns, which excludes the
    observability context: it is not rewound. The kernel is left
-   {e unsealed}: the first cycle of the replay re-seals — re-interning
-   check ids and, under [`Compiled], recompiling the tape from the
-   restored values — exactly the sequence a fresh host executes, which is
+   {e unsealed}: the first cycle of the replay re-seals — under
+   [`Compiled] recompiling the tape from the restored values — exactly the sequence a fresh host executes, which is
    what makes replay outputs bit-equal. *)
 let reset ?sched t =
   (match sched with Some s -> t.sched <- s | None -> ());

@@ -5,8 +5,9 @@
     + settle the combinational logic: run component [comb] callbacks, in
       registration order, until no signal changes (fixpoint) — raising
       {!Comb_divergence} after [max_comb_iters] delta passes;
-    + run every check registered with {!add_check} (protocol monitors),
-      then every {!on_settle} hook (tracing);
+    + run every check registered with {!add_check}, in registration order:
+      the protocol monitors and the observers (metrics, coverage
+      samplers), all reading the settled pre-edge view;
     + run the [seq] callback of every component that has one, in
       registration order (all observe settled pre-edge values), and commit
       their deferred writes simultaneously.
@@ -75,11 +76,11 @@
     default), the kernel additionally records the post-mortem event
     stream: it re-attaches the recorder to the domain-local signal store
     every cycle (so each actual signal transition lands in the ring; the
-    same recorder is not stored again), logs
-    one [Comp_eval] per combinational evaluation, one [Sched_pass] per
-    settled cycle, one [Check_eval] per protocol-check execution, and —
+    same recorder is not stored again), logs one [Comp_eval] per
+    combinational evaluation, one [Sched_pass] per settled cycle, and —
     immediately before a {!Check_failed} propagates — a [Check_fail]
-    event, so a dump taken at the catch site ends at the violation. *)
+    event naming the failing check, so a dump taken at the catch site
+    ends at the violation. A passing check records nothing. *)
 
 type t
 
@@ -90,8 +91,8 @@ type domain
     [n mod p = ph]. Rational frequency ratios are expressed as coprime
     periods — e.g. a 3:1 fast:slow pair is periods 1 and 3, a 5:2 pair is
     periods 2 and 5. Every kernel starts with a {e base} domain of period
-    1, so single-clock designs are untouched. Components, checks and
-    settle hooks are tagged with a domain at registration: a component's
+    1, so single-clock designs are untouched. Components and checks are
+    tagged with a domain at registration: a component's
     [seq] runs (and its deferred writes clock) only on its domain's
     edges, while combinational settling remains global — exactly the RTL
     picture of shared combinational nets between independently clocked
@@ -118,8 +119,8 @@ type stats = {
 (** Aggregate kernel counters: cycles simulated, total {e productive} delta
     passes across all cycles (identical across schedulers on an accurately
     declared design), total comb-callback invocations (the work a better
-    scheduler saves — this one differs by design), total protocol-check
-    executions. [stepped] is the ticks {!cycle} actually ran: every tick
+    scheduler saves — this one differs by design), total check
+    executions (protocol monitors and observers alike). [stepped] is the ticks {!cycle} actually ran: every tick
     on a kernel that steps, fewer on one that jumps (see {!run}); the
     other counters are the same either way.
 
@@ -172,9 +173,9 @@ val domain_cycles : domain -> int
 
 val fires : t -> domain -> bool
 (** Whether the domain has an edge on the tick currently in flight. Valid
-    inside checks and settle hooks (before the kernel increments its tick
-    counter); checks and hooks registered with the [_in] variants are
-    already gated, so this is mostly for ad-hoc probes and tests. *)
+    inside checks (before the kernel increments its tick counter); checks
+    registered with {!add_check_in} are already gated, so this is mostly
+    for ad-hoc probes and tests. *)
 
 val add_in : t -> domain -> Component.t -> unit
 (** Like {!add} but the component's [seq] clocks only on [domain] edges.
@@ -182,16 +183,19 @@ val add_in : t -> domain -> Component.t -> unit
     {!Sleep.t} at the domain's edge counter ({!rehome_all} re-points it). *)
 
 val rehome_all : t -> domain -> unit
-(** Retag {e everything registered so far} — components, checks, settle
-    hooks — into [domain]. Bus adapters that put the peripheral in a slow
-    clock domain use this: the peripheral, its protocol monitors and its
-    instrumentation hooks are registered before the bus connects, and all
-    of them belong on the peripheral-side clock. *)
+(** Retag {e everything registered so far} — components and checks — into
+    [domain]. Bus adapters that put the peripheral in a slow clock domain
+    use this: the peripheral, its protocol monitors and its observers are
+    registered before the bus connects, and all of them belong on the
+    peripheral-side clock. *)
 
 val add_check : ?sleep:Sleep.t -> t -> string -> (int -> unit) -> unit
-(** [add_check k name f]: [f cycle] runs after the comb fixpoint each cycle;
-    it should raise {!Check_failed} (via {!check_fail}) on protocol
-    violations. [sleep] is the handle through which [f] declares when it
+(** [add_check k name f]: [f cycle] runs after the comb fixpoint each
+    cycle and before any [seq], so every signal and every model's state
+    shows its settled pre-edge value. A protocol monitor raises
+    {!Check_failed} (via {!check_fail}) on a violation; an observer
+    (metrics, coverage, the cycle breakdown) raises nothing and declares
+    no sleep, so it runs on every edge of its domain. [sleep] is the handle through which [f] declares when it
     may be skipped ({!Sleep}); without one the check is always awake. A
     sleeping check is also woken by any signal change since it last ran,
     so one that reads only signals and its own history needs no
@@ -207,14 +211,6 @@ val add_check_in :
 val check_fail : cycle:int -> check:string -> string -> 'a
 (** Raise a {!Check_failed}. *)
 
-val on_settle : t -> (int -> unit) -> unit
-(** Tracing hook fired after the comb fixpoint and the protocol checks but
-    before the clock edge — every signal shows its settled value for the
-    current cycle: the view [Wave] reads back from the flight recorder. *)
-
-val on_settle_in : t -> domain -> (int -> unit) -> unit
-(** Domain-gated {!on_settle}: fires only on ticks with a [domain] edge. *)
-
 val cycle : t -> unit
 (** Run one tick. *)
 
@@ -224,8 +220,8 @@ val run : t -> int -> unit
     {b Sleep and jumps.} Under [`Event] on a kernel built on
     [Splice_obs.Obs.none], a tick calls only the awake [seq]s and checks
     ({!Sleep}); a sleeping one would have changed nothing. And when a tick
-    changed no signal and left no component dirty, the kernel has no
-    settle hook, and every process sleeps, the ticks up to the earliest
+    changed no signal and left no component dirty, and every process
+    sleeps, the ticks up to the earliest
     deadline would all run no code: [run] and {!run_until} jump over them,
     crediting their domain edges and due checks, so {!cycles},
     {!domain_cycles} and every {!stats} counter but [stepped] read as if

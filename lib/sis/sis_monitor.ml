@@ -72,7 +72,7 @@ let instrument kernel sis ~func_ids =
     let tr_write = intern "sis/write" in
     let tr_read = intern "sis/read" in
     Sis_if.watch kernel sis;
-    Kernel.on_settle kernel (fun cycle ->
+    Kernel.add_check kernel "sis-metrics" (fun cycle ->
         let d = Sis_if.decode sis cycle in
         if d.reset then wait_id := -1
         else begin

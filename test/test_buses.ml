@@ -194,7 +194,7 @@ let plb_native_tests =
         and saw_rd_req = ref false
         and saw_rd_ack = ref false
         and ce_onehot_ok = ref true in
-        Kernel.on_settle kernel (fun _ ->
+        Kernel.add_check kernel "plb-native-sampler" (fun _ ->
             if Signal.get_bool native.Plb.Native.wr_req then saw_wr_req := true;
             if Signal.get_bool native.Plb.Native.wr_ack then saw_wr_ack := true;
             if Signal.get_bool native.Plb.Native.rd_req then saw_rd_req := true;
@@ -235,7 +235,7 @@ let fcb_apb_native_tests =
         let cpu = Cpu.make port in
         Kernel.add kernel (Cpu.component cpu);
         let saw_store = ref false and saw_load = ref false and saw_done = ref false in
-        Kernel.on_settle kernel (fun _ ->
+        Kernel.add_check kernel "fcb-native-sampler" (fun _ ->
             let decoded = Signal.get_bool native.Fcb.Native.decoded in
             let op = Signal.get_bool native.Fcb.Native.operation in
             if decoded && op then saw_store := true;
@@ -269,7 +269,7 @@ let fcb_apb_native_tests =
         let cpu = Cpu.make port in
         Kernel.add kernel (Cpu.component cpu);
         let addrs = ref [] in
-        Kernel.on_settle kernel (fun _ ->
+        Kernel.add_check kernel "apb-native-sampler" (fun _ ->
             if Signal.get_bool native.Apb.Native.psel then
               addrs := Signal.get_int native.Apb.Native.paddr :: !addrs);
         let _ =

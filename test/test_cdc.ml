@@ -107,7 +107,7 @@ let arb_scenario = QCheck.make ~print:print_scenario ~shrink:shrink_scenario gen
 
 (* Push every value through the FIFO with coin-flip pacing on both sides;
    the FIFO's own overflow/underflow assertions arm the run, an every-tick
-   settle hook asserts the flags stay conservative, and the drained
+   check asserts the flags stay conservative, and the drained
    sequence must equal the pushed one exactly (no drop/dup/reorder).
    [on_tick], when given, sees the FIFO after every settle. *)
 let run_scenario ?(sched = `Event) ?(on_tick = fun _ -> ()) sc =
@@ -158,7 +158,7 @@ let run_scenario ?(sched = `Event) ?(on_tick = fun _ -> ()) sc =
   (* flag conservatism, checked on every settled tick: a deasserted flag
      must tell the truth (full=0 -> room; empty=0 -> a word), and the
      exact level stays in range *)
-  Kernel.on_settle k (fun _ ->
+  Kernel.add_check k "fifo-flags" (fun _ ->
       let lv = Splice.Async_fifo.level f in
       if lv < 0 || lv > sc.sc_depth then
         failwith (Printf.sprintf "level %d out of range" lv);
@@ -435,7 +435,7 @@ let sched_tests =
 (* -------- domain gating, tick by tick -------- *)
 
 (* The base domain plus period 2 phase 1 and period 3 phase 2: every gated
-   item (a seq, a check, a settle hook) of a domain must run on exactly the
+   item (a seq, a check) of a domain must run on exactly the
    ticks [n] with [n mod period = phase], [Kernel.fires] must agree on every
    tick, and a reset must rewind the schedule to tick 0 *)
 let gating_ticks = 30
@@ -455,7 +455,7 @@ let gating_tests =
           let logs =
             List.map
               (fun d ->
-                let seq = ref [] and chk = ref [] and settle = ref [] in
+                let seq = ref [] and chk = ref [] in
                 let fired = ref [] in
                 let dn = Kernel.domain_name d in
                 Kernel.add_in k d
@@ -464,12 +464,10 @@ let gating_tests =
                      ("seq_" ^ dn));
                 Kernel.add_check_in k d ("check_" ^ dn) (fun n ->
                     chk := n :: !chk);
-                Kernel.on_settle_in k d (fun n -> settle := n :: !settle);
                 (* an ungated probe: [fires] on every tick *)
-                Kernel.on_settle k (fun n ->
+                Kernel.add_check k ("fires_" ^ dn) (fun n ->
                     if Kernel.fires k d then fired := n :: !fired);
-                (d, [ ("seq", seq); ("check", chk); ("settle", settle);
-                      ("fires", fired) ]))
+                (d, [ ("seq", seq); ("check", chk); ("fires", fired) ]))
               doms
           in
           let run label =

@@ -325,23 +325,23 @@ let diff_tests =
                       (label ^ ": dump md5") md5
                       (Digest.to_hex (Digest.string dump)))
               [
-                ("seed 5", base, "97dcd0a480a7d499dfa9a8397800a77a", 7201);
+                ("seed 5", base, "89bf664c78a17d6b8f765a28fab80316", 4958);
                 ( "seed 5, cache off",
                   { base with cache = false },
-                  "97dcd0a480a7d499dfa9a8397800a77a",
-                  7201 );
+                  "89bf664c78a17d6b8f765a28fab80316",
+                  4958 );
                 ( "seed 5, coverage on",
                   { base with cover = true },
-                  "97dcd0a480a7d499dfa9a8397800a77a",
-                  7201 );
+                  "89bf664c78a17d6b8f765a28fab80316",
+                  4958 );
                 ( "seed 7, sweep",
                   { base with seed = 7; count = 10; scheds = [ `Sweep ] },
-                  "1ee7b140ede0f9f945dec29c122411f7",
-                  9127 );
+                  "7ea2531c8cbb7f556ea8e23ec385b5b8",
+                  7509 );
                 ( "seed 11, compiled + event",
                   { base with seed = 11; count = 10; scheds = [ `Compiled; `Event ] },
-                  "327f8ab39488755c801f9c68a6489489",
-                  5177 );
+                  "e67429855d24e8b1de9eccc0fb38e48e",
+                  3792 );
               ]));
     t "uninstrumented sweeps leave Obs.none empty" (fun () ->
         (* fuzz and Fig 9.2 hosts are built on the shared disabled context

@@ -544,13 +544,13 @@ let vcd_tests =
    from [j]), then the window read back — directly and through a parsed
    dump — must be the model's last [capacity] events. *)
 let ring_kinds =
-  Recorder.[| Signal_change; Txn_begin; Txn_end; Check_eval; Sched_pass; Comp_eval |]
+  Recorder.[| Signal_change; Txn_begin; Txn_end; Sched_pass; Comp_eval |]
 
 let model_event j =
   let kind = ring_kinds.(j mod Array.length ring_kinds) in
   let arg =
     match kind with
-    | Recorder.Txn_end | Recorder.Check_eval -> 0
+    | Recorder.Txn_end -> 0
     | Recorder.Comp_eval -> 1
     | _ -> j
   in
@@ -651,7 +651,7 @@ let recorder_tests =
         let last = List.nth (Recorder.events r) (List.length before) in
         check_int "stamped cycle 0" 0 last.Recorder.e_cycle);
     t "check-failure dump ends at the violation; window exact" (fun () ->
-        let obs = Obs.create ~ring:16 () in
+        let obs = Obs.create ~ring:8 () in
         let k = Kernel.create ~obs () in
         let s = Signal.create ~name:"pulse" 1 in
         Kernel.add k
@@ -676,18 +676,21 @@ let recorder_tests =
             in
             Alcotest.(check (option string))
               "context is the failure message" (Some "boom") d.Query.d_context;
-            check_int "ring size" 16 d.Query.d_ring;
+            check_int "ring size" 8 d.Query.d_ring;
             check_int "window is exactly min(total, ring)"
-              (min d.Query.d_total 16)
+              (min d.Query.d_total 8)
               (List.length d.Query.d_events);
             check_int "dropped = total - window"
-              (max 0 (d.Query.d_total - 16))
+              (max 0 (d.Query.d_total - 8))
               d.Query.d_dropped;
             check_bool "this run wrapped the ring" true (d.Query.d_dropped > 0);
             (match Query.last 2 d.Query.d_events with
             | [ ev; fl ] ->
-                check_bool "eval immediately before the failure" true
-                  (ev.Query.ev_kind = Recorder.Check_eval
+                (* a passing check records nothing: the failing tick's
+                   settle is the event before the failure *)
+                check_bool "the tick's settle immediately before the failure" true
+                  (ev.Query.ev_kind = Recorder.Sched_pass
+                  && ev.Query.ev_cycle = 5
                   && fl.Query.ev_kind = Recorder.Check_fail);
                 Alcotest.(check string) "check name" "watch" fl.Query.ev_subject;
                 Alcotest.(check (option string))
@@ -700,6 +703,12 @@ let recorder_tests =
               <> []);
             check_bool "metrics snapshot embedded" true
               (List.mem_assoc "sim/cycles" d.Query.d_counters));
+    t "a version 1 dump is refused" (fun () ->
+        Alcotest.(check (result reject string))
+          "error" (Error "unsupported dump version 1")
+          (Result.map ignore
+             (Query.of_string
+                {|{"splice_dump":1,"ring":4,"total":1,"now":0,"events":[{"c":0,"k":"chk","s":"watch"}]}|})));
     t "~recording:false and Obs.none carry no recorder" (fun () ->
         check_bool "opt-out" true
           (Obs.recorder (Obs.create ~recording:false ()) = None);

@@ -133,16 +133,40 @@ let kernel_tests =
         | exception Kernel.Check_failed { check; message; _ } ->
             Alcotest.(check string) "check" "always-fails" check;
             Alcotest.(check string) "msg" "boom" message);
-    t "on_settle hooks fire each cycle in registration order" (fun () ->
-        let hits = ref [] in
-        let k = Kernel.create () in
-        Kernel.on_settle k (fun c -> hits := ("a", c) :: !hits);
-        Kernel.on_settle k (fun c -> hits := ("b", c) :: !hits);
-        Kernel.run k 3;
-        Alcotest.(check (list (pair string int)))
-          "hooks"
-          [ ("a", 0); ("b", 0); ("a", 1); ("b", 1); ("a", 2); ("b", 2) ]
-          (List.rev !hits));
+    t "an observer check sees the settled pre-edge view" (fun () ->
+        (* a register [q] whose seq advances a model counter, and a comb
+           [d = q + 1]. The observer, registered after the register, must
+           see each tick's settled [d], and [q] and the counter as they
+           were before the edge: run in the seq loop it would see the
+           counter advanced, run after the commit it would see [q]
+           advanced *)
+        List.iter
+          (fun sched ->
+            let q = Signal.create ~name:"q" 8 and d = Signal.create ~name:"d" 8 in
+            let count = ref 0 in
+            let k = Kernel.create ~sched () in
+            Kernel.add k
+              (Component.make
+                 ~comb:([ q ], fun () -> Signal.set_int d (Signal.get_int q + 1))
+                 "inc");
+            Kernel.add k
+              (Component.make
+                 ~seq:(fun () ->
+                   incr count;
+                   Signal.set_next_int q !count)
+                 "reg");
+            let seen = ref [] in
+            Kernel.add_check k "observer" (fun tick ->
+                seen :=
+                  Printf.sprintf "%d: q=%d d=%d count=%d" tick (Signal.get_int q)
+                    (Signal.get_int d) !count
+                  :: !seen);
+            Kernel.run k 3;
+            Alcotest.(check (list string))
+              "observed"
+              [ "0: q=0 d=1 count=0"; "1: q=1 d=2 count=1"; "2: q=2 d=3 count=2" ]
+              (List.rev !seen))
+          [ `Event; `Sweep; `Compiled ]);
     t "a component reused by a re-created kernel re-registers" (fun () ->
         (* regression: the sticky [registered] flag made a second kernel
            skip listener registration for a reused component — source
@@ -329,7 +353,7 @@ let scheduler_tests =
                ~seq:(fun () -> incr count)
                "silent");
           let seen = ref [] in
-          Kernel.on_settle k (fun _ -> seen := Signal.get_int out :: !seen);
+          Kernel.add_check k "trace" (fun _ -> seen := Signal.get_int out :: !seen);
           Kernel.run k 4;
           List.rev !seen
         in
