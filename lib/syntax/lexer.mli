@@ -9,4 +9,6 @@ val tokenize : string -> (Token.t * Loc.t) list
     and column of the token's first character (every character but a
     newline, tabs included, is one column). An error is raised at the
     first bad character, or at the start of an unterminated block comment
-    or of a malformed literal. *)
+    or of a malformed literal. A number runs into no letter or [_]:
+    [12ab] and [0x1g] are malformed literals, not a number and an
+    identifier. *)

@@ -110,33 +110,33 @@ let idents_rev st =
 let parse_user_type st =
   let name = expect_ident st "a type name" in
   ignore (expect st Token.COMMA);
+  let loc = snd (peek st) in
   let def = List.rev (idents_rev st) in
-  if def = [] then Error.fail "expected a type definition in %user_type";
+  if def = [] then Error.fail ~loc "expected a type definition in %user_type";
   ignore (expect st Token.COMMA);
   let width = expect_int st "a bit width" in
   User_type { ut_name = name; ut_def = def; ut_width = width }
 
-let parse_user_struct st =
+let parse_user_struct st loc =
   let name = expect_ident st "a struct name" in
   ignore (expect st Token.LBRACE);
   let rec fields acc =
-    match peek_tok st with
-    | Token.RBRACE ->
+    match peek st with
+    | Token.RBRACE, _ ->
         ignore (next st);
         List.rev acc
-    | Token.IDENT _ -> (
+    | Token.IDENT _, field -> (
         match idents_rev st with
         | fname :: (_ :: _ as rev_ty) ->
             ignore (expect st Token.SEMI);
             fields ((List.rev rev_ty, fname) :: acc)
-        | _ ->
-            Error.fail "a struct field needs a type and a name")
-    | got ->
-        Error.failf "expected a struct field or '}' but found %s"
+        | _ -> Error.fail ~loc:field "a struct field needs a type and a name")
+    | got, loc ->
+        Error.failf ~loc "expected a struct field or '}' but found %s"
           (Token.to_string got)
   in
   let fs = fields [] in
-  if fs = [] then Error.fail "%user_struct needs at least one field";
+  if fs = [] then Error.fail ~loc "%user_struct needs at least one field";
   User_struct { us_name = name; us_fields = fs }
 
 let parse_directive_body st loc =
@@ -163,7 +163,7 @@ let parse_directive_body st loc =
       | "verilog" -> Target_hdl Verilog
       | s -> Error.failf ~loc "unsupported HDL %S (expected vhdl or verilog)" s)
   | "user_type" -> parse_user_type st
-  | "user_struct" -> parse_user_struct st
+  | "user_struct" -> parse_user_struct st loc
   | _ -> assert false
 
 (* ------------------------------------------------------------------ *)

@@ -32,6 +32,18 @@ let lexer_tests =
         match toks "0x8000401C" with
         | [ Token.HEX v; Token.EOF ] -> Alcotest.(check int64) "v" 0x8000401CL v
         | _ -> Alcotest.fail "expected hex");
+    t "a number glued to letters is one malformed literal" (fun () ->
+        List.iter
+          (fun (src, want) ->
+            match toks src with
+            | _ -> Alcotest.failf "%s: expected a lexical error" src
+            | exception Error.Splice_error e ->
+                check_str src want (Error.to_string e))
+          [
+            ("x 12ab", "line 1, col 3: malformed number literal 12ab");
+            ("\n  0x8000000G;", "line 2, col 3: malformed number literal 0x8000000G");
+            ("0x1_f", "line 1, col 1: malformed number literal 0x1_f");
+          ]);
     t "hex literal too wide" (fun () ->
         match toks "0x11112222333344445" with
         | _ -> Alcotest.fail "expected error"
@@ -240,6 +252,20 @@ let parser_directive_tests =
         | Ast.User_type { ut_name = "uint64"; ut_def; ut_width = 64 } ->
             Alcotest.(check (list string)) "def" [ "unsigned"; "long"; "long" ] ut_def
         | _ -> Alcotest.fail "user type");
+    t "user type and struct errors carry their location" (fun () ->
+        List.iter
+          (fun (src, want) ->
+            match Parser.parse_file src with
+            | _ -> Alcotest.failf "%s: expected an error" src
+            | exception Error.Splice_error e -> check_str src want (Error.to_string e))
+          [
+            ("%user_type u, , 8", "line 1, col 15: expected a type definition in %user_type");
+            ( "int f();\n%user_struct s { int x; y; }",
+              "line 2, col 25: a struct field needs a type and a name" );
+            ( "%user_struct s { int x; 7 }",
+              "line 1, col 25: expected a struct field or '}' but found integer 7" );
+            ("int f();\n  %user_struct e { }", "line 2, col 3: %user_struct needs at least one field");
+          ]);
     t "unknown directive rejected" (fun () ->
         match dir "%frobnicate yes" with
         | _ -> Alcotest.fail "expected error"
@@ -320,6 +346,9 @@ let edge_inputs =
        %user struct q { char c; long long d; }\npt f(pt*:3 ps, q z);";
     spec_head ^ "%user_struct pt { int x; pt y; }\nint f();";
     spec_head ^ "%user_struct e { }\nint f();";
+    spec_head ^ "%user_type u, , 8\nint f();";
+    spec_head ^ "%user_struct s { int x; y; }\nint f();";
+    spec_head ^ "%user_struct s { int x; 7 }\nint f();";
   ]
 
 let edge_result buf src =
@@ -356,7 +385,7 @@ let pin_tests =
         check_int "specs" 261 (List.length corpus);
         check_str "md5" "17ab6428ca9255c4b81ed1b281da1b74" (digest_of (fun buf -> List.iter (add_tokens buf) corpus)));
     t "edge inputs keep their tokens, errors and locations" (fun () ->
-        check_str "md5" "5a66d90873b8944a4636528a7f8bbadc" (digest_of (fun buf -> List.iter (edge_result buf) edge_inputs)));
+        check_str "md5" "6d2088b8b92b2330e3ca1229e77a2d48" (digest_of (fun buf -> List.iter (edge_result buf) edge_inputs)));
   ]
 
 let tests =
