@@ -255,7 +255,7 @@ let sample_txn t ~func_id ~dir ~words =
   if func_id = 0 then Cover.sample t.tx_grant 0
 
 (* ---- AXI native-side sampling (resolved like [txn], sampled by the
-   bus model's aclk-domain hook) ------------------------------------- *)
+   bus model's aclk-domain check) ------------------------------------ *)
 
 type axi = {
   ax_handshake : Cover.point;

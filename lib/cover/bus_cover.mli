@@ -37,10 +37,11 @@ val declare : Cover.t -> bus:string -> caps:Bus_caps.t option -> unit
 val attach :
   Cover.t -> bus:string -> caps:Bus_caps.t option ->
   Splice_sim.Kernel.t -> Splice_sis.Sis_if.t -> unit
-(** Declare (if needed) and hook cycle-level sampling — phase aspects,
-    phase sequence, grants, wait-state counts — into the kernel's settled
-    view, once per edge of {!Splice_sis.Sis_if.domain}. The hook keeps
-    only the previous phase, so one attachment per (kernel, run). *)
+(** Declare (if needed) and register cycle-level sampling — phase
+    aspects, phase sequence, grants, wait-state counts — of the kernel's
+    settled view as the ["<bus>-coverage"] observer check, once per edge
+    of {!Splice_sis.Sis_if.domain}. The sampler keeps only the previous
+    phase, so one attachment per (kernel, run). *)
 
 (** Transaction-level points, resolved once at adapter-engine creation
     and sampled at request start — the interning discipline that keeps

@@ -74,7 +74,8 @@ val obs : t -> Splice_obs.Obs.t
 (** The kernel's observability context ([Kernel.obs (kernel t)]). *)
 
 val attach_cycle_breakdown : t -> unit
-(** Register a per-cycle classifier that attributes every simulated cycle
+(** Register a per-cycle classifier (the ["cycle-breakdown"] observer
+    check) that attributes every simulated cycle
     to exactly one of the counters [breakdown/calc] (a stub is computing),
     [breakdown/bus] (a bus transaction in flight), [breakdown/driver] (CPU
     issuing/stalling), or [breakdown/idle] — so their sum equals

@@ -100,11 +100,11 @@ val watch : Kernel.t -> t -> unit
 val domain : Kernel.t -> bus:string -> Kernel.domain
 (** The domain driving [bus]'s SIS side — ["<bus>.pclk"] when the bus has
     one (the AXI bridge), the base domain otherwise; consumers register
-    their checks and hooks there. *)
+    their checks, protocol monitors and observers alike, there. *)
 
 val decode : t -> int -> decoder
-(** [decode t tick], called by a consumer's check or settle hook with the
-    tick it was handed, before reading any field: the first call in a tick
+(** [decode t tick], called by a consumer's check with the tick it was
+    handed, before reading any field: the first call in a tick
     decodes it, later ones return the same facts. Ticks no consumer
     decoded are skipped correctly only while the decoder is {!quiet}:
     a tick after a quiet one, with the same lines, has the same facts. *)

@@ -23,8 +23,9 @@ open Splice_sim
 val attach : Kernel.t -> Sis_if.t -> unit
 
 val instrument : Kernel.t -> Sis_if.t -> func_ids:int list -> unit
-(** Record the decoded transfers into the kernel's [Obs.t] from an
-    [on_settle] hook:
+(** Record the decoded transfers into the kernel's [Obs.t] from the
+    ["sis-metrics"] observer check, which raises nothing and declares no
+    sleep, so it runs every tick:
 
     - counters [sis/transactions] (one per IO_DONE-high cycle: back-to-back
       1-cycle writes keep IO_DONE high, one word per cycle, Fig 4.3),
