@@ -33,7 +33,7 @@ let loc_at line bol i = { Loc.line; col = i - bol + 1 }
 (* a literal ending at [e] must not run into an identifier character: [12ab]
    or [0x1g] is one malformed literal, raised at its start [l], not a
    number followed by an identifier *)
-let literal_end src n i e l =
+let check_literal_end src n i e l =
   if e < n then
     match String.unsafe_get src e with
     | 'a' .. 'z' | 'A' .. 'Z' | '_' ->
@@ -98,7 +98,7 @@ let tokenize src =
         then begin
           let e = hex_end src n (i + 2) in
           if e = i + 2 then Error.fail ~loc:l "expected hex digits after 0x";
-          literal_end src n i e l;
+          check_literal_end src n i e l;
           if e - (i + 2) > 16 then Error.fail ~loc:l "hex literal wider than 64 bits";
           let v = Int64.of_string ("0x" ^ String.sub src (i + 2) (e - i - 2)) in
           toks := (Token.HEX v, l) :: !toks;
@@ -106,7 +106,7 @@ let tokenize src =
         end
         else begin
           let e = digit_end src n i in
-          literal_end src n i e l;
+          check_literal_end src n i e l;
           let s = String.sub src i (e - i) in
           match int_of_string_opt s with
           | Some v ->
